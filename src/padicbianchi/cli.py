@@ -35,7 +35,6 @@ EXIT_NOT_FOUND = 3
 EXIT_INPUT = 4
 
 CACHE_FORMAT = 1
-SUPPORTED_DISCS = (1, 2, 3, 7, 11)
 
 
 class ConfigError(ValueError):
@@ -105,9 +104,10 @@ class RunConfig:
 
     def validate(self):
         from sympy import isprime
-        if self.field_disc not in SUPPORTED_DISCS:
-            raise ConfigError("field_disc must be one of %r"
-                              % (SUPPORTED_DISCS,))
+        if self.field_disc not in ms.RELATION_TABLE_FIELDS:
+            raise ConfigError("field_disc must be one of %r (the fields with "
+                              "M-symbol relation tables)"
+                              % (ms.RELATION_TABLE_FIELDS,))
         if self.k % 2 or self.k < 0:
             raise ConfigError("weight k must be even and nonnegative")
         if self.precision < self.k + 5:
@@ -115,7 +115,7 @@ class RunConfig:
         if not isprime(self.p):
             raise ConfigError("p must be prime")
         try:
-            self.level_elt()
+            ms._factor_level(self.level_elt())   # squarefree, or LevelError
             self.character_moduli()
             self.embedding_pairs()
         except ConfigError:
@@ -513,7 +513,10 @@ def _criterion_8(ctx, detail):
     tree = ctx.fam.tree
     edges = [tree.standard_edge()]
     p = ctx.pd.p
-    while len(edges) < 10:
+    # e_* and the edges (0, a, u) with u mod pi^a, a = 1, 2: 1 + q + q^2 in
+    # all, only 7 at a ramified p = 2
+    target = min(10, 1 + tree.q + tree.q ** 2)
+    while len(edges) < target:
         a = rng.randint(1, 2)
         u = tree.uclass(ctx.qi(rng.randrange(p + 2), rng.randrange(p + 2)),
                         ctx.qi(1), a)

@@ -43,12 +43,15 @@ def _lambda_p(psi):
 
 class RayDistribution:
     """mu_p at modulus (g): the blocks mu'_a plus the data needed to
-    integrate locally analytic functions (the symbol itself and lambda_p)."""
+    integrate locally analytic functions (the symbol itself and lambda_p).
+    lift_offset is the shift of the lifts b of a that built the blocks;
+    unit_discs() lifts with the same shift."""
 
-    def __init__(self, psi, g_mod, blocks):
+    def __init__(self, psi, g_mod, blocks, lift_offset=0):
         self.psi = psi
         self.g_mod = g_mod
         self.blocks = blocks                 # canonical residue -> block
+        self.lift_offset = lift_offset
         self.ring = ResidueRing(g_mod)
         self.lam = _lambda_p(psi)
         self.pctx = padic.completion(psi.ctx.pd, psi.ctx.M)
@@ -76,12 +79,13 @@ class RayDistribution:
                                                   self.psi.ctx.M)
         return self._logs[key]
 
-    def unit_discs(self, lift_offset=0):
+    def unit_discs(self):
         """(a, B, G) for each pair (unit a mod g, unit disc j mod pi): the
         restriction of mu'_a to the disc j + pi O is
         lambda_p^{-1} * Psi{B/G - infty} paired against z -> h(B + G z),
-        where B = a mod g, B = j mod pi and G = g pi."""
-        if self._discs is not None and lift_offset == 0:
+        where B = a mod g, B = j mod pi and G = g pi; B is reached from
+        the lift a + lift_offset * g, as in the blocks."""
+        if self._discs is not None:
             return self._discs
         pd = self.psi.ctx.pd
         pi = pd.pi
@@ -90,12 +94,11 @@ class RayDistribution:
         ginv = rpi.inverse(g)
         out = []
         for a in self.units():
-            b = a + g * lift_offset
+            b = a + g * self.lift_offset
             for j in rpi.unit_elements():
                 t = rpi.reduce((j - b) * ginv)
                 out.append((a, b + g * t, g * pi))
-        if lift_offset == 0:
-            self._discs = out
+        self._discs = out
         return out
 
 
@@ -116,7 +119,7 @@ def build_mu_p(psi, g_mod, lift_offset=0):
         raw = psi.ev(Cusp(b, g_mod), cusp_infinity(d))
         delta = ((QuadInt(1, 0, d), b), (QuadInt(0, 0, d), g_mod))
         blocks[a] = oc.sigma0_act(ctx, delta, raw)
-    return RayDistribution(psi, g_mod, blocks)
+    return RayDistribution(psi, g_mod, blocks, lift_offset)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,29 @@ the solution space is cut out exactly over Q.  Hecke operators, Atkin-Lehner,
 degeneracy maps and the algebraic L-value sum all evaluate paths through the
 Euclidean continued-fraction decomposition.
 
-Relation tables are implemented for the fields with d in {1, 3}, where the
-2-term/3-term/unit relations present the symbol space; the other Euclidean
-fields raise until their tables are added.
+P^1(O_F/n) reduces on plain ints: each prime factor of the level keeps its
+HNF constants and a table of unit inverses, so reducing (c : d) builds no
+QuadInt and takes no gcd. A P1 instance memoises its generator lifts and,
+per prime, the decomposition of a Hecke (or Atkin-Lehner) operator into
+sparse integer rows i -> {j: signed count}; applying the operator to a
+symbol is then an exact row sum over its values.
+
+Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
+(d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
+space; the other Euclidean fields raise until their tables are added.
 """
 
 from fractions import Fraction
 
 from . import field as fld
-from .field import (QuadInt, Cusp, ResidueRing, one, omega, units,
-                    gcd_quad, xgcd_quad, exact_div, divides, mat_mul,
-                    mat_det, mat_inv_unimodular, identity_mat, apply_moebius,
-                    cusp_zero, cusp_infinity, path_between, split_prime)
+from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
+                    xgcd_quad, exact_div, divides, mat_mul,
+                    mat_inv_unimodular, apply_moebius, cusp_zero,
+                    cusp_infinity, path_between, split_prime, _unit_inverse)
+
+
+# the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
+RELATION_TABLE_FIELDS = (1, 3)
 
 
 class LevelError(ValueError):
@@ -52,7 +63,15 @@ def _factor_level(n):
 
 
 class P1:
-    """P^1(O_F/n) for squarefree n, via CRT over the prime factors."""
+    """P^1(O_F/n) for squarefree n, via CRT over the prime factors.
+
+    Reduction runs on plain ints. Each prime factor pi keeps the HNF
+    constants of O/pi and a dict from every unit residue (a, b) to its
+    inverse; O/pi is a field, so a residue is a unit exactly when it is
+    nonzero. The lift of each generator to SL_2(O_F), its inverse, and the
+    path decompositions behind Hecke and Atkin-Lehner operators are
+    memoised on the instance.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -60,6 +79,21 @@ class P1:
         self.ring = ResidueRing(n)
         self.factors = _factor_level(n)
         self._rings = [ResidueRing(pi) for pi, _ in self.factors]
+        _, self._S, self._T, _ = fld.field_params(self.d)
+        self._tables = []
+        for R in self._rings:
+            inv = {}
+            for x in R.elements():
+                if x:
+                    y = R.inverse(x)
+                    inv[x.a, x.b] = (y.a, y.b)
+            self._tables.append((R.h00, R.h10, R.h11, inv))
+        # CRT idempotents: 1 mod pi, 0 mod n/pi
+        self._idempotents = []
+        for pi, _ in self.factors:
+            m = exact_div(n, pi)
+            g, u, _ = xgcd_quad(m, pi)
+            self._idempotents.append(m * u * _unit_inverse(g))
         # local representatives: (0,1) and (1, x)
         local = []
         for R in self._rings:
@@ -76,27 +110,34 @@ class P1:
             if key not in self.index:
                 self.index[key] = len(self.reps)
                 self.reps.append((c, dd))
+        self._lifts = [None] * len(self.reps)
+        self._lift_invs = [None] * len(self.reps)
+        self._path_rows = {}
 
     def _crt(self, residues):
-        n, d = self.n, self.d
-        x = QuadInt(0, 0, d)
-        for (pi, _), r in zip(self.factors, residues):
-            m = exact_div(n, pi)
-            g, u, _ = xgcd_quad(m, pi)
-            # g is a unit; m*u*g^{-1} = 1 mod pi, 0 mod n/pi
-            ui = _unit_inv(g)
-            x = x + r * m * u * ui
+        x = QuadInt(0, 0, self.d)
+        for e, r in zip(self._idempotents, residues):
+            x = x + r * e
         return self.ring.reduce(x)
 
     def _key(self, c, dd):
+        """Per prime: (1, 0, 0) for the point (0 : 1), else (0, a, b) with
+        a + b*w the canonical residue of dd/c."""
+        S, T = self._S, self._T
         parts = []
-        for R in self._rings:
-            cc, dl = R.reduce(c), R.reduce(dd)
-            if R.is_unit(cc):
-                parts.append((0, R.mul(dl, R.inverse(cc))))
-            else:
-                parts.append((1, QuadInt(0, 0, self.d)))  # the (0:1) point
-        return tuple((t, z.a, z.b) for t, z in parts)
+        for h00, h10, h11, inv in self._tables:
+            cb = c.b % h11
+            ca = (c.a - (c.b - cb) // h11 * h10) % h00
+            if not (ca or cb):
+                parts.append((1, 0, 0))
+                continue
+            ia, ib = inv[ca, cb]
+            # dd * c^{-1}, with w^2 = S w + T, then reduced mod pi
+            xa = dd.a * ia + T * dd.b * ib
+            xb = dd.a * ib + dd.b * ia + S * dd.b * ib
+            b = xb % h11
+            parts.append((0, (xa - (xb - b) // h11 * h10) % h00, b))
+        return tuple(parts)
 
     def reduce(self, c, dd):
         return self.index[self._key(c, dd)]
@@ -109,6 +150,19 @@ class P1:
 
     def lift_matrix(self, i):
         """A fixed determinant-1 matrix over O_F with bottom row in class i."""
+        g = self._lifts[i]
+        if g is None:
+            g = self._lifts[i] = self._lift(i)
+        return g
+
+    def lift_inverse(self, i):
+        """The inverse of lift_matrix(i)."""
+        g = self._lift_invs[i]
+        if g is None:
+            g = self._lift_invs[i] = mat_inv_unimodular(self.lift_matrix(i))
+        return g
+
+    def _lift(self, i):
         c, dd = self.reps[i]
         # massage (c, d) into a coprime pair congruent to the class mod n
         g = gcd_quad(c, dd)
@@ -127,17 +181,34 @@ class P1:
             if tries > 4:
                 raise AssertionError("could not lift %r" % ((c, dd),))
         gg, u, v = xgcd_quad(c, dd)
-        ui = _unit_inv(gg)
+        ui = _unit_inverse(gg)
         # u*c + v*d = g; a*d - b*c = 1 with a = v/g, b = -u/g
         a, b = v * ui, (-u) * ui
         return ((a, b), (c, dd))
 
+    def path_rows(self, mats):
+        """Row i is the signed count {j: n} of the generators in the Manin
+        decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta
+        in mats, g_i = lift_matrix(i). Memoised per list of matrices, so a
+        Hecke operator is decomposed once per prime."""
+        key = tuple(tuple((x.a, x.b) for row in m for x in row) for m in mats)
+        rows = self._path_rows.get(key)
+        if rows is None:
+            rows = self._path_rows[key] = [self._path_row(i, mats)
+                                           for i in range(len(self))]
+        return rows
 
-def _unit_inv(g):
-    for v in units(g.d):
-        if g * v == 1:
-            return v
-    raise ValueError("not a unit: %r" % g)
+    def _path_row(self, i, mats):
+        g = self.lift_matrix(i)
+        r = apply_moebius(g, cusp_zero(self.d))
+        s = apply_moebius(g, cusp_infinity(self.d))
+        row = {}
+        for delta in mats:
+            for sign, h in path_between(apply_moebius(delta, r),
+                                        apply_moebius(delta, s)):
+                j = self.reduce_row(h[1])
+                row[j] = row.get(j, 0) + sign
+        return {j: k for j, k in row.items() if k}
 
 
 def _product(lists):
@@ -161,6 +232,10 @@ def _relation_mats(d):
     d = 1 there are two triangle orbits (through the cusps 1 and i), for d = 3
     likewise (through 1 and w).
     """
+    if d not in RELATION_TABLE_FIELDS:
+        raise LevelError(
+            "M-symbol relation table not available for d=%d (supported: %s)"
+            % (d, ", ".join(map(str, RELATION_TABLE_FIELDS))))
     o = one(d)
     z = QuadInt(0, 0, d)
     w = omega(d)
@@ -170,13 +245,10 @@ def _relation_mats(d):
         R_i = ((z, w), (w, o))       # rotation of (0, i, oo): 0->i->oo->0
         J = ((w, z), (z, -w))        # diag(i, -i), det 1
         return S, [TS, R_i], [J]
-    if d == 3:
-        wc = w.conj()                # = w^{-1} since N(w) = 1
-        R_w = ((z, -w), (wc, o))     # rotation of (0, w, oo)
-        J = ((w, z), (z, wc))        # diag(w, w^{-1}), det 1
-        return S, [TS, R_w], [J]
-    raise LevelError(
-        "M-symbol relation table not available for d=%d (supported: 1, 3)" % d)
+    wc = w.conj()                    # d = 3: w^{-1} since N(w) = 1
+    R_w = ((z, -w), (wc, o))         # rotation of (0, w, oo)
+    J = ((w, z), (z, wc))            # diag(w, w^{-1}), det 1
+    return S, [TS, R_w], [J]
 
 
 def build_symbol_space(n, k=0):
@@ -316,9 +388,7 @@ def manin_terms(p1, r, s):
     out = []
     for sign, g in path_between(r, s):
         idx = p1.reduce_row(g[1])
-        gx = p1.lift_matrix(idx)
-        gamma = mat_mul(g, mat_inv_unimodular(gx))
-        out.append((sign, idx, gamma))
+        out.append((sign, idx, mat_mul(g, p1.lift_inverse(idx))))
     return out
 
 
@@ -333,19 +403,16 @@ def hecke_reps(pi, level, d, n_pd=None):
     return reps
 
 
+def _row_sums(rows, values):
+    return [sum((k * values[j] for j, k in row.items()), Fraction(0))
+            for row in rows]
+
+
 def apply_hecke(phi, pi):
-    """phi | T_(pi) (or U_(pi) when (pi) divides the level), weight (0,0)."""
-    p1 = phi.p1
-    reps = hecke_reps(pi, phi.level, phi.d)
-    vals = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r, s = apply_moebius(g, cusp_zero(phi.d)), apply_moebius(g, cusp_infinity(phi.d))
-        total = Fraction(0)
-        for delta in reps:
-            total += phi.ev(apply_moebius(delta, r), apply_moebius(delta, s))
-        vals.append(total)
-    return phi.copy(vals)
+    """phi | T_(pi) (or U_(pi) when (pi) divides the level), weight (0,0),
+    as exact sums over the memoised decomposition rows of the operator."""
+    rows = phi.p1.path_rows(hecke_reps(pi, phi.level, phi.d))
+    return phi.copy(_row_sums(rows, phi.values))
 
 
 def atkin_lehner_matrix(pi, level):
@@ -355,7 +422,7 @@ def atkin_lehner_matrix(pi, level):
     if divides(pi, m):
         raise ValueError("pi^2 divides the level")
     g, u, v = xgcd_quad(pi, m)
-    ui = _unit_inv(g)
+    ui = _unit_inverse(g)
     u, v = u * ui, v * ui            # u pi + v m = 1
     # W = [[pi*u, -v], [level, pi]]: det = pi^2 u + level v = pi(u pi + v m) = pi
     return ((pi * u, -v), (level, pi))
@@ -363,14 +430,7 @@ def atkin_lehner_matrix(pi, level):
 
 def apply_atkin_lehner(phi, pi):
     W = atkin_lehner_matrix(pi, phi.level)
-    p1 = phi.p1
-    vals = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r = apply_moebius(g, cusp_zero(phi.d))
-        s = apply_moebius(g, cusp_infinity(phi.d))
-        vals.append(phi.ev(apply_moebius(W, r), apply_moebius(W, s)))
-    return phi.copy(vals)
+    return phi.copy(_row_sums(phi.p1.path_rows([W]), phi.values))
 
 
 def degeneracy(phi, pi, direction, target_p1=None):

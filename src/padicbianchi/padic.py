@@ -291,6 +291,9 @@ class PadicElement:
             raise PrecisionError("inexact division by pi^%d" % v)
         num = PadicElement(ctx, self.c0 // pk, self.c1 // pk, self.prec - v)
         den = PadicElement(ctx, o.c0 // pk, o.c1 // pk, o.prec - v)
+        if num.prec <= 0 or den.prec <= 0:
+            # no digit of the quotient survives the peeling
+            raise PrecisionError("inexact division by pi^%d" % v)
         return num * den.inverse()
 
     def __rtruediv__(self, other):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -108,10 +109,23 @@ class TestConfig:
         ["build", "--prime", "5", "--level", "5", "--precision", "5"],
         ["build", "--prime", "7", "--precision", "5"],
         ["build", "--field-disc", "6", "--precision", "5"],
+        ["build", "--level", "121", "--precision", "5"],
     ])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--cache-dir", str(tmp_path / "c")]) == 4
         assert json.loads(capsys.readouterr().out)["error"] == "bad-input"
+
+    def test_field_without_relation_tables(self, tmp_path, capsys):
+        # Q(sqrt(-2)) has field arithmetic but no M-symbol relation table:
+        # the run is refused before any work, with no traceback
+        cache = tmp_path / "c"
+        argv = ["build", "--field-disc", "2", "--level", "5", "--prime", "5",
+                "--cache-dir", str(cache)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert "relation tables" in rep["message"]
+        assert not cache.exists()
 
 
 class TestLinv:
@@ -176,6 +190,27 @@ class TestAccept:
         (entry,) = rep["criteria"]
         assert not entry["passed"]
         assert entry["detail"]["new_max_residual"] != "0"
+
+    def test_ramified_gluing_criterion_ends(self, tmp_path):
+        # the p = 2 tree has only 7 edges of depth <= 2 from e_*, fewer
+        # than the 10 that criterion 8 draws at p = 11
+        ram = ["--level", "7+7i", "--prime", "2", "--precision", "6",
+               "--cache-dir", str(tmp_path / "cache")]
+
+        def stuck(signum, frame):
+            raise TimeoutError("criterion 8 did not end")
+        old = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(120)
+        try:
+            code, rep = run(tmp_path, "a.json",
+                            ["accept"] + ram + ["--criteria", "8"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == 0
+        (entry,) = rep["criteria"]
+        assert entry["id"] == 8 and entry["passed"]
+        assert entry["detail"]["gluing_ok"]
 
     def test_bad_criteria_list(self, cache_dir, tmp_path):
         code, rep = run(tmp_path, "a.json",

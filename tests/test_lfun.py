@@ -76,8 +76,17 @@ class TestValues:
         psi, _ = ref_lift
         chi = character(qi(3), 1)
         other = lfun.build_mu_p(psi, qi(3), lift_offset=1)
+        assert other.lift_offset == 1
+        assert other.unit_discs() != mu3.unit_discs()
         diff = lfun.Lp_value(mu3, chi) - lfun.Lp_value(other, chi)
         assert diff.is_zero()
+        # the exceptional zero alone would hide a lift dependence: compare
+        # values that are not zero too
+        for f in (lambda mu: lfun.Lp_derivative_at(mu, chi),
+                  lambda mu: lfun.Lp_value(mu, chi, s=1)):
+            a, b = f(mu3), f(other)
+            assert not a.is_zero()
+            assert (a - b).is_zero()
 
     def test_sign_forced_vanishing(self, ref_lift):
         # chi mod (4+i) has chi((11)) = -1: no exceptional factor (Z = 2),

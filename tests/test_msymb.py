@@ -33,6 +33,88 @@ class TestP1:
         assert p1.reduce(qi(3, 4) + qi(11), qi(5, 1)) == i
 
 
+def reference_key(p1, c, dd):
+    """The object-level reduction key of (c : dd), computed with QuadInt
+    residues, a gcd unit test and ResidueRing.inverse at each prime."""
+    parts = []
+    for R in p1._rings:
+        cc, dl = R.reduce(c), R.reduce(dd)
+        if R.is_unit(cc):
+            z = R.mul(dl, R.inverse(cc))
+            parts.append((0, z.a, z.b))
+        else:
+            parts.append((1, 0, 0))
+    return tuple(parts)
+
+
+def naive_operator(p1, mats, symbols):
+    """Each symbol's image under sum_delta {delta g_i 0 -> delta g_i oo},
+    evaluated path piece by path piece with the reference reduction."""
+    d = p1.d
+    pieces = []
+    for i in range(len(p1)):
+        g = p1.lift_matrix(i)
+        r = fld.apply_moebius(g, cusp_zero(d))
+        s = fld.apply_moebius(g, cusp_infinity(d))
+        row = []
+        for delta in mats:
+            for sign, h in fld.path_between(fld.apply_moebius(delta, r),
+                                            fld.apply_moebius(delta, s)):
+                row.append((sign, p1.index[reference_key(p1, *h[1])]))
+        pieces.append(row)
+    out = []
+    for phi in symbols:
+        vals = []
+        for row in pieces:
+            total = Fraction(0)
+            for sign, j in row:
+                total += sign * phi.values[j]
+            vals.append(total)
+        out.append(vals)
+    return out
+
+
+class TestTableReduction:
+    @pytest.mark.parametrize("level", [
+        QuadInt(11, 0, 1),           # inert
+        QuadInt(7, 7, 1),            # ramified (1+i) times inert (7)
+        QuadInt(14, 0, 3),           # d = 3: inert (2), split 7
+    ])
+    def test_reduce_matches_object_level_key(self, level):
+        p1 = ms.P1(level)
+        d = level.d
+        coords = [QuadInt(a, b, d) for a in range(-3, 4) for b in range(-3, 4)]
+        for c in coords:
+            for dd in coords:
+                ref = reference_key(p1, c, dd)
+                assert p1._key(c, dd) == ref
+                if ref in p1.index:
+                    assert p1.reduce(c, dd) == p1.index[ref]
+
+    def test_lifts_are_memoised(self):
+        p1 = ms.P1(qi(7, 7))
+        g = p1.lift_matrix(5)
+        assert p1.lift_matrix(5) is g
+        assert fld.mat_mul(g, p1.lift_inverse(5)) == fld.identity_mat(1)
+
+    def test_operators_match_naive_path_sums(self):
+        level = qi(7, 7)
+        p1, basis = ms.build_symbol_space(level)
+        syms = [ms.ModularSymbol(p1, vec, level, 1) for vec in basis]
+        pi = fld.split_prime(2, 1).pi
+        primes = [q for q, _ in ms._small_coprime_primes(level, 1, 3)] + [pi]
+        for q in primes:
+            want = naive_operator(p1, ms.hecke_reps(q, level, 1), syms)
+            for phi, vals in zip(syms, want):
+                assert ms.apply_hecke(phi, q).values == vals
+        W = ms.atkin_lehner_matrix(pi, level)
+        want = naive_operator(p1, [W], syms)
+        for phi, vals in zip(syms, want):
+            assert ms.apply_atkin_lehner(phi, pi).values == vals
+        # one memoised decomposition per operator
+        assert len(p1._path_rows) == len(primes) + 1
+
+
 class TestSymbolSpace:
     def test_dimension_level_11(self):
         p1, basis = ms.build_symbol_space(qi(11))

@@ -113,6 +113,17 @@ class TestInert:
             w = w * t
         assert (w - self.ctx.one()).is_zero()
 
+    def test_division_without_digits_raises(self):
+        # at precision 5, 11^5 is zero to its precision: dividing by it
+        # leaves no digit of the quotient, whatever the dividend
+        ctx5 = pa.completion(self.pd, 5)
+        p5 = ctx5.from_rational(Fraction(11 ** 5))
+        for num in (ctx5.zero(), ctx5.from_rational(Fraction(7 * 11 ** 5))):
+            with pytest.raises(PrecisionError, match="inexact division"):
+                num / p5
+        q = ctx5.from_rational(Fraction(7 * 11 ** 2)) / 11 ** 2
+        assert (q - 7).is_zero() and q.prec == 3
+
 
 class TestRamified:
     def setup_method(self):
