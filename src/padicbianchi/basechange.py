@@ -3,21 +3,34 @@
 Three ingredients live here. First, the Tate-period oracle: for an elliptic
 curve with multiplicative reduction at p, the period q with j(q) = j(E) is
 recovered by reverting the q-expansion of j, and log_iw(q)/ord_p(q) is the
-classical L-invariant. Second, a one-variable overconvergent symbol lifter
-over Q (the zbar-trivial degeneration of the Bianchi machinery) good enough
-to compute L_p(ft, chi, s) for the base-changed form ft and small twists.
-Third, the factorization check: the Bianchi p-adic L-function of lfun, whose
-s-variable runs along the cyclotomic line (p is not split), factors as the
-product of the two classical L-functions (trivial twist and the twist by the
-quadratic character of the field), up to the unit #O^x/2 and period units
-which the ratio-of-ratios comparison cancels.
+classical L-invariant. Second, the classical side of the one-variable
+overconvergent lift of the base-changed form ft: the M-symbols over Q
+(RationalP1, its paths and the eigen-split) and the enumeration of their
+U_p terms. The moments themselves live in ocsymb, the one moment layer of
+the package: a one-variable distribution is the zbar-trivial column of a
+Bianchi moment table, and the lift runs on the DistContext of
+F = Q(sqrt(-FIELD_D)) at p, which must not split in F (the base-change
+setting). Integer matrices enter that layer embedded in SL_2(O_F).
+Third, the factorization check: the Bianchi p-adic L-function of lfun,
+whose s-variable runs along the cyclotomic line (p is not split), factors as
+the product of the two classical L-functions (trivial twist and the twist by
+the quadratic character of the field), up to the unit #O^x/2 and period
+units which the ratio-of-ratios comparison cancels. Both sides integrate
+through lfun.disc_sum and lfun._pair.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from . import field as fld
 from . import lfun
+from . import ocsymb as oc
 from . import padic
+from .field import QuadInt, mat_inv_unimodular, mat_mul
+
+
+# F = Q(sqrt(-FIELD_D)) = Q(i), the field of the base-change comparison
+FIELD_D = 1
 
 
 # Weierstrass coefficients (a1, a2, a3, a4, a6) of the test curves
@@ -157,6 +170,30 @@ class RationalP1:
         u, v = _xgcd(c, d)
         return ((v, -u), (c, d))
 
+    def manin_terms(self, r, s):
+        """Decompose {r -> s}: list of (sign, gen_index, gamma) with each
+        path piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in
+        Gamma_0(N) embedded in SL_2(O_F) for the moment layer."""
+        out = []
+        for sign, g in _unimodular_path(r, s):
+            idx = self.index(*g[1])
+            gamma = _mat_mul_q(g, _mat_inv_q(self.lift_matrix(idx)))
+            out.append((sign, idx, _embed(gamma)))
+        return out
+
+    def hecke_terms(self, mats):
+        """The U_p plan terms (i, j, sign, g) of the paths
+        {delta g_i 0 -> delta g_i oo}, delta in mats; as
+        msymb.P1.hecke_terms, over Q."""
+        for i in range(len(self)):
+            g = self.lift_matrix(i)
+            r, s = _moebius_q(g, Fraction(0)), _moebius_q(g, None)
+            for delta in mats:
+                for sign, j, gamma in self.manin_terms(_moebius_q(delta, r),
+                                                       _moebius_q(delta, s)):
+                    yield i, j, sign, mat_mul(mat_inv_unimodular(gamma),
+                                              _embed(delta))
+
 
 def _xgcd(a, b):
     """(u, v) with u*a + v*b = gcd(a, b) = 1."""
@@ -189,6 +226,11 @@ def _mat_inv_q(g):
     (a, b), (c, d) = g
     assert a * d - b * c == 1
     return ((d, -b), (-c, a))
+
+
+def _embed(g):
+    """An integer matrix as a matrix over O_F."""
+    return tuple(tuple(QuadInt(x, 0, FIELD_D) for x in row) for row in g)
 
 
 def build_rational_symbol_space(N):
@@ -395,157 +437,14 @@ def find_rational_eigensymbols(N, p, helper=(2, -2)):
 # one-variable overconvergent lifting
 
 
-class QDistContext:
-    def __init__(self, p, M):
-        self.p = p
-        self.M = M
-        self.mod = p ** M
-
-
-def action_matrix_q(ctx, g):
-    """A[j][i] = coefficient of z^i in ((b + d z)/(a + c z))^j mod p^M,
-    for g in Sigma_0(p) (p | c, a a p-unit)."""
-    (a, b), (c, d) = g
-    p, M, mod = ctx.p, ctx.M, ctx.mod
-    if a % p == 0 or c % p:
-        raise ValueError("matrix not in Sigma_0(p)")
-    if a * d - b * c == 0:
-        raise ValueError("singular matrix")
-    ainv = pow(a % mod, -1, mod)
-    # base = (b + d z) * (1/a) * sum (-c/a)^k z^k
-    t = (-c * ainv) % mod
-    geom = [1]
-    for _ in range(M - 1):
-        geom.append(geom[-1] * t % mod)
-    inv_series = [x * ainv % mod for x in geom]
-    base = [0] * M
-    for i, x in enumerate(inv_series):
-        base[i] = (base[i] + b * x) % mod
-        if i + 1 < M:
-            base[i + 1] = (base[i + 1] + d * x) % mod
-    rows = [[1] + [0] * (M - 1)]
-    for _ in range(M - 1):
-        prev = rows[-1]
-        nxt = [0] * M
-        for i, x in enumerate(prev):
-            if not x:
-                continue
-            for k in range(M - i):
-                nxt[i + k] = (nxt[i + k] + x * base[k]) % mod
-        rows.append(nxt)
-    return rows
-
-
-class QDist:
-    """Moment list mu(z^i), i < M, each honest mod p^(M - i)."""
-
-    __slots__ = ("ctx", "m")
-
-    def __init__(self, ctx, m=None):
-        self.ctx = ctx
-        self.m = list(m) if m is not None else [0] * ctx.M
-
-    def moment(self, i):
-        return self.m[i] % self.ctx.p ** (self.ctx.M - i)
-
-    def add(self, other, sign=1):
-        return QDist(self.ctx, [(x + sign * y) % self.ctx.mod
-                                for x, y in zip(self.m, other.m)])
-
-    def filtration(self):
-        best = self.ctx.M
-        for i, x in enumerate(self.m):
-            v = _vp(x % self.ctx.mod, self.ctx.p) if x % self.ctx.mod \
-                else self.ctx.M
-            best = min(best, min(v, self.ctx.M - i) + i)
-        return best
-
-
-def sigma0_act_q(ctx, g, mu):
-    A = action_matrix_q(ctx, g)
-    out = [sum(A[j][i] * mu.m[i] for i in range(ctx.M)) % ctx.mod
-           for j in range(ctx.M)]
-    return QDist(ctx, out)
-
-
-class QSymbol:
-    """Distribution-valued symbol over Q on the M-symbol generators."""
-
-    def __init__(self, p1, ctx, N, values, eigen=None):
-        self.p1 = p1
-        self.ctx = ctx
-        self.N = N
-        self.values = list(values)
-        self.eigen = eigen or {}
-
-    def ev(self, r, s):
-        total = QDist(self.ctx)
-        for sign, g in _unimodular_path(r, s):
-            idx = self.p1.index(*g[1])
-            gamma = _mat_mul_q(g, _mat_inv_q(self.p1.lift_matrix(idx)))
-            moved = sigma0_act_q(self.ctx, _mat_inv_q(gamma),
-                                 self.values[idx])
-            total = total.add(moved, sign)
-        return total
-
-
 def lift_rational(phi, M, p):
     """One-variable overconvergent eigenlift of a rational eigensymbol with
-    unit a_p; returns (symbol, certificate)."""
-    lam = Fraction(phi.eigen["lambda_p"])
-    if lam.numerator % p == 0:
-        raise ValueError("slope condition violated")
-    ctx = QDistContext(p, M)
-    lam_inv = pow(int(lam.numerator) % ctx.mod, -1, ctx.mod) \
-        * int(lam.denominator) % ctx.mod
-    p1 = phi.p1
-    reps = hecke_reps_q(p, phi.N)[:p]
-    # precompute the Manin data of U_p on the generators
-    plan = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r, s = _moebius_q(g, Fraction(0)), _moebius_q(g, None)
-        for delta in reps:
-            dr, ds = _moebius_q(delta, r), _moebius_q(delta, s)
-            for sign, gg in _unimodular_path(dr, ds):
-                idx = p1.index(*gg[1])
-                gamma = _mat_mul_q(gg, _mat_inv_q(p1.lift_matrix(idx)))
-                act = _mat_mul_q(_mat_inv_q(gamma), delta)
-                plan.append((i, idx, sign, action_matrix_q(ctx, act)))
-    values = [[0] * M for _ in range(len(p1))]
-    for i, v in enumerate(phi.values):
-        values[i][0] = int(v) % ctx.mod
-
-    def u_apply(vals):
-        out = [[0] * M for _ in range(len(p1))]
-        for i, idx, sign, A in plan:
-            src = vals[idx]
-            for j in range(M):
-                out[i][j] += sign * sum(A[j][k] * src[k] for k in range(M))
-        return [[x * lam_inv % ctx.mod for x in row] for row in out]
-
-    gains = []
-    for _ in range(M + 1):
-        new = u_apply(values)
-        fil = min(QDist(ctx, [(a - b) % ctx.mod
-                              for a, b in zip(nr, vr)]).filtration()
-                  for nr, vr in zip(new, values))
-        gains.append(fil)
-        values = new
-        if fil >= M:
-            break
-    psi = QSymbol(p1, ctx, phi.N, [QDist(ctx, row) for row in values],
-                  dict(phi.eigen))
-    cert = {"iterations": len(gains), "increment_filtrations": gains,
-            "converged": bool(gains and gains[-1] >= M), "M": M,
-            "lambda_p": str(lam)}
-    return psi, cert
-
-
-def specialize_rational(psi, phi):
-    mod = psi.ctx.mod
-    return all((v.moment(0) - int(c)) % mod == 0
-               for v, c in zip(psi.values, phi.values))
+    unit a_p; returns (symbol, certificate). The symbol's tables are the
+    zbar-trivial column (2, M, 1) on the moment layer of F at p; its
+    moments lie in Z_p, so their second coordinate is zero."""
+    ctx = oc.DistContext(fld.split_prime(p, FIELD_D), M)
+    u_op = oc.UOperator(ctx, phi.p1.hecke_terms(hecke_reps_q(p, phi.N)[:p]))
+    return oc.iterate_lift(phi, phi.N, u_op, 1, phi.eigen["lambda_p"], M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +478,11 @@ class QRayDistribution:
         self._raw = {}
 
     def raw_moments(self, B, G):
+        """Psi{B/G - infty}, each moment cut to its honest precision;
+        cached."""
         if (B, G) not in self._raw:
-            self._raw[(B, G)] = self.psi.ev(Fraction(B, G), None)
+            self._raw[(B, G)] = self.psi.ev(Fraction(B, G),
+                                            None).reduce_filtration()
         return self._raw[(B, G)]
 
     def unit_discs(self):
@@ -606,16 +508,9 @@ def Lp_rational(mu, chi=None, s=0, insert_log=False):
     """L_p(ft, chi, s) = integral of <z>^s chi(z) against the measure;
     insert_log gives the derivative in s instead."""
     def on_disc(mu, B, G):
-        pctx = mu.pctx
-        M = mu.psi.ctx.M
-        F = lfun._integrand_series(pctx, B, G, s, insert_log, M)
-        fd = mu.raw_moments(B, G)
-        acc = pctx.zero()
-        for i in range(M):
-            if F[i].is_zero():
-                continue
-            acc = acc + F[i] * pctx.elt(fd.moment(i), 0, M - i)
-        return acc
+        F = lfun._integrand_series(mu.pctx, B, G, s, insert_log,
+                                   mu.psi.ctx.M)
+        return lfun._pair(mu, B, G, F)
     return lfun.disc_sum(mu, lfun._chi_weight(mu, chi), on_disc)
 
 
@@ -684,11 +579,8 @@ def ramified_case_report(M=6):
     """Attempt the p = 2 (ramified in Q(i)) run with the base change of the
     conductor-14 curve; every stage is tried and the first failure is
     reported as a skip with its cause."""
-    from . import field as fld
     from . import msymb as ms
-    from . import ocsymb as oc
     from . import cocycle as cc
-    from .field import QuadInt
 
     report = {"p": 2, "curve": "14a", "level": "(1+i)(7)", "M": M}
     stage = "classical L-invariant"

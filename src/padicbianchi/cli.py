@@ -6,10 +6,11 @@ produce byte-identical output.  All p-adic values are serialized as residue
 strings with valuation and precision; there is no floating point anywhere.
 
 Exit codes: 0 pass, 1 check failed, 2 precision underflow, 3 not found,
-4 bad input.
+4 bad input (command-line errors included). Errors are JSON reports too.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -58,7 +59,6 @@ class RunConfig:
         "embedding_data": "3:1,3:2,7:1",
         "cache_dir": ".padicbianchi-cache",
         "output": "",
-        "jobs": 1,
     }
 
     def __init__(self, **kw):
@@ -577,36 +577,12 @@ CRITERIA = [
 ]
 
 
-ACCEPT_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "acceptance suite report",
-    "type": "object",
-    "required": ["command", "all_pass", "criteria", "config"],
-    "properties": {
-        "command": {"const": "accept"},
-        "all_pass": {"type": "boolean"},
-        "fault_injected": {"type": "boolean"},
-        "config": {"type": "object"},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "criteria": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "description", "passed", "elapsed_sec"],
-                "properties": {
-                    "id": {"type": "integer", "minimum": 1, "maximum": 9},
-                    "description": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "elapsed_sec": {"type": "number"},
-                    "runtime_limit_sec": {"type": ["number", "null"]},
-                    "within_limit": {"type": "boolean"},
-                    "error": {"type": "string"},
-                    "detail": {"type": "object"},
-                },
-            },
-        },
-    },
-}
+@functools.lru_cache(maxsize=None)
+def accept_report_schema():
+    """The JSON schema of the accept report, shipped as package data."""
+    path = os.path.join(os.path.dirname(__file__), "accept_report.schema.json")
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def run_criteria(ctx, selected=None):
@@ -670,7 +646,7 @@ def cmd_accept(cfg, args):
     }
     try:
         import jsonschema
-        jsonschema.validate(report, ACCEPT_REPORT_SCHEMA)
+        jsonschema.validate(report, accept_report_schema())
         report["schema_valid"] = True
     except ImportError:
         pass
@@ -696,12 +672,28 @@ def _add_config_flags(sub):
                      help="comma list of c:v embedding data")
     sub.add_argument("--cache-dir", dest="cache_dir")
     sub.add_argument("--output", help="report path (default stdout)")
-    sub.add_argument("--jobs", type=int,
-                     help="worker cap (stages are currently sequential)")
+
+
+class ArgumentsError(ConfigError):
+    """A command line the parser rejects; cmd is the subcommand, if known."""
+
+    def __init__(self, cmd, message):
+        super().__init__(message)
+        self.cmd = cmd
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentsError where argparse would print usage and exit 2,
+    the precision-underflow code; main reports it as bad input (exit 4).
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        # prog is "padicbianchi" or "padicbianchi <cmd>"
+        raise ArgumentsError(self.prog.partition(" ")[2] or None, message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicbianchi",
         description="p-adic L-functions and L-invariants of p-new Bianchi "
                     "eigensymbols over class-number-one imaginary quadratic "
@@ -726,7 +718,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise ArgumentsError(args.cmd, "unrecognized arguments: %s"
+                                 % " ".join(extra))
+    except ArgumentsError as exc:
+        emit(_error_report(exc.cmd, "bad-input", str(exc)), None)
+        return EXIT_INPUT
     try:
         cfg = RunConfig.from_sources(args)
     except ConfigError as exc:

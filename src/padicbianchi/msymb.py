@@ -186,6 +186,25 @@ class P1:
         a, b = v * ui, (-u) * ui
         return ((a, b), (c, dd))
 
+    def manin_terms(self, r, s):
+        """The Manin decomposition of {r -> s}; see manin_terms."""
+        return manin_terms(self, r, s)
+
+    def hecke_terms(self, mats):
+        """(i, j, sign, g) for each piece of the Manin decomposition of the
+        paths {delta g_i 0 -> delta g_i oo} over delta in mats, with
+        g = gamma^-1 delta: the piece adds sign * (Psi(g_j) | g) to the
+        image of generator i. These are the terms of the U_p plan,
+        generated one at a time so that a large plan never holds them all."""
+        for i in range(len(self)):
+            g = self.lift_matrix(i)
+            r = apply_moebius(g, cusp_zero(self.d))
+            s = apply_moebius(g, cusp_infinity(self.d))
+            for delta in mats:
+                for sign, j, gamma in self.manin_terms(
+                        apply_moebius(delta, r), apply_moebius(delta, s)):
+                    yield i, j, sign, mat_mul(mat_inv_unimodular(gamma), delta)
+
     def path_rows(self, mats):
         """Row i is the signed count {j: n} of the generators in the Manin
         decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta

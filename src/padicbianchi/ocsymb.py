@@ -1,18 +1,25 @@
 """Overconvergent modular symbols: finite approximation modules for the
-two-variable distribution space, the weight action of Sigma_0(p), the
-specialization map, and the lifting iteration.
+distribution spaces in one and two variables, the weight action of
+Sigma_0(p), the specialization map, and the lifting iteration. This is the
+one moment layer of the package: the Bianchi lift and the one-variable lift
+of a classical form over Q both run on it.
 
-A distribution mu on O_F (x) Z_p is truncated to the square moment grid
-m[i][j] = mu(z^i zbar^j), 0 <= i, j < M, with moment (i, j) meaningful mod
-p^(M - max(i,j)). Moments are elements c0 + c1*g of the completion, stored
-as a pair of int64 numpy arrays mod p^M, where g has minimal polynomial
-g^2 = S*g + T.
+A distribution mu on O_F (x) Z_p is truncated to the moment table
+m[i][j] = mu(z^i zbar^j), 0 <= i < M, 0 <= j < C, with moment (i, j)
+meaningful mod p^(M - max(i,j)). Moments are elements c0 + c1*g of the
+completion, stored as a pair of int64 numpy arrays mod p^M, where g has
+minimal polynomial g^2 = S*g + T. A Bianchi distribution has the square
+table, C = M. A one-variable distribution has C = 1: the zbar-trivial
+column mu(z^i zbar^0).
 
 The semigroup Sigma_0(p) (a a unit, c = 0 mod pi) acts on test functions by
-gamma . f(z) = f((b + d z)/(a + c z)); on the moment grid this is
+gamma . f(z) = f((b + d z)/(a + c z)); on the moment table this is
 m -> A m conj(A)^T where A[i] holds the power series coefficients of
-((b + d z)/(a + c z))^i. U_p contracts the filtration, which is what makes
-the lifting iteration converge.
+((b + d z)/(a + c z))^i, with the right factor cut to the table's C
+columns. Row 0 of A is e_0, so the zbar-trivial column is closed under the
+action and this cut is exact; for a rational matrix A is the one-variable
+action matrix. U_p contracts the filtration, which is what makes the
+lifting iteration converge.
 """
 
 from fractions import Fraction
@@ -20,11 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .field import (
-    QuadInt,
     cusp_infinity,
     cusp_zero,
     apply_moebius,
-    mat_mul,
     mat_inv_unimodular,
     divides,
 )
@@ -96,12 +101,6 @@ class DistContext:
             v += 1
         return v
 
-    def to_padic(self, x0, x1, prec=None):
-        from . import padic
-        ctx = padic.completion(self.pd, self.M)
-        e = ctx.elt(int(x0), int(x1))
-        return e
-
 
 class FiniteDistribution:
     """Truncated moment table of a distribution; see module docstring."""
@@ -131,8 +130,9 @@ class FiniteDistribution:
         zero distribution of the approximation module has filtration M."""
         ctx = self.ctx
         best = ctx.M
-        for i in range(ctx.M):
-            for j in range(ctx.M):
+        _, rows, cols = self.m.shape
+        for i in range(rows):
+            for j in range(cols):
                 v = ctx.val_pair(self.m[0, i, j], self.m[1, i, j])
                 best = min(best, v + max(i, j))
         return best
@@ -141,8 +141,9 @@ class FiniteDistribution:
         """Truncate each moment to its honest precision p^(M - max(i,j))."""
         ctx = self.ctx
         out = self.m.copy()
-        for i in range(ctx.M):
-            for j in range(ctx.M):
+        _, rows, cols = out.shape
+        for i in range(rows):
+            for j in range(cols):
                 q = ctx.p ** (ctx.M - max(i, j))
                 out[:, i, j] %= q
         return FiniteDistribution(ctx, out)
@@ -221,10 +222,13 @@ def _mat_pair_mul(ctx, X0, X1, Y0, Y1):
 
 
 def sigma0_act(ctx, g, mu):
-    """mu | gamma: pull back test functions through the twisted action."""
+    """mu | gamma: pull back test functions through the twisted action. The
+    right (zbar) factor is cut to the columns of mu's table."""
     A0, A1 = action_matrix(ctx, g)
-    B0 = (A0 + ctx.S * A1) % ctx.mod  # conjugate, transposed below
-    B1 = (-A1) % ctx.mod
+    n = mu.m.shape[2]
+    A0n, A1n = A0[:n, :n], A1[:n, :n]
+    B0 = (A0n + ctx.S * A1n) % ctx.mod  # conjugate, transposed below
+    B1 = (-A1n) % ctx.mod
     Z0, Z1 = _mat_pair_mul(ctx, A0, A1, mu.m[0], mu.m[1])
     W0, W1 = _mat_pair_mul(ctx, Z0, Z1, B0.T % ctx.mod, B1.T % ctx.mod)
     out = np.stack([W0, W1])
@@ -249,9 +253,9 @@ class OverconvergentSymbol:
 
     def ev(self, r, s):
         """Psi{r -> s} as a FiniteDistribution (Gamma-invariance plus the
-        Manin decomposition of the path)."""
-        total = FiniteDistribution(self.ctx)
-        for sign, idx, gamma in ms.manin_terms(self.p1, r, s):
+        Manin decomposition of the path by the symbol's P^1 layer)."""
+        total = FiniteDistribution(self.ctx, np.zeros_like(self.values[0].m))
+        for sign, idx, gamma in self.p1.manin_terms(r, s):
             moved = sigma0_act(self.ctx, mat_inv_unimodular(gamma), self.values[idx])
             total = total.add(moved, sign)
         return total
@@ -281,38 +285,27 @@ def specialize_matches(psi, phi):
 
 
 class UOperator:
-    """The table-level U_p operator with its Manin data precomputed and the
-    moment transforms batched for numpy."""
+    """The table-level U_p operator: the moment transforms of its Manin
+    terms, stacked for numpy.
 
-    def __init__(self, ctx, p1, level):
+    terms yields (dest, src, sign, g): the piece contributes
+    sign * (values[src] | g) to the image at dest. Each Manin layer
+    enumerates its own terms (P1.hecke_terms over O_F,
+    basechange.RationalP1.hecke_terms over Q)."""
+
+    def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.p1 = p1
-        n_gen = len(p1)
-        d = ctx.d
-        reps = ms.hecke_reps(ctx.pd.pi, level, d)
-        assert len(reps) == ctx.pd.norm, "U_p needs pi | level"
         dest, src, sgn = [], [], []
         A0s, A1s, B0s, B1s = [], [], [], []
-        for i in range(n_gen):
-            gi = p1.lift_matrix(i)
-            r = apply_moebius(gi, cusp_zero(d))
-            s = apply_moebius(gi, cusp_infinity(d))
-            for delta in reps:
-                dr = apply_moebius(delta, r)
-                dsv = apply_moebius(delta, s)
-                for sign, idx, gamma in ms.manin_terms(p1, dr, dsv):
-                    g = mat_mul(mat_inv_unimodular(gamma), delta)
-                    A0, A1 = action_matrix(ctx, g)
-                    B0 = (A0 + ctx.S * A1).T % ctx.mod
-                    B1 = (-A1).T % ctx.mod
-                    dest.append(i)
-                    src.append(idx)
-                    sgn.append(sign)
-                    A0s.append(A0)
-                    A1s.append(A1)
-                    B0s.append(B0)
-                    B1s.append(B1)
-        self.n_gen = n_gen
+        for i, idx, sign, g in terms:
+            A0, A1 = action_matrix(ctx, g)
+            dest.append(i)
+            src.append(idx)
+            sgn.append(sign)
+            A0s.append(A0)
+            A1s.append(A1)
+            B0s.append((A0 + ctx.S * A1).T % ctx.mod)
+            B1s.append((-A1).T % ctx.mod)
         self.dest = np.array(dest)
         self.src = np.array(src)
         self.sgn = np.array(sgn).reshape(-1, 1, 1)
@@ -322,23 +315,34 @@ class UOperator:
         self.B1 = np.stack(B1s)
 
     def apply(self, values):
-        """values: ndarray (n_gen, 2, M, M) -> U_p applied, same shape."""
+        """values: ndarray (n_gen, 2, M, C) -> U_p applied, same shape; the
+        right factor is cut to the C columns of the tables."""
         ctx = self.ctx
         mod = ctx.mod
+        n = values.shape[-1]
+        B0, B1 = self.B0[:, :n, :n], self.B1[:, :n, :n]
         M0 = values[self.src, 0]
         M1 = values[self.src, 1]
         X1Y1 = self.A1 @ M1 % mod
         Z0 = (self.A0 @ M0 + ctx.T * X1Y1) % mod
         Z1 = (self.A0 @ M1 + self.A1 @ M0 + ctx.S * X1Y1) % mod
-        X1Y1 = Z1 @ self.B1 % mod
-        W0 = (Z0 @ self.B0 + ctx.T * X1Y1) % mod
-        W1 = (Z0 @ self.B1 + Z1 @ self.B0 + ctx.S * X1Y1) % mod
+        X1Y1 = Z1 @ B1 % mod
+        W0 = (Z0 @ B0 + ctx.T * X1Y1) % mod
+        W1 = (Z0 @ B1 + Z1 @ B0 + ctx.S * X1Y1) % mod
         W0 = (W0 * self.sgn) % mod
         W1 = (W1 * self.sgn) % mod
         out = np.zeros_like(values)
         np.add.at(out, (self.dest, 0), W0)
         np.add.at(out, (self.dest, 1), W1)
         return out % mod
+
+
+def _lambda_inverse(ctx, lam):
+    """1/lambda_p mod p^M; lambda_p must be a p-unit (slope 0)."""
+    if lam.numerator % ctx.p == 0:
+        raise ValueError("slope condition violated: lambda_p is not a unit")
+    return pow(int(lam.numerator) % ctx.mod, -1, ctx.mod) \
+        * int(lam.denominator) % ctx.mod
 
 
 def lift(phi, M, prime_data, max_iter=None, u_op=None):
@@ -353,37 +357,46 @@ def lift(phi, M, prime_data, max_iter=None, u_op=None):
         lam = ms._ratio(upi, phi)
     lam = Fraction(lam)
     ctx = DistContext(prime_data, M)
-    p = ctx.p
-    if lam.numerator % p == 0:
-        raise ValueError("slope condition violated: lambda_p is not a unit")
-    lam_inv = pow(int(lam.numerator) % ctx.mod, -1, ctx.mod) * int(lam.denominator) % ctx.mod
+    _lambda_inverse(ctx, lam)   # refuse before building the plan
     if max_iter is None:
         max_iter = M + phi.k + 1
     if u_op is None:
-        u_op = UOperator(ctx, phi.p1, phi.level)
+        reps = ms.hecke_reps(ctx.pd.pi, phi.level, ctx.d)
+        assert len(reps) == ctx.pd.norm, "U_p needs pi | level"
+        u_op = UOperator(ctx, phi.p1.hecke_terms(reps))
+    return iterate_lift(phi, phi.level, u_op, M, lam, max_iter)
+
+
+def iterate_lift(phi, level, u_op, cols, lam, max_iter):
+    """Iterate U_p / lambda_p on the plan u_op from the seed table that
+    holds the integral values of phi at moment (0, 0) and zero elsewhere.
+    The seed has cols columns: M for a Bianchi symbol, 1 (the zbar-trivial
+    column) for a rational one. Returns (symbol, certificate)."""
+    ctx = u_op.ctx
+    lam = Fraction(lam)
+    lam_inv = _lambda_inverse(ctx, lam)
     n_gen = len(phi.p1)
-    values = np.zeros((n_gen, 2, ctx.M, ctx.M), dtype=np.int64)
+    values = np.zeros((n_gen, 2, ctx.M, cols), dtype=np.int64)
     for i, v in enumerate(phi.values):
         assert v.denominator == 1
         values[i, 0, 0, 0] = int(v) % ctx.mod
     gains = []
-    prev_fil = 0
     for it in range(max_iter):
         new = u_op.apply(values) * lam_inv % ctx.mod
         diff_fil = _table_filtration(ctx, (new - values) % ctx.mod)
         gains.append(diff_fil)
         values = new
-        if diff_fil >= M:
+        if diff_fil >= ctx.M:
             break
     sym_values = [FiniteDistribution(ctx, values[i]) for i in range(n_gen)]
-    psi = OverconvergentSymbol(phi.p1, ctx, phi.level, sym_values,
+    psi = OverconvergentSymbol(phi.p1, ctx, level, sym_values,
                                dict(phi.eigen))
     cert = {
         "iterations": len(gains),
         "increment_filtrations": gains,
-        "converged": gains[-1] >= M if gains else True,
+        "converged": gains[-1] >= ctx.M if gains else True,
         "lambda_p": str(lam),
-        "M": M,
+        "M": ctx.M,
     }
     return psi, cert
 

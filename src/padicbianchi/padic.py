@@ -79,9 +79,6 @@ class PadicContext:
         wa, wb = self._embed_coeffs
         return self.elt(z.a + z.b * wa, z.b * wb)
 
-    def embed_cusp_entry(self, z):
-        return self.embed(z)
-
     def __repr__(self):
         return "PadicContext(p=%d, M=%d, %s)" % (self.p, self.M, self.ext_kind)
 
@@ -274,7 +271,6 @@ class PadicElement:
             num = x * pi.conj() ** v
             den = y * pi.conj() ** v     # now v_pi(den) = 2v -> p^v * unit
             k = v
-            m0 = num.c0 // ctx.p ** 0
             pk = ctx.p ** k
             if num.c0 % pk or num.c1 % pk:
                 raise PrecisionError("inexact division by pi^%d" % v)

@@ -26,7 +26,8 @@ def ref_uop(ref_symbols, ref_prime, ref_level):
     from padicbianchi import ocsymb as oc
     phi, _ = ref_symbols
     ctx = oc.DistContext(ref_prime, 8)
-    return oc.UOperator(ctx, phi.p1, ref_level)
+    reps = ms.hecke_reps(ref_prime.pi, ref_level, 1)
+    return oc.UOperator(ctx, phi.p1.hecke_terms(reps))
 
 
 @pytest.fixture(scope="session")

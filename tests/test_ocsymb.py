@@ -81,6 +81,34 @@ class TestSigma0Action:
             oc.DistContext(fld.split_prime(5, 1), 4)
 
 
+class TestZbarTrivialColumn:
+    """Row 0 of the action matrix is e_0, so the column mu(z^i zbar^0) is
+    closed under Sigma_0(pi): a one-variable (2, M, 1) table moves like
+    column 0 of any two-variable table that contains it."""
+
+    @pytest.mark.parametrize("p", [11, 2])
+    def test_column_closed_under_action(self, p):
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, 6)
+        rng = random.Random(p)
+        n = 0
+        while n < 20:
+            a, b, d = (qi(rng.randint(-20, 20), rng.randint(-20, 20))
+                       for _ in range(3))
+            c = pd.pi * qi(rng.randint(-3, 3), rng.randint(-3, 3))
+            g = ((a, b), (c, d))
+            if not fld.mat_det(g) or fld.divides(pd.pi, a):
+                continue
+            n += 1
+            full = np.array([rng.randrange(ctx.mod)
+                             for _ in range(2 * ctx.M * ctx.M)])
+            full = oc.FiniteDistribution(ctx, full.reshape(2, ctx.M, ctx.M))
+            col = oc.FiniteDistribution(ctx, full.m[:, :, :1].copy())
+            got = oc.sigma0_act(ctx, g, col).m
+            assert got.shape == (2, ctx.M, 1)
+            assert np.array_equal(got, oc.sigma0_act(ctx, g, full).m[:, :, :1])
+
+
 class TestLift:
     def test_certificate(self, ref_lift):
         psi, cert = ref_lift
