@@ -4,13 +4,16 @@ Three ingredients live here. First, the Tate-period oracle: for an elliptic
 curve with multiplicative reduction at p, the period q with j(q) = j(E) is
 recovered by reverting the q-expansion of j, and log_iw(q)/ord_p(q) is the
 classical L-invariant. Second, the classical side of the one-variable
-overconvergent lift of the base-changed form ft: the M-symbols over Q
-(RationalP1, its paths and the eigen-split) and the enumeration of their
-U_p terms. The moments themselves live in ocsymb, the one moment layer of
-the package: a one-variable distribution is the zbar-trivial column of a
-Bianchi moment table, and the lift runs on the DistContext of
-F = Q(sqrt(-FIELD_D)) at p, which must not split in F (the base-change
-setting). Integer matrices enter that layer embedded in SL_2(O_F).
+overconvergent lift of the base-changed form ft. Its M-symbols run on the
+shared Manin layer of msymb: RationalP1 is the layer over Z (reduction
+mod N, floor continued-fraction paths, Moebius action on Fractions, the
+SL_2(Z) relations and Hecke coset reps), and msymb's ModularSymbol,
+apply_hecke, relation solver and hecke_matrix_on do the rest, as over O_F.
+The moments live in ocsymb, the one moment layer of the package: a
+one-variable distribution is the zbar-trivial column of a Bianchi moment
+table, and the lift runs on the DistContext of F = Q(sqrt(-FIELD_D)) at p,
+which must not split in F (the base-change setting). Integer matrices
+enter that layer embedded in SL_2(O_F).
 Third, the factorization check: the Bianchi p-adic L-function of lfun,
 whose s-variable runs along the cyclotomic line (p is not split), factors as
 the product of the two classical L-functions (trivial twist and the twist by
@@ -24,9 +27,10 @@ from math import gcd
 
 from . import field as fld
 from . import lfun
+from . import msymb as ms
 from . import ocsymb as oc
 from . import padic
-from .field import QuadInt, mat_inv_unimodular, mat_mul
+from .field import QuadInt
 
 
 # F = Q(sqrt(-FIELD_D)) = Q(i), the field of the base-change comparison
@@ -133,8 +137,14 @@ def classical_l_invariant(coeffs, p, M):
 # classical modular symbols over Q (weight 2, level N)
 
 
-class RationalP1:
-    """P^1(Z/N) with canonical representatives."""
+class RationalP1(ms.ManinLayer):
+    """P^1(Z/N) with canonical representatives: the Manin layer over Z.
+
+    Paths decompose by floor continued fractions (_unimodular_path), cusps
+    are Fractions with None for infinity, and integer matrices enter the
+    moment layer embedded in SL_2(O_F)."""
+
+    zero, infinity = Fraction(0), None
 
     def __init__(self, N):
         self.N = N
@@ -149,18 +159,16 @@ class RationalP1:
                 if key not in self._index:
                     self._index[key] = len(self.reps)
                     self.reps.append(key)
+        super().__init__()
 
     def _key(self, c, d):
         N = self.N
         return min(((c * u) % N, (d * u) % N) for u in self._units)
 
-    def index(self, c, d):
+    def reduce(self, c, d):
         return self._index[self._key(c % self.N, d % self.N)]
 
-    def __len__(self):
-        return len(self.reps)
-
-    def lift_matrix(self, i):
+    def _lift(self, i):
         c, d = self.reps[i]
         if c == 0 and d == 0:
             raise ValueError("bad class")
@@ -170,29 +178,35 @@ class RationalP1:
         u, v = _xgcd(c, d)
         return ((v, -u), (c, d))
 
-    def manin_terms(self, r, s):
-        """Decompose {r -> s}: list of (sign, gen_index, gamma) with each
-        path piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in
-        Gamma_0(N) embedded in SL_2(O_F) for the moment layer."""
-        out = []
-        for sign, g in _unimodular_path(r, s):
-            idx = self.index(*g[1])
-            gamma = _mat_mul_q(g, _mat_inv_q(self.lift_matrix(idx)))
-            out.append((sign, idx, _embed(gamma)))
-        return out
+    def path(self, r, s):
+        return _unimodular_path(r, s)
 
-    def hecke_terms(self, mats):
-        """The U_p plan terms (i, j, sign, g) of the paths
-        {delta g_i 0 -> delta g_i oo}, delta in mats; as
-        msymb.P1.hecke_terms, over Q."""
-        for i in range(len(self)):
-            g = self.lift_matrix(i)
-            r, s = _moebius_q(g, Fraction(0)), _moebius_q(g, None)
-            for delta in mats:
-                for sign, j, gamma in self.manin_terms(_moebius_q(delta, r),
-                                                       _moebius_q(delta, s)):
-                    yield i, j, sign, mat_mul(mat_inv_unimodular(gamma),
-                                              _embed(delta))
+    @staticmethod
+    def moebius(g, x):
+        (a, b), (c, d) = g
+        if x is None:
+            return None if c == 0 else Fraction(a, c)
+        num = a * x.numerator + b * x.denominator
+        den = c * x.numerator + d * x.denominator
+        return None if den == 0 else Fraction(num, den)
+
+    def hecke_reps(self, ell):
+        reps = [((1, a), (0, ell)) for a in range(ell)]
+        if self.N % ell:
+            reps.append(((ell, 0), (0, 1)))
+        return reps
+
+    def relation_mats(self):
+        # SL_2(Z) has the 2-term relation of S and the 3-term relation of
+        # the order-3 rotation T; -1 acts trivially on P^1, so no unit one
+        S = ((0, -1), (1, 0))
+        T = ((0, -1), (1, -1))
+        return S, [T], []
+
+    @staticmethod
+    def embed(g):
+        """An integer matrix as a matrix over O_F."""
+        return tuple(tuple(QuadInt(x, 0, FIELD_D) for x in row) for row in g)
 
 
 def _xgcd(a, b):
@@ -209,61 +223,10 @@ def _xgcd(a, b):
     return old_u, old_v
 
 
-_S = ((0, -1), (1, 0))
-_T = ((0, -1), (1, -1))
-
-
-def _mat_mul_q(g, h):
-    return (
-        (g[0][0] * h[0][0] + g[0][1] * h[1][0],
-         g[0][0] * h[0][1] + g[0][1] * h[1][1]),
-        (g[1][0] * h[0][0] + g[1][1] * h[1][0],
-         g[1][0] * h[0][1] + g[1][1] * h[1][1]),
-    )
-
-
-def _mat_inv_q(g):
-    (a, b), (c, d) = g
-    assert a * d - b * c == 1
-    return ((d, -b), (-c, a))
-
-
-def _embed(g):
-    """An integer matrix as a matrix over O_F."""
-    return tuple(tuple(QuadInt(x, 0, FIELD_D) for x in row) for row in g)
-
-
 def build_rational_symbol_space(N):
     """(p1, basis) for weight-2 M-symbols at level N over Q."""
-    from .msymb import _nullspace
     p1 = RationalP1(N)
-    m = len(p1)
-
-    def act_idx(i, g):
-        c, d = p1.reps[i]
-        return p1.index(c * g[0][0] + d * g[1][0], c * g[0][1] + d * g[1][1])
-
-    rows = []
-    seen = set()
-    for i in range(m):
-        j = act_idx(i, _S)
-        key = ("S",) + tuple(sorted((i, j)))
-        if key not in seen:
-            seen.add(key)
-            r = [0] * m
-            r[i] += 1
-            r[j] += 1
-            rows.append(r)
-        j1, j2 = act_idx(i, _T), act_idx(i, _mat_mul_q(_T, _T))
-        key = ("T",) + tuple(sorted((i, j1, j2)))
-        if key not in seen:
-            seen.add(key)
-            r = [0] * m
-            r[i] += 1
-            r[j1] += 1
-            r[j2] += 1
-            rows.append(r)
-    return p1, _nullspace(rows, m)
+    return p1, ms.relation_basis(p1)
 
 
 def _unimodular_path(r, s):
@@ -298,122 +261,28 @@ def _path_from_infinity(x):
     return out
 
 
-def _moebius_q(g, x):
-    (a, b), (c, d) = g
-    if x is None:
-        return None if c == 0 else Fraction(a, c)
-    num = a * x.numerator + b * x.denominator
-    den = c * x.numerator + d * x.denominator
-    return None if den == 0 else Fraction(num, den)
-
-
-class RationalSymbol:
-    """Weight-2 modular symbol over Q on the M-symbol generators."""
-
-    def __init__(self, p1, values, N, eigen=None):
-        self.p1 = p1
-        self.values = list(values)
-        self.N = N
-        self.eigen = eigen or {}
-
-    def copy(self, values=None):
-        return RationalSymbol(self.p1, values if values is not None
-                              else list(self.values), self.N,
-                              dict(self.eigen))
-
-    def ev(self, r, s):
-        total = Fraction(0)
-        for sign, g in _unimodular_path(r, s):
-            total += sign * self.values[self.p1.index(*g[1])]
-        return total
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values)
-
-    def scale(self, c):
-        return self.copy([v * c for v in self.values])
-
-    def add(self, other, c=1):
-        return self.copy([a + c * b
-                          for a, b in zip(self.values, other.values)])
-
-
-def hecke_reps_q(ell, N):
-    reps = [((1, a), (0, ell)) for a in range(ell)]
-    if N % ell:
-        reps.append(((ell, 0), (0, 1)))
-    return reps
-
-
-def apply_hecke_rational(phi, ell):
-    p1 = phi.p1
-    reps = hecke_reps_q(ell, phi.N)
-    vals = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r = _moebius_q(g, Fraction(0))
-        s = _moebius_q(g, None)
-        total = Fraction(0)
-        for delta in reps:
-            total += phi.ev(_moebius_q(delta, r), _moebius_q(delta, s))
-        vals.append(total)
-    return phi.copy(vals)
-
-
 def apply_parity_involution(phi):
     """phi | diag(-1, 1): the M-symbol map (c : d) -> (-c : d)."""
     p1 = phi.p1
-    vals = [phi.values[p1.index(-c, d)] for c, d in p1.reps]
+    vals = [phi.values[p1.reduce(-c, d)] for c, d in p1.reps]
     return phi.copy(vals)
-
-
-def _normalize_primitive(values):
-    from math import lcm
-    L = 1
-    for v in values:
-        L = lcm(L, v.denominator)
-    vals = [int(v * L) for v in values]
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    if g > 1:
-        vals = [v // g for v in vals]
-    return [Fraction(v) for v in vals]
 
 
 def find_rational_eigensymbols(N, p, helper=(2, -2)):
     """(plus, minus) eigensymbols at level N with the given helper Hecke
     eigenvalue, both normalized primitive, annotated with a_p."""
-    from sympy import Matrix, Rational
+    from sympy import eye
     p1, basis = build_rational_symbol_space(N)
-    syms = [RationalSymbol(p1, vec, N) for vec in basis]
+    syms = [ms.ModularSymbol(p1, vec, N, None) for vec in basis]
     ell, lam = helper
-    B = Matrix([[Rational(v.numerator, v.denominator) for v in s.values]
-                for s in syms]).T
-    imgs = Matrix([[Rational(v.numerator, v.denominator)
-                    for v in apply_hecke_rational(s, ell).values]
-                   for s in syms]).T
-    # coordinates of (T - lam) images; its kernel is the eigenspace
-    coords = []
-    for j in range(len(syms)):
-        y = imgs[:, j] - lam * B[:, j]
-        sol, params = B.gauss_jordan_solve(y)
-        if params:
-            sol = sol.subs({pp: 0 for pp in params})
-        coords.append(list(sol))
-    ker = Matrix(coords).T.nullspace()
+    T = ms._qmatrix(ms.hecke_matrix_on(syms, ell))
+    ker = (T - lam * eye(len(syms))).nullspace()
     if not ker:
         raise ValueError("no eigensymbol with T_%d = %d at level %d"
                          % (ell, lam, N))
-    eigs = []
-    for vec in ker:
-        comb = None
-        for coef, s in zip(list(vec), syms):
-            term = s.scale(Fraction(int(coef.p), int(coef.q)))
-            comb = term if comb is None else comb.add(term)
-        eigs.append(comb)
     plus = minus = None
-    for e in eigs:
+    for vec in ker:
+        e = ms._combine(vec, syms)
         flip = apply_parity_involution(e)
         pe, me = e.add(flip), e.add(flip, -1)
         if plus is None and not pe.is_zero():
@@ -424,11 +293,9 @@ def find_rational_eigensymbols(N, p, helper=(2, -2)):
         raise ValueError("could not split parity eigensymbols")
     out = []
     for e in (plus, minus):
-        e = e.copy(_normalize_primitive(e.values))
-        ue = apply_hecke_rational(e, p)
-        ap = next(a / b for a, b in zip(ue.values, e.values) if b)
-        assert all(a == ap * b for a, b in zip(ue.values, e.values))
-        e.eigen = {"lambda_p": ap, "helper": helper}
+        e = e.normalize_integral(p)
+        e.eigen = {"lambda_p": ms._ratio(ms.apply_hecke(e, p), e),
+                   "helper": helper}
         out.append(e)
     return out[0], out[1]
 
@@ -443,8 +310,9 @@ def lift_rational(phi, M, p):
     zbar-trivial column (2, M, 1) on the moment layer of F at p; its
     moments lie in Z_p, so their second coordinate is zero."""
     ctx = oc.DistContext(fld.split_prime(p, FIELD_D), M)
-    u_op = oc.UOperator(ctx, phi.p1.hecke_terms(hecke_reps_q(p, phi.N)[:p]))
-    return oc.iterate_lift(phi, phi.N, u_op, 1, phi.eigen["lambda_p"], M + 1)
+    u_op = oc.UOperator(ctx, phi.p1.hecke_terms(phi.p1.hecke_reps(p)[:p]))
+    return oc.iterate_lift(phi, phi.level, u_op, 1, phi.eigen["lambda_p"],
+                           M + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +447,6 @@ def ramified_case_report(M=6):
     """Attempt the p = 2 (ramified in Q(i)) run with the base change of the
     conductor-14 curve; every stage is tried and the first failure is
     reported as a skip with its cause."""
-    from . import msymb as ms
     from . import cocycle as cc
 
     report = {"p": 2, "curve": "14a", "level": "(1+i)(7)", "M": M}

@@ -52,10 +52,8 @@ class RunConfig:
     DEFAULTS = {
         "field_disc": 1,
         "level": "11",
-        "k": 0,
         "p": 11,
         "precision": 8,
-        "characters": "3",
         "embedding_data": "3:1,3:2,7:1",
         "cache_dir": ".padicbianchi-cache",
         "output": "",
@@ -108,15 +106,12 @@ class RunConfig:
             raise ConfigError("field_disc must be one of %r (the fields with "
                               "M-symbol relation tables)"
                               % (ms.RELATION_TABLE_FIELDS,))
-        if self.k % 2 or self.k < 0:
-            raise ConfigError("weight k must be even and nonnegative")
-        if self.precision < self.k + 5:
-            raise ConfigError("precision must be at least k + 5")
+        if self.precision < 5:
+            raise ConfigError("precision must be at least 5")
         if not isprime(self.p):
             raise ConfigError("p must be prime")
         try:
             ms._factor_level(self.level_elt())   # squarefree, or LevelError
-            self.character_moduli()
             self.embedding_pairs()
         except ConfigError:
             raise
@@ -125,10 +120,6 @@ class RunConfig:
 
     def level_elt(self):
         return fld.parse_quadint(self.level, self.field_disc)
-
-    def character_moduli(self):
-        return [fld.parse_quadint(t, self.field_disc)
-                for t in str(self.characters).split(",") if t.strip()]
 
     def embedding_pairs(self):
         out = []
@@ -149,9 +140,8 @@ class RunConfig:
                 if key != "output"}
 
     def cache_key(self):
-        tag = "fmt=%d|d=%d|level=%s|k=%d|p=%d|M=%d" % (
-            CACHE_FORMAT, self.field_disc, self.level, self.k, self.p,
-            self.precision)
+        tag = "fmt=%d|d=%d|level=%s|p=%d|M=%d" % (
+            CACHE_FORMAT, self.field_disc, self.level, self.p, self.precision)
         return hashlib.sha256(tag.encode()).hexdigest()[:16]
 
 
@@ -186,16 +176,13 @@ def _eigen_from_json(eigen):
 def _spectrum_diagnostic(level, d):
     """Dimension and helper-Hecke spectra of the symbol space at the level,
     reported when no suitable eigenpacket exists."""
-    from sympy import Matrix, Rational
     p1, basis = ms.build_symbol_space(level)
     diag = {"dimension": len(basis)}
     if basis:
         syms = [ms.ModularSymbol(p1, vec, level, d) for vec in basis]
         spectra = {}
         for pi, q_norm in ms._small_coprime_primes(level, d, 2):
-            mat = ms.hecke_matrix_on(syms, pi)
-            eig = Matrix([[Rational(v.numerator, v.denominator)
-                           for v in row] for row in mat])
+            eig = ms._qmatrix(ms.hecke_matrix_on(syms, pi))
             spectra["N(q)=%d" % q_norm] = sorted(
                 str(val) for val in eig.eigenvals())
         diag["hecke_spectra"] = spectra
@@ -223,7 +210,7 @@ def build_symbol(cfg, warnings=None):
             p1 = ms.P1(level)
             phi = ms.ModularSymbol(
                 p1, [Fraction(v) for v in meta["phi_values"]], level, d,
-                cfg.k, _eigen_from_json(meta["eigen"]))
+                eigen=_eigen_from_json(meta["eigen"]))
             ctx = oc.DistContext(pd, M)
             psi, cert = oc.load_lift(npz_path, p1, ctx, level)
             psi.eigen = dict(phi.eigen)
@@ -232,7 +219,7 @@ def build_symbol(cfg, warnings=None):
             warnings.append("corrupt cache (%s: %s); rebuilding"
                             % (type(exc).__name__, exc))
             status = "rebuilt"
-    phi, _ = ms.find_new_eigensymbol(level, pd, cfg.k)
+    phi, _ = ms.find_new_eigensymbol(level, pd)
     max_iter = 2 * M + 4 if pd.kind == "ramified" else None
     psi, cert = oc.lift(phi, M, pd, max_iter=max_iter)
     if not cert["converged"]:
@@ -662,12 +649,9 @@ def _add_config_flags(sub):
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--field-disc", dest="field_disc", type=int)
     sub.add_argument("--level", help="level generator, e.g. '11' or '7+7i'")
-    sub.add_argument("--weight", dest="k", type=int)
     sub.add_argument("--prime", dest="p", type=int)
     sub.add_argument("--precision", dest="precision", type=int,
                      help="number of moments M")
-    sub.add_argument("--characters",
-                     help="comma list of character moduli")
     sub.add_argument("--embedding-data", dest="embedding_data",
                      help="comma list of c:v embedding data")
     sub.add_argument("--cache-dir", dest="cache_dir")
@@ -704,7 +688,8 @@ def build_parser():
     _add_config_flags(b)
     b.add_argument("--dot-out", help="write a DOT dump of the tree "
                                      "neighborhood of v_*")
-    b.add_argument("--dot-depth", type=int, default=2)
+    b.add_argument("--dot-depth", type=int, default=2, choices=range(4),
+                   help="radius of the DOT neighborhood (0-3)")
     li = subs.add_parser("linv", help="evaluate the L-invariant certificate")
     _add_config_flags(li)
     a = subs.add_parser("accept", help="run the acceptance criteria")

@@ -37,9 +37,10 @@ from .field import (
     ResidueRing,
     apply_moebius,
     cusp_infinity,
-    cusp_zero,
     exact_div,
     gcd_quad,
+    identity_mat,
+    mat_adj,
     mat_mul,
     one,
 )
@@ -59,11 +60,6 @@ class NonVanishingError(RuntimeError):
     def __init__(self, tried):
         super().__init__("oc vanished on every tried datum: %r" % (tried,))
         self.tried = tried
-
-
-def mat_adj(g):
-    (a, b), (c, d) = g
-    return ((d, -b), (-c, a))
 
 
 class TreeFamily:
@@ -129,15 +125,8 @@ def induced_old_symbol(phi_m, pi, level, scaled=False):
     d = phi_m.d
     p1 = ms.P1(level)
     z = QuadInt(0, 0, d)
-    scal = ((pi, z), (z, one(d)))
-    vals = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r = apply_moebius(g, cusp_zero(d))
-        s = apply_moebius(g, cusp_infinity(d))
-        if scaled:
-            r, s = apply_moebius(scal, r), apply_moebius(scal, s)
-        vals.append(phi_m.ev(r, s))
+    mat = ((pi, z), (z, one(d))) if scaled else identity_mat(d)
+    vals = ms.translated_sums(p1, [mat], phi_m.ev)
     return ms.ModularSymbol(p1, vals, level, d)
 
 

@@ -314,6 +314,12 @@ def mat_mul(m1, m2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
+def mat_adj(mat):
+    """The adjugate: the inverse of a determinant-1 matrix, over Z or O_F."""
+    (a, b), (c, d) = mat
+    return ((d, -b), (-c, a))
+
+
 def mat_inv_unimodular(mat):
     (a, b), (c, d) = mat
     det = a * d - b * c

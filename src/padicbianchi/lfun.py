@@ -31,7 +31,6 @@ from .field import (
     divides,
 )
 from . import padic
-from . import ocsymb as oc
 
 
 def _lambda_p(psi):
@@ -42,15 +41,13 @@ def _lambda_p(psi):
 
 
 class RayDistribution:
-    """mu_p at modulus (g): the blocks mu'_a plus the data needed to
-    integrate locally analytic functions (the symbol itself and lambda_p).
-    lift_offset is the shift of the lifts b of a that built the blocks;
-    unit_discs() lifts with the same shift."""
+    """mu_p at modulus (g): the symbol itself and lambda_p, from which the
+    blocks mu'_a are integrated disc by disc (unit_discs, raw_moments).
+    lift_offset is the shift of the lifts b of a that unit_discs() uses."""
 
-    def __init__(self, psi, g_mod, blocks, lift_offset=0):
+    def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
         self.g_mod = g_mod
-        self.blocks = blocks                 # canonical residue -> block
         self.lift_offset = lift_offset
         self.ring = ResidueRing(g_mod)
         self.lam = _lambda_p(psi)
@@ -84,7 +81,7 @@ class RayDistribution:
         restriction of mu'_a to the disc j + pi O is
         lambda_p^{-1} * Psi{B/G - infty} paired against z -> h(B + G z),
         where B = a mod g, B = j mod pi and G = g pi; B is reached from
-        the lift a + lift_offset * g, as in the blocks."""
+        the lift a + lift_offset * g."""
         if self._discs is not None:
             return self._discs
         pd = self.psi.ctx.pd
@@ -107,19 +104,9 @@ def build_mu_p(psi, g_mod, lift_offset=0):
 
     lift_offset shifts every lift b of a by that multiple of g_mod; the
     result is independent of it (a property of the construction)."""
-    ctx = psi.ctx
-    pi = ctx.pd.pi
-    if not g_mod or divides(pi, g_mod):
+    if not g_mod or divides(psi.ctx.pd.pi, g_mod):
         raise ValueError("modulus must be nonzero and coprime to p")
-    ring = ResidueRing(g_mod)
-    d = ctx.d
-    blocks = {}
-    for a in ring.unit_elements():
-        b = a + g_mod * lift_offset
-        raw = psi.ev(Cusp(b, g_mod), cusp_infinity(d))
-        delta = ((QuadInt(1, 0, d), b), (QuadInt(0, 0, d), g_mod))
-        blocks[a] = oc.sigma0_act(ctx, delta, raw)
-    return RayDistribution(psi, g_mod, blocks, lift_offset)
+    return RayDistribution(psi, g_mod, lift_offset)
 
 
 # ---------------------------------------------------------------------------

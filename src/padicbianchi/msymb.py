@@ -6,12 +6,19 @@ the solution space is cut out exactly over Q.  Hecke operators, Atkin-Lehner,
 degeneracy maps and the algebraic L-value sum all evaluate paths through the
 Euclidean continued-fraction decomposition.
 
+The symbols, Hecke operators, relation solver and eigen-split run on a
+Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
+Z for the classical side of the base-change comparison. A layer keeps only
+what differs between the rings (reduction, lifts, path decomposition,
+Moebius action, Hecke coset reps, relation matrices, embedding into
+SL_2(O_F)); the layer memoises its generator lifts and, per prime, the
+decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
+rows i -> {j: signed count}; applying the operator to a symbol is then an
+exact row sum over its values.
+
 P^1(O_F/n) reduces on plain ints: each prime factor of the level keeps its
 HNF constants and a table of unit inverses, so reducing (c : d) builds no
-QuadInt and takes no gcd. A P1 instance memoises its generator lifts and,
-per prime, the decomposition of a Hecke (or Atkin-Lehner) operator into
-sparse integer rows i -> {j: signed count}; applying the operator to a
-symbol is then an exact row sum over its values.
+QuadInt and takes no gcd.
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 from . import field as fld
 from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
-                    xgcd_quad, exact_div, divides, mat_mul,
+                    xgcd_quad, exact_div, divides, mat_adj, mat_mul,
                     mat_inv_unimodular, apply_moebius, cusp_zero,
                     cusp_infinity, path_between, split_prime, _unit_inverse)
 
@@ -62,20 +69,112 @@ def _factor_level(n):
     return out
 
 
-class P1:
-    """P^1(O_F/n) for squarefree n, via CRT over the prime factors.
+class ManinLayer:
+    """What the P^1 layers under the M-symbols share.
+
+    A layer lists the generators (reps) of P^1(R/n), R = O_F (P1) or Z
+    (basechange.RationalP1), and supplies what differs between the two
+    rings: reduce(c, d) of a bottom row to its generator index, _lift(i) of
+    a generator to a determinant-1 matrix, path(r, s) (the signed
+    decomposition of a path into unimodular pieces {g 0 -> g oo}),
+    moebius(g, x) with the cusps zero and infinity, hecke_reps(q),
+    relation_mats() and embed(g) of a matrix into SL_2(O_F) for the moment
+    layer. On top of these this class memoises the lifts and, per operator,
+    the decomposition rows, and enumerates the U_p plan terms; the symbols,
+    Hecke operators, relation solver and eigen-split of this module run on
+    either layer.
+    """
+
+    def __init__(self):
+        self._lifts = [None] * len(self.reps)
+        self._lift_invs = [None] * len(self.reps)
+        self._path_rows = {}
+
+    def __len__(self):
+        return len(self.reps)
+
+    def reduce_row(self, row):
+        return self.reduce(row[0], row[1])
+
+    def act(self, i, g):
+        """The index of the generator (c : d) * g, (c : d) = reps[i]."""
+        c, dd = self.reps[i]
+        return self.reduce(c * g[0][0] + dd * g[1][0],
+                           c * g[0][1] + dd * g[1][1])
+
+    def lift_matrix(self, i):
+        """A fixed determinant-1 matrix with bottom row in class i."""
+        g = self._lifts[i]
+        if g is None:
+            g = self._lifts[i] = self._lift(i)
+        return g
+
+    def lift_inverse(self, i):
+        """The inverse of lift_matrix(i)."""
+        g = self._lift_invs[i]
+        if g is None:
+            g = self._lift_invs[i] = mat_adj(self.lift_matrix(i))
+        return g
+
+    def manin_terms(self, r, s):
+        """The Manin decomposition of {r -> s}; see manin_terms."""
+        return manin_terms(self, r, s)
+
+    def hecke_terms(self, mats):
+        """(i, j, sign, g) for each piece of the Manin decomposition of the
+        paths {delta g_i 0 -> delta g_i oo} over delta in mats, with
+        g = gamma^-1 delta in SL_2(O_F): the piece adds sign * (Psi(g_j) | g)
+        to the image of generator i. These are the terms of the U_p plan,
+        generated one at a time so that a large plan never holds them all."""
+        for i, delta, r, s in generator_paths(self, mats):
+            for sign, j, gamma in self.manin_terms(r, s):
+                yield i, j, sign, mat_mul(mat_inv_unimodular(self.embed(gamma)),
+                                          self.embed(delta))
+
+    def path_rows(self, mats):
+        """Row i is the signed count {j: n} of the generators in the Manin
+        decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta
+        in mats, g_i = lift_matrix(i). Memoised per list of matrices, so a
+        Hecke operator is decomposed once per prime."""
+        key = tuple(mats)
+        rows = self._path_rows.get(key)
+        if rows is None:
+            rows = [{} for _ in range(len(self))]
+            for i, _, r, s in generator_paths(self, mats):
+                row = rows[i]
+                for sign, h in self.path(r, s):
+                    j = self.reduce_row(h[1])
+                    row[j] = row.get(j, 0) + sign
+            rows = self._path_rows[key] = [{j: k for j, k in row.items() if k}
+                                           for row in rows]
+        return rows
+
+
+def generator_paths(p1, mats):
+    """(i, delta, r, s) for each generator i and each delta in mats, where
+    {r -> s} = {delta g_i 0 -> delta g_i oo} and g_i = p1.lift_matrix(i)."""
+    for i in range(len(p1)):
+        g = p1.lift_matrix(i)
+        r, s = p1.moebius(g, p1.zero), p1.moebius(g, p1.infinity)
+        for delta in mats:
+            yield i, delta, p1.moebius(delta, r), p1.moebius(delta, s)
+
+
+class P1(ManinLayer):
+    """P^1(O_F/n) for squarefree n, via CRT over the prime factors: the
+    Manin layer over O_F.
 
     Reduction runs on plain ints. Each prime factor pi keeps the HNF
     constants of O/pi and a dict from every unit residue (a, b) to its
     inverse; O/pi is a field, so a residue is a unit exactly when it is
-    nonzero. The lift of each generator to SL_2(O_F), its inverse, and the
-    path decompositions behind Hecke and Atkin-Lehner operators are
-    memoised on the instance.
+    nonzero. Paths decompose by the Euclidean continued fractions of
+    field.path_between.
     """
 
     def __init__(self, n):
         self.n = n
         self.d = n.d
+        self.zero, self.infinity = cusp_zero(n.d), cusp_infinity(n.d)
         self.ring = ResidueRing(n)
         self.factors = _factor_level(n)
         self._rings = [ResidueRing(pi) for pi, _ in self.factors]
@@ -110,9 +209,7 @@ class P1:
             if key not in self.index:
                 self.index[key] = len(self.reps)
                 self.reps.append((c, dd))
-        self._lifts = [None] * len(self.reps)
-        self._lift_invs = [None] * len(self.reps)
-        self._path_rows = {}
+        super().__init__()
 
     def _crt(self, residues):
         x = QuadInt(0, 0, self.d)
@@ -142,26 +239,6 @@ class P1:
     def reduce(self, c, dd):
         return self.index[self._key(c, dd)]
 
-    def reduce_row(self, row):
-        return self.reduce(row[0], row[1])
-
-    def __len__(self):
-        return len(self.reps)
-
-    def lift_matrix(self, i):
-        """A fixed determinant-1 matrix over O_F with bottom row in class i."""
-        g = self._lifts[i]
-        if g is None:
-            g = self._lifts[i] = self._lift(i)
-        return g
-
-    def lift_inverse(self, i):
-        """The inverse of lift_matrix(i)."""
-        g = self._lift_invs[i]
-        if g is None:
-            g = self._lift_invs[i] = mat_inv_unimodular(self.lift_matrix(i))
-        return g
-
     def _lift(self, i):
         c, dd = self.reps[i]
         # massage (c, d) into a coprime pair congruent to the class mod n
@@ -186,48 +263,20 @@ class P1:
         a, b = v * ui, (-u) * ui
         return ((a, b), (c, dd))
 
-    def manin_terms(self, r, s):
-        """The Manin decomposition of {r -> s}; see manin_terms."""
-        return manin_terms(self, r, s)
+    def path(self, r, s):
+        return path_between(r, s)
 
-    def hecke_terms(self, mats):
-        """(i, j, sign, g) for each piece of the Manin decomposition of the
-        paths {delta g_i 0 -> delta g_i oo} over delta in mats, with
-        g = gamma^-1 delta: the piece adds sign * (Psi(g_j) | g) to the
-        image of generator i. These are the terms of the U_p plan,
-        generated one at a time so that a large plan never holds them all."""
-        for i in range(len(self)):
-            g = self.lift_matrix(i)
-            r = apply_moebius(g, cusp_zero(self.d))
-            s = apply_moebius(g, cusp_infinity(self.d))
-            for delta in mats:
-                for sign, j, gamma in self.manin_terms(
-                        apply_moebius(delta, r), apply_moebius(delta, s)):
-                    yield i, j, sign, mat_mul(mat_inv_unimodular(gamma), delta)
+    moebius = staticmethod(apply_moebius)
 
-    def path_rows(self, mats):
-        """Row i is the signed count {j: n} of the generators in the Manin
-        decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta
-        in mats, g_i = lift_matrix(i). Memoised per list of matrices, so a
-        Hecke operator is decomposed once per prime."""
-        key = tuple(tuple((x.a, x.b) for row in m for x in row) for m in mats)
-        rows = self._path_rows.get(key)
-        if rows is None:
-            rows = self._path_rows[key] = [self._path_row(i, mats)
-                                           for i in range(len(self))]
-        return rows
+    def hecke_reps(self, pi):
+        return hecke_reps(pi, self.n, self.d)
 
-    def _path_row(self, i, mats):
-        g = self.lift_matrix(i)
-        r = apply_moebius(g, cusp_zero(self.d))
-        s = apply_moebius(g, cusp_infinity(self.d))
-        row = {}
-        for delta in mats:
-            for sign, h in path_between(apply_moebius(delta, r),
-                                        apply_moebius(delta, s)):
-                j = self.reduce_row(h[1])
-                row[j] = row.get(j, 0) + sign
-        return {j: k for j, k in row.items() if k}
+    def relation_mats(self):
+        return _relation_mats(self.d)
+
+    @staticmethod
+    def embed(g):
+        return g
 
 
 def _product(lists):
@@ -278,20 +327,19 @@ def build_symbol_space(n, k=0):
     """
     if k != 0:
         raise NotImplementedError("classical stage implemented for k = 0 only")
-    d = n.d
     p1 = P1(n)
-    S, rotations, unit_rels = _relation_mats(d)
+    return p1, relation_basis(p1)
+
+
+def relation_basis(p1):
+    """Basis of the solutions on the generators of p1 of the 2-term,
+    3-term and unit relations of the layer's relation_mats()."""
+    S, rotations, unit_rels = p1.relation_mats()
     m = len(p1)
     rows = []
-
-    def act_idx(i, g):
-        c, dd = p1.reps[i]
-        row = (c * g[0][0] + dd * g[1][0], c * g[0][1] + dd * g[1][1])
-        return p1.reduce_row(row)
-
     seen = set()
     for i in range(m):
-        j = act_idx(i, S)
+        j = p1.act(i, S)
         key = tuple(sorted((i, j)))
         if ("S",) + key not in seen:
             seen.add(("S",) + key)
@@ -300,7 +348,7 @@ def build_symbol_space(n, k=0):
             r[j] += 1
             rows.append(r)
         for t, rot in enumerate(rotations):
-            j1, j2 = act_idx(i, rot), act_idx(i, mat_mul(rot, rot))
+            j1, j2 = p1.act(i, rot), p1.act(i, mat_mul(rot, rot))
             key3 = (("T", t),) + tuple(sorted((i, j1, j2)))
             if key3 not in seen:
                 seen.add(key3)
@@ -310,7 +358,7 @@ def build_symbol_space(n, k=0):
                 r[j2] += 1
                 rows.append(r)
         for J in unit_rels:
-            j = act_idx(i, J)
+            j = p1.act(i, J)
             if j != i:
                 key2 = tuple(sorted((i, j)))
                 if ("J",) + key2 not in seen:
@@ -319,8 +367,7 @@ def build_symbol_space(n, k=0):
                     r[i] += 1
                     r[j] -= 1
                     rows.append(r)
-    basis = _nullspace(rows, m)
-    return p1, basis
+    return _nullspace(rows, m)
 
 
 def _nullspace(rows, m):
@@ -350,7 +397,9 @@ def _nullspace(rows, m):
 
 
 class ModularSymbol:
-    """Weight-(0,0) modular symbol stored on M-symbol generators."""
+    """Weight-(0,0) modular symbol stored on the M-symbol generators of a
+    Manin layer: P1 over O_F (d the field), or basechange.RationalP1 over Z
+    (d None)."""
 
     def __init__(self, p1, values, level, d, k=0, eigen=None):
         self.p1 = p1
@@ -368,13 +417,10 @@ class ModularSymbol:
     def ev(self, r, s):
         """Value on the path {r -> s} (divisor (s) - (r))."""
         total = Fraction(0)
-        for sign, g in path_between(r, s):
+        for sign, g in self.p1.path(r, s):
             idx = self.p1.reduce_row(g[1])
             total += sign * self.values[idx]
         return total
-
-    def ev_gen(self, i):
-        return self.values[i]
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -403,9 +449,10 @@ class ModularSymbol:
 
 def manin_terms(p1, r, s):
     """Decompose {r -> s}: list of (sign, gen_index, gamma) with each path
-    piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in Gamma_0(n)."""
+    piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in Gamma_0(n)
+    over the ring of the layer p1."""
     out = []
-    for sign, g in path_between(r, s):
+    for sign, g in p1.path(r, s):
         idx = p1.reduce_row(g[1])
         out.append((sign, idx, mat_mul(g, p1.lift_inverse(idx))))
     return out
@@ -430,7 +477,7 @@ def _row_sums(rows, values):
 def apply_hecke(phi, pi):
     """phi | T_(pi) (or U_(pi) when (pi) divides the level), weight (0,0),
     as exact sums over the memoised decomposition rows of the operator."""
-    rows = phi.p1.path_rows(hecke_reps(pi, phi.level, phi.d))
+    rows = phi.p1.path_rows(phi.p1.hecke_reps(pi))
     return phi.copy(_row_sums(rows, phi.values))
 
 
@@ -463,44 +510,56 @@ def degeneracy(phi, pi, direction, target_p1=None):
     alpha = ((z, -one(d)), (pi, z))
     # coset reps of Gamma_0(m) / Gamma_0(level) from P^1(O/pi)
     sub = P1(pi)
-    gammas = [sub.lift_matrix(i) for i in range(len(sub))]
-
-    def traced(r, s):
-        total = Fraction(0)
-        for gam in gammas:
-            mat = mat_mul(gam, alpha) if direction == "target" else gam
-            total += phi.ev(apply_moebius(mat, r), apply_moebius(mat, s))
-        return total
-
+    mats = [sub.lift_matrix(i) for i in range(len(sub))]
+    if direction == "target":
+        mats = [mat_mul(gam, alpha) for gam in mats]
     if target_p1 is None:
         # level (1): the symbol space is trivial; report the traced values on
         # a couple of probe paths so vanishing is computed, not assumed
         probes = [(cusp_zero(d), cusp_infinity(d)),
                   (Cusp(one(d), QuadInt(2, 1, d)), cusp_infinity(d))]
-        return [traced(r, s) for r, s in probes]
-    vals = []
-    for i in range(len(target_p1)):
-        g = target_p1.lift_matrix(i)
-        vals.append(traced(apply_moebius(g, cusp_zero(d)),
-                           apply_moebius(g, cusp_infinity(d))))
-    return ModularSymbol(target_p1, vals, m, d, phi.k)
+        return [sum((phi.ev(apply_moebius(g, r), apply_moebius(g, s))
+                     for g in mats), Fraction(0)) for r, s in probes]
+    return ModularSymbol(target_p1, translated_sums(target_p1, mats, phi.ev),
+                         m, d, phi.k)
+
+
+def translated_sums(p1, mats, ev):
+    """Entry i is the sum over delta in mats of ev(r, s) on the path
+    {delta g_i 0 -> delta g_i oo}, for the generators i of p1."""
+    vals = [Fraction(0)] * len(p1)
+    for i, _, r, s in generator_paths(p1, mats):
+        vals[i] += ev(r, s)
+    return vals
 
 
 # ---------------------------------------------------------------------------
 # eigensymbols and L-values
 
 
+def _qmatrix(rows):
+    """Rows of Fractions as an exact sympy Matrix."""
+    from sympy import Matrix, Rational
+    return Matrix([[Rational(x.numerator, x.denominator) for x in row]
+                   for row in rows])
+
+
+def _combine(coefs, syms):
+    """sum coef * sym over sympy Rational coefficients."""
+    comb = None
+    for coef, s in zip(list(coefs), syms):
+        term = s.scale(Fraction(int(coef.p), int(coef.q)))
+        comb = term if comb is None else comb.add(term)
+    return comb
+
+
 def hecke_matrix_on(basis_syms, pi):
     """Matrix of T_(pi) on the span of the given symbols (exact)."""
-    from sympy import Matrix, Rational
-    cols = [s.values for s in basis_syms]
-    B = Matrix([[Rational(v.numerator, v.denominator) for v in col]
-                for col in cols]).T
+    B = _qmatrix([s.values for s in basis_syms]).T
     images = [apply_hecke(s, pi) for s in basis_syms]
     out = []
     for img in images:
-        y = Matrix([Rational(v.numerator, v.denominator) for v in img.values])
-        sol, params = B.gauss_jordan_solve(y)
+        sol, params = B.gauss_jordan_solve(_qmatrix([img.values]).T)
         if params:
             sol = sol.subs({pp: 0 for pp in params})
         out.append([Fraction(int(x.p), int(x.q)) for x in sol])
@@ -571,7 +630,6 @@ def _next_prime(p):
 
 def _split_lines(syms, helper_primes):
     """Common eigenlines of the helper Hecke operators on the span."""
-    from sympy import Matrix, Rational, eye
     spaces = [syms]
     tables = [[]]
     for pi, q_norm in helper_primes:
@@ -583,19 +641,13 @@ def _split_lines(syms, helper_primes):
                 new_spaces.append(space)
                 new_tables.append(table + [(q_norm, lam)])
                 continue
-            T = hecke_matrix_on(space, pi)
-            M = Matrix([[Rational(x.numerator, x.denominator) for x in row]
-                        for row in T])
+            M = _qmatrix(hecke_matrix_on(space, pi))
             for lam, mult, vecs in M.eigenvects():
                 if not lam.is_rational:
                     continue
                 lamf = Fraction(int(lam.p), int(lam.q))
                 for v in vecs:
-                    comb = None
-                    for coef, s in zip(list(v), space):
-                        term = s.scale(Fraction(int(coef.p), int(coef.q)))
-                        comb = term if comb is None else comb.add(term)
-                    new_spaces.append([comb])
+                    new_spaces.append([_combine(v, space)])
                     new_tables.append(table + [(q_norm, lamf)])
         spaces, tables = new_spaces, new_tables
     return list(zip([s[0] for s in spaces], tables))

@@ -26,13 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import (
-    cusp_infinity,
-    cusp_zero,
-    apply_moebius,
-    mat_inv_unimodular,
-    divides,
-)
+from .field import mat_det, mat_inv_unimodular
 from . import msymb as ms
 
 INF = 10**9
@@ -198,11 +192,10 @@ def _series_pow_matrix(ctx, a, b, c, d):
 
 def _check_sigma0(ctx, g):
     (a, b), (c, d) = g
-    from .field import mat_det
     if not mat_det(g):
         raise ValueError("singular matrix")
-    a0, a1 = ctx.embed(a)
-    if (a0 % ctx.p, a1 % ctx.p) == (0, 0) or not divides(ctx.pd.pi, c):
+    # p is not split, so pi is the only prime above p: pi | x iff p | N(x)
+    if a.norm() % ctx.p == 0 or c.norm() % ctx.p:
         raise ValueError("matrix not in Sigma_0(p)")
 
 
@@ -256,7 +249,8 @@ class OverconvergentSymbol:
         Manin decomposition of the path by the symbol's P^1 layer)."""
         total = FiniteDistribution(self.ctx, np.zeros_like(self.values[0].m))
         for sign, idx, gamma in self.p1.manin_terms(r, s):
-            moved = sigma0_act(self.ctx, mat_inv_unimodular(gamma), self.values[idx])
+            g = mat_inv_unimodular(self.p1.embed(gamma))
+            moved = sigma0_act(self.ctx, g, self.values[idx])
             total = total.add(moved, sign)
         return total
 
@@ -289,9 +283,10 @@ class UOperator:
     terms, stacked for numpy.
 
     terms yields (dest, src, sign, g): the piece contributes
-    sign * (values[src] | g) to the image at dest. Each Manin layer
-    enumerates its own terms (P1.hecke_terms over O_F,
-    basechange.RationalP1.hecke_terms over Q)."""
+    sign * (values[src] | g) to the image at dest. The terms come from
+    the shared Manin layer (msymb.ManinLayer.hecke_terms), over O_F for a
+    Bianchi symbol (msymb.P1) and over Z for a rational one
+    (basechange.RationalP1)."""
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
@@ -361,7 +356,7 @@ def lift(phi, M, prime_data, max_iter=None, u_op=None):
     if max_iter is None:
         max_iter = M + phi.k + 1
     if u_op is None:
-        reps = ms.hecke_reps(ctx.pd.pi, phi.level, ctx.d)
+        reps = phi.p1.hecke_reps(ctx.pd.pi)
         assert len(reps) == ctx.pd.norm, "U_p needs pi | level"
         u_op = UOperator(ctx, phi.p1.hecke_terms(reps))
     return iterate_lift(phi, phi.level, u_op, M, lam, max_iter)
@@ -413,21 +408,11 @@ def _table_filtration(ctx, values):
 
 
 def apply_hecke_oc(psi, pi):
-    """psi | T_(pi) (or U) on an overconvergent symbol, via ev on the
-    translated generator paths."""
-    p1, d = psi.p1, psi.ctx.d
-    reps = ms.hecke_reps(pi, psi.level, d)
-    vals = []
-    for i in range(len(p1)):
-        g = p1.lift_matrix(i)
-        r = apply_moebius(g, cusp_zero(d))
-        s = apply_moebius(g, cusp_infinity(d))
-        total = FiniteDistribution(psi.ctx)
-        for delta in reps:
-            moved = psi.ev(apply_moebius(delta, r), apply_moebius(delta, s))
-            total = total.add(sigma0_act(psi.ctx, delta, moved))
-        vals.append(total)
-    return psi.copy(vals)
+    """psi | T_(pi) (or U) on an overconvergent symbol: the table-level
+    operator on the Hecke terms of the symbol's Manin layer."""
+    u_op = UOperator(psi.ctx, psi.p1.hecke_terms(psi.p1.hecke_reps(pi)))
+    values = u_op.apply(np.stack([v.m for v in psi.values]))
+    return psi.copy([FiniteDistribution(psi.ctx, v) for v in values])
 
 
 def save_lift(path, psi, cert):

@@ -7,6 +7,7 @@ import pytest
 
 from padicbianchi import basechange as bc
 from padicbianchi import lfun
+from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
 from padicbianchi.field import QuadInt
 
@@ -94,7 +95,7 @@ class TestRationalSymbols:
 
     def test_helper_eigenvalue(self, rational_pair):
         plus, _ = rational_pair
-        img = bc.apply_hecke_rational(plus, 2)
+        img = ms.apply_hecke(plus, 2)
         assert img.values == [-2 * v for v in plus.values]
 
     def test_parity(self, rational_pair):

@@ -106,6 +106,7 @@ class TestConfig:
         ["build", "--jobs", "4"],
         ["build", "--prime", "x"],
         ["build", "--bogus", "1"],
+        ["build", "--dot-depth", "4"],
     ])
     def test_bad_input_exit_code(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--cache-dir", str(tmp_path / "c")]) == 4

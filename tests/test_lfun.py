@@ -26,6 +26,14 @@ def mu3(ref_lift):
     return lfun.build_mu_p(psi, qi(3))
 
 
+def block(psi, g_mod, a, lift_offset=0):
+    """The block mu'_a = Psi{b/g - infty} | [[1, b], [0, g]], b the lift
+    a + lift_offset * g."""
+    b = a + g_mod * lift_offset
+    raw = psi.ev(fld.Cusp(b, g_mod), fld.cusp_infinity(1))
+    return oc.sigma0_act(psi.ctx, ((qi(1), b), (qi(0), g_mod)), raw)
+
+
 def character(c, level_value):
     return next(ch for ch in fld.quadratic_ray_characters(c)
                 if not ch.is_trivial() and ch(qi(11)) == level_value)
@@ -41,23 +49,23 @@ class TestBlocks:
 
     def test_trivial_modulus_single_block(self, ref_lift, mu1):
         psi, _ = ref_lift
-        assert len(mu1.blocks) == 1
-        block = next(iter(mu1.blocks.values()))
+        (a,) = mu1.units()
         base = psi.ev(fld.Cusp(qi(0), qi(1)), fld.cusp_infinity(1))
-        assert block.add(base, -1).filtration() >= psi.ctx.M
+        assert block(psi, qi(1), a).add(base, -1).filtration() >= psi.ctx.M
 
     def test_block_total_measure(self, ref_lift, ref_symbols, mu1):
         psi, _ = ref_lift
         phi, _ = ref_symbols
-        c0, c1 = next(iter(mu1.blocks.values())).moment(0, 0)
+        (a,) = mu1.units()
+        c0, c1 = block(psi, qi(1), a).moment(0, 0)
         classical = phi.ev(fld.Cusp(qi(0), qi(1)), fld.cusp_infinity(1))
         assert c1 == 0 and (c0 - classical) % psi.ctx.mod == 0
 
     def test_lift_independence(self, ref_lift, mu3):
         psi, _ = ref_lift
-        other = lfun.build_mu_p(psi, qi(3), lift_offset=2)
-        for a, block in mu3.blocks.items():
-            assert block.add(other.blocks[a], -1).filtration() >= psi.ctx.M
+        for a in mu3.units():
+            diff = block(psi, qi(3), a).add(block(psi, qi(3), a, 2), -1)
+            assert diff.filtration() >= psi.ctx.M
 
     def test_restriction_consistency(self, mu1):
         # disc-by-disc quadrature of z^i recovers the global moments

@@ -76,6 +76,13 @@ class TestSigma0Action:
         with pytest.raises(ValueError):
             oc.sigma0_act(ctx4, ((qi(11), qi(1)), (qi(22), qi(3))), mu)
 
+    def test_rejects_uniformizer_at_ramified_prime(self):
+        # a = 1+i is pi itself: not a unit, though its coordinates on the
+        # basis {1, pi} are (0, 1)
+        ctx = oc.DistContext(fld.split_prime(2, 1), 6)
+        with pytest.raises(ValueError, match="not in Sigma_0"):
+            oc.action_matrix(ctx, ((qi(1, 1), qi(0)), (qi(0), qi(1))))
+
     def test_split_prime_unsupported(self):
         with pytest.raises(NotImplementedError):
             oc.DistContext(fld.split_prime(5, 1), 4)

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps names of the package by name: installing
+and uninstalling it must work on the package as it stands."""
+
+import importlib.util
+import os
+
+from padicbianchi import msymb as ms
+from padicbianchi import ocsymb as oc
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_install_and_uninstall():
+    tracer = load_tracer()
+    before = (ms.manin_terms, ms.P1.__dict__["reduce"],
+              oc.UOperator.__dict__["apply"],
+              oc.OverconvergentSymbol.__dict__["ev"])
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert ms.manin_terms is not before[0]
+        assert ms.P1.__dict__["reduce"] is not before[1]
+    finally:
+        t.uninstall()
+    after = (ms.manin_terms, ms.P1.__dict__["reduce"],
+             oc.UOperator.__dict__["apply"],
+             oc.OverconvergentSymbol.__dict__["ev"])
+    assert all(a is b for a, b in zip(after, before))
