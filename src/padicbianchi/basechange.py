@@ -348,10 +348,19 @@ class QRayDistribution:
     def raw_moments(self, B, G):
         """Psi{B/G - infty}, each moment cut to its honest precision;
         cached."""
-        if (B, G) not in self._raw:
-            self._raw[(B, G)] = self.psi.ev(Fraction(B, G),
-                                            None).reduce_filtration()
+        self.fill_moments([(B, G)])
         return self._raw[(B, G)]
+
+    def fill_moments(self, discs):
+        """Cache raw_moments for each (B, G) in discs not yet cached, in
+        one stacked pass (OverconvergentSymbol.ev_paths)."""
+        todo = [key for key in dict.fromkeys(discs) if key not in self._raw]
+        if not todo:
+            return
+        tables = self.psi.ev_paths([(Fraction(B, G), None) for B, G in todo])
+        for key, m in zip(todo, tables):
+            self._raw[key] = oc.FiniteDistribution(self.psi.ctx,
+                                                   m).reduce_filtration()
 
     def unit_discs(self):
         p, m = self.p, self.m

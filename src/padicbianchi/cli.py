@@ -156,6 +156,13 @@ def prime_for(cfg):
                           "model; pick an inert or ramified p")
     if not fld.divides(pd.pi, cfg.level_elt()):
         raise ConfigError("p must divide the level for the p-new theory")
+    if not oc.DistContext(pd, cfg.precision).int64_safe:
+        top = cfg.precision - 1
+        while not oc.DistContext(pd, top).int64_safe:
+            top -= 1
+        raise ConfigError("precision %d at p = %d exceeds the exact int64 "
+                          "moment arithmetic; the largest supported is %d"
+                          % (cfg.precision, cfg.p, top))
     return pd
 
 
@@ -330,6 +337,11 @@ def cmd_linv(cfg, args):
 # acceptance criteria
 
 
+class CharacterNotFound(LookupError):
+    """No quadratic ray character of the modulus takes the wanted value at
+    the prime above p."""
+
+
 class AcceptanceContext:
     """Everything the criteria share: the symbol, its lift, the tree family,
     and memoized measures."""
@@ -356,8 +368,12 @@ class AcceptanceContext:
         return self._mus[key]
 
     def character(self, c, sign):
-        return next(ch for ch in fld.quadratic_ray_characters(c)
-                    if not ch.is_trivial() and ch(self.pd.pi) == sign)
+        for ch in fld.quadratic_ray_characters(c):
+            if not ch.is_trivial() and ch(self.pd.pi) == sign:
+                return ch
+        raise CharacterNotFound("no nontrivial quadratic ray character mod "
+                                "(%s) has chi(pi) = %d for pi = %s"
+                                % (c, sign, self.pd.pi))
 
     def inject_fault(self):
         """Corrupt one classical value (and hence the family) in place."""

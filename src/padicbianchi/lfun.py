@@ -9,7 +9,9 @@ uniformizer absorbed into the lower-right matrix entry and one factor of
 1/lambda_p from the U_p eigen-relation. On each disc the integrand
 <z zbar>^s * chi * (Teichmuller twist) is expanded as a convergent power
 series in the disc coordinates z and zbar and paired with the two-variable
-moments mu(z^i zbar^j) of the block.
+moments mu(z^i zbar^j) of the block. The moments of all the discs of one
+sum are computed up front in one stacked pass (disc_sum,
+RayDistribution.fill_moments, OverconvergentSymbol.ev_paths).
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -31,6 +33,7 @@ from .field import (
     divides,
 )
 from . import padic
+from .ocsymb import FiniteDistribution
 
 
 def _lambda_p(psi):
@@ -60,13 +63,25 @@ class RayDistribution:
         return self.ring.unit_elements()
 
     def raw_moments(self, B, G):
-        """Column mu(z^i) of Psi{B/G - infty}, cached."""
-        key = (B.a, B.b, G.a, G.b)
-        if key not in self._raw:
-            d = self.psi.ctx.d
-            fd = self.psi.ev(Cusp(B, G), cusp_infinity(d))
-            self._raw[key] = fd
-        return self._raw[key]
+        """Psi{B/G - infty}, cached."""
+        self.fill_moments([(B, G)])
+        return self._raw[(B.a, B.b, G.a, G.b)]
+
+    def fill_moments(self, discs):
+        """Cache Psi{B/G - infty} for each (B, G) in discs not yet cached,
+        in one stacked pass (OverconvergentSymbol.ev_paths)."""
+        todo = {}
+        for B, G in discs:
+            key = (B.a, B.b, G.a, G.b)
+            if key not in self._raw:
+                todo[key] = (B, G)
+        if not todo:
+            return
+        inf = cusp_infinity(self.psi.ctx.d)
+        tables = self.psi.ev_paths([(Cusp(B, G), inf)
+                                    for B, G in todo.values()])
+        for key, m in zip(todo, tables):
+            self._raw[key] = FiniteDistribution(self.psi.ctx, m)
 
     def log_series(self, B, G):
         """The z-series of log_iw(B + G z) on the disc, cached."""
@@ -89,10 +104,11 @@ class RayDistribution:
         rpi = ResidueRing(pi)
         g = self.g_mod
         ginv = rpi.inverse(g)
+        residues = rpi.unit_elements()
         out = []
         for a in self.units():
             b = a + g * self.lift_offset
-            for j in rpi.unit_elements():
+            for j in residues:
                 t = rpi.reduce((j - b) * ginv)
                 out.append((a, b + g * t, g * pi))
         self._discs = out
@@ -182,13 +198,18 @@ def _chi_weight(mu, chi, r=0):
 
 def disc_sum(mu, weight, on_disc):
     """lambda_p^{-1} * sum over the unit discs (a, B, G) of mu of
-    weight(a, B) * on_disc(mu, B, G); discs of weight 0 are skipped."""
+    weight(a, B) * on_disc(mu, B, G); discs of weight 0 are skipped. The
+    moments of all the weighted discs are filled first, in one stacked
+    pass (mu.fill_moments)."""
     pctx = mu.pctx
-    total = pctx.zero()
+    discs = []
     for a, B, G in mu.unit_discs():
         w = weight(a, B)
-        if not w:
-            continue
+        if w:
+            discs.append((w, B, G))
+    mu.fill_moments([(B, G) for _, B, G in discs])
+    total = pctx.zero()
+    for w, B, G in discs:
         total = total + w * on_disc(mu, B, G)
     return pctx.from_rational(1 / mu.lam) * total
 
@@ -232,7 +253,11 @@ def disc_log_zbar(mu, B, G):
 
 def disc_norm_power(s, terms=None):
     """The disc integral of <z zbar>^s = <z>^s <zbar>^s; terms optionally
-    truncates both disc expansions (for remainder diagnostics)."""
+    truncates both disc expansions (for remainder diagnostics). At the
+    integer s = 0 the integrand is the constant 1 (disc_one)."""
+    if terms is None and isinstance(s, int) and s == 0:
+        return disc_one
+
     def on_disc(mu, B, G):
         M = mu.psi.ctx.M
         L = mu.log_series(B, G)

@@ -7,10 +7,10 @@ of a classical form over Q both run on it.
 A distribution mu on O_F (x) Z_p is truncated to the moment table
 m[i][j] = mu(z^i zbar^j), 0 <= i < M, 0 <= j < C, with moment (i, j)
 meaningful mod p^(M - max(i,j)). Moments are elements c0 + c1*g of the
-completion, stored as a pair of int64 numpy arrays mod p^M, where g has
-minimal polynomial g^2 = S*g + T. A Bianchi distribution has the square
-table, C = M. A one-variable distribution has C = 1: the zbar-trivial
-column mu(z^i zbar^0).
+completion, stored as a pair of numpy arrays mod p^M (int64 within the
+bound below), where g has minimal polynomial g^2 = S*g + T. A Bianchi
+distribution has the square table, C = M. A one-variable distribution
+has C = 1: the zbar-trivial column mu(z^i zbar^0).
 
 The semigroup Sigma_0(p) (a a unit, c = 0 mod pi) acts on test functions by
 gamma . f(z) = f((b + d z)/(a + c z)); on the moment table this is
@@ -20,8 +20,17 @@ columns. Row 0 of A is e_0, so the zbar-trivial column is closed under the
 action and this cut is exact; for a rational matrix A is the one-variable
 action matrix. U_p contracts the filtration, which is what makes the
 lifting iteration converge.
+
+One kernel computes the action matrices, action_matrices, for a batch of
+matrices at once, and every moment transform runs on it: the U_p plan
+(UOperator), the value of a symbol on a list of paths (ev_paths, which
+stacks the Manin pieces of all the paths into UOperator chunks of CHUNK
+terms) and the single action sigma0_act. All moment products are exact:
+the arithmetic is int64 where DistContext.int64_safe proves that no
+intermediate overflows, and Python integers (dtype object) otherwise.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +39,13 @@ from .field import mat_det, mat_inv_unimodular
 from . import msymb as ms
 
 INF = 10**9
+
+# Terms per batched kernel call and per stacked UOperator chunk of ev_paths:
+# bounds their temporaries (a chunk's plan holds 4 * CHUNK tables of M x M).
+# At 128 a warm `accept` on the reference configuration (p = 11, M = 8)
+# peaks below the one-psi.ev-per-disc route; 256 peaked 0.6 MB above it
+# and was 4 % faster in ev_paths.
+CHUNK = 128
 
 
 class DistContext:
@@ -57,6 +73,12 @@ class DistContext:
             # pi = pa + pb*w, so w = (pi - pa)/pb gives the change of basis
             self._pi_a, self._pi_b = pi.a, pi.b
             self._pi_b_inv = pow(pi.b % self.mod, -1, self.mod)
+        # The largest intermediate of a product of pair matrices reduced
+        # mod p^M (_mat_pair_mul, UOperator.apply): 2M products of residues
+        # plus an S or T multiple of a residue. Below 2^63, int64 is exact.
+        self.int64_safe = (2 * M * (self.mod - 1) ** 2
+                           + (abs(self.S) + abs(self.T)) * self.mod) < 2 ** 63
+        self.dtype = np.int64 if self.int64_safe else object
 
     def embed(self, x):
         """QuadInt -> pair (c0, c1) in the {1, g} basis mod p^M."""
@@ -77,10 +99,12 @@ class DistContext:
         return (x0 + self.S * x1) % self.mod, (-x1) % self.mod
 
     def inv(self, x0, x1):
-        """Inverse of a unit pair (python ints)."""
-        n = (x0 * x0 + self.S * x0 * x1 - self.T * x1 * x1) % self.mod
-        ninv = pow(n, -1, self.mod)
+        """Inverses of unit pairs (1-d arrays): conj(x) / N(x). Raises
+        ValueError where x is not a unit."""
         c0, c1 = self.conj(x0, x1)
+        norm, _ = self.mul(x0, x1, c0, c1)
+        ninv = np.array([pow(int(n), -1, self.mod) for n in norm],
+                        dtype=self.dtype)
         return c0 * ninv % self.mod, c1 * ninv % self.mod
 
     def val_pair(self, x0, x1):
@@ -146,47 +170,40 @@ class FiniteDistribution:
         return self.filtration() >= self.ctx.M
 
 
-def _series_pow_matrix(ctx, a, b, c, d):
-    """The M x M matrix A with ((b + dz)/(a + cz))^i = sum_n A[i,n] z^n,
-    as a pair of int arrays. Entries are pairs; a must be a unit, c = 0 mod p
-    is the caller's responsibility to have checked."""
-    M, mod = ctx.M, ctx.mod
-    ai0, ai1 = ctx.inv(*a)
-    # inv[m] = a^{-1} (-c/a)^m
-    t0, t1 = ctx.mul(-c[0] % mod, -c[1] % mod, ai0, ai1)
-    inv0 = np.zeros(M, dtype=object)
-    inv1 = np.zeros(M, dtype=object)
-    inv0[0], inv1[0] = ai0, ai1
+def action_matrices(ctx, gs):
+    """The moment transform pairs (A0, A1), each (N, M, M), of the N
+    matrices gs = [[a, b], [c, d]] in Sigma_0(p): row i of A[k] holds the
+    power series coefficients of ((b + dz)/(a + cz))^i for gs[k], as pairs
+    mod p^M of dtype ctx.dtype. Membership in Sigma_0(p) is the caller's
+    to check (action_matrix); a non-unit a raises ValueError."""
+    M, mod, dt = ctx.M, ctx.mod, ctx.dtype
+    ent = np.array([[v for x in (a, b, c, d) for v in ctx.embed(x)]
+                    for (a, b), (c, d) in gs], dtype=dt).reshape(-1, 4, 2)
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ent.transpose(1, 2, 0)
+    n = len(ent)
+    # h[m] = a^{-1} (-c/a)^m, the series of 1/(a + cz)
+    h0 = np.zeros((n, M), dtype=dt)
+    h1 = np.zeros((n, M), dtype=dt)
+    h0[:, 0], h1[:, 0] = ctx.inv(a0, a1)
+    t0, t1 = ctx.mul(-c0 % mod, -c1 % mod, h0[:, 0], h1[:, 0])
     for m in range(1, M):
-        inv0[m], inv1[m] = ctx.mul(inv0[m - 1], inv1[m - 1], t0, t1)
-    # f = (b + dz) * inv
-    f0 = np.zeros(M, dtype=object)
-    f1 = np.zeros(M, dtype=object)
-    for n in range(M):
-        x0, x1 = ctx.mul(b[0], b[1], inv0[n], inv1[n])
-        if n:
-            y0, y1 = ctx.mul(d[0], d[1], inv0[n - 1], inv1[n - 1])
-            x0, x1 = (x0 + y0) % mod, (x1 + y1) % mod
-        f0[n], f1[n] = x0, x1
-    A0 = np.zeros((M, M), dtype=np.int64)
-    A1 = np.zeros((M, M), dtype=np.int64)
-    A0[0, 0] = 1
-    row0 = np.zeros(M, dtype=object)
-    row1 = np.zeros(M, dtype=object)
-    row0[0] = 1
+        h0[:, m], h1[:, m] = ctx.mul(h0[:, m - 1], h1[:, m - 1], t0, t1)
+    # f = (b + dz)/(a + cz)
+    f0, f1 = ctx.mul(b0[:, None], b1[:, None], h0, h1)
+    g0, g1 = ctx.mul(d0[:, None], d1[:, None], h0[:, :-1], h1[:, :-1])
+    f0[:, 1:] = (f0[:, 1:] + g0) % mod
+    f1[:, 1:] = (f1[:, 1:] + g1) % mod
+    # multiplying a truncated series by f is the Toeplitz matrix
+    # F[s, t] = f[t - s] (zero below the diagonal)
+    lag = np.arange(M)[None, :] - np.arange(M)[:, None]
+    F0 = np.where(lag >= 0, f0[:, lag.clip(0)], 0)
+    F1 = np.where(lag >= 0, f1[:, lag.clip(0)], 0)
+    A0 = np.zeros((n, M, M), dtype=dt)
+    A1 = np.zeros((n, M, M), dtype=dt)
+    A0[:, 0, 0] = 1
     for i in range(1, M):
-        new0 = np.zeros(M, dtype=object)
-        new1 = np.zeros(M, dtype=object)
-        for n in range(M):
-            if row0[n] == 0 and row1[n] == 0:
-                continue
-            for k in range(M - n):
-                z0, z1 = ctx.mul(row0[n], row1[n], f0[k], f1[k])
-                new0[n + k] = (new0[n + k] + z0) % mod
-                new1[n + k] = (new1[n + k] + z1) % mod
-        row0, row1 = new0, new1
-        A0[i] = row0.astype(np.int64)
-        A1[i] = row1.astype(np.int64)
+        A0[:, i:i + 1], A1[:, i:i + 1] = _mat_pair_mul(
+            ctx, A0[:, i - 1:i], A1[:, i - 1:i], F0, F1)
     return A0, A1
 
 
@@ -202,8 +219,8 @@ def _check_sigma0(ctx, g):
 def action_matrix(ctx, g):
     """The moment transform pair (A0, A1) for gamma in Sigma_0(p)."""
     _check_sigma0(ctx, g)
-    (a, b), (c, d) = g
-    return _series_pow_matrix(ctx, ctx.embed(a), ctx.embed(b), ctx.embed(c), ctx.embed(d))
+    A0, A1 = action_matrices(ctx, [g])
+    return A0[0], A1[0]
 
 
 def _mat_pair_mul(ctx, X0, X1, Y0, Y1):
@@ -247,12 +264,36 @@ class OverconvergentSymbol:
     def ev(self, r, s):
         """Psi{r -> s} as a FiniteDistribution (Gamma-invariance plus the
         Manin decomposition of the path by the symbol's P^1 layer)."""
-        total = FiniteDistribution(self.ctx, np.zeros_like(self.values[0].m))
-        for sign, idx, gamma in self.p1.manin_terms(r, s):
-            g = mat_inv_unimodular(self.p1.embed(gamma))
-            moved = sigma0_act(self.ctx, g, self.values[idx])
-            total = total.add(moved, sign)
-        return total
+        return FiniteDistribution(self.ctx, self.ev_paths([(r, s)])[0])
+
+    def ev_paths(self, paths):
+        """Psi on each path (r, s) of paths, as one (len(paths), 2, M, C)
+        array mod p^M. The Manin pieces (sign, gen, gamma) of path k are
+        the plan terms (k, gen, sign, gamma^-1); they run through stacked
+        UOperator chunks of CHUNK terms, each applied to the rows of the
+        paths it spans."""
+        ctx = self.ctx
+        values = np.stack([v.m for v in self.values])
+        out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.dtype)
+        chunk = []
+
+        def flush():
+            lo = chunk[0][0]
+            u_op = UOperator(ctx, [(k - lo, idx, sign, g)
+                                   for k, idx, sign, g in chunk])
+            part = u_op.apply(values, n_out=chunk[-1][0] - lo + 1)
+            out[lo:lo + len(part)] += part
+            chunk.clear()
+
+        for k, (r, s) in enumerate(paths):
+            for sign, idx, gamma in self.p1.manin_terms(r, s):
+                g = mat_inv_unimodular(self.p1.embed(gamma))
+                chunk.append((k, idx, sign, g))
+                if len(chunk) == CHUNK:
+                    flush()
+        if chunk:
+            flush()
+        return out % ctx.mod
 
     def filtration(self):
         return min(v.filtration() for v in self.values)
@@ -286,32 +327,42 @@ class UOperator:
     sign * (values[src] | g) to the image at dest. The terms come from
     the shared Manin layer (msymb.ManinLayer.hecke_terms), over O_F for a
     Bianchi symbol (msymb.P1) and over Z for a rational one
-    (basechange.RationalP1)."""
+    (basechange.RationalP1), or from the Manin pieces of a list of paths
+    (OverconvergentSymbol.ev_paths, dest the path). The stacks are filled
+    through action_matrices, CHUNK terms at a time."""
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         dest, src, sgn = [], [], []
-        A0s, A1s, B0s, B1s = [], [], [], []
-        for i, idx, sign, g in terms:
-            A0, A1 = action_matrix(ctx, g)
-            dest.append(i)
-            src.append(idx)
-            sgn.append(sign)
-            A0s.append(A0)
-            A1s.append(A1)
-            B0s.append((A0 + ctx.S * A1).T % ctx.mod)
-            B1s.append((-A1).T % ctx.mod)
+        stacks = ([], [], [], [])
+        terms = iter(terms)
+        while True:
+            chunk = list(itertools.islice(terms, CHUNK))
+            if not chunk:
+                break
+            for i, idx, sign, _ in chunk:
+                dest.append(i)
+                src.append(idx)
+                sgn.append(sign)
+            A0, A1 = action_matrices(ctx, [g for _, _, _, g in chunk])
+            B0 = (A0 + ctx.S * A1).transpose(0, 2, 1) % ctx.mod
+            B1 = (-A1).transpose(0, 2, 1) % ctx.mod
+            for stack, part in zip(stacks, (A0, A1, B0, B1)):
+                stack.append(part)
         self.dest = np.array(dest)
         self.src = np.array(src)
         self.sgn = np.array(sgn).reshape(-1, 1, 1)
-        self.A0 = np.stack(A0s)
-        self.A1 = np.stack(A1s)
-        self.B0 = np.stack(B0s)
-        self.B1 = np.stack(B1s)
+        # one stack at a time, so that the chunks of the others are the
+        # only extra memory while a large plan is joined
+        for name, stack in zip(("A0", "A1", "B0", "B1"), stacks):
+            setattr(self, name, np.concatenate(stack))
+            stack.clear()
 
-    def apply(self, values):
-        """values: ndarray (n_gen, 2, M, C) -> U_p applied, same shape; the
-        right factor is cut to the C columns of the tables."""
+    def apply(self, values, n_out=None):
+        """values: ndarray (n_gen, 2, M, C) -> the image, (n_out, 2, M, C)
+        with n_out the number of generators by default: row i sums the
+        terms with dest i. The right factor is cut to the C columns of the
+        tables."""
         ctx = self.ctx
         mod = ctx.mod
         n = values.shape[-1]
@@ -326,7 +377,8 @@ class UOperator:
         W1 = (Z0 @ B1 + Z1 @ B0 + ctx.S * X1Y1) % mod
         W0 = (W0 * self.sgn) % mod
         W1 = (W1 * self.sgn) % mod
-        out = np.zeros_like(values)
+        rows = len(values) if n_out is None else n_out
+        out = np.zeros((rows,) + values.shape[1:], dtype=W0.dtype)
         np.add.at(out, (self.dest, 0), W0)
         np.add.at(out, (self.dest, 1), W1)
         return out % mod

@@ -99,6 +99,7 @@ class TestConfig:
     @pytest.mark.parametrize("argv", [
         ["build", "--weight", "3", "--precision", "9"],
         ["build", "--precision", "4"],
+        ["build", "--precision", "9"],
         ["build", "--prime", "5", "--level", "5", "--precision", "5"],
         ["build", "--prime", "7", "--precision", "5"],
         ["build", "--field-disc", "6", "--precision", "5"],

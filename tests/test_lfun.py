@@ -5,6 +5,7 @@ import pytest
 
 from padicbianchi import field as fld
 from padicbianchi import lfun
+from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
 from padicbianchi import padic
 from padicbianchi.field import QuadInt
@@ -24,6 +25,17 @@ def mu1(ref_lift):
 def mu3(ref_lift):
     psi, _ = ref_lift
     return lfun.build_mu_p(psi, qi(3))
+
+
+@pytest.fixture(scope="module")
+def ram_lift():
+    """The M = 6 lift at the ramified p = 2, level (1+i)(7): the base change
+    of 14a."""
+    pd = fld.split_prime(2, 1)
+    phi, _ = ms.find_new_eigensymbol(qi(7, 7), pd)
+    psi, cert = oc.lift(phi, 6, pd, max_iter=16)
+    assert cert["converged"]
+    return psi
 
 
 def block(psi, g_mod, a, lift_offset=0):
@@ -121,6 +133,28 @@ class TestValues:
         s = mu1.pctx.elt(121)
         diff = lfun.Lp_value(mu1, s=s) - lfun.Lp_value(mu1, s=121)
         assert diff.is_zero()
+
+
+class TestNormPowerAtZero:
+    """<z zbar>^0 = 1: at the integer s = 0 the disc integrand is disc_one,
+    with the value and the precision of the expanded series on every
+    disc."""
+
+    @staticmethod
+    def check(mu):
+        assert lfun.disc_norm_power(0) is lfun.disc_one
+        expanded = lfun.disc_norm_power(0, terms=mu.psi.ctx.M)
+        for _, B, G in mu.unit_discs():
+            one, series = lfun.disc_one(mu, B, G), expanded(mu, B, G)
+            assert (one.c0, one.c1, one.prec) == \
+                (series.c0, series.c1, series.prec)
+
+    def test_inert(self, mu3):
+        self.check(mu3)
+
+    @pytest.mark.parametrize("m", [qi(1), qi(3), qi(4, 1)])
+    def test_ramified(self, ram_lift, m):
+        self.check(lfun.build_mu_p(ram_lift, m))
 
 
 class TestZFactor:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from padicbianchi import field as fld
+from padicbianchi import lfun
 from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
 from padicbianchi.field import QuadInt
@@ -86,6 +87,81 @@ class TestSigma0Action:
     def test_split_prime_unsupported(self):
         with pytest.raises(NotImplementedError):
             oc.DistContext(fld.split_prime(5, 1), 4)
+
+
+def series_pow_matrix(ctx, a, b, c, d):
+    """Reference for action_matrices: the M x M pair matrix A with
+    ((b + dz)/(a + cz))^i = sum_n A[i,n] z^n, one Python-int pair product
+    at a time (a, b, c, d embedded pairs)."""
+    M, mod = ctx.M, ctx.mod
+    n = (a[0] * a[0] + ctx.S * a[0] * a[1] - ctx.T * a[1] * a[1]) % mod
+    ninv = pow(n, -1, mod)
+    c0, c1 = ctx.conj(*a)
+    ai0, ai1 = c0 * ninv % mod, c1 * ninv % mod
+    # inv[m] = a^{-1} (-c/a)^m
+    t0, t1 = ctx.mul(-c[0] % mod, -c[1] % mod, ai0, ai1)
+    inv0 = np.zeros(M, dtype=object)
+    inv1 = np.zeros(M, dtype=object)
+    inv0[0], inv1[0] = ai0, ai1
+    for m in range(1, M):
+        inv0[m], inv1[m] = ctx.mul(inv0[m - 1], inv1[m - 1], t0, t1)
+    # f = (b + dz) * inv
+    f0 = np.zeros(M, dtype=object)
+    f1 = np.zeros(M, dtype=object)
+    for n in range(M):
+        x0, x1 = ctx.mul(b[0], b[1], inv0[n], inv1[n])
+        if n:
+            y0, y1 = ctx.mul(d[0], d[1], inv0[n - 1], inv1[n - 1])
+            x0, x1 = (x0 + y0) % mod, (x1 + y1) % mod
+        f0[n], f1[n] = x0, x1
+    A0 = np.zeros((M, M), dtype=object)
+    A1 = np.zeros((M, M), dtype=object)
+    A0[0, 0] = 1
+    row0 = np.zeros(M, dtype=object)
+    row1 = np.zeros(M, dtype=object)
+    row0[0] = 1
+    for i in range(1, M):
+        new0 = np.zeros(M, dtype=object)
+        new1 = np.zeros(M, dtype=object)
+        for n in range(M):
+            for k in range(M - n):
+                z0, z1 = ctx.mul(row0[n], row1[n], f0[k], f1[k])
+                new0[n + k] = (new0[n + k] + z0) % mod
+                new1[n + k] = (new1[n + k] + z1) % mod
+        row0, row1 = new0, new1
+        A0[i], A1[i] = row0, row1
+    return A0, A1
+
+
+class TestActionKernel:
+    """The batched kernel against the one-matrix Python-int reference; at
+    p = 11 the int64 bound holds up to M = 8, and M = 9, 10 run on Python
+    integers."""
+
+    @pytest.mark.parametrize("p, M, int64", [
+        (11, 5, True), (11, 8, True), (11, 9, False), (11, 10, False),
+        (2, 6, True)])
+    def test_matches_reference(self, p, M, int64):
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        assert ctx.int64_safe == int64
+        rng = random.Random(100 * p + M)
+        gs = []
+        while len(gs) < 12:
+            a, b, d = (qi(rng.randint(-40, 40), rng.randint(-40, 40))
+                       for _ in range(3))
+            c = pd.pi * qi(rng.randint(-9, 9), rng.randint(-9, 9))
+            g = ((a, b), (c, d))
+            if fld.mat_det(g) and not fld.divides(pd.pi, a):
+                gs.append(g)
+        A0, A1 = oc.action_matrices(ctx, gs)
+        assert A0.shape == A1.shape == (len(gs), M, M)
+        for k, ((a, b), (c, d)) in enumerate(gs):
+            R0, R1 = series_pow_matrix(
+                ctx, *(ctx.embed(x) for x in (a, b, c, d)))
+            assert np.array_equal(A0[k], R0) and np.array_equal(A1[k], R1)
+            S0, S1 = oc.action_matrix(ctx, gs[k])
+            assert np.array_equal(S0, R0) and np.array_equal(S1, R1)
 
 
 class TestZbarTrivialColumn:
@@ -203,6 +279,26 @@ class TestEvaluation:
         lhs = psi.ev(gr, gs)
         rhs = oc.sigma0_act(psi.ctx, fld.mat_inv_unimodular(g), psi.ev(r, s))
         assert lhs.add(rhs, -1).filtration() >= psi.ctx.M
+
+    def test_ev_paths_match_per_piece_sum(self, ref_lift):
+        # the 120 discs of mu(1): more Manin pieces than one stacked chunk
+        psi, _ = ref_lift
+        ctx = psi.ctx
+        mu = lfun.build_mu_p(psi, qi(1))
+        paths = [(fld.Cusp(B, G), fld.cusp_infinity(1))
+                 for _, B, G in mu.unit_discs()]
+        assert len(paths) == 120
+        got = psi.ev_paths(paths)
+        assert got.shape == (120, 2, ctx.M, ctx.M)
+        pieces = 0
+        for k, (r, s) in enumerate(paths):
+            total = oc.FiniteDistribution(ctx)
+            for sign, idx, gamma in psi.p1.manin_terms(r, s):
+                g = fld.mat_inv_unimodular(psi.p1.embed(gamma))
+                total = total.add(oc.sigma0_act(ctx, g, psi.values[idx]), sign)
+                pieces += 1
+            assert np.array_equal(got[k], total.m)
+        assert pieces > oc.CHUNK
 
     def test_additivity(self, ref_lift):
         psi, _ = ref_lift
