@@ -469,8 +469,7 @@ def ramified_case_report(M=6):
         stage = "eigensymbol"
         phi, _ = ms.find_new_eigensymbol(level, pd)
         stage = "overconvergent lift"
-        # ramification halves the per-iteration filtration gain
-        psi, cert = oc.lift(phi, M, pd, max_iter=2 * M + 4)
+        psi, cert = oc.lift(phi, M, pd)
         if not cert["converged"]:
             raise RuntimeError("lift did not converge")
         stage = "harmonicity"

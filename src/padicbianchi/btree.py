@@ -117,19 +117,6 @@ class Tree:
         a = vdet + 1 - 2 * vr
         return Edge(self, 1, a, self.uclass(p, r, a))
 
-    def vertex_from_matrix(self, g):
-        det = mat_det(g)
-        if not det:
-            raise ValueError("singular matrix does not act on the tree")
-        (p, q), (r, s) = g
-        vdet = self.val(det)
-        vr, vs = self.val(r), self.val(s)
-        if vr > vs:
-            a = vdet - 2 * vs
-            return Vertex(self, a, self.uclass(q, s, a))
-        a = vdet - 2 * vr
-        return Vertex(self, a, self.uclass(p, r, a))
-
 
 class Vertex:
     """Canonical form (a, u mod pi^a): the lattice class of

@@ -101,22 +101,24 @@ class RunConfig:
         return out
 
     def validate(self):
-        from sympy import isprime
         if self.field_disc not in ms.RELATION_TABLE_FIELDS:
             raise ConfigError("field_disc must be one of %r (the fields with "
                               "M-symbol relation tables)"
                               % (ms.RELATION_TABLE_FIELDS,))
         if self.precision < 5:
             raise ConfigError("precision must be at least 5")
-        if not isprime(self.p):
-            raise ConfigError("p must be prime")
         try:
-            ms._factor_level(self.level_elt())   # squarefree, or LevelError
+            factors = ms._factor_level(self.level_elt())  # or LevelError
             self.embedding_pairs()
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(str(exc))
+        # the p-new theory needs pi | level for the prime pi over p; this
+        # also refuses a p that is not prime, before anything factors p
+        if self.p not in {pd.p for _, pd in factors}:
+            raise ConfigError("p must be the rational prime under a prime "
+                              "factor of the level (the p-new theory)")
 
     def level_elt(self):
         return fld.parse_quadint(self.level, self.field_disc)
@@ -154,8 +156,6 @@ def prime_for(cfg):
     if pd.kind == "split":
         raise ConfigError("split primes are not supported by the moment "
                           "model; pick an inert or ramified p")
-    if not fld.divides(pd.pi, cfg.level_elt()):
-        raise ConfigError("p must divide the level for the p-new theory")
     if not oc.DistContext(pd, cfg.precision).int64_safe:
         top = cfg.precision - 1
         while not oc.DistContext(pd, top).int64_safe:
@@ -227,8 +227,7 @@ def build_symbol(cfg, warnings=None):
                             % (type(exc).__name__, exc))
             status = "rebuilt"
     phi, _ = ms.find_new_eigensymbol(level, pd)
-    max_iter = 2 * M + 4 if pd.kind == "ramified" else None
-    psi, cert = oc.lift(phi, M, pd, max_iter=max_iter)
+    psi, cert = oc.lift(phi, M, pd)
     if not cert["converged"]:
         raise padic.PrecisionError("overconvergent lift did not converge "
                                    "within the iteration budget")
@@ -386,7 +385,7 @@ def _pe(x):
 
 def _criterion_1(ctx, detail):
     lam = Fraction(ctx.phi.eigen["lambda_p"])
-    target = Fraction(ctx.fam.omega) * Fraction(ctx.pd.norm) ** (ctx.phi.k // 2)
+    target = Fraction(ctx.fam.omega)
     upi = ms.apply_hecke(ctx.phi, ctx.pd.pi)
     exact = all(a == lam * b for a, b in zip(upi.values, ctx.phi.values))
     detail.update(lambda_p=str(lam), target=str(target),

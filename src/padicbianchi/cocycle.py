@@ -83,8 +83,7 @@ class TreeFamily:
         if omega not in (1, -1):
             raise ValueError("omega must be +-1")
         self.omega = omega
-        self.pctx = padic.completion(psi.ctx.pd, psi.ctx.M) \
-            if psi is not None else None
+        self.pctx = psi.ctx.pctx if psi is not None else None
         self._ext2 = None
         self._dist_cache = {}
 
@@ -534,20 +533,6 @@ def oc_closed_route(fam, datum):
     total = sum(fam.omega ** j * fam.phi.ev(Cusp(a, datum.c), s_inf)
                 for a, j in datum.J.items())
     return datum.beta * total
-
-
-def oc_eval(fam, datum):
-    """The counting cocycle at the datum: both routes, compared exactly."""
-    if datum.beta == 0:
-        raise ValueError("beta = 0 datum")
-    t = oc_tree_route(fam, datum)
-    c = oc_closed_route(fam, datum)
-    if t != c:
-        raise ConsistencyError("oc route mismatch: tree %s vs closed %s"
-                               % (t, c))
-    if fam.pctx is not None:
-        return fam.pctx.from_rational(Fraction(c))
-    return c
 
 
 def _lc_setup(fam, datum, mu):

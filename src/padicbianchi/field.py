@@ -492,10 +492,6 @@ class RayCharacter:
     def is_trivial(self):
         return all(v == 1 for v in self.table.values())
 
-    def value_on_prime(self, prime_data):
-        """chi(p) := chi(pi) for unramified chi at p, else 0."""
-        return self(prime_data.pi)
-
     def gauss_sum_squared(self):
         """tau(chi)^2 = chi(-1) N(cond); sign-free, normalization-robust."""
         if self.conductor.is_unit():
@@ -506,38 +502,41 @@ class RayCharacter:
         return "RayCharacter(mod %r, cond %r)" % (self.modulus, self.conductor)
 
 
-def _ideal_divisors(c):
-    """All divisors of (c) up to units, as generators."""
+def factor_ideal(c):
+    """The prime factorization of (c), c nonzero: [(pi, k, pd)] with
+    pi^k || c and pd = split_prime of the rational prime under pi, in
+    increasing order of that prime (pi before pibar when it splits). Trial
+    division of N(c) stops at p^2 > N; the leftover norm is then prime."""
+    if not c:
+        raise ValueError("the zero ideal has no factorization")
     d = c.d
-    divs = [one(d)]
     n = abs(c.norm())
     rest = c
+    out = []
     p = 2
-    prime_powers = []
-    while p * p <= n:
+    while n > 1:
+        if p * p > n:
+            p = n
         if n % p == 0:
             pd = split_prime(p, d)
-            for pi in ({pd.pi, pd.pibar} if pd.kind == "split" else {pd.pi}):
+            for pi in ([pd.pi, pd.pibar] if pd.kind == "split" else [pd.pi]):
                 k = 0
                 while divides(pi, rest):
                     rest = exact_div(rest, pi)
                     k += 1
                 if k:
-                    prime_powers.append((pi, k))
+                    out.append((pi, k, pd))
             while n % p == 0:
                 n //= p
         p += 1
-    if n > 1:
-        pd = split_prime(n, d)
-        for pi in ({pd.pi, pd.pibar} if pd.kind == "split" else {pd.pi}):
-            k = 0
-            while divides(pi, rest):
-                rest = exact_div(rest, pi)
-                k += 1
-            if k:
-                prime_powers.append((pi, k))
-    assert rest.is_unit()
-    for pi, k in prime_powers:
+    assert rest.is_unit(), "leftover factor"
+    return out
+
+
+def _ideal_divisors(c):
+    """All divisors of (c) up to units, as generators."""
+    divs = [one(c.d)]
+    for pi, k, _ in factor_ideal(c):
         divs = [g * pi ** j for g in divs for j in range(k + 1)]
     return divs
 
@@ -667,13 +666,3 @@ def parse_quadint(text, d):
             a += int(t)
     return QuadInt(a, b, d)
 
-
-def parse_cusp(text, d):
-    """Parse a cusp 'num/den' with QuadInt parts, or 'oo'."""
-    text = text.strip()
-    if text in ("oo", "inf", "infinity"):
-        return cusp_infinity(d)
-    if "/" in text:
-        nu, de = text.split("/", 1)
-        return Cusp(parse_quadint(nu, d), parse_quadint(de, d))
-    return Cusp(parse_quadint(text, d), one(d))

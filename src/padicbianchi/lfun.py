@@ -54,7 +54,7 @@ class RayDistribution:
         self.lift_offset = lift_offset
         self.ring = ResidueRing(g_mod)
         self.lam = _lambda_p(psi)
-        self.pctx = padic.completion(psi.ctx.pd, psi.ctx.M)
+        self.pctx = psi.ctx.pctx
         self._raw = {}
         self._logs = {}
         self._discs = None

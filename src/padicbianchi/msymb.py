@@ -43,29 +43,13 @@ class LevelError(ValueError):
 
 
 def _factor_level(n):
-    """Prime factorization of the (squarefree) level; raises otherwise."""
-    d = n.d
-    nrm = abs(n.norm())
-    rest = n
+    """Prime factorization [(pi, pd)] of the (squarefree) level; raises
+    otherwise."""
     out = []
-    p = 2
-    while p * p <= nrm or (nrm > 1 and p <= nrm):
-        if nrm % p == 0:
-            pd = split_prime(p, d)
-            pis = [pd.pi, pd.pibar] if pd.kind == "split" else [pd.pi]
-            for pi in pis:
-                k = 0
-                while divides(pi, rest):
-                    rest = exact_div(rest, pi)
-                    k += 1
-                if k > 1:
-                    raise LevelError("level %r is not squarefree" % n)
-                if k == 1:
-                    out.append((pi, pd))
-            while nrm % p == 0:
-                nrm //= p
-        p += 1
-    assert rest.is_unit(), "leftover factor in level"
+    for pi, k, pd in fld.factor_ideal(n):
+        if k > 1:
+            raise LevelError("level %r is not squarefree" % n)
+        out.append((pi, pd))
     return out
 
 
@@ -319,14 +303,12 @@ def _relation_mats(d):
     return S, [TS, R_w], [J]
 
 
-def build_symbol_space(n, k=0):
-    """Exact basis of the weight-(k,k) M-symbol solution space at level n.
+def build_symbol_space(n):
+    """Exact basis of the weight-(0,0) M-symbol solution space at level n.
 
     Returns (p1, basis) where basis is a list of Fraction-vectors indexed by
-    P^1(O/n).  Only k = 0 is implemented.
+    P^1(O/n).
     """
-    if k != 0:
-        raise NotImplementedError("classical stage implemented for k = 0 only")
     p1 = P1(n)
     return p1, relation_basis(p1)
 
@@ -401,18 +383,17 @@ class ModularSymbol:
     Manin layer: P1 over O_F (d the field), or basechange.RationalP1 over Z
     (d None)."""
 
-    def __init__(self, p1, values, level, d, k=0, eigen=None):
+    def __init__(self, p1, values, level, d, eigen=None):
         self.p1 = p1
         self.values = list(values)
         self.level = level
         self.d = d
-        self.k = k
         self.eigen = eigen or {}     # annotations: {"lambda_(g)": ..., "omega": ...}
 
     def copy(self, values=None):
         return ModularSymbol(self.p1, values if values is not None
                              else list(self.values), self.level, self.d,
-                             self.k, dict(self.eigen))
+                             dict(self.eigen))
 
     def ev(self, r, s):
         """Value on the path {r -> s} (divisor (s) - (r))."""
@@ -458,7 +439,7 @@ def manin_terms(p1, r, s):
     return out
 
 
-def hecke_reps(pi, level, d, n_pd=None):
+def hecke_reps(pi, level, d):
     """Coset representatives for T_q (q = (pi) prime): [[1,a],[0,pi]] for a in
     O/q, plus [[pi,0],[0,1]] when q does not divide the level."""
     R = ResidueRing(pi)
@@ -521,7 +502,7 @@ def degeneracy(phi, pi, direction, target_p1=None):
         return [sum((phi.ev(apply_moebius(g, r), apply_moebius(g, s))
                      for g in mats), Fraction(0)) for r, s in probes]
     return ModularSymbol(target_p1, translated_sums(target_p1, mats, phi.ev),
-                         m, d, phi.k)
+                         m, d)
 
 
 def translated_sums(p1, mats, ev):
@@ -568,16 +549,16 @@ def hecke_matrix_on(basis_syms, pi):
     return [[out[j][i] for j in range(dim)] for i in range(dim)]
 
 
-def find_new_eigensymbol(n, pd, k=0, helper_primes=None, p=None):
+def find_new_eigensymbol(n, pd, helper_primes=None, p=None):
     """The p-new cuspidal Hecke eigensymbol at level n (pd = prime over p).
 
     Splits the M-symbol solution space under a few Hecke operators away from
     the level, discards Eisenstein lines (eigenvalue N(q)+1), and keeps the
-    unique line whose U_p eigenvalue is a unit times N(p)^{k/2}.
+    unique line whose U_p eigenvalue is a unit.
     """
     d = n.d
-    p1, basis = build_symbol_space(n, k)
-    syms = [ModularSymbol(p1, vec, n, d, k) for vec in basis]
+    p1, basis = build_symbol_space(n)
+    syms = [ModularSymbol(p1, vec, n, d) for vec in basis]
     if not syms:
         raise LevelError("symbol space at level %r is zero" % n)
     helper_primes = helper_primes or _small_coprime_primes(n, d, 3)

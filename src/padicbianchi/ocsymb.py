@@ -8,9 +8,14 @@ A distribution mu on O_F (x) Z_p is truncated to the moment table
 m[i][j] = mu(z^i zbar^j), 0 <= i < M, 0 <= j < C, with moment (i, j)
 meaningful mod p^(M - max(i,j)). Moments are elements c0 + c1*g of the
 completion, stored as a pair of numpy arrays mod p^M (int64 within the
-bound below), where g has minimal polynomial g^2 = S*g + T. A Bianchi
-distribution has the square table, C = M. A one-variable distribution
-has C = 1: the zbar-trivial column mu(z^i zbar^0).
+bound below), where g has minimal polynomial g^2 = S*g + T. The completion
+is padic.completion, kept as DistContext.pctx: its basis {1, g}, S, T and
+embedding of QuadInts are the ones the moments use, so a moment pair
+(c0, c1) is the element pctx.elt(c0, c1). A Bianchi distribution has the
+square table, C = M. A one-variable distribution has C = 1: the
+zbar-trivial column mu(z^i zbar^0). A table has filtration >= f exactly
+when every moment (i, j) is divisible by p^max(f - max(i, j), 0)
+(filtration).
 
 The semigroup Sigma_0(p) (a a unit, c = 0 mod pi) acts on test functions by
 gamma . f(z) = f((b + d z)/(a + c z)); on the moment table this is
@@ -22,12 +27,14 @@ action matrix. U_p contracts the filtration, which is what makes the
 lifting iteration converge.
 
 One kernel computes the action matrices, action_matrices, for a batch of
-matrices at once, and every moment transform runs on it: the U_p plan
-(UOperator), the value of a symbol on a list of paths (ev_paths, which
+matrices at once, and one two-sided transform, UOperator.apply, applies
+them in slices of CHUNK terms. Every moment transform runs on these two:
+the U_p plan, the value of a symbol on a list of paths (ev_paths, which
 stacks the Manin pieces of all the paths into UOperator chunks of CHUNK
-terms) and the single action sigma0_act. All moment products are exact:
-the arithmetic is int64 where DistContext.int64_safe proves that no
-intermediate overflows, and Python integers (dtype object) otherwise.
+terms) and the single action sigma0_act, a one-term plan. All moment
+products are exact: the arithmetic is int64 where DistContext.int64_safe
+proves that no intermediate overflows, and Python integers (dtype object)
+otherwise.
 """
 
 import itertools
@@ -37,11 +44,11 @@ import numpy as np
 
 from .field import mat_det, mat_inv_unimodular
 from . import msymb as ms
+from . import padic
 
-INF = 10**9
-
-# Terms per batched kernel call and per stacked UOperator chunk of ev_paths:
-# bounds their temporaries (a chunk's plan holds 4 * CHUNK tables of M x M).
+# Terms per batched kernel call, per slice of UOperator.apply and per stacked
+# UOperator chunk of ev_paths: bounds their temporaries (a chunk's plan holds
+# 4 * CHUNK tables of M x M).
 # At 128 a warm `accept` on the reference configuration (p = 11, M = 8)
 # peaks below the one-psi.ev-per-disc route; 256 peaked 0.6 MB above it
 # and was 4 % faster in ev_paths.
@@ -49,7 +56,9 @@ CHUNK = 128
 
 
 class DistContext:
-    """Shared data for moment arithmetic at one (prime, M)."""
+    """Shared data for moment arithmetic at one (prime, M): the completion
+    F_p at precision p^M (pctx, from padic.completion), whose basis {1, g},
+    relation g^2 = S*g + T and embedding of QuadInts the moment pairs use."""
 
     def __init__(self, prime_data, M):
         if prime_data.kind == "split":
@@ -59,34 +68,23 @@ class DistContext:
         self.M = M
         self.mod = prime_data.p ** M
         self.d = prime_data.pi.d
-        pi = prime_data.pi
-        if prime_data.kind == "inert":
-            # basis {1, w} with w the field generator
-            from .field import _FIELD_TABLE
-            _, S, T = _FIELD_TABLE[self.d][:3]
-            self.S, self.T = S, T
-            self.basis = "w"
-        else:
-            # basis {1, pi}: pi^2 = tr(pi) pi - N(pi)
-            self.S, self.T = pi.trace(), -pi.norm()
-            self.basis = "pi"
-            # pi = pa + pb*w, so w = (pi - pa)/pb gives the change of basis
-            self._pi_a, self._pi_b = pi.a, pi.b
-            self._pi_b_inv = pow(pi.b % self.mod, -1, self.mod)
+        self.pctx = padic.completion(prime_data, M)
+        self.S, self.T = self.pctx.S, self.pctx.T
         # The largest intermediate of a product of pair matrices reduced
-        # mod p^M (_mat_pair_mul, UOperator.apply): 2M products of residues
-        # plus an S or T multiple of a residue. Below 2^63, int64 is exact.
+        # mod p^M (_mat_pair_mul): 2M products of residues plus an S or T
+        # multiple of a residue. Below 2^63, int64 is exact.
         self.int64_safe = (2 * M * (self.mod - 1) ** 2
                            + (abs(self.S) + abs(self.T)) * self.mod) < 2 ** 63
         self.dtype = np.int64 if self.int64_safe else object
+        # lag[i, j] = max(i, j): moment (i, j) is meaningful mod p^(M - lag)
+        self.lag = np.maximum.outer(np.arange(M), np.arange(M))
+        self.powers = np.array([self.p ** k for k in range(M + 1)],
+                               dtype=self.dtype)
 
     def embed(self, x):
         """QuadInt -> pair (c0, c1) in the {1, g} basis mod p^M."""
-        if self.basis == "w":
-            return x.a % self.mod, x.b % self.mod
-        c1 = x.b * self._pi_b_inv % self.mod
-        c0 = (x.a - c1 * self._pi_a) % self.mod
-        return c0, c1
+        wa, wb = self.pctx._embed_coeffs
+        return (x.a + x.b * wa) % self.mod, x.b * wb % self.mod
 
     # pair arithmetic (numpy friendly: arguments may be arrays)
 
@@ -107,17 +105,17 @@ class DistContext:
                         dtype=self.dtype)
         return c0 * ninv % self.mod, c1 * ninv % self.mod
 
-    def val_pair(self, x0, x1):
-        """p-adic valuation of the pair (min over coordinates), INF at 0."""
-        x0, x1 = int(x0) % self.mod, int(x1) % self.mod
-        if x0 == 0 and x1 == 0:
-            return INF
-        v = 0
-        while x0 % self.p == 0 and x1 % self.p == 0:
-            x0 //= self.p
-            x1 //= self.p
-            v += 1
-        return v
+
+def filtration(ctx, m):
+    """The filtration of moment tables m (..., 2, M, C) mod p^M: the largest
+    f <= M such that every moment (i, j) is divisible by
+    p^max(f - max(i, j), 0). The zero table has filtration M."""
+    lag = ctx.lag[:, :m.shape[-1]]
+    f = 0
+    while f < ctx.M and not np.any(
+            m % ctx.powers[np.maximum(f + 1 - lag, 0)]):
+        f += 1
+    return f
 
 
 class FiniteDistribution:
@@ -144,27 +142,13 @@ class FiniteDistribution:
         return FiniteDistribution(self.ctx, (self.m * (c % self.ctx.mod)) % self.ctx.mod)
 
     def filtration(self):
-        """min over moments of v_p(m[i][j]) + max(i, j), capped at M: the
-        zero distribution of the approximation module has filtration M."""
-        ctx = self.ctx
-        best = ctx.M
-        _, rows, cols = self.m.shape
-        for i in range(rows):
-            for j in range(cols):
-                v = ctx.val_pair(self.m[0, i, j], self.m[1, i, j])
-                best = min(best, v + max(i, j))
-        return best
+        return filtration(self.ctx, self.m)
 
     def reduce_filtration(self):
         """Truncate each moment to its honest precision p^(M - max(i,j))."""
         ctx = self.ctx
-        out = self.m.copy()
-        _, rows, cols = out.shape
-        for i in range(rows):
-            for j in range(cols):
-                q = ctx.p ** (ctx.M - max(i, j))
-                out[:, i, j] %= q
-        return FiniteDistribution(ctx, out)
+        lag = ctx.lag[:, :self.m.shape[-1]]
+        return FiniteDistribution(ctx, self.m % ctx.powers[ctx.M - lag])
 
     def is_zero(self):
         return self.filtration() >= self.ctx.M
@@ -175,7 +159,8 @@ def action_matrices(ctx, gs):
     matrices gs = [[a, b], [c, d]] in Sigma_0(p): row i of A[k] holds the
     power series coefficients of ((b + dz)/(a + cz))^i for gs[k], as pairs
     mod p^M of dtype ctx.dtype. Membership in Sigma_0(p) is the caller's
-    to check (action_matrix); a non-unit a raises ValueError."""
+    to check (action_matrix, sigma0_act); a non-unit a raises
+    ValueError."""
     M, mod, dt = ctx.M, ctx.mod, ctx.dtype
     ent = np.array([[v for x in (a, b, c, d) for v in ctx.embed(x)]
                     for (a, b), (c, d) in gs], dtype=dt).reshape(-1, 4, 2)
@@ -234,14 +219,8 @@ def _mat_pair_mul(ctx, X0, X1, Y0, Y1):
 def sigma0_act(ctx, g, mu):
     """mu | gamma: pull back test functions through the twisted action. The
     right (zbar) factor is cut to the columns of mu's table."""
-    A0, A1 = action_matrix(ctx, g)
-    n = mu.m.shape[2]
-    A0n, A1n = A0[:n, :n], A1[:n, :n]
-    B0 = (A0n + ctx.S * A1n) % ctx.mod  # conjugate, transposed below
-    B1 = (-A1n) % ctx.mod
-    Z0, Z1 = _mat_pair_mul(ctx, A0, A1, mu.m[0], mu.m[1])
-    W0, W1 = _mat_pair_mul(ctx, Z0, Z1, B0.T % ctx.mod, B1.T % ctx.mod)
-    out = np.stack([W0, W1])
+    _check_sigma0(ctx, g)
+    out = UOperator(ctx, [(0, 0, 1, g)]).apply(mu.m[None])[0]
     return FiniteDistribution(ctx, out)
 
 
@@ -362,25 +341,23 @@ class UOperator:
         """values: ndarray (n_gen, 2, M, C) -> the image, (n_out, 2, M, C)
         with n_out the number of generators by default: row i sums the
         terms with dest i. The right factor is cut to the C columns of the
-        tables."""
+        tables. The terms run in slices of CHUNK, so that the temporaries
+        stay small however long the plan."""
         ctx = self.ctx
         mod = ctx.mod
         n = values.shape[-1]
-        B0, B1 = self.B0[:, :n, :n], self.B1[:, :n, :n]
-        M0 = values[self.src, 0]
-        M1 = values[self.src, 1]
-        X1Y1 = self.A1 @ M1 % mod
-        Z0 = (self.A0 @ M0 + ctx.T * X1Y1) % mod
-        Z1 = (self.A0 @ M1 + self.A1 @ M0 + ctx.S * X1Y1) % mod
-        X1Y1 = Z1 @ B1 % mod
-        W0 = (Z0 @ B0 + ctx.T * X1Y1) % mod
-        W1 = (Z0 @ B1 + Z1 @ B0 + ctx.S * X1Y1) % mod
-        W0 = (W0 * self.sgn) % mod
-        W1 = (W1 * self.sgn) % mod
         rows = len(values) if n_out is None else n_out
-        out = np.zeros((rows,) + values.shape[1:], dtype=W0.dtype)
-        np.add.at(out, (self.dest, 0), W0)
-        np.add.at(out, (self.dest, 1), W1)
+        out = np.zeros((rows,) + values.shape[1:],
+                       dtype=np.result_type(self.A0, values))
+        for lo in range(0, len(self.dest), CHUNK):
+            part = slice(lo, lo + CHUNK)
+            src, dest, sgn = self.src[part], self.dest[part], self.sgn[part]
+            Z0, Z1 = _mat_pair_mul(ctx, self.A0[part], self.A1[part],
+                                   values[src, 0], values[src, 1])
+            W0, W1 = _mat_pair_mul(ctx, Z0, Z1, self.B0[part, :n, :n],
+                                   self.B1[part, :n, :n])
+            np.add.at(out, (dest, 0), W0 * sgn % mod)
+            np.add.at(out, (dest, 1), W1 * sgn % mod)
         return out % mod
 
 
@@ -392,9 +369,11 @@ def _lambda_inverse(ctx, lam):
         * int(lam.denominator) % ctx.mod
 
 
-def lift(phi, M, prime_data, max_iter=None, u_op=None):
+def lift(phi, M, prime_data, u_op=None):
     """The unique small-slope eigenlift of phi to an overconvergent symbol,
-    computed by iterating U_p / lambda_p from the zero-filled seed.
+    computed by iterating U_p / lambda_p from the zero-filled seed, at most
+    M + 1 times (2M + 4 at a ramified prime, where each iteration gains
+    half as much filtration).
 
     Returns (symbol, certificate); the certificate records the per-iteration
     filtration of the increments."""
@@ -405,8 +384,7 @@ def lift(phi, M, prime_data, max_iter=None, u_op=None):
     lam = Fraction(lam)
     ctx = DistContext(prime_data, M)
     _lambda_inverse(ctx, lam)   # refuse before building the plan
-    if max_iter is None:
-        max_iter = M + phi.k + 1
+    max_iter = 2 * M + 4 if prime_data.kind == "ramified" else M + 1
     if u_op is None:
         reps = phi.p1.hecke_reps(ctx.pd.pi)
         assert len(reps) == ctx.pd.norm, "U_p needs pi | level"
@@ -430,7 +408,7 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
     gains = []
     for it in range(max_iter):
         new = u_op.apply(values) * lam_inv % ctx.mod
-        diff_fil = _table_filtration(ctx, (new - values) % ctx.mod)
+        diff_fil = filtration(ctx, (new - values) % ctx.mod)
         gains.append(diff_fil)
         values = new
         if diff_fil >= ctx.M:
@@ -446,17 +424,6 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
         "M": ctx.M,
     }
     return psi, cert
-
-
-def _table_filtration(ctx, values):
-    best = ctx.M
-    n = values.shape[0]
-    for i in range(n):
-        fd = FiniteDistribution(ctx, values[i])
-        best = min(best, fd.filtration())
-        if best == 0:
-            break
-    return best
 
 
 def apply_hecke_oc(psi, pi):
@@ -491,4 +458,4 @@ def u_eigen_residual(psi, u_op, lam):
     ctx = psi.ctx
     values = np.stack([v.m for v in psi.values])
     resid = (u_op.apply(values) - int(lam) * values) % ctx.mod
-    return _table_filtration(ctx, resid)
+    return filtration(ctx, resid)

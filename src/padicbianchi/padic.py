@@ -87,11 +87,11 @@ def Qp(p, M):
     return PadicContext(p, M)
 
 
-def completion(prime_data, M, d=None):
+def completion(prime_data, M):
     """The completion F_p of Q(sqrt(-d)) at the given prime, precision p^M."""
     pd = prime_data
     p = pd.p
-    dd = pd.pi.d if d is None else d
+    dd = pd.pi.d
     D, S, T, _ = fld.field_params(dd)
     if pd.kind == "inert":
         ctx = PadicContext(p, M, "inert", (S, T), e=1, f=2,
@@ -224,10 +224,6 @@ class PadicElement:
         """Nontrivial automorphism g -> S - g (identity on the base)."""
         ctx = self.ctx
         return PadicElement(ctx, self.c0 + ctx.S * self.c1, -self.c1, self.prec)
-
-    def norm_down(self):
-        """Norm to Q_p (an element with vanishing g-coordinate)."""
-        return self * self.conj()
 
     def val(self):
         """pi-adic valuation, capped at the element's precision."""

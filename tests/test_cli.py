@@ -3,6 +3,8 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,30 @@ class TestConfig:
         assert cli.main(argv + ["--cache-dir", str(tmp_path / "c")]) == 4
         assert json.loads(capsys.readouterr().out)["error"] == "bad-input"
 
+    @pytest.mark.parametrize("argv", [
+        # p is under no prime factor of the level (11): refused before
+        # anything scans up to p
+        ["build", "--prime", "1000000000000000009"],
+        # N(level) = 73 * 137 * 99990001: trial division stops at the
+        # square root of the leftover norm; 73 splits, so exit 4
+        ["build", "--level", "1000000+1i", "--prime", "73"],
+    ])
+    def test_refused_within_seconds(self, argv, tmp_path, capsys):
+        class Stuck(BaseException):
+            pass
+
+        def stuck(signum, frame):
+            raise Stuck("not refused within 10 s")
+        old = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            code = cli.main(argv + ["--cache-dir", str(tmp_path / "c")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "bad-input"
+
     def test_field_without_relation_tables(self, tmp_path, capsys):
         # Q(sqrt(-2)) has field arithmetic but no M-symbol relation table:
         # the run is refused before any work, with no traceback
@@ -124,6 +150,27 @@ class TestConfig:
         assert rep["error"] == "bad-input"
         assert "relation tables" in rep["message"]
         assert not cache.exists()
+
+
+class TestStartup:
+    def test_warm_build_does_not_import_sympy(self, cache_dir, tmp_path):
+        # sympy serves the symbol-space and eigen-split work only, which a
+        # warm build skips
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys\n"
+                "from padicbianchi import cli\n"
+                "rc = cli.main(sys.argv[1:])\n"
+                "print(rc, 'sympy' in sys.modules)\n")
+        argv = ["build"] + BASE + ["--cache-dir", str(cache_dir),
+                                   "--output", str(tmp_path / "b.json")]
+        proc = subprocess.run([sys.executable, "-c", code] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        rep = json.loads((tmp_path / "b.json").read_text())
+        assert rep["cache"] == "hit"
 
 
 class TestLinv:

@@ -33,7 +33,7 @@ def ram_lift():
     of 14a."""
     pd = fld.split_prime(2, 1)
     phi, _ = ms.find_new_eigensymbol(qi(7, 7), pd)
-    psi, cert = oc.lift(phi, 6, pd, max_iter=16)
+    psi, cert = oc.lift(phi, 6, pd)
     assert cert["converged"]
     return psi
 

@@ -124,10 +124,6 @@ class TestSymbolSpace:
         _, basis = ms.build_symbol_space(qi(1))
         assert len(basis) == 0
 
-    def test_weight_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            ms.build_symbol_space(qi(11), k=2)
-
     def test_nonsquarefree_rejected(self):
         with pytest.raises(ms.LevelError):
             ms.build_symbol_space(qi(121))

@@ -133,6 +133,44 @@ def series_pow_matrix(ctx, a, b, c, d):
     return A0, A1
 
 
+def pair_matmul(ctx, X0, X1, Y0, Y1):
+    """(X0 + X1 g)(Y0 + Y1 g) on object matrices, in Python integers."""
+    x1y1 = X1.dot(Y1)
+    return ((X0.dot(Y0) + ctx.T * x1y1) % ctx.mod,
+            (X0.dot(Y1) + X1.dot(Y0) + ctx.S * x1y1) % ctx.mod)
+
+
+def act_reference(ctx, g, m):
+    """Reference for sigma0_act and UOperator.apply: A m conj(A)^T on one
+    (2, M, C) table, with A from series_pow_matrix and the right factor cut
+    to the C columns, in Python integers."""
+    (a, b), (c, d) = g
+    A0, A1 = series_pow_matrix(ctx, *(ctx.embed(x) for x in (a, b, c, d)))
+    n = m.shape[-1]
+    B0, B1 = ctx.conj(A0[:n, :n].T, A1[:n, :n].T)
+    m = m.astype(object)
+    Z0, Z1 = pair_matmul(ctx, A0, A1, m[0], m[1])
+    return np.stack(pair_matmul(ctx, Z0, Z1, B0, B1))
+
+
+def rand_sigma0_at(pd, rng, count):
+    """count random matrices of Sigma_0(pi) over Q(i), pi over pd.p."""
+    gs = []
+    while len(gs) < count:
+        a, b, d = (qi(rng.randint(-40, 40), rng.randint(-40, 40))
+                   for _ in range(3))
+        c = pd.pi * qi(rng.randint(-9, 9), rng.randint(-9, 9))
+        g = ((a, b), (c, d))
+        if fld.mat_det(g) and not fld.divides(pd.pi, a):
+            gs.append(g)
+    return gs
+
+
+def rand_tables(ctx, rng, shape):
+    return np.array([rng.randrange(ctx.mod) for _ in range(np.prod(shape))],
+                    dtype=ctx.dtype).reshape(shape)
+
+
 class TestActionKernel:
     """The batched kernel against the one-matrix Python-int reference; at
     p = 11 the int64 bound holds up to M = 8, and M = 9, 10 run on Python
@@ -164,6 +202,93 @@ class TestActionKernel:
             assert np.array_equal(S0, R0) and np.array_equal(S1, R1)
 
 
+class TestTwoSidedTransform:
+    """sigma0_act and UOperator.apply against the Python-int reference, in
+    int64 (p = 11, M = 8; p = 2, M = 6) and in Python integers (M = 9)."""
+
+    @pytest.mark.parametrize("p, M", [(11, 8), (11, 9), (2, 6)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_single_action(self, p, M, full):
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        rng = random.Random(10 * p + M + full)
+        C = M if full else 1
+        for g in rand_sigma0_at(pd, rng, 10):
+            mu = oc.FiniteDistribution(ctx, rand_tables(ctx, rng, (2, M, C)))
+            got = oc.sigma0_act(ctx, g, mu).m
+            assert got.shape == (2, M, C)
+            assert np.array_equal(got, act_reference(ctx, g, mu.m))
+
+    @pytest.mark.parametrize("p, M", [(11, 8), (11, 9)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_plan_longer_than_chunk(self, p, M, full):
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        rng = random.Random(20 * p + M + full)
+        C = M if full else 1
+        n_gen, n_out = 7, 5
+        terms = [(rng.randrange(n_out), rng.randrange(n_gen),
+                  rng.choice((1, -1)), g)
+                 for g in rand_sigma0_at(pd, rng, oc.CHUNK + 37)]
+        values = rand_tables(ctx, rng, (n_gen, 2, M, C))
+        got = oc.UOperator(ctx, terms).apply(values, n_out=n_out)
+        want = np.zeros((n_out, 2, M, C), dtype=object)
+        for dest, src, sign, g in terms:
+            want[dest] += sign * act_reference(ctx, g, values[src])
+        assert np.array_equal(got, want % ctx.mod)
+
+
+def filtration_loop(ctx, m):
+    """Reference for oc.filtration on one table: min over the moments of
+    v_p(m[i][j]) + max(i, j), capped at M, one moment at a time."""
+    best = ctx.M
+    _, rows, cols = m.shape
+    for i in range(rows):
+        for j in range(cols):
+            x0, x1 = int(m[0, i, j]) % ctx.mod, int(m[1, i, j]) % ctx.mod
+            if x0 == 0 and x1 == 0:
+                continue
+            v = 0
+            while x0 % ctx.p == 0 and x1 % ctx.p == 0:
+                x0, x1, v = x0 // ctx.p, x1 // ctx.p, v + 1
+            best = min(best, v + max(i, j))
+    return best
+
+
+class TestFiltration:
+    @pytest.mark.parametrize("p, M, int64", [
+        (11, 8, True), (11, 9, False), (2, 6, True), (3, 6, True),
+        (7, 6, True), (7, 11, False)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_matches_double_loop(self, p, M, int64, full):
+        ctx = oc.DistContext(fld.split_prime(p, 1), M)
+        assert ctx.int64_safe == int64
+        rng = random.Random(30 * p + M + full)
+        C = M if full else 1
+        tables = []
+        for _ in range(60):
+            # moment (i, j) divisible by p^(f - max(i, j) +- 1): the
+            # filtration lands near f, and f > M gives the zero table
+            f = rng.randint(0, M + 1)
+            m = np.array([ctx.p ** max(f + rng.randint(-1, 1) - max(i, j), 0)
+                          * rng.randrange(ctx.mod) % ctx.mod
+                          for _ in range(2) for i in range(M)
+                          for j in range(C)], dtype=ctx.dtype)
+            tables.append(m.reshape(2, M, C))
+        want = [filtration_loop(ctx, m) for m in tables]
+        assert len(set(want)) > M // 2
+        for m, w in zip(tables, want):
+            assert oc.filtration(ctx, m) == w
+            assert oc.FiniteDistribution(ctx, m).filtration() == w
+        assert oc.filtration(ctx, np.stack(tables)) == min(want)
+        for m in tables:
+            cut = oc.FiniteDistribution(ctx, m).reduce_filtration().m
+            for i in range(M):
+                for j in range(C):
+                    q = ctx.p ** (M - max(i, j))
+                    assert (cut[:, i, j] == m[:, i, j] % q).all()
+
+
 class TestZbarTrivialColumn:
     """Row 0 of the action matrix is e_0, so the column mu(z^i zbar^0) is
     closed under Sigma_0(pi): a one-variable (2, M, 1) table moves like
@@ -189,7 +314,7 @@ class TestZbarTrivialColumn:
             col = oc.FiniteDistribution(ctx, full.m[:, :, :1].copy())
             got = oc.sigma0_act(ctx, g, col).m
             assert got.shape == (2, ctx.M, 1)
-            assert np.array_equal(got, oc.sigma0_act(ctx, g, full).m[:, :, :1])
+            assert np.array_equal(got, act_reference(ctx, g, full.m)[:, :, :1])
 
 
 class TestLift:
@@ -239,7 +364,7 @@ class TestLift:
             values = ref_uop.apply(values) % ctx.mod
         ref_vals = np.stack([v.m for v in psi.values])
         diff = (values - ref_vals) % ctx.mod
-        assert oc._table_filtration(ctx, diff) >= ctx.M
+        assert oc.filtration(ctx, diff) >= ctx.M
 
     def test_specialize_commutes_with_hecke(self, ref_lift):
         psi, _ = ref_lift
@@ -277,8 +402,10 @@ class TestEvaluation:
         s = fld.Cusp(qi(1), qi(4, 5))
         gr, gs = fld.apply_moebius(g, r), fld.apply_moebius(g, s)
         lhs = psi.ev(gr, gs)
-        rhs = oc.sigma0_act(psi.ctx, fld.mat_inv_unimodular(g), psi.ev(r, s))
-        assert lhs.add(rhs, -1).filtration() >= psi.ctx.M
+        rhs = act_reference(psi.ctx, fld.mat_inv_unimodular(g),
+                            psi.ev(r, s).m)
+        assert oc.filtration(psi.ctx, (lhs.m - rhs) % psi.ctx.mod) \
+            >= psi.ctx.M
 
     def test_ev_paths_match_per_piece_sum(self, ref_lift):
         # the 120 discs of mu(1): more Manin pieces than one stacked chunk
@@ -292,12 +419,13 @@ class TestEvaluation:
         assert got.shape == (120, 2, ctx.M, ctx.M)
         pieces = 0
         for k, (r, s) in enumerate(paths):
-            total = oc.FiniteDistribution(ctx)
+            total = 0
             for sign, idx, gamma in psi.p1.manin_terms(r, s):
                 g = fld.mat_inv_unimodular(psi.p1.embed(gamma))
-                total = total.add(oc.sigma0_act(ctx, g, psi.values[idx]), sign)
+                total = total + sign * act_reference(ctx, g,
+                                                     psi.values[idx].m)
                 pieces += 1
-            assert np.array_equal(got[k], total.m)
+            assert np.array_equal(got[k], total % ctx.mod)
         assert pieces > oc.CHUNK
 
     def test_additivity(self, ref_lift):
