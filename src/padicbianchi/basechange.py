@@ -142,9 +142,10 @@ class RationalP1(ms.ManinLayer):
 
     Paths decompose by floor continued fractions (_unimodular_path), cusps
     are Fractions with None for infinity, and integer matrices enter the
-    moment layer embedded in SL_2(O_F)."""
+    moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g)."""
 
     zero, infinity = Fraction(0), None
+    S, T = fld.field_params(FIELD_D)[1:3]
 
     def __init__(self, N):
         self.N = N
@@ -179,11 +180,20 @@ class RationalP1(ms.ManinLayer):
         return ((v, -u), (c, d))
 
     def path(self, r, s):
-        return _unimodular_path(r, s)
+        return [(sign, self.pairs(g)) for sign, g in _unimodular_path(r, s)]
+
+    def piece_index(self, g):
+        return self.reduce(g[4], g[6])
+
+    @staticmethod
+    def pairs(g):
+        """An integer matrix as an 8-tuple over O_F."""
+        (a, b), (c, d) = g
+        return (a, 0, b, 0, c, 0, d, 0)
 
     @staticmethod
     def moebius(g, x):
-        (a, b), (c, d) = g
+        a, _, b, _, c, _, d, _ = g
         if x is None:
             return None if c == 0 else Fraction(a, c)
         num = a * x.numerator + b * x.denominator
@@ -202,11 +212,6 @@ class RationalP1(ms.ManinLayer):
         S = ((0, -1), (1, 0))
         T = ((0, -1), (1, -1))
         return S, [T], []
-
-    @staticmethod
-    def embed(g):
-        """An integer matrix as a matrix over O_F."""
-        return tuple(tuple(QuadInt(x, 0, FIELD_D) for x in row) for row in g)
 
 
 def _xgcd(a, b):

@@ -231,7 +231,6 @@ def build_symbol(cfg, warnings=None):
     if not cert["converged"]:
         raise padic.PrecisionError("overconvergent lift did not converge "
                                    "within the iteration budget")
-    oc.save_lift(npz_path, psi, cert)
     meta = {
         "format": CACHE_FORMAT,
         "config": cfg.echo(),
@@ -239,9 +238,20 @@ def build_symbol(cfg, warnings=None):
         "eigen": _eigen_to_json(phi.eigen),
         "cert": cert,
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    # the .json goes last: a cache entry is read only when both exist
+    _write_atomic(npz_path, "wb", lambda fh: oc.save_lift(fh, psi, cert))
+    _write_atomic(meta_path, "w",
+                  lambda fh: json.dump(meta, fh, indent=1, sort_keys=True))
     return phi, psi, cert, pd, status
+
+
+def _write_atomic(path, mode, write):
+    """write(fh) into <path>.tmp, then os.replace it onto path, so that a
+    reader never sees a partly written file."""
+    tmp = path + ".tmp"
+    with open(tmp, mode) as fh:
+        write(fh)
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +352,8 @@ class CharacterNotFound(LookupError):
 
 
 class AcceptanceContext:
-    """Everything the criteria share: the symbol, its lift, the tree family,
-    and memoized measures."""
+    """Everything the criteria share: the symbol, its lift and the tree
+    family, which memoizes the measures."""
 
     def __init__(self, phi, psi, cert, pd):
         self.phi = phi
@@ -355,16 +365,9 @@ class AcceptanceContext:
         self.M = psi.ctx.M
         self.d = phi.d
         self.linv_cert = None
-        self._mus = {}
 
     def qi(self, a, b=0):
         return QuadInt(a, b, self.d)
-
-    def mu(self, m):
-        key = (m.a, m.b)
-        if key not in self._mus:
-            self._mus[key] = lfun.build_mu_p(self.psi, m)
-        return self._mus[key]
 
     def character(self, c, sign):
         for ch in fld.quadratic_ray_characters(c):
@@ -436,7 +439,7 @@ def _criterion_4(ctx, detail):
     for name, m, chi in (("trivial", ctx.qi(1), None),
                          ("chi mod (3)", ctx.qi(3), chi3),
                          ("chi mod (4+i)", ctx.qi(4, 1), chi4)):
-        val = lfun.Lp_value(ctx.mu(m), chi)
+        val = lfun.Lp_value(ctx.fam.mu(m), chi)
         z = lfun.Z_factor(chi, 0, pd, lam, pctx)
         alg = ms.algebraic_L_sum(ctx.phi, chi) if chi is not None \
             else ctx.phi.ev(cusp_zero(ctx.d), cusp_infinity(ctx.d))
@@ -455,7 +458,7 @@ def _criterion_4(ctx, detail):
 
 def _criterion_5(ctx, detail):
     chi = ctx.character(ctx.qi(3), ctx.fam.omega)
-    val = lfun.Lp_value(ctx.mu(ctx.qi(3)), chi)
+    val = lfun.Lp_value(ctx.fam.mu(ctx.qi(3)), chi)
     detail["L_p"] = _pe(val)
     return val.is_zero() or val.val() >= 5
 
@@ -539,7 +542,7 @@ def _criterion_8(ctx, detail):
 
 
 def _criterion_9(ctx, detail):
-    mu = ctx.mu(ctx.qi(1))
+    mu = ctx.fam.mu(ctx.qi(1))
     deriv = lfun.Lp_derivative_at(mu)
     base = lfun.Lp_value(mu)
     p = ctx.pd.p

@@ -86,6 +86,15 @@ class TreeFamily:
         self.pctx = psi.ctx.pctx if psi is not None else None
         self._ext2 = None
         self._dist_cache = {}
+        self._mus = {}
+
+    def mu(self, c):
+        """The ray distribution of the lift at modulus c (lfun.build_mu_p),
+        one per modulus, so that each disc is integrated once."""
+        key = (c.a, c.b)
+        if key not in self._mus:
+            self._mus[key] = lfun.build_mu_p(self.psi, c)
+        return self._mus[key]
 
     @property
     def ext2(self):
@@ -543,7 +552,7 @@ def _lc_setup(fam, datum, mu):
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     if mu is None:
-        mu = lfun.build_mu_p(fam.psi, datum.c)
+        mu = fam.mu(datum.c)
 
     def weight(a, B):
         j = datum.J.get(mu.ring.reduce(a))
@@ -610,7 +619,7 @@ def chi_weighted_lc(fam, chi, mu=None):
     p-direction derivative of the p-adic L-function at chi."""
     c = chi.modulus
     if mu is None:
-        mu = lfun.build_mu_p(fam.psi, c)
+        mu = fam.mu(c)
     total = None
     for v in ResidueRing(c).unit_elements():
         cv = chi(v)
@@ -675,7 +684,6 @@ def l_invariant(fam, data=None):
     skipped = []
     ratios = []
     ratios_log_iw = []
-    mus = {}
     for c, v in data:
         datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
         tag = {"c": repr(c), "v": repr(v), "s": datum.s, "beta": datum.beta}
@@ -688,10 +696,7 @@ def l_invariant(fam, data=None):
         if ocv == 0:
             skipped.append(dict(tag, reason="oc vanishes"))
             continue
-        key = (c.a, c.b)
-        if key not in mus:
-            mus[key] = lfun.build_mu_p(fam.psi, c)
-        lz, lzbar = lc_halves(fam, datum, mu=mus[key])
+        lz, lzbar = lc_halves(fam, datum)
         lcv = lz + lzbar
         ocp = pctx.from_rational(Fraction(ocv))
         ratio = lcv / ocp

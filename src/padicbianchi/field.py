@@ -5,6 +5,13 @@ integral basis {1, w} where w = sqrt(-d) for d = 1, 2 and w = (1+sqrt(-d))/2
 otherwise.  Everything here is exact integer/rational arithmetic: elements,
 ideals (all principal), prime splitting, the Euclidean continued-fraction
 decomposition of cusps, and quadratic ray-class characters.
+
+The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
+functions after it): division, gcd, exact division, cusp normalisation, the
+Moebius action and the continued-fraction convergents. divmod_quad,
+gcd_quad, exact_div, Cusp, cf_decompose, path_between and apply_moebius are
+QuadInt wrappers over it; a Cusp holds its int pairs, and the Manin layer
+of msymb runs its paths on the kernel without making QuadInts.
 """
 
 from fractions import Fraction
@@ -138,31 +145,179 @@ def omega(d):
     return QuadInt(0, 1, d)
 
 
-def divmod_quad(x, y):
-    """Euclidean division x = q*y + r with N(r) < N(y) (nearest rounding)."""
-    if not y:
+# ---------------------------------------------------------------------------
+# the Euclidean kernel on int pairs
+#
+# Division, gcd, exact division, cusp normalisation, the Moebius action and
+# the continued-fraction convergents all run here on plain ints: an element
+# a + b*w is the pair (a, b), a cusp (num : den) the 4-tuple
+# (num_a, num_b, den_a, den_b) and a matrix [[a, b], [c, d]] the 8-tuple
+# (a_a, a_b, b_a, b_b, c_a, c_b, d_a, d_b). Each function takes the field's
+# relation w^2 = S*w + T. The QuadInt functions below are wrappers over these
+# and make QuadInts only for their results.
+
+
+def pair_divmod(S, T, xa, xb, ya, yb):
+    """Euclidean division x = q*y + r with N(r) < N(y): (qa, qb, ra, rb).
+    Nearest rounding alone is not enough for d = 7, 11, so the four lattice
+    points around the exact quotient are scanned in the order (fa, fb),
+    (fa, fb + 1), (fa + 1, fb), (fa + 1, fb + 1), and one replaces the
+    current choice only when its remainder has strictly smaller norm."""
+    n = ya * ya + S * ya * yb - T * yb * yb
+    if not n:
         raise ZeroDivisionError("QuadInt division by zero")
-    n = y.norm()
-    z = x * y.conj()  # exact quotient has coordinates z.a/n, z.b/n
-    fa, fb = z.a // n, z.b // n
-    # nearest rounding alone is not enough for d = 7, 11; scan the four
-    # surrounding lattice points and keep the smallest remainder
-    best = None
-    for qa in (fa, fa + 1):
-        for qb in (fb, fb + 1):
-            q = QuadInt(qa, qb, x.d)
-            r = x - q * y
-            if best is None or r.norm() < best[1].norm():
-                best = (q, r)
-    q, r = best
-    assert r.norm() < n
-    return q, r
+    # x * conj(y) = (za, zb); the exact quotient is (za/n, zb/n)
+    ca = ya + S * yb
+    fa = (xa * ca - T * xb * yb) // n
+    fb = (xb * ca - xa * yb - S * xb * yb) // n
+    ra = xa - fa * ya - T * fb * yb
+    rb = xb - fa * yb - fb * ya - S * fb * yb
+    best = ra * ra + S * ra * rb - T * rb * rb
+    qa, qb, ba, bb = fa, fb, ra, rb
+    # r - w*y, r - y and r - (1 + w)*y, w*y = (T*yb, ya + S*yb)
+    wa, wb = T * yb, ca
+    for ea, eb, sa, sb in ((0, 1, wa, wb), (1, 0, ya, yb),
+                           (1, 1, ya + wa, yb + wb)):
+        ta, tb = ra - sa, rb - sb
+        nt = ta * ta + S * ta * tb - T * tb * tb
+        if nt < best:
+            best, qa, qb, ba, bb = nt, fa + ea, fb + eb, ta, tb
+    assert best < n
+    return qa, qb, ba, bb
+
+
+def pair_gcd(S, T, xa, xb, ya, yb):
+    """A gcd of x and y by Euclidean division: the last nonzero remainder."""
+    while ya or yb:
+        xa, xb, (_, _, ya, yb) = ya, yb, pair_divmod(S, T, xa, xb, ya, yb)
+    return xa, xb
+
+
+def pair_exact_div(S, T, xa, xb, ya, yb):
+    """x / y, where y divides x; raises ValueError otherwise."""
+    n = ya * ya + S * ya * yb - T * yb * yb
+    if not n:
+        raise ZeroDivisionError("QuadInt division by zero")
+    ca = ya + S * yb
+    za = xa * ca - T * xb * yb
+    zb = xb * ca - xa * yb - S * xb * yb
+    if za % n or zb % n:
+        raise ValueError("(%d, %d) does not divide (%d, %d)"
+                         % (ya, yb, xa, xb))
+    return za // n, zb // n
+
+
+def pair_cusp(S, T, na, nb, da, db):
+    """The cusp (num : den) as a coprime pair: both divided by their gcd."""
+    ga, gb = pair_gcd(S, T, na, nb, da, db)
+    if not (ga or gb):
+        raise ValueError("(0:0) is not a cusp")
+    return (pair_exact_div(S, T, na, nb, ga, gb)
+            + pair_exact_div(S, T, da, db, ga, gb))
+
+
+def pair_mul(S, T, g, h):
+    """The matrix product g*h."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = g
+    e0, e1, f0, f1, g0, g1, h0, h1 = h
+    return (a0 * e0 + T * a1 * e1 + b0 * g0 + T * b1 * g1,
+            a0 * e1 + a1 * e0 + S * a1 * e1 + b0 * g1 + b1 * g0 + S * b1 * g1,
+            a0 * f0 + T * a1 * f1 + b0 * h0 + T * b1 * h1,
+            a0 * f1 + a1 * f0 + S * a1 * f1 + b0 * h1 + b1 * h0 + S * b1 * h1,
+            c0 * e0 + T * c1 * e1 + d0 * g0 + T * d1 * g1,
+            c0 * e1 + c1 * e0 + S * c1 * e1 + d0 * g1 + d1 * g0 + S * d1 * g1,
+            c0 * f0 + T * c1 * f1 + d0 * h0 + T * d1 * h1,
+            c0 * f1 + c1 * f0 + S * c1 * f1 + d0 * h1 + d1 * h0 + S * d1 * h1)
+
+
+def pair_adj(g):
+    """The adjugate [[d, -b], [-c, a]]: the inverse of a determinant-1
+    matrix."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = g
+    return (d0, d1, -b0, -b1, -c0, -c1, a0, a1)
+
+
+def pair_moebius(S, T, g, c):
+    """The cusp (a*num + b*den : c*num + d*den) of g = [[a, b], [c, d]]."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = g
+    na, nb, da, db = c
+    return pair_cusp(
+        S, T,
+        a0 * na + T * a1 * nb + b0 * da + T * b1 * db,
+        a0 * nb + a1 * na + S * a1 * nb + b0 * db + b1 * da + S * b1 * db,
+        c0 * na + T * c1 * nb + d0 * da + T * d1 * db,
+        c0 * nb + c1 * na + S * c1 * nb + d0 * db + d1 * da + S * d1 * db)
+
+
+def pair_cf(S, T, c):
+    """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> c}
+    for a cusp c of pair_cusp: Manin's trick via the Euclidean continued
+    fraction of num/den. For the cusp 0 the list is empty; for infinity it
+    is [identity] (the base segment {0 -> oo} itself)."""
+    na, nb, da, db = c
+    if not (da or db):
+        return [(1, 0, 0, 0, 0, 0, 1, 0)]
+    if not (na or nb):
+        return []
+    # convergents p_k/q_k from p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1;
+    # [[p_k, p_{k-1}], [q_k, q_{k-1}]] has determinant (-1)^(k+1), so its
+    # second column times that sign makes determinant 1
+    p1a, p1b, q1a, q1b = 1, 0, 0, 0      # p_{k-1}, q_{k-1}
+    p2a, p2b, q2a, q2b = 0, 0, 1, 0      # p_{k-2}, q_{k-2}
+    mats = [(1, 0, 0, 0, 0, 0, 1, 0)]    # the k = -1 segment {0 -> oo}
+    sign = -1
+    while da or db:
+        ka, kb, ra, rb = pair_divmod(S, T, na, nb, da, db)
+        na, nb, da, db = da, db, ra, rb
+        pa = ka * p1a + T * kb * p1b + p2a
+        pb = ka * p1b + kb * p1a + S * kb * p1b + p2b
+        qa = ka * q1a + T * kb * q1b + q2a
+        qb = ka * q1b + kb * q1a + S * kb * q1b + q2b
+        mats.append((pa, pb, sign * p1a, sign * p1b,
+                     qa, qb, sign * q1a, sign * q1b))
+        p2a, p2b, q2a, q2b = p1a, p1b, q1a, q1b
+        p1a, p1b, q1a, q1b = pa, pb, qa, qb
+        sign = -sign
+    return mats
+
+
+def pair_path(S, T, r, s):
+    """List of (sign, g) with sum sign*{g 0 -> g oo} = {r -> s}, for cusps
+    r, s of pair_cusp."""
+    out = [(1, g) for g in pair_cf(S, T, s)]
+    out.extend((-1, g) for g in pair_cf(S, T, r))
+    return out
+
+
+def mat_pairs(mat):
+    """The 8-tuple of a matrix of QuadInts."""
+    (a, b), (c, d) = mat
+    return (a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)
+
+
+def pair_mat(g, d):
+    """The matrix of QuadInts of an 8-tuple over Q(sqrt(-d))."""
+    return ((QuadInt(g[0], g[1], d), QuadInt(g[2], g[3], d)),
+            (QuadInt(g[4], g[5], d), QuadInt(g[6], g[7], d)))
+
+
+def _common_params(x, y):
+    """(S, T) of the field of the QuadInts (or cusps) x and y."""
+    if x.d != y.d:
+        raise ValueError("mixed fields")
+    return field_params(x.d)[1:3]
+
+
+def divmod_quad(x, y):
+    """Euclidean division x = q*y + r with N(r) < N(y) (pair_divmod)."""
+    S, T = _common_params(x, y)
+    qa, qb, ra, rb = pair_divmod(S, T, x.a, x.b, y.a, y.b)
+    return QuadInt(qa, qb, x.d), QuadInt(ra, rb, x.d)
 
 
 def gcd_quad(x, y):
-    while y:
-        x, y = y, divmod_quad(x, y)[1]
-    return x
+    S, T = _common_params(x, y)
+    return QuadInt(*pair_gcd(S, T, x.a, x.b, y.a, y.b), x.d)
 
 
 def xgcd_quad(x, y):
@@ -180,10 +335,11 @@ def xgcd_quad(x, y):
 
 
 def exact_div(x, y):
-    q, r = divmod_quad(x, y)
-    if r:
-        raise ValueError("%r does not divide %r" % (y, x))
-    return q
+    S, T = _common_params(x, y)
+    try:
+        return QuadInt(*pair_exact_div(S, T, x.a, x.b, y.a, y.b), x.d)
+    except ValueError:
+        raise ValueError("%r does not divide %r" % (y, x)) from None
 
 
 def divides(y, x):
@@ -216,6 +372,29 @@ def _legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2
+    while _legendre(z, p) != -1:
+        z += 1
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then i < e
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        x, c, t, e = x * b % p, b * b % p, t * b * b % p, i
+    return x
+
+
 def split_prime(p, d):
     """Factor the rational prime p in the ring of integers of Q(sqrt(-d))."""
     D, S, T, _ = field_params(d)
@@ -230,12 +409,17 @@ def split_prime(p, d):
     # x^2 - S x - T mod p: discriminant S^2 + 4T = -D (or -4d adjusted)
     disc = S * S + 4 * T
     if p == 2:
-        has_root = any((r * r - S * r - T) % 2 == 0 for r in (0, 1))
+        roots = [r for r in (0, 1) if (r * r - S * r - T) % 2 == 0]
+    elif _legendre(disc, p) == 1:
+        # the roots (S +- sqrt(disc))/2 sum to S
+        r = (S + _sqrt_mod(disc, p)) * ((p + 1) // 2) % p
+        roots = [r, (S - r) % p]
     else:
-        has_root = _legendre(disc, p) == 1
-    if not has_root:
+        roots = []
+    if not roots:
         return PrimeData(p, "inert", QuadInt(p, 0, d), QuadInt(p, 0, d), 1, 2)
-    root = next(r for r in range(p) if (r * r - S * r - T) % p == 0)
+    root = min(roots)
+    assert (root * root - S * root - T) % p == 0
     pi = gcd_quad(QuadInt(p, 0, d), QuadInt(-root, 1, d))
     assert pi.norm() == p
     return PrimeData(p, "split", pi, pi.conj(), 1, 1)
@@ -246,36 +430,42 @@ def split_prime(p, d):
 
 
 class Cusp:
-    """Point of P^1(F) as a coprime pair (num : den); den = 0 is infinity."""
+    """Point of P^1(F) as a coprime pair (num : den); den = 0 is infinity.
+    It holds the int pairs v = (num_a, num_b, den_a, den_b) of pair_cusp;
+    num and den are made as QuadInts on demand."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("d", "v")
 
     def __init__(self, num, den):
-        if not num and not den:
-            raise ValueError("(0:0) is not a cusp")
-        g = gcd_quad(num, den)
-        if g:
-            num, den = exact_div(num, g), exact_div(den, g)
-        self.num = num
-        self.den = den
+        S, T = _common_params(num, den)
+        self.d = num.d
+        self.v = pair_cusp(S, T, num.a, num.b, den.a, den.b)
+
+    @classmethod
+    def from_pairs(cls, d, v):
+        """The cusp of a coprime pair v (a result of pair_cusp)."""
+        c = cls.__new__(cls)
+        c.d, c.v = d, v
+        return c
 
     @property
-    def d(self):
-        return self.num.d
+    def num(self):
+        return QuadInt(self.v[0], self.v[1], self.d)
+
+    @property
+    def den(self):
+        return QuadInt(self.v[2], self.v[3], self.d)
 
     def is_infinity(self):
-        return not self.den
+        return not (self.v[2] or self.v[3])
 
     def key(self):
-        # canonical form up to units: scale so den (or num) is normalized
-        ref = self.den if self.den else self.num
-        best = None
-        for u in units(self.d):
-            cand = ((self.num * u).a, (self.num * u).b,
-                    (self.den * u).a, (self.den * u).b)
-            if best is None or cand < best:
-                best = cand
-        return best
+        # canonical form up to units: the least unit multiple
+        _, S, T, us = field_params(self.d)
+        na, nb, da, db = self.v
+        return min((na * ua + T * nb * ub, na * ub + nb * ua + S * nb * ub,
+                    da * ua + T * db * ub, da * ub + db * ua + S * db * ub)
+                   for ua, ub in us)
 
     def __eq__(self, other):
         return isinstance(other, Cusp) and self.key() == other.key()
@@ -290,17 +480,17 @@ class Cusp:
 
 
 def cusp_infinity(d):
-    return Cusp(one(d), QuadInt(0, 0, d))
+    return Cusp.from_pairs(d, (1, 0, 0, 0))
 
 
 def cusp_zero(d):
-    return Cusp(QuadInt(0, 0, d), one(d))
+    return Cusp.from_pairs(d, (0, 0, 1, 0))
 
 
 def apply_moebius(mat, c):
     """Standard Moebius action (az+b)/(cz+d) of mat = [[a,b],[c,d]] on a cusp."""
-    (a, b), (cc, dd) = mat
-    return Cusp(a * c.num + b * c.den, cc * c.num + dd * c.den)
+    _, S, T, _ = field_params(c.d)
+    return Cusp.from_pairs(c.d, pair_moebius(S, T, mat_pairs(mat), c.v))
 
 
 def mat_det(mat):
@@ -343,46 +533,17 @@ def identity_mat(d):
 
 
 def cf_decompose(cusp):
-    """Unimodular matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> cusp}.
-
-    Manin's trick via the Euclidean continued fraction of num/den.  For the
-    cusp 0 the list is empty; for infinity it is [identity] (the base segment
-    {0 -> oo} itself).
-    """
-    d = cusp.d
-    if cusp.is_infinity():
-        return [identity_mat(d)]
-    if not cusp.num:
-        return []
-    # continued fraction of num/den by Euclidean division
-    num, den = cusp.num, cusp.den
-    quots = []
-    while den:
-        q, r = divmod_quad(num, den)
-        quots.append(q)
-        num, den = den, r
-    # convergents p_k/q_k; p_{-1}/q_{-1} = 1/0, p_{-2}/q_{-2} = 0/1
-    pm2, qm2 = QuadInt(0, 0, d), one(d)
-    pm1, qm1 = one(d), QuadInt(0, 0, d)
-    mats = [identity_mat(d)]  # the k = -1 segment {0 -> oo}
-    for q in quots:
-        pk = q * pm1 + pm2
-        qk = q * qm1 + qm2
-        g = ((pk, pm1), (qk, qm1))
-        det = mat_det(g)
-        ui = _unit_inverse(det)
-        g = ((pk, pm1 * ui), (qk, qm1 * ui))  # scale 2nd column: det = 1
-        mats.append(g)
-        pm2, qm2 = pm1, qm1
-        pm1, qm1 = pk, qk
-    return mats
+    """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> cusp}
+    (pair_cf)."""
+    _, S, T, _ = field_params(cusp.d)
+    return [pair_mat(g, cusp.d) for g in pair_cf(S, T, cusp.v)]
 
 
 def path_between(r, s):
-    """List of (sign, unimodular g) with sum sign*{g 0 -> g oo} = {r -> s}."""
-    out = [(1, g) for g in cf_decompose(s)]
-    out.extend((-1, g) for g in cf_decompose(r))
-    return out
+    """List of (sign, unimodular g) with sum sign*{g 0 -> g oo} = {r -> s}
+    (pair_path)."""
+    S, T = _common_params(r, s)
+    return [(sign, pair_mat(g, r.d)) for sign, g in pair_path(S, T, r.v, s.v)]
 
 
 # ---------------------------------------------------------------------------

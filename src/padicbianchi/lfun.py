@@ -105,12 +105,13 @@ class RayDistribution:
         g = self.g_mod
         ginv = rpi.inverse(g)
         residues = rpi.unit_elements()
+        G = g * pi
         out = []
         for a in self.units():
             b = a + g * self.lift_offset
             for j in residues:
                 t = rpi.reduce((j - b) * ginv)
-                out.append((a, b + g * t, g * pi))
+                out.append((a, b + g * t, G))
         self._discs = out
         return out
 

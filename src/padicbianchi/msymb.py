@@ -16,9 +16,14 @@ decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
 rows i -> {j: signed count}; applying the operator to a symbol is then an
 exact row sum over its values.
 
-P^1(O_F/n) reduces on plain ints: each prime factor of the level keeps its
-HNF constants and a table of unit inverses, so reducing (c : d) builds no
-QuadInt and takes no gcd.
+Paths run on int pairs: a path piece, a Manin gamma and a U_p plan term
+are 8-tuples of ints (the entries of a matrix over O_F as pairs (a, b),
+field.mat_pairs), decomposed and multiplied by the Euclidean kernel of
+field, and the cusps on the way hold int pairs. P^1(O_F/n) reduces on
+plain ints too: each prime factor of the level keeps its HNF constants and
+a table of unit inverses, so reducing (c : d) builds no QuadInt and takes
+no gcd. QuadInts appear only at the edges: the generators, their lifts,
+the operators' matrices and the cusps a caller passes in.
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -30,8 +35,9 @@ from fractions import Fraction
 from . import field as fld
 from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
                     xgcd_quad, exact_div, divides, mat_adj, mat_mul,
-                    mat_inv_unimodular, apply_moebius, cusp_zero,
-                    cusp_infinity, path_between, split_prime, _unit_inverse)
+                    mat_pairs, pair_adj, pair_moebius, pair_mul, pair_path,
+                    apply_moebius, cusp_zero, cusp_infinity, split_prime,
+                    _unit_inverse)
 
 
 # the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
@@ -59,26 +65,25 @@ class ManinLayer:
     A layer lists the generators (reps) of P^1(R/n), R = O_F (P1) or Z
     (basechange.RationalP1), and supplies what differs between the two
     rings: reduce(c, d) of a bottom row to its generator index, _lift(i) of
-    a generator to a determinant-1 matrix, path(r, s) (the signed
-    decomposition of a path into unimodular pieces {g 0 -> g oo}),
-    moebius(g, x) with the cusps zero and infinity, hecke_reps(q),
-    relation_mats() and embed(g) of a matrix into SL_2(O_F) for the moment
-    layer. On top of these this class memoises the lifts and, per operator,
-    the decomposition rows, and enumerates the U_p plan terms; the symbols,
-    Hecke operators, relation solver and eigen-split of this module run on
-    either layer.
+    a generator to a determinant-1 matrix, pairs(m) of one of its matrices
+    to the 8-tuple of int pairs of field.pair_mul (its entries in O_F),
+    path(r, s) (the signed decomposition of a path into determinant-1
+    pieces {g 0 -> g oo}, g an 8-tuple), piece_index(g) of a piece,
+    moebius(g, x) of an 8-tuple on a cusp, with the cusps zero and
+    infinity, hecke_reps(q) and relation_mats(); S and T are those of the
+    field w^2 = S*w + T of the 8-tuples. On top of these this class
+    memoises the lifts and, per operator, the decomposition rows, and
+    enumerates the U_p plan terms; the symbols, Hecke operators, relation
+    solver and eigen-split of this module run on either layer.
     """
 
     def __init__(self):
         self._lifts = [None] * len(self.reps)
-        self._lift_invs = [None] * len(self.reps)
+        self._lift_pairs = [None] * len(self.reps)
         self._path_rows = {}
 
     def __len__(self):
         return len(self.reps)
-
-    def reduce_row(self, row):
-        return self.reduce(row[0], row[1])
 
     def act(self, i, g):
         """The index of the generator (c : d) * g, (c : d) = reps[i]."""
@@ -95,10 +100,15 @@ class ManinLayer:
 
     def lift_inverse(self, i):
         """The inverse of lift_matrix(i)."""
-        g = self._lift_invs[i]
-        if g is None:
-            g = self._lift_invs[i] = mat_adj(self.lift_matrix(i))
-        return g
+        return mat_adj(self.lift_matrix(i))
+
+    def lift_pair(self, i):
+        """(g, g^-1) as 8-tuples, g = lift_matrix(i); memoised."""
+        out = self._lift_pairs[i]
+        if out is None:
+            g = self.pairs(self.lift_matrix(i))
+            out = self._lift_pairs[i] = (g, pair_adj(g))
+        return out
 
     def manin_terms(self, r, s):
         """The Manin decomposition of {r -> s}; see manin_terms."""
@@ -107,13 +117,15 @@ class ManinLayer:
     def hecke_terms(self, mats):
         """(i, j, sign, g) for each piece of the Manin decomposition of the
         paths {delta g_i 0 -> delta g_i oo} over delta in mats, with
-        g = gamma^-1 delta in SL_2(O_F): the piece adds sign * (Psi(g_j) | g)
-        to the image of generator i. These are the terms of the U_p plan,
-        generated one at a time so that a large plan never holds them all."""
+        g = gamma^-1 delta in SL_2(O_F) as an 8-tuple: the piece adds
+        sign * (Psi(g_j) | g) to the image of generator i. These are the
+        terms of the U_p plan, generated one at a time so that a large plan
+        never holds them all."""
+        S, T = self.S, self.T
         for i, delta, r, s in generator_paths(self, mats):
             for sign, j, gamma in self.manin_terms(r, s):
-                yield i, j, sign, mat_mul(mat_inv_unimodular(self.embed(gamma)),
-                                          self.embed(delta))
+                # gamma has determinant 1: its inverse is its adjugate
+                yield i, j, sign, pair_mul(S, T, pair_adj(gamma), delta)
 
     def path_rows(self, mats):
         """Row i is the signed count {j: n} of the generators in the Manin
@@ -127,7 +139,7 @@ class ManinLayer:
             for i, _, r, s in generator_paths(self, mats):
                 row = rows[i]
                 for sign, h in self.path(r, s):
-                    j = self.reduce_row(h[1])
+                    j = self.piece_index(h)
                     row[j] = row.get(j, 0) + sign
             rows = self._path_rows[key] = [{j: k for j, k in row.items() if k}
                                            for row in rows]
@@ -136,11 +148,13 @@ class ManinLayer:
 
 def generator_paths(p1, mats):
     """(i, delta, r, s) for each generator i and each delta in mats, where
-    {r -> s} = {delta g_i 0 -> delta g_i oo} and g_i = p1.lift_matrix(i)."""
+    {r -> s} = {delta g_i 0 -> delta g_i oo}, g_i = p1.lift_matrix(i) and
+    delta is given back as the 8-tuple p1.pairs(delta)."""
+    deltas = [p1.pairs(m) for m in mats]
     for i in range(len(p1)):
-        g = p1.lift_matrix(i)
+        g = p1.lift_pair(i)[0]
         r, s = p1.moebius(g, p1.zero), p1.moebius(g, p1.infinity)
-        for delta in mats:
+        for delta in deltas:
             yield i, delta, p1.moebius(delta, r), p1.moebius(delta, s)
 
 
@@ -151,8 +165,8 @@ class P1(ManinLayer):
     Reduction runs on plain ints. Each prime factor pi keeps the HNF
     constants of O/pi and a dict from every unit residue (a, b) to its
     inverse; O/pi is a field, so a residue is a unit exactly when it is
-    nonzero. Paths decompose by the Euclidean continued fractions of
-    field.path_between.
+    nonzero. Paths decompose on int pairs by the Euclidean continued
+    fractions of field.pair_path, and cusps move by field.pair_moebius.
     """
 
     def __init__(self, n):
@@ -162,7 +176,7 @@ class P1(ManinLayer):
         self.ring = ResidueRing(n)
         self.factors = _factor_level(n)
         self._rings = [ResidueRing(pi) for pi, _ in self.factors]
-        _, self._S, self._T, _ = fld.field_params(self.d)
+        _, self.S, self.T, _ = fld.field_params(self.d)
         self._tables = []
         for R in self._rings:
             inv = {}
@@ -202,26 +216,33 @@ class P1(ManinLayer):
         return self.ring.reduce(x)
 
     def _key(self, c, dd):
+        return self._pair_key(c.a, c.b, dd.a, dd.b)
+
+    def _pair_key(self, ca, cb, da, db):
         """Per prime: (1, 0, 0) for the point (0 : 1), else (0, a, b) with
-        a + b*w the canonical residue of dd/c."""
-        S, T = self._S, self._T
+        a + b*w the canonical residue of d/c, for the row
+        (ca + cb*w : da + db*w)."""
+        S, T = self.S, self.T
         parts = []
         for h00, h10, h11, inv in self._tables:
-            cb = c.b % h11
-            ca = (c.a - (c.b - cb) // h11 * h10) % h00
-            if not (ca or cb):
+            rb = cb % h11
+            ra = (ca - (cb - rb) // h11 * h10) % h00
+            if not (ra or rb):
                 parts.append((1, 0, 0))
                 continue
-            ia, ib = inv[ca, cb]
-            # dd * c^{-1}, with w^2 = S w + T, then reduced mod pi
-            xa = dd.a * ia + T * dd.b * ib
-            xb = dd.a * ib + dd.b * ia + S * dd.b * ib
+            ia, ib = inv[ra, rb]
+            # d * c^{-1}, with w^2 = S w + T, then reduced mod pi
+            xa = da * ia + T * db * ib
+            xb = da * ib + db * ia + S * db * ib
             b = xb % h11
             parts.append((0, (xa - (xb - b) // h11 * h10) % h00, b))
         return tuple(parts)
 
     def reduce(self, c, dd):
         return self.index[self._key(c, dd)]
+
+    def piece_index(self, g):
+        return self.index[self._pair_key(g[4], g[5], g[6], g[7])]
 
     def _lift(self, i):
         c, dd = self.reps[i]
@@ -247,20 +268,19 @@ class P1(ManinLayer):
         a, b = v * ui, (-u) * ui
         return ((a, b), (c, dd))
 
-    def path(self, r, s):
-        return path_between(r, s)
+    pairs = staticmethod(mat_pairs)
 
-    moebius = staticmethod(apply_moebius)
+    def path(self, r, s):
+        return pair_path(self.S, self.T, r.v, s.v)
+
+    def moebius(self, g, x):
+        return Cusp.from_pairs(self.d, pair_moebius(self.S, self.T, g, x.v))
 
     def hecke_reps(self, pi):
         return hecke_reps(pi, self.n, self.d)
 
     def relation_mats(self):
         return _relation_mats(self.d)
-
-    @staticmethod
-    def embed(g):
-        return g
 
 
 def _product(lists):
@@ -399,8 +419,7 @@ class ModularSymbol:
         """Value on the path {r -> s} (divisor (s) - (r))."""
         total = Fraction(0)
         for sign, g in self.p1.path(r, s):
-            idx = self.p1.reduce_row(g[1])
-            total += sign * self.values[idx]
+            total += sign * self.values[self.p1.piece_index(g)]
         return total
 
     def is_zero(self):
@@ -431,11 +450,12 @@ class ModularSymbol:
 def manin_terms(p1, r, s):
     """Decompose {r -> s}: list of (sign, gen_index, gamma) with each path
     piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in Gamma_0(n)
-    over the ring of the layer p1."""
+    over the ring of the layer p1, as a determinant-1 8-tuple."""
+    S, T = p1.S, p1.T
     out = []
     for sign, g in p1.path(r, s):
-        idx = p1.reduce_row(g[1])
-        out.append((sign, idx, mat_mul(g, p1.lift_inverse(idx))))
+        idx = p1.piece_index(g)
+        out.append((sign, idx, pair_mul(S, T, g, p1.lift_pair(idx)[1])))
     return out
 
 

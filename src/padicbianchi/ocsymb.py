@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import mat_det, mat_inv_unimodular
+from .field import mat_det, mat_pairs, pair_adj
 from . import msymb as ms
 from . import padic
 
@@ -83,8 +83,12 @@ class DistContext:
 
     def embed(self, x):
         """QuadInt -> pair (c0, c1) in the {1, g} basis mod p^M."""
+        return self.embed_pair(x.a, x.b)
+
+    def embed_pair(self, a, b):
+        """a + b*w -> pair (c0, c1) in the {1, g} basis mod p^M."""
         wa, wb = self.pctx._embed_coeffs
-        return (x.a + x.b * wa) % self.mod, x.b * wb % self.mod
+        return (a + b * wa) % self.mod, b * wb % self.mod
 
     # pair arithmetic (numpy friendly: arguments may be arrays)
 
@@ -156,14 +160,15 @@ class FiniteDistribution:
 
 def action_matrices(ctx, gs):
     """The moment transform pairs (A0, A1), each (N, M, M), of the N
-    matrices gs = [[a, b], [c, d]] in Sigma_0(p): row i of A[k] holds the
-    power series coefficients of ((b + dz)/(a + cz))^i for gs[k], as pairs
-    mod p^M of dtype ctx.dtype. Membership in Sigma_0(p) is the caller's
-    to check (action_matrix, sigma0_act); a non-unit a raises
-    ValueError."""
+    matrices gs = [[a, b], [c, d]] in Sigma_0(p), given as the 8-tuples of
+    field.mat_pairs: row i of A[k] holds the power series coefficients of
+    ((b + dz)/(a + cz))^i for gs[k], as pairs mod p^M of dtype ctx.dtype.
+    Membership in Sigma_0(p) is the caller's to check (action_matrix,
+    sigma0_act); a non-unit a raises ValueError."""
     M, mod, dt = ctx.M, ctx.mod, ctx.dtype
-    ent = np.array([[v for x in (a, b, c, d) for v in ctx.embed(x)]
-                    for (a, b), (c, d) in gs], dtype=dt).reshape(-1, 4, 2)
+    embed = ctx.embed_pair
+    ent = np.array([embed(g[k], g[k + 1]) for g in gs for k in range(0, 8, 2)],
+                   dtype=dt).reshape(-1, 4, 2)
     (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ent.transpose(1, 2, 0)
     n = len(ent)
     # h[m] = a^{-1} (-c/a)^m, the series of 1/(a + cz)
@@ -204,7 +209,7 @@ def _check_sigma0(ctx, g):
 def action_matrix(ctx, g):
     """The moment transform pair (A0, A1) for gamma in Sigma_0(p)."""
     _check_sigma0(ctx, g)
-    A0, A1 = action_matrices(ctx, [g])
+    A0, A1 = action_matrices(ctx, [mat_pairs(g)])
     return A0[0], A1[0]
 
 
@@ -220,7 +225,7 @@ def sigma0_act(ctx, g, mu):
     """mu | gamma: pull back test functions through the twisted action. The
     right (zbar) factor is cut to the columns of mu's table."""
     _check_sigma0(ctx, g)
-    out = UOperator(ctx, [(0, 0, 1, g)]).apply(mu.m[None])[0]
+    out = UOperator(ctx, [(0, 0, 1, mat_pairs(g))]).apply(mu.m[None])[0]
     return FiniteDistribution(ctx, out)
 
 
@@ -250,7 +255,8 @@ class OverconvergentSymbol:
         array mod p^M. The Manin pieces (sign, gen, gamma) of path k are
         the plan terms (k, gen, sign, gamma^-1); they run through stacked
         UOperator chunks of CHUNK terms, each applied to the rows of the
-        paths it spans."""
+        paths it spans. gamma has determinant 1, so its inverse is its
+        adjugate."""
         ctx = self.ctx
         values = np.stack([v.m for v in self.values])
         out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.dtype)
@@ -266,8 +272,7 @@ class OverconvergentSymbol:
 
         for k, (r, s) in enumerate(paths):
             for sign, idx, gamma in self.p1.manin_terms(r, s):
-                g = mat_inv_unimodular(self.p1.embed(gamma))
-                chunk.append((k, idx, sign, g))
+                chunk.append((k, idx, sign, pair_adj(gamma)))
                 if len(chunk) == CHUNK:
                     flush()
         if chunk:
@@ -302,10 +307,10 @@ class UOperator:
     """The table-level U_p operator: the moment transforms of its Manin
     terms, stacked for numpy.
 
-    terms yields (dest, src, sign, g): the piece contributes
-    sign * (values[src] | g) to the image at dest. The terms come from
-    the shared Manin layer (msymb.ManinLayer.hecke_terms), over O_F for a
-    Bianchi symbol (msymb.P1) and over Z for a rational one
+    terms yields (dest, src, sign, g), g an 8-tuple of field.mat_pairs:
+    the piece contributes sign * (values[src] | g) to the image at dest.
+    The terms come from the shared Manin layer (ManinLayer.hecke_terms),
+    over O_F for a Bianchi symbol (msymb.P1) and over Z for a rational one
     (basechange.RationalP1), or from the Manin pieces of a list of paths
     (OverconvergentSymbol.ev_paths, dest the path). The stacks are filled
     through action_matrices, CHUNK terms at a time."""
@@ -435,7 +440,8 @@ def apply_hecke_oc(psi, pi):
 
 
 def save_lift(path, psi, cert):
-    """Cache a lifted symbol to disk (values array plus certificate)."""
+    """Cache a lifted symbol (values array plus certificate) to path, a
+    file name or a binary file."""
     import json
     values = np.stack([v.m for v in psi.values])
     np.savez_compressed(path, values=values,

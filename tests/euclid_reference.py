@@ -1,0 +1,96 @@
+"""Reference copy of the QuadInt Euclidean code that field's int-pair kernel
+replaced: division with the four-point quotient scan, gcd, cusp
+normalisation, the continued-fraction matrices and the Manin rows of a list
+of operators. The tests compare the kernel against it."""
+
+from padicbianchi import field as fld
+from padicbianchi.field import QuadInt
+
+
+def ref_divmod(x, y):
+    n = y.norm()
+    z = x * y.conj()
+    fa, fb = z.a // n, z.b // n
+    best = None
+    for qa in (fa, fa + 1):
+        for qb in (fb, fb + 1):
+            q = QuadInt(qa, qb, x.d)
+            r = x - q * y
+            if best is None or r.norm() < best[1].norm():
+                best = (q, r)
+    assert best[1].norm() < n
+    return best
+
+
+def ref_gcd(x, y):
+    while y:
+        x, y = y, ref_divmod(x, y)[1]
+    return x
+
+
+def ref_exact_div(x, y):
+    q, r = ref_divmod(x, y)
+    assert not r
+    return q
+
+
+def ref_cusp(num, den):
+    """(num, den) divided by their gcd."""
+    g = ref_gcd(num, den)
+    return ref_exact_div(num, g), ref_exact_div(den, g)
+
+
+def ref_moebius(mat, num, den):
+    (a, b), (c, d) = mat
+    return ref_cusp(a * num + b * den, c * num + d * den)
+
+
+def ref_cf(num, den):
+    """cf_decompose of the normalised cusp (num : den)."""
+    d = num.d
+    zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
+    ident = ((one, zero), (zero, one))
+    if not den:
+        return [ident]
+    if not num:
+        return []
+    quots = []
+    while den:
+        q, r = ref_divmod(num, den)
+        quots.append(q)
+        num, den = den, r
+    pm2, qm2 = zero, one
+    pm1, qm1 = one, zero
+    mats = [ident]
+    for q in quots:
+        pk = q * pm1 + pm2
+        qk = q * qm1 + qm2
+        ui = fld._unit_inverse(pk * qm1 - pm1 * qk)
+        mats.append(((pk, pm1 * ui), (qk, qm1 * ui)))
+        pm2, qm2 = pm1, qm1
+        pm1, qm1 = pk, qk
+    return mats
+
+
+def ref_path(r, s):
+    """path_between of the normalised cusps r, s given as (num, den)."""
+    return [(1, g) for g in ref_cf(*s)] + [(-1, g) for g in ref_cf(*r)]
+
+
+def ref_path_rows(p1, mats, index):
+    """ManinLayer.path_rows of the O_F layer p1, with index(c, d) the
+    generator of a bottom row."""
+    d = p1.d
+    zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
+    rows = []
+    for i in range(len(p1)):
+        g = p1.lift_matrix(i)
+        r, s = ref_moebius(g, zero, one), ref_moebius(g, one, zero)
+        row = {}
+        for delta in mats:
+            path = ref_path(ref_moebius(delta, *r), ref_moebius(delta, *s))
+            for sign, h in path:
+                j = index(*h[1])
+                row[j] = row.get(j, 0) + sign
+        rows.append({j: k for j, k in row.items() if k})
+    return rows

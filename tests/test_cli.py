@@ -122,6 +122,11 @@ class TestConfig:
         # N(level) = 73 * 137 * 99990001: trial division stops at the
         # square root of the leftover norm; 73 splits, so exit 4
         ["build", "--level", "1000000+1i", "--prime", "73"],
+        # N(level) = 100000049 is a split prime: its factor is found by a
+        # modular square root, not by scanning for a root mod p
+        ["build", "--level", "10000+7i", "--prime", "100000049",
+         "--precision", "5"],
+        ["build", "--level", "10000+7i", "--prime", "2", "--precision", "5"],
     ])
     def test_refused_within_seconds(self, argv, tmp_path, capsys):
         class Stuck(BaseException):

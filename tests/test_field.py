@@ -1,10 +1,12 @@
 """Tests for exact arithmetic in class-number-1 imaginary quadratic fields."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from euclid_reference import ref_cf, ref_cusp, ref_divmod, ref_gcd
 from padicbianchi import field as fld
 from padicbianchi.field import (
     QuadInt,
@@ -100,6 +102,33 @@ class TestSplitPrime:
         assert pd.kind == "inert"
         assert pd.norm == 4
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_split_matches_scan(self, d):
+        # the root of x^2 - S x - T by a modular square root against the
+        # smallest root found by scanning [0, p)
+        _, S, T, _ = fld.field_params(d)
+        n_split = 0
+        for p in range(2, 2000):
+            if any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+                continue
+            pd = split_prime(p, d)
+            if pd.kind != "split":
+                continue
+            root = next(r for r in range(p) if (r * r - S * r - T) % p == 0)
+            pi = gcd_quad(qi(p, 0, d), qi(-root, 1, d))
+            assert (pd.pi, pd.pibar, pd.e, pd.f, pd.norm) == (
+                pi, pi.conj(), 1, 1, p)
+            n_split += 1
+        assert n_split > 100
+
+    def test_large_split_prime_is_fast(self):
+        # N(10000 + 7i) = 100000049 is prime; scanning [0, p) for the root
+        # took seconds
+        start = time.perf_counter()
+        pd = split_prime(100000049, 1)
+        assert time.perf_counter() - start < 1
+        assert pd.kind == "split" and pd.pi.norm() == 100000049
+
 
 class TestCuspPaths:
     def test_decompose_endpoints(self):
@@ -111,8 +140,6 @@ class TestCuspPaths:
     @settings(max_examples=40, deadline=None)
     @given(small, small, small, small, disc)
     def test_telescoping(self, a, b, c, e, d):
-        if d in (2, 7, 11):
-            return
         if qi(a, b, d).norm() == 0 and qi(c, e, d).norm() == 0:
             return
         r = Cusp(qi(a, b, d), qi(c, e, d))
@@ -138,6 +165,66 @@ class TestCuspPaths:
             total[b] = total.get(b, 0) + sign
         total = {k: v for k, v in total.items() if v}
         assert total == {s.key(): 1, r.key(): -1}
+
+
+big = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+@st.composite
+def big_pairs(draw):
+    """(x, y) over a supported field with entries up to 10^6; y != 0."""
+    d = draw(disc)
+    x = qi(draw(big), draw(big), d)
+    y = qi(draw(big), draw(big), d)
+    return x, (y if y else qi(1, 0, d))
+
+
+@st.composite
+def tied_pairs(draw):
+    """(x, y) with x/y on the half lattice, off the lattice: two of the
+    four lattice points around x/y then leave remainders of the same least
+    norm, so the scan's order decides the quotient."""
+    d = draw(disc)
+    ha, hb = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+    q = qi(2 * draw(big) + ha, 2 * draw(big) + hb, d)
+    y = qi(draw(small), draw(small), d)
+    y = y if y else qi(1, 0, d)
+    return q * y, y + y
+
+
+class TestKernel:
+    """The int-pair kernel against the QuadInt code it replaced
+    (euclid_reference): same quotients, remainders, gcds, cusps and
+    continued-fraction matrices."""
+
+    def check(self, x, y):
+        S, T = fld.field_params(x.d)[1:3]
+        q, r = ref_divmod(x, y)
+        assert fld.pair_divmod(S, T, x.a, x.b, y.a, y.b) == (q.a, q.b,
+                                                              r.a, r.b)
+        assert divmod_quad(x, y) == (q, r)
+        assert gcd_quad(x, y) == ref_gcd(x, y)
+        num, den = ref_cusp(x, y)
+        cusp = Cusp(x, y)
+        assert (cusp.num, cusp.den) == (num, den)
+        assert cf_decompose(cusp) == ref_cf(num, den)
+        assert fld.exact_div(x * y, y) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_pairs())
+    def test_matches_reference(self, xy):
+        self.check(*xy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_pairs())
+    def test_matches_reference_at_ties(self, xy):
+        self.check(*xy)
+
+    def test_ties_occur(self):
+        # 1/2 in Z[i]: the quotients 0 and 1 both leave a unit remainder;
+        # the scan keeps the first, 0
+        assert divmod_quad(qi(1, 0), qi(2, 0)) == (qi(0, 0), qi(1, 0))
+        assert divmod_quad(qi(1, 1), qi(2, 0)) == (qi(0, 0), qi(1, 1))
 
 
 class TestResidueRing:

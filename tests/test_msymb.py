@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from euclid_reference import ref_path_rows
 from padicbianchi import field as fld
 from padicbianchi import msymb as ms
 from padicbianchi.field import QuadInt, Cusp, cusp_zero, cusp_infinity
@@ -113,6 +114,25 @@ class TestTableReduction:
             assert ms.apply_atkin_lehner(phi, pi).values == vals
         # one memoised decomposition per operator
         assert len(p1._path_rows) == len(primes) + 1
+
+
+class TestPathRows:
+    def test_ram_p2_operators_match_reference(self):
+        # the five operators of the ram-p2 build at level (1+i)(7): the
+        # three helper Hecke operators, U_2 and the Atkin-Lehner involution,
+        # against the QuadInt path code the int-pair kernel replaced
+        level = qi(7, 7)
+        p1 = ms.P1(level)
+        pi = fld.split_prime(2, 1).pi
+        ops = [ms.hecke_reps(q, level, 1)
+               for q, _ in ms._small_coprime_primes(level, 1, 3)]
+        ops += [ms.hecke_reps(pi, level, 1),
+                [ms.atkin_lehner_matrix(pi, level)]]
+
+        def index(c, dd):
+            return p1.index[reference_key(p1, c, dd)]
+        for mats in ops:
+            assert p1.path_rows(mats) == ref_path_rows(p1, mats, index)
 
 
 class TestSymbolSpace:

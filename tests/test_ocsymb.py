@@ -192,7 +192,7 @@ class TestActionKernel:
             g = ((a, b), (c, d))
             if fld.mat_det(g) and not fld.divides(pd.pi, a):
                 gs.append(g)
-        A0, A1 = oc.action_matrices(ctx, gs)
+        A0, A1 = oc.action_matrices(ctx, [fld.mat_pairs(g) for g in gs])
         assert A0.shape == A1.shape == (len(gs), M, M)
         for k, ((a, b), (c, d)) in enumerate(gs):
             R0, R1 = series_pow_matrix(
@@ -231,7 +231,9 @@ class TestTwoSidedTransform:
                   rng.choice((1, -1)), g)
                  for g in rand_sigma0_at(pd, rng, oc.CHUNK + 37)]
         values = rand_tables(ctx, rng, (n_gen, 2, M, C))
-        got = oc.UOperator(ctx, terms).apply(values, n_out=n_out)
+        got = oc.UOperator(ctx, [(dest, src, sign, fld.mat_pairs(g))
+                                 for dest, src, sign, g in terms]
+                           ).apply(values, n_out=n_out)
         want = np.zeros((n_out, 2, M, C), dtype=object)
         for dest, src, sign, g in terms:
             want[dest] += sign * act_reference(ctx, g, values[src])
@@ -421,7 +423,7 @@ class TestEvaluation:
         for k, (r, s) in enumerate(paths):
             total = 0
             for sign, idx, gamma in psi.p1.manin_terms(r, s):
-                g = fld.mat_inv_unimodular(psi.p1.embed(gamma))
+                g = fld.mat_inv_unimodular(fld.pair_mat(gamma, 1))
                 total = total + sign * act_reference(ctx, g,
                                                      psi.values[idx].m)
                 pieces += 1
