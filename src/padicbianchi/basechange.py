@@ -6,9 +6,10 @@ recovered by reverting the q-expansion of j, and log_iw(q)/ord_p(q) is the
 classical L-invariant. Second, the classical side of the one-variable
 overconvergent lift of the base-changed form ft. Its M-symbols run on the
 shared Manin layer of msymb: RationalP1 is the layer over Z (reduction
-mod N, floor continued-fraction paths, Moebius action on Fractions, the
-SL_2(Z) relations and Hecke coset reps), and msymb's ModularSymbol,
-apply_hecke, relation solver and hecke_matrix_on do the rest, as over O_F.
+mod N, paths and the Moebius action on the Euclidean kernel of field with
+real cusps, the SL_2(Z) relations and Hecke coset reps), and msymb's
+ModularSymbol, apply_hecke, relation solver and hecke_matrix_on do the
+rest, as over O_F.
 The moments live in ocsymb, the one moment layer of the package: a
 one-variable distribution is the zbar-trivial column of a Bianchi moment
 table, and the lift runs on the DistContext of F = Q(sqrt(-FIELD_D)) at p,
@@ -18,8 +19,11 @@ Third, the factorization check: the Bianchi p-adic L-function of lfun,
 whose s-variable runs along the cyclotomic line (p is not split), factors as
 the product of the two classical L-functions (trivial twist and the twist by
 the quadratic character of the field), up to the unit #O^x/2 and period
-units which the ratio-of-ratios comparison cancels. Both sides integrate
-through lfun.disc_sum and lfun._pair.
+units which the ratio-of-ratios comparison cancels. Both sides are
+lfun.RayDistribution measures, integrated through lfun.disc_sum and
+lfun._pair: the classical one takes Z/n, p and the cusps B/G from
+RationalP1, and its values lie in the same completion F_p as the Bianchi
+ones.
 """
 
 from fractions import Fraction
@@ -137,15 +141,52 @@ def classical_l_invariant(coeffs, p, M):
 # classical modular symbols over Q (weight 2, level N)
 
 
+class ZMod:
+    """Z/n with the methods of field.ResidueRing that lfun's ray
+    distribution uses."""
+
+    def __init__(self, n):
+        self.n = self.size = n
+
+    def reduce(self, x):
+        return x % self.n
+
+    def elements(self):
+        return range(self.n)
+
+    def unit_elements(self):
+        return [a for a in range(self.n) if gcd(a, self.n) == 1]
+
+    def inverse(self, x):
+        return pow(x, -1, self.n)
+
+
+def _cusp_pairs(x):
+    """The Fraction x (None for infinity) as the cusp 4-tuple of field."""
+    if x is None:
+        return (1, 0, 0, 0)
+    return (x.numerator, 0, x.denominator, 0)
+
+
 class RationalP1(ms.ManinLayer):
     """P^1(Z/N) with canonical representatives: the Manin layer over Z.
 
-    Paths decompose by floor continued fractions (_unimodular_path), cusps
-    are Fractions with None for infinity, and integer matrices enter the
-    moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g)."""
+    Cusps are Fractions with None for infinity. Paths decompose, and
+    matrices move cusps, on the Euclidean kernel of field (pair_path,
+    pair_moebius), with a cusp x/y as the 4-tuple (x, 0, y, 0); for real
+    arguments its quotient scan never picks a w-part, so every piece is
+    in SL_2(Z). Integer matrices enter the moment layer embedded in
+    SL_2(O_F), as the 8-tuples of pairs(g). The ray distribution of lfun
+    runs on Z/n (ZMod), the prime p and the cusps B/G."""
 
     zero, infinity = Fraction(0), None
     S, T = fld.field_params(FIELD_D)[1:3]
+    residue_ring = ZMod
+    cusp = Fraction
+
+    @staticmethod
+    def uniformizer(pd):
+        return pd.p
 
     def __init__(self, N):
         self.N = N
@@ -180,7 +221,7 @@ class RationalP1(ms.ManinLayer):
         return ((v, -u), (c, d))
 
     def path(self, r, s):
-        return [(sign, self.pairs(g)) for sign, g in _unimodular_path(r, s)]
+        return fld.pair_path(self.S, self.T, _cusp_pairs(r), _cusp_pairs(s))
 
     def piece_index(self, g):
         return self.reduce(g[4], g[6])
@@ -191,14 +232,9 @@ class RationalP1(ms.ManinLayer):
         (a, b), (c, d) = g
         return (a, 0, b, 0, c, 0, d, 0)
 
-    @staticmethod
-    def moebius(g, x):
-        a, _, b, _, c, _, d, _ = g
-        if x is None:
-            return None if c == 0 else Fraction(a, c)
-        num = a * x.numerator + b * x.denominator
-        den = c * x.numerator + d * x.denominator
-        return None if den == 0 else Fraction(num, den)
+    def moebius(self, g, x):
+        num, _, den, _ = fld.pair_moebius(self.S, self.T, g, _cusp_pairs(x))
+        return Fraction(num, den) if den else None
 
     def hecke_reps(self, ell):
         reps = [((1, a), (0, ell)) for a in range(ell)]
@@ -232,38 +268,6 @@ def build_rational_symbol_space(N):
     """(p1, basis) for weight-2 M-symbols at level N over Q."""
     p1 = RationalP1(N)
     return p1, ms.relation_basis(p1)
-
-
-def _unimodular_path(r, s):
-    """{r -> s} as (sign, det-1 integer matrix) pieces, each the path
-    {g 0 -> g oo}. r, s are Fractions or None (infinity)."""
-    return [(-sg, g) for sg, g in _path_from_infinity(r)] \
-        + _path_from_infinity(s)
-
-
-def _path_from_infinity(x):
-    if x is None:
-        return []
-    num, den = x.numerator, x.denominator
-    # continued fraction convergents of num/den
-    ps, qs = [0, 1], [1, 0]   # p_{-2}, p_{-1}
-    a_list = []
-    nn, dd = num, den
-    while dd:
-        a = nn // dd
-        a_list.append(a)
-        nn, dd = dd, nn - a * dd
-    out = []
-    sign = -1                       # (-1)^(k-1) starts at -1 for k = 0
-    for k, a in enumerate(a_list):
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
-        # det-1 matrix for {p_{k-1}/q_{k-1} -> p_k/q_k}
-        g = ((ps[-1], sign * ps[-2]), (qs[-1], sign * qs[-2]))
-        sign = -sign
-        assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
-        out.append((1, g))
-    return out
 
 
 def apply_parity_involution(phi):
@@ -339,59 +343,24 @@ def chi_minus4():
     return QuadDirichletChar(4, {0: 0, 1: 1, 2: 0, 3: -1})
 
 
-class QRayDistribution:
-    """The measure of a rational eigensymbol at modulus m, as blocks."""
-
-    def __init__(self, psi, m):
-        self.psi = psi
-        self.m = m
-        self.p = psi.ctx.p
-        self.lam = Fraction(psi.eigen["lambda_p"])
-        self.pctx = padic.Qp(self.p, psi.ctx.M)
-        self._raw = {}
-
-    def raw_moments(self, B, G):
-        """Psi{B/G - infty}, each moment cut to its honest precision;
-        cached."""
-        self.fill_moments([(B, G)])
-        return self._raw[(B, G)]
-
-    def fill_moments(self, discs):
-        """Cache raw_moments for each (B, G) in discs not yet cached, in
-        one stacked pass (OverconvergentSymbol.ev_paths)."""
-        todo = [key for key in dict.fromkeys(discs) if key not in self._raw]
-        if not todo:
-            return
-        tables = self.psi.ev_paths([(Fraction(B, G), None) for B, G in todo])
-        for key, m in zip(todo, tables):
-            self._raw[key] = oc.FiniteDistribution(self.psi.ctx,
-                                                   m).reduce_filtration()
-
-    def unit_discs(self):
-        p, m = self.p, self.m
-        out = []
-        for a in range(m):
-            if gcd(a, m) != 1:
-                continue
-            for j in range(1, p):
-                # B = a mod m, B = j mod p
-                t = (j - a) * pow(m, -1, p) % p
-                out.append((a, a + m * t, m * p))
-        return out
-
-
 def build_mu_rational(psi, m):
+    """The measure of a rational eigensymbol at modulus m: the ray
+    distribution of lfun on the layer over Z."""
     if m % psi.ctx.p == 0:
         raise ValueError("modulus must be coprime to p")
-    return QRayDistribution(psi, m)
+    return lfun.RayDistribution(psi, m)
 
 
 def Lp_rational(mu, chi=None, s=0, insert_log=False):
     """L_p(ft, chi, s) = integral of <z>^s chi(z) against the measure;
     insert_log gives the derivative in s instead."""
+    M = mu.psi.ctx.M
+
     def on_disc(mu, B, G):
-        F = lfun._integrand_series(mu.pctx, B, G, s, insert_log,
-                                   mu.psi.ctx.M)
+        L = mu.log_series(B, G)
+        F = lfun._power_series(L, s, M)
+        if insert_log:
+            F = lfun._ser_mul(F, L, M)
         return lfun._pair(mu, B, G, F)
     return lfun.disc_sum(mu, lfun._chi_weight(mu, chi), on_disc)
 
@@ -411,7 +380,6 @@ def factorization_check(mu, psi_plus, psi_minus, points=(1, 2), floor=5):
     cross-multiplied ratio across two sample points (which cancels a single
     unknown scalar); the exceptional zero at s = 0 is checked to transfer.
     The report records everything."""
-    pctx = mu.pctx
     chi = chi_minus4()
     mu_p = build_mu_rational(psi_plus, 1)
     mu_m = build_mu_rational(psi_minus, 4)
@@ -422,7 +390,7 @@ def factorization_check(mu, psi_plus, psi_minus, points=(1, 2), floor=5):
         left = lfun.Lp_value(mu, s=s)
         right = UNIT_FACTOR * (Lp_rational(mu_p, None, s)
                                * Lp_rational(mu_m, chi, s))
-        return left, pctx.elt(right.c0, right.c1, right.prec)
+        return left, right
 
     l0, r0 = sides(0)
     report["exceptional_transfer"] = {

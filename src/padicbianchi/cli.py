@@ -651,10 +651,12 @@ def cmd_accept(cfg, args):
     }
     try:
         import jsonschema
+    except ImportError:
+        warnings.append("jsonschema is not installed: the report was not "
+                        "validated against its schema")
+    else:
         jsonschema.validate(report, accept_report_schema())
         report["schema_valid"] = True
-    except ImportError:
-        pass
     emit(report, cfg)
     return EXIT_PASS if report["all_pass"] else EXIT_FAIL
 

@@ -225,8 +225,7 @@ def edge_distribution(fam, e, r, s, zeta):
     for (i, j), c in grid.items():
         if c.is_zero():
             continue
-        c0, c1 = fd.moment(i, j)
-        total = total + c * pctx.elt(c0, c1, pctx.e * (M - max(i, j)))
+        total = total + c * fd.honest_moment(i, j)
     return fam.omega ** e.parity() * total
 
 
@@ -441,7 +440,6 @@ def double_integral(fam, x, y, r, s, P=1, max_depth=4):
 
 def _edge_log_term(fam, e, x, y, r, s, depth):
     ctx = fam.ext2
-    pctx = ctx.pctx
     M = fam.psi.ctx.M
     g = fam.edge_rep(e)
     (A, B), (C, D) = g
@@ -470,8 +468,7 @@ def _edge_log_term(fam, e, x, y, r, s, depth):
     total = ctx.zero()
     for k, coef in enumerate(coefs):
         for (i, j), c in (((k, 0), coef), ((0, k), coef.conj())):
-            c0m, c1m = fd.moment(i, j)
-            total = total + c * pctx.elt(c0m, c1m, pctx.e * (M - k))
+            total = total + c * fd.honest_moment(i, j)
     return fam.omega ** e.parity() * total
 
 

@@ -11,7 +11,10 @@ uniformizer absorbed into the lower-right matrix entry and one factor of
 series in the disc coordinates z and zbar and paired with the two-variable
 moments mu(z^i zbar^j) of the block. The moments of all the discs of one
 sum are computed up front in one stacked pass (disc_sum,
-RayDistribution.fill_moments, OverconvergentSymbol.ev_paths).
+RayDistribution.fill_moments, OverconvergentSymbol.ev_paths). The ray
+distribution takes its residue rings, uniformizer and cusps from the
+symbol's Manin layer, so the one-variable measure of a classical symbol
+over Q is the same class on the same disc loop.
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -25,13 +28,7 @@ interpolation checks.
 
 from fractions import Fraction
 
-from .field import (
-    Cusp,
-    QuadInt,
-    ResidueRing,
-    cusp_infinity,
-    divides,
-)
+from .field import divides
 from . import padic
 from .ocsymb import FiniteDistribution
 
@@ -46,13 +43,20 @@ def _lambda_p(psi):
 class RayDistribution:
     """mu_p at modulus (g): the symbol itself and lambda_p, from which the
     blocks mu'_a are integrated disc by disc (unit_discs, raw_moments).
-    lift_offset is the shift of the lifts b of a that unit_discs() uses."""
+    lift_offset is the shift of the lifts b of a that unit_discs() uses.
+
+    What depends on the ring comes from the symbol's Manin layer psi.p1:
+    residue_ring(n), uniformizer(pd), cusp(B, G) and the cusp infinity.
+    So the same class is the measure of a Bianchi symbol (msymb.P1, over
+    O_F) and of a classical one (the Manin layer over Z)."""
 
     def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
+        self.p1 = psi.p1
         self.g_mod = g_mod
         self.lift_offset = lift_offset
-        self.ring = ResidueRing(g_mod)
+        self.ring = self.p1.residue_ring(g_mod)
+        self.pi = self.p1.uniformizer(psi.ctx.pd)
         self.lam = _lambda_p(psi)
         self.pctx = psi.ctx.pctx
         self._raw = {}
@@ -65,27 +69,23 @@ class RayDistribution:
     def raw_moments(self, B, G):
         """Psi{B/G - infty}, cached."""
         self.fill_moments([(B, G)])
-        return self._raw[(B.a, B.b, G.a, G.b)]
+        return self._raw[B, G]
 
     def fill_moments(self, discs):
         """Cache Psi{B/G - infty} for each (B, G) in discs not yet cached,
         in one stacked pass (OverconvergentSymbol.ev_paths)."""
-        todo = {}
-        for B, G in discs:
-            key = (B.a, B.b, G.a, G.b)
-            if key not in self._raw:
-                todo[key] = (B, G)
+        todo = [key for key in dict.fromkeys(discs) if key not in self._raw]
         if not todo:
             return
-        inf = cusp_infinity(self.psi.ctx.d)
-        tables = self.psi.ev_paths([(Cusp(B, G), inf)
-                                    for B, G in todo.values()])
+        p1 = self.p1
+        tables = self.psi.ev_paths([(p1.cusp(B, G), p1.infinity)
+                                    for B, G in todo])
         for key, m in zip(todo, tables):
             self._raw[key] = FiniteDistribution(self.psi.ctx, m)
 
     def log_series(self, B, G):
         """The z-series of log_iw(B + G z) on the disc, cached."""
-        key = (B.a, B.b, G.a, G.b)
+        key = (B, G)
         if key not in self._logs:
             self._logs[key] = _log_series_on_disc(self.pctx, B, G,
                                                   self.psi.ctx.M)
@@ -99,9 +99,8 @@ class RayDistribution:
         the lift a + lift_offset * g."""
         if self._discs is not None:
             return self._discs
-        pd = self.psi.ctx.pd
-        pi = pd.pi
-        rpi = ResidueRing(pi)
+        pi = self.pi
+        rpi = self.p1.residue_ring(pi)
         g = self.g_mod
         ginv = rpi.inverse(g)
         residues = rpi.unit_elements()
@@ -178,13 +177,6 @@ def _power_series(L, s, M):
     return [head * c for c in _ser_exp(P, M)]
 
 
-def _integrand_series(pctx, B, G, s, insert_log, M):
-    """Coefficients of <B + G z>^s [* log_iw(B + G z)] in one variable."""
-    L = _log_series_on_disc(pctx, B, G, M)
-    F = _power_series(L, s, M)
-    return _ser_mul(F, L, M) if insert_log else F
-
-
 def _chi_weight(mu, chi, r=0):
     """Disc weight chi(B) * w_Tm(B)^r (both constant on the disc), or 0
     where chi vanishes."""
@@ -230,9 +222,7 @@ def _pair(mu, B, G, F, Fb=None):
         for j in range(min(M, len(Fb))):
             if Fb[j].is_zero():
                 continue
-            c0, c1 = fd.moment(i, j)
-            total = total + F[i] * Fb[j] \
-                * pctx.elt(c0, c1, pctx.e * (M - max(i, j)))
+            total = total + F[i] * Fb[j] * fd.honest_moment(i, j)
     return total
 
 
@@ -273,8 +263,7 @@ def disc_norm_power(s, terms=None):
 def _check_chi(mu, chi):
     if chi is None:
         return
-    pi = mu.psi.ctx.pd.pi
-    if not divides(chi.modulus, mu.g_mod * pi):
+    if not divides(chi.modulus, mu.g_mod * mu.pi):
         raise ValueError("character modulus must divide g * p "
                          "(deeper p-power conductors are unimplemented)")
 
@@ -330,28 +319,24 @@ def restriction_consistency(mu, i_max=3):
 
     This checks the U_p eigen-relation route used for unit restriction: the
     disc decomposition must recover mu(z^i) for polynomial test functions."""
-    if not mu.g_mod.is_unit():
+    if mu.ring.size != 1:
         raise ValueError("consistency check runs at modulus (1)")
-    psi = mu.psi
+    p1, pi = mu.p1, mu.pi
     pctx = mu.pctx
-    ctx = psi.ctx
-    M = ctx.M
-    pi = ctx.pd.pi
-    d = ctx.d
+    M = mu.psi.ctx.M
     lam_inv = pctx.from_rational(1 / mu.lam)
-    base = psi.ev(Cusp(QuadInt(0, 0, d), QuadInt(1, 0, d)), cusp_infinity(d))
+    base = mu.psi.ev(p1.zero, p1.infinity)
     worst = pctx.cap
     for i in range(i_max):
         total = pctx.zero()
-        for j in ResidueRing(pi).elements():
+        for j in p1.residue_ring(pi).elements():
             # series of (j + pi z)^i in z
             Bp, Gp = pctx.embed(j), pctx.embed(pi)
             F = [pctx.one()] + [pctx.zero()] * (M - 1)
             for _ in range(i):
                 F = _ser_mul(F, [Bp, Gp] + [pctx.zero()] * (M - 2), M)
             total = total + _pair(mu, j, pi, F)
-        c0, c1 = base.moment(i, 0)
-        diff = lam_inv * total - pctx.elt(c0, c1, pctx.e * (M - i))
+        diff = lam_inv * total - base.honest_moment(i, 0)
         if not diff.is_zero():
             worst = min(worst, diff.val())
     return worst

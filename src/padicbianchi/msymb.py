@@ -11,7 +11,8 @@ Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
 Z for the classical side of the base-change comparison. A layer keeps only
 what differs between the rings (reduction, lifts, path decomposition,
 Moebius action, Hecke coset reps, relation matrices, embedding into
-SL_2(O_F)); the layer memoises its generator lifts and, per prime, the
+SL_2(O_F), and the residue rings, uniformizer and cusps of lfun's ray
+distribution); the layer memoises its generator lifts and, per prime, the
 decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
 rows i -> {j: signed count}; applying the operator to a symbol is then an
 exact row sum over its values.
@@ -71,10 +72,15 @@ class ManinLayer:
     pieces {g 0 -> g oo}, g an 8-tuple), piece_index(g) of a piece,
     moebius(g, x) of an 8-tuple on a cusp, with the cusps zero and
     infinity, hecke_reps(q) and relation_mats(); S and T are those of the
-    field w^2 = S*w + T of the 8-tuples. On top of these this class
-    memoises the lifts and, per operator, the decomposition rows, and
-    enumerates the U_p plan terms; the symbols, Hecke operators, relation
-    solver and eigen-split of this module run on either layer.
+    field w^2 = S*w + T of the 8-tuples. Both layers decompose paths with
+    the Euclidean kernel of field (pair_path, pair_moebius); over Z the
+    cusps are real, so no piece leaves SL_2(Z). For the ray distribution
+    of lfun a layer also supplies residue_ring(n) (R/n with reduce,
+    elements, unit_elements and inverse), uniformizer(pd) of the prime
+    data and cusp(num, den). On top of these this class memoises the
+    lifts and, per operator, the decomposition rows, and enumerates the
+    U_p plan terms; the symbols, Hecke operators, relation solver and
+    eigen-split of this module run on either layer.
     """
 
     def __init__(self):
@@ -269,6 +275,12 @@ class P1(ManinLayer):
         return ((a, b), (c, dd))
 
     pairs = staticmethod(mat_pairs)
+    residue_ring = ResidueRing
+    cusp = Cusp
+
+    @staticmethod
+    def uniformizer(pd):
+        return pd.pi
 
     def path(self, r, s):
         return pair_path(self.S, self.T, r.v, s.v)

@@ -11,9 +11,10 @@ completion, stored as a pair of numpy arrays mod p^M (int64 within the
 bound below), where g has minimal polynomial g^2 = S*g + T. The completion
 is padic.completion, kept as DistContext.pctx: its basis {1, g}, S, T and
 embedding of QuadInts are the ones the moments use, so a moment pair
-(c0, c1) is the element pctx.elt(c0, c1). A Bianchi distribution has the
-square table, C = M. A one-variable distribution has C = 1: the
-zbar-trivial column mu(z^i zbar^0). A table has filtration >= f exactly
+(c0, c1) is the element pctx.elt(c0, c1); FiniteDistribution.honest_moment
+reads it at its honest precision. A Bianchi distribution has the square
+table, C = M. A one-variable distribution has C = 1: the zbar-trivial
+column mu(z^i zbar^0). A table has filtration >= f exactly
 when every moment (i, j) is divisible by p^max(f - max(i, j), 0)
 (filtration).
 
@@ -138,6 +139,13 @@ class FiniteDistribution:
 
     def moment(self, i, j):
         return int(self.m[0, i, j]), int(self.m[1, i, j])
+
+    def honest_moment(self, i, j):
+        """Moment (i, j) as an element of the completion ctx.pctx, at its
+        honest precision p^(M - max(i, j))."""
+        pctx = self.ctx.pctx
+        return pctx.elt(int(self.m[0, i, j]), int(self.m[1, i, j]),
+                        pctx.e * (self.ctx.M - max(i, j)))
 
     def add(self, other, sign=1):
         return FiniteDistribution(self.ctx, (self.m + sign * other.m) % self.ctx.mod)

@@ -255,38 +255,21 @@ class PadicElement:
         return PadicElement(ctx, co.c0 * ninv, co.c1 * ninv, self.prec)
 
     def __truediv__(self, other):
+        """self / other. A divisor of valuation v is a unit times pi^v: both
+        operands are divided by pi^v with exact shifts (_div_pi), each of
+        which costs one pi-adic digit, and the quotient is the dividend
+        times the inverse of the unit."""
         o = self._coerce(other)
         v = o.val()
         if v == 0:
             return self * o.inverse()
-        ctx = self.ctx
-        pi = ctx_uniformizer(ctx)
         x, y = self, o
-        # peel uniformizer powers off both
-        if ctx.ext_kind == "ramified":
-            num = x * pi.conj() ** v
-            den = y * pi.conj() ** v     # now v_pi(den) = 2v -> p^v * unit
-            k = v
-            pk = ctx.p ** k
-            if num.c0 % pk or num.c1 % pk:
-                raise PrecisionError("inexact division by pi^%d" % v)
-            res = PadicElement(ctx, num.c0 // pk, num.c1 // pk,
-                               min(num.prec, ctx.cap) - 2 * k)
-            den2 = PadicElement(ctx, den.c0 // pk, den.c1 // pk,
-                                min(den.prec, ctx.cap) - 2 * k)
-            if res.prec <= 0 or den2.prec <= 0:
-                # no digit of the quotient survives the peeling
-                raise PrecisionError("inexact division by pi^%d" % v)
-            return res * den2.inverse()
-        pk = ctx.p ** v
-        if self.c0 % pk or self.c1 % pk or o.c0 % pk or o.c1 % pk:
+        for _ in range(v):
+            x, y = _div_pi(x, v), _div_pi(y, v)
+        if x.prec <= 0 or y.prec <= 0:
+            # no digit of the quotient survives the shifts
             raise PrecisionError("inexact division by pi^%d" % v)
-        num = PadicElement(ctx, self.c0 // pk, self.c1 // pk, self.prec - v)
-        den = PadicElement(ctx, o.c0 // pk, o.c1 // pk, o.prec - v)
-        if num.prec <= 0 or den.prec <= 0:
-            # no digit of the quotient survives the peeling
-            raise PrecisionError("inexact division by pi^%d" % v)
-        return num * den.inverse()
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -324,6 +307,23 @@ def _pval(n, p, M):
         n //= p
         v += 1
     return v
+
+
+def _div_pi(x, v):
+    """x / pi, exact: x / p on the basis {1, w} of Q_p or an unramified
+    F_p; on the basis {1, pi} of a ramified one, with pi^2 = S*pi + T and
+    T = -N(pi) = -p, x / pi = (c1 + (c0/p) S) + (-c0/p) pi. Raises
+    PrecisionError (as a division by pi^v) when pi does not divide x."""
+    ctx = x.ctx
+    p = ctx.p
+    if ctx.ext_kind == "ramified":
+        if x.c0 % p:
+            raise PrecisionError("inexact division by pi^%d" % v)
+        q = x.c0 // p
+        return PadicElement(ctx, x.c1 + q * ctx.S, -q, x.prec - 1)
+    if x.c0 % p or x.c1 % p:
+        raise PrecisionError("inexact division by pi^%d" % v)
+    return PadicElement(ctx, x.c0 // p, x.c1 // p, x.prec - 1)
 
 
 def _coeff_digits(ctx, piprec):

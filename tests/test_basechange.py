@@ -85,8 +85,13 @@ class TestRationalSymbols:
         assert plus.ev(r, s) + plus.ev(s, t) == plus.ev(r, t)
 
     def test_unimodular_path_determinants(self):
-        for sign, g in bc._unimodular_path(Fraction(17, 43), Fraction(-5, 9)):
-            assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
+        # the field kernel on real cusps gives pieces in SL_2(Z)
+        path = bc.RationalP1(11).path(Fraction(17, 43), Fraction(-5, 9))
+        assert path
+        for sign, g in path:
+            a, aw, b, bw, c, cw, d, dw = g
+            assert aw == bw == cw == dw == 0
+            assert a * d - b * c == 1
 
     def test_unit_ap(self, rational_pair):
         plus, minus = rational_pair
@@ -154,6 +159,24 @@ class TestRationalLp:
         assert val.is_unit()
         assert val.c0 % 11 ** 8 == 4
 
+    def test_pinned_values(self, rational_lifts):
+        # (coeffs[0], valuation, precision) of L_p(ft, s), its derivative
+        # at s = 0 and L_p(ft, chi_{-4}, s) for 11a at p = 11, M = 8
+        (psi_p, _), (psi_m, _) = rational_lifts
+        mu_p = bc.build_mu_rational(psi_p, 1)
+        mu_m = bc.build_mu_rational(psi_m, 4)
+        chi = bc.chi_minus4()
+        got = [bc.Lp_rational(mu_p, None, s) for s in (0, 1, 2)]
+        got.append(bc.Lp_rational(mu_p, insert_log=True))
+        got.extend(bc.Lp_rational(mu_m, chi, s) for s in (0, 1, 2))
+        want = [("0", None, 8), ("134904825", 1, 8), ("129421094", 1, 8),
+                ("31179995", 1, 8),
+                ("4", 0, 8), ("98694864", 0, 8), ("189483342", 0, 8)]
+        for val, (c0, v, prec) in zip(got, want):
+            rep = val.to_json()
+            assert (rep["coeffs"][0], rep["valuation"],
+                    rep["precision"]) == (c0, v, prec)
+
     def test_modulus_coprime_to_p(self, rational_lifts):
         (psi_p, _), _ = rational_lifts
         with pytest.raises(ValueError):
@@ -166,6 +189,7 @@ class TestRationalLp:
         mu = bc.build_mu_rational(psi_p, 1)
         d = bc.Lp_rational(mu, insert_log=True)
         li = bc.classical_l_invariant(bc.CURVES["11a"], 11, 8)
+        li = psi_p.ctx.pctx.elt(li.c0, 0, li.prec)
         ratio = d / li
         assert ratio.is_unit()
 

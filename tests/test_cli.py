@@ -230,6 +230,17 @@ class TestAccept:
         assert entry["id"] == 1 and entry["passed"]
         assert entry["elapsed_sec"] < entry["runtime_limit_sec"]
 
+    def test_unvalidated_report_warns(self, cache_dir, tmp_path,
+                                      monkeypatch):
+        # without jsonschema the report says it was not validated
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        code, rep = run(tmp_path, "a.json",
+                        ["accept"] + BASE + ["--cache-dir", str(cache_dir),
+                                             "--criteria", "1"])
+        assert code == 0
+        assert "schema_valid" not in rep
+        assert any("not validated" in w for w in rep["warnings"])
+
     def test_fault_injection_flagged(self, cache_dir, tmp_path):
         code, rep = run(tmp_path, "a.json",
                         ["accept"] + BASE + ["--cache-dir", str(cache_dir),

@@ -1,5 +1,6 @@
 """Tests for fixed-precision p-adic arithmetic and the Iwasawa logarithm."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,9 +159,33 @@ class TestRamified:
         # pi^6, and neither has anything divided by pi^6 at the cap pi^12
         with pytest.raises(PrecisionError, match="inexact division"):
             self.ctx.elt(8, 0, 4) / two ** 3
+        # 64 is zero to the cap pi^12 at M = 6, and 8 = pi^6 * unit: each
+        # of the six shifts costs one digit, so the quotient is O(pi^6)
         ctx6 = pa.completion(self.pd, 6)
+        q = ctx6.from_rational(Fraction(64)) / ctx6.from_rational(Fraction(8))
+        assert q.is_zero() and q.prec == 6
+        # a dividend not divisible by the divisor's pi-power raises
         with pytest.raises(PrecisionError, match="inexact division"):
-            ctx6.from_rational(Fraction(64)) / ctx6.from_rational(Fraction(8))
+            self.ctx.embed(self.pd.pi) / two
+
+
+@pytest.mark.parametrize("p, d, M", [(2, 1, 6), (2, 1, 8), (3, 3, 6),
+                                     (11, 1, 6)])
+def test_division_round_trip(p, d, M):
+    # (x * y) / y == x on random pairs, y = unit * pi^k, over Q_2(i),
+    # Q_3(sqrt(-3)) (both ramified) and Q_11(i) (inert)
+    rng = random.Random(p * 100 + M)
+    ctx = pa.completion(fld.split_prime(p, d), M)
+    pi = pa.ctx_uniformizer(ctx)
+    for _ in range(300):
+        x = ctx.elt(rng.randrange(ctx.mod), rng.randrange(ctx.mod))
+        y = ctx.elt(rng.randrange(ctx.mod), rng.randrange(ctx.mod)) \
+            * pi ** rng.randrange(ctx.cap)
+        if y.is_zero():
+            continue
+        q = (x * y) / y
+        assert q.prec == ctx.cap - y.val()
+        assert q == x
 
 
 class TestSplit:
