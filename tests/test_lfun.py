@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
 from padicbianchi import lfun
 from padicbianchi import msymb as ms
@@ -201,3 +202,54 @@ class TestDerivative:
             diff = vt - full
             # degree-t tail coefficients have valuation >= t
             assert diff.is_zero() or diff.val() >= t
+
+
+def pin(x):
+    return (x.c0, x.c1, x.prec)
+
+
+class TestGoldenPins:
+    """(c0, c1, prec) of disc integrals on the reference and the ramified
+    lifts. The precision of a disc integral depends on the association
+    order of its products, so a change in the kernel's arithmetic shows
+    here even where the value is zero to its precision."""
+
+    @pytest.mark.parametrize("m, want", [
+        (3, (88519486, 0, 8)),
+        (4, (116278822, 0, 8)),
+        (5, (207272637, 0, 8)),
+    ])
+    def test_value_near_zero(self, mu1, m, want):
+        assert pin(lfun.Lp_value(mu1, s=11 ** m)) == want
+
+    def test_derivative_halves(self, mu1):
+        assert [pin(x) for x in lfun.Lp_derivative_halves(mu1)] == \
+            [(62359990, 0, 8), (62359990, 0, 8)]
+
+    def test_criterion_5_value(self, ref_symbols, ref_prime, ref_lift):
+        phi, _ = ref_symbols
+        psi, _ = ref_lift
+        fam = cc.TreeFamily(phi, ref_prime, psi=psi)
+        chi = character(qi(3), fam.omega)
+        assert pin(lfun.Lp_value(fam.mu(qi(3)), chi)) == (0, 0, 8)
+
+    def test_lc_halves_default_data(self, ref_symbols, ref_prime, ref_lift):
+        phi, _ = ref_symbols
+        psi, _ = ref_lift
+        fam = cc.TreeFamily(phi, ref_prime, psi=psi)
+        want = {(3, 1): 66261074, (3, 2): 66261074, (7, 1): 42883247}
+        for c, v in cc.default_data(ref_prime, fam.omega):
+            datum = cc.EmbeddingDatum(ref_prime, c, v, fam.omega)
+            got = [pin(x) for x in cc.lc_halves(fam, datum)]
+            assert got == [(want[c.a, v.a], 0, 8)] * 2
+
+    @pytest.mark.parametrize("m, values, halves", [
+        (qi(3), [(48, 0, 12), (0, 0, 9), (16, 32, 10)],
+         [(28, 40, 4), (44, 24, 4)]),
+        (qi(4, 1), [(16, 0, 12), (48, 0, 8), (16, 32, 10)],
+         [(4, 48, 4), (36, 16, 4)]),
+    ])
+    def test_ramified(self, ram_lift, m, values, halves):
+        mu = lfun.build_mu_p(ram_lift, m)
+        assert [pin(lfun.Lp_value(mu, s=s)) for s in (0, 1, 2)] == values
+        assert [pin(x) for x in lfun.Lp_derivative_halves(mu)] == halves
