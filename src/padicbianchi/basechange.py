@@ -20,10 +20,10 @@ whose s-variable runs along the cyclotomic line (p is not split), factors as
 the product of the two classical L-functions (trivial twist and the twist by
 the quadratic character of the field), up to the unit #O^x/2 and period
 units which the ratio-of-ratios comparison cancels. Both sides are
-lfun.RayDistribution measures, integrated through lfun.disc_sum and
-lfun._pair: the classical one takes Z/n, p and the cusps B/G from
-RationalP1, and its values lie in the same completion F_p as the Bianchi
-ones.
+lfun.RayDistribution measures, integrated through lfun.disc_sum on the
+stacked disc kernel of lfun: the classical one takes Z/n, p and the cusps
+B/G from RationalP1, and its values lie in the same completion F_p as the
+Bianchi ones.
 """
 
 from fractions import Fraction
@@ -150,6 +150,10 @@ class ZMod:
 
     def reduce(self, x):
         return x % self.n
+
+    def reduce_pair(self, a, b):
+        """reduce() of the pair (a, b) of the integer a (b is 0)."""
+        return a % self.n, b
 
     def elements(self):
         return range(self.n)
@@ -351,18 +355,24 @@ def build_mu_rational(psi, m):
     return lfun.RayDistribution(psi, m)
 
 
-def Lp_rational(mu, chi=None, s=0, insert_log=False):
-    """L_p(ft, chi, s) = integral of <z>^s chi(z) against the measure;
-    insert_log gives the derivative in s instead."""
-    M = mu.psi.ctx.M
-
-    def on_disc(mu, B, G):
-        L = mu.log_series(B, G)
+def rational_kernel(s=0, insert_log=False):
+    """The disc kernel of Lp_rational: the integral of <z>^s (times
+    log_iw(z) with insert_log) over each disc of a one-variable measure."""
+    def on_disc(mu, discs):
+        M = discs.ar.M
+        L = discs.log_series()
         F = lfun._power_series(L, s, M)
         if insert_log:
             F = lfun._ser_mul(F, L, M)
-        return lfun._pair(mu, B, G, F)
-    return lfun.disc_sum(mu, lfun._chi_weight(mu, chi), on_disc)
+        return lfun._pair(discs, F)
+    return on_disc
+
+
+def Lp_rational(mu, chi=None, s=0, insert_log=False):
+    """L_p(ft, chi, s) = integral of <z>^s chi(z) against the measure;
+    insert_log gives the derivative in s instead."""
+    return lfun.disc_sum(mu, lfun._chi_weight(mu, chi),
+                         rational_kernel(s, insert_log))
 
 
 # ---------------------------------------------------------------------------

@@ -543,17 +543,20 @@ def oc_closed_route(fam, datum):
 
 def _lc_setup(fam, datum, mu):
     """The measure at modulus c and the disc weight omega^{j(a)} on the
-    blocks a in J_v (None elsewhere)."""
+    blocks a in J_v (None elsewhere), tabulated per unit a."""
     if datum.beta == 0:
         raise ValueError("beta = 0 datum")
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     if mu is None:
         mu = fam.mu(datum.c)
+    table = {}
+    for a in mu.units():
+        j = datum.J.get(mu.ring.reduce(a))
+        table[a] = None if j is None else fam.omega ** j
 
     def weight(a, B):
-        j = datum.J.get(mu.ring.reduce(a))
-        return None if j is None else fam.omega ** j
+        return table[a]
     return mu, weight
 
 

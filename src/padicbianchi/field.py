@@ -586,10 +586,12 @@ class ResidueRing:
     def reduce(self, x):
         if isinstance(x, int):
             x = QuadInt(x, 0, self.d)
-        b = x.b % self.h11
-        k = (x.b - b) // self.h11
-        a = (x.a - k * self.h10) % self.h00
-        return QuadInt(a, b, self.d)
+        return QuadInt(*self.reduce_pair(x.a, x.b), self.d)
+
+    def reduce_pair(self, a, b):
+        """reduce() of a + b*w as a pair; a and b may be int arrays."""
+        r = b % self.h11
+        return (a - (b - r) // self.h11 * self.h10) % self.h00, r
 
     def elements(self):
         for b in range(self.h11):

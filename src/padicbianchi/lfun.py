@@ -9,10 +9,21 @@ uniformizer absorbed into the lower-right matrix entry and one factor of
 1/lambda_p from the U_p eigen-relation. On each disc the integrand
 <z zbar>^s * chi * (Teichmuller twist) is expanded as a convergent power
 series in the disc coordinates z and zbar and paired with the two-variable
-moments mu(z^i zbar^j) of the block. The moments of all the discs of one
-sum are computed up front in one stacked pass (disc_sum,
-RayDistribution.fill_moments, OverconvergentSymbol.ev_paths). The ray
-distribution takes its residue rings, uniformizer and cusps from the
+moments mu(z^i zbar^j) of the block.
+
+A sum over discs (disc_sum) runs as stacked passes over all its weighted
+discs at once. The disc centres are int arrays (RayDistribution.unit_discs);
+their moments are filled in one stacked pass (fill_moments,
+OverconvergentSymbol.ev_paths) into one table per distribution. The disc
+kernel (disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called
+once per sum with the stack of discs (Discs): the z-series of
+log_iw(B + G z), the series of <B + G z>^s and the pairing
+Sum F[i] Fb[j] mu(z^i zbar^j) are padic.PadicStack arrays over the discs,
+on the pair arithmetic of the moment layer (ocsymb.DistContext), with the
+precision rules and the association order of the scalar PadicElement code,
+so each disc gets the value and precision it would get alone. An error the
+scalar code would raise is raised for the first disc that meets one. The
+ray distribution takes its residue rings, uniformizer and cusps from the
 symbol's Manin layer, so the one-variable measure of a classical symbol
 over Q is the same class on the same disc loop.
 
@@ -28,9 +39,11 @@ interpolation checks.
 
 from fractions import Fraction
 
-from .field import divides
+import numpy as np
+
+from .field import QuadInt, divides
 from . import padic
-from .ocsymb import FiniteDistribution
+from .padic import PadicStack, StackLog, select, stack
 
 
 def _lambda_p(psi):
@@ -40,15 +53,24 @@ def _lambda_p(psi):
     return Fraction(str(lam))
 
 
+def _pair_of(x):
+    """A ring element (QuadInt, or int over Z) as its int pair (a, b)."""
+    return (x, 0) if isinstance(x, int) else (x.a, x.b)
+
+
 class RayDistribution:
     """mu_p at modulus (g): the symbol itself and lambda_p, from which the
-    blocks mu'_a are integrated disc by disc (unit_discs, raw_moments).
+    blocks mu'_a are integrated disc by disc (unit_discs, discs).
     lift_offset is the shift of the lifts b of a that unit_discs() uses.
 
     What depends on the ring comes from the symbol's Manin layer psi.p1:
     residue_ring(n), uniformizer(pd), cusp(B, G) and the cusp infinity.
     So the same class is the measure of a Bianchi symbol (msymb.P1, over
-    O_F) and of a classical one (the Manin layer over Z)."""
+    O_F) and of a classical one (the Manin layer over Z).
+
+    Every disc has the scale G = g * pi. The moments Psi{B/G - infty} of
+    the discs integrated so far are the rows of one table, keyed by the
+    centre B."""
 
     def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
@@ -57,62 +79,123 @@ class RayDistribution:
         self.lift_offset = lift_offset
         self.ring = self.p1.residue_ring(g_mod)
         self.pi = self.p1.uniformizer(psi.ctx.pd)
+        self.G = g_mod * self.pi
         self.lam = _lambda_p(psi)
         self.pctx = psi.ctx.pctx
-        self._raw = {}
-        self._logs = {}
+        self._units = None
+        self._rows = {}
+        self._moments = None
         self._discs = None
 
     def units(self):
-        return self.ring.unit_elements()
+        if self._units is None:
+            self._units = self.ring.unit_elements()
+        return self._units
 
-    def raw_moments(self, B, G):
-        """Psi{B/G - infty}, cached."""
-        self.fill_moments([(B, G)])
-        return self._raw[B, G]
+    def element(self, a, b=0):
+        """The ring element of the int pair (a, b): a + b*w over O_F, the
+        int a over Z."""
+        g = self.g_mod
+        return int(a) if isinstance(g, int) else QuadInt(int(a), int(b), g.d)
 
-    def fill_moments(self, discs):
-        """Cache Psi{B/G - infty} for each (B, G) in discs not yet cached,
-        in one stacked pass (OverconvergentSymbol.ev_paths)."""
-        todo = [key for key in dict.fromkeys(discs) if key not in self._raw]
+    def fill_moments(self, centres):
+        """Add Psi{B/G - infty} to the table for each centre pair B not yet
+        in it, in one stacked pass (OverconvergentSymbol.ev_paths)."""
+        todo = [key for key in dict.fromkeys(centres) if key not in self._rows]
         if not todo:
             return
         p1 = self.p1
-        tables = self.psi.ev_paths([(p1.cusp(B, G), p1.infinity)
-                                    for B, G in todo])
-        for key, m in zip(todo, tables):
-            self._raw[key] = FiniteDistribution(self.psi.ctx, m)
+        tables = self.psi.ev_paths([(p1.cusp(self.element(*key), self.G),
+                                     p1.infinity) for key in todo])
+        first = len(self._rows)
+        self._moments = tables if self._moments is None else \
+            np.concatenate([self._moments, tables])
+        for i, key in enumerate(todo):
+            self._rows[key] = first + i
 
-    def log_series(self, B, G):
-        """The z-series of log_iw(B + G z) on the disc, cached."""
-        key = (B, G)
-        if key not in self._logs:
-            self._logs[key] = _log_series_on_disc(self.pctx, B, G,
-                                                  self.psi.ctx.M)
-        return self._logs[key]
+    def discs(self, centres):
+        """The discs of the centre pairs centres ((n, 2) ints) as one
+        stack, with their moments (filled as needed)."""
+        keys = [tuple(c) for c in np.asarray(centres).tolist()]
+        self.fill_moments(keys)
+        rows = [self._rows[key] for key in keys]
+        return Discs(self, np.asarray(centres, dtype=np.int64).reshape(-1, 2),
+                     self._moments[rows])
 
     def unit_discs(self):
-        """(a, B, G) for each pair (unit a mod g, unit disc j mod pi): the
-        restriction of mu'_a to the disc j + pi O is
+        """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)
+        in that order, the index of a in units() and the int pair of the
+        centre B. The restriction of mu'_a to the disc j + pi O is
         lambda_p^{-1} * Psi{B/G - infty} paired against z -> h(B + G z),
-        where B = a mod g, B = j mod pi and G = g pi; B is reached from
-        the lift a + lift_offset * g."""
+        where B = a mod g, B = j mod pi and G = g pi; B is reached from the
+        lift a + lift_offset * g."""
         if self._discs is not None:
             return self._discs
-        pi = self.pi
-        rpi = self.p1.residue_ring(pi)
+        rpi = self.p1.residue_ring(self.pi)
+        S, T = self.p1.S, self.p1.T
         g = self.g_mod
         ginv = rpi.inverse(g)
         residues = rpi.unit_elements()
-        G = g * pi
-        out = []
+        # t = (j - b) / g mod pi, over all j at once: j/g - b/g
+        jg = np.array([_pair_of(rpi.reduce(j * ginv)) for j in residues],
+                      dtype=np.int64).reshape(-1, 2)
+        g0, g1 = _pair_of(g)
+        centres = []
         for a in self.units():
             b = a + g * self.lift_offset
-            for j in residues:
-                t = rpi.reduce((j - b) * ginv)
-                out.append((a, b + g * t, G))
-        self._discs = out
-        return out
+            b0, b1 = _pair_of(b)
+            c0, c1 = _pair_of(rpi.reduce(b * ginv))
+            t0, t1 = rpi.reduce_pair(jg[:, 0] - c0, jg[:, 1] - c1)
+            # B = b + g t, with w^2 = S w + T
+            centres.append(np.stack([b0 + g0 * t0 + T * g1 * t1,
+                                     b1 + g0 * t1 + g1 * t0 + S * g1 * t1],
+                                    axis=1))
+        unit = np.repeat(np.arange(len(self.units())), len(residues))
+        self._discs = (unit, np.concatenate(centres))
+        return self._discs
+
+
+class Discs:
+    """The discs of one sum over the distribution mu, stacked: the centres
+    B (an (n, 2) int array of pairs; the scale is mu.G), the moments
+    Psi{B/G - infty} (one (n, 2, M, C) table), and the StackLog in which
+    the kernel's element operations record errors, one row per disc."""
+
+    def __init__(self, mu, centres, moments):
+        self.mu = mu
+        self.ar = mu.psi.ctx
+        self.centres = centres
+        self.moments = moments
+        self.log = StackLog(len(centres))
+        self._log_series = None
+
+    def __len__(self):
+        return len(self.centres)
+
+    def constant(self, value):
+        """The int value at full precision on each disc, as a one-term
+        series (n, 1)."""
+        return PadicStack.full(self.ar, value, (len(self), 1),
+                               self.ar.pctx.cap, self.log)
+
+    def embed(self, centres):
+        return PadicStack.embed(self.ar, centres[..., 0], centres[..., 1],
+                                self.log)
+
+    def log_series(self):
+        """The z-series of log_iw(B + G z) on each disc, (n, M):
+        log_iw(B) + log(1 + (G/B) z)."""
+        if self._log_series is None:
+            Bp = self.embed(self.centres)
+            t = self.embed(np.array([_pair_of(self.mu.G)])) * Bp.inverse()
+            out = [padic.log_iw_units(Bp)]
+            tk = t
+            for k in range(1, self.ar.M):
+                term = tk.div_int(k)
+                out.append(-term if k % 2 == 0 else term)
+                tk = tk * t
+            self._log_series = stack(out)
+        return self._log_series
 
 
 def build_mu_p(psi, g_mod, lift_offset=0):
@@ -126,61 +209,51 @@ def build_mu_p(psi, g_mod, lift_offset=0):
 
 
 # ---------------------------------------------------------------------------
-# series helpers (lists of PadicElements, truncated at length M)
+# stacked series: PadicStacks (n, width), one row per disc, truncated at M
 
 
 def _ser_mul(F, G, M):
-    pctx = F[0].ctx
-    out = [pctx.zero() for _ in range(M)]
-    for i, fi in enumerate(F):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(G):
-            if i + j >= M:
-                break
-            out[i + j] = out[i + j] + fi * gj
+    """F * G truncated at M; the terms of a zero F[i] are skipped."""
+    out = PadicStack.full(F.ar, 0, (len(F), M), F.ar.pctx.cap, F.log)
+    live = ~F.is_zero()
+    for i in range(min(F.shape[1], M)):
+        width = min(G.shape[1], M - i)
+        cols = slice(i, i + width)
+        term = F[:, i:i + 1] * G[:, :width]
+        out.put((slice(None), cols), out[:, cols] + term, live[:, i:i + 1])
     return out
 
 
 def _ser_exp(P, M):
-    """exp of a series with P[0] = 0 and positive-valuation coefficients."""
-    pctx = P[0].ctx
-    out = [pctx.one()] + [pctx.zero() for _ in range(M - 1)]
+    """exp of a series with P[:, 0] = 0 and positive-valuation
+    coefficients: out[n] = (Sum_k (k * P[k]) * out[n - k]) / n."""
+    ar = P.ar
+    kP = P * PadicStack.of(ar, list(range(M)))
+    out = [PadicStack.full(ar, 1, (len(P),), ar.pctx.cap, P.log)]
     for n in range(1, M):
-        acc = pctx.zero()
-        for k in range(1, n + 1):
-            acc = acc + k * P[k] * out[n - k]
-        out[n] = acc / n
-    return out
-
-
-def _log_series_on_disc(pctx, B, G, M):
-    """log_iw(B + G z) as a z-series: log_iw(B) + log(1 + (G/B) z)."""
-    Bp = pctx.embed(B)
-    t = pctx.embed(G) / Bp
-    out = [padic.log_iw(Bp)]
-    tk = t
-    for k in range(1, M):
-        term = tk / k
-        out.append(-term if k % 2 == 0 else term)
-        tk = tk * t
-    return out
+        terms = kP[:, 1:n + 1] * stack(out[::-1])
+        out.append(terms.sum(axis=1).div_int(n))
+    return stack(out)
 
 
 def _power_series(L, s, M):
     """exp(s * L) for a log series L: <B + G z>^s from log_iw(B + G z)."""
-    pctx = L[0].ctx
+    ar = L.ar
     if not isinstance(s, padic.PadicElement):
-        s = pctx.elt(int(s))
-    head = padic.padic_exp(s * L[0])
-    P = [pctx.zero()] + [s * c for c in L[1:]]
-    return [head * c for c in _ser_exp(P, M)]
+        s = ar.pctx.elt(int(s))
+    head = padic.padic_exp_stack(L[:, 0] * s)
+    P = select(np.arange(L.shape[1]) == 0,
+               PadicStack.full(ar, 0, (1,), ar.pctx.cap, None), L * s)
+    return _ser_exp(P, M) * head[:, None]
 
 
 def _chi_weight(mu, chi, r=0):
     """Disc weight chi(B) * w_Tm(B)^r (both constant on the disc), or 0
     where chi vanishes."""
     def weight(a, B):
+        if chi is None and not r:
+            return 1
+        B = mu.element(*B)
         cv = 1 if chi is None else chi(B)
         if cv and r:
             # the Teichmuller character is constant on the disc
@@ -190,73 +263,91 @@ def _chi_weight(mu, chi, r=0):
 
 
 def disc_sum(mu, weight, on_disc):
-    """lambda_p^{-1} * sum over the unit discs (a, B, G) of mu of
-    weight(a, B) * on_disc(mu, B, G); discs of weight 0 are skipped. The
-    moments of all the weighted discs are filled first, in one stacked
-    pass (mu.fill_moments)."""
+    """lambda_p^{-1} * sum over the unit discs (a, B) of mu of
+    weight(a, B) * (integral over the disc), where a is the unit of the
+    block (an element of mu.units()) and B the int pair of the centre
+    (mu.element(*B) is the ring element); discs of weight 0 are skipped.
+    The weighted discs run as one stack: their moments are filled in one
+    pass, and on_disc(mu, discs) returns the integrals of all of them (a
+    PadicStack, one row per disc)."""
     pctx = mu.pctx
-    discs = []
-    for a, B, G in mu.unit_discs():
-        w = weight(a, B)
+    unit, centres = mu.unit_discs()
+    units = mu.units()
+    rows, weights = [], []
+    for k, (u, B) in enumerate(zip(unit.tolist(), centres.tolist())):
+        w = weight(units[u], B)
         if w:
-            discs.append((w, B, G))
-    mu.fill_moments([(B, G) for _, B, G in discs])
+            rows.append(k)
+            weights.append(w)
     total = pctx.zero()
-    for w, B, G in discs:
-        total = total + w * on_disc(mu, B, G)
+    if rows:
+        discs = mu.discs(centres[rows])
+        values = on_disc(mu, discs)
+        total = (values * PadicStack.of(discs.ar, weights)).sum()
+        discs.log.check()
     return pctx.from_rational(1 / mu.lam) * total
 
 
-def _pair(mu, B, G, F, Fb=None):
-    """Sum_{i,j} F[i] Fb[j] Psi{B/G - infty}(z^i zbar^j), with honest
-    per-moment precision; Fb = None is the constant 1 in zbar."""
-    pctx = mu.pctx
-    fd = mu.raw_moments(B, G)
-    M = mu.psi.ctx.M
+def _pair(discs, F, Fb=None):
+    """Sum_{i,j} F[i] Fb[j] Psi{B/G - infty}(z^i zbar^j) on each disc,
+    with honest per-moment precision p^(M - max(i, j)) and the grouping
+    (F[i] * Fb[j]) * moment; terms with F[i] or Fb[j] zero are skipped.
+    Fb = None is the constant 1 in zbar."""
+    ar = discs.ar
+    M = ar.M
     if Fb is None:
-        Fb = [pctx.one()]
-    total = pctx.zero()
-    for i in range(min(M, len(F))):
-        if F[i].is_zero():
-            continue
-        for j in range(min(M, len(Fb))):
-            if Fb[j].is_zero():
-                continue
-            total = total + F[i] * Fb[j] * fd.honest_moment(i, j)
-    return total
+        Fb = discs.constant(1)
+    width, widthb = min(M, F.shape[1]), min(M, Fb.shape[1])
+    m = discs.moments[:, :, :width, :widthb]
+    prec = ar.pctx.e * (M - ar.lag[:width, :widthb])
+    mom = PadicStack(ar, m[:, 0], m[:, 1],
+                     np.broadcast_to(prec, m[:, 0].shape), discs.log)
+    F, Fb = F[:, :width, None], Fb[:, None, :widthb]
+    live = ~F.is_zero() & ~Fb.is_zero()
+    return ((F * Fb) * mom).sum(axis=(1, 2), where=live)
 
 
-def disc_one(mu, B, G):
-    """Integral of the constant 1 over the disc."""
-    return _pair(mu, B, G, [mu.pctx.one()])
+def disc_one(mu, discs):
+    """Integral of the constant 1 over each disc."""
+    return _pair(discs, discs.constant(1))
 
 
-def disc_log_z(mu, B, G):
-    """Integral of log_iw(z) over the disc: the log z half of l_p."""
-    return _pair(mu, B, G, mu.log_series(B, G))
+def disc_log_z(mu, discs):
+    """Integral of log_iw(z) over each disc: the log z half of l_p."""
+    return _pair(discs, discs.log_series())
 
 
-def disc_log_zbar(mu, B, G):
-    """Integral of log_iw(zbar) over the disc: the log zbar half of l_p."""
-    zbar = [c.conj() for c in mu.log_series(B, G)]
-    return _pair(mu, B, G, [mu.pctx.one()], zbar)
+def disc_log_zbar(mu, discs):
+    """Integral of log_iw(zbar) over each disc: the log zbar half of l_p."""
+    return _pair(discs, discs.constant(1), discs.log_series().conj())
 
 
 def disc_norm_power(s, terms=None):
     """The disc integral of <z zbar>^s = <z>^s <zbar>^s; terms optionally
     truncates both disc expansions (for remainder diagnostics). At the
-    integer s = 0 the integrand is the constant 1 (disc_one)."""
+    integer s = 0 the integrand is the constant 1 (disc_one).
+
+    For s in Z_p the zbar series is the conjugate of the z series:
+    conjugation is a ring automorphism that keeps valuations, so it
+    commutes with every step but a division by a non-unit, whose pi-shifts
+    differ in the digits beyond the precision. So the z series is
+    conjugated only when its computation shifted no element."""
     if terms is None and isinstance(s, int) and s == 0:
         return disc_one
+    in_zp = not isinstance(s, padic.PadicElement) or s.c1 == 0
 
-    def on_disc(mu, B, G):
-        M = mu.psi.ctx.M
-        L = mu.log_series(B, G)
+    def on_disc(mu, discs):
+        M = discs.ar.M
+        L = discs.log_series()
+        shifts = discs.log.shifts
         F = _power_series(L, s, M)
-        Fb = _power_series([c.conj() for c in L], s, M)
+        if in_zp and discs.log.shifts == shifts:
+            Fb = F.conj()
+        else:
+            Fb = _power_series(L.conj(), s, M)
         if terms is not None:
-            F, Fb = F[:terms], Fb[:terms]
-        return _pair(mu, B, G, F, Fb)
+            F, Fb = F[:, :terms], Fb[:, :terms]
+        return _pair(discs, F, Fb)
     return on_disc
 
 
@@ -326,16 +417,19 @@ def restriction_consistency(mu, i_max=3):
     M = mu.psi.ctx.M
     lam_inv = pctx.from_rational(1 / mu.lam)
     base = mu.psi.ev(p1.zero, p1.infinity)
+    discs = mu.discs([_pair_of(j) for j in p1.residue_ring(pi).elements()])
+    # the series of B + G z on each disc j + pi O
+    line = stack([discs.embed(discs.centres),
+                  discs.embed(np.array([_pair_of(pi)]))]
+                 + [pctx.zero()] * (M - 2))
     worst = pctx.cap
     for i in range(i_max):
-        total = pctx.zero()
-        for j in p1.residue_ring(pi).elements():
-            # series of (j + pi z)^i in z
-            Bp, Gp = pctx.embed(j), pctx.embed(pi)
-            F = [pctx.one()] + [pctx.zero()] * (M - 1)
-            for _ in range(i):
-                F = _ser_mul(F, [Bp, Gp] + [pctx.zero()] * (M - 2), M)
-            total = total + _pair(mu, j, pi, F)
+        # series of (j + pi z)^i in z
+        F = stack([discs.constant(1)[:, 0]] + [pctx.zero()] * (M - 1))
+        for _ in range(i):
+            F = _ser_mul(F, line, M)
+        total = _pair(discs, F).sum()
+        discs.log.check()
         diff = lam_inv * total - base.honest_moment(i, 0)
         if not diff.is_zero():
             worst = min(worst, diff.val())

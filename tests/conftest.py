@@ -36,3 +36,32 @@ def ref_lift(ref_symbols, ref_prime, ref_uop):
     from padicbianchi import ocsymb as oc
     phi, _ = ref_symbols
     return oc.lift(phi, 8, ref_prime, u_op=ref_uop)
+
+
+@pytest.fixture(scope="session")
+def ram_lift():
+    """The M = 6 lift at the ramified p = 2, level (1+i)(7): the base change
+    of 14a."""
+    from padicbianchi import ocsymb as oc
+    pd = fld.split_prime(2, 1)
+    phi, _ = ms.find_new_eigensymbol(QuadInt(7, 7, 1), pd)
+    psi, cert = oc.lift(phi, 6, pd)
+    assert cert["converged"]
+    return psi
+
+
+@pytest.fixture(scope="session")
+def rational_pair():
+    """The plus and minus eigensymbols of 11a over Q."""
+    from padicbianchi import basechange as bc
+    return bc.find_rational_eigensymbols(11, 11)
+
+
+@pytest.fixture(scope="session")
+def rational_lifts(rational_pair):
+    """Their M = 8 one-variable lifts at p = 11: ((psi, cert), (psi, cert))."""
+    from padicbianchi import basechange as bc
+    plus, minus = rational_pair
+    psi_p, cert_p = bc.lift_rational(plus, 8, 11)
+    psi_m, cert_m = bc.lift_rational(minus, 8, 11)
+    return (psi_p, cert_p), (psi_m, cert_m)

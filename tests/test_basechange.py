@@ -17,19 +17,6 @@ def qi(a, b=0):
 
 
 @pytest.fixture(scope="module")
-def rational_pair():
-    return bc.find_rational_eigensymbols(11, 11)
-
-
-@pytest.fixture(scope="module")
-def rational_lifts(rational_pair):
-    plus, minus = rational_pair
-    psi_p, cert_p = bc.lift_rational(plus, 8, 11)
-    psi_m, cert_m = bc.lift_rational(minus, 8, 11)
-    return (psi_p, cert_p), (psi_m, cert_m)
-
-
-@pytest.fixture(scope="module")
 def mu_bianchi(ref_lift):
     psi, _ = ref_lift
     return lfun.build_mu_p(psi, qi(1))

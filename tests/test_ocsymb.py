@@ -414,8 +414,8 @@ class TestEvaluation:
         psi, _ = ref_lift
         ctx = psi.ctx
         mu = lfun.build_mu_p(psi, qi(1))
-        paths = [(fld.Cusp(B, G), fld.cusp_infinity(1))
-                 for _, B, G in mu.unit_discs()]
+        paths = [(fld.Cusp(mu.element(*B), mu.G), fld.cusp_infinity(1))
+                 for B in mu.unit_discs()[1]]
         assert len(paths) == 120
         got = psi.ev_paths(paths)
         assert got.shape == (120, 2, ctx.M, ctx.M)

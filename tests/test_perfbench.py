@@ -4,8 +4,10 @@ and uninstalling it must work on the package as it stands."""
 import importlib.util
 import os
 
+from padicbianchi import lfun
 from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
+from padicbianchi.field import QuadInt
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "tracer.py")
@@ -34,3 +36,24 @@ def test_install_and_uninstall():
              oc.UOperator.__dict__["apply"],
              oc.OverconvergentSymbol.__dict__["ev"])
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_traced_disc_sum(ref_lift):
+    """The tracer counts the kernel calls of lfun.disc_sum(mu, weight,
+    on_disc) by wrapping on_disc; the traced values are the untraced
+    ones."""
+    tracer = load_tracer()
+    mu = lfun.build_mu_p(ref_lift[0], QuadInt(1, 0, 1))
+
+    def values():
+        return [(x.c0, x.c1, x.prec)
+                for x in (lfun.Lp_value(mu), lfun.Lp_value(mu, s=121))]
+    want = values()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        got = values()
+    finally:
+        t.uninstall()
+    assert got == want
+    assert t.counts["lfun.discs_integrated"] > 0
