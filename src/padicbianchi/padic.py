@@ -897,8 +897,9 @@ def _log_series_stack(one_plus, where):
 def log_iw_units(x):
     """log_iw of each element of a stack of units at full precision: the
     torsion split by the Teichmuller table, then the log series to each
-    element's own length. Units without a torsion splitting take the
-    scalar log_iw (its power fallback) one by one."""
+    element's own length. As in _log_unit, a unit without a torsion
+    splitting, or whose series raises, takes the power fallback: the
+    scalar log_iw, one by one."""
     ar, ctx = x.ar, x.ar.pctx
     t = teichmuller_units(x)
     found = np.zeros(x.shape, dtype=bool)
@@ -908,9 +909,12 @@ def log_iw_units(x):
         ok = ~found & ((gz - 1).val() >= ctx.r_pe)
         g = select(ok, gz, g)
         found |= ok
+    series = StackLog(len(x))
+    g = PadicStack(ar, g.c0, g.c1, g.prec, series)
     # log_iw adds the zero log of pi^0 at full precision
     out = _log_series_stack(g, found) + 0
-    for i in np.nonzero(~found)[0]:
+    out.log = x.log
+    for i in np.nonzero(~found | (series.first >= 0))[0]:
         try:
             v = log_iw(x.element(i))
         except ArithmeticError as exc:
