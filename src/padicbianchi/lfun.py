@@ -325,26 +325,15 @@ def disc_log_zbar(mu, discs):
 def disc_norm_power(s, terms=None):
     """The disc integral of <z zbar>^s = <z>^s <zbar>^s; terms optionally
     truncates both disc expansions (for remainder diagnostics). At the
-    integer s = 0 the integrand is the constant 1 (disc_one).
-
-    For s in Z_p the zbar series is the conjugate of the z series:
-    conjugation is a ring automorphism that keeps valuations, so it
-    commutes with every step but a division by a non-unit, whose pi-shifts
-    differ in the digits beyond the precision. So the z series is
-    conjugated only when its computation shifted no element."""
+    integer s = 0 the integrand is the constant 1 (disc_one)."""
     if terms is None and isinstance(s, int) and s == 0:
         return disc_one
-    in_zp = not isinstance(s, padic.PadicElement) or s.c1 == 0
 
     def on_disc(mu, discs):
         M = discs.ar.M
         L = discs.log_series()
-        shifts = discs.log.shifts
         F = _power_series(L, s, M)
-        if in_zp and discs.log.shifts == shifts:
-            Fb = F.conj()
-        else:
-            Fb = _power_series(L.conj(), s, M)
+        Fb = _power_series(L.conj(), s, M)
         if terms is not None:
             F, Fb = F[:, :terms], Fb[:, :terms]
         return _pair(discs, F, Fb)
@@ -406,12 +395,13 @@ def Z_factor(chi, r, prime_data, lam, pctx):
 
 def restriction_consistency(mu, i_max=3):
     """Largest precision (capped at M) to which summing z^i over all the
-    residue discs of O_p reproduces the global moments of the g = 1 block.
+    residue discs of O_p reproduces the global moments, at a unit modulus
+    g (one block; the disc j + pi O is j + G O with G = g * pi).
 
     This checks the U_p eigen-relation route used for unit restriction: the
     disc decomposition must recover mu(z^i) for polynomial test functions."""
     if mu.ring.size != 1:
-        raise ValueError("consistency check runs at modulus (1)")
+        raise ValueError("consistency check runs at a unit modulus")
     p1, pi = mu.p1, mu.pi
     pctx = mu.pctx
     M = mu.psi.ctx.M
@@ -420,11 +410,11 @@ def restriction_consistency(mu, i_max=3):
     discs = mu.discs([_pair_of(j) for j in p1.residue_ring(pi).elements()])
     # the series of B + G z on each disc j + pi O
     line = stack([discs.embed(discs.centres),
-                  discs.embed(np.array([_pair_of(pi)]))]
+                  discs.embed(np.array([_pair_of(mu.G)]))]
                  + [pctx.zero()] * (M - 2))
     worst = pctx.cap
     for i in range(i_max):
-        # series of (j + pi z)^i in z
+        # series of (j + G z)^i in z
         F = stack([discs.constant(1)[:, 0]] + [pctx.zero()] * (M - 1))
         for _ in range(i):
             F = _ser_mul(F, line, M)

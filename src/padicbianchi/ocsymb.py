@@ -61,20 +61,17 @@ class DistContext:
     F_p at precision p^M (pctx, from padic.completion), whose basis {1, g},
     relation g^2 = S*g + T and embedding of QuadInts the moment pairs use.
     Its pair arithmetic (mul, conj, inv, dtype) is also the one of the
-    stacked p-adic elements (padic.PadicStack) of the disc integrals.
-    pctx, when given, is the completion to use in place of
-    padic.completion(prime_data, M); prime_data may then be None, for the
-    pair arithmetic of Q_p alone (padic.Qp)."""
+    stacked p-adic elements (padic.PadicStack) of the disc integrals."""
 
-    def __init__(self, prime_data, M, pctx=None):
-        if prime_data is not None and prime_data.kind == "split":
+    def __init__(self, prime_data, M):
+        if prime_data.kind == "split":
             raise NotImplementedError("split primes need the product model")
         self.pd = prime_data
-        self.pctx = padic.completion(prime_data, M) if pctx is None else pctx
-        self.p = self.pctx.p
+        self.p = prime_data.p
         self.M = M
-        self.mod = self.p ** M
-        self.d = None if prime_data is None else prime_data.pi.d
+        self.mod = prime_data.p ** M
+        self.d = prime_data.pi.d
+        self.pctx = padic.completion(prime_data, M)
         self.S, self.T = self.pctx.S, self.pctx.T
         # The largest intermediate of a product of pair matrices reduced
         # mod p^M (_mat_pair_mul): 2M products of residues plus an S or T

@@ -547,14 +547,12 @@ def gauge_power(z, s):
 class StackLog:
     """What a stacked computation over rows (the first array axis) records
     in place of raising: the first error of each row, which is the error
-    that row's scalar computation would raise first, and the number of
-    divisions by a non-unit (shifts). check() raises the error of the first
-    row that has one."""
+    that row's scalar computation would raise first. check() raises the
+    error of the first row that has one."""
 
     def __init__(self, rows):
         self.first = np.full(rows, -1)
         self.errors = []
-        self.shifts = 0
 
     def record(self, fail, exc):
         fail = np.asarray(fail)
@@ -788,8 +786,6 @@ class PadicStack:
             on = fail | (x.prec <= 0) | (y.prec <= 0)
             _record(self.log, on & where,
                     PrecisionError("inexact division by pi^%d" % v))
-            if self.log is not None and np.any(where):
-                self.log.shifts += 1
             if y.prec <= 0:
                 return x
         return x * PadicStack.of(self.ar, y).inverse()

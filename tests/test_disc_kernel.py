@@ -6,11 +6,12 @@ kernel of lfun gives, row by row, the value and the precision that the
 scalar series code of disc_reference gives for that disc alone. The
 stacked element ops of padic are checked op by op against PadicElement:
 value, precision and the error raised first, over Q_11(i) at M = 8,
-Q_2(i) and Q_3(sqrt(-3)) at M = 6, Q_5, and Q_11 at M = 20, where the
-pair arithmetic leaves int64."""
+Q_2(i) and Q_3(sqrt(-3)) at M = 6, Q_5, and Q_11(i) at M = 20, where
+the pair arithmetic leaves int64."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,23 +123,34 @@ class TestErrorOrder:
 # ---------------------------------------------------------------------------
 # element ops against PadicElement
 
+class QpArith(oc.DistContext):
+    """DistContext's pair arithmetic over Q_p alone: every c1 is 0 and
+    g^2 = 0, so mul, conj and inv act on c0 as the integers mod p^M."""
+
+    def __init__(self, p, M):
+        self.pctx = padic.Qp(p, M)
+        self.p, self.M, self.mod = p, M, p ** M
+        self.S, self.T = 0, 0
+        assert 2 * M * self.mod ** 2 < 2 ** 63
+        self.dtype = np.int64
+        self.powers = np.array([p ** k for k in range(M + 1)],
+                               dtype=np.int64)
+
+
 CONTEXTS = {
-    "Q11(i)": (fld.split_prime(11, 1), 8),
-    "Q2(i)": (fld.split_prime(2, 1), 6),
-    "Q3(sqrt-3)": (fld.split_prime(3, 3), 6),
-    "Q5": (None, 6),
+    "Q11(i)": lambda: oc.DistContext(fld.split_prime(11, 1), 8),
+    "Q2(i)": lambda: oc.DistContext(fld.split_prime(2, 1), 6),
+    "Q3(sqrt-3)": lambda: oc.DistContext(fld.split_prime(3, 3), 6),
+    "Q5": lambda: QpArith(5, 6),
     # 11^20 > 2^63: the pair arithmetic runs on Python ints (dtype object)
-    "Q11 M20": (None, 20),
+    "Q11(i) M20": lambda: oc.DistContext(fld.split_prime(11, 1), 20),
 }
 _ARITH = {}
 
 
 def arith(name):
     if name not in _ARITH:
-        pd, M = CONTEXTS[name]
-        pctx = None if pd is not None else \
-            padic.Qp(5, M) if name == "Q5" else padic.Qp(11, M)
-        _ARITH[name] = oc.DistContext(pd, M, pctx=pctx)
+        _ARITH[name] = CONTEXTS[name]()
     return _ARITH[name]
 
 

@@ -72,6 +72,11 @@ class TestBlocks:
         # disc-by-disc quadrature of z^i recovers the global moments
         assert lfun.restriction_consistency(mu1) >= mu1.psi.ctx.M
 
+    def test_restriction_consistency_unit_modulus(self, ref_lift):
+        # a unit modulus other than 1: the discs have scale G = i * pi
+        mu = lfun.build_mu_p(ref_lift[0], qi(0, 1))
+        assert lfun.restriction_consistency(mu) >= mu.psi.ctx.M
+
 
 class TestValues:
     def test_trivial_character_exceptional_zero(self, mu1):
