@@ -67,10 +67,14 @@ def _vp(n, p):
     return v
 
 
+def _sigma3(n):
+    """The sum of the cubes of the divisors of n >= 1."""
+    return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
 def _j_times_q_series(n_terms):
     """Integer coefficients of q*j(q) = E4(q)^3 / prod (1 - q^n)^24."""
-    from sympy import divisor_sigma
-    e4 = [1] + [240 * int(divisor_sigma(n, 3)) for n in range(1, n_terms)]
+    e4 = [1] + [240 * _sigma3(n) for n in range(1, n_terms)]
 
     def ser_mul(f, g):
         out = [0] * n_terms
@@ -284,12 +288,11 @@ def apply_parity_involution(phi):
 def find_rational_eigensymbols(N, p, helper=(2, -2)):
     """(plus, minus) eigensymbols at level N with the given helper Hecke
     eigenvalue, both normalized primitive, annotated with a_p."""
-    from sympy import eye
+    from . import linalg as la
     p1, basis = build_rational_symbol_space(N)
     syms = [ms.ModularSymbol(p1, vec, N, None) for vec in basis]
     ell, lam = helper
-    T = ms._qmatrix(ms.hecke_matrix_on(syms, ell))
-    ker = (T - lam * eye(len(syms))).nullspace()
+    ker = la.eigenspace(ms.hecke_matrix_on(syms, ell), lam)
     if not ker:
         raise ValueError("no eigensymbol with T_%d = %d at level %d"
                          % (ell, lam, N))

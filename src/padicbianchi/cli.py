@@ -189,11 +189,35 @@ def _spectrum_diagnostic(level, d):
         syms = [ms.ModularSymbol(p1, vec, level, d) for vec in basis]
         spectra = {}
         for pi, q_norm in ms._small_coprime_primes(level, d, 2):
-            eig = ms._qmatrix(ms.hecke_matrix_on(syms, pi))
-            spectra["N(q)=%d" % q_norm] = sorted(
-                str(val) for val in eig.eigenvals())
+            spectra["N(q)=%d" % q_norm] = _hecke_spectrum(
+                ms.hecke_matrix_on(syms, pi))
         diag["hecke_spectra"] = spectra
     return diag
+
+
+def _hecke_spectrum(matrix):
+    """The distinct integer eigenvalues of a Hecke matrix as sorted
+    strings, followed, when some eigenvalues are irrational, by the monic
+    factor of the characteristic polynomial that holds them, in x."""
+    from . import linalg as la
+    roots, rest = la.integer_roots(la.charpoly(matrix))
+    out = sorted(str(r) for r in roots)
+    if len(rest) > 1:
+        out.append(_poly_str(rest))
+    return out
+
+
+def _poly_str(coeffs):
+    """A monic integer polynomial, highest degree first, as a string such
+    as 'x**2 - x - 3'."""
+    out = ""
+    for e, c in zip(range(len(coeffs) - 1, -1, -1), coeffs):
+        if c:
+            mono = "x**%d" % e if e > 1 else "x" if e else ""
+            mag = str(abs(c)) if abs(c) != 1 or not e else ""
+            term = mag + ("*" if mag and mono else "") + mono
+            out += (" - " if c < 0 else " + ") + term if out else term
+    return out
 
 
 def build_symbol(cfg, warnings=None):

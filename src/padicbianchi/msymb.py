@@ -6,6 +6,14 @@ the solution space is cut out exactly over Q.  Hecke operators, Atkin-Lehner,
 degeneracy maps and the algebraic L-value sum all evaluate paths through the
 Euclidean continued-fraction decomposition.
 
+The exact linear algebra is that of linalg, on Fractions and ints: the
+relation rows are eliminated sparsely and the solution basis is read off
+their reduced row echelon form (then scaled to integers of content 1); a
+helper Hecke operator's matrix on a span comes from unique solves, and the
+span splits along the integer roots of its characteristic polynomial, one
+line per vector of each eigenspace's echelon basis. The eigenvalues are
+taken in ascending order, which fixes the order of the lines.
+
 The symbols, Hecke operators, relation solver and eigen-split run on a
 Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
 Z for the classical side of the base-change comparison. A layer keeps only
@@ -32,6 +40,7 @@ space; the other Euclidean fields raise until their tables are added.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from . import field as fld
 from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
@@ -349,60 +358,44 @@ def relation_basis(p1):
     """Basis of the solutions on the generators of p1 of the 2-term,
     3-term and unit relations of the layer's relation_mats()."""
     S, rotations, unit_rels = p1.relation_mats()
-    m = len(p1)
     rows = []
     seen = set()
-    for i in range(m):
+
+    def relation(key, signed):
+        if key not in seen:
+            seen.add(key)
+            row = {}
+            for j, k in signed:
+                row[j] = row.get(j, 0) + k
+            rows.append(row)
+
+    for i in range(len(p1)):
         j = p1.act(i, S)
-        key = tuple(sorted((i, j)))
-        if ("S",) + key not in seen:
-            seen.add(("S",) + key)
-            r = [0] * m
-            r[i] += 1
-            r[j] += 1
-            rows.append(r)
+        relation(("S",) + tuple(sorted((i, j))), [(i, 1), (j, 1)])
         for t, rot in enumerate(rotations):
             j1, j2 = p1.act(i, rot), p1.act(i, mat_mul(rot, rot))
-            key3 = (("T", t),) + tuple(sorted((i, j1, j2)))
-            if key3 not in seen:
-                seen.add(key3)
-                r = [0] * m
-                r[i] += 1
-                r[j1] += 1
-                r[j2] += 1
-                rows.append(r)
+            relation((("T", t),) + tuple(sorted((i, j1, j2))),
+                     [(i, 1), (j1, 1), (j2, 1)])
         for J in unit_rels:
             j = p1.act(i, J)
             if j != i:
-                key2 = tuple(sorted((i, j)))
-                if ("J",) + key2 not in seen:
-                    seen.add(("J",) + key2)
-                    r = [0] * m
-                    r[i] += 1
-                    r[j] -= 1
-                    rows.append(r)
-    return _nullspace(rows, m)
+                relation(("J",) + tuple(sorted((i, j))), [(i, 1), (j, -1)])
+    return _nullspace(rows, len(p1))
 
 
 def _nullspace(rows, m):
-    """Rational nullspace of the sparse relation matrix (rows x m)."""
-    from sympy import Matrix
-    if not rows:
-        return [ [Fraction(int(i == j)) for j in range(m)] for i in range(m) ]
-    M = Matrix(rows)
+    """Rational nullspace of the sparse relation rows {col: coefficient}
+    over m columns: the basis of linalg.nullspace, each vector scaled to
+    integers with content 1."""
+    # linalg is imported where it is used: commands that load a cached
+    # symbol (a warm build, linv, most of accept) never solve
+    from . import linalg as la
     out = []
-    for v in M.nullspace():
-        denls = [x.q for x in v]
-        from math import lcm
-        L = lcm(*denls) if len(denls) > 1 else denls[0]
-        vec = [Fraction(int(x * L)) for x in v]
-        from math import gcd
-        g = 0
-        for x in vec:
-            g = gcd(g, x.numerator)
-        if g > 1:
-            vec = [x / g for x in vec]
-        out.append(vec)
+    for v in la.nullspace(rows, m):
+        L = lcm(*(x.denominator for x in v))
+        vec = [x * L for x in v]
+        g = gcd(*(x.numerator for x in vec))
+        out.append([x / g for x in vec])
     return out
 
 
@@ -445,7 +438,6 @@ class ModularSymbol:
 
     def normalize_integral(self, p):
         """Scale to integral values with content 1 (hence some p-unit value)."""
-        from math import gcd, lcm
         L = 1
         for v in self.values:
             L = lcm(L, v.denominator)
@@ -483,7 +475,11 @@ def hecke_reps(pi, level, d):
 
 
 def _row_sums(rows, values):
-    return [sum((k * values[j] for j, k in row.items()), Fraction(0))
+    """[sum_j k * values[j] for row {j: k}] over Fraction values, summed
+    as ints scaled by the lcm L of the denominators."""
+    L = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (L // v.denominator) for v in values]
+    return [Fraction(sum(k * ints[j] for j, k in row.items()), L)
             for row in rows]
 
 
@@ -550,35 +546,24 @@ def translated_sums(p1, mats, ev):
 # eigensymbols and L-values
 
 
-def _qmatrix(rows):
-    """Rows of Fractions as an exact sympy Matrix."""
-    from sympy import Matrix, Rational
-    return Matrix([[Rational(x.numerator, x.denominator) for x in row]
-                   for row in rows])
-
-
 def _combine(coefs, syms):
-    """sum coef * sym over sympy Rational coefficients."""
+    """sum coef * sym over the Fraction coefficients."""
     comb = None
-    for coef, s in zip(list(coefs), syms):
-        term = s.scale(Fraction(int(coef.p), int(coef.q)))
+    for coef, s in zip(coefs, syms):
+        term = s.scale(coef)
         comb = term if comb is None else comb.add(term)
     return comb
 
 
 def hecke_matrix_on(basis_syms, pi):
-    """Matrix of T_(pi) on the span of the given symbols (exact)."""
-    B = _qmatrix([s.values for s in basis_syms]).T
-    images = [apply_hecke(s, pi) for s in basis_syms]
-    out = []
-    for img in images:
-        sol, params = B.gauss_jordan_solve(_qmatrix([img.values]).T)
-        if params:
-            sol = sol.subs({pp: 0 for pp in params})
-        out.append([Fraction(int(x.p), int(x.q)) for x in sol])
-    # rows of `out` are coordinates of images: matrix acts on coordinates
+    """Matrix of T_(pi) on the span of the given linearly independent
+    symbols (exact): column j holds the coordinates of the image of
+    symbol j."""
+    from . import linalg as la
+    coords = la.solve([s.values for s in basis_syms],
+                      [apply_hecke(s, pi).values for s in basis_syms])
     dim = len(basis_syms)
-    return [[out[j][i] for j in range(dim)] for i in range(dim)]
+    return [[coords[j][i] for j in range(dim)] for i in range(dim)]
 
 
 def find_new_eigensymbol(n, pd, helper_primes=None, p=None):
@@ -637,12 +622,16 @@ def _small_coprime_primes(n, d, count):
 
 
 def _next_prime(p):
-    from sympy import nextprime
-    return int(nextprime(p))
+    """The least prime > p, by trial division."""
+    q = p + 1
+    while q < 2 or any(q % t == 0 for t in range(2, isqrt(q) + 1)):
+        q += 1
+    return q
 
 
 def _split_lines(syms, helper_primes):
     """Common eigenlines of the helper Hecke operators on the span."""
+    from . import linalg as la
     spaces = [syms]
     tables = [[]]
     for pi, q_norm in helper_primes:
@@ -654,14 +643,10 @@ def _split_lines(syms, helper_primes):
                 new_spaces.append(space)
                 new_tables.append(table + [(q_norm, lam)])
                 continue
-            M = _qmatrix(hecke_matrix_on(space, pi))
-            for lam, mult, vecs in M.eigenvects():
-                if not lam.is_rational:
-                    continue
-                lamf = Fraction(int(lam.p), int(lam.q))
+            for lam, vecs in la.eigenspaces(hecke_matrix_on(space, pi)):
                 for v in vecs:
                     new_spaces.append([_combine(v, space)])
-                    new_tables.append(table + [(q_norm, lamf)])
+                    new_tables.append(table + [(q_norm, Fraction(lam))])
         spaces, tables = new_spaces, new_tables
     return list(zip([s[0] for s in spaces], tables))
 

@@ -47,6 +47,11 @@ class TestTatePeriod:
         with pytest.raises(ValueError, match="additive"):
             bc.tate_period((0, 0, 0, 0, 1), 2, 6)
 
+    def test_sigma3_gives_e4(self):
+        # E4 = 1 + 240 sum sigma_3(n) q^n
+        assert [240 * bc._sigma3(n) for n in range(1, 6)] == \
+            [240, 2160, 6720, 17520, 30240]
+
     def test_l_invariant_value(self):
         li = bc.classical_l_invariant(bc.CURVES["11a"], 11, 8)
         assert li.val() == 1
@@ -65,6 +70,14 @@ class TestRationalSymbols:
 
     def test_p1_size(self):
         assert len(bc.RationalP1(11)) == 12
+
+    def test_pinned_symbols(self, rational_pair):
+        plus, minus = rational_pair
+        assert [int(v) for v in plus.values] == \
+            [-2, 2, 0, 10, 5, -5, -10, -10, -5, 5, 10, 0]
+        assert [int(v) for v in minus.values] == \
+            [0, 0, 0, 0, -1, -1, 0, 0, 1, 1, 0, 0]
+        assert all(v.denominator == 1 for v in plus.values + minus.values)
 
     def test_path_composition(self, rational_pair):
         plus, _ = rational_pair

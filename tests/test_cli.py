@@ -67,6 +67,13 @@ class TestBuild:
         assert code == 0
         assert dot.read_text().startswith("graph btree")
 
+    def test_hecke_spectrum_irrational_part(self):
+        # eigenvalues +-sqrt(2): reported as the factor that holds them
+        assert cli._hecke_spectrum([[0, 2], [1, 0]]) == ["x**2 - 2"]
+        assert cli._hecke_spectrum([[-2, 0, 0], [0, 0, 3], [0, 1, 1]]) == \
+            ["-2", "x**2 - x - 3"]
+        assert cli._hecke_spectrum([[10, 0], [0, -2]]) == ["-2", "10"]
+
     def test_no_eigenpacket_diagnostic(self, tmp_path):
         code, rep = run(tmp_path, "b.json",
                         ["build", "--level", "3", "--prime", "3",
@@ -157,25 +164,75 @@ class TestConfig:
         assert not cache.exists()
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def child_env():
+    """The environment of a child interpreter that imports this src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+NO_SYMPY = """\
+import importlib.abc, json, sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "sympy":
+            raise ImportError("sympy refused")
+
+sys.meta_path.insert(0, Refuse())
+from padicbianchi import basechange as bc
+from padicbianchi import cli
+out, flags = sys.argv[1], sys.argv[2:]
+rc = [cli.main(argv + flags + ["--output", "%s/%d.json" % (out, i)])
+      for i, argv in enumerate([["build"], ["build"],
+                                ["accept", "--criteria", "1,2,5"]])]
+plus, minus = bc.find_rational_eigensymbols(11, 11)
+print(json.dumps(rc), "sympy" in sys.modules)
+"""
+
+
 class TestStartup:
-    def test_warm_build_does_not_import_sympy(self, cache_dir, tmp_path):
-        # sympy serves the symbol-space and eigen-split work only, which a
-        # warm build skips
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    def test_runs_without_sympy(self, tmp_path):
+        # the cold build, the warm build, the accept of the eigen-split
+        # criteria and the rational eigensymbols at the ram-p2 level all
+        # run with sympy refused at import
+        flags = ["--field-disc", "1", "--level", "7+7i", "--prime", "2",
+                 "--precision", "6", "--cache-dir", str(tmp_path / "c")]
+        proc = subprocess.run([sys.executable, "-c", NO_SYMPY, str(tmp_path)]
+                              + flags, capture_output=True, text=True,
+                              env=child_env(), timeout=300)
+        assert proc.stdout.split() == ["[0,", "0,", "0]", "False"], \
+            proc.stderr
+        caches = [json.loads((tmp_path / ("%d.json" % i)).read_text())
+                  ["cache"] for i in range(2)]
+        assert caches == ["miss", "hit"]
+
+    def test_warm_build_skips_linalg(self, cache_dir, tmp_path):
+        # the exact linear algebra serves the symbol space and the
+        # eigen-split only, which a warm build skips: its import is left
+        # out of the start-up every warm command pays
         code = ("import sys\n"
                 "from padicbianchi import cli\n"
                 "rc = cli.main(sys.argv[1:])\n"
-                "print(rc, 'sympy' in sys.modules)\n")
+                "print(rc, 'padicbianchi.linalg' in sys.modules)\n")
         argv = ["build"] + BASE + ["--cache-dir", str(cache_dir),
                                    "--output", str(tmp_path / "b.json")]
         proc = subprocess.run([sys.executable, "-c", code] + argv,
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+                              capture_output=True, text=True,
+                              env=child_env(), timeout=120)
         assert proc.stdout.split() == ["0", "False"], proc.stderr
-        rep = json.loads((tmp_path / "b.json").read_text())
-        assert rep["cache"] == "hit"
+        assert json.loads((tmp_path / "b.json").read_text())["cache"] == "hit"
+
+    def test_source_does_not_name_sympy(self):
+        for root, dirs, files in os.walk(SRC):
+            # skip what building and running leave behind
+            dirs[:] = [d for d in dirs if d != "__pycache__"
+                       and not d.endswith(".egg-info")]
+            for name in files:
+                with open(os.path.join(root, name), "rb") as fh:
+                    assert b"sympy" not in fh.read(), name
 
 
 class TestLinv:

@@ -1,8 +1,10 @@
 """Tests for modular symbol spaces, Hecke action, and eigensymbols at level (11)."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from euclid_reference import ref_path_rows
 from padicbianchi import field as fld
@@ -135,6 +137,51 @@ class TestPathRows:
             assert p1.path_rows(mats) == ref_path_rows(p1, mats, index)
 
 
+class TestRowSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=30), min_size=1,
+                    max_size=6).flatmap(lambda vals: st.tuples(
+                        st.just(vals),
+                        st.lists(st.dictionaries(
+                            st.integers(0, len(vals) - 1),
+                            st.integers(-5, 5)), max_size=4))))
+    def test_matches_fraction_sums(self, case):
+        values, rows = case
+        want = [sum((k * values[j] for j, k in row.items()), Fraction(0))
+                for row in rows]
+        assert ms._row_sums(rows, values) == want
+
+
+def digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
+class TestPins:
+    """The exact eigensymbols and relation basis, pinned on the earlier
+    symbolic-algebra solver: the elimination conventions (the reduced row
+    echelon basis, eigenvalues ascending) fix them value for value."""
+
+    def test_level_11(self, ref_symbols):
+        phi, eis = ref_symbols
+        assert digest(phi.values) == ("2e42f954dc42486d67e3b3993494cc81"
+                                      "953c4d37214bbbaf942bede0ab01a268")
+        assert digest(eis.values) == ("d203196190ec66bd60b6fbeab8d47047"
+                                      "ff9c9c4684549a0309ae1ea473978f78")
+
+    def test_level_7_7i(self):
+        phi, eis = ms.find_new_eigensymbol(qi(7, 7), fld.split_prime(2, 1))
+        assert digest(phi.values) == ("4bb0dbfd7bd54743ca4a2493746e528b"
+                                      "cdeed2dc552a87e5fe3c9e00b694f509")
+        assert digest(eis.values) == ("abe85bc60568962016eb09bbff74c515"
+                                      "81f5caee0fb372064d33ee62b2352cbf")
+        assert phi.eigen["helpers"] == [("9", "-2"), ("5", "0"), ("5", "0")]
+
+    def test_level_3_relation_basis(self):
+        # the old symbol of criterion 2
+        _, basis = ms.build_symbol_space(qi(3))
+        assert basis == [[-1, 1] + [0] * 8]
+
+
 class TestSymbolSpace:
     def test_dimension_level_11(self):
         p1, basis = ms.build_symbol_space(qi(11))
@@ -143,6 +190,14 @@ class TestSymbolSpace:
     def test_dimension_level_1(self):
         _, basis = ms.build_symbol_space(qi(1))
         assert len(basis) == 0
+
+    def test_next_prime(self):
+        primes = [2]
+        while primes[-1] < 200:
+            primes.append(ms._next_prime(primes[-1]))
+        assert primes[:-1] == [q for q in range(2, 200)
+                               if all(q % t for t in range(2, q))]
+        assert ms._next_prime(0) == 2 and ms._next_prime(1) == 2
 
     def test_nonsquarefree_rejected(self):
         with pytest.raises(ms.LevelError):
