@@ -189,7 +189,7 @@ def _spectrum_diagnostic(level, d):
         syms = [ms.ModularSymbol(p1, vec, level, d) for vec in basis]
         spectra = {}
         for pi, q_norm in ms._small_coprime_primes(level, d, 2):
-            spectra["N(q)=%d" % q_norm] = _hecke_spectrum(
+            spectra["q=%s, N(q)=%d" % (pi, q_norm)] = _hecke_spectrum(
                 ms.hecke_matrix_on(syms, pi))
         diag["hecke_spectra"] = spectra
     return diag
@@ -614,6 +614,73 @@ def accept_report_schema():
         return json.load(fh)
 
 
+class SchemaError(ValueError):
+    """A report does not match its schema, or the schema uses a keyword
+    that validate_report does not know."""
+
+
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # as in JSON Schema, a bool is not a number, and 1.0 is an integer
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: (isinstance(x, (int, float))
+                         and not isinstance(x, bool)),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+}
+
+
+def _json_equal(x, y):
+    """Equality of JSON values: true and 1 differ, 1 and 1.0 do not."""
+    if isinstance(x, bool) or isinstance(y, bool):
+        return type(x) is type(y) and x == y
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_json_equal(x[k], y[k])
+                                             for k in x)
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(map(_json_equal, x, y))
+    return x == y
+
+
+def validate_report(value, schema, path="$"):
+    """Check value against schema, a JSON Schema that uses only the
+    keywords type, const, properties, required, items, minimum and
+    maximum (plus the annotations $schema and title). Raises SchemaError
+    at the first mismatch, and on any other keyword, so that a schema edit
+    cannot go unchecked."""
+    unknown = set(schema) - {"type", "const", "properties", "required",
+                             "items", "minimum", "maximum", "$schema",
+                             "title"}
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if unknown or not set(types) <= set(_JSON_TYPES) \
+            or not isinstance(schema.get("items", {}), dict):
+        raise SchemaError("unsupported schema at %s" % path)
+    if types:
+        if not any(_JSON_TYPES[t](value) for t in types):
+            raise SchemaError("%s: expected type %s" % (path, "/".join(types)))
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        raise SchemaError("%s: expected %r" % (path, schema["const"]))
+    if _JSON_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise SchemaError("%s: below %r" % (path, schema["minimum"]))
+        if "maximum" in schema and value > schema["maximum"]:
+            raise SchemaError("%s: above %r" % (path, schema["maximum"]))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise SchemaError("%s: missing %r" % (path, key))
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                validate_report(value[key], sub, "%s.%s" % (path, key))
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            validate_report(item, schema["items"], "%s[%d]" % (path, i))
+
+
 def run_criteria(ctx, selected=None):
     results = []
     for num, text, fn, limit in CRITERIA:
@@ -673,14 +740,8 @@ def cmd_accept(cfg, args):
         "criteria": results,
         "all_pass": all(r["passed"] for r in results),
     }
-    try:
-        import jsonschema
-    except ImportError:
-        warnings.append("jsonschema is not installed: the report was not "
-                        "validated against its schema")
-    else:
-        jsonschema.validate(report, accept_report_schema())
-        report["schema_valid"] = True
+    validate_report(report, accept_report_schema())
+    report["schema_valid"] = True
     emit(report, cfg)
     return EXIT_PASS if report["all_pass"] else EXIT_FAIL
 

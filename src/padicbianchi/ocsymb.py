@@ -28,31 +28,32 @@ action matrix. U_p contracts the filtration, which is what makes the
 lifting iteration converge.
 
 One kernel computes the action matrices, action_matrices, for a batch of
-matrices at once, and one two-sided transform, UOperator.apply, applies
-them in slices of CHUNK terms. Every moment transform runs on these two:
-the U_p plan, the value of a symbol on a list of paths (ev_paths, which
-stacks the Manin pieces of all the paths into UOperator chunks of CHUNK
-terms) and the single action sigma0_act, a one-term plan. All moment
-products are exact: the arithmetic is int64 where DistContext.int64_safe
-proves that no intermediate overflows, and Python integers (dtype object)
-otherwise.
+matrices at once. Every moment transform runs on one merged plan of Manin
+terms, UOperator: the terms with the same (dest, src, g) are merged and
+the ones that cancel dropped, the action matrices are kept once per
+distinct g, and UOperator.apply computes each distinct (src, g) product
+once and adds it, times its merged sign, to its rows. This serves the
+U_p plan, the value of a symbol on a list of paths (ev_paths, one plan
+per block of CHUNK paths) and the single action sigma0_act, a one-term
+plan. All moment products are exact: the arithmetic is int64 where
+DistContext.int64_safe proves that no intermediate overflows, and Python
+integers (dtype object) otherwise.
 """
 
-import itertools
+import array
 from fractions import Fraction
 
 import numpy as np
 
-from .field import mat_det, mat_pairs, pair_adj
+from .field import mat_det, mat_pairs, pair_adj, pair_mul
 from . import msymb as ms
 from . import padic
 
-# Terms per batched kernel call, per slice of UOperator.apply and per stacked
-# UOperator chunk of ev_paths: bounds their temporaries (a chunk's plan holds
-# 4 * CHUNK tables of M x M).
-# At 128 a warm `accept` on the reference configuration (p = 11, M = 8)
-# peaks below the one-psi.ev-per-disc route; 256 peaked 0.6 MB above it
-# and was 4 % faster in ev_paths.
+# Matrices per batched action_matrices call, (src, g) products per slice
+# of UOperator.apply, and paths per merged plan of ev_paths: bounds their
+# temporaries. One plan for all the paths of a warm `accept` on the
+# reference configuration (p = 11, M = 8) shares a few more g, but raised
+# its peak RSS by 14 %; blocks of 128 paths keep most of the sharing.
 CHUNK = 128
 
 
@@ -262,32 +263,32 @@ class OverconvergentSymbol:
 
     def ev_paths(self, paths):
         """Psi on each path (r, s) of paths, as one (len(paths), 2, M, C)
-        array mod p^M. The Manin pieces (sign, gen, gamma) of path k are
-        the plan terms (k, gen, sign, gamma^-1); they run through stacked
-        UOperator chunks of CHUNK terms, each applied to the rows of the
-        paths it spans. gamma has determinant 1, so its inverse is its
-        adjugate."""
-        ctx = self.ctx
+        array mod p^M. The paths run in blocks of CHUNK, one merged
+        UOperator per block: a piece h = gamma g_idx of path k in the
+        block, gamma in Gamma_0(n), is the plan term (k, idx, sign,
+        gamma^-1) with gamma^-1 = g_idx adj(h) (h has determinant 1). The
+        index and gamma^-1 are computed once per distinct piece of a
+        block."""
+        p1, ctx = self.p1, self.ctx
         values = np.stack([v.m for v in self.values])
         out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.dtype)
-        chunk = []
 
-        def flush():
-            lo = chunk[0][0]
-            u_op = UOperator(ctx, [(k - lo, idx, sign, g)
-                                   for k, idx, sign, g in chunk])
-            part = u_op.apply(values, n_out=chunk[-1][0] - lo + 1)
-            out[lo:lo + len(part)] += part
-            chunk.clear()
+        def piece(h):
+            idx = p1.piece_index(h)
+            return idx, pair_mul(p1.S, p1.T, p1.lift_pair(idx)[0],
+                                 pair_adj(h))
 
-        for k, (r, s) in enumerate(paths):
-            for sign, idx, gamma in self.p1.manin_terms(r, s):
-                chunk.append((k, idx, sign, pair_adj(gamma)))
-                if len(chunk) == CHUNK:
-                    flush()
-        if chunk:
-            flush()
-        return out % ctx.mod
+        for lo in range(0, len(paths), CHUNK):
+            terms, pieces = [], {}
+            for k, (r, s) in enumerate(paths[lo:lo + CHUNK]):
+                for sign, h in p1.path(r, s):
+                    got = pieces.get(h)
+                    if got is None:
+                        got = pieces[h] = piece(h)
+                    terms.append((k, got[0], sign, got[1]))
+            block = out[lo:lo + CHUNK]
+            block[:] = UOperator(ctx, terms).apply(values, n_out=len(block))
+        return out
 
     def filtration(self):
         return min(v.filtration() for v in self.values)
@@ -314,65 +315,82 @@ def specialize_matches(psi, phi):
 
 
 class UOperator:
-    """The table-level U_p operator: the moment transforms of its Manin
-    terms, stacked for numpy.
+    """A merged plan of Manin terms: the table-level U_p operator, or the
+    value of a symbol on a block of paths.
 
     terms yields (dest, src, sign, g), g an 8-tuple of field.mat_pairs:
     the piece contributes sign * (values[src] | g) to the image at dest.
     The terms come from the shared Manin layer (ManinLayer.hecke_terms),
     over O_F for a Bianchi symbol (msymb.P1) and over Z for a rational one
-    (basechange.RationalP1), or from the Manin pieces of a list of paths
-    (OverconvergentSymbol.ev_paths, dest the path). The stacks are filled
-    through action_matrices, CHUNK terms at a time."""
+    (basechange.RationalP1), or from the Manin pieces of a block of paths
+    (OverconvergentSymbol.ev_paths, dest the path).
+
+    The signs of the terms with the same (dest, src, g) are summed, and
+    the terms whose sum is zero are dropped. What is left is stored once
+    per distinct g and once per distinct (src, g) product:
+    A0, A1, B0, B1  (n_g, M, M) the action matrices of the distinct g, and
+                    B = conj(A)^T, the right factor;
+    src, gi         (n_prod,) the generator and the g index of each product;
+    dest, sgn, prod (n_terms,) the image row, the merged sign and the
+                    product of each term, ordered by product."""
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        dest, src, sgn = [], [], []
-        stacks = ([], [], [], [])
-        terms = iter(terms)
-        while True:
-            chunk = list(itertools.islice(terms, CHUNK))
-            if not chunk:
-                break
-            for i, idx, sign, _ in chunk:
-                dest.append(i)
-                src.append(idx)
-                sgn.append(sign)
-            A0, A1 = action_matrices(ctx, [g for _, _, _, g in chunk])
-            B0 = (A0 + ctx.S * A1).transpose(0, 2, 1) % ctx.mod
-            B1 = (-A1).transpose(0, 2, 1) % ctx.mod
-            for stack, part in zip(stacks, (A0, A1, B0, B1)):
-                stack.append(part)
-        self.dest = np.array(dest)
-        self.src = np.array(src)
-        self.sgn = np.array(sgn).reshape(-1, 1, 1)
-        # one stack at a time, so that the chunks of the others are the
-        # only extra memory while a large plan is joined
-        for name, stack in zip(("A0", "A1", "B0", "B1"), stacks):
-            setattr(self, name, np.concatenate(stack))
-            stack.clear()
+        gs, index = [], {}
+        flat = array.array("q")
+        for dest, src, sign, g in terms:
+            k = index.get(g)
+            if k is None:
+                k = index[g] = len(gs)
+                gs.append(g)
+            flat.extend((dest, src, k, sign))
+        dest, src, g, sign = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+        n_g, n_dest = max(len(gs), 1), int(dest.max(initial=0)) + 1
+        keys, inv = np.unique((src * n_g + g) * n_dest + dest,
+                              return_inverse=True)
+        total = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(total, inv, sign)
+        keep = total != 0
+        pair, self.dest = np.divmod(keys[keep], n_dest)
+        self.sgn = total[keep]
+        pairs, self.prod = np.unique(pair, return_inverse=True)
+        self.src, g = np.divmod(pairs, n_g)
+        used, self.gi = np.unique(g, return_inverse=True)
+        M, mod = ctx.M, ctx.mod
+        self.A0, self.A1, self.B0, self.B1 = (
+            np.empty((len(used), M, M), dtype=ctx.dtype) for _ in range(4))
+        for lo in range(0, len(used), CHUNK):
+            part = slice(lo, lo + CHUNK)
+            A0, A1 = action_matrices(ctx, [gs[k] for k in used[part]])
+            self.A0[part], self.A1[part] = A0, A1
+            self.B0[part] = (A0 + ctx.S * A1).transpose(0, 2, 1) % mod
+            self.B1[part] = (-A1).transpose(0, 2, 1) % mod
 
     def apply(self, values, n_out=None):
         """values: ndarray (n_gen, 2, M, C) -> the image, (n_out, 2, M, C)
         with n_out the number of generators by default: row i sums the
         terms with dest i. The right factor is cut to the C columns of the
-        tables. The terms run in slices of CHUNK, so that the temporaries
-        stay small however long the plan."""
+        tables. Each (src, g) product is computed once, CHUNK products at a
+        time, so that the temporaries stay small however long the plan, and
+        is added, times its merged sign, to the rows of its terms."""
         ctx = self.ctx
         mod = ctx.mod
         n = values.shape[-1]
         rows = len(values) if n_out is None else n_out
         out = np.zeros((rows,) + values.shape[1:],
                        dtype=np.result_type(self.A0, values))
-        for lo in range(0, len(self.dest), CHUNK):
+        starts = range(0, len(self.src), CHUNK)
+        bounds = np.searchsorted(self.prod, list(starts) + [len(self.src)])
+        for lo, t_lo, t_hi in zip(starts, bounds, bounds[1:]):
             part = slice(lo, lo + CHUNK)
-            src, dest, sgn = self.src[part], self.dest[part], self.sgn[part]
-            Z0, Z1 = _mat_pair_mul(ctx, self.A0[part], self.A1[part],
+            src, gi = self.src[part], self.gi[part]
+            Z0, Z1 = _mat_pair_mul(ctx, self.A0[gi], self.A1[gi],
                                    values[src, 0], values[src, 1])
-            W0, W1 = _mat_pair_mul(ctx, Z0, Z1, self.B0[part, :n, :n],
-                                   self.B1[part, :n, :n])
-            np.add.at(out, (dest, 0), W0 * sgn % mod)
-            np.add.at(out, (dest, 1), W1 * sgn % mod)
+            W = np.stack(_mat_pair_mul(ctx, Z0, Z1, self.B0[gi, :n, :n],
+                                       self.B1[gi, :n, :n]), axis=1)
+            terms = slice(t_lo, t_hi)
+            np.add.at(out, self.dest[terms], W[self.prod[terms] - lo]
+                      * self.sgn[terms, None, None, None] % mod)
         return out % mod
 
 

@@ -11,6 +11,7 @@ import pytest
 from padicbianchi import cli
 from padicbianchi import cocycle as cc
 from padicbianchi import padic
+from padicbianchi.field import QuadInt
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,13 @@ class TestBuild:
         assert cli._hecke_spectrum([[-2, 0, 0], [0, 0, 3], [0, 1, 1]]) == \
             ["-2", "x**2 - x - 3"]
         assert cli._hecke_spectrum([[10, 0], [0, -2]]) == ["-2", "10"]
+
+    def test_spectrum_diagnostic_keys_each_prime(self):
+        # the two split primes over 5 have the same norm: both are kept
+        spectra = cli._spectrum_diagnostic(QuadInt(3, 3, 1), 1)[
+            "hecke_spectra"]
+        assert len(spectra) == 2
+        assert all(key.endswith("N(q)=5") for key in spectra)
 
     def test_no_eigenpacket_diagnostic(self, tmp_path):
         code, rep = run(tmp_path, "b.json",
@@ -287,16 +295,16 @@ class TestAccept:
         assert entry["id"] == 1 and entry["passed"]
         assert entry["elapsed_sec"] < entry["runtime_limit_sec"]
 
-    def test_unvalidated_report_warns(self, cache_dir, tmp_path,
-                                      monkeypatch):
-        # without jsonschema the report says it was not validated
+    def test_report_validated_without_jsonschema(self, cache_dir, tmp_path,
+                                                 monkeypatch):
+        # the report is validated in the package: jsonschema is not needed
         monkeypatch.setitem(sys.modules, "jsonschema", None)
         code, rep = run(tmp_path, "a.json",
                         ["accept"] + BASE + ["--cache-dir", str(cache_dir),
                                              "--criteria", "1"])
         assert code == 0
-        assert "schema_valid" not in rep
-        assert any("not validated" in w for w in rep["warnings"])
+        assert rep["schema_valid"]
+        assert rep["warnings"] == []
 
     def test_fault_injection_flagged(self, cache_dir, tmp_path):
         code, rep = run(tmp_path, "a.json",
@@ -335,6 +343,52 @@ class TestAccept:
                         ["accept"] + BASE + ["--cache-dir", str(cache_dir),
                                              "--criteria", "12"])
         assert code == 4
+
+    def test_validator_agrees_with_jsonschema(self, cache_dir, tmp_path):
+        import jsonschema
+        schema = cli.accept_report_schema()
+        _, rep = run(tmp_path, "a.json",
+                     ["accept"] + BASE + ["--cache-dir", str(cache_dir),
+                                          "--criteria", "5"])
+        jsonschema.validate(rep, schema)
+        cli.validate_report(rep, schema)
+
+        def edited(edit):
+            bad = json.loads(json.dumps(rep))
+            edit(bad, bad["criteria"][0])
+            return bad
+        bad_reports = [
+            edited(lambda r, c: r.update(command="linv")),
+            edited(lambda r, c: c.pop("passed")),
+            edited(lambda r, c: c.update(id=0)),
+            edited(lambda r, c: c.update(id=10)),
+            edited(lambda r, c: c.update(passed=1)),
+            edited(lambda r, c: c.update(id=True)),
+            edited(lambda r, c: c.update(elapsed_sec=False)),
+            edited(lambda r, c: c.update(runtime_limit_sec="1")),
+            edited(lambda r, c: r.update(warnings=[3])),
+            edited(lambda r, c: r.pop("config")),
+        ]
+        for bad in bad_reports:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
+            with pytest.raises(cli.SchemaError):
+                cli.validate_report(bad, schema)
+        # JSON Schema semantics: 5.0 is an integer, true is not the const 1
+        good = edited(lambda r, c: c.update(id=5.0))
+        jsonschema.validate(good, schema)
+        cli.validate_report(good, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(True, {"const": 1})
+        with pytest.raises(cli.SchemaError):
+            cli.validate_report(True, {"const": 1})
+
+    def test_validator_refuses_unknown_keywords(self):
+        for schema in [{"pattern": "a"}, {"type": "string", "enum": ["a"]},
+                       {"type": "decimal"}, {"items": [{"type": "string"}]},
+                       {"properties": {"x": {"additionalProperties": False}}}]:
+            with pytest.raises(cli.SchemaError):
+                cli.validate_report({"x": 1}, schema)
 
     def test_report_schema_in_repo(self, cache_dir, tmp_path):
         import jsonschema

@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,6 +176,15 @@ class TestPins:
         assert digest(eis.values) == ("abe85bc60568962016eb09bbff74c515"
                                       "81f5caee0fb372064d33ee62b2352cbf")
         assert phi.eigen["helpers"] == [("9", "-2"), ("5", "0"), ("5", "0")]
+
+    def test_ramified_lift_values(self, ram_lift):
+        # the M = 6 lift at p = 2, level (1+i)(7), pinned before the U_p
+        # plan was merged by (dest, src, g)
+        values = np.stack([v.m for v in ram_lift.values])
+        assert values.shape == (150, 2, 6, 6)
+        assert hashlib.sha256(values.astype("<i8").tobytes()).hexdigest() \
+            == ("71cde0b8fbe3f031ce8751cfb71fdcf8"
+                "7a55742b5466afca6ac9e341f0422c89")
 
     def test_level_3_relation_basis(self):
         # the old symbol of criterion 2

@@ -230,10 +230,23 @@ class TestTwoSidedTransform:
         terms = [(rng.randrange(n_out), rng.randrange(n_gen),
                   rng.choice((1, -1)), g)
                  for g in rand_sigma0_at(pd, rng, oc.CHUNK + 37)]
+        # repeated (dest, src, g): equal signs that add up, a +1/-1 pair
+        # that cancels, and one g under a second src
+        (d0, s0, e0, g0), (d1, s1, e1, g1), (d2, s2, e2, g2) = terms[:3]
+        terms += [(d0, s0, e0, g0), (d0, s0, e0, g0),
+                  (d1, s1, -e1, g1),
+                  (d2, (s2 + 1) % n_gen, e2, g2)]
+        rng.shuffle(terms)
         values = rand_tables(ctx, rng, (n_gen, 2, M, C))
-        got = oc.UOperator(ctx, [(dest, src, sign, fld.mat_pairs(g))
-                                 for dest, src, sign, g in terms]
-                           ).apply(values, n_out=n_out)
+        u_op = oc.UOperator(ctx, [(dest, src, sign, fld.mat_pairs(g))
+                                  for dest, src, sign, g in terms])
+        # n random terms; the cancelled one is dropped with its g, the
+        # repeats merge into one term of sign 3, and g2 makes two products
+        n = oc.CHUNK + 37
+        assert len(u_op.dest) == n and len(u_op.src) == n
+        assert sorted(abs(u_op.sgn)) == [1] * (n - 1) + [3]
+        assert len(u_op.A0) == n - 1
+        got = u_op.apply(values, n_out=n_out)
         want = np.zeros((n_out, 2, M, C), dtype=object)
         for dest, src, sign, g in terms:
             want[dest] += sign * act_reference(ctx, g, values[src])
@@ -386,6 +399,20 @@ class TestLift:
         with pytest.raises(ValueError):
             oc.lift(bad, 4, ref_prime)
 
+    def test_ramified_plan_counts(self, ram_lift):
+        # the U_2 plan at (1+i)(7): 1,912 Manin terms with 466 distinct g
+        # and 471 distinct (src, g) merge into 1,092 terms; dropping the
+        # cancelled ones leaves 414 g and 418 products to compute
+        psi = ram_lift
+        terms = list(psi.p1.hecke_terms(psi.p1.hecke_reps(psi.ctx.pd.pi)))
+        assert len(terms) == 1912
+        assert len({g for _, _, _, g in terms}) == 466
+        assert len({(src, g) for _, src, _, g in terms}) == 471
+        u_op = oc.UOperator(psi.ctx, terms)
+        assert len(u_op.dest) == 1092
+        assert len(u_op.A0) == 414 and len(u_op.src) == 418
+        assert oc.u_eigen_residual(psi, u_op, -1) >= psi.ctx.M
+
     def test_save_load_roundtrip(self, ref_lift, tmp_path):
         psi, cert = ref_lift
         path = str(tmp_path / "lift.npz")
@@ -410,25 +437,34 @@ class TestEvaluation:
             >= psi.ctx.M
 
     def test_ev_paths_match_per_piece_sum(self, ref_lift):
-        # the 120 discs of mu(1): more Manin pieces than one stacked chunk
+        # the 120 discs of mu(1), the same 120 again and 20 discs of mu(3):
+        # more paths than one block of CHUNK, with repeated paths and pieces
+        # across the block boundary
         psi, _ = ref_lift
         ctx = psi.ctx
-        mu = lfun.build_mu_p(psi, qi(1))
-        paths = [(fld.Cusp(mu.element(*B), mu.G), fld.cusp_infinity(1))
-                 for B in mu.unit_discs()[1]]
-        assert len(paths) == 120
+
+        def disc_paths(c, count):
+            mu = lfun.build_mu_p(psi, qi(c))
+            return [(fld.Cusp(mu.element(*B), mu.G), fld.cusp_infinity(1))
+                    for B in mu.unit_discs()[1][:count]]
+        first = disc_paths(1, 120)
+        assert len(first) == 120
+        paths = first + first + disc_paths(3, 20)
+        assert len(paths) > oc.CHUNK
         got = psi.ev_paths(paths)
-        assert got.shape == (120, 2, ctx.M, ctx.M)
-        pieces = 0
+        assert got.shape == (260, 2, ctx.M, ctx.M)
+        want = {}
         for k, (r, s) in enumerate(paths):
-            total = 0
-            for sign, idx, gamma in psi.p1.manin_terms(r, s):
-                g = fld.mat_inv_unimodular(fld.pair_mat(gamma, 1))
-                total = total + sign * act_reference(ctx, g,
-                                                     psi.values[idx].m)
-                pieces += 1
-            assert np.array_equal(got[k], total % ctx.mod)
-        assert pieces > oc.CHUNK
+            key = (r.v, s.v)
+            if key not in want:
+                total = 0
+                for sign, idx, gamma in psi.p1.manin_terms(r, s):
+                    g = fld.mat_inv_unimodular(fld.pair_mat(gamma, 1))
+                    total = total + sign * act_reference(ctx, g,
+                                                         psi.values[idx].m)
+                want[key] = total % ctx.mod
+            assert np.array_equal(got[k], want[key])
+        assert len(want) == 140
 
     def test_additivity(self, ref_lift):
         psi, _ = ref_lift
