@@ -362,7 +362,7 @@ def rational_kernel(s=0, insert_log=False):
     """The disc kernel of Lp_rational: the integral of <z>^s (times
     log_iw(z) with insert_log) over each disc of a one-variable measure."""
     def on_disc(mu, discs):
-        M = discs.ar.M
+        M = discs.ctx.M
         L = discs.log_series()
         F = lfun._power_series(L, s, M)
         if insert_log:

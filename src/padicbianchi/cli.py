@@ -156,9 +156,9 @@ def prime_for(cfg):
     if pd.kind == "split":
         raise ConfigError("split primes are not supported by the moment "
                           "model; pick an inert or ramified p")
-    if not oc.DistContext(pd, cfg.precision).int64_safe:
+    if not padic.completion(pd, cfg.precision).int64_safe:
         top = cfg.precision - 1
-        while not oc.DistContext(pd, top).int64_safe:
+        while not padic.completion(pd, top).int64_safe:
             top -= 1
         raise ConfigError("precision %d at p = %d exceeds the exact int64 "
                           "moment arithmetic; the largest supported is %d"

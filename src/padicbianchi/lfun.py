@@ -19,13 +19,13 @@ kernel (disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called
 once per sum with the stack of discs (Discs): the z-series of
 log_iw(B + G z), the series of <B + G z>^s and the pairing
 Sum F[i] Fb[j] mu(z^i zbar^j) are padic.PadicStack arrays over the discs,
-on the pair arithmetic of the moment layer (ocsymb.DistContext), with the
-precision rules and the association order of the scalar PadicElement code,
-so each disc gets the value and precision it would get alone. An error the
-scalar code would raise is raised for the first disc that meets one. The
-ray distribution takes its residue rings, uniformizer and cusps from the
-symbol's Manin layer, so the one-variable measure of a classical symbol
-over Q is the same class on the same disc loop.
+on the pair arithmetic of the completion (the moment layer's pctx), with
+the precision rules and the association order of the scalar PadicElement
+code, so each disc gets the value and precision it would get alone. An
+error the scalar code would raise is raised for the first disc that meets
+one. The ray distribution takes its residue rings, uniformizer and cusps
+from the symbol's Manin layer, so the one-variable measure of a classical
+symbol over Q is the same class on the same disc loop.
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -163,7 +163,7 @@ class Discs:
 
     def __init__(self, mu, centres, moments):
         self.mu = mu
-        self.ar = mu.psi.ctx
+        self.ctx = mu.pctx
         self.centres = centres
         self.moments = moments
         self.log = StackLog(len(centres))
@@ -175,11 +175,11 @@ class Discs:
     def constant(self, value):
         """The int value at full precision on each disc, as a one-term
         series (n, 1)."""
-        return PadicStack.full(self.ar, value, (len(self), 1),
-                               self.ar.pctx.cap, self.log)
+        return PadicStack.full(self.ctx, value, (len(self), 1),
+                               self.ctx.cap, self.log)
 
     def embed(self, centres):
-        return PadicStack.embed(self.ar, centres[..., 0], centres[..., 1],
+        return PadicStack.embed(self.ctx, centres[..., 0], centres[..., 1],
                                 self.log)
 
     def log_series(self):
@@ -190,7 +190,7 @@ class Discs:
             t = self.embed(np.array([_pair_of(self.mu.G)])) * Bp.inverse()
             out = [padic.log_iw_units(Bp)]
             tk = t
-            for k in range(1, self.ar.M):
+            for k in range(1, self.ctx.M):
                 term = tk.div_int(k)
                 out.append(-term if k % 2 == 0 else term)
                 tk = tk * t
@@ -214,7 +214,7 @@ def build_mu_p(psi, g_mod, lift_offset=0):
 
 def _ser_mul(F, G, M):
     """F * G truncated at M; the terms of a zero F[i] are skipped."""
-    out = PadicStack.full(F.ar, 0, (len(F), M), F.ar.pctx.cap, F.log)
+    out = PadicStack.full(F.ctx, 0, (len(F), M), F.ctx.cap, F.log)
     live = ~F.is_zero()
     for i in range(min(F.shape[1], M)):
         width = min(G.shape[1], M - i)
@@ -227,9 +227,9 @@ def _ser_mul(F, G, M):
 def _ser_exp(P, M):
     """exp of a series with P[:, 0] = 0 and positive-valuation
     coefficients: out[n] = (Sum_k (k * P[k]) * out[n - k]) / n."""
-    ar = P.ar
-    kP = P * PadicStack.of(ar, list(range(M)))
-    out = [PadicStack.full(ar, 1, (len(P),), ar.pctx.cap, P.log)]
+    ctx = P.ctx
+    kP = P * PadicStack.of(ctx, list(range(M)))
+    out = [PadicStack.full(ctx, 1, (len(P),), ctx.cap, P.log)]
     for n in range(1, M):
         terms = kP[:, 1:n + 1] * stack(out[::-1])
         out.append(terms.sum(axis=1).div_int(n))
@@ -238,26 +238,31 @@ def _ser_exp(P, M):
 
 def _power_series(L, s, M):
     """exp(s * L) for a log series L: <B + G z>^s from log_iw(B + G z)."""
-    ar = L.ar
+    ctx = L.ctx
     if not isinstance(s, padic.PadicElement):
-        s = ar.pctx.elt(int(s))
+        s = ctx.elt(int(s))
     head = padic.padic_exp_stack(L[:, 0] * s)
     P = select(np.arange(L.shape[1]) == 0,
-               PadicStack.full(ar, 0, (1,), ar.pctx.cap, None), L * s)
+               PadicStack.full(ctx, 0, (1,), ctx.cap, None), L * s)
     return _ser_exp(P, M) * head[:, None]
 
 
 def _chi_weight(mu, chi, r=0):
     """Disc weight chi(B) * w_Tm(B)^r (both constant on the disc), or 0
     where chi vanishes."""
+    if r:   # the Teichmuller lifts of all the centres, in one stack
+        centres = mu.unit_discs()[1]
+        lifts = padic.teichmuller_units(PadicStack.embed(
+            mu.pctx, centres[:, 0], centres[:, 1]))
+        row = {B: k for k, B in enumerate(map(tuple, centres.tolist()))}
+
     def weight(a, B):
         if chi is None and not r:
             return 1
-        B = mu.element(*B)
-        cv = 1 if chi is None else chi(B)
+        cv = 1 if chi is None else chi(mu.element(*B))
         if cv and r:
             # the Teichmuller character is constant on the disc
-            return cv * padic.teichmuller(mu.pctx.embed(B)) ** r
+            return cv * lifts.element(row[tuple(B)]) ** r
         return cv
     return weight
 
@@ -283,7 +288,7 @@ def disc_sum(mu, weight, on_disc):
     if rows:
         discs = mu.discs(centres[rows])
         values = on_disc(mu, discs)
-        total = (values * PadicStack.of(discs.ar, weights)).sum()
+        total = (values * PadicStack.of(discs.ctx, weights)).sum()
         discs.log.check()
     return pctx.from_rational(1 / mu.lam) * total
 
@@ -293,14 +298,14 @@ def _pair(discs, F, Fb=None):
     with honest per-moment precision p^(M - max(i, j)) and the grouping
     (F[i] * Fb[j]) * moment; terms with F[i] or Fb[j] zero are skipped.
     Fb = None is the constant 1 in zbar."""
-    ar = discs.ar
-    M = ar.M
+    ctx = discs.ctx
+    M = ctx.M
     if Fb is None:
         Fb = discs.constant(1)
     width, widthb = min(M, F.shape[1]), min(M, Fb.shape[1])
     m = discs.moments[:, :, :width, :widthb]
-    prec = ar.pctx.e * (M - ar.lag[:width, :widthb])
-    mom = PadicStack(ar, m[:, 0], m[:, 1],
+    prec = ctx.e * (M - discs.mu.psi.ctx.lag[:width, :widthb])
+    mom = PadicStack(ctx, m[:, 0], m[:, 1],
                      np.broadcast_to(prec, m[:, 0].shape), discs.log)
     F, Fb = F[:, :width, None], Fb[:, None, :widthb]
     live = ~F.is_zero() & ~Fb.is_zero()
@@ -330,7 +335,7 @@ def disc_norm_power(s, terms=None):
         return disc_one
 
     def on_disc(mu, discs):
-        M = discs.ar.M
+        M = discs.ctx.M
         L = discs.log_series()
         F = _power_series(L, s, M)
         Fb = _power_series(L.conj(), s, M)

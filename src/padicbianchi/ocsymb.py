@@ -9,10 +9,11 @@ m[i][j] = mu(z^i zbar^j), 0 <= i < M, 0 <= j < C, with moment (i, j)
 meaningful mod p^(M - max(i,j)). Moments are elements c0 + c1*g of the
 completion, stored as a pair of numpy arrays mod p^M (int64 within the
 bound below), where g has minimal polynomial g^2 = S*g + T. The completion
-is padic.completion, kept as DistContext.pctx: its basis {1, g}, S, T and
-embedding of QuadInts are the ones the moments use, so a moment pair
-(c0, c1) is the element pctx.elt(c0, c1); FiniteDistribution.honest_moment
-reads it at its honest precision. A Bianchi distribution has the square
+is padic.completion, kept as DistContext.pctx: its basis {1, g}, S, T,
+embedding of QuadInts and pair arithmetic (mul, conj, inv) are the ones
+the moments use, so a moment pair (c0, c1) is the element
+pctx.elt(c0, c1); FiniteDistribution.honest_moment reads it at its honest
+precision. A Bianchi distribution has the square
 table, C = M. A one-variable distribution has C = 1: the zbar-trivial
 column mu(z^i zbar^0). A table has filtration >= f exactly
 when every moment (i, j) is divisible by p^max(f - max(i, j), 0)
@@ -35,8 +36,8 @@ distinct g, and UOperator.apply computes each distinct (src, g) product
 once and adds it, times its merged sign, to its rows. This serves the
 U_p plan, the value of a symbol on a list of paths (ev_paths, one plan
 per block of CHUNK paths) and the single action sigma0_act, a one-term
-plan. All moment products are exact: the arithmetic is int64 where
-DistContext.int64_safe proves that no intermediate overflows, and Python
+plan. All moment products are exact: the arithmetic is int64 where the
+completion's int64_safe proves that no intermediate overflows, and Python
 integers (dtype object) otherwise.
 """
 
@@ -58,11 +59,11 @@ CHUNK = 128
 
 
 class DistContext:
-    """Shared data for moment arithmetic at one (prime, M): the completion
-    F_p at precision p^M (pctx, from padic.completion), whose basis {1, g},
-    relation g^2 = S*g + T and embedding of QuadInts the moment pairs use.
-    Its pair arithmetic (mul, conj, inv, dtype) is also the one of the
-    stacked p-adic elements (padic.PadicStack) of the disc integrals."""
+    """The moment layer at one (prime, M): the completion F_p at precision
+    p^M (pctx, from padic.completion), whose pair arithmetic (mul, conj,
+    inv, embed_pair, mod, dtype, powers) the moment tables run on, and the
+    moment facts: lag[i, j] = max(i, j), the digits moment (i, j) lacks
+    (filtration, FiniteDistribution.honest_moment)."""
 
     def __init__(self, prime_data, M):
         if prime_data.kind == "split":
@@ -70,48 +71,9 @@ class DistContext:
         self.pd = prime_data
         self.p = prime_data.p
         self.M = M
-        self.mod = prime_data.p ** M
-        self.d = prime_data.pi.d
         self.pctx = padic.completion(prime_data, M)
-        self.S, self.T = self.pctx.S, self.pctx.T
-        # The largest intermediate of a product of pair matrices reduced
-        # mod p^M (_mat_pair_mul): 2M products of residues plus an S or T
-        # multiple of a residue. Below 2^63, int64 is exact.
-        self.int64_safe = (2 * M * (self.mod - 1) ** 2
-                           + (abs(self.S) + abs(self.T)) * self.mod) < 2 ** 63
-        self.dtype = np.int64 if self.int64_safe else object
         # lag[i, j] = max(i, j): moment (i, j) is meaningful mod p^(M - lag)
         self.lag = np.maximum.outer(np.arange(M), np.arange(M))
-        self.powers = np.array([self.p ** k for k in range(M + 1)],
-                               dtype=self.dtype)
-
-    def embed(self, x):
-        """QuadInt -> pair (c0, c1) in the {1, g} basis mod p^M."""
-        return self.embed_pair(x.a, x.b)
-
-    def embed_pair(self, a, b):
-        """a + b*w -> pair (c0, c1) in the {1, g} basis mod p^M."""
-        wa, wb = self.pctx._embed_coeffs
-        return (a + b * wa) % self.mod, b * wb % self.mod
-
-    # pair arithmetic (numpy friendly: arguments may be arrays)
-
-    def mul(self, x0, x1, y0, y1):
-        a = (x0 * y0 + self.T * (x1 * y1 % self.mod)) % self.mod
-        b = (x0 * y1 + x1 * y0 + self.S * (x1 * y1 % self.mod)) % self.mod
-        return a, b
-
-    def conj(self, x0, x1):
-        return (x0 + self.S * x1) % self.mod, (-x1) % self.mod
-
-    def inv(self, x0, x1):
-        """Inverses of unit pairs (1-d arrays): conj(x) / N(x). Raises
-        ValueError where x is not a unit."""
-        c0, c1 = self.conj(x0, x1)
-        norm, _ = self.mul(x0, x1, c0, c1)
-        ninv = np.array([pow(int(n), -1, self.mod) for n in norm],
-                        dtype=self.dtype)
-        return c0 * ninv % self.mod, c1 * ninv % self.mod
 
 
 def filtration(ctx, m):
@@ -121,7 +83,7 @@ def filtration(ctx, m):
     lag = ctx.lag[:, :m.shape[-1]]
     f = 0
     while f < ctx.M and not np.any(
-            m % ctx.powers[np.maximum(f + 1 - lag, 0)]):
+            m % ctx.pctx.powers[np.maximum(f + 1 - lag, 0)]):
         f += 1
     return f
 
@@ -135,7 +97,7 @@ class FiniteDistribution:
         self.ctx = ctx
         if m is None:
             m = np.zeros((2, ctx.M, ctx.M), dtype=np.int64)
-        self.m = m % ctx.mod
+        self.m = m % ctx.pctx.mod
 
     def copy(self):
         return FiniteDistribution(self.ctx, self.m.copy())
@@ -151,10 +113,10 @@ class FiniteDistribution:
                         pctx.e * (self.ctx.M - max(i, j)))
 
     def add(self, other, sign=1):
-        return FiniteDistribution(self.ctx, (self.m + sign * other.m) % self.ctx.mod)
+        return FiniteDistribution(self.ctx, self.m + sign * other.m)
 
     def scale_int(self, c):
-        return FiniteDistribution(self.ctx, (self.m * (c % self.ctx.mod)) % self.ctx.mod)
+        return FiniteDistribution(self.ctx, self.m * (c % self.ctx.pctx.mod))
 
     def filtration(self):
         return filtration(self.ctx, self.m)
@@ -163,7 +125,7 @@ class FiniteDistribution:
         """Truncate each moment to its honest precision p^(M - max(i,j))."""
         ctx = self.ctx
         lag = ctx.lag[:, :self.m.shape[-1]]
-        return FiniteDistribution(ctx, self.m % ctx.powers[ctx.M - lag])
+        return FiniteDistribution(ctx, self.m % ctx.pctx.powers[ctx.M - lag])
 
     def is_zero(self):
         return self.filtration() >= self.ctx.M
@@ -173,11 +135,13 @@ def action_matrices(ctx, gs):
     """The moment transform pairs (A0, A1), each (N, M, M), of the N
     matrices gs = [[a, b], [c, d]] in Sigma_0(p), given as the 8-tuples of
     field.mat_pairs: row i of A[k] holds the power series coefficients of
-    ((b + dz)/(a + cz))^i for gs[k], as pairs mod p^M of dtype ctx.dtype.
+    ((b + dz)/(a + cz))^i for gs[k], as pairs mod p^M of the completion's
+    dtype.
     Membership in Sigma_0(p) is the caller's to check (action_matrix,
     sigma0_act); a non-unit a raises ValueError."""
-    M, mod, dt = ctx.M, ctx.mod, ctx.dtype
-    embed = ctx.embed_pair
+    pctx = ctx.pctx
+    M, mod, dt = ctx.M, pctx.mod, pctx.dtype
+    embed = pctx.embed_pair
     ent = np.array([embed(g[k], g[k + 1]) for g in gs for k in range(0, 8, 2)],
                    dtype=dt).reshape(-1, 4, 2)
     (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ent.transpose(1, 2, 0)
@@ -185,13 +149,13 @@ def action_matrices(ctx, gs):
     # h[m] = a^{-1} (-c/a)^m, the series of 1/(a + cz)
     h0 = np.zeros((n, M), dtype=dt)
     h1 = np.zeros((n, M), dtype=dt)
-    h0[:, 0], h1[:, 0] = ctx.inv(a0, a1)
-    t0, t1 = ctx.mul(-c0 % mod, -c1 % mod, h0[:, 0], h1[:, 0])
+    h0[:, 0], h1[:, 0] = pctx.inv(a0, a1)
+    t0, t1 = pctx.mul(-c0 % mod, -c1 % mod, h0[:, 0], h1[:, 0])
     for m in range(1, M):
-        h0[:, m], h1[:, m] = ctx.mul(h0[:, m - 1], h1[:, m - 1], t0, t1)
+        h0[:, m], h1[:, m] = pctx.mul(h0[:, m - 1], h1[:, m - 1], t0, t1)
     # f = (b + dz)/(a + cz)
-    f0, f1 = ctx.mul(b0[:, None], b1[:, None], h0, h1)
-    g0, g1 = ctx.mul(d0[:, None], d1[:, None], h0[:, :-1], h1[:, :-1])
+    f0, f1 = pctx.mul(b0[:, None], b1[:, None], h0, h1)
+    g0, g1 = pctx.mul(d0[:, None], d1[:, None], h0[:, :-1], h1[:, :-1])
     f0[:, 1:] = (f0[:, 1:] + g0) % mod
     f1[:, 1:] = (f1[:, 1:] + g1) % mod
     # multiplying a truncated series by f is the Toeplitz matrix
@@ -204,7 +168,7 @@ def action_matrices(ctx, gs):
     A0[:, 0, 0] = 1
     for i in range(1, M):
         A0[:, i:i + 1], A1[:, i:i + 1] = _mat_pair_mul(
-            ctx, A0[:, i - 1:i], A1[:, i - 1:i], F0, F1)
+            pctx, A0[:, i - 1:i], A1[:, i - 1:i], F0, F1)
     return A0, A1
 
 
@@ -224,11 +188,12 @@ def action_matrix(ctx, g):
     return A0[0], A1[0]
 
 
-def _mat_pair_mul(ctx, X0, X1, Y0, Y1):
-    mod = ctx.mod
+def _mat_pair_mul(pctx, X0, X1, Y0, Y1):
+    """Products of matrices of pairs of the completion pctx."""
+    mod = pctx.mod
     X1Y1 = X1 @ Y1 % mod
-    Z0 = (X0 @ Y0 + ctx.T * X1Y1) % mod
-    Z1 = (X0 @ Y1 + X1 @ Y0 + ctx.S * X1Y1) % mod
+    Z0 = (X0 @ Y0 + pctx.T * X1Y1) % mod
+    Z1 = (X0 @ Y1 + X1 @ Y0 + pctx.S * X1Y1) % mod
     return Z0, Z1
 
 
@@ -271,7 +236,7 @@ class OverconvergentSymbol:
         block."""
         p1, ctx = self.p1, self.ctx
         values = np.stack([v.m for v in self.values])
-        out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.dtype)
+        out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.pctx.dtype)
 
         def piece(h):
             idx = p1.piece_index(h)
@@ -305,7 +270,7 @@ def specialize(psi):
 
 def specialize_matches(psi, phi):
     """Does specialize(psi) equal the classical symbol phi mod p^M?"""
-    mod = psi.ctx.mod
+    mod = psi.ctx.pctx.mod
     for (c0, c1), val in zip(specialize(psi), phi.values):
         if c1 % mod:
             return False
@@ -356,15 +321,16 @@ class UOperator:
         pairs, self.prod = np.unique(pair, return_inverse=True)
         self.src, g = np.divmod(pairs, n_g)
         used, self.gi = np.unique(g, return_inverse=True)
-        M, mod = ctx.M, ctx.mod
+        pctx, M = ctx.pctx, ctx.M
         self.A0, self.A1, self.B0, self.B1 = (
-            np.empty((len(used), M, M), dtype=ctx.dtype) for _ in range(4))
+            np.empty((len(used), M, M), dtype=pctx.dtype) for _ in range(4))
         for lo in range(0, len(used), CHUNK):
             part = slice(lo, lo + CHUNK)
             A0, A1 = action_matrices(ctx, [gs[k] for k in used[part]])
             self.A0[part], self.A1[part] = A0, A1
-            self.B0[part] = (A0 + ctx.S * A1).transpose(0, 2, 1) % mod
-            self.B1[part] = (-A1).transpose(0, 2, 1) % mod
+            B0, B1 = pctx.conj(A0, A1)
+            self.B0[part] = B0.transpose(0, 2, 1)
+            self.B1[part] = B1.transpose(0, 2, 1)
 
     def apply(self, values, n_out=None):
         """values: ndarray (n_gen, 2, M, C) -> the image, (n_out, 2, M, C)
@@ -373,8 +339,8 @@ class UOperator:
         tables. Each (src, g) product is computed once, CHUNK products at a
         time, so that the temporaries stay small however long the plan, and
         is added, times its merged sign, to the rows of its terms."""
-        ctx = self.ctx
-        mod = ctx.mod
+        pctx = self.ctx.pctx
+        mod = pctx.mod
         n = values.shape[-1]
         rows = len(values) if n_out is None else n_out
         out = np.zeros((rows,) + values.shape[1:],
@@ -384,9 +350,9 @@ class UOperator:
         for lo, t_lo, t_hi in zip(starts, bounds, bounds[1:]):
             part = slice(lo, lo + CHUNK)
             src, gi = self.src[part], self.gi[part]
-            Z0, Z1 = _mat_pair_mul(ctx, self.A0[gi], self.A1[gi],
+            Z0, Z1 = _mat_pair_mul(pctx, self.A0[gi], self.A1[gi],
                                    values[src, 0], values[src, 1])
-            W = np.stack(_mat_pair_mul(ctx, Z0, Z1, self.B0[gi, :n, :n],
+            W = np.stack(_mat_pair_mul(pctx, Z0, Z1, self.B0[gi, :n, :n],
                                        self.B1[gi, :n, :n]), axis=1)
             terms = slice(t_lo, t_hi)
             np.add.at(out, self.dest[terms], W[self.prod[terms] - lo]
@@ -398,8 +364,8 @@ def _lambda_inverse(ctx, lam):
     """1/lambda_p mod p^M; lambda_p must be a p-unit (slope 0)."""
     if lam.numerator % ctx.p == 0:
         raise ValueError("slope condition violated: lambda_p is not a unit")
-    return pow(int(lam.numerator) % ctx.mod, -1, ctx.mod) \
-        * int(lam.denominator) % ctx.mod
+    mod = ctx.pctx.mod
+    return pow(int(lam.numerator) % mod, -1, mod) * int(lam.denominator) % mod
 
 
 def lift(phi, M, prime_data, u_op=None):
@@ -433,15 +399,16 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
     ctx = u_op.ctx
     lam = Fraction(lam)
     lam_inv = _lambda_inverse(ctx, lam)
+    mod = ctx.pctx.mod
     n_gen = len(phi.p1)
     values = np.zeros((n_gen, 2, ctx.M, cols), dtype=np.int64)
     for i, v in enumerate(phi.values):
         assert v.denominator == 1
-        values[i, 0, 0, 0] = int(v) % ctx.mod
+        values[i, 0, 0, 0] = int(v) % mod
     gains = []
     for it in range(max_iter):
-        new = u_op.apply(values) * lam_inv % ctx.mod
-        diff_fil = filtration(ctx, (new - values) % ctx.mod)
+        new = u_op.apply(values) * lam_inv % mod
+        diff_fil = filtration(ctx, (new - values) % mod)
         gains.append(diff_fil)
         values = new
         if diff_fil >= ctx.M:
@@ -491,5 +458,5 @@ def u_eigen_residual(psi, u_op, lam):
     """Filtration of Psi|U_p - lambda Psi (should reach the floor M)."""
     ctx = psi.ctx
     values = np.stack([v.m for v in psi.values])
-    resid = (u_op.apply(values) - int(lam) * values) % ctx.mod
+    resid = (u_op.apply(values) - int(lam) * values) % ctx.pctx.mod
     return filtration(ctx, resid)

@@ -5,18 +5,18 @@ w (inert case), the uniformizer pi (ramified case), or absent (base case).
 Coefficients live mod p^M; each element carries its own absolute precision in
 pi-adic digits so that every operation can report worst-case loss.
 
-The Iwasawa logarithm (log_p(p) = 0), the Teichmuller character, and
-<z>^s = exp(s log<z>) are provided, with explicit precision-loss deltas.
-
-PadicStack holds many elements at once, as coefficient arrays on the pair
-arithmetic of the moment layer (ocsymb.DistContext), and applies the
-precision rules of PadicElement element by element: mul gives
+The completion (PadicContext) owns the pair arithmetic (product,
+conjugate, norm-inverse, the shift by pi) on ints or on numpy arrays of its
+dtype; the moment layer (ocsymb.DistContext) runs on it too. PadicElement is
+one element and PadicStack many, with the same precision rules: mul gives
 min(a.prec + v(b), b.prec + v(a), cap), add the min of the two precisions,
-and a division by a non-unit shifts both operands by pi (_div_pi). Its
-log_iw_units, padic_exp_stack and teichmuller_units are the stacked
-log_iw, padic_exp and teichmuller, exact to the digit. Where the scalar
-code would raise, a stack records the error against the element's row in
-a StackLog, and StackLog.check raises the first row's.
+and a division by a non-unit shifts both operands by pi. Where an element
+would raise, a stack records the error against its row in a StackLog, and
+StackLog.check raises the first row's.
+
+The Teichmuller character, the Iwasawa logarithm (log_p(p) = 0) and exp
+exist once, on stacks; the scalar teichmuller, log_iw and padic_exp are
+their one-element case, and log_iw adds the pi-power part of a non-unit.
 """
 
 import numpy as np
@@ -52,15 +52,59 @@ class PadicContext:
         self.r_pe = 1 if (p > 2 and e == 1) else e + 1
         self._embed_coeffs = embed_coeffs    # (a, b) coords of w_F on {1, g}
         self.extra_torsion = extra_torsion or []
-        # residue_key -> (c0, c1) of the Teichmuller lift of the class,
-        # filled on demand (teichmuller, teichmuller_units)
+        # residue class mod pi -> (c0, c1) of its Teichmuller lift, filled
+        # on demand (teichmuller_units)
         self._teich = {}
+        # The largest intermediate of a product of M x M pair matrices
+        # reduced mod p^M (ocsymb's moment products): 2M products of
+        # residues plus an S or T multiple of a residue. Below 2^63, int64
+        # is exact.
+        self.int64_safe = (2 * M * (self.mod - 1) ** 2
+                           + (abs(self.S) + abs(self.T)) * self.mod) < 2 ** 63
+        self.dtype = np.int64 if self.int64_safe else object
+        self.powers = np.array([p ** k for k in range(M + 1)],
+                               dtype=self.dtype)
 
-    def residue_key(self, c0, c1):
-        """An int naming the class of c0 + c1*g mod pi (ints or arrays)."""
-        if self.ext_kind == "inert":
-            return c0 % self.p + self.p * (c1 % self.p)
-        return c0 % self.p
+    # -- pair arithmetic: coefficient pairs mod p^M, ints or arrays ----------
+
+    def embed_pair(self, a, b):
+        """a + b*w of the field -> pair (c0, c1) in the {1, g} basis."""
+        wa, wb = self._embed_coeffs
+        return (a + b * wa) % self.mod, b * wb % self.mod
+
+    def mul(self, x0, x1, y0, y1):
+        mod = self.mod
+        t = x1 * y1 % mod
+        return ((x0 * y0 + self.T * t) % mod,
+                (x0 * y1 + x1 * y0 + self.S * t) % mod)
+
+    def conj(self, x0, x1):
+        """The automorphism g -> S - g (the identity on the base)."""
+        return (x0 + self.S * x1) % self.mod, (-x1) % self.mod
+
+    def inv(self, x0, x1):
+        """Inverses of unit pairs: conj(x) / N(x). Raises ValueError where
+        x is not a unit."""
+        c0, c1 = self.conj(x0, x1)
+        norm, _ = self.mul(x0, x1, c0, c1)
+        if np.ndim(norm):
+            ninv = np.array([pow(int(n), -1, self.mod) for n in norm.ravel()],
+                            dtype=self.dtype).reshape(norm.shape)
+        else:
+            ninv = pow(int(norm), -1, self.mod)
+        return c0 * ninv % self.mod, c1 * ninv % self.mod
+
+    def div_pi(self, c0, c1):
+        """(c0 + c1*g) / pi as (c0, c1, fail), exact where pi divides and
+        fail where it does not: x / p on the basis {1, w} of Q_p or an
+        unramified F_p; on the basis {1, pi} of a ramified one, with
+        pi^2 = S*pi + T and T = -N(pi) = -p,
+        x / pi = (c1 + (c0/p) S) + (-c0/p) pi."""
+        p = self.p
+        if self.ext_kind == "ramified":
+            q = c0 // p
+            return (c1 + q * self.S) % self.mod, -q % self.mod, c0 % p != 0
+        return c0 // p, c1 // p, (c0 % p != 0) | (c1 % p != 0)
 
     # -- element constructors ------------------------------------------------
 
@@ -97,8 +141,7 @@ class PadicContext:
             return self.elt(z)
         if self._embed_coeffs is None:
             raise ValueError("context has no field embedding")
-        wa, wb = self._embed_coeffs
-        return self.elt(z.a + z.b * wa, z.b * wb)
+        return self.elt(*self.embed_pair(z.a, z.b))
 
     def __repr__(self):
         return "PadicContext(p=%d, M=%d, %s)" % (self.p, self.M, self.ext_kind)
@@ -165,8 +208,6 @@ def _ramified_torsion(ctx, d):
                 out.append(s * z3 ** a)
         out.append(-ctx.one())
         return out
-    if d == 2 and ctx.p == 2:
-        return [-ctx.one()]
     return [-ctx.one()]
 
 
@@ -221,9 +262,7 @@ class PadicElement:
         if o is NotImplemented:
             return o
         ctx = self.ctx
-        a0, a1, b0, b1 = self.c0, self.c1, o.c0, o.c1
-        c0 = a0 * b0 + ctx.T * a1 * b1
-        c1 = a0 * b1 + a1 * b0 + ctx.S * a1 * b1
+        c0, c1 = ctx.mul(self.c0, self.c1, o.c0, o.c1)
         prec = min(self.prec + o.val(), o.prec + self.val(), ctx.cap)
         return PadicElement(ctx, c0, c1, max(prec, 0))
 
@@ -244,8 +283,8 @@ class PadicElement:
 
     def conj(self):
         """Nontrivial automorphism g -> S - g (identity on the base)."""
-        ctx = self.ctx
-        return PadicElement(ctx, self.c0 + ctx.S * self.c1, -self.c1, self.prec)
+        return PadicElement(self.ctx, *self.ctx.conj(self.c0, self.c1),
+                            self.prec)
 
     def val(self):
         """pi-adic valuation, capped at the element's precision; computed
@@ -269,16 +308,13 @@ class PadicElement:
         return self.val() == 0
 
     def inverse(self):
-        ctx = self.ctx
         if self.is_zero():
             raise ZeroDivisionError("inverting (p-adically) zero")
         if self.val() != 0:
             # only integral elements are representable, so 1/non-unit is not
             raise PrecisionError("inverse of a non-unit leaves the ring")
-        n = (self * self.conj()).c0 % ctx.mod
-        ninv = pow(n, -1, ctx.mod)
-        co = self.conj()
-        return PadicElement(ctx, co.c0 * ninv, co.c1 * ninv, self.prec)
+        return PadicElement(self.ctx, *self.ctx.inv(self.c0, self.c1),
+                            self.prec)
 
     def __truediv__(self, other):
         """self / other. A divisor of valuation v is a unit times pi^v: both
@@ -306,12 +342,6 @@ class PadicElement:
             return NotImplemented
         return (self - o).is_zero()
 
-    def reduce_prec(self, prec):
-        ctx = self.ctx
-        prec = min(prec, self.prec)
-        pk = ctx.p ** _coeff_digits(ctx, prec)
-        return PadicElement(ctx, self.c0 % pk, self.c1 % pk, prec)
-
     def to_json(self):
         return {"p": self.ctx.p, "ext_kind": self.ctx.ext_kind,
                 "coeffs": [str(self.c0), str(self.c1)],
@@ -336,111 +366,12 @@ def _pval(n, p, M):
 
 
 def _div_pi(x, v):
-    """x / pi, exact: x / p on the basis {1, w} of Q_p or an unramified
-    F_p; on the basis {1, pi} of a ramified one, with pi^2 = S*pi + T and
-    T = -N(pi) = -p, x / pi = (c1 + (c0/p) S) + (-c0/p) pi. Raises
+    """x / pi (PadicContext.div_pi), one digit less precise. Raises
     PrecisionError (as a division by pi^v) when pi does not divide x."""
-    ctx = x.ctx
-    p = ctx.p
-    if ctx.ext_kind == "ramified":
-        if x.c0 % p:
-            raise PrecisionError("inexact division by pi^%d" % v)
-        q = x.c0 // p
-        return PadicElement(ctx, x.c1 + q * ctx.S, -q, x.prec - 1)
-    if x.c0 % p or x.c1 % p:
+    c0, c1, fail = x.ctx.div_pi(x.c0, x.c1)
+    if fail:
         raise PrecisionError("inexact division by pi^%d" % v)
-    return PadicElement(ctx, x.c0 // p, x.c1 // p, x.prec - 1)
-
-
-def _coeff_digits(ctx, piprec):
-    # p-adic digits needed on coefficients for pi-adic precision piprec
-    if ctx.ext_kind == "ramified":
-        return (piprec + 1) // 2 + (piprec % 2)
-    return piprec
-
-
-def ctx_uniformizer(ctx):
-    if ctx.ext_kind == "ramified":
-        return ctx.gen()
-    return ctx.elt(ctx.p)
-
-
-# ---------------------------------------------------------------------------
-# Teichmuller, Iwasawa logarithm, gauge powers
-
-
-def teichmuller(x):
-    """The unique (q-1)-st root of unity congruent to x mod pi. At full
-    precision (prec == cap) the lift depends on the residue class alone
-    and comes from the context's table; below it, its digits beyond prec
-    depend on x."""
-    if not x.is_unit():
-        raise ValueError("Teichmuller character of a non-unit")
-    ctx = x.ctx
-    if x.prec != ctx.cap:
-        return _teichmuller_iterate(x)
-    key = ctx.residue_key(x.c0, x.c1)
-    t = ctx._teich.get(key)
-    if t is None:
-        z = _teichmuller_iterate(x)
-        t = ctx._teich[key] = (z.c0, z.c1)
-    return PadicElement(ctx, t[0], t[1], ctx.cap)
-
-
-def _teichmuller_iterate(x):
-    ctx = x.ctx
-    y = x
-    for _ in range(ctx.cap + 2):
-        z = y ** ctx.q
-        if (z - y).is_zero():
-            return z
-        y = z
-    return y
-
-
-def torsion_split(x):
-    """Write the unit x = zeta * <x> with <x> = 1 mod pi^{r_pe}; return both.
-
-    zeta runs over Teichmuller lifts times the context's extra p-power torsion.
-    Raises PrecisionError when no such splitting exists (e.g. Q_2(sqrt(-2))).
-    """
-    ctx = x.ctx
-    t = teichmuller(x)
-    cands = [t] + [t * z for z in ctx.extra_torsion]
-    for zeta in cands:
-        g = x * zeta.inverse()
-        if (g - 1).val() >= ctx.r_pe:
-            return zeta, g
-    raise PrecisionError("unit has no torsion splitting mod pi^%d" % ctx.r_pe)
-
-
-def _log_series(one_plus, target_prec):
-    """log(x) for x = 1 mod pi^{r_pe}, by the usual series; returns (value, delta)."""
-    ctx = one_plus.ctx
-    y = one_plus - 1
-    r = y.val()
-    if r < ctx.r_pe and not y.is_zero():
-        raise PrecisionError("log series outside its convergence domain")
-    if y.is_zero():
-        return ctx.zero().reduce_prec(target_prec), 0
-    # number of terms: k*r - e*v_p(k) >= target for all omitted k
-    kmax = 1
-    while True:
-        kmax += 1
-        bound = kmax * r - ctx.e * _ilog(kmax, ctx.p)
-        if bound >= target_prec or kmax > 8 * ctx.cap + 16:
-            break
-    total = ctx.zero()
-    delta = 0
-    yk = y
-    for k in range(1, kmax + 1):
-        contrib = yk / k
-        # term k is known mod pi^{(k-1)r + prec - e v_p(k)}
-        delta = max(delta, ctx.e * _pval(k % ctx.mod, ctx.p, ctx.M)
-                    - (k - 1) * r)
-        total = total - contrib if k % 2 == 0 else total + contrib
-        yk = yk * y
-    return total, max(0, delta)
+    return PadicElement(x.ctx, c0, c1, x.prec - 1)
 
 
 def _ilog(k, p):
@@ -450,94 +381,10 @@ def _ilog(k, p):
     return t
 
 
-def log_iw(x, with_delta=False):
-    """Iwasawa branch of log: log(p) = 0, log multiplicative, torsion killed."""
-    if x.is_zero():
-        raise ValueError("log of zero")
-    ctx = x.ctx
-    v = x.val()
-    pi = ctx_uniformizer(ctx)
-    u = x / pi ** v if v else x
-    # log(pi): 0 unless ramified, where 2 log(pi) = log(pi^2/p) (log p = 0)
-    if v and ctx.ext_kind == "ramified":
-        eps = (pi * pi) / ctx.p
-        lpi_twice, d0 = _log_unit(eps)
-        lpi = lpi_twice / 2 if ctx.p != 2 else _halve(lpi_twice)
-        base = v * lpi
-    else:
-        base = ctx.zero().reduce_prec(ctx.cap)
-        d0 = 0
-    lu, d1 = _log_unit(u)
-    out = base + lu
-    delta = max(d0, d1)
-    return (out, delta) if with_delta else out
-
-
-def _halve(x):
-    ctx = x.ctx
-    if ctx.p != 2:
-        return x / 2
-    if x.c0 % 2 or x.c1 % 2:
-        raise PrecisionError("halving an odd 2-adic element")
-    return PadicElement(ctx, x.c0 // 2, x.c1 // 2, x.prec - ctx.e)
-
-
-def _log_unit(u):
-    ctx = u.ctx
-    try:
-        _, g = torsion_split(u)
-        return _log_series(g, g.prec)
-    except PrecisionError:
-        # fall back: log(u) = log(u^n)/n for n killing the class mod pi^r
-        n = ctx.q - 1
-        w = u ** n
-        t = 0
-        while (w - 1).val() < ctx.r_pe:
-            w = w ** ctx.p
-            n *= ctx.p
-            t += 1
-            if t > ctx.cap:
-                raise PrecisionError("no power of the unit is 1 mod pi^r")
-        val, d = _log_series(w, w.prec)
-        loss = ctx.e * t
-        res = val / (n // ctx.p ** t)
-        for _ in range(t):
-            res = _halve(res) if ctx.p == 2 else res / ctx.p
-        return res, d + loss
-
-
-def padic_exp(y):
-    """exp on pi^{r_pe} O; domain error outside."""
-    ctx = y.ctx
-    if not y.is_zero() and y.val() < ctx.r_pe:
-        raise PrecisionError("exp outside its convergence domain")
-    total = ctx.one()
-    term = ctx.one()
-    k = 1
-    while True:
-        term = term * y / k
-        if term.is_zero() or k > 4 * ctx.cap + 8:
-            break
-        total = total + term
-        k += 1
-    return total
-
-
-def gauge(z):
-    """<z> = z / (torsion part); congruent to 1 mod pi^{r_pe}."""
-    _, g = torsion_split(z)
-    return g
-
-
-def gauge_power(z, s):
-    """<z>^s = exp(s log <z>) for a unit z and s integral."""
-    if not z.is_unit():
-        raise ValueError("gauge power of a non-unit")
-    g = gauge(z)
-    lg, _ = _log_series(g, g.prec)
-    if isinstance(s, int):
-        s = z.ctx.elt(s)
-    return padic_exp(s * lg)
+def ctx_uniformizer(ctx):
+    if ctx.ext_kind == "ramified":
+        return ctx.gen()
+    return ctx.elt(ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +442,19 @@ def _pval_array(c, powers, M):
 
 
 class PadicStack:
-    """Elements c0 + c1*g of one completion, as arrays of any one shape:
-    coefficients mod p^M of the dtype of the pair arithmetic ar (an
-    ocsymb.DistContext: mul, conj, inv, mod, dtype, powers, pctx) and an
-    int array of precisions. Every operation applies the rule of the
-    PadicElement operation to each element, so stack and scalar code agree
-    in value and precision; int and PadicElement operands broadcast as
-    constants. An operation that would raise for some elements records the
-    error in log (see StackLog), or raises it when log is None."""
+    """Elements c0 + c1*g of one completion ctx, as arrays of any one
+    shape: coefficients mod p^M of ctx.dtype and an int array of
+    precisions. Every operation applies the rule of the PadicElement
+    operation to each element, on the pair arithmetic of ctx, so stack and
+    scalar code agree in value and precision; int and PadicElement
+    operands broadcast as constants. An operation that would raise for
+    some elements records the error in log (see StackLog), or raises it
+    when log is None."""
 
-    __slots__ = ("ar", "c0", "c1", "prec", "log", "_v")
+    __slots__ = ("ctx", "c0", "c1", "prec", "log", "_v")
 
-    def __init__(self, ar, c0, c1, prec, log=None):
-        self.ar = ar
+    def __init__(self, ctx, c0, c1, prec, log=None):
+        self.ctx = ctx
         self.c0 = c0
         self.c1 = c1
         self.prec = prec
@@ -615,40 +462,39 @@ class PadicStack:
         self._v = None
 
     @classmethod
-    def of(cls, ar, xs, log=None):
+    def of(cls, ctx, xs, log=None):
         """PadicElements or ints as a stack, shape (len(xs),); a single one
         as shape (1,)."""
         if not isinstance(xs, (list, tuple)):
             xs = [xs]
-        pctx = ar.pctx
-        xs = [pctx.elt(x) if isinstance(x, int) else x for x in xs]
-        return cls(ar, np.array([x.c0 for x in xs], dtype=ar.dtype),
-                   np.array([x.c1 for x in xs], dtype=ar.dtype),
+        xs = [ctx.elt(x) if isinstance(x, int) else x for x in xs]
+        return cls(ctx, np.array([x.c0 for x in xs], dtype=ctx.dtype),
+                   np.array([x.c1 for x in xs], dtype=ctx.dtype),
                    np.array([x.prec for x in xs], dtype=np.int64), log)
 
     @classmethod
-    def full(cls, ar, value, shape, prec, log=None):
+    def full(cls, ctx, value, shape, prec, log=None):
         """The int value at precision prec (an int or an array) in every
         place of shape."""
-        c0 = np.full(shape, value % ar.mod, dtype=ar.dtype)
-        return cls(ar, c0, np.zeros(shape, dtype=ar.dtype),
+        c0 = np.full(shape, value % ctx.mod, dtype=ctx.dtype)
+        return cls(ctx, c0, np.zeros(shape, dtype=ctx.dtype),
                    np.broadcast_to(prec, shape).copy(), log)
 
     @classmethod
-    def embed(cls, ar, a, b, log=None):
+    def embed(cls, ctx, a, b, log=None):
         """The elements a + b*w of the field (int arrays) at full precision."""
-        c0, c1 = ar.embed_pair(np.asarray(a, dtype=ar.dtype),
-                               np.asarray(b, dtype=ar.dtype))
-        return cls(ar, c0, c1, np.full(np.shape(c0), ar.pctx.cap), log)
+        c0, c1 = ctx.embed_pair(np.asarray(a, dtype=ctx.dtype),
+                                np.asarray(b, dtype=ctx.dtype))
+        return cls(ctx, c0, c1, np.full(np.shape(c0), ctx.cap), log)
 
     def _coerce(self, other):
         if isinstance(other, PadicStack):
             return other
-        return PadicStack.of(self.ar, other)
+        return PadicStack.of(self.ctx, other)
 
     def _new(self, other, c0, c1, prec):
         log = self.log if self.log is not None else other.log
-        return PadicStack(self.ar, c0, c1, prec, log)
+        return PadicStack(self.ctx, c0, c1, prec, log)
 
     @property
     def shape(self):
@@ -658,7 +504,7 @@ class PadicStack:
         return len(self.c0)
 
     def __getitem__(self, idx):
-        out = PadicStack(self.ar, self.c0[idx], self.c1[idx], self.prec[idx],
+        out = PadicStack(self.ctx, self.c0[idx], self.c1[idx], self.prec[idx],
                          self.log)
         if self._v is not None:
             out._v = self._v[idx]
@@ -673,22 +519,22 @@ class PadicStack:
 
     def element(self, idx):
         """Element idx as a PadicElement."""
-        return PadicElement(self.ar.pctx, int(self.c0[idx]),
-                            int(self.c1[idx]), int(self.prec[idx]))
+        return PadicElement(self.ctx, int(self.c0[idx]), int(self.c1[idx]),
+                            int(self.prec[idx]))
 
     # -- ring ops ------------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        mod = self.ar.mod
+        mod = self.ctx.mod
         return self._new(o, (self.c0 + o.c0) % mod, (self.c1 + o.c1) % mod,
                          np.minimum(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        mod = self.ar.mod
-        out = PadicStack(self.ar, -self.c0 % mod, -self.c1 % mod, self.prec,
+        mod = self.ctx.mod
+        out = PadicStack(self.ctx, -self.c0 % mod, -self.c1 % mod, self.prec,
                          self.log)
         out._v = self._v
         return out
@@ -698,18 +544,20 @@ class PadicStack:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        c0, c1 = self.ar.mul(self.c0, self.c1, o.c0, o.c1)
+        c0, c1 = self.ctx.mul(self.c0, self.c1, o.c0, o.c1)
         prec = np.minimum(np.minimum(self.prec + o.val(), o.prec + self.val()),
-                          self.ar.pctx.cap)
+                          self.ctx.cap)
         return self._new(o, c0, c1, np.maximum(prec, 0))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Non-negative powers by the square-and-multiply of PadicElement."""
-        r = PadicStack(self.ar, np.ones_like(self.c0), np.zeros_like(self.c1),
-                       self.prec if n else np.full(self.shape,
-                                                   self.ar.pctx.cap),
+        """Powers by the square-and-multiply of PadicElement; a negative n
+        is the power -n of the inverse."""
+        if n < 0:
+            return self.inverse() ** -n
+        r = PadicStack(self.ctx, np.ones_like(self.c0), np.zeros_like(self.c1),
+                       self.prec if n else np.full(self.shape, self.ctx.cap),
                        self.log)
         x = self
         while n:
@@ -720,18 +568,18 @@ class PadicStack:
         return r
 
     def conj(self):
-        c0, c1 = self.ar.conj(self.c0, self.c1)
-        out = PadicStack(self.ar, c0, c1, self.prec, self.log)
+        c0, c1 = self.ctx.conj(self.c0, self.c1)
+        out = PadicStack(self.ctx, c0, c1, self.prec, self.log)
         out._v = self._v
         return out
 
     def val(self):
         """pi-adic valuations, capped at the precisions; computed once."""
         if self._v is None:
-            ar = self.ar
-            v0 = _pval_array(self.c0, ar.powers, ar.M)
-            v1 = _pval_array(self.c1, ar.powers, ar.M)
-            if ar.pctx.ext_kind == "ramified":
+            ctx = self.ctx
+            v0 = _pval_array(self.c0, ctx.powers, ctx.M)
+            v1 = _pval_array(self.c1, ctx.powers, ctx.M)
+            if ctx.ext_kind == "ramified":
                 v = np.minimum(2 * v0, 2 * v1 + 1)
             else:
                 v = np.minimum(v0, v1)
@@ -748,39 +596,25 @@ class PadicStack:
         bad = zero | (self.val() != 0)
         _record(self.log, bad & ~zero,
                 PrecisionError("inverse of a non-unit leaves the ring"))
-        x0 = np.where(bad, 1, self.c0).astype(self.ar.dtype).ravel()
-        x1 = np.where(bad, 0, self.c1).astype(self.ar.dtype).ravel()
-        c0, c1 = self.ar.inv(x0, x1)
-        return PadicStack(self.ar, c0.reshape(self.shape),
-                          c1.reshape(self.shape), self.prec, self.log)
-
-    def _div_pi(self):
-        """(self / pi, where pi does not divide): PadicElement's _div_pi."""
-        pctx, mod = self.ar.pctx, self.ar.mod
-        p = pctx.p
-        if pctx.ext_kind == "ramified":
-            fail = self.c0 % p != 0
-            q = self.c0 // p
-            c0, c1 = (self.c1 + q * pctx.S) % mod, -q % mod
-        else:
-            fail = (self.c0 % p != 0) | (self.c1 % p != 0)
-            c0, c1 = self.c0 // p, self.c1 // p
-        return (PadicStack(self.ar, c0, c1, self.prec - 1, self.log),
-                fail.astype(bool))
+        dtype = self.ctx.dtype
+        c0, c1 = self.ctx.inv(np.where(bad, 1, self.c0).astype(dtype),
+                              np.where(bad, 0, self.c1).astype(dtype))
+        return PadicStack(self.ctx, c0, c1, self.prec, self.log)
 
     def div_int(self, k, where=True):
         """self / k for an int k, as PadicElement.__truediv__ divides: a
         divisor of valuation v > 0 shifts both operands v times by pi.
         Errors are recorded only where `where` holds (the elements the
         scalar code divides)."""
-        pctx = self.ar.pctx
-        y = pctx.elt(k)
+        ctx = self.ctx
+        y = ctx.elt(k)
         v = y.val()
         x = self
         if v:
             fail = np.zeros(self.shape, dtype=bool)
             for _ in range(v):
-                x, f = x._div_pi()
+                c0, c1, f = ctx.div_pi(x.c0, x.c1)
+                x = PadicStack(ctx, c0, c1, x.prec - 1, self.log)
                 fail |= f
                 y = _div_pi(y, v)
             on = fail | (x.prec <= 0) | (y.prec <= 0)
@@ -788,27 +622,27 @@ class PadicStack:
                     PrecisionError("inexact division by pi^%d" % v))
             if y.prec <= 0:
                 return x
-        return x * PadicStack.of(self.ar, y).inverse()
+        return x * PadicStack.of(ctx, y).inverse()
 
     # -- shape ---------------------------------------------------------------
 
     def sum(self, axis=None, where=True):
         """zero + the elements (where `where` holds) summed over axis; axis
         None sums all into a PadicElement."""
-        ar = self.ar
-        c0 = np.where(where, self.c0, 0).sum(axis=axis) % ar.mod
-        c1 = np.where(where, self.c1, 0).sum(axis=axis) % ar.mod
+        ctx = self.ctx
+        c0 = np.where(where, self.c0, 0).sum(axis=axis) % ctx.mod
+        c1 = np.where(where, self.c1, 0).sum(axis=axis) % ctx.mod
         prec = np.min(np.broadcast_to(self.prec, np.broadcast(
             self.c0, where).shape), axis=axis, where=where,
-            initial=ar.pctx.cap)
+            initial=ctx.cap)
         if axis is None:
-            return PadicElement(ar.pctx, int(c0), int(c1), int(prec))
-        return PadicStack(ar, c0, c1, prec, self.log)
+            return PadicElement(ctx, int(c0), int(c1), int(prec))
+        return PadicStack(ctx, c0, c1, prec, self.log)
 
 
 def select(mask, a, b):
     """Elementwise a where mask holds, else b."""
-    return PadicStack(a.ar, np.where(mask, a.c0, b.c0),
+    return PadicStack(a.ctx, np.where(mask, a.c0, b.c0),
                       np.where(mask, a.c1, b.c1),
                       np.where(mask, a.prec, b.prec),
                       a.log if a.log is not None else b.log)
@@ -817,50 +651,67 @@ def select(mask, a, b):
 def stack(items, axis=-1):
     """Stacks (or PadicElements) of one broadcast shape, joined on a new
     axis."""
-    ar = next(x.ar for x in items if isinstance(x, PadicStack))
-    items = [x if isinstance(x, PadicStack) else PadicStack.of(ar, x)
+    ctx = next(x.ctx for x in items if isinstance(x, PadicStack))
+    items = [x if isinstance(x, PadicStack) else PadicStack.of(ctx, x)
              for x in items]
     shape = np.broadcast_shapes(*(x.shape for x in items))
     parts = [np.stack([np.broadcast_to(getattr(x, name), shape)
                        for x in items], axis=axis)
              for name in ("c0", "c1", "prec")]
     log = next((x.log for x in items if x.log is not None), None)
-    return PadicStack(ar, parts[0], parts[1], parts[2], log)
+    return PadicStack(ctx, parts[0], parts[1], parts[2], log)
+
+
+# ---------------------------------------------------------------------------
+# Teichmuller, Iwasawa logarithm and exp, on stacks
 
 
 def teichmuller_units(x):
-    """teichmuller() of each element of a stack of units at full precision,
-    from the context's table. The classes not yet in the table are lifted
-    at once, by the scalar iteration y -> y^q on one representative each:
-    each step gains at least one digit on a unit at full precision, so
-    within cap + 2 steps it settles on the lift of the class."""
-    pctx = x.ar.pctx
-    table = pctx._teich
-    keys = pctx.residue_key(x.c0, x.c1).tolist()
+    """The unique (q-1)-st root of unity congruent mod pi to each element
+    of a 1-d stack of units at full precision, from the context's table.
+    The classes not yet in the table are lifted at once, by y -> y^q on one
+    representative each: each step gains a digit, so within cap + 2 steps
+    it settles. Below full precision it would settle early, on digits the
+    element lacks: such elements record PrecisionError, non-units
+    ValueError, and neither enters the table."""
+    ctx = x.ctx
+    nonunit = x.val() != 0
+    _record(x.log, nonunit, ValueError("Teichmuller character of a non-unit"))
+    low = ~nonunit & (x.prec < ctx.cap)
+    _record(x.log, low, PrecisionError("Teichmuller lift of a unit below "
+                                       "full precision"))
+    ok = ~(nonunit | low)
+    # the class mod pi: c0 mod p, and c1 mod p where g = w is a unit
+    keys = x.c0 % ctx.p
+    if ctx.ext_kind == "inert":
+        keys = keys + ctx.p * (x.c1 % ctx.p)
+    keys = keys.tolist()
+    table = ctx._teich
     first = {}
-    for i, key in enumerate(keys):
-        if key not in table:
-            first.setdefault(key, i)
+    for i in np.nonzero(ok)[0].tolist():
+        if keys[i] not in table:
+            first.setdefault(keys[i], i)
     if first:
         y = x[np.array(list(first.values()))]
-        for _ in range(pctx.cap + 2):
-            z = y ** pctx.q
+        for _ in range(ctx.cap + 2):
+            z = y ** ctx.q
             settled = (z - y).is_zero().all()
             y = z
             if settled:
                 break
         for key, c0, c1 in zip(first, y.c0.tolist(), y.c1.tolist()):
             table[key] = (c0, c1)
-    t0, t1 = zip(*(table[key] for key in keys))
-    return PadicStack(x.ar, np.array(t0, dtype=x.ar.dtype),
-                      np.array(t1, dtype=x.ar.dtype),
-                      np.full(len(keys), pctx.cap), x.log)
+    t0, t1 = zip(*(table[key] if good else (1, 0)
+                   for key, good in zip(keys, ok.tolist())))
+    return PadicStack(ctx, np.array(t0, dtype=ctx.dtype),
+                      np.array(t1, dtype=ctx.dtype),
+                      np.full(len(keys), ctx.cap), x.log)
 
 
 def _log_series_stack(one_plus, where):
-    """The value of _log_series(x, x.prec) for each element x of one_plus
-    where `where` holds: the series runs to each element's own kmax."""
-    ar, ctx = one_plus.ar, one_plus.ar.pctx
+    """log(x) by the usual series for each x = 1 mod pi^{r_pe} of one_plus
+    where `where` holds, to each element's own number of terms."""
+    ctx = one_plus.ctx
     target = one_plus.prec
     y = one_plus - 1
     r, yz = y.val(), y.is_zero()
@@ -878,7 +729,7 @@ def _log_series_stack(one_plus, where):
             | (K > 8 * ctx.cap + 16)
         kmax[open_ & stop] = K
         open_ &= ~stop
-    total = PadicStack.full(ar, 0, y.shape, ctx.cap, y.log)
+    total = PadicStack.full(ctx, 0, y.shape, ctx.cap, y.log)
     yk = y
     for k in range(1, int(kmax.max(initial=0)) + 1):
         act = k <= kmax
@@ -886,18 +737,59 @@ def _log_series_stack(one_plus, where):
         total = select(act, total - contrib if k % 2 == 0
                        else total + contrib, total)
         yk = yk * y
-    zero = PadicStack.full(ar, 0, y.shape, np.minimum(target, ctx.cap), y.log)
+    zero = PadicStack.full(ctx, 0, y.shape, np.minimum(target, ctx.cap),
+                           y.log)
     return select(yz, zero, total)
 
 
+def _halve(x, where=True):
+    """x / 2; at p = 2 the exact halving of both coefficients (x / p),
+    which costs e digits."""
+    ctx = x.ctx
+    if ctx.p != 2:
+        return x.div_int(2, where)
+    odd = (x.c0 % 2 != 0) | (x.c1 % 2 != 0)
+    _record(x.log, odd & where,
+            PrecisionError("halving an odd 2-adic element"))
+    return PadicStack(ctx, x.c0 // 2, x.c1 // 2, x.prec - ctx.e, x.log)
+
+
+def _log_power(x, where):
+    """log of each unit of x where `where` holds, by a power:
+    log(u) = log(u^n) / n, with n = (q - 1) p^t for the least t such that
+    u^n = 1 mod pi^{r_pe}. The series of u^n is divided by q - 1, then t
+    times by p."""
+    ctx = x.ctx
+    w = x ** (ctx.q - 1)
+    t = np.zeros(x.shape, dtype=np.int64)
+    need = where & ((w - 1).val() < ctx.r_pe)
+    while need.any():
+        w = select(need, w ** ctx.p, w)
+        t += need
+        over = need & (t > ctx.cap)
+        _record(x.log, over,
+                PrecisionError("no power of the unit is 1 mod pi^r"))
+        need &= ~over & ((w - 1).val() < ctx.r_pe)
+    on = where & (t <= ctx.cap)
+    out = _log_series_stack(w, on).div_int(ctx.q - 1, on)
+    for j in range(int(t[on].max(initial=0))):
+        step = on & (t > j)
+        out = select(step, _halve(out, step) if ctx.p == 2
+                     else out.div_int(ctx.p, step), out)
+    return out
+
+
 def log_iw_units(x):
-    """log_iw of each element of a stack of units at full precision: the
-    torsion split by the Teichmuller table, then the log series to each
-    element's own length. As in _log_unit, a unit without a torsion
-    splitting, or whose series raises, takes the power fallback: the
-    scalar log_iw, one by one."""
-    ar, ctx = x.ar, x.ar.pctx
-    t = teichmuller_units(x)
+    """log_iw of each element of a 1-d stack of units: the torsion part
+    (the Teichmuller lift of the class, times extra p-power torsion) is
+    split off and the log series runs on the rest. A unit with no such
+    splitting (as in Q_2(sqrt(-2))), or whose series raises, takes the
+    power fallback. Below full precision the lift of the class is split
+    off all the same."""
+    ctx = x.ctx
+    _record(x.log, x.is_zero(), ValueError("log of zero"))
+    t = teichmuller_units(PadicStack(ctx, x.c0, x.c1,
+                                     np.full(x.shape, ctx.cap), x.log))
     found = np.zeros(x.shape, dtype=bool)
     g = x
     for zeta in [t] + [t * z for z in ctx.extra_torsion]:
@@ -906,28 +798,24 @@ def log_iw_units(x):
         g = select(ok, gz, g)
         found |= ok
     series = StackLog(len(x))
-    g = PadicStack(ar, g.c0, g.c1, g.prec, series)
-    # log_iw adds the zero log of pi^0 at full precision
-    out = _log_series_stack(g, found) + 0
+    out = _log_series_stack(PadicStack(ctx, g.c0, g.c1, g.prec, series),
+                            found)
     out.log = x.log
-    for i in np.nonzero(~found | (series.first >= 0))[0]:
-        try:
-            v = log_iw(x.element(i))
-        except ArithmeticError as exc:
-            _record(x.log, np.arange(len(x)) == i, exc)
-            continue
-        out.c0[i], out.c1[i], out.prec[i] = v.c0, v.c1, v.prec
-        out._v = None
-    return out
+    fallback = ~found | (series.first >= 0)
+    if fallback.any():
+        out = select(fallback, _log_power(x, fallback), out)
+    # log_iw adds the zero log of pi^0 at full precision
+    return out + 0
 
 
 def padic_exp_stack(y):
-    """padic_exp of each element; the series stops per element."""
-    ar, ctx = y.ar, y.ar.pctx
+    """exp on pi^{r_pe} O of each element; the series stops per element.
+    Outside that domain an element records PrecisionError."""
+    ctx = y.ctx
     outside = ~y.is_zero() & (y.val() < ctx.r_pe)
     _record(y.log, outside,
             PrecisionError("exp outside its convergence domain"))
-    total = PadicStack.full(ar, 1, y.shape, ctx.cap, y.log)
+    total = PadicStack.full(ctx, 1, y.shape, ctx.cap, y.log)
     term = total
     active = ~outside
     k = 1
@@ -939,3 +827,41 @@ def padic_exp_stack(y):
         active = add
         k += 1
     return total
+
+
+def _scalar(stacked, x):
+    """The stacked operation on the element x alone; raises its error."""
+    out = stacked(PadicStack.of(x.ctx, [x], StackLog(1)))
+    out.log.check()
+    return out.element(0)
+
+
+def teichmuller(x):
+    """The Teichmuller lift of a unit x at full precision (see
+    teichmuller_units)."""
+    return _scalar(teichmuller_units, x)
+
+
+def padic_exp(y):
+    """exp on pi^{r_pe} O; PrecisionError outside."""
+    return _scalar(padic_exp_stack, y)
+
+
+def log_iw(x):
+    """Iwasawa branch of log: log(p) = 0, log multiplicative, torsion
+    killed. For x = pi^v u with u a unit this is v log(pi) + log_iw(u),
+    where log(pi) is 0 unless p ramifies, and there
+    2 log(pi) = log(pi^2 / p)."""
+    if x.is_zero():
+        raise ValueError("log of zero")
+    ctx = x.ctx
+    v = x.val()
+    pi = ctx_uniformizer(ctx)
+    u = x / pi ** v if v else x
+    if not (v and ctx.ext_kind == "ramified"):
+        return _scalar(log_iw_units, u)
+    eps = (pi * pi) / ctx.p
+    logs = log_iw_units(PadicStack.of(ctx, [eps, u], StackLog(2)))
+    half = _halve(logs, np.array([True, False]))
+    logs.log.check()
+    return v * half.element(0) + logs.element(1)

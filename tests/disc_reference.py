@@ -1,9 +1,10 @@
 """Reference copy of the per-disc scalar series code that lfun's stacked disc
 kernel replaced: the z-series of log_iw(B + G z), the series of
 <B + G z>^s, series products and the pairing against one disc's moments,
-all on PadicElements, one disc at a time. The tests compare the kernel
-against it row by row."""
+all on PadicElements, one disc at a time, with the scalar log_iw and exp of
+padic_reference. The tests compare the kernel against it row by row."""
 
+import padic_reference as ref
 from padicbianchi import padic
 
 
@@ -36,7 +37,7 @@ def log_series_on_disc(pctx, B, G, M):
     """log_iw(B + G z) as a z-series: log_iw(B) + log(1 + (G/B) z)."""
     Bp = pctx.embed(B)
     t = pctx.embed(G) / Bp
-    out = [padic.log_iw(Bp)]
+    out = [ref.log_iw(Bp)]
     tk = t
     for k in range(1, M):
         term = tk / k
@@ -50,7 +51,7 @@ def power_series(L, s, M):
     pctx = L[0].ctx
     if not isinstance(s, padic.PadicElement):
         s = pctx.elt(int(s))
-    head = padic.padic_exp(s * L[0])
+    head = ref.padic_exp(s * L[0])
     P = [pctx.zero()] + [s * c for c in L[1:]]
     return [head * c for c in ser_exp(P, M)]
 

@@ -4,18 +4,19 @@ On every disc of the reference measures at (1) and (3), of the ramified
 p = 2 measures at (1), (3) and (4+i) and of the rational measures, each
 kernel of lfun gives, row by row, the value and the precision that the
 scalar series code of disc_reference gives for that disc alone. The
-stacked element ops of padic are checked op by op against PadicElement:
-value, precision and the error raised first, over Q_11(i) at M = 8,
-Q_2(i) and Q_3(sqrt(-3)) at M = 6, Q_5, and Q_11(i) at M = 20, where
-the pair arithmetic leaves int64."""
+stacked element ops of padic are checked op by op against PadicElement,
+and the stacked Teichmuller lift, log and exp against the scalar series
+of padic_reference: value, precision and the error raised first, over
+Q_11(i) at M = 8, Q_2(i), Q_2(sqrt(-2)) and Q_3(sqrt(-3)) at M = 6, Q_5,
+and Q_11(i) at M = 20, where the pair arithmetic leaves int64."""
 
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import disc_reference as ref
+import padic_reference as pref
 from padicbianchi import basechange as bc
 from padicbianchi import field as fld
 from padicbianchi import lfun
@@ -108,10 +109,9 @@ class TestErrorOrder:
     def test_first_row_raises(self):
         # row 1 fails first in time, row 0 later: the scalar loop over the
         # rows meets row 0's error first, so that is the one raised
-        ar = oc.DistContext(fld.split_prime(11, 1), 4)
-        pctx = ar.pctx
+        ctx = padic.completion(fld.split_prime(11, 1), 4)
         log = padic.StackLog(3)
-        x = padic.PadicStack.of(ar, [pctx.elt(11), pctx.elt(1), pctx.elt(2)],
+        x = padic.PadicStack.of(ctx, [ctx.elt(11), ctx.elt(1), ctx.elt(2)],
                                 log)
         x.div_int(11)
         x.inverse()
@@ -121,60 +121,47 @@ class TestErrorOrder:
 
 
 # ---------------------------------------------------------------------------
-# element ops against PadicElement
-
-class QpArith(oc.DistContext):
-    """DistContext's pair arithmetic over Q_p alone: every c1 is 0 and
-    g^2 = 0, so mul, conj and inv act on c0 as the integers mod p^M."""
-
-    def __init__(self, p, M):
-        self.pctx = padic.Qp(p, M)
-        self.p, self.M, self.mod = p, M, p ** M
-        self.S, self.T = 0, 0
-        assert 2 * M * self.mod ** 2 < 2 ** 63
-        self.dtype = np.int64
-        self.powers = np.array([p ** k for k in range(M + 1)],
-                               dtype=np.int64)
-
+# element ops against PadicElement and the scalar series of padic_reference
 
 CONTEXTS = {
-    "Q11(i)": lambda: oc.DistContext(fld.split_prime(11, 1), 8),
-    "Q2(i)": lambda: oc.DistContext(fld.split_prime(2, 1), 6),
-    "Q3(sqrt-3)": lambda: oc.DistContext(fld.split_prime(3, 3), 6),
-    "Q5": lambda: QpArith(5, 6),
+    "Q11(i)": lambda: padic.completion(fld.split_prime(11, 1), 8),
+    "Q2(i)": lambda: padic.completion(fld.split_prime(2, 1), 6),
+    # about half the units of Q_2(sqrt(-2)) have no torsion splitting and
+    # take the power fallback of log_iw_units, with its halvings
+    "Q2(sqrt-2)": lambda: padic.completion(fld.split_prime(2, 2), 6),
+    "Q3(sqrt-3)": lambda: padic.completion(fld.split_prime(3, 3), 6),
+    "Q5": lambda: padic.Qp(5, 6),
     # 11^20 > 2^63: the pair arithmetic runs on Python ints (dtype object)
-    "Q11(i) M20": lambda: oc.DistContext(fld.split_prime(11, 1), 20),
+    "Q11(i) M20": lambda: padic.completion(fld.split_prime(11, 1), 20),
 }
-_ARITH = {}
+_CTX = {}
 
 
-def arith(name):
-    if name not in _ARITH:
-        _ARITH[name] = CONTEXTS[name]()
-    return _ARITH[name]
+def completion(name):
+    if name not in _CTX:
+        _CTX[name] = CONTEXTS[name]()
+    return _CTX[name]
 
 
 @st.composite
-def elements(draw, ar, unit=False, full=False):
-    pctx = ar.pctx
-
+def elements(draw, ctx, unit=False, full=False):
     def coeff():
-        k = 0 if unit else draw(st.integers(0, ar.M))
-        return draw(st.integers(0, ar.mod - 1)) * ar.p ** k % ar.mod
+        k = 0 if unit else draw(st.integers(0, ctx.M))
+        return draw(st.integers(0, ctx.mod - 1)) * ctx.p ** k % ctx.mod
 
     c0 = coeff()
-    c1 = 0 if pctx.ext_kind == "base" else coeff()
-    if unit and c0 % ar.p == 0:
+    c1 = 0 if ctx.ext_kind == "base" else coeff()
+    if unit and c0 % ctx.p == 0:
         c0 += 1
-    prec = pctx.cap if full else draw(st.integers(0, pctx.cap))
-    return pctx.elt(c0, c1, prec)
+    prec = ctx.cap if full else draw(st.integers(0, ctx.cap))
+    return ctx.elt(c0, c1, prec)
 
 
-def element_lists(ar, **kw):
-    return st.lists(elements(ar, **kw), min_size=1, max_size=6)
+def element_lists(ctx, **kw):
+    return st.lists(elements(ctx, **kw), min_size=1, max_size=6)
 
 
-def compare(ar, xs, scalar, stacked):
+def compare(ctx, xs, scalar, stacked):
     """scalar(x) on each x in order against stacked(stack of xs): the rows,
     or the first error the scalar loop meets."""
     want, first = [], None
@@ -185,7 +172,7 @@ def compare(ar, xs, scalar, stacked):
             first = exc
             break
     log = padic.StackLog(len(xs))
-    got = stacked(padic.PadicStack.of(ar, xs, log))
+    got = stacked(padic.PadicStack.of(ctx, xs, log))
     if first is not None:
         with pytest.raises(type(first), match=re.escape(str(first))):
             log.check()
@@ -206,53 +193,89 @@ class TestStackOps:
     @SETTINGS
     @given(data=st.data())
     def test_ring_ops(self, name, data):
-        ar = arith(name)
-        xs = data.draw(element_lists(ar))
-        ys = data.draw(st.lists(elements(ar), min_size=len(xs),
+        ctx = completion(name)
+        xs = data.draw(element_lists(ctx))
+        ys = data.draw(st.lists(elements(ctx), min_size=len(xs),
                                 max_size=len(xs)))
-        other = padic.PadicStack.of(ar, ys)
+        other = padic.PadicStack.of(ctx, ys)
         for op in (lambda a, b: a * b, lambda a, b: a + b,
                    lambda a, b: a - b):
             it = iter(ys)
-            compare(ar, xs, lambda x: op(x, next(it)),
+            compare(ctx, xs, lambda x: op(x, next(it)),
                     lambda s: op(s, other))
-        compare(ar, xs, lambda x: -x, lambda s: -s)
-        compare(ar, xs, lambda x: x.conj(), lambda s: s.conj())
-        compare(ar, xs, lambda x: x.val(), lambda s: s.val())
-        compare(ar, xs, lambda x: x.is_zero(), lambda s: s.is_zero())
+        compare(ctx, xs, lambda x: -x, lambda s: -s)
+        compare(ctx, xs, lambda x: x.conj(), lambda s: s.conj())
+        compare(ctx, xs, lambda x: x.val(), lambda s: s.val())
+        compare(ctx, xs, lambda x: x.is_zero(), lambda s: s.is_zero())
         n = data.draw(st.integers(0, 5))
-        compare(ar, xs, lambda x: x ** n, lambda s: s ** n)
-        total = ar.pctx.zero()
+        compare(ctx, xs, lambda x: x ** n, lambda s: s ** n)
+        # negative powers go through the inverse
+        units = data.draw(element_lists(ctx, unit=True))
+        n = data.draw(st.integers(-5, -1))
+        compare(ctx, units, lambda x: x ** n, lambda s: s ** n)
+        total = ctx.zero()
         for x in xs:
             total = total + x
-        assert pins([padic.PadicStack.of(ar, xs).sum()]) == pins([total])
+        assert pins([padic.PadicStack.of(ctx, xs).sum()]) == pins([total])
 
     @names
     @SETTINGS
     @given(data=st.data())
     def test_division(self, name, data):
-        ar = arith(name)
-        xs = data.draw(element_lists(ar))
-        k = data.draw(st.integers(1, 3 * ar.p + 1))
-        compare(ar, xs, lambda x: x / k, lambda s: s.div_int(k))
-        compare(ar, xs, lambda x: x.inverse(), lambda s: s.inverse())
+        ctx = completion(name)
+        xs = data.draw(element_lists(ctx))
+        k = data.draw(st.integers(1, 3 * ctx.p + 1))
+        compare(ctx, xs, lambda x: x / k, lambda s: s.div_int(k))
+        compare(ctx, xs, lambda x: x.inverse(), lambda s: s.inverse())
 
     @names
     @SETTINGS
     @given(data=st.data())
     def test_teichmuller_and_log(self, name, data):
-        ar = arith(name)
-        xs = data.draw(element_lists(ar, unit=True, full=True))
-        compare(ar, xs, padic.teichmuller, padic.teichmuller_units)
-        compare(ar, xs, padic.log_iw, padic.log_iw_units)
+        ctx = completion(name)
+        xs = data.draw(element_lists(ctx, unit=True, full=True))
+        compare(ctx, xs, pref.teichmuller, padic.teichmuller_units)
+        compare(ctx, xs, pref.log_iw, padic.log_iw_units)
+        # the scalar log_iw on pi^k times a unit: the pi-power part and
+        # the unit's log agree with the reference to their precision
+        k = data.draw(st.integers(0, 3))
+        x = xs[0] * padic.ctx_uniformizer(ctx) ** k
+        want = pref.log_iw(x)
+        got = padic.log_iw(x)
+        assert got.prec == want.prec and (got - want).is_zero()
 
     @names
     @SETTINGS
     @given(data=st.data())
     def test_exp(self, name, data):
-        ar = arith(name)
-        pi = padic.ctx_uniformizer(ar.pctx)
-        xs = data.draw(element_lists(ar))
-        shift = data.draw(st.integers(0, ar.pctx.r_pe + 1))
+        ctx = completion(name)
+        pi = padic.ctx_uniformizer(ctx)
+        xs = data.draw(element_lists(ctx))
+        shift = data.draw(st.integers(0, ctx.r_pe + 1))
         xs = [x * pi ** shift for x in xs]
-        compare(ar, xs, padic.padic_exp, padic.padic_exp_stack)
+        compare(ctx, xs, pref.padic_exp, padic.padic_exp_stack)
+
+
+class TestTeichmullerTable:
+    def test_refuses_below_full_precision(self):
+        # at precision 2 the iteration y -> y^q settles after two digits:
+        # the lift it would store is wrong from the third digit on
+        ctx = padic.completion(fld.split_prime(11, 1), 8)
+        x = ctx.elt(2, 3, 2)
+        log = padic.StackLog(1)
+        padic.teichmuller_units(padic.PadicStack.of(ctx, [x], log))
+        with pytest.raises(padic.PrecisionError, match="below full"):
+            log.check()
+        assert ctx._teich == {}
+        with pytest.raises(padic.PrecisionError, match="below full"):
+            padic.teichmuller(x)
+        with pytest.raises(ValueError, match="non-unit"):
+            padic.teichmuller(ctx.elt(11, 22))
+        assert ctx._teich == {}
+        t = padic.teichmuller(ctx.elt(2, 3))
+        assert (t.c0, t.c1, t.prec) == (1793409, 88272077, 8)
+        assert (t ** 120 - 1).is_zero()
+        # a unit below full precision still has its log, from the lift of
+        # its class
+        lg = padic.log_iw(x)
+        assert lg.prec == 2 and (lg - pref.log_iw(x)).is_zero()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import padic_reference as pref
 from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
 from padicbianchi import lfun
@@ -60,7 +61,7 @@ class TestBlocks:
         (a,) = mu1.units()
         c0, c1 = block(psi, qi(1), a).moment(0, 0)
         classical = phi.ev(fld.Cusp(qi(0), qi(1)), fld.cusp_infinity(1))
-        assert c1 == 0 and (c0 - classical) % psi.ctx.mod == 0
+        assert c1 == 0 and (c0 - classical) % psi.ctx.pctx.mod == 0
 
     def test_lift_independence(self, ref_lift, mu3):
         psi, _ = ref_lift
@@ -101,6 +102,20 @@ class TestValues:
             a, b = f(mu3), f(other)
             assert not a.is_zero()
             assert (a - b).is_zero()
+
+    def test_teichmuller_twist_weights(self, mu3):
+        # the weight of the disc at B is chi(B) w_Tm(B)^r, with the lift
+        # of the class of B from the independent scalar iteration
+        chi = character(qi(3), 1)
+        weight = lfun._chi_weight(mu3, chi, 2)
+        for u, B in zip(*mu3.unit_discs()):
+            got = weight(mu3.units()[u], B.tolist())
+            cv = chi(mu3.element(*B))
+            if not cv:
+                assert got == 0
+                continue
+            want = cv * pref.teichmuller(mu3.pctx.embed(mu3.element(*B))) ** 2
+            assert (got.c0, got.c1, got.prec) == (want.c0, want.c1, want.prec)
 
     def test_sign_forced_vanishing(self, ref_lift):
         # chi mod (4+i) has chi((11)) = -1: no exceptional factor (Z = 2),

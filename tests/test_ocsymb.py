@@ -22,7 +22,7 @@ def ctx4():
 
 
 def rand_mu(ctx, rng):
-    m = np.array(rng.sample(range(ctx.mod), 2 * ctx.M * ctx.M))
+    m = np.array(rng.sample(range(ctx.pctx.mod), 2 * ctx.M * ctx.M))
     return oc.FiniteDistribution(ctx, m.reshape(2, ctx.M, ctx.M).astype(np.int64))
 
 
@@ -92,7 +92,7 @@ class TestSigma0Action:
 def series_pow_matrix(ctx, a, b, c, d):
     """Reference for action_matrices: the M x M pair matrix A with
     ((b + dz)/(a + cz))^i = sum_n A[i,n] z^n, one Python-int pair product
-    at a time (a, b, c, d embedded pairs)."""
+    at a time (a, b, c, d embedded pairs of the completion ctx)."""
     M, mod = ctx.M, ctx.mod
     n = (a[0] * a[0] + ctx.S * a[0] * a[1] - ctx.T * a[1] * a[1]) % mod
     ninv = pow(n, -1, mod)
@@ -145,12 +145,14 @@ def act_reference(ctx, g, m):
     (2, M, C) table, with A from series_pow_matrix and the right factor cut
     to the C columns, in Python integers."""
     (a, b), (c, d) = g
-    A0, A1 = series_pow_matrix(ctx, *(ctx.embed(x) for x in (a, b, c, d)))
+    pctx = ctx.pctx
+    A0, A1 = series_pow_matrix(pctx, *(pctx.embed_pair(x.a, x.b)
+                                     for x in (a, b, c, d)))
     n = m.shape[-1]
-    B0, B1 = ctx.conj(A0[:n, :n].T, A1[:n, :n].T)
+    B0, B1 = pctx.conj(A0[:n, :n].T, A1[:n, :n].T)
     m = m.astype(object)
-    Z0, Z1 = pair_matmul(ctx, A0, A1, m[0], m[1])
-    return np.stack(pair_matmul(ctx, Z0, Z1, B0, B1))
+    Z0, Z1 = pair_matmul(pctx, A0, A1, m[0], m[1])
+    return np.stack(pair_matmul(pctx, Z0, Z1, B0, B1))
 
 
 def rand_sigma0_at(pd, rng, count):
@@ -167,8 +169,9 @@ def rand_sigma0_at(pd, rng, count):
 
 
 def rand_tables(ctx, rng, shape):
-    return np.array([rng.randrange(ctx.mod) for _ in range(np.prod(shape))],
-                    dtype=ctx.dtype).reshape(shape)
+    pctx = ctx.pctx
+    return np.array([rng.randrange(pctx.mod) for _ in range(np.prod(shape))],
+                    dtype=pctx.dtype).reshape(shape)
 
 
 class TestActionKernel:
@@ -182,7 +185,7 @@ class TestActionKernel:
     def test_matches_reference(self, p, M, int64):
         pd = fld.split_prime(p, 1)
         ctx = oc.DistContext(pd, M)
-        assert ctx.int64_safe == int64
+        assert ctx.pctx.int64_safe == int64
         rng = random.Random(100 * p + M)
         gs = []
         while len(gs) < 12:
@@ -195,8 +198,9 @@ class TestActionKernel:
         A0, A1 = oc.action_matrices(ctx, [fld.mat_pairs(g) for g in gs])
         assert A0.shape == A1.shape == (len(gs), M, M)
         for k, ((a, b), (c, d)) in enumerate(gs):
+            pctx = ctx.pctx
             R0, R1 = series_pow_matrix(
-                ctx, *(ctx.embed(x) for x in (a, b, c, d)))
+                pctx, *(pctx.embed_pair(x.a, x.b) for x in (a, b, c, d)))
             assert np.array_equal(A0[k], R0) and np.array_equal(A1[k], R1)
             S0, S1 = oc.action_matrix(ctx, gs[k])
             assert np.array_equal(S0, R0) and np.array_equal(S1, R1)
@@ -250,7 +254,7 @@ class TestTwoSidedTransform:
         want = np.zeros((n_out, 2, M, C), dtype=object)
         for dest, src, sign, g in terms:
             want[dest] += sign * act_reference(ctx, g, values[src])
-        assert np.array_equal(got, want % ctx.mod)
+        assert np.array_equal(got, want % ctx.pctx.mod)
 
 
 def filtration_loop(ctx, m):
@@ -260,7 +264,7 @@ def filtration_loop(ctx, m):
     _, rows, cols = m.shape
     for i in range(rows):
         for j in range(cols):
-            x0, x1 = int(m[0, i, j]) % ctx.mod, int(m[1, i, j]) % ctx.mod
+            x0, x1 = (int(x) % ctx.pctx.mod for x in m[:, i, j])
             if x0 == 0 and x1 == 0:
                 continue
             v = 0
@@ -277,7 +281,7 @@ class TestFiltration:
     @pytest.mark.parametrize("full", [False, True])
     def test_matches_double_loop(self, p, M, int64, full):
         ctx = oc.DistContext(fld.split_prime(p, 1), M)
-        assert ctx.int64_safe == int64
+        assert ctx.pctx.int64_safe == int64
         rng = random.Random(30 * p + M + full)
         C = M if full else 1
         tables = []
@@ -286,9 +290,9 @@ class TestFiltration:
             # filtration lands near f, and f > M gives the zero table
             f = rng.randint(0, M + 1)
             m = np.array([ctx.p ** max(f + rng.randint(-1, 1) - max(i, j), 0)
-                          * rng.randrange(ctx.mod) % ctx.mod
+                          * rng.randrange(ctx.pctx.mod) % ctx.pctx.mod
                           for _ in range(2) for i in range(M)
-                          for j in range(C)], dtype=ctx.dtype)
+                          for j in range(C)], dtype=ctx.pctx.dtype)
             tables.append(m.reshape(2, M, C))
         want = [filtration_loop(ctx, m) for m in tables]
         assert len(set(want)) > M // 2
@@ -323,7 +327,7 @@ class TestZbarTrivialColumn:
             if not fld.mat_det(g) or fld.divides(pd.pi, a):
                 continue
             n += 1
-            full = np.array([rng.randrange(ctx.mod)
+            full = np.array([rng.randrange(ctx.pctx.mod)
                              for _ in range(2 * ctx.M * ctx.M)])
             full = oc.FiniteDistribution(ctx, full.reshape(2, ctx.M, ctx.M))
             col = oc.FiniteDistribution(ctx, full.m[:, :, :1].copy())
@@ -353,7 +357,7 @@ class TestLift:
     def test_total_measure(self, ref_lift, ref_symbols):
         psi, _ = ref_lift
         phi, _ = ref_symbols
-        mod = psi.ctx.mod
+        mod = psi.ctx.pctx.mod
         for v, classical in zip(psi.values, phi.values):
             c0, c1 = v.moment(0, 0)
             assert c1 == 0 and (c0 - classical) % mod == 0
@@ -368,17 +372,17 @@ class TestLift:
         n_gen = len(phi.p1)
         values = np.zeros((n_gen, 2, ctx.M, ctx.M), dtype=np.int64)
         for i, v in enumerate(phi.values):
-            values[i, 0, 0, 0] = int(v) % ctx.mod
-        values[:, :, 1:, :] = rng.randrange(ctx.mod)
-        values[:, :, :, 1:] = rng.randrange(ctx.mod)
+            values[i, 0, 0, 0] = int(v) % ctx.pctx.mod
+        values[:, :, 1:, :] = rng.randrange(ctx.pctx.mod)
+        values[:, :, :, 1:] = rng.randrange(ctx.pctx.mod)
         values[:, :, 0, 0] = values[:, 0, 0, 0][:, None]  # keep (0,0)
         for i, v in enumerate(phi.values):
-            values[i, 0, 0, 0] = int(v) % ctx.mod
+            values[i, 0, 0, 0] = int(v) % ctx.pctx.mod
             values[i, 1, 0, 0] = 0
         for _ in range(9):
-            values = ref_uop.apply(values) % ctx.mod
+            values = ref_uop.apply(values) % ctx.pctx.mod
         ref_vals = np.stack([v.m for v in psi.values])
-        diff = (values - ref_vals) % ctx.mod
+        diff = (values - ref_vals) % ctx.pctx.mod
         assert oc.filtration(ctx, diff) >= ctx.M
 
     def test_specialize_commutes_with_hecke(self, ref_lift):
@@ -388,8 +392,8 @@ class TestLift:
         # specialization of psi is an eigenvector with eigenvalue -2, so
         # the specialization of psi|T must be -2 times it mod p^M
         for (a0, a1), (b0, b1) in zip(oc.specialize(moved), oc.specialize(psi)):
-            assert (a0 + 2 * b0) % ctx.mod == 0
-            assert (a1 + 2 * b1) % ctx.mod == 0
+            assert (a0 + 2 * b0) % ctx.pctx.mod == 0
+            assert (a1 + 2 * b1) % ctx.pctx.mod == 0
 
     def test_lift_rejects_non_unit_eigenvalue(self, ref_symbols, ref_prime):
         phi, _ = ref_symbols
@@ -433,7 +437,7 @@ class TestEvaluation:
         lhs = psi.ev(gr, gs)
         rhs = act_reference(psi.ctx, fld.mat_inv_unimodular(g),
                             psi.ev(r, s).m)
-        assert oc.filtration(psi.ctx, (lhs.m - rhs) % psi.ctx.mod) \
+        assert oc.filtration(psi.ctx, (lhs.m - rhs) % psi.ctx.pctx.mod) \
             >= psi.ctx.M
 
     def test_ev_paths_match_per_piece_sum(self, ref_lift):
@@ -462,7 +466,7 @@ class TestEvaluation:
                     g = fld.mat_inv_unimodular(fld.pair_mat(gamma, 1))
                     total = total + sign * act_reference(ctx, g,
                                                          psi.values[idx].m)
-                want[key] = total % ctx.mod
+                want[key] = total % ctx.pctx.mod
             assert np.array_equal(got[k], want[key])
         assert len(want) == 140
 
