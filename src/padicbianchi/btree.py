@@ -36,8 +36,6 @@ class Tree:
         self.pi = prime_data.pi
         self.d = self.pi.d
         self.q = prime_data.norm if prime_data.kind == "inert" else prime_data.p
-        if prime_data.kind == "ramified":
-            self.q = prime_data.p
         self._rings = {}
         self.residues = list(ResidueRing(self.pi).elements())
         assert len(self.residues) == self.q

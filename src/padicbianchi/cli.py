@@ -529,10 +529,11 @@ def _criterion_8(ctx, detail):
     r = Cusp(ctx.qi(2, 3), ctx.qi(7))
     s = Cusp(ctx.qi(1), ctx.qi(4, 5))
     totals_ok = True
+    cover = cc.full_cover(ctx.fam)
     for _ in range(5):
         zeta = {(0, 0): rng.randint(-10 ** 6, 10 ** 6)}
-        totals_ok = totals_ok and cc.total_integral(ctx.fam, r, s,
-                                                    zeta).is_zero()
+        totals_ok = totals_ok and cc.edge_integrals(
+            ctx.fam, cover, r, s, zeta).sum().is_zero()
     detail["total_integrals_zero"] = totals_ok
     cob_ok = True
     for c, v in cc.default_data(ctx.pd, ctx.fam.omega):
@@ -553,13 +554,14 @@ def _criterion_8(ctx, detail):
         if e not in edges:
             edges.append(e)
     zeta = {(0, 0): 3, (1, 0): 2, (1, 1): 1, (0, 2): -1}
+    # the whole balls in one pass, and their children (q each) in another
+    whole = cc.edge_integrals(ctx.fam, edges, r, s, zeta)
+    parts = cc.edge_integrals(ctx.fam, [ch for e in edges
+                                        for ch in cc.ball_children(e)],
+                              r, s, zeta)
     glue_ok = True
-    for e in edges:
-        whole = cc.edge_distribution(ctx.fam, e, r, s, zeta)
-        parts = ctx.pctx.zero()
-        for ch in cc.ball_children(e):
-            parts = parts + cc.edge_distribution(ctx.fam, ch, r, s, zeta)
-        diff = whole - parts
+    for k in range(len(edges)):
+        diff = whole.element(k) - parts[k * tree.q:(k + 1) * tree.q].sum()
         glue_ok = glue_ok and (diff.is_zero() or diff.val() >= 5)
     detail["gluing_ok"] = glue_ok
     return totals_ok and cob_ok and glue_ok

@@ -6,7 +6,9 @@ e = gamma e_*. Harmonicity of kappa characterizes p-newness. The lifted
 symbol Psi spreads out the same way to a system of edge distributions that
 glue to a distribution mu on P^1 of the completion, against which one can
 integrate log kernels (double integrals with endpoints in the unramified
-quadratic extension of the completion).
+quadratic extension of the completion). The balls of a list of edges are
+one stack on lfun's disc kernel, with their moments from one ev_paths
+pass (edge_integrals).
 
 Evaluating the resulting cocycles oc (counting) and lc (log) on embedding
 data (c, v) gives two numbers per datum whose ratio lc/oc is the
@@ -25,7 +27,6 @@ P_{c,v} are constants.
 """
 
 from fractions import Fraction
-from math import comb
 
 from . import btree as bt
 from . import lfun
@@ -44,6 +45,8 @@ from .field import (
     mat_mul,
     one,
 )
+from .ocsymb import FiniteDistribution
+from .padic import PadicStack
 
 
 class ConsistencyError(RuntimeError):
@@ -85,7 +88,6 @@ class TreeFamily:
         self.omega = omega
         self.pctx = psi.ctx.pctx if psi is not None else None
         self._ext2 = None
-        self._dist_cache = {}
         self._mus = {}
 
     def mu(self, c):
@@ -108,22 +110,20 @@ class TreeFamily:
         g = bt.Edge(self.tree, 0, e.a, e.u).rep_matrix()
         return g if e.flip == 0 else mat_mul(g, self.W)
 
-    def ev(self, e, r, s, P=1):
-        """kappa{r-s}(e, P) with P a constant (weight (0,0))."""
+    def path(self, e, r, s):
+        """The path {gamma^-1 r -> gamma^-1 s} for e = gamma e_*, on which
+        kappa and the edge distribution of e evaluate the symbol."""
         adj = mat_adj(self.edge_rep(e))
-        val = self.phi.ev(apply_moebius(adj, r), apply_moebius(adj, s))
-        return P * self.omega ** e.parity() * val
+        return apply_moebius(adj, r), apply_moebius(adj, s)
 
-    def ev_dist(self, e, r, s):
-        """The distribution Psi{gamma^-1 r - gamma^-1 s} of the edge."""
-        if self.psi is None:
-            raise ValueError("family carries no overconvergent lift")
-        key = (e.key(), r.key(), s.key())
-        if key not in self._dist_cache:
-            adj = mat_adj(self.edge_rep(e))
-            self._dist_cache[key] = self.psi.ev(apply_moebius(adj, r),
-                                                apply_moebius(adj, s))
-        return self._dist_cache[key]
+    def ev(self, e, r, s):
+        """kappa{r-s}(e) (weight (0,0): the polynomial is the constant 1)."""
+        return self.omega ** e.parity() * self.phi.ev(*self.path(e, r, s))
+
+    def moments(self, edges, r, s):
+        """The moment tables of the edge distributions Psi{r-s} on the
+        paths of edges, (len(edges), 2, M, M), in one ev_paths pass."""
+        return self.psi.ev_paths([self.path(e, r, s) for e in edges])
 
 
 def induced_old_symbol(phi_m, pi, level, scaled=False):
@@ -152,19 +152,17 @@ def _sample_vertices(tree, count, seed):
     return out
 
 
-def harmonicity_check(fam, vertices=None, paths=None, seed=5):
-    """Sum of kappa over the edges into each sampled vertex, for each test
-    path. Zero everywhere iff the symbol is p-new."""
+def harmonicity_check(fam):
+    """Sum of kappa over the edges into v_* and 5 sampled vertices, for
+    each of two test paths. Zero everywhere iff the symbol is p-new."""
     tree = fam.tree
     d = tree.d
-    if vertices is None:
-        vertices = [tree.standard_vertex()] + _sample_vertices(tree, 5, seed)
-    if paths is None:
-        paths = [
-            (Cusp(QuadInt(2, 3, d), QuadInt(7, 0, d)), cusp_infinity(d)),
-            (Cusp(QuadInt(1, 0, d), QuadInt(4, 5, d)),
-             Cusp(QuadInt(0, 1, d), QuadInt(3, 0, d))),
-        ]
+    vertices = [tree.standard_vertex()] + _sample_vertices(tree, 5, 5)
+    paths = [
+        (Cusp(QuadInt(2, 3, d), QuadInt(7, 0, d)), cusp_infinity(d)),
+        (Cusp(QuadInt(1, 0, d), QuadInt(4, 5, d)),
+         Cusp(QuadInt(0, 1, d), QuadInt(3, 0, d))),
+    ]
     residuals = []
     worst = Fraction(0)
     for v in vertices:
@@ -186,61 +184,44 @@ def ball_children(e):
             if x != e.reverse()]
 
 
-def edge_distribution(fam, e, r, s, zeta):
-    """Integral of the polynomial zeta = {(i, j): coeff} in (t, tbar) over
-    the ball U(e) against mu{r-s}.
-
-    Only flip-0 balls (bounded) support nonconstant polynomials; on an
-    unbounded ball a nonconstant polynomial has a pole at infinity."""
-    if fam.psi is None:
-        raise ValueError("family carries no overconvergent lift")
-    pctx = fam.pctx
-    M = fam.psi.ctx.M
-    if e.flip and any(k != (0, 0) for k, c in zeta.items() if c):
-        raise SupportError("nonconstant polynomial on an unbounded ball")
-    g = fam.edge_rep(e)
-    (A, B), (C, D) = g
-    if e.flip == 0:
-        # t = (-B + A w)/D on U(e), w running over the integers
-        b0 = pctx.embed(QuadInt(0, 0, fam.tree.d) - B) / pctx.embed(D)
-        g0 = pctx.embed(A) / pctx.embed(D)
-    else:
-        b0 = g0 = None
-    grid = {}
-    for (i, j), c in zeta.items():
-        if not c:
-            continue
-        if e.flip:
-            grid[(0, 0)] = grid.get((0, 0), pctx.zero()) + c * pctx.one()
-            continue
-        for a_ in range(min(i, M - 1) + 1):
-            for b_ in range(min(j, M - 1) + 1):
-                coef = c * comb(i, a_) * comb(j, b_)
-                val = (b0 ** (i - a_)) * (g0 ** a_) \
-                    * (b0.conj() ** (j - b_)) * (g0.conj() ** b_)
-                key = (a_, b_)
-                grid[key] = grid.get(key, pctx.zero()) + coef * val
-    fd = fam.ev_dist(e, r, s)
-    total = pctx.zero()
-    for (i, j), c in grid.items():
-        if c.is_zero():
-            continue
-        total = total + c * fd.honest_moment(i, j)
-    return fam.omega ** e.parity() * total
-
-
 def full_cover(fam):
     """Edges whose balls partition the whole projective line."""
     return bt.neighbors_with_target(fam.tree.standard_vertex())
 
 
-def total_integral(fam, r, s, zeta):
-    """Integral of a global polynomial over all of P^1; zero for any
-    polynomial of bidegree within the weight (constants here)."""
-    total = fam.pctx.zero()
-    for e in full_cover(fam):
-        total = total + edge_distribution(fam, e, r, s, zeta)
-    return total
+def edge_integrals(fam, edges, r, s, zeta):
+    """The integrals of the polynomial zeta = {(i, j): coeff} in (t, tbar)
+    over the balls U(e) of edges against mu{r-s}, one PadicStack row per
+    edge. The balls are one lfun.Discs stack, t = (-B + A w)/D with w in O
+    on a flip-0 ball for edge_rep(e) = [[A, B], [C, D]], and each monomial
+    is one lfun._pair over all of them. An unbounded (flipped) ball, whose
+    centre and scale are left 0, supports only constants."""
+    if fam.psi is None:
+        raise ValueError("family carries no overconvergent lift")
+    pctx = fam.pctx
+    zeta = {k: c for k, c in zeta.items() if c}
+    centre, scale = [], []
+    for e in edges:
+        if e.flip:
+            if any(k != (0, 0) for k in zeta):
+                raise SupportError("nonconstant polynomial on an unbounded "
+                                   "ball")
+            centre.append(pctx.zero())
+            scale.append(pctx.zero())
+            continue
+        (A, B), (C, D) = fam.edge_rep(e)
+        centre.append(pctx.embed(-B) / pctx.embed(D))
+        scale.append(pctx.embed(A) / pctx.embed(D))
+    discs = lfun.Discs(fam.psi.ctx, PadicStack.of(pctx, centre),
+                       PadicStack.of(pctx, scale),
+                       fam.moments(edges, r, s))
+    total = discs.constant(0)[:, 0]
+    for (i, j), c in zeta.items():
+        total = total + lfun._pair(discs, discs.binomial(i) * c,
+                                   discs.binomial(j).conj())
+    discs.log.check()
+    return total * PadicStack.of(pctx, [fam.omega ** e.parity()
+                                        for e in edges])
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +404,34 @@ def twisted_moebius_ext2(ctx, g, x):
     return ext2_ratio(b + d * x, a + c * x)
 
 
-def double_integral(fam, x, y, r, s, P=1, max_depth=4):
-    """Integral of l_p((t - x)/(t - y)) P against mu{r-s} over the whole
+def double_integral(fam, x, y, r, s):
+    """Integral of l_p((t - x)/(t - y)) against mu{r-s} over the whole
     projective line, both endpoints off the boundary. The kernel is the
     p-direction logarithm of lfun, l_p(u) = log(u) + log(conj(u)), with
-    conj the conjugation extended to the quadratic extension; on each ball
-    the log series is paired with the moments mu(t^k) and its conjugate
-    with the moments mu(tbar^k)."""
+    conj the conjugation extended to the quadratic extension. On each leaf
+    ball (_log_leaves), whose moments come from one pass, the log series is
+    paired with the moments mu(t^k) and its conjugate with mu(tbar^k)."""
     if fam.ext2 is None:
         raise ValueError("family carries no overconvergent lift")
-    total = fam.ext2.zero()
+    ctx = fam.ext2
+    leaves = []
     for e in full_cover(fam):
-        total = total + _edge_log_term(fam, e, x, y, r, s, max_depth)
-    return P * total
+        _log_leaves(fam, e, x, y, 4, leaves)
+    moments = fam.moments([e for e, _ in leaves], r, s)
+    total = ctx.zero()
+    for (e, coefs), m in zip(leaves, moments):
+        fd = FiniteDistribution(fam.psi.ctx, m)
+        term = ctx.zero()
+        for k, coef in enumerate(coefs):
+            for (i, j), c in (((k, 0), coef), ((0, k), coef.conj())):
+                term = term + c * fd.honest_moment(i, j)
+        total = total + fam.omega ** e.parity() * term
+    return total
 
 
-def _edge_log_term(fam, e, x, y, r, s, depth):
+def _log_leaves(fam, e, x, y, depth, out):
+    """Append to out (e', coefs) for the balls U(e') under U(e), refined
+    at most depth times, on which coefs is the series of the log kernel."""
     ctx = fam.ext2
     M = fam.psi.ctx.M
     g = fam.edge_rep(e)
@@ -455,9 +448,9 @@ def _edge_log_term(fam, e, x, y, r, s, depth):
         if depth == 0:
             raise padic.PrecisionError("log kernel not analytic at maximal "
                                        "refinement depth")
-        return sum((_edge_log_term(fam, ch, x, y, r, s, depth - 1)
-                    for ch in ball_children(e)), ctx.zero())
-    fd = fam.ev_dist(e, r, s)
+        for ch in ball_children(e):
+            _log_leaves(fam, ch, x, y, depth - 1, out)
+        return
     t1, t2 = ext2_ratio(l1, c1), ext2_ratio(l2, c2)
     coefs = [ext2_log(c1) - ext2_log(c2)]
     p1, p2 = ctx.one(), ctx.one()
@@ -465,11 +458,7 @@ def _edge_log_term(fam, e, x, y, r, s, depth):
         p1, p2 = p1 * t1, p2 * t2
         coef = (p1 - p2) / k
         coefs.append(-coef if k % 2 == 0 else coef)
-    total = ctx.zero()
-    for k, coef in enumerate(coefs):
-        for (i, j), c in (((k, 0), coef), ((0, k), coef.conj())):
-            total = total + c * fd.honest_moment(i, j)
-    return fam.omega ** e.parity() * total
+    out.append((e, coefs))
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +572,13 @@ def lc_eval(fam, datum, mu=None, kernel="log"):
     return lz + lzbar
 
 
-def lc_via_double_integral(fam, datum, tau, max_depth=4):
+def lc_via_double_integral(fam, datum, tau):
     """Cross-check route for lc: the double integral from tau to
     gamma_{c,v} tau along {v/c - infinity}; tau-independent."""
     g = datum.gamma()
     gtau = twisted_moebius_ext2(fam.ext2, g, tau)
     return double_integral(fam, gtau, tau, datum.cusp(),
-                           cusp_infinity(datum.d), max_depth=max_depth)
+                           cusp_infinity(datum.d))
 
 
 def coboundary_eval(sym, datum):

@@ -16,16 +16,19 @@ discs at once. The disc centres are int arrays (RayDistribution.unit_discs);
 their moments are filled in one stacked pass (fill_moments,
 OverconvergentSymbol.ev_paths) into one table per distribution. The disc
 kernel (disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called
-once per sum with the stack of discs (Discs): the z-series of
-log_iw(B + G z), the series of <B + G z>^s and the pairing
-Sum F[i] Fb[j] mu(z^i zbar^j) are padic.PadicStack arrays over the discs,
-on the pair arithmetic of the completion (the moment layer's pctx), with
-the precision rules and the association order of the scalar PadicElement
-code, so each disc gets the value and precision it would get alone. An
-error the scalar code would raise is raised for the first disc that meets
-one. The ray distribution takes its residue rings, uniformizer and cusps
-from the symbol's Manin layer, so the one-variable measure of a classical
-symbol over Q is the same class on the same disc loop.
+once per sum with the stack of discs (Discs): balls B + G O, each with its
+moment table. The tree's edge distributions are Discs too
+(cocycle.edge_integrals), so the package has one ball integral. The
+z-series of log_iw(B + G z), of (B + G z)^i and of <B + G z>^s and the
+pairing Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays
+over the discs, on the pair arithmetic of the completion (the moment
+layer's pctx), with the precision rules and the association order of the
+scalar PadicElement code, so each disc gets the value and precision it
+would get alone. An error the scalar code would raise is raised for the
+first disc that meets one. The ray distribution takes its residue rings,
+uniformizer and cusps from the symbol's Manin layer, so the one-variable
+measure of a classical symbol over Q is the same class on the same disc
+loop.
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -114,12 +117,16 @@ class RayDistribution:
             self._rows[key] = first + i
 
     def discs(self, centres):
-        """The discs of the centre pairs centres ((n, 2) ints) as one
-        stack, with their moments (filled as needed)."""
+        """The discs B + G O of the centre pairs centres ((n, 2) ints) as
+        one stack, with their moments (filled as needed)."""
         keys = [tuple(c) for c in np.asarray(centres).tolist()]
         self.fill_moments(keys)
         rows = [self._rows[key] for key in keys]
-        return Discs(self, np.asarray(centres, dtype=np.int64).reshape(-1, 2),
+        centres = np.asarray(centres, dtype=np.int64).reshape(-1, 2)
+        g0, g1 = _pair_of(self.G)
+        return Discs(self.psi.ctx,
+                     PadicStack.embed(self.pctx, centres[:, 0], centres[:, 1]),
+                     PadicStack.embed(self.pctx, [g0], [g1]),
                      self._moments[rows])
 
     def unit_discs(self):
@@ -156,21 +163,25 @@ class RayDistribution:
 
 
 class Discs:
-    """The discs of one sum over the distribution mu, stacked: the centres
-    B (an (n, 2) int array of pairs; the scale is mu.G), the moments
-    Psi{B/G - infty} (one (n, 2, M, C) table), and the StackLog in which
-    the kernel's element operations record errors, one row per disc."""
+    """A stack of balls B + G O (discs of a ray distribution, or the balls
+    of tree edges), each with the moments of a distribution in the ball
+    coordinate z: the centres B and scales G (PadicStacks of n rows, or
+    one row for all), the moments (one (n, 2, M, C) table of the moment
+    layer dctx), and the StackLog in which the kernel's element operations
+    record errors, one row per ball."""
 
-    def __init__(self, mu, centres, moments):
-        self.mu = mu
-        self.ctx = mu.pctx
-        self.centres = centres
+    def __init__(self, dctx, centre, scale, moments):
+        self.dctx = dctx
+        self.ctx = dctx.pctx
         self.moments = moments
-        self.log = StackLog(len(centres))
+        self.log = StackLog(len(moments))
+        self.centre, self.scale = (
+            PadicStack(self.ctx, x.c0, x.c1, x.prec, self.log)
+            for x in (centre, scale))
         self._log_series = None
 
     def __len__(self):
-        return len(self.centres)
+        return len(self.moments)
 
     def constant(self, value):
         """The int value at full precision on each disc, as a one-term
@@ -178,17 +189,22 @@ class Discs:
         return PadicStack.full(self.ctx, value, (len(self), 1),
                                self.ctx.cap, self.log)
 
-    def embed(self, centres):
-        return PadicStack.embed(self.ctx, centres[..., 0], centres[..., 1],
-                                self.log)
+    def binomial(self, i):
+        """The z-series of (B + G z)^i on each disc: (n, M), and the
+        one-term (n, 1) for i = 0."""
+        line = stack([self.centre, self.scale])
+        F = self.constant(1)
+        for _ in range(i):
+            F = _ser_mul(F, line, self.ctx.M)
+        return F
 
     def log_series(self):
         """The z-series of log_iw(B + G z) on each disc, (n, M):
         log_iw(B) + log(1 + (G/B) z)."""
         if self._log_series is None:
-            Bp = self.embed(self.centres)
-            t = self.embed(np.array([_pair_of(self.mu.G)])) * Bp.inverse()
-            out = [padic.log_iw_units(Bp)]
+            B = self.centre
+            t = self.scale * B.inverse()
+            out = [padic.log_iw_units(B)]
             tk = t
             for k in range(1, self.ctx.M):
                 term = tk.div_int(k)
@@ -294,7 +310,7 @@ def disc_sum(mu, weight, on_disc):
 
 
 def _pair(discs, F, Fb=None):
-    """Sum_{i,j} F[i] Fb[j] Psi{B/G - infty}(z^i zbar^j) on each disc,
+    """Sum_{i,j} F[i] Fb[j] mu(z^i zbar^j) on each disc of discs,
     with honest per-moment precision p^(M - max(i, j)) and the grouping
     (F[i] * Fb[j]) * moment; terms with F[i] or Fb[j] zero are skipped.
     Fb = None is the constant 1 in zbar."""
@@ -304,7 +320,7 @@ def _pair(discs, F, Fb=None):
         Fb = discs.constant(1)
     width, widthb = min(M, F.shape[1]), min(M, Fb.shape[1])
     m = discs.moments[:, :, :width, :widthb]
-    prec = ctx.e * (M - discs.mu.psi.ctx.lag[:width, :widthb])
+    prec = ctx.e * (M - discs.dctx.lag[:width, :widthb])
     mom = PadicStack(ctx, m[:, 0], m[:, 1],
                      np.broadcast_to(prec, m[:, 0].shape), discs.log)
     F, Fb = F[:, :width, None], Fb[:, None, :widthb]
@@ -398,10 +414,10 @@ def Z_factor(chi, r, prime_data, lam, pctx):
     return pctx.one() - pctx.from_rational(Fraction(cv * prime_data.norm ** r) / lam)
 
 
-def restriction_consistency(mu, i_max=3):
-    """Largest precision (capped at M) to which summing z^i over all the
-    residue discs of O_p reproduces the global moments, at a unit modulus
-    g (one block; the disc j + pi O is j + G O with G = g * pi).
+def restriction_consistency(mu):
+    """Largest precision (capped at M) to which summing z^i, i < 3, over
+    all the residue discs of O_p reproduces the global moments, at a unit
+    modulus g (one block; the disc j + pi O is j + G O with G = g * pi).
 
     This checks the U_p eigen-relation route used for unit restriction: the
     disc decomposition must recover mu(z^i) for polynomial test functions."""
@@ -409,21 +425,12 @@ def restriction_consistency(mu, i_max=3):
         raise ValueError("consistency check runs at a unit modulus")
     p1, pi = mu.p1, mu.pi
     pctx = mu.pctx
-    M = mu.psi.ctx.M
     lam_inv = pctx.from_rational(1 / mu.lam)
     base = mu.psi.ev(p1.zero, p1.infinity)
     discs = mu.discs([_pair_of(j) for j in p1.residue_ring(pi).elements()])
-    # the series of B + G z on each disc j + pi O
-    line = stack([discs.embed(discs.centres),
-                  discs.embed(np.array([_pair_of(mu.G)]))]
-                 + [pctx.zero()] * (M - 2))
     worst = pctx.cap
-    for i in range(i_max):
-        # series of (j + G z)^i in z
-        F = stack([discs.constant(1)[:, 0]] + [pctx.zero()] * (M - 1))
-        for _ in range(i):
-            F = _ser_mul(F, line, M)
-        total = _pair(discs, F).sum()
+    for i in range(3):
+        total = _pair(discs, discs.binomial(i)).sum()
         discs.log.check()
         diff = lam_inv * total - base.honest_moment(i, 0)
         if not diff.is_zero():

@@ -508,13 +508,12 @@ def apply_atkin_lehner(phi, pi):
     return phi.copy(_row_sums(phi.p1.path_rows([W]), phi.values))
 
 
-def degeneracy(phi, pi, direction, target_p1=None):
+def degeneracy(phi, pi, direction):
     """Trace to level m = level/pi.  direction 'source' or 'target' (the
     latter first applies alpha = [[0,-1],[pi,0]])."""
     d = phi.d
     m = exact_div(phi.level, pi)
-    if target_p1 is None:
-        target_p1 = P1(m) if not m.is_unit() else None
+    target_p1 = P1(m) if not m.is_unit() else None
     z = QuadInt(0, 0, d)
     alpha = ((z, -one(d)), (pi, z))
     # coset reps of Gamma_0(m) / Gamma_0(level) from P^1(O/pi)
@@ -566,7 +565,7 @@ def hecke_matrix_on(basis_syms, pi):
     return [[coords[j][i] for j in range(dim)] for i in range(dim)]
 
 
-def find_new_eigensymbol(n, pd, helper_primes=None, p=None):
+def find_new_eigensymbol(n, pd):
     """The p-new cuspidal Hecke eigensymbol at level n (pd = prime over p).
 
     Splits the M-symbol solution space under a few Hecke operators away from
@@ -578,8 +577,7 @@ def find_new_eigensymbol(n, pd, helper_primes=None, p=None):
     syms = [ModularSymbol(p1, vec, n, d) for vec in basis]
     if not syms:
         raise LevelError("symbol space at level %r is zero" % n)
-    helper_primes = helper_primes or _small_coprime_primes(n, d, 3)
-    lines = _split_lines(syms, helper_primes)
+    lines = _split_lines(syms, _small_coprime_primes(n, d, 3))
     new_line = None
     eis_line = None
     for line, lam_table in lines:
@@ -593,8 +591,7 @@ def find_new_eigensymbol(n, pd, helper_primes=None, p=None):
     if new_line is None:
         raise LevelError("no cuspidal eigenline found at level %r" % n)
     phi, lam_table = new_line
-    pp = pd.p if p is None else p
-    phi = phi.normalize_integral(pp)
+    phi = phi.normalize_integral(pd.p)
     # annotations
     upi = apply_hecke(phi, pd.pi)
     lam_p = _ratio(upi, phi)

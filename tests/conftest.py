@@ -39,12 +39,19 @@ def ref_lift(ref_symbols, ref_prime, ref_uop):
 
 
 @pytest.fixture(scope="session")
-def ram_lift():
-    """The M = 6 lift at the ramified p = 2, level (1+i)(7): the base change
-    of 14a."""
-    from padicbianchi import ocsymb as oc
+def ram_symbol():
+    """The new eigensymbol at the ramified p = 2, level (1+i)(7): the base
+    change of 14a, and the prime above 2."""
     pd = fld.split_prime(2, 1)
     phi, _ = ms.find_new_eigensymbol(QuadInt(7, 7, 1), pd)
+    return phi, pd
+
+
+@pytest.fixture(scope="session")
+def ram_lift(ram_symbol):
+    """The M = 6 lift of ram_symbol."""
+    from padicbianchi import ocsymb as oc
+    phi, pd = ram_symbol
     psi, cert = oc.lift(phi, 6, pd)
     assert cert["converged"]
     return psi

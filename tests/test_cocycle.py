@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import edge_reference as eref
 from padicbianchi import btree as bt
+from padicbianchi import cli
 from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
 from padicbianchi import lfun
@@ -110,7 +112,7 @@ class TestEdgeDistribution:
     def test_matches_classical_total(self, fam):
         r, s = PATH
         e = fam.tree.standard_edge()
-        v = cc.edge_distribution(fam, e, r, s, {(0, 0): 1})
+        v = cc.edge_integrals(fam, [e], r, s, {(0, 0): 1}).element(0)
         diff = v - fam.pctx.from_rational(Fraction(fam.ev(e, r, s)))
         assert diff.is_zero()
 
@@ -128,33 +130,109 @@ class TestEdgeDistribution:
             e = bt.Edge(tree, 0, a, u)
             if e not in edges:
                 edges.append(e)
-        for e in edges:
-            whole = cc.edge_distribution(fam, e, r, s, zeta)
-            parts = fam.pctx.zero()
-            for ch in cc.ball_children(e):
-                parts = parts + cc.edge_distribution(fam, ch, r, s, zeta)
-            assert (whole - parts).is_zero()
+        whole = cc.edge_integrals(fam, edges, r, s, zeta)
+        for k, e in enumerate(edges):
+            parts = cc.edge_integrals(fam, cc.ball_children(e), r, s, zeta)
+            assert (whole.element(k) - parts.sum()).is_zero()
 
     def test_global_constant_integrates_to_zero(self, fam):
         rng = random.Random(11)
         r, s = PATH
+        cover = cc.full_cover(fam)
         for _ in range(5):
             zeta = {(0, 0): rng.randint(-50, 50)}
-            assert cc.total_integral(fam, r, s, zeta).is_zero()
+            assert cc.edge_integrals(fam, cover, r, s, zeta).sum().is_zero()
 
     def test_unbounded_ball_rejects_nonconstant(self, fam):
         r, s = PATH
         e = fam.tree.standard_edge().reverse()
         with pytest.raises(cc.SupportError):
-            cc.edge_distribution(fam, e, r, s, {(1, 0): 1})
+            cc.edge_integrals(fam, [e], r, s, {(1, 0): 1})
 
     def test_no_lift_no_distribution(self, ref_symbols, ref_prime):
         phi, _ = ref_symbols
         bare = cc.TreeFamily(phi, ref_prime)
         r, s = PATH
         with pytest.raises(ValueError):
-            cc.edge_distribution(bare, bare.tree.standard_edge(), r, s,
-                                 {(0, 0): 1})
+            cc.edge_integrals(bare, [bare.tree.standard_edge()], r, s,
+                              {(0, 0): 1})
+
+
+def rows(stack):
+    return [(int(a), int(b), int(c))
+            for a, b, c in zip(stack.c0, stack.c1, stack.prec)]
+
+
+def reference_rows(fam, edges, r, s, zeta):
+    return [(x.c0, x.c1, x.prec) for x in
+            (eref.edge_distribution(fam, e, r, s, zeta) for e in edges)]
+
+
+def run_criterion_8(phi, psi, pd):
+    """Criterion 8 on the family of phi and psi: its edge_integrals calls
+    as (fam, edges, r, s, zeta, result) and the number of ev_paths passes
+    it makes."""
+    calls, passes = [], []
+    integrals = cc.edge_integrals
+    ev_paths = oc.OverconvergentSymbol.ev_paths
+
+    def recorded(fam, edges, r, s, zeta):
+        out = integrals(fam, edges, r, s, zeta)
+        calls.append((fam, list(edges), r, s, dict(zeta), out))
+        return out
+
+    def counted(self, paths):
+        passes.append(len(paths))
+        return ev_paths(self, paths)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc, "edge_integrals", recorded)
+        mp.setattr(oc.OverconvergentSymbol, "ev_paths", counted)
+        cli._criterion_8(cli.AcceptanceContext(phi, psi, {}, pd), {})
+    return calls, len(passes)
+
+
+class TestEdgeIntegrals:
+    """edge_integrals against the scalar reference of edge_reference, row
+    by row in value and precision, on the edge sets of criterion 8: at
+    p = 11 the 5 totals over the 122 balls of full_cover (a flipped ball
+    with a constant among them), 10 edges and their 1,210 children; at
+    p = 2 the totals over 3 balls, 7 edges and their 14 children."""
+
+    @pytest.fixture(scope="class")
+    def ref_run(self, ref_symbols, ref_lift, ref_prime):
+        return run_criterion_8(ref_symbols[0], ref_lift[0], ref_prime)
+
+    @staticmethod
+    def check(calls, sizes):
+        assert [len(c[1]) for c in calls] == sizes
+        for fam, edges, r, s, zeta, out in calls:
+            assert rows(out) == reference_rows(fam, edges, r, s, zeta)
+
+    def test_reference_p11(self, ref_run):
+        self.check(ref_run[0], [122] * 5 + [10, 1210])
+
+    def test_reference_p2(self, ram_symbol, ram_lift):
+        phi, pd = ram_symbol
+        calls, _ = run_criterion_8(phi, ram_lift, pd)
+        self.check(calls, [3] * 5 + [7, 14])
+
+    def test_one_pass_per_integral(self, ref_run):
+        # 5 totals, the whole edges and their children: a fall-back to one
+        # ev_paths pass per edge would make 1,215
+        assert ref_run[1] <= 7
+
+    def test_flipped_ball(self, fam):
+        r, s = PATH
+        e = fam.tree.standard_edge()
+        edges = [e.reverse(), e]
+        zeta = {(0, 0): 5, (1, 0): 0}
+        got = cc.edge_integrals(fam, edges, r, s, zeta)
+        assert rows(got) == reference_rows(fam, edges, r, s, zeta)
+        zeta = {(0, 0): 5, (0, 1): 2}
+        with pytest.raises(cc.SupportError):
+            eref.edge_distribution(fam, e.reverse(), r, s, zeta)
+        with pytest.raises(cc.SupportError):
+            cc.edge_integrals(fam, edges, r, s, zeta)
 
 
 class TestEmbeddingData:

@@ -43,9 +43,9 @@ def all_discs(mu):
 
 
 def reference(mu, discs, fn, *args):
-    """fn(fd, B, G, *args) of disc_reference on each disc."""
+    """fn(fd, B, G, *args) of disc_reference on each disc of all_discs."""
     out = []
-    for k, centre in enumerate(discs.centres.tolist()):
+    for k, centre in enumerate(mu.unit_discs()[1].tolist()):
         fd = oc.FiniteDistribution(mu.psi.ctx, discs.moments[k])
         out.append(fn(fd, mu.element(*centre), mu.G, *args))
     return out
@@ -55,7 +55,7 @@ def check_measure(mu, powers):
     discs = all_discs(mu)
     pctx, M = mu.pctx, mu.psi.ctx.M
     L = discs.log_series()
-    for k, centre in enumerate(discs.centres.tolist()):
+    for k, centre in enumerate(mu.unit_discs()[1].tolist()):
         want = ref.log_series_on_disc(pctx, mu.element(*centre), mu.G, M)
         assert rows(L[k]) == pins(want)
     for kern, fn in ((lfun.disc_one, ref.disc_one),
