@@ -6,8 +6,8 @@ recovered by reverting the q-expansion of j, and log_iw(q)/ord_p(q) is the
 classical L-invariant. Second, the classical side of the one-variable
 overconvergent lift of the base-changed form ft. Its M-symbols run on the
 shared Manin layer of msymb: RationalP1 is the layer over Z (reduction
-mod N, paths and the Moebius action on the Euclidean kernel of field with
-real cusps, the SL_2(Z) relations and Hecke coset reps), and msymb's
+mod N, Fraction cusps as real int cusps, paths on the Euclidean kernel of
+field, the SL_2(Z) relations and Hecke coset reps), and msymb's
 ModularSymbol, apply_hecke, relation solver and hecke_matrix_on do the
 rest, as over O_F.
 The moments live in ocsymb, the one moment layer of the package: a
@@ -21,9 +21,9 @@ the product of the two classical L-functions (trivial twist and the twist by
 the quadratic character of the field), up to the unit #O^x/2 and period
 units which the ratio-of-ratios comparison cancels. Both sides are
 lfun.RayDistribution measures, integrated through lfun.disc_sum on the
-stacked disc kernel of lfun: the classical one takes Z/n, p and the cusps
-B/G from RationalP1, and its values lie in the same completion F_p as the
-Bianchi ones.
+stacked disc kernel of lfun: the classical one takes Z/n and p from
+RationalP1 and runs on the int paths (B, 0, G, 0) -> (1, 0, 0, 0), and its
+values lie in the same completion F_p as the Bianchi ones.
 """
 
 from fractions import Fraction
@@ -169,32 +169,30 @@ class ZMod:
         return pow(x, -1, self.n)
 
 
-def _cusp_pairs(x):
-    """The Fraction x (None for infinity) as the cusp 4-tuple of field."""
-    if x is None:
-        return (1, 0, 0, 0)
-    return (x.numerator, 0, x.denominator, 0)
-
-
 class RationalP1(ms.ManinLayer):
     """P^1(Z/N) with canonical representatives: the Manin layer over Z.
 
-    Cusps are Fractions with None for infinity. Paths decompose, and
-    matrices move cusps, on the Euclidean kernel of field (pair_path,
-    pair_moebius), with a cusp x/y as the 4-tuple (x, 0, y, 0); for real
-    arguments its quotient scan never picks a w-part, so every piece is
-    in SL_2(Z). Integer matrices enter the moment layer embedded in
-    SL_2(O_F), as the 8-tuples of pairs(g). The ray distribution of lfun
-    runs on Z/n (ZMod), the prime p and the cusps B/G."""
+    A caller's cusps are Fractions with None for infinity; below the
+    symbol API a cusp x/y is the int cusp (x, 0, y, 0) of field, and paths
+    decompose on its Euclidean kernel (pair_path): for real arguments the
+    quotient scan never picks a w-part, so every piece is in SL_2(Z).
+    Integer matrices enter the moment layer embedded in SL_2(O_F), as the
+    8-tuples of pairs(g). The ray distribution of lfun runs on Z/n (ZMod),
+    the prime p and the int cusps (B, 0, G, 0)."""
 
-    zero, infinity = Fraction(0), None
     S, T = fld.field_params(FIELD_D)[1:3]
     residue_ring = ZMod
-    cusp = Fraction
 
     @staticmethod
     def uniformizer(pd):
         return pd.p
+
+    @staticmethod
+    def cusp_pairs(x):
+        """The Fraction x (None for infinity) as the int cusp of field."""
+        if x is None:
+            return (1, 0, 0, 0)
+        return (x.numerator, 0, x.denominator, 0)
 
     def __init__(self, N):
         self.N = N
@@ -228,9 +226,6 @@ class RationalP1(ms.ManinLayer):
         u, v = _xgcd(c, d)
         return ((v, -u), (c, d))
 
-    def path(self, r, s):
-        return fld.pair_path(self.S, self.T, _cusp_pairs(r), _cusp_pairs(s))
-
     def piece_index(self, g):
         return self.reduce(g[4], g[6])
 
@@ -239,10 +234,6 @@ class RationalP1(ms.ManinLayer):
         """An integer matrix as an 8-tuple over O_F."""
         (a, b), (c, d) = g
         return (a, 0, b, 0, c, 0, d, 0)
-
-    def moebius(self, g, x):
-        num, _, den, _ = fld.pair_moebius(self.S, self.T, g, _cusp_pairs(x))
-        return Fraction(num, den) if den else None
 
     def hecke_reps(self, ell):
         reps = [((1, a), (0, ell)) for a in range(ell)]

@@ -110,20 +110,24 @@ class TreeFamily:
         g = bt.Edge(self.tree, 0, e.a, e.u).rep_matrix()
         return g if e.flip == 0 else mat_mul(g, self.W)
 
-    def path(self, e, r, s):
-        """The path {gamma^-1 r -> gamma^-1 s} for e = gamma e_*, on which
-        kappa and the edge distribution of e evaluate the symbol."""
-        adj = mat_adj(self.edge_rep(e))
+    @staticmethod
+    def path(g, r, s):
+        """The path {g^-1 r -> g^-1 s} for g = edge_rep(e), on which kappa
+        and the edge distribution of e evaluate the symbol."""
+        adj = mat_adj(g)
         return apply_moebius(adj, r), apply_moebius(adj, s)
 
     def ev(self, e, r, s):
         """kappa{r-s}(e) (weight (0,0): the polynomial is the constant 1)."""
-        return self.omega ** e.parity() * self.phi.ev(*self.path(e, r, s))
+        return self.omega ** e.parity() * self.phi.ev(
+            *self.path(self.edge_rep(e), r, s))
 
-    def moments(self, edges, r, s):
-        """The moment tables of the edge distributions Psi{r-s} on the
-        paths of edges, (len(edges), 2, M, M), in one ev_paths pass."""
-        return self.psi.ev_paths([self.path(e, r, s) for e in edges])
+    def moments(self, reps, r, s):
+        """The moment tables of the edge distributions Psi{r-s} of the
+        edges whose edge_rep are reps, (len(reps), 2, M, M), in one
+        ev_paths pass on the int cusps of their paths."""
+        return self.psi.ev_paths([tuple(c.v for c in self.path(g, r, s))
+                                  for g in reps])
 
 
 def induced_old_symbol(phi_m, pi, level, scaled=False):
@@ -134,7 +138,7 @@ def induced_old_symbol(phi_m, pi, level, scaled=False):
     p1 = ms.P1(level)
     z = QuadInt(0, 0, d)
     mat = ((pi, z), (z, one(d))) if scaled else identity_mat(d)
-    vals = ms.translated_sums(p1, [mat], phi_m.ev)
+    vals = ms.translated_sums(p1, [mat], phi_m)
     return ms.ModularSymbol(p1, vals, level, d)
 
 
@@ -200,8 +204,9 @@ def edge_integrals(fam, edges, r, s, zeta):
         raise ValueError("family carries no overconvergent lift")
     pctx = fam.pctx
     zeta = {k: c for k, c in zeta.items() if c}
+    reps = [fam.edge_rep(e) for e in edges]
     centre, scale = [], []
-    for e in edges:
+    for e, g in zip(edges, reps):
         if e.flip:
             if any(k != (0, 0) for k in zeta):
                 raise SupportError("nonconstant polynomial on an unbounded "
@@ -209,12 +214,12 @@ def edge_integrals(fam, edges, r, s, zeta):
             centre.append(pctx.zero())
             scale.append(pctx.zero())
             continue
-        (A, B), (C, D) = fam.edge_rep(e)
+        (A, B), (C, D) = g
         centre.append(pctx.embed(-B) / pctx.embed(D))
         scale.append(pctx.embed(A) / pctx.embed(D))
     discs = lfun.Discs(fam.psi.ctx, PadicStack.of(pctx, centre),
                        PadicStack.of(pctx, scale),
-                       fam.moments(edges, r, s))
+                       fam.moments(reps, r, s))
     total = discs.constant(0)[:, 0]
     for (i, j), c in zeta.items():
         total = total + lfun._pair(discs, discs.binomial(i) * c,
@@ -417,9 +422,9 @@ def double_integral(fam, x, y, r, s):
     leaves = []
     for e in full_cover(fam):
         _log_leaves(fam, e, x, y, 4, leaves)
-    moments = fam.moments([e for e, _ in leaves], r, s)
+    moments = fam.moments([g for _, g, _ in leaves], r, s)
     total = ctx.zero()
-    for (e, coefs), m in zip(leaves, moments):
+    for (e, _, coefs), m in zip(leaves, moments):
         fd = FiniteDistribution(fam.psi.ctx, m)
         term = ctx.zero()
         for k, coef in enumerate(coefs):
@@ -430,8 +435,9 @@ def double_integral(fam, x, y, r, s):
 
 
 def _log_leaves(fam, e, x, y, depth, out):
-    """Append to out (e', coefs) for the balls U(e') under U(e), refined
-    at most depth times, on which coefs is the series of the log kernel."""
+    """Append to out (e', edge_rep(e'), coefs) for the balls U(e') under
+    U(e), refined at most depth times, on which coefs is the series of the
+    log kernel."""
     ctx = fam.ext2
     M = fam.psi.ctx.M
     g = fam.edge_rep(e)
@@ -458,7 +464,7 @@ def _log_leaves(fam, e, x, y, depth, out):
         p1, p2 = p1 * t1, p2 * t2
         coef = (p1 - p2) / k
         coefs.append(-coef if k % 2 == 0 else coef)
-    out.append((e, coefs))
+    out.append((e, g, coefs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,6 @@ QuadInt wrappers over it; a Cusp holds its int pairs, and the Manin layer
 of msymb runs its paths on the kernel without making QuadInts.
 """
 
-from fractions import Fraction
-from math import isqrt
-
 # d -> (|disc|, S, T, unit list as (a, b) pairs) where w^2 = S*w + T.
 _FIELD_TABLE = {
     1: (4, 0, -1, [(1, 0), (-1, 0), (0, 1), (0, -1)]),
@@ -251,9 +248,11 @@ def pair_moebius(S, T, g, c):
 
 def pair_cf(S, T, c):
     """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> c}
-    for a cusp c of pair_cusp: Manin's trick via the Euclidean continued
-    fraction of num/den. For the cusp 0 the list is empty; for infinity it
-    is [identity] (the base segment {0 -> oo} itself)."""
+    for a cusp c = (num : den): Manin's trick via the Euclidean continued
+    fraction of num/den. The quotients, and so the matrices, depend only on
+    the ratio, so c need not be coprime (pair_cusp). For the cusp 0 the
+    list is empty; for infinity it is [identity] (the base segment
+    {0 -> oo} itself)."""
     na, nb, da, db = c
     if not (da or db):
         return [(1, 0, 0, 0, 0, 0, 1, 0)]
@@ -283,7 +282,7 @@ def pair_cf(S, T, c):
 
 def pair_path(S, T, r, s):
     """List of (sign, g) with sum sign*{g 0 -> g oo} = {r -> s}, for cusps
-    r, s of pair_cusp."""
+    r, s as in pair_cf."""
     out = [(1, g) for g in pair_cf(S, T, s)]
     out.extend((-1, g) for g in pair_cf(S, T, r))
     return out
@@ -613,18 +612,6 @@ class ResidueRing:
     def mul(self, x, y):
         return self.reduce(x * y)
 
-    def pow(self, x, k):
-        if k < 0:
-            return self.pow(self.inverse(x), -k)
-        r = self.reduce(one(self.d))
-        x = self.reduce(x)
-        while k:
-            if k & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return r
-
     def mult_order(self, x):
         y = self.reduce(x)
         if not self.is_unit(y):
@@ -752,50 +739,29 @@ def quadratic_ray_characters(c):
         coset = {ring.mul(u, s) for s in S}
         seen |= coset
         cosets.append((u, coset))
-    # U/S is elementary abelian 2-group; find a basis greedily
-    basis = []
-    span = {frozenset(cosets[0][1])} if cosets else set()
     coset_of = {}
     for rep, cs in cosets:
         for x in cs:
             coset_of[x] = rep
-    id_rep = coset_of[ring.reduce(one(c.d))]
-    span_reps = {id_rep}
+    # U/S is an elementary abelian 2-group; find a basis greedily, keeping
+    # the F_2 coordinates (a bit mask over the basis) of each coset
+    basis = []
+    coords = {coset_of[ring.reduce(one(c.d))]: 0}
     for rep, _ in cosets:
-        if rep in span_reps:
+        if rep in coords:
             continue
+        bit = 1 << len(basis)
         basis.append(rep)
-        span_reps |= {coset_of[ring.mul(rep, x)] for x in list(span_reps)}
+        for x, mask in list(coords.items()):
+            coords[coset_of[ring.mul(rep, x)]] = mask | bit
     chars = []
     for mask in range(1 << len(basis)):
-        signs = {b: (-1 if (mask >> i) & 1 else 1) for i, b in enumerate(basis)}
-        # extend multiplicatively over the whole unit group
-        table = {}
-        for u in us:
-            # express coset_of[u] in the basis by brute-force search
-            table[u] = _coset_sign(u, basis, signs, coset_of, ring, id_rep)
+        # basis element i has sign -1 exactly when bit i of mask is set
+        table = {u: (-1) ** (mask & coords[coset_of[u]]).bit_count()
+                 for u in us}
         cond = _exact_conductor(c, table, ring)
         chars.append(RayCharacter(c, table, cond))
     return chars
-
-
-def _coset_sign(u, basis, signs, coset_of, ring, id_rep):
-    # walk through subsets of the basis to find the expression of u's coset
-    from itertools import combinations
-    target = coset_of[u]
-    if target == id_rep:
-        return 1
-    for r in range(1, len(basis) + 1):
-        for combo in combinations(basis, r):
-            prod = combo[0]
-            for b in combo[1:]:
-                prod = ring.mul(prod, b)
-            if coset_of[prod] == target:
-                s = 1
-                for b in combo:
-                    s *= signs[b]
-                return s
-    raise AssertionError("coset not spanned by basis")
 
 
 def parse_quadint(text, d):

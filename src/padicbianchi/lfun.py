@@ -14,10 +14,11 @@ moments mu(z^i zbar^j) of the block.
 A sum over discs (disc_sum) runs as stacked passes over all its weighted
 discs at once. The disc centres are int arrays (RayDistribution.unit_discs);
 their moments are filled in one stacked pass (fill_moments,
-OverconvergentSymbol.ev_paths) into one table per distribution. The disc
-kernel (disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called
-once per sum with the stack of discs (Discs): balls B + G O, each with its
-moment table. The tree's edge distributions are Discs too
+OverconvergentSymbol.ev_paths on the int paths (B : G) -> (1 : 0), which
+no gcd normalises) into one table per distribution. The disc kernel
+(disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called once per
+sum with the stack of discs (Discs): balls B + G O, each with its moment
+table. The tree's edge distributions are Discs too
 (cocycle.edge_integrals), so the package has one ball integral. The
 z-series of log_iw(B + G z), of (B + G z)^i and of <B + G z>^s and the
 pairing Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays
@@ -25,10 +26,10 @@ over the discs, on the pair arithmetic of the completion (the moment
 layer's pctx), with the precision rules and the association order of the
 scalar PadicElement code, so each disc gets the value and precision it
 would get alone. An error the scalar code would raise is raised for the
-first disc that meets one. The ray distribution takes its residue rings,
-uniformizer and cusps from the symbol's Manin layer, so the one-variable
-measure of a classical symbol over Q is the same class on the same disc
-loop.
+first disc that meets one. The ray distribution takes its residue rings
+and uniformizer from the symbol's Manin layer, and its paths are that
+layer's int paths, so the one-variable measure of a classical symbol over
+Q is the same class on the same disc loop.
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -45,6 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import QuadInt, divides
+from .ocsymb import FiniteDistribution
 from . import padic
 from .padic import PadicStack, StackLog, select, stack
 
@@ -67,9 +69,10 @@ class RayDistribution:
     lift_offset is the shift of the lifts b of a that unit_discs() uses.
 
     What depends on the ring comes from the symbol's Manin layer psi.p1:
-    residue_ring(n), uniformizer(pd), cusp(B, G) and the cusp infinity.
-    So the same class is the measure of a Bianchi symbol (msymb.P1, over
-    O_F) and of a classical one (the Manin layer over Z).
+    residue_ring(n) and uniformizer(pd); the paths {B/G -> infty} are the
+    int paths of the layer. So the same class is the measure of a Bianchi
+    symbol (msymb.P1, over O_F) and of a classical one (the Manin layer
+    over Z).
 
     Every disc has the scale G = g * pi. The moments Psi{B/G - infty} of
     the discs integrated so far are the rows of one table, keyed by the
@@ -107,9 +110,10 @@ class RayDistribution:
         todo = [key for key in dict.fromkeys(centres) if key not in self._rows]
         if not todo:
             return
-        p1 = self.p1
-        tables = self.psi.ev_paths([(p1.cusp(self.element(*key), self.G),
-                                     p1.infinity) for key in todo])
+        g0, g1 = _pair_of(self.G)
+        # the int path (B : G) -> (1 : 0) of ManinLayer
+        tables = self.psi.ev_paths([((b0, b1, g0, g1), (1, 0, 0, 0))
+                                    for b0, b1 in todo])
         first = len(self._rows)
         self._moments = tables if self._moments is None else \
             np.concatenate([self._moments, tables])
@@ -423,11 +427,13 @@ def restriction_consistency(mu):
     disc decomposition must recover mu(z^i) for polynomial test functions."""
     if mu.ring.size != 1:
         raise ValueError("consistency check runs at a unit modulus")
-    p1, pi = mu.p1, mu.pi
     pctx = mu.pctx
     lam_inv = pctx.from_rational(1 / mu.lam)
-    base = mu.psi.ev(p1.zero, p1.infinity)
-    discs = mu.discs([_pair_of(j) for j in p1.residue_ring(pi).elements()])
+    # Psi on the int path {0 -> infty}
+    base = FiniteDistribution(mu.psi.ctx, mu.psi.ev_paths(
+        [((0, 0, 1, 0), (1, 0, 0, 0))])[0])
+    discs = mu.discs([_pair_of(j)
+                      for j in mu.p1.residue_ring(mu.pi).elements()])
     worst = pctx.cap
     for i in range(3):
         total = _pair(discs, discs.binomial(i)).sum()

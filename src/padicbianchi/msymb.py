@@ -17,22 +17,26 @@ taken in ascending order, which fixes the order of the lines.
 The symbols, Hecke operators, relation solver and eigen-split run on a
 Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
 Z for the classical side of the base-change comparison. A layer keeps only
-what differs between the rings (reduction, lifts, path decomposition,
-Moebius action, Hecke coset reps, relation matrices, embedding into
-SL_2(O_F), and the residue rings, uniformizer and cusps of lfun's ray
-distribution); the layer memoises its generator lifts and, per prime, the
-decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
-rows i -> {j: signed count}; applying the operator to a symbol is then an
-exact row sum over its values.
+what differs between the rings (reduction, lifts, piece index, Hecke coset
+reps, relation matrices, embedding into SL_2(O_F), the int cusp of a
+caller's cusp, and the residue rings and uniformizer of lfun's ray
+distribution); the layer memoises its generator lifts and, per operator,
+the decomposition of a Hecke (or Atkin-Lehner) operator into sparse
+integer rows i -> {j: signed count}; applying the operator to a symbol is
+then an exact row sum over its values.
 
-Paths run on int pairs: a path piece, a Manin gamma and a U_p plan term
-are 8-tuples of ints (the entries of a matrix over O_F as pairs (a, b),
-field.mat_pairs), decomposed and multiplied by the Euclidean kernel of
-field, and the cusps on the way hold int pairs. P^1(O_F/n) reduces on
-plain ints too: each prime factor of the level keeps its HNF constants and
-a table of unit inverses, so reducing (c : d) builds no QuadInt and takes
-no gcd. QuadInts appear only at the edges: the generators, their lifts,
-the operators' matrices and the cusps a caller passes in.
+Paths run on ints: below the symbol API a path is a pair of int cusps
+(num_a, num_b, den_a, den_b), not normalised, and a path piece, a Manin
+gamma^-1 and a U_p plan term are 8-tuples of ints (the entries of a
+matrix over O_F as pairs (a, b), field.mat_pairs), decomposed and
+multiplied by the Euclidean kernel of field. A generator path
+{delta g_i 0 -> delta g_i oo} is read off the columns of delta g_i, and
+every piece maps to its generator and gamma^-1 in one place
+(ManinLayer.piece). P^1(O_F/n) reduces on plain ints too: each prime
+factor of the level keeps its HNF constants and a table of unit inverses,
+so reducing (c : d) builds no QuadInt and takes no gcd. QuadInts appear
+only at the edges: the generators, their lifts, the operators' matrices
+and the cusps a caller passes in (ModularSymbol.ev).
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -40,14 +44,14 @@ space; the other Euclidean fields raise until their tables are added.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from . import field as fld
 from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
-                    xgcd_quad, exact_div, divides, mat_adj, mat_mul,
-                    mat_pairs, pair_adj, pair_moebius, pair_mul, pair_path,
-                    apply_moebius, cusp_zero, cusp_infinity, split_prime,
-                    _unit_inverse)
+                    xgcd_quad, exact_div, divides, mat_mul, mat_pairs,
+                    pair_adj, pair_mul, pair_path, apply_moebius, cusp_zero,
+                    cusp_infinity, split_prime, _unit_inverse)
 
 
 # the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
@@ -77,19 +81,21 @@ class ManinLayer:
     rings: reduce(c, d) of a bottom row to its generator index, _lift(i) of
     a generator to a determinant-1 matrix, pairs(m) of one of its matrices
     to the 8-tuple of int pairs of field.pair_mul (its entries in O_F),
-    path(r, s) (the signed decomposition of a path into determinant-1
-    pieces {g 0 -> g oo}, g an 8-tuple), piece_index(g) of a piece,
-    moebius(g, x) of an 8-tuple on a cusp, with the cusps zero and
-    infinity, hecke_reps(q) and relation_mats(); S and T are those of the
-    field w^2 = S*w + T of the 8-tuples. Both layers decompose paths with
-    the Euclidean kernel of field (pair_path, pair_moebius); over Z the
-    cusps are real, so no piece leaves SL_2(Z). For the ray distribution
-    of lfun a layer also supplies residue_ring(n) (R/n with reduce,
-    elements, unit_elements and inverse), uniformizer(pd) of the prime
-    data and cusp(num, den). On top of these this class memoises the
-    lifts and, per operator, the decomposition rows, and enumerates the
-    U_p plan terms; the symbols, Hecke operators, relation solver and
-    eigen-split of this module run on either layer.
+    piece_index(g) of a path piece, hecke_reps(q), relation_mats(), the
+    field w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of
+    a caller's cusp. For the ray distribution of lfun a layer also supplies
+    residue_ring(n) (R/n with reduce, elements, unit_elements and inverse)
+    and uniformizer(pd) of the prime data.
+
+    Below the symbol API a path is a pair of int cusps (num_a, num_b,
+    den_a, den_b), not necessarily coprime: the continued fraction of
+    num/den, and so the Manin decomposition (field.pair_path), depends only
+    on the ratio. Over Z the cusps are real, so no piece leaves SL_2(Z).
+    On top of the hooks this class memoises the lifts and, per operator,
+    the decomposition rows, maps a piece to its generator and gamma^-1
+    (piece), and enumerates the U_p plan terms; the symbols, Hecke
+    operators, relation solver and eigen-split of this module run on
+    either layer.
     """
 
     def __init__(self):
@@ -113,21 +119,19 @@ class ManinLayer:
             g = self._lifts[i] = self._lift(i)
         return g
 
-    def lift_inverse(self, i):
-        """The inverse of lift_matrix(i)."""
-        return mat_adj(self.lift_matrix(i))
-
     def lift_pair(self, i):
-        """(g, g^-1) as 8-tuples, g = lift_matrix(i); memoised."""
-        out = self._lift_pairs[i]
-        if out is None:
-            g = self.pairs(self.lift_matrix(i))
-            out = self._lift_pairs[i] = (g, pair_adj(g))
-        return out
+        """lift_matrix(i) as an 8-tuple; memoised."""
+        g = self._lift_pairs[i]
+        if g is None:
+            g = self._lift_pairs[i] = self.pairs(self.lift_matrix(i))
+        return g
 
-    def manin_terms(self, r, s):
-        """The Manin decomposition of {r -> s}; see manin_terms."""
-        return manin_terms(self, r, s)
+    def piece(self, h):
+        """(idx, gamma^-1) of a path piece {h 0 -> h oo} = gamma {g_idx 0 ->
+        g_idx oo}: idx = piece_index(h), gamma in Gamma_0(n), and
+        gamma^-1 = g_idx adj(h) (h has determinant 1)."""
+        idx = self.piece_index(h)
+        return idx, pair_mul(self.S, self.T, self.lift_pair(idx), pair_adj(h))
 
     def hecke_terms(self, mats):
         """(i, j, sign, g) for each piece of the Manin decomposition of the
@@ -138,9 +142,8 @@ class ManinLayer:
         never holds them all."""
         S, T = self.S, self.T
         for i, delta, r, s in generator_paths(self, mats):
-            for sign, j, gamma in self.manin_terms(r, s):
-                # gamma has determinant 1: its inverse is its adjugate
-                yield i, j, sign, pair_mul(S, T, pair_adj(gamma), delta)
+            for sign, j, gamma_inv in manin_terms(self, r, s):
+                yield i, j, sign, pair_mul(S, T, gamma_inv, delta)
 
     def path_rows(self, mats):
         """Row i is the signed count {j: n} of the generators in the Manin
@@ -153,7 +156,7 @@ class ManinLayer:
             rows = [{} for _ in range(len(self))]
             for i, _, r, s in generator_paths(self, mats):
                 row = rows[i]
-                for sign, h in self.path(r, s):
+                for sign, h in pair_path(self.S, self.T, r, s):
                     j = self.piece_index(h)
                     row[j] = row.get(j, 0) + sign
             rows = self._path_rows[key] = [{j: k for j, k in row.items() if k}
@@ -163,14 +166,17 @@ class ManinLayer:
 
 def generator_paths(p1, mats):
     """(i, delta, r, s) for each generator i and each delta in mats, where
-    {r -> s} = {delta g_i 0 -> delta g_i oo}, g_i = p1.lift_matrix(i) and
-    delta is given back as the 8-tuple p1.pairs(delta)."""
+    {r -> s} = {h 0 -> h oo} with h = delta g_i = [[a, b], [c, d]] and
+    g_i = p1.lift_matrix(i): the int path (b : d) -> (a : c) of the columns
+    of h, not normalised. delta is given back as the 8-tuple
+    p1.pairs(delta)."""
+    S, T = p1.S, p1.T
     deltas = [p1.pairs(m) for m in mats]
     for i in range(len(p1)):
-        g = p1.lift_pair(i)[0]
-        r, s = p1.moebius(g, p1.zero), p1.moebius(g, p1.infinity)
+        g = p1.lift_pair(i)
         for delta in deltas:
-            yield i, delta, p1.moebius(delta, r), p1.moebius(delta, s)
+            a0, a1, b0, b1, c0, c1, d0, d1 = pair_mul(S, T, delta, g)
+            yield i, delta, (b0, b1, d0, d1), (a0, a1, c0, c1)
 
 
 class P1(ManinLayer):
@@ -180,14 +186,12 @@ class P1(ManinLayer):
     Reduction runs on plain ints. Each prime factor pi keeps the HNF
     constants of O/pi and a dict from every unit residue (a, b) to its
     inverse; O/pi is a field, so a residue is a unit exactly when it is
-    nonzero. Paths decompose on int pairs by the Euclidean continued
-    fractions of field.pair_path, and cusps move by field.pair_moebius.
+    nonzero. A caller's cusp enters as its int pairs Cusp.v.
     """
 
     def __init__(self, n):
         self.n = n
         self.d = n.d
-        self.zero, self.infinity = cusp_zero(n.d), cusp_infinity(n.d)
         self.ring = ResidueRing(n)
         self.factors = _factor_level(n)
         self._rings = [ResidueRing(pi) for pi, _ in self.factors]
@@ -215,7 +219,7 @@ class P1(ManinLayer):
         # global representatives by CRT
         self.reps = []
         self.index = {}
-        for combo in _product(local):
+        for combo in product(*local):
             c = self._crt([t[0] for t in combo])
             dd = self._crt([t[1] for t in combo])
             key = self._key(c, dd)
@@ -261,22 +265,14 @@ class P1(ManinLayer):
 
     def _lift(self, i):
         c, dd = self.reps[i]
-        # massage (c, d) into a coprime pair congruent to the class mod n
-        g = gcd_quad(c, dd)
-        if g and not g.is_unit():
-            c = c + self.n  # adjusting c mod n keeps the class
-            g = gcd_quad(c, dd)
-        if not (c or dd):
-            dd = one(self.d)
-        tries = 0
-        while True:
-            g = gcd_quad(c, dd) if (c or dd) else QuadInt(0, 0, self.d)
-            if g.is_unit():
+        # massage (c, d) into a coprime pair congruent to the class mod n:
+        # adjusting c mod n keeps the class (at most 6 additions of n)
+        for _ in range(6):
+            if gcd_quad(c, dd).is_unit():
                 break
             c = c + self.n
-            tries += 1
-            if tries > 4:
-                raise AssertionError("could not lift %r" % ((c, dd),))
+        else:
+            raise AssertionError("could not lift %r" % ((c, dd),))
         gg, u, v = xgcd_quad(c, dd)
         ui = _unit_inverse(gg)
         # u*c + v*d = g; a*d - b*c = 1 with a = v/g, b = -u/g
@@ -285,32 +281,20 @@ class P1(ManinLayer):
 
     pairs = staticmethod(mat_pairs)
     residue_ring = ResidueRing
-    cusp = Cusp
 
     @staticmethod
     def uniformizer(pd):
         return pd.pi
 
-    def path(self, r, s):
-        return pair_path(self.S, self.T, r.v, s.v)
-
-    def moebius(self, g, x):
-        return Cusp.from_pairs(self.d, pair_moebius(self.S, self.T, g, x.v))
+    @staticmethod
+    def cusp_pairs(x):
+        return x.v
 
     def hecke_reps(self, pi):
         return hecke_reps(pi, self.n, self.d)
 
     def relation_mats(self):
         return _relation_mats(self.d)
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +405,10 @@ class ModularSymbol:
                              dict(self.eigen))
 
     def ev(self, r, s):
-        """Value on the path {r -> s} (divisor (s) - (r))."""
-        total = Fraction(0)
-        for sign, g in self.p1.path(r, s):
-            total += sign * self.values[self.p1.piece_index(g)]
-        return total
+        """Value on the path {r -> s} (divisor (s) - (r)) of the layer's
+        cusps."""
+        p1 = self.p1
+        return _path_value(self, p1.cusp_pairs(r), p1.cusp_pairs(s))
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -451,16 +434,19 @@ class ModularSymbol:
         return self.copy([Fraction(v) for v in vals])
 
 
+def _path_value(phi, r, s):
+    """phi on the int path {r -> s}: its values summed over the pieces."""
+    p1 = phi.p1
+    return sum((sign * phi.values[p1.piece_index(h)]
+                for sign, h in pair_path(p1.S, p1.T, r, s)), Fraction(0))
+
+
 def manin_terms(p1, r, s):
-    """Decompose {r -> s}: list of (sign, gen_index, gamma) with each path
-    piece {g 0 -> g oo} = gamma * {g_x 0 -> g_x oo}, gamma in Gamma_0(n)
-    over the ring of the layer p1, as a determinant-1 8-tuple."""
-    S, T = p1.S, p1.T
-    out = []
-    for sign, g in p1.path(r, s):
-        idx = p1.piece_index(g)
-        out.append((sign, idx, pair_mul(S, T, g, p1.lift_pair(idx)[1])))
-    return out
+    """Decompose the int path {r -> s}: list of (sign, gen_index,
+    gamma^-1), one per piece {h 0 -> h oo} = gamma {g_idx 0 -> g_idx oo},
+    gamma in Gamma_0(n) over the ring of the layer p1 (ManinLayer.piece),
+    gamma^-1 a determinant-1 8-tuple."""
+    return [(sign,) + p1.piece(h) for sign, h in pair_path(p1.S, p1.T, r, s)]
 
 
 def hecke_reps(pi, level, d):
@@ -528,16 +514,17 @@ def degeneracy(phi, pi, direction):
                   (Cusp(one(d), QuadInt(2, 1, d)), cusp_infinity(d))]
         return [sum((phi.ev(apply_moebius(g, r), apply_moebius(g, s))
                      for g in mats), Fraction(0)) for r, s in probes]
-    return ModularSymbol(target_p1, translated_sums(target_p1, mats, phi.ev),
+    return ModularSymbol(target_p1, translated_sums(target_p1, mats, phi),
                          m, d)
 
 
-def translated_sums(p1, mats, ev):
-    """Entry i is the sum over delta in mats of ev(r, s) on the path
-    {delta g_i 0 -> delta g_i oo}, for the generators i of p1."""
+def translated_sums(p1, mats, phi):
+    """Entry i is the sum over delta in mats of the symbol phi on the path
+    {delta g_i 0 -> delta g_i oo}, for the generators i of p1 (phi may
+    live on another layer of the same ring)."""
     vals = [Fraction(0)] * len(p1)
     for i, _, r, s in generator_paths(p1, mats):
-        vals[i] += ev(r, s)
+        vals[i] += _path_value(phi, r, s)
     return vals
 
 

@@ -34,11 +34,13 @@ terms, UOperator: the terms with the same (dest, src, g) are merged and
 the ones that cancel dropped, the action matrices are kept once per
 distinct g, and UOperator.apply computes each distinct (src, g) product
 once and adds it, times its merged sign, to its rows. This serves the
-U_p plan, the value of a symbol on a list of paths (ev_paths, one plan
-per block of CHUNK paths) and the single action sigma0_act, a one-term
-plan. All moment products are exact: the arithmetic is int64 where the
-completion's int64_safe proves that no intermediate overflows, and Python
-integers (dtype object) otherwise.
+U_p plan, the value of a symbol on a list of int paths (ev_paths, one
+plan per block of CHUNK paths; a path is a pair of the int cusps of
+msymb.ManinLayer, and ev takes a caller's cusps through the layer's
+cusp_pairs) and the single action sigma0_act, a one-term plan. All
+moment products are exact: the arithmetic is int64 where the completion's
+int64_safe proves that no intermediate overflows, and Python integers
+(dtype object) otherwise.
 """
 
 import array
@@ -46,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import mat_det, mat_pairs, pair_adj, pair_mul
+from .field import mat_det, mat_pairs, pair_path
 from . import msymb as ms
 from . import padic
 
@@ -66,8 +68,6 @@ class DistContext:
     (filtration, FiniteDistribution.honest_moment)."""
 
     def __init__(self, prime_data, M):
-        if prime_data.kind == "split":
-            raise NotImplementedError("split primes need the product model")
         self.pd = prime_data
         self.p = prime_data.p
         self.M = M
@@ -222,34 +222,29 @@ class OverconvergentSymbol:
             dict(self.eigen))
 
     def ev(self, r, s):
-        """Psi{r -> s} as a FiniteDistribution (Gamma-invariance plus the
-        Manin decomposition of the path by the symbol's P^1 layer)."""
-        return FiniteDistribution(self.ctx, self.ev_paths([(r, s)])[0])
+        """Psi{r -> s} as a FiniteDistribution, for cusps r, s of the
+        symbol's P^1 layer (Gamma-invariance plus the Manin decomposition
+        of the path by that layer)."""
+        cusp_pairs = self.p1.cusp_pairs
+        return FiniteDistribution(self.ctx, self.ev_paths(
+            [(cusp_pairs(r), cusp_pairs(s))])[0])
 
     def ev_paths(self, paths):
-        """Psi on each path (r, s) of paths, as one (len(paths), 2, M, C)
-        array mod p^M. The paths run in blocks of CHUNK, one merged
-        UOperator per block: a piece h = gamma g_idx of path k in the
-        block, gamma in Gamma_0(n), is the plan term (k, idx, sign,
-        gamma^-1) with gamma^-1 = g_idx adj(h) (h has determinant 1). The
-        index and gamma^-1 are computed once per distinct piece of a
-        block."""
+        """Psi on each int path (r, s) of paths (msymb.ManinLayer), as one
+        (len(paths), 2, M, C) array mod p^M. The paths run in blocks of
+        CHUNK, one merged UOperator per block: a piece h = gamma g_idx of
+        path k in the block is the plan term (k, idx, sign, gamma^-1) of
+        ManinLayer.piece, computed once per distinct piece of a block."""
         p1, ctx = self.p1, self.ctx
         values = np.stack([v.m for v in self.values])
         out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.pctx.dtype)
-
-        def piece(h):
-            idx = p1.piece_index(h)
-            return idx, pair_mul(p1.S, p1.T, p1.lift_pair(idx)[0],
-                                 pair_adj(h))
-
         for lo in range(0, len(paths), CHUNK):
             terms, pieces = [], {}
             for k, (r, s) in enumerate(paths[lo:lo + CHUNK]):
-                for sign, h in p1.path(r, s):
+                for sign, h in pair_path(p1.S, p1.T, r, s):
                     got = pieces.get(h)
                     if got is None:
-                        got = pieces[h] = piece(h)
+                        got = pieces[h] = p1.piece(h)
                     terms.append((k, got[0], sign, got[1]))
             block = out[lo:lo + CHUNK]
             block[:] = UOperator(ctx, terms).apply(values, n_out=len(block))

@@ -152,11 +152,12 @@ def Qp(p, M):
 
 
 def completion(prime_data, M):
-    """The completion F_p of Q(sqrt(-d)) at the given prime, precision p^M."""
+    """The completion F_p of Q(sqrt(-d)) at the given prime, precision p^M.
+    The prime must not split: F_p is then the one completion above p."""
     pd = prime_data
     p = pd.p
     dd = pd.pi.d
-    D, S, T, _ = fld.field_params(dd)
+    _, S, T, _ = fld.field_params(dd)
     if pd.kind == "inert":
         ctx = PadicContext(p, M, "inert", (S, T), e=1, f=2,
                            embed_coeffs=(0, 1))
@@ -173,26 +174,7 @@ def completion(prime_data, M):
                            embed_coeffs=((-u * vinv) % p ** M, vinv))
         ctx.extra_torsion = _ramified_torsion(ctx, dd)
         return ctx
-    # split: base field, embedding via a Hensel-lifted root of the minpoly
-    root = _hensel_root(S, T, p, M, pd)
-    return PadicContext(p, M, "base", embed_coeffs=(root, 0))
-
-
-def _hensel_root(S, T, p, M, pd):
-    # root of x^2 - S x - T congruent to w mod pi (pin the branch with pi)
-    r0 = next(r for r in range(p) if (r * r - S * r - T) % p == 0)
-    # choose the root compatible with pd.pi | (w - root)
-    w = fld.omega(pd.pi.d)
-    if not fld.divides(pd.pi, w - fld.QuadInt(r0, 0, pd.pi.d)):
-        r0 = (S - r0) % p
-    r = r0
-    mod = p
-    while mod < p ** M:
-        mod = min(mod * mod, p ** M)
-        f = (r * r - S * r - T) % mod
-        df = (2 * r - S) % mod
-        r = (r - f * pow(df, -1, mod)) % mod
-    return r
+    raise NotImplementedError("split primes need the product model")
 
 
 def _ramified_torsion(ctx, d):

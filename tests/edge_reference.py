@@ -1,9 +1,10 @@
 """Reference copy of the scalar edge integral that cocycle.edge_integrals
 replaced: the binomial grid of a polynomial in (t, tbar) on one ball U(e),
 expanded on PadicElements and paired with the moments of that edge alone.
-One edit: the moments of the edge come from psi.ev on TreeFamily.path,
-the path that TreeFamily.ev_dist (since deleted) evaluated. The tests
-compare edge_integrals against it row by row."""
+Two edits: the moments of the edge come from psi.ev on TreeFamily.path,
+the path that TreeFamily.ev_dist (since deleted) evaluated, and that path
+is taken from the edge rep g the ball is built from. The tests compare
+edge_integrals against it row by row."""
 
 from math import comb
 
@@ -45,7 +46,7 @@ def edge_distribution(fam, e, r, s, zeta):
                     * (b0.conj() ** (j - b_)) * (g0.conj() ** b_)
                 key = (a_, b_)
                 grid[key] = grid.get(key, pctx.zero()) + coef * val
-    fd = fam.psi.ev(*fam.path(e, r, s))
+    fd = fam.psi.ev(*fam.path(g, r, s))
     total = pctx.zero()
     for (i, j), c in grid.items():
         if c.is_zero():

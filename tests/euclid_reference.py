@@ -1,7 +1,8 @@
 """Reference copy of the QuadInt Euclidean code that field's int-pair kernel
 replaced: division with the four-point quotient scan, gcd, cusp
-normalisation, the continued-fraction matrices and the Manin rows of a list
-of operators. The tests compare the kernel against it."""
+normalisation, the continued-fraction matrices, and the Manin rows and
+U_p plan terms of a list of operators on normalised cusps. The tests
+compare the kernel against it."""
 
 from padicbianchi import field as fld
 from padicbianchi.field import QuadInt
@@ -77,20 +78,41 @@ def ref_path(r, s):
     return [(1, g) for g in ref_cf(*s)] + [(-1, g) for g in ref_cf(*r)]
 
 
-def ref_path_rows(p1, mats, index):
-    """ManinLayer.path_rows of the O_F layer p1, with index(c, d) the
-    generator of a bottom row."""
+def ref_generator_paths(p1, mats):
+    """(i, delta, path) for each generator i of the O_F layer p1 and each
+    delta in mats: the ref_path of the normalised cusps of
+    {delta g_i 0 -> delta g_i oo}, g_i = p1.lift_matrix(i)."""
     d = p1.d
     zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
-    rows = []
     for i in range(len(p1)):
         g = p1.lift_matrix(i)
         r, s = ref_moebius(g, zero, one), ref_moebius(g, one, zero)
-        row = {}
         for delta in mats:
-            path = ref_path(ref_moebius(delta, *r), ref_moebius(delta, *s))
-            for sign, h in path:
-                j = index(*h[1])
-                row[j] = row.get(j, 0) + sign
-        rows.append({j: k for j, k in row.items() if k})
-    return rows
+            yield i, delta, ref_path(ref_moebius(delta, *r),
+                                     ref_moebius(delta, *s))
+
+
+def ref_path_rows(p1, mats, index):
+    """ManinLayer.path_rows of the O_F layer p1, with index(c, d) the
+    generator of a bottom row."""
+    rows = [{} for _ in range(len(p1))]
+    for i, _, path in ref_generator_paths(p1, mats):
+        row = rows[i]
+        for sign, h in path:
+            j = index(*h[1])
+            row[j] = row.get(j, 0) + sign
+    return [{j: k for j, k in row.items() if k} for row in rows]
+
+
+def ref_hecke_terms(p1, mats, index):
+    """ManinLayer.hecke_terms of the O_F layer p1 as a list: each piece h
+    of a generator path is h = gamma g_j, gamma = h adj(g_j), and gives
+    the term (i, j, sign, adj(gamma) delta) as an 8-tuple."""
+    out = []
+    for i, delta, path in ref_generator_paths(p1, mats):
+        for sign, h in path:
+            j = index(*h[1])
+            gamma = fld.mat_mul(h, fld.mat_adj(p1.lift_matrix(j)))
+            out.append((i, j, sign, fld.mat_pairs(
+                fld.mat_mul(fld.mat_adj(gamma), delta))))
+    return out

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicbianchi import basechange as bc
+from padicbianchi import field as fld
 from padicbianchi import lfun
 from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
@@ -86,7 +87,9 @@ class TestRationalSymbols:
 
     def test_unimodular_path_determinants(self):
         # the field kernel on real cusps gives pieces in SL_2(Z)
-        path = bc.RationalP1(11).path(Fraction(17, 43), Fraction(-5, 9))
+        p1 = bc.RationalP1(11)
+        path = fld.pair_path(p1.S, p1.T, p1.cusp_pairs(Fraction(17, 43)),
+                             p1.cusp_pairs(Fraction(-5, 9)))
         assert path
         for sign, g in path:
             a, aw, b, bw, c, cw, d, dw = g

@@ -168,27 +168,34 @@ def reference_rows(fam, edges, r, s, zeta):
             (eref.edge_distribution(fam, e, r, s, zeta) for e in edges)]
 
 
+def counting(mp, owner, name, counts):
+    """Patch owner.name on mp to append its first argument to counts."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        counts.append(args[0])
+        return fn(*args)
+    mp.setattr(owner, name, counted)
+
+
 def run_criterion_8(phi, psi, pd):
     """Criterion 8 on the family of phi and psi: its edge_integrals calls
-    as (fam, edges, r, s, zeta, result) and the number of ev_paths passes
-    it makes."""
-    calls, passes = [], []
+    as (fam, edges, r, s, zeta, result), the number of ev_paths passes it
+    makes and the number of Edge.rep_matrix calls."""
+    calls, passes, reps = [], [], []
     integrals = cc.edge_integrals
-    ev_paths = oc.OverconvergentSymbol.ev_paths
 
     def recorded(fam, edges, r, s, zeta):
         out = integrals(fam, edges, r, s, zeta)
         calls.append((fam, list(edges), r, s, dict(zeta), out))
         return out
 
-    def counted(self, paths):
-        passes.append(len(paths))
-        return ev_paths(self, paths)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cc, "edge_integrals", recorded)
-        mp.setattr(oc.OverconvergentSymbol, "ev_paths", counted)
+        counting(mp, oc.OverconvergentSymbol, "ev_paths", passes)
+        counting(mp, bt.Edge, "rep_matrix", reps)
         cli._criterion_8(cli.AcceptanceContext(phi, psi, {}, pd), {})
-    return calls, len(passes)
+    return calls, len(passes), len(reps)
 
 
 class TestEdgeIntegrals:
@@ -213,13 +220,19 @@ class TestEdgeIntegrals:
 
     def test_reference_p2(self, ram_symbol, ram_lift):
         phi, pd = ram_symbol
-        calls, _ = run_criterion_8(phi, ram_lift, pd)
+        calls, _, _ = run_criterion_8(phi, ram_lift, pd)
         self.check(calls, [3] * 5 + [7, 14])
 
     def test_one_pass_per_integral(self, ref_run):
         # 5 totals, the whole edges and their children: a fall-back to one
         # ev_paths pass per edge would make 1,215
         assert ref_run[1] <= 7
+
+    def test_one_rep_per_edge(self, ref_run):
+        # each edge builds its edge_rep once, for its ball and its path:
+        # 1,830 edges, where building it twice made 3,655 calls
+        calls, _, reps = ref_run
+        assert reps == sum(len(c[1]) for c in calls) == 1830
 
     def test_flipped_ball(self, fam):
         r, s = PATH
@@ -363,6 +376,18 @@ class TestDoubleIntegral:
             - cc.lc_via_double_integral(fam, dat3, other)
         assert (d.a.is_zero() or d.a.val() >= 5) \
             and (d.b.is_zero() or d.b.val() >= 5)
+
+    def test_one_rep_per_edge(self, fam, tau):
+        # each edge _log_leaves visits builds its edge_rep once, and the
+        # leaves' paths reuse it
+        r, s = PATH
+        x = fam.ext2.elt(fam.pctx.elt(3), fam.pctx.elt(1))
+        visits, reps = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            counting(mp, cc, "_log_leaves", visits)
+            counting(mp, bt.Edge, "rep_matrix", reps)
+            cc.double_integral(fam, tau, x, r, s)
+        assert len(reps) == len(visits) >= len(cc.full_cover(fam))
 
     def test_extension_log(self, fam):
         e2 = fam.ext2

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ray_reference
 from euclid_reference import ref_cf, ref_cusp, ref_divmod, ref_gcd
 from padicbianchi import field as fld
 from padicbianchi.field import (
@@ -261,6 +262,17 @@ class TestRayCharacters:
         chi = next(c for c in chars if not c.is_trivial())
         assert chi(qi(11, 0, 1)) == -1
         assert chi.gauss_sum_squared() == 41
+
+    @pytest.mark.parametrize("m", [qi(1, 0), qi(3, 0), qi(4, 1), qi(5, 0),
+                                   qi(7, 0), qi(3, 3), qi(15, 0), qi(21, 0)])
+    def test_match_subset_search_reference(self, m):
+        # the same characters in the same order (criteria 4 and 5 take the
+        # first match), with the same tables and conductors; U/S has a basis
+        # of two elements at (15) and (21)
+        got = quadratic_ray_characters(m)
+        want = ray_reference.quadratic_ray_characters(m)
+        assert [(list(c.table.items()), c.conductor) for c in got] == \
+            [(list(c.table.items()), c.conductor) for c in want]
 
     @pytest.mark.parametrize("m", [qi(3, 0, 1), qi(4, 1, 1), qi(11, 0, 1)])
     def test_multiplicative(self, m):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euclid_reference import ref_path_rows
+from euclid_reference import ref_hecke_terms, ref_path_rows
 from padicbianchi import field as fld
 from padicbianchi import msymb as ms
 from padicbianchi.field import QuadInt, Cusp, cusp_zero, cusp_infinity
@@ -99,7 +99,9 @@ class TestTableReduction:
         p1 = ms.P1(qi(7, 7))
         g = p1.lift_matrix(5)
         assert p1.lift_matrix(5) is g
-        assert fld.mat_mul(g, p1.lift_inverse(5)) == fld.identity_mat(1)
+        assert fld.mat_det(g) == fld.one(1)
+        assert p1.lift_pair(5) is p1.lift_pair(5)
+        assert p1.lift_pair(5) == fld.mat_pairs(g)
 
     def test_operators_match_naive_path_sums(self):
         level = qi(7, 7)
@@ -136,6 +138,23 @@ class TestPathRows:
             return p1.index[reference_key(p1, c, dd)]
         for mats in ops:
             assert p1.path_rows(mats) == ref_path_rows(p1, mats, index)
+
+
+    def test_hecke_terms_match_reference(self):
+        # U_2 at (1+i)(7) and the first helper operator at (11): the plan
+        # terms of the unnormalised generator paths, tuple for tuple
+        pi = fld.split_prime(2, 1).pi
+        cases = [(qi(7, 7), pi)]
+        cases.append((qi(11), ms._small_coprime_primes(qi(11), 1, 1)[0][0]))
+        for level, q in cases:
+            p1 = ms.P1(level)
+            mats = ms.hecke_reps(q, level, 1)
+
+            def index(c, dd):
+                return p1.index[reference_key(p1, c, dd)]
+            want = ref_hecke_terms(p1, mats, index)
+            assert list(p1.hecke_terms(mats)) == want
+        assert len(want) > 1000
 
 
 class TestRowSums:

@@ -1,6 +1,7 @@
 """Tests for the distribution modules, the Sigma_0(p) action, and lifting."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,8 +450,9 @@ class TestEvaluation:
 
         def disc_paths(c, count):
             mu = lfun.build_mu_p(psi, qi(c))
-            return [(fld.Cusp(mu.element(*B), mu.G), fld.cusp_infinity(1))
-                    for B in mu.unit_discs()[1][:count]]
+            g0, g1 = mu.G.a, mu.G.b
+            return [((B[0], B[1], g0, g1), (1, 0, 0, 0))
+                    for B in mu.unit_discs()[1][:count].tolist()]
         first = disc_paths(1, 120)
         assert len(first) == 120
         paths = first + first + disc_paths(3, 20)
@@ -459,16 +461,50 @@ class TestEvaluation:
         assert got.shape == (260, 2, ctx.M, ctx.M)
         want = {}
         for k, (r, s) in enumerate(paths):
-            key = (r.v, s.v)
+            key = (r, s)
             if key not in want:
                 total = 0
-                for sign, idx, gamma in psi.p1.manin_terms(r, s):
-                    g = fld.mat_inv_unimodular(fld.pair_mat(gamma, 1))
+                for sign, idx, gamma_inv in ms.manin_terms(psi.p1, r, s):
+                    g = fld.pair_mat(gamma_inv, 1)
                     total = total + sign * act_reference(ctx, g,
                                                          psi.values[idx].m)
                 want[key] = total % ctx.pctx.mod
             assert np.array_equal(got[k], want[key])
         assert len(want) == 140
+
+    def test_int_paths_match_normalised_cusps(self, ref_lift,
+                                              rational_lifts):
+        # ev_paths on int paths, coprime or with a common factor k, equals
+        # ev on the normalised cusps of the layer: 10 discs of mu(3) over
+        # O_F and 10 discs of the classical mu(4) over Z, each on
+        # {B/G -> oo} and {r2 -> B/G}
+        def scaled(k, v):
+            ka, kb = k      # k * (num : den) in Z[i], w^2 = -1
+            return tuple(x for xa, xb in (v[:2], v[2:])
+                         for x in (ka * xa - kb * xb, ka * xb + kb * xa))
+
+        def check(psi, k, r, s, want):
+            got = psi.ev_paths([(scaled(k, r), scaled(k, s))])[0]
+            assert np.array_equal(got, want.m)
+
+        psi = ref_lift[0]
+        mu = lfun.build_mu_p(psi, qi(3))
+        inf, r2 = fld.cusp_infinity(1), fld.Cusp(qi(2, 3), qi(7))
+        for B in mu.unit_discs()[1][:10].tolist():
+            c = fld.Cusp(qi(*B), mu.G)
+            v = (B[0], B[1], mu.G.a, mu.G.b)
+            for k in ((1, 0), (2, 1), (0, -3)):
+                check(psi, k, v, inf.v, psi.ev(c, inf))
+                check(psi, k, r2.v, v, psi.ev(r2, c))
+        psi = rational_lifts[0][0]
+        mu = lfun.RayDistribution(psi, 4)
+        r2 = Fraction(2, 7)
+        for B in mu.unit_discs()[1][:10].tolist():
+            c = Fraction(B[0], mu.G)
+            v = (B[0], 0, mu.G, 0)
+            for k in ((1, 0), (-3, 0), (5, 0)):
+                check(psi, k, v, (1, 0, 0, 0), psi.ev(c, None))
+                check(psi, k, (2, 0, 7, 0), v, psi.ev(r2, c))
 
     def test_additivity(self, ref_lift):
         psi, _ = ref_lift
