@@ -12,6 +12,10 @@ Moebius action and the continued-fraction convergents. divmod_quad,
 gcd_quad, exact_div, Cusp, cf_decompose, path_between and apply_moebius are
 QuadInt wrappers over it; a Cusp holds its int pairs, and the Manin layer
 of msymb runs its paths on the kernel without making QuadInts.
+
+The module also holds the two precision facts that the CLI reads before
+any numpy layer loads: PrecisionError, and the int64 bound of the
+completions' moment products (int64_exact on PrimeData.minpoly).
 """
 
 # d -> (|disc|, S, T, unit list as (a, b) pairs) where w^2 = S*w + T.
@@ -282,10 +286,13 @@ def pair_cf(S, T, c):
 
 def pair_path(S, T, r, s):
     """List of (sign, g) with sum sign*{g 0 -> g oo} = {r -> s}, for cusps
-    r, s as in pair_cf."""
-    out = [(1, g) for g in pair_cf(S, T, s)]
-    out.extend((-1, g) for g in pair_cf(S, T, r))
-    return out
+    r, s as in pair_cf: {0 -> s} - {0 -> r}. When neither cusp is 0 both
+    lists start with the base segment {0 -> oo}, and the two copies
+    cancel, so neither is listed."""
+    cf_s, cf_r = pair_cf(S, T, s), pair_cf(S, T, r)
+    if cf_s and cf_r:
+        cf_s, cf_r = cf_s[1:], cf_r[1:]
+    return [(1, g) for g in cf_s] + [(-1, g) for g in cf_r]
 
 
 def mat_pairs(mat):
@@ -362,6 +369,35 @@ class PrimeData:
     def __repr__(self):
         return "PrimeData(p=%d, %s, pi=%r, N=%d)" % (
             self.p, self.kind, self.pi, self.norm)
+
+    def minpoly(self):
+        """(S, T) with g^2 = S*g + T, for the basis {1, g} of the completion
+        of F at this prime: g = w at an inert prime and g = pi at a
+        ramified one. A split prime has two completions, which the p-adic
+        layer does not model."""
+        if self.kind == "inert":
+            return field_params(self.pi.d)[1:3]
+        if self.kind == "ramified":
+            return self.pi.trace(), -self.pi.norm()
+        raise NotImplementedError("split primes need the product model")
+
+
+# ---------------------------------------------------------------------------
+# precision bounds of the completions, read before any numpy layer loads
+
+
+class PrecisionError(ArithmeticError):
+    """A p-adic result cannot hold the precision it must (padic and the
+    layers on it raise it; the CLI maps it to exit code 2)."""
+
+
+def int64_exact(p, M, S, T):
+    """Whether the moment products of the completion with basis {1, g},
+    g^2 = S*g + T, at precision p^M are exact in int64: the largest
+    intermediate of a product of M x M pair matrices reduced mod p^M is
+    2M products of residues plus an S or T multiple of a residue."""
+    mod = p ** M
+    return 2 * M * (mod - 1) ** 2 + (abs(S) + abs(T)) * mod < 2 ** 63
 
 
 def _legendre(a, p):

@@ -429,24 +429,21 @@ def apply_hecke_oc(psi, pi):
     return psi.copy([FiniteDistribution(psi.ctx, v) for v in values])
 
 
-def save_lift(path, psi, cert):
-    """Cache a lifted symbol (values array plus certificate) to path, a
-    file name or a binary file."""
-    import json
-    values = np.stack([v.m for v in psi.values])
-    np.savez_compressed(path, values=values,
-                        cert=json.dumps(cert), eigen=json.dumps(
-                            {k: str(v) for k, v in psi.eigen.items()}))
+def save_lift(path, psi):
+    """Write the moment tables of a lifted symbol, one values array, to
+    path, a file name or a binary file. Its certificate and eigenvalues
+    are the caller's to keep (the CLI keeps them in the cache meta)."""
+    np.savez_compressed(path, values=np.stack([v.m for v in psi.values]))
 
 
-def load_lift(path, p1, ctx, level):
-    import json
-    data = np.load(path, allow_pickle=False)
-    values = data["values"]
-    cert = json.loads(str(data["cert"]))
-    eigen = json.loads(str(data["eigen"]))
+def load_lift(path, phi, ctx):
+    """The lift of phi that save_lift wrote to path (a file name or a
+    binary file), with the moment layer ctx and phi's eigenvalues."""
+    with np.load(path, allow_pickle=False) as data:
+        values = data["values"]
     vals = [FiniteDistribution(ctx, values[i]) for i in range(values.shape[0])]
-    return OverconvergentSymbol(p1, ctx, level, vals, eigen), cert
+    return OverconvergentSymbol(phi.p1, ctx, phi.level, vals,
+                                dict(phi.eigen))
 
 
 def u_eigen_residual(psi, u_op, lam):

@@ -22,10 +22,7 @@ their one-element case, and log_iw adds the pi-power part of a non-unit.
 import numpy as np
 
 from . import field as fld
-
-
-class PrecisionError(ArithmeticError):
-    pass
+from .field import PrecisionError
 
 
 class PadicContext:
@@ -55,12 +52,8 @@ class PadicContext:
         # residue class mod pi -> (c0, c1) of its Teichmuller lift, filled
         # on demand (teichmuller_units)
         self._teich = {}
-        # The largest intermediate of a product of M x M pair matrices
-        # reduced mod p^M (ocsymb's moment products): 2M products of
-        # residues plus an S or T multiple of a residue. Below 2^63, int64
-        # is exact.
-        self.int64_safe = (2 * M * (self.mod - 1) ** 2
-                           + (abs(self.S) + abs(self.T)) * self.mod) < 2 ** 63
+        # whether ocsymb's moment products are exact in int64
+        self.int64_safe = fld.int64_exact(p, M, self.S, self.T)
         self.dtype = np.int64 if self.int64_safe else object
         self.powers = np.array([p ** k for k in range(M + 1)],
                                dtype=self.dtype)
@@ -156,25 +149,19 @@ def completion(prime_data, M):
     The prime must not split: F_p is then the one completion above p."""
     pd = prime_data
     p = pd.p
-    dd = pd.pi.d
-    _, S, T, _ = fld.field_params(dd)
+    minpoly = pd.minpoly()      # NotImplementedError at a split prime
     if pd.kind == "inert":
-        ctx = PadicContext(p, M, "inert", (S, T), e=1, f=2,
-                           embed_coeffs=(0, 1))
-        return ctx
-    if pd.kind == "ramified":
-        pi = pd.pi
-        Spi, Tpi = pi.trace(), -pi.norm()    # pi^2 = Spi*pi + Tpi
-        # w_F = (pi - u)/v where pi = u + v*w
-        u, v = pi.a, pi.b
-        vinv = pow(v, -1, p ** M) if v % p else None
-        if vinv is None:
-            raise ValueError("unexpected uniformizer shape")
-        ctx = PadicContext(p, M, "ramified", (Spi, Tpi), e=2, f=1,
-                           embed_coeffs=((-u * vinv) % p ** M, vinv))
-        ctx.extra_torsion = _ramified_torsion(ctx, dd)
-        return ctx
-    raise NotImplementedError("split primes need the product model")
+        return PadicContext(p, M, "inert", minpoly, e=1, f=2,
+                            embed_coeffs=(0, 1))
+    # ramified: g = pi, and w_F = (pi - u)/v where pi = u + v*w
+    u, v = pd.pi.a, pd.pi.b
+    vinv = pow(v, -1, p ** M) if v % p else None
+    if vinv is None:
+        raise ValueError("unexpected uniformizer shape")
+    ctx = PadicContext(p, M, "ramified", minpoly, e=2, f=1,
+                       embed_coeffs=((-u * vinv) % p ** M, vinv))
+    ctx.extra_torsion = _ramified_torsion(ctx, pd.pi.d)
+    return ctx
 
 
 def _ramified_torsion(ctx, d):

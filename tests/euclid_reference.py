@@ -74,8 +74,13 @@ def ref_cf(num, den):
 
 
 def ref_path(r, s):
-    """path_between of the normalised cusps r, s given as (num, den)."""
-    return [(1, g) for g in ref_cf(*s)] + [(-1, g) for g in ref_cf(*r)]
+    """path_between of the normalised cusps r, s given as (num, den): the
+    base segment that both lists start with when neither cusp is 0 cancels
+    and is left out."""
+    cf_s, cf_r = ref_cf(*s), ref_cf(*r)
+    if cf_s and cf_r:
+        cf_s, cf_r = cf_s[1:], cf_r[1:]
+    return [(1, g) for g in cf_s] + [(-1, g) for g in cf_r]
 
 
 def ref_generator_paths(p1, mats):

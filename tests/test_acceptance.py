@@ -1,7 +1,7 @@
 """The acceptance suite.
 
 Each criterion runs at its stated tolerance through the shared
-implementations in padicbianchi.cli and reports one pass/fail line.
+implementations in padicbianchi.acceptance and reports one pass/fail line.
 Criterion 7 asserts the stated base-change comparison: the pipeline
 L-invariant, taken with the p-direction logarithm log_p o N, is twice the
 classical L-invariant at the inert prime 11. The companion regression after
@@ -13,8 +13,8 @@ import json
 
 import pytest
 
+from padicbianchi import acceptance as acc
 from padicbianchi import basechange as bc
-from padicbianchi import cli
 from padicbianchi import cocycle as cc
 
 
@@ -22,11 +22,11 @@ from padicbianchi import cocycle as cc
 def ctx(ref_symbols, ref_lift, ref_prime):
     phi, _ = ref_symbols
     psi, cert = ref_lift
-    return cli.AcceptanceContext(phi, psi, cert, ref_prime)
+    return acc.AcceptanceContext(phi, psi, cert, ref_prime)
 
 
 def run_criterion(ctx, n):
-    (entry,) = cli.run_criteria(ctx, selected={n})
+    (entry,) = acc.run_criteria(ctx, selected={n})
     assert entry["passed"], json.dumps(entry, indent=1, default=str)
     return entry
 

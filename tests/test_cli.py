@@ -2,12 +2,14 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 
 import pytest
 
+from padicbianchi import acceptance as acc
 from padicbianchi import cli
 from padicbianchi import cocycle as cc
 from padicbianchi import padic
@@ -15,15 +17,23 @@ from padicbianchi.field import QuadInt
 
 
 @pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    """A warm cache for the M = 5 reference run (built once)."""
+def seed_build(tmp_path_factory):
+    """The M = 5 reference build into an empty cache (run once): the cache
+    it filled and its report."""
     cache = tmp_path_factory.mktemp("cache")
     out = tmp_path_factory.mktemp("out") / "seed.json"
     code = cli.main(["build", "--precision", "5", "--cache-dir", str(cache),
                      "--output", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["cache"] == "miss"
-    return cache
+    rep = json.loads(out.read_text())
+    assert rep["cache"] == "miss"
+    return cache, rep
+
+
+@pytest.fixture(scope="module")
+def cache_dir(seed_build):
+    """A warm cache for the M = 5 reference run."""
+    return seed_build[0]
 
 
 def run(tmp_path, name, argv):
@@ -36,13 +46,50 @@ BASE = ["--precision", "5"]
 
 
 class TestBuild:
-    def test_cache_hit(self, cache_dir, tmp_path):
+    def test_cache_hit(self, seed_build, tmp_path):
+        # a hit reports what the miss that filled the cache reported (the
+        # eigenvalues, the lift certificate and the generator count), read
+        # from the meta without decoding the lift
+        cache, miss = seed_build
         code, rep = run(tmp_path, "b.json",
-                        ["build"] + BASE + ["--cache-dir", str(cache_dir)])
+                        ["build"] + BASE + ["--cache-dir", str(cache)])
         assert code == 0
         assert rep["cache"] == "hit"
         assert rep["eigen"]["lambda_p"] == "1"
         assert rep["lift_certificate"]["converged"]
+        assert dict(rep, cache="miss") == miss
+
+    def test_flipped_lift_byte_rebuilds(self, seed_build, tmp_path):
+        # a valid entry whose .npz changed by one byte fails its sha256
+        cache = tmp_path / "cache"
+        shutil.copytree(seed_build[0], cache)
+        (npz,) = cache.glob("*.npz")
+        data = bytearray(npz.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        npz.write_bytes(bytes(data))
+        code, rep = run(tmp_path, "b.json",
+                        ["build"] + BASE + ["--cache-dir", str(cache)])
+        assert code == 0
+        assert rep["cache"] == "rebuilt"
+        assert any("corrupt cache" in w and "sha256" in w
+                   for w in rep["warnings"])
+        assert rep["lift_certificate"] == seed_build[1]["lift_certificate"]
+
+    def test_cache_key_covers_code(self, tmp_path, monkeypatch):
+        # the key hashes the version and the package's .py sources, so a
+        # lift that other code wrote is a miss
+        cfg = cli.RunConfig(precision=5)
+        key = cfg.cache_key()
+        pkg = tmp_path / "padicbianchi"
+        shutil.copytree(os.path.dirname(cli.__file__), pkg)
+        monkeypatch.setattr(cli, "__file__", str(pkg / "cli.py"))
+        assert cfg.cache_key() == key
+        with open(pkg / "msymb.py", "a") as fh:
+            fh.write("# edited\n")
+        edited = cfg.cache_key()
+        assert edited != key
+        monkeypatch.setattr(cli, "__version__", cli.__version__ + ".1")
+        assert cfg.cache_key() not in (key, edited)
 
     def test_corrupt_cache_rebuilds_with_warning(self, tmp_path):
         cache = tmp_path / "cache"
@@ -217,20 +264,27 @@ class TestStartup:
                   ["cache"] for i in range(2)]
         assert caches == ["miss", "hit"]
 
-    def test_warm_build_skips_linalg(self, cache_dir, tmp_path):
-        # the exact linear algebra serves the symbol space and the
-        # eigen-split only, which a warm build skips: its import is left
-        # out of the start-up every warm command pays
-        code = ("import sys\n"
+    def test_warm_build_imports_no_numpy_layer(self, cache_dir, tmp_path):
+        # a hit reads field and msymb only: numpy, the layers on it, and
+        # the exact linear algebra of the symbol space and the eigen-split
+        # are left out of the start-up every warm command pays, both at
+        # `import padicbianchi.cli` and through the warm build
+        layers = ["numpy"] + ["padicbianchi." + m for m in (
+            "ocsymb", "padic", "lfun", "cocycle", "btree", "basechange",
+            "linalg", "acceptance")]
+        code = ("import json, sys\n"
+                "layers = sys.argv[1].split(',')\n"
                 "from padicbianchi import cli\n"
-                "rc = cli.main(sys.argv[1:])\n"
-                "print(rc, 'padicbianchi.linalg' in sys.modules)\n")
+                "loaded = [m for m in layers if m in sys.modules]\n"
+                "rc = cli.main(sys.argv[2:])\n"
+                "print(json.dumps([loaded, rc,\n"
+                "                  [m for m in layers if m in sys.modules]]))\n")
         argv = ["build"] + BASE + ["--cache-dir", str(cache_dir),
                                    "--output", str(tmp_path / "b.json")]
-        proc = subprocess.run([sys.executable, "-c", code] + argv,
-                              capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-c", code, ",".join(layers)]
+                              + argv, capture_output=True, text=True,
                               env=child_env(), timeout=120)
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert json.loads(proc.stdout) == [[], 0, []], proc.stderr
         assert json.loads((tmp_path / "b.json").read_text())["cache"] == "hit"
 
     def test_source_does_not_name_sympy(self):
@@ -346,12 +400,12 @@ class TestAccept:
 
     def test_validator_agrees_with_jsonschema(self, cache_dir, tmp_path):
         import jsonschema
-        schema = cli.accept_report_schema()
+        schema = acc.accept_report_schema()
         _, rep = run(tmp_path, "a.json",
                      ["accept"] + BASE + ["--cache-dir", str(cache_dir),
                                           "--criteria", "5"])
         jsonschema.validate(rep, schema)
-        cli.validate_report(rep, schema)
+        acc.validate_report(rep, schema)
 
         def edited(edit):
             bad = json.loads(json.dumps(rep))
@@ -372,23 +426,23 @@ class TestAccept:
         for bad in bad_reports:
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(bad, schema)
-            with pytest.raises(cli.SchemaError):
-                cli.validate_report(bad, schema)
+            with pytest.raises(acc.SchemaError):
+                acc.validate_report(bad, schema)
         # JSON Schema semantics: 5.0 is an integer, true is not the const 1
         good = edited(lambda r, c: c.update(id=5.0))
         jsonschema.validate(good, schema)
-        cli.validate_report(good, schema)
+        acc.validate_report(good, schema)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(True, {"const": 1})
-        with pytest.raises(cli.SchemaError):
-            cli.validate_report(True, {"const": 1})
+        with pytest.raises(acc.SchemaError):
+            acc.validate_report(True, {"const": 1})
 
     def test_validator_refuses_unknown_keywords(self):
         for schema in [{"pattern": "a"}, {"type": "string", "enum": ["a"]},
                        {"type": "decimal"}, {"items": [{"type": "string"}]},
                        {"properties": {"x": {"additionalProperties": False}}}]:
-            with pytest.raises(cli.SchemaError):
-                cli.validate_report({"x": 1}, schema)
+            with pytest.raises(acc.SchemaError):
+                acc.validate_report({"x": 1}, schema)
 
     def test_report_schema_in_repo(self, cache_dir, tmp_path):
         import jsonschema

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import edge_reference as eref
+from padicbianchi import acceptance as acc
 from padicbianchi import btree as bt
-from padicbianchi import cli
 from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
 from padicbianchi import lfun
@@ -194,7 +194,7 @@ def run_criterion_8(phi, psi, pd):
         mp.setattr(cc, "edge_integrals", recorded)
         counting(mp, oc.OverconvergentSymbol, "ev_paths", passes)
         counting(mp, bt.Edge, "rep_matrix", reps)
-        cli._criterion_8(cli.AcceptanceContext(phi, psi, {}, pd), {})
+        acc._criterion_8(acc.AcceptanceContext(phi, psi, {}, pd), {})
     return calls, len(passes), len(reps)
 
 
