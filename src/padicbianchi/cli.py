@@ -385,6 +385,9 @@ def cmd_linv(cfg, args):
     data = cfg.embedding_pairs() or None
     try:
         result = cc.l_invariant(fam, data=data)
+    except cc.EmbeddingDatumError as exc:
+        emit(_error_report("linv", "bad-input", str(exc)), cfg)
+        return EXIT_INPUT
     except cc.NonVanishingError as exc:
         emit(_error_report("linv", "non-vanishing-not-found", str(exc),
                            {"tried": [str(t) for t in exc.tried]}), cfg)

@@ -6,9 +6,11 @@ e = gamma e_*. Harmonicity of kappa characterizes p-newness. The lifted
 symbol Psi spreads out the same way to a system of edge distributions that
 glue to a distribution mu on P^1 of the completion, against which one can
 integrate log kernels (double integrals with endpoints in the unramified
-quadratic extension of the completion). The balls of a list of edges are
-one stack on lfun's disc kernel, with their moments from one ev_paths
-pass (edge_integrals).
+quadratic extension of the completion). Both symbols are evaluated on the
+same int paths of msymb.ManinLayer (TreeFamily.paths), a list of edges in
+one ev_paths call: kappa as Fractions, the edge distributions as moment
+tables. The balls of a list of edges are one stack on lfun's disc kernel
+(edge_integrals).
 
 Evaluating the resulting cocycles oc (counting) and lc (log) on embedding
 data (c, v) gives two numbers per datum whose ratio lc/oc is the
@@ -41,11 +43,13 @@ from .field import (
     exact_div,
     gcd_quad,
     identity_mat,
-    mat_adj,
     mat_mul,
+    mat_pairs,
     one,
+    pair_adj,
+    pair_mul,
 )
-from .ocsymb import FiniteDistribution
+from .ocsymb import honest_moment
 from .padic import PadicStack
 
 
@@ -55,6 +59,11 @@ class ConsistencyError(RuntimeError):
 
 class SupportError(ValueError):
     """Test function not integrable on the requested ball."""
+
+
+class EmbeddingDatumError(ValueError):
+    """An embedding datum (c, v) that the prime rules out: c zero or not
+    coprime to p, or v not a unit mod c."""
 
 
 class NonVanishingError(RuntimeError):
@@ -110,24 +119,32 @@ class TreeFamily:
         g = bt.Edge(self.tree, 0, e.a, e.u).rep_matrix()
         return g if e.flip == 0 else mat_mul(g, self.W)
 
-    @staticmethod
-    def path(g, r, s):
-        """The path {g^-1 r -> g^-1 s} for g = edge_rep(e), on which kappa
-        and the edge distribution of e evaluate the symbol."""
-        adj = mat_adj(g)
-        return apply_moebius(adj, r), apply_moebius(adj, s)
+    def paths(self, reps, r, s):
+        """The int paths {g^-1 r -> g^-1 s} for g in reps (the edge_rep of
+        an edge), on which kappa and the edge distribution of the edge
+        evaluate the symbol: the columns of adj(g) [r s], not normalised
+        (msymb.ManinLayer), one pair_mul per rep."""
+        S, T = self.phi.p1.S, self.phi.p1.T
+        rs = r.v[:2] + s.v[:2] + r.v[2:] + s.v[2:]
+        out = []
+        for g in reps:
+            a0, a1, b0, b1, c0, c1, d0, d1 = pair_mul(
+                S, T, pair_adj(mat_pairs(g)), rs)
+            out.append(((a0, a1, c0, c1), (b0, b1, d0, d1)))
+        return out
 
-    def ev(self, e, r, s):
-        """kappa{r-s}(e) (weight (0,0): the polynomial is the constant 1)."""
-        return self.omega ** e.parity() * self.phi.ev(
-            *self.path(self.edge_rep(e), r, s))
+    def ev(self, edges, r, s):
+        """kappa{r-s}(e) for each edge e of edges, as a list (weight (0,0):
+        the polynomial is the constant 1), in one ev_paths call."""
+        values = self.phi.ev_paths(
+            self.paths([self.edge_rep(e) for e in edges], r, s))
+        return [self.omega ** e.parity() * v for e, v in zip(edges, values)]
 
     def moments(self, reps, r, s):
         """The moment tables of the edge distributions Psi{r-s} of the
         edges whose edge_rep are reps, (len(reps), 2, M, M), in one
-        ev_paths pass on the int cusps of their paths."""
-        return self.psi.ev_paths([tuple(c.v for c in self.path(g, r, s))
-                                  for g in reps])
+        ev_paths pass on their paths."""
+        return self.psi.ev_paths(self.paths(reps, r, s))
 
 
 def induced_old_symbol(phi_m, pi, level, scaled=False):
@@ -171,7 +188,7 @@ def harmonicity_check(fam):
     worst = Fraction(0)
     for v in vertices:
         for r, s in paths:
-            total = sum(fam.ev(e, r, s) for e in bt.neighbors_with_target(v))
+            total = sum(fam.ev(bt.neighbors_with_target(v), r, s))
             residuals.append({"vertex": repr(v), "value": total})
             worst = max(worst, abs(total))
     return {"residuals": residuals, "max_residual": worst,
@@ -425,11 +442,10 @@ def double_integral(fam, x, y, r, s):
     moments = fam.moments([g for _, g, _ in leaves], r, s)
     total = ctx.zero()
     for (e, _, coefs), m in zip(leaves, moments):
-        fd = FiniteDistribution(fam.psi.ctx, m)
         term = ctx.zero()
         for k, coef in enumerate(coefs):
             for (i, j), c in (((k, 0), coef), ((0, k), coef.conj())):
-                term = term + c * fd.honest_moment(i, j)
+                term = term + c * honest_moment(fam.psi.ctx, m, i, j)
         total = total + fam.omega ** e.parity() * term
     return total
 
@@ -481,11 +497,14 @@ class EmbeddingDatum:
     def __init__(self, prime_data, c, v, omega):
         d = prime_data.pi.d
         pi = prime_data.pi
+        why = ("c must be nonzero" if not c
+               else "c must be coprime to p" if not gcd_quad(pi, c).is_unit()
+               else "v must be a unit mod c" if not gcd_quad(v, c).is_unit()
+               else None)
+        if why:
+            raise EmbeddingDatumError("embedding datum (c, v) = (%r, %r): %s"
+                                      % (c, v, why))
         ring = ResidueRing(c)
-        if not ring.is_unit(pi):
-            raise ValueError("c must be coprime to p")
-        if not gcd_quad(v, c).is_unit():
-            raise ValueError("v must be a unit mod c")
         self.pd = prime_data
         self.c = c
         self.v = v
@@ -525,7 +544,7 @@ def oc_tree_route(fam, datum, window=1):
     edges = bt.cusp_pair_path(fam.tree, datum.c, datum.v,
                               window, window + datum.s - 1)
     r, s_inf = datum.cusp(), cusp_infinity(datum.d)
-    return sum(fam.ev(e, r, s_inf) for e in edges)
+    return sum(fam.ev(edges, r, s_inf))
 
 
 def oc_closed_route(fam, datum):
@@ -679,8 +698,9 @@ def l_invariant(fam, data=None):
     skipped = []
     ratios = []
     ratios_log_iw = []
-    for c, v in data:
-        datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
+    # every datum is checked before any is evaluated
+    for datum in [EmbeddingDatum(fam.pd, c, v, fam.omega) for c, v in data]:
+        c, v = datum.c, datum.v
         tag = {"c": repr(c), "v": repr(v), "s": datum.s, "beta": datum.beta}
         if datum.beta == 0:
             skipped.append(dict(tag, reason="beta = 0"))

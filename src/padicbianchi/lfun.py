@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import QuadInt, divides
-from .ocsymb import FiniteDistribution
+from .ocsymb import honest_moment
 from . import padic
 from .padic import PadicStack, StackLog, select, stack
 
@@ -430,15 +430,14 @@ def restriction_consistency(mu):
     pctx = mu.pctx
     lam_inv = pctx.from_rational(1 / mu.lam)
     # Psi on the int path {0 -> infty}
-    base = FiniteDistribution(mu.psi.ctx, mu.psi.ev_paths(
-        [((0, 0, 1, 0), (1, 0, 0, 0))])[0])
+    base = mu.psi.ev_paths([((0, 0, 1, 0), (1, 0, 0, 0))])[0]
     discs = mu.discs([_pair_of(j)
                       for j in mu.p1.residue_ring(mu.pi).elements()])
     worst = pctx.cap
     for i in range(3):
         total = _pair(discs, discs.binomial(i)).sum()
         discs.log.check()
-        diff = lam_inv * total - base.honest_moment(i, 0)
+        diff = lam_inv * total - honest_moment(mu.psi.ctx, base, i, 0)
         if not diff.is_zero():
             worst = min(worst, diff.val())
     return worst

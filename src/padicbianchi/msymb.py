@@ -407,8 +407,16 @@ class ModularSymbol:
     def ev(self, r, s):
         """Value on the path {r -> s} (divisor (s) - (r)) of the layer's
         cusps."""
+        cusp_pairs = self.p1.cusp_pairs
+        return self.ev_paths([(cusp_pairs(r), cusp_pairs(s))])[0]
+
+    def ev_paths(self, paths):
+        """The values on each int path (r, s) of paths (ManinLayer), as a
+        list: the symbol's values summed over the pieces of the path."""
         p1 = self.p1
-        return _path_value(self, p1.cusp_pairs(r), p1.cusp_pairs(s))
+        return [sum((sign * self.values[p1.piece_index(h)]
+                     for sign, h in pair_path(p1.S, p1.T, r, s)), Fraction(0))
+                for r, s in paths]
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -432,13 +440,6 @@ class ModularSymbol:
             vals = [v / g for v in vals]
         assert any(int(v) % p for v in vals if v), "no p-unit value"
         return self.copy([Fraction(v) for v in vals])
-
-
-def _path_value(phi, r, s):
-    """phi on the int path {r -> s}: its values summed over the pieces."""
-    p1 = phi.p1
-    return sum((sign * phi.values[p1.piece_index(h)]
-                for sign, h in pair_path(p1.S, p1.T, r, s)), Fraction(0))
 
 
 def manin_terms(p1, r, s):
@@ -524,7 +525,7 @@ def translated_sums(p1, mats, phi):
     live on another layer of the same ring)."""
     vals = [Fraction(0)] * len(p1)
     for i, _, r, s in generator_paths(p1, mats):
-        vals[i] += _path_value(phi, r, s)
+        vals[i] += phi.ev_paths([(r, s)])[0]
     return vals
 
 

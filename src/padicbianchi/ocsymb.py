@@ -12,8 +12,9 @@ bound below), where g has minimal polynomial g^2 = S*g + T. The completion
 is padic.completion, kept as DistContext.pctx: its basis {1, g}, S, T,
 embedding of QuadInts and pair arithmetic (mul, conj, inv) are the ones
 the moments use, so a moment pair (c0, c1) is the element
-pctx.elt(c0, c1); FiniteDistribution.honest_moment reads it at its honest
-precision. A Bianchi distribution has the square
+pctx.elt(c0, c1); honest_moment reads it at its honest precision. A
+distribution is its (2, M, C) table and nothing else, and a symbol's values
+are one (n_gen, 2, M, C) array. A Bianchi distribution has the square
 table, C = M. A one-variable distribution has C = 1: the zbar-trivial
 column mu(z^i zbar^0). A table has filtration >= f exactly
 when every moment (i, j) is divisible by p^max(f - max(i, j), 0)
@@ -49,7 +50,6 @@ from fractions import Fraction
 import numpy as np
 
 from .field import mat_det, mat_pairs, pair_path
-from . import msymb as ms
 from . import padic
 
 # Matrices per batched action_matrices call, (src, g) products per slice
@@ -65,7 +65,7 @@ class DistContext:
     p^M (pctx, from padic.completion), whose pair arithmetic (mul, conj,
     inv, embed_pair, mod, dtype, powers) the moment tables run on, and the
     moment facts: lag[i, j] = max(i, j), the digits moment (i, j) lacks
-    (filtration, FiniteDistribution.honest_moment)."""
+    (filtration, honest_moment)."""
 
     def __init__(self, prime_data, M):
         self.pd = prime_data
@@ -88,47 +88,12 @@ def filtration(ctx, m):
     return f
 
 
-class FiniteDistribution:
-    """Truncated moment table of a distribution; see module docstring."""
-
-    __slots__ = ("ctx", "m")
-
-    def __init__(self, ctx, m=None):
-        self.ctx = ctx
-        if m is None:
-            m = np.zeros((2, ctx.M, ctx.M), dtype=np.int64)
-        self.m = m % ctx.pctx.mod
-
-    def copy(self):
-        return FiniteDistribution(self.ctx, self.m.copy())
-
-    def moment(self, i, j):
-        return int(self.m[0, i, j]), int(self.m[1, i, j])
-
-    def honest_moment(self, i, j):
-        """Moment (i, j) as an element of the completion ctx.pctx, at its
-        honest precision p^(M - max(i, j))."""
-        pctx = self.ctx.pctx
-        return pctx.elt(int(self.m[0, i, j]), int(self.m[1, i, j]),
-                        pctx.e * (self.ctx.M - max(i, j)))
-
-    def add(self, other, sign=1):
-        return FiniteDistribution(self.ctx, self.m + sign * other.m)
-
-    def scale_int(self, c):
-        return FiniteDistribution(self.ctx, self.m * (c % self.ctx.pctx.mod))
-
-    def filtration(self):
-        return filtration(self.ctx, self.m)
-
-    def reduce_filtration(self):
-        """Truncate each moment to its honest precision p^(M - max(i,j))."""
-        ctx = self.ctx
-        lag = ctx.lag[:, :self.m.shape[-1]]
-        return FiniteDistribution(ctx, self.m % ctx.pctx.powers[ctx.M - lag])
-
-    def is_zero(self):
-        return self.filtration() >= self.ctx.M
+def honest_moment(ctx, m, i, j):
+    """Moment (i, j) of the table m as an element of the completion
+    ctx.pctx, at its honest precision p^(M - max(i, j))."""
+    pctx = ctx.pctx
+    return pctx.elt(int(m[0, i, j]), int(m[1, i, j]),
+                    pctx.e * (ctx.M - max(i, j)))
 
 
 def action_matrices(ctx, gs):
@@ -197,37 +162,30 @@ def _mat_pair_mul(pctx, X0, X1, Y0, Y1):
     return Z0, Z1
 
 
-def sigma0_act(ctx, g, mu):
-    """mu | gamma: pull back test functions through the twisted action. The
-    right (zbar) factor is cut to the columns of mu's table."""
+def sigma0_act(ctx, g, m):
+    """m | gamma for a moment table m: pull back test functions through the
+    twisted action. The right (zbar) factor is cut to the columns of m."""
     _check_sigma0(ctx, g)
-    out = UOperator(ctx, [(0, 0, 1, mat_pairs(g))]).apply(mu.m[None])[0]
-    return FiniteDistribution(ctx, out)
+    return UOperator(ctx, [(0, 0, 1, mat_pairs(g))]).apply(m[None])[0]
 
 
 class OverconvergentSymbol:
-    """Distribution-valued symbol on the M-symbol generators."""
+    """Distribution-valued symbol on the M-symbol generators: values is the
+    (n_gen, 2, M, C) array mod p^M of their moment tables."""
 
     def __init__(self, p1, ctx, level, values, eigen=None):
         self.p1 = p1
         self.ctx = ctx
         self.level = level
-        self.values = list(values)
+        self.values = values
         self.eigen = eigen or {}
 
-    def copy(self, values=None):
-        return OverconvergentSymbol(
-            self.p1, self.ctx, self.level,
-            values if values is not None else [v.copy() for v in self.values],
-            dict(self.eigen))
-
     def ev(self, r, s):
-        """Psi{r -> s} as a FiniteDistribution, for cusps r, s of the
-        symbol's P^1 layer (Gamma-invariance plus the Manin decomposition
-        of the path by that layer)."""
+        """Psi{r -> s} as a (2, M, C) table, for cusps r, s of the symbol's
+        P^1 layer (Gamma-invariance plus the Manin decomposition of the
+        path by that layer)."""
         cusp_pairs = self.p1.cusp_pairs
-        return FiniteDistribution(self.ctx, self.ev_paths(
-            [(cusp_pairs(r), cusp_pairs(s))])[0])
+        return self.ev_paths([(cusp_pairs(r), cusp_pairs(s))])[0]
 
     def ev_paths(self, paths):
         """Psi on each int path (r, s) of paths (msymb.ManinLayer), as one
@@ -235,8 +193,7 @@ class OverconvergentSymbol:
         CHUNK, one merged UOperator per block: a piece h = gamma g_idx of
         path k in the block is the plan term (k, idx, sign, gamma^-1) of
         ManinLayer.piece, computed once per distinct piece of a block."""
-        p1, ctx = self.p1, self.ctx
-        values = np.stack([v.m for v in self.values])
+        p1, ctx, values = self.p1, self.ctx, self.values
         out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.pctx.dtype)
         for lo in range(0, len(paths), CHUNK):
             terms, pieces = [], {}
@@ -251,27 +208,20 @@ class OverconvergentSymbol:
         return out
 
     def filtration(self):
-        return min(v.filtration() for v in self.values)
-
-    def add(self, other, sign=1):
-        return self.copy([a.add(b, sign) for a, b in zip(self.values, other.values)])
+        return filtration(self.ctx, self.values)
 
 
 def specialize(psi):
-    """Moments at (i, j) <= k, here the (0,0) table of the weight-2 case,
-    as residues mod p^M."""
-    return [v.moment(0, 0) for v in psi.values]
+    """Moments at (i, j) <= k, here the (0,0) moments of the weight-2 case:
+    an (n_gen, 2) array of pairs mod p^M."""
+    return psi.values[:, :, 0, 0]
 
 
 def specialize_matches(psi, phi):
     """Does specialize(psi) equal the classical symbol phi mod p^M?"""
     mod = psi.ctx.pctx.mod
-    for (c0, c1), val in zip(specialize(psi), phi.values):
-        if c1 % mod:
-            return False
-        if (c0 - val) % mod:
-            return False
-    return True
+    return all(c1 % mod == 0 and (c0 - val) % mod == 0
+               for (c0, c1), val in zip(specialize(psi).tolist(), phi.values))
 
 
 class UOperator:
@@ -373,8 +323,7 @@ def lift(phi, M, prime_data, u_op=None):
     filtration of the increments."""
     lam = phi.eigen.get("lambda_p")
     if lam is None:
-        upi = ms.apply_hecke(phi, prime_data.pi)
-        lam = ms._ratio(upi, phi)
+        raise ValueError("symbol carries no U_p eigenvalue")
     lam = Fraction(lam)
     ctx = DistContext(prime_data, M)
     _lambda_inverse(ctx, lam)   # refuse before building the plan
@@ -408,9 +357,7 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
         values = new
         if diff_fil >= ctx.M:
             break
-    sym_values = [FiniteDistribution(ctx, values[i]) for i in range(n_gen)]
-    psi = OverconvergentSymbol(phi.p1, ctx, level, sym_values,
-                               dict(phi.eigen))
+    psi = OverconvergentSymbol(phi.p1, ctx, level, values, dict(phi.eigen))
     cert = {
         "iterations": len(gains),
         "increment_filtrations": gains,
@@ -421,19 +368,11 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
     return psi, cert
 
 
-def apply_hecke_oc(psi, pi):
-    """psi | T_(pi) (or U) on an overconvergent symbol: the table-level
-    operator on the Hecke terms of the symbol's Manin layer."""
-    u_op = UOperator(psi.ctx, psi.p1.hecke_terms(psi.p1.hecke_reps(pi)))
-    values = u_op.apply(np.stack([v.m for v in psi.values]))
-    return psi.copy([FiniteDistribution(psi.ctx, v) for v in values])
-
-
 def save_lift(path, psi):
     """Write the moment tables of a lifted symbol, one values array, to
     path, a file name or a binary file. Its certificate and eigenvalues
     are the caller's to keep (the CLI keeps them in the cache meta)."""
-    np.savez_compressed(path, values=np.stack([v.m for v in psi.values]))
+    np.savez_compressed(path, values=psi.values)
 
 
 def load_lift(path, phi, ctx):
@@ -441,14 +380,5 @@ def load_lift(path, phi, ctx):
     binary file), with the moment layer ctx and phi's eigenvalues."""
     with np.load(path, allow_pickle=False) as data:
         values = data["values"]
-    vals = [FiniteDistribution(ctx, values[i]) for i in range(values.shape[0])]
-    return OverconvergentSymbol(phi.p1, ctx, phi.level, vals,
+    return OverconvergentSymbol(phi.p1, ctx, phi.level, values,
                                 dict(phi.eigen))
-
-
-def u_eigen_residual(psi, u_op, lam):
-    """Filtration of Psi|U_p - lambda Psi (should reach the floor M)."""
-    ctx = psi.ctx
-    values = np.stack([v.m for v in psi.values])
-    resid = (u_op.apply(values) - int(lam) * values) % ctx.pctx.mod
-    return filtration(ctx, resid)

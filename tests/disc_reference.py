@@ -6,6 +6,7 @@ padic_reference. The tests compare the kernel against it row by row."""
 
 import padic_reference as ref
 from padicbianchi import padic
+from padicbianchi.ocsymb import honest_moment
 
 
 def ser_mul(F, G, M):
@@ -56,12 +57,12 @@ def power_series(L, s, M):
     return [head * c for c in ser_exp(P, M)]
 
 
-def pair(fd, F, Fb=None):
-    """Sum_{i,j} F[i] Fb[j] mu(z^i zbar^j) for the moments fd of one disc
-    (an ocsymb.FiniteDistribution), with honest per-moment precision;
+def pair(ctx, m, F, Fb=None):
+    """Sum_{i,j} F[i] Fb[j] mu(z^i zbar^j) for the moment table m of one
+    disc (of the moment layer ctx), with honest per-moment precision;
     Fb = None is the constant 1 in zbar."""
-    pctx = fd.ctx.pctx
-    M = fd.ctx.M
+    pctx = ctx.pctx
+    M = ctx.M
     if Fb is None:
         Fb = [pctx.one()]
     total = pctx.zero()
@@ -71,40 +72,40 @@ def pair(fd, F, Fb=None):
         for j in range(min(M, len(Fb))):
             if Fb[j].is_zero():
                 continue
-            total = total + F[i] * Fb[j] * fd.honest_moment(i, j)
+            total = total + F[i] * Fb[j] * honest_moment(ctx, m, i, j)
     return total
 
 
-def disc_one(fd, B, G):
-    return pair(fd, [fd.ctx.pctx.one()])
+def disc_one(ctx, m, B, G):
+    return pair(ctx, m, [ctx.pctx.one()])
 
 
-def disc_log_z(fd, B, G):
-    return pair(fd, log_series_on_disc(fd.ctx.pctx, B, G, fd.ctx.M))
+def disc_log_z(ctx, m, B, G):
+    return pair(ctx, m, log_series_on_disc(ctx.pctx, B, G, ctx.M))
 
 
-def disc_log_zbar(fd, B, G):
-    L = log_series_on_disc(fd.ctx.pctx, B, G, fd.ctx.M)
-    return pair(fd, [fd.ctx.pctx.one()], [c.conj() for c in L])
+def disc_log_zbar(ctx, m, B, G):
+    L = log_series_on_disc(ctx.pctx, B, G, ctx.M)
+    return pair(ctx, m, [ctx.pctx.one()], [c.conj() for c in L])
 
 
-def disc_norm_power(fd, B, G, s, terms=None):
+def disc_norm_power(ctx, m, B, G, s, terms=None):
     """The integral of <z zbar>^s over one disc."""
-    M = fd.ctx.M
-    L = log_series_on_disc(fd.ctx.pctx, B, G, M)
+    M = ctx.M
+    L = log_series_on_disc(ctx.pctx, B, G, M)
     F = power_series(L, s, M)
     Fb = power_series([c.conj() for c in L], s, M)
     if terms is not None:
         F, Fb = F[:terms], Fb[:terms]
-    return pair(fd, F, Fb)
+    return pair(ctx, m, F, Fb)
 
 
-def rational_on_disc(fd, B, G, s, insert_log=False):
+def rational_on_disc(ctx, m, B, G, s, insert_log=False):
     """The integral of <z>^s (times log_iw(z) with insert_log) over one
     disc of a one-variable measure (basechange.Lp_rational)."""
-    M = fd.ctx.M
-    L = log_series_on_disc(fd.ctx.pctx, B, G, M)
+    M = ctx.M
+    L = log_series_on_disc(ctx.pctx, B, G, M)
     F = power_series(L, s, M)
     if insert_log:
         F = ser_mul(F, L, M)
-    return pair(fd, F)
+    return pair(ctx, m, F)

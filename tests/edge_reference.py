@@ -1,15 +1,24 @@
 """Reference copy of the scalar edge integral that cocycle.edge_integrals
 replaced: the binomial grid of a polynomial in (t, tbar) on one ball U(e),
 expanded on PadicElements and paired with the moments of that edge alone.
-Two edits: the moments of the edge come from psi.ev on TreeFamily.path,
-the path that TreeFamily.ev_dist (since deleted) evaluated, and that path
-is taken from the edge rep g the ball is built from. The tests compare
+Two edits: the moments of the edge come from psi.ev on the normalised
+cusps g^-1 r and g^-1 s, the Cusp route (apply_moebius of adj(g)) that
+TreeFamily.ev_dist (since deleted) evaluated, and g is the edge rep the
+ball is built from. TreeFamily.paths replaced that route with unnormalised
+int paths; this file keeps the Cusp route. The tests compare
 edge_integrals against it row by row."""
 
 from math import comb
 
 from padicbianchi.cocycle import SupportError
-from padicbianchi.field import QuadInt
+from padicbianchi.field import QuadInt, apply_moebius, mat_adj
+from padicbianchi.ocsymb import honest_moment
+
+
+def cusp_path(g, r, s):
+    """The path {g^-1 r -> g^-1 s} as normalised cusps."""
+    adj = mat_adj(g)
+    return apply_moebius(adj, r), apply_moebius(adj, s)
 
 
 def edge_distribution(fam, e, r, s, zeta):
@@ -46,10 +55,10 @@ def edge_distribution(fam, e, r, s, zeta):
                     * (b0.conj() ** (j - b_)) * (g0.conj() ** b_)
                 key = (a_, b_)
                 grid[key] = grid.get(key, pctx.zero()) + coef * val
-    fd = fam.psi.ev(*fam.path(g, r, s))
+    m = fam.psi.ev(*cusp_path(g, r, s))
     total = pctx.zero()
     for (i, j), c in grid.items():
         if c.is_zero():
             continue
-        total = total + c * fd.honest_moment(i, j)
+        total = total + c * honest_moment(fam.psi.ctx, m, i, j)
     return fam.omega ** e.parity() * total

@@ -317,6 +317,23 @@ class TestLinv:
         assert cli.main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("datum, why", [
+        ("11:1", "c must be coprime to p"),
+        ("3:3", "v must be a unit mod c"),
+        ("3:0", "v must be a unit mod c"),
+        ("0:1", "c must be nonzero"),
+    ])
+    def test_datum_ruled_out_by_prime(self, datum, why, cache_dir, capsys):
+        # a datum the prime rules out is bad input: a JSON report on
+        # stdout that names the datum, and exit 4
+        code = cli.main(["linv"] + BASE + ["--cache-dir", str(cache_dir),
+                                           "--embedding-data", datum])
+        assert code == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert "(c, v) = (%s, %s): %s" % (*datum.split(":"), why) \
+            in rep["message"]
+
     def test_non_vanishing_exit(self, cache_dir, tmp_path, monkeypatch):
         def boom(fam, data=None):
             raise cc.NonVanishingError(["(3)"])

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import edge_reference as eref
@@ -96,7 +97,8 @@ class TestHarmonicity:
         rng = random.Random(3)
         r, s = PATH
         for e in sample_edges(fam.tree, rng, 20):
-            assert fam.ev(e, r, s) == -fam.ev(e.reverse(), r, s)
+            assert fam.ev([e], r, s) == [-x for x in fam.ev([e.reverse()],
+                                                            r, s)]
 
     def test_equivariance(self, fam):
         rng = random.Random(5)
@@ -104,8 +106,8 @@ class TestHarmonicity:
         edges = sample_edges(fam.tree, rng, 4)
         for g in gamma_tilde_elements(rng, 10):
             gr, gs = fld.apply_moebius(g, r), fld.apply_moebius(g, s)
-            for e in edges:
-                assert fam.ev(bt.act(g, e), gr, gs) == fam.ev(e, r, s)
+            assert fam.ev([bt.act(g, e) for e in edges], gr, gs) \
+                == fam.ev(edges, r, s)
 
 
 class TestEdgeDistribution:
@@ -113,7 +115,7 @@ class TestEdgeDistribution:
         r, s = PATH
         e = fam.tree.standard_edge()
         v = cc.edge_integrals(fam, [e], r, s, {(0, 0): 1}).element(0)
-        diff = v - fam.pctx.from_rational(Fraction(fam.ev(e, r, s)))
+        diff = v - fam.pctx.from_rational(Fraction(fam.ev([e], r, s)[0]))
         assert diff.is_zero()
 
     def test_gluing(self, fam):
@@ -234,6 +236,34 @@ class TestEdgeIntegrals:
         calls, _, reps = ref_run
         assert reps == sum(len(c[1]) for c in calls) == 1830
 
+    def test_paths_match_cusp_route(self, ref_run):
+        # TreeFamily.paths against the normalised Cusp route of
+        # edge_reference, on the edge sets of criterion 8 and on the edges
+        # into v_* and 5 sampled vertices with the paths of the harmonicity
+        # check: the same ratio per cusp, the same classical values and
+        # bit-equal ev_paths tables
+        calls = ref_run[0]
+        fam = calls[0][0]
+        tree = fam.tree
+        cases = [(edges, r, s) for _, edges, r, s, _, _ in calls[4:]]
+        into = [e for v in [tree.standard_vertex()]
+                + cc._sample_vertices(tree, 5, 5)
+                for e in bt.neighbors_with_target(v)]
+        for r, s in ((fld.Cusp(qi(2, 3), qi(7)), fld.cusp_infinity(1)),
+                     (fld.Cusp(qi(1), qi(4, 5)), fld.Cusp(qi(0, 1), qi(3)))):
+            cases.append((into, r, s))
+        assert sum(len(c[0]) for c in cases) == 122 + 10 + 1210 + 2 * 6 * 122
+        for edges, r, s in cases:
+            reps = [fam.edge_rep(e) for e in edges]
+            paths = fam.paths(reps, r, s)
+            cusps = [eref.cusp_path(g, r, s) for g in reps]
+            for path, cusp_pair in zip(paths, cusps):
+                for (na, nb, da, db), c in zip(path, cusp_pair):
+                    assert qi(na, nb) * c.den == qi(da, db) * c.num
+            assert fam.phi.ev_paths(paths) == [fam.phi.ev(*c) for c in cusps]
+            assert np.array_equal(fam.psi.ev_paths(paths), fam.psi.ev_paths(
+                [(cr.v, cs.v) for cr, cs in cusps]))
+
     def test_flipped_ball(self, fam):
         r, s = PATH
         e = fam.tree.standard_edge()
@@ -265,10 +295,13 @@ class TestEmbeddingData:
         assert dat.beta == 0
 
     def test_rejects_bad_data(self, ref_prime):
-        with pytest.raises(ValueError):
-            cc.EmbeddingDatum(ref_prime, qi(11), qi(1), 1)
-        with pytest.raises(ValueError):
-            cc.EmbeddingDatum(ref_prime, qi(9), qi(3), 1)
+        # one named error for the data the prime rules out, among them the
+        # CLI's default datum 7:1 at p = 7
+        for pd, c, v in ((ref_prime, 11, 1), (ref_prime, 9, 3),
+                         (ref_prime, 3, 0), (ref_prime, 0, 1),
+                         (fld.split_prime(7, 1), 7, 1)):
+            with pytest.raises(cc.EmbeddingDatumError):
+                cc.EmbeddingDatum(pd, qi(c), qi(v), 1)
 
     def test_gamma_fixes_both_cusps(self, dat3):
         g = dat3.gamma()
@@ -340,9 +373,12 @@ class TestLogCocycle:
 
     def test_hecke_eigenproperty(self, fam, ref_prime, ref_lift, dat3):
         psi, _ = ref_lift
+        p1 = psi.p1
+        u_op = oc.UOperator(psi.ctx, p1.hecke_terms(p1.hecke_reps(qi(1, 1))))
+        psi_t = oc.OverconvergentSymbol(p1, psi.ctx, psi.level,
+                                        u_op.apply(psi.values), psi.eigen)
         moved = cc.TreeFamily(ms.apply_hecke(fam.phi, qi(1, 1)), ref_prime,
-                              psi=oc.apply_hecke_oc(psi, qi(1, 1)),
-                              omega=fam.omega)
+                              psi=psi_t, omega=fam.omega)
         d = cc.lc_eval(moved, dat3) + 2 * cc.lc_eval(fam, dat3)
         assert d.is_zero()
 
@@ -430,9 +466,10 @@ class TestLInvariant:
 
     def test_unit_scaling_invariance(self, fam, ref_prime, ref_lift):
         psi, _ = ref_lift
-        scaled = cc.TreeFamily(fam.phi.scale(3), ref_prime,
-                               psi=psi.copy([v.scale_int(3)
-                                             for v in psi.values]),
+        psi3 = oc.OverconvergentSymbol(psi.p1, psi.ctx, psi.level,
+                                       psi.values * 3 % psi.ctx.pctx.mod,
+                                       psi.eigen)
+        scaled = cc.TreeFamily(fam.phi.scale(3), ref_prime, psi=psi3,
                                omega=fam.omega)
         d = cc.l_invariant(scaled).l_invariant - cc.l_invariant(fam).l_invariant
         assert d.is_zero() or d.val() >= 5

@@ -20,7 +20,6 @@ import padic_reference as pref
 from padicbianchi import basechange as bc
 from padicbianchi import field as fld
 from padicbianchi import lfun
-from padicbianchi import ocsymb as oc
 from padicbianchi import padic
 from padicbianchi.field import QuadInt
 
@@ -43,11 +42,12 @@ def all_discs(mu):
 
 
 def reference(mu, discs, fn, *args):
-    """fn(fd, B, G, *args) of disc_reference on each disc of all_discs."""
+    """fn(ctx, m, B, G, *args) of disc_reference on each disc of
+    all_discs."""
     out = []
     for k, centre in enumerate(mu.unit_discs()[1].tolist()):
-        fd = oc.FiniteDistribution(mu.psi.ctx, discs.moments[k])
-        out.append(fn(fd, mu.element(*centre), mu.G, *args))
+        out.append(fn(mu.psi.ctx, discs.moments[k], mu.element(*centre),
+                      mu.G, *args))
     return out
 
 

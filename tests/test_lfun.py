@@ -29,8 +29,8 @@ def mu3(ref_lift):
 
 
 def block(psi, g_mod, a, lift_offset=0):
-    """The block mu'_a = Psi{b/g - infty} | [[1, b], [0, g]], b the lift
-    a + lift_offset * g."""
+    """The moment table of the block mu'_a = Psi{b/g - infty} | [[1, b],
+    [0, g]], b the lift a + lift_offset * g."""
     b = a + g_mod * lift_offset
     raw = psi.ev(fld.Cusp(b, g_mod), fld.cusp_infinity(1))
     return oc.sigma0_act(psi.ctx, ((qi(1), b), (qi(0), g_mod)), raw)
@@ -53,21 +53,23 @@ class TestBlocks:
         psi, _ = ref_lift
         (a,) = mu1.units()
         base = psi.ev(fld.Cusp(qi(0), qi(1)), fld.cusp_infinity(1))
-        assert block(psi, qi(1), a).add(base, -1).filtration() >= psi.ctx.M
+        diff = (block(psi, qi(1), a) - base) % psi.ctx.pctx.mod
+        assert oc.filtration(psi.ctx, diff) >= psi.ctx.M
 
     def test_block_total_measure(self, ref_lift, ref_symbols, mu1):
         psi, _ = ref_lift
         phi, _ = ref_symbols
         (a,) = mu1.units()
-        c0, c1 = block(psi, qi(1), a).moment(0, 0)
+        c0, c1 = block(psi, qi(1), a)[:, 0, 0].tolist()
         classical = phi.ev(fld.Cusp(qi(0), qi(1)), fld.cusp_infinity(1))
         assert c1 == 0 and (c0 - classical) % psi.ctx.pctx.mod == 0
 
     def test_lift_independence(self, ref_lift, mu3):
         psi, _ = ref_lift
         for a in mu3.units():
-            diff = block(psi, qi(3), a).add(block(psi, qi(3), a, 2), -1)
-            assert diff.filtration() >= psi.ctx.M
+            diff = (block(psi, qi(3), a) - block(psi, qi(3), a, 2)) \
+                % psi.ctx.pctx.mod
+            assert oc.filtration(psi.ctx, diff) >= psi.ctx.M
 
     def test_restriction_consistency(self, mu1):
         # disc-by-disc quadrature of z^i recovers the global moments
@@ -191,7 +193,8 @@ class TestDerivative:
 
     def test_zero_symbol(self, ref_lift):
         psi, _ = ref_lift
-        zero = psi.copy([oc.FiniteDistribution(psi.ctx) for _ in psi.values])
+        zero = oc.OverconvergentSymbol(psi.p1, psi.ctx, psi.level,
+                                       np.zeros_like(psi.values), psi.eigen)
         mu = lfun.build_mu_p(zero, qi(1))
         assert lfun.Lp_derivative_at(mu).is_zero()
 

@@ -1,6 +1,7 @@
 """Tests for modular symbol spaces, Hecke action, and eigensymbols at level (11)."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestPins:
     def test_ramified_lift_values(self, ram_lift):
         # the M = 6 lift at p = 2, level (1+i)(7), pinned before the U_p
         # plan was merged by (dest, src, g)
-        values = np.stack([v.m for v in ram_lift.values])
+        values = ram_lift.values
         assert values.shape == (150, 2, 6, 6)
         assert hashlib.sha256(values.astype("<i8").tobytes()).hexdigest() \
             == ("71cde0b8fbe3f031ce8751cfb71fdcf8"
@@ -299,6 +300,22 @@ class TestEvaluation:
         r = Cusp(qi(2, 3), qi(7, 1))
         rneg = Cusp(qi(-2, -3), qi(7, 1))
         assert phi.ev(cusp_zero(1), r) == phi.ev(cusp_zero(1), rneg)
+
+    def test_ev_paths_matches_ev(self, ref_symbols):
+        # one list of int paths, coprime and times a common factor k,
+        # against ev on the normalised cusps, path by path
+        phi, _ = ref_symbols
+        rng = random.Random(17)
+        cusps = [cusp_zero(1), cusp_infinity(1)] + [
+            Cusp(qi(rng.randint(-30, 30), rng.randint(-30, 30)),
+                 qi(rng.randint(1, 30), rng.randint(-30, 30)))
+            for _ in range(20)]
+        pairs = [(r, s) for r in cusps[:8] for s in cusps[5:]]
+        for ka, kb in ((1, 0), (2, 1), (0, -3)):
+            paths = [tuple(tuple(x for xa, xb in (c.v[:2], c.v[2:])
+                                 for x in (ka * xa - kb * xb, ka * xb + kb * xa))
+                           for c in rs) for rs in pairs]
+            assert phi.ev_paths(paths) == [phi.ev(r, s) for r, s in pairs]
 
 
 class TestAlgebraicLSums:

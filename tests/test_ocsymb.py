@@ -24,7 +24,13 @@ def ctx4():
 
 def rand_mu(ctx, rng):
     m = np.array(rng.sample(range(ctx.pctx.mod), 2 * ctx.M * ctx.M))
-    return oc.FiniteDistribution(ctx, m.reshape(2, ctx.M, ctx.M).astype(np.int64))
+    return m.reshape(2, ctx.M, ctx.M).astype(np.int64)
+
+
+def reduce_filtration(ctx, m):
+    """Each moment of the table m truncated to its honest precision
+    p^(M - max(i, j))."""
+    return m % ctx.pctx.powers[ctx.M - ctx.lag[:, :m.shape[-1]]]
 
 
 def rand_sigma0(rng):
@@ -43,13 +49,13 @@ class TestSigma0Action:
         rng = random.Random(1)
         mu = rand_mu(ctx4, rng)
         ident = ((qi(1), qi(0)), (qi(0), qi(1)))
-        assert np.array_equal(oc.sigma0_act(ctx4, ident, mu).m, mu.m)
+        assert np.array_equal(oc.sigma0_act(ctx4, ident, mu), mu)
 
     def test_scalar_trivial(self, ctx4):
         rng = random.Random(2)
         mu = rand_mu(ctx4, rng)
         sc = ((qi(7, 3), qi(0)), (qi(0), qi(7, 3)))
-        assert np.array_equal(oc.sigma0_act(ctx4, sc, mu).m, mu.m)
+        assert np.array_equal(oc.sigma0_act(ctx4, sc, mu), mu)
 
     def test_composition(self, ctx4):
         rng = random.Random(3)
@@ -58,19 +64,20 @@ class TestSigma0Action:
             g, h = rand_sigma0(rng), rand_sigma0(rng)
             lhs = oc.sigma0_act(ctx4, fld.mat_mul(g, h), mu)
             rhs = oc.sigma0_act(ctx4, h, oc.sigma0_act(ctx4, g, mu))
-            assert lhs.add(rhs, -1).filtration() >= ctx4.M
+            assert oc.filtration(ctx4, (lhs - rhs) % ctx4.pctx.mod) >= ctx4.M
 
     def test_filtration_preserved(self, ctx4):
         rng = random.Random(4)
         mu = rand_mu(ctx4, rng)
         for _ in range(10):
             g = rand_sigma0(rng)
-            a = oc.sigma0_act(ctx4, g, mu).reduce_filtration()
-            b = oc.sigma0_act(ctx4, g, mu.reduce_filtration()).reduce_filtration()
-            assert np.array_equal(a.m, b.m)
+            a = reduce_filtration(ctx4, oc.sigma0_act(ctx4, g, mu))
+            b = reduce_filtration(ctx4, oc.sigma0_act(
+                ctx4, g, reduce_filtration(ctx4, mu)))
+            assert np.array_equal(a, b)
 
     def test_rejects_bad_matrices(self, ctx4):
-        mu = oc.FiniteDistribution(ctx4)
+        mu = np.zeros((2, ctx4.M, ctx4.M), dtype=np.int64)
         with pytest.raises(ValueError):
             oc.sigma0_act(ctx4, ((qi(11), qi(1)), (qi(11), qi(1))), mu)
         with pytest.raises(ValueError):
@@ -219,10 +226,10 @@ class TestTwoSidedTransform:
         rng = random.Random(10 * p + M + full)
         C = M if full else 1
         for g in rand_sigma0_at(pd, rng, 10):
-            mu = oc.FiniteDistribution(ctx, rand_tables(ctx, rng, (2, M, C)))
-            got = oc.sigma0_act(ctx, g, mu).m
+            mu = rand_tables(ctx, rng, (2, M, C))
+            got = oc.sigma0_act(ctx, g, mu)
             assert got.shape == (2, M, C)
-            assert np.array_equal(got, act_reference(ctx, g, mu.m))
+            assert np.array_equal(got, act_reference(ctx, g, mu))
 
     @pytest.mark.parametrize("p, M", [(11, 8), (11, 9)])
     @pytest.mark.parametrize("full", [False, True])
@@ -299,10 +306,9 @@ class TestFiltration:
         assert len(set(want)) > M // 2
         for m, w in zip(tables, want):
             assert oc.filtration(ctx, m) == w
-            assert oc.FiniteDistribution(ctx, m).filtration() == w
         assert oc.filtration(ctx, np.stack(tables)) == min(want)
         for m in tables:
-            cut = oc.FiniteDistribution(ctx, m).reduce_filtration().m
+            cut = reduce_filtration(ctx, m)
             for i in range(M):
                 for j in range(C):
                     q = ctx.p ** (M - max(i, j))
@@ -330,11 +336,10 @@ class TestZbarTrivialColumn:
             n += 1
             full = np.array([rng.randrange(ctx.pctx.mod)
                              for _ in range(2 * ctx.M * ctx.M)])
-            full = oc.FiniteDistribution(ctx, full.reshape(2, ctx.M, ctx.M))
-            col = oc.FiniteDistribution(ctx, full.m[:, :, :1].copy())
-            got = oc.sigma0_act(ctx, g, col).m
+            full = full.reshape(2, ctx.M, ctx.M)
+            got = oc.sigma0_act(ctx, g, full[:, :, :1].copy())
             assert got.shape == (2, ctx.M, 1)
-            assert np.array_equal(got, act_reference(ctx, g, full.m)[:, :, :1])
+            assert np.array_equal(got, act_reference(ctx, g, full)[:, :, :1])
 
 
 class TestLift:
@@ -352,15 +357,17 @@ class TestLift:
         assert oc.specialize_matches(psi, phi)
 
     def test_u_eigen_residual(self, ref_lift, ref_uop):
+        # Psi | U_p - lambda_p Psi, lambda_p = 1, reaches the floor M
         psi, _ = ref_lift
-        assert oc.u_eigen_residual(psi, ref_uop, 1) >= 8
+        resid = (ref_uop.apply(psi.values) - psi.values) % psi.ctx.pctx.mod
+        assert oc.filtration(psi.ctx, resid) >= 8
 
     def test_total_measure(self, ref_lift, ref_symbols):
         psi, _ = ref_lift
         phi, _ = ref_symbols
         mod = psi.ctx.pctx.mod
-        for v, classical in zip(psi.values, phi.values):
-            c0, c1 = v.moment(0, 0)
+        for (c0, c1), classical in zip(psi.values[:, :, 0, 0].tolist(),
+                                       phi.values):
             assert c1 == 0 and (c0 - classical) % mod == 0
 
     def test_seed_independence(self, ref_lift, ref_symbols, ref_uop):
@@ -382,19 +389,19 @@ class TestLift:
             values[i, 1, 0, 0] = 0
         for _ in range(9):
             values = ref_uop.apply(values) % ctx.pctx.mod
-        ref_vals = np.stack([v.m for v in psi.values])
-        diff = (values - ref_vals) % ctx.pctx.mod
+        diff = (values - psi.values) % ctx.pctx.mod
         assert oc.filtration(ctx, diff) >= ctx.M
 
     def test_specialize_commutes_with_hecke(self, ref_lift):
         psi, _ = ref_lift
-        moved = oc.apply_hecke_oc(psi, qi(1, 1))
-        ctx = psi.ctx
+        p1, ctx = psi.p1, psi.ctx
+        # psi | T_(1+i) on the table-level operator of its Hecke terms
+        moved = oc.UOperator(ctx, p1.hecke_terms(p1.hecke_reps(qi(1, 1)))) \
+            .apply(psi.values)
         # specialization of psi is an eigenvector with eigenvalue -2, so
         # the specialization of psi|T must be -2 times it mod p^M
-        for (a0, a1), (b0, b1) in zip(oc.specialize(moved), oc.specialize(psi)):
-            assert (a0 + 2 * b0) % ctx.pctx.mod == 0
-            assert (a1 + 2 * b1) % ctx.pctx.mod == 0
+        assert not ((moved[:, :, 0, 0] + 2 * oc.specialize(psi))
+                    % ctx.pctx.mod).any()
 
     def test_lift_rejects_non_unit_eigenvalue(self, ref_symbols, ref_prime):
         phi, _ = ref_symbols
@@ -403,6 +410,21 @@ class TestLift:
         bad.eigen["lambda_p"] = 11
         with pytest.raises(ValueError):
             oc.lift(bad, 4, ref_prime)
+
+    def test_lift_requires_lambda_p(self, ref_symbols, ref_prime):
+        phi, _ = ref_symbols
+        bare = phi.copy()
+        bare.eigen = {k: v for k, v in phi.eigen.items() if k != "lambda_p"}
+        with pytest.raises(ValueError, match="no U_p eigenvalue"):
+            oc.lift(bare, 4, ref_prime)
+
+    def test_filtration_is_row_minimum(self, ref_lift, ram_lift):
+        # the filtration of the values array is the least filtration of
+        # its generator tables
+        for psi in (ref_lift[0], ram_lift):
+            assert psi.values.shape[0] == len(psi.p1)
+            assert psi.filtration() == min(oc.filtration(psi.ctx, v)
+                                           for v in psi.values)
 
     def test_ramified_plan_counts(self, ram_lift):
         # the U_2 plan at (1+i)(7): 1,512 Manin terms with 466 distinct g
@@ -416,7 +438,9 @@ class TestLift:
         u_op = oc.UOperator(psi.ctx, terms)
         assert len(u_op.dest) == 1092
         assert len(u_op.A0) == 414 and len(u_op.src) == 418
-        assert oc.u_eigen_residual(psi, u_op, -1) >= psi.ctx.M
+        # Psi | U_p - lambda_p Psi, lambda_p = -1, reaches the floor M
+        resid = (u_op.apply(psi.values) + psi.values) % psi.ctx.pctx.mod
+        assert oc.filtration(psi.ctx, resid) >= psi.ctx.M
 
     def test_save_load_roundtrip(self, ref_lift, ref_symbols, tmp_path):
         psi, _ = ref_lift
@@ -425,8 +449,8 @@ class TestLift:
         oc.save_lift(path, psi)
         psi2 = oc.load_lift(path, phi, psi.ctx)
         assert psi2.eigen == phi.eigen and psi2.level == phi.level
-        for a, b in zip(psi.values, psi2.values):
-            assert np.array_equal(a.m, b.m)
+        assert psi2.values.dtype == psi.values.dtype
+        assert np.array_equal(psi2.values, psi.values)
 
 
 class TestEvaluation:
@@ -437,9 +461,8 @@ class TestEvaluation:
         s = fld.Cusp(qi(1), qi(4, 5))
         gr, gs = fld.apply_moebius(g, r), fld.apply_moebius(g, s)
         lhs = psi.ev(gr, gs)
-        rhs = act_reference(psi.ctx, fld.mat_inv_unimodular(g),
-                            psi.ev(r, s).m)
-        assert oc.filtration(psi.ctx, (lhs.m - rhs) % psi.ctx.pctx.mod) \
+        rhs = act_reference(psi.ctx, fld.mat_inv_unimodular(g), psi.ev(r, s))
+        assert oc.filtration(psi.ctx, (lhs - rhs) % psi.ctx.pctx.mod) \
             >= psi.ctx.M
 
     def test_ev_paths_match_per_piece_sum(self, ref_lift):
@@ -468,7 +491,7 @@ class TestEvaluation:
                 for sign, idx, gamma_inv in ms.manin_terms(psi.p1, r, s):
                     g = fld.pair_mat(gamma_inv, 1)
                     total = total + sign * act_reference(ctx, g,
-                                                         psi.values[idx].m)
+                                                         psi.values[idx])
                 want[key] = total % ctx.pctx.mod
             assert np.array_equal(got[k], want[key])
         assert len(want) == 140
@@ -486,7 +509,7 @@ class TestEvaluation:
 
         def check(psi, k, r, s, want):
             got = psi.ev_paths([(scaled(k, r), scaled(k, s))])[0]
-            assert np.array_equal(got, want.m)
+            assert np.array_equal(got, want)
 
         psi = ref_lift[0]
         mu = lfun.build_mu_p(psi, qi(3))
@@ -512,6 +535,5 @@ class TestEvaluation:
         r = fld.Cusp(qi(2, 3), qi(7, 1))
         s = fld.Cusp(qi(1), qi(4, 5))
         t = fld.Cusp(qi(0, 1), qi(3))
-        lhs = psi.ev(r, t)
-        rhs = psi.ev(r, s).add(psi.ev(s, t))
-        assert lhs.add(rhs, -1).filtration() >= psi.ctx.M
+        diff = (psi.ev(r, t) - psi.ev(r, s) - psi.ev(s, t)) % psi.ctx.pctx.mod
+        assert oc.filtration(psi.ctx, diff) >= psi.ctx.M

@@ -1,0 +1,125 @@
+"""The refactor gate: run the same CLI commands on two source trees, each
+from empty caches, and report whether their outputs are the same.
+
+    python3 tools/refactor_gate.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are directories that hold the `padicbianchi`
+package (the `src/` of two checkouts). Every command runs in its own
+process, one at a time, with that directory on PYTHONPATH and its own cache
+directory under DIR (a fresh temporary directory by default). Before two
+reports are compared, the cache directory in them is replaced by a
+placeholder and every `elapsed_sec` key is dropped. The gate prints one
+line per command (identical or different, and whether the raw reports were
+byte-identical too) and the result of comparing each cached lift (.npz)
+byte by byte. It exits 0 when every command and every lift is identical,
+and 1 otherwise. Only the standard library is used.
+"""
+
+import argparse
+import glob
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+REF = ["--field-disc", "1", "--level", "11", "--prime", "11",
+       "--precision", "8"]
+RAM = ["--field-disc", "1", "--level", "7+7i", "--prime", "2",
+       "--precision", "6"]
+
+# (label, cache, argv): the cold builds come first, so that every later
+# command reads the lift the same side built
+COMMANDS = [
+    ("build ref-m8 miss", "ref", ["build"] + REF),
+    ("build ref-m8 hit", "ref", ["build"] + REF),
+    ("build ram-p2 miss", "ram", ["build"] + RAM),
+    ("build ram-p2 hit", "ram", ["build"] + RAM),
+    ("linv ref-m8 default data", "ref", ["linv"] + REF),
+    ("linv ref-m8 3:1,3:1+2i,7:5i", "ref",
+     ["linv"] + REF + ["--embedding-data", "3:1,3:1+2i,7:5i"]),
+    ("linv ref-m8 3:2,3:i,7:3", "ref",
+     ["linv"] + REF + ["--embedding-data", "3:2,3:i,7:3"]),
+    ("linv ref-m8 3:1+i,3:2+2i,7:1+3i", "ref",
+     ["linv"] + REF + ["--embedding-data", "3:1+i,3:2+2i,7:1+3i"]),
+    ("accept ref-m8 all criteria", "ref", ["accept"] + REF),
+    ("accept ram-p2 criteria 1,2,5,8", "ram",
+     ["accept"] + RAM + ["--criteria", "1,2,5,8"]),
+    ("accept ref-m8 criterion 2 fault", "ref",
+     ["accept"] + REF + ["--criteria", "2", "--inject-fault"]),
+]
+
+PLACEHOLDER = "<cache>"
+
+
+def run(src, cache, argv):
+    """(exit code, stdout with the cache directory replaced)."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicbianchi.cli"] + argv
+        + ["--cache-dir", cache],
+        capture_output=True, text=True, env=env, timeout=1800)
+    return proc.returncode, proc.stdout.replace(cache, PLACEHOLDER)
+
+
+def drop_elapsed(x):
+    if isinstance(x, dict):
+        return {k: drop_elapsed(v) for k, v in x.items()
+                if k != "elapsed_sec"}
+    if isinstance(x, list):
+        return [drop_elapsed(v) for v in x]
+    return x
+
+
+def normalised(out):
+    try:
+        return drop_elapsed(json.loads(out))
+    except ValueError:
+        return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--work", help="directory for the caches (default: a "
+                                   "new temporary directory)")
+    args = ap.parse_args(argv)
+    work = args.work or tempfile.mkdtemp(prefix="refactor-gate-")
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    for name in sides:
+        for cache in ("ref", "ram"):
+            path = os.path.join(work, name, cache)
+            os.makedirs(path, exist_ok=True)
+            if os.listdir(path):
+                sys.exit("%s is not empty" % path)
+    ok = True
+    for label, cache, cmd in COMMANDS:
+        got = {name: run(src, os.path.join(work, name, cache), cmd)
+               for name, src in sides.items()}
+        (pc, pout), (cc, cout) = got["parent"], got["change"]
+        if (pc, pout) == (cc, cout):
+            verdict = "identical (byte-identical)"
+        elif pc == cc and normalised(pout) == normalised(cout):
+            verdict = "identical except elapsed_sec"
+        else:
+            verdict = "DIFFERENT"
+            ok = False
+        print("%-36s exit %s/%s  %s" % (label, pc, cc, verdict), flush=True)
+    for cache in ("ref", "ram"):
+        blobs = []
+        for name in sides:
+            (path,) = glob.glob(os.path.join(work, name, cache, "*.npz"))
+            with open(path, "rb") as fh:
+                blobs.append(fh.read())
+        same = blobs[0] == blobs[1]
+        ok = ok and same
+        print("%-36s %s (%d bytes)" % ("cmp %s .npz" % cache,
+                                       "identical" if same else "DIFFERENT",
+                                       len(blobs[1])), flush=True)
+    print("gate: %s" % ("pass" if ok else "FAIL"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
