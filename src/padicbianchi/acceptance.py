@@ -138,7 +138,7 @@ def _criterion_5(ctx, detail):
 
 
 def _criterion_6(ctx, detail):
-    data = cc.default_data(ctx.pd, ctx.fam.omega)
+    data = fld.default_embedding_data(ctx.pd.p, ctx.pd.pi.d)
     routes_ok = True
     for c, v in data:
         datum = cc.EmbeddingDatum(ctx.pd, c, v, ctx.fam.omega)
@@ -187,7 +187,7 @@ def _criterion_8(ctx, detail):
             ctx.fam, cover, r, s, zeta).sum().is_zero()
     detail["total_integrals_zero"] = totals_ok
     cob_ok = True
-    for c, v in cc.default_data(ctx.pd, ctx.fam.omega):
+    for c, v in fld.default_embedding_data(ctx.pd.p, ctx.pd.pi.d):
         datum = cc.EmbeddingDatum(ctx.pd, c, v, ctx.fam.omega)
         cob_ok = cob_ok and cc.coboundary_eval(ctx.phi, datum) == 0
     detail["coboundaries_zero"] = cob_ok

@@ -35,7 +35,7 @@ class Tree:
         self.pd = prime_data
         self.pi = prime_data.pi
         self.d = self.pi.d
-        self.q = prime_data.norm if prime_data.kind == "inert" else prime_data.p
+        self.q = prime_data.norm
         self._rings = {}
         self.residues = list(ResidueRing(self.pi).elements())
         assert len(self.residues) == self.q
@@ -238,11 +238,6 @@ def act(gamma, e):
     return out
 
 
-def act_vertex(gamma, v):
-    up = Edge(v.tree, 0, v.a, v.u)  # any edge with source v
-    return act(gamma, up).source()
-
-
 def neighbors_with_target(v):
     """The N(p) + 1 edges pointing into v: the reversed edge up to the
     parent first, then the q edges coming up from the children."""
@@ -253,36 +248,12 @@ def neighbors_with_target(v):
     return out
 
 
-def path(v, w):
-    """The geodesic from v to w as an ordered edge list (empty iff v = w)."""
-    t = v.tree
-    vn, vd = t.ufrac(v.u)
-    wn, wd = t.ufrac(w.u)
-    diff = t.val(vn * wd - wn * vd) - t.val(vd) - t.val(wd)
-    m0 = min(v.a, w.a, diff)
-    edges = []
-    num, den = vn, vd
-    for lvl in range(v.a, m0, -1):
-        edges.append(Edge(t, 0, lvl, t.uclass(num, den, lvl)))
-    num, den = wn, wd
-    down = [Edge(t, 1, lvl, t.uclass(num, den, lvl)) for lvl in range(w.a, m0, -1)]
-    edges.extend(reversed(down))
-    return edges
-
-
-def distance(v, w):
-    return len(path(v, w))
-
-
 def cusp_pair_path(tree, c, v, j_lo, j_hi):
     """The edges e_j = gamma_j e_*, gamma_j = [[pi^-j, u],[0,1]] with
     u = v/c, for j_lo <= j <= j_hi. U(e_j) = {t : val(c t + v) >= -j}; the
-    embedding matrix gamma_{c,v} shifts e_j to e_{j+s}."""
-    if tree.val(c) != 0:
-        raise ValueError("c must be coprime to the prime")
-    from .field import gcd_quad
-    if not gcd_quad(v, c).is_unit():
-        raise ValueError("v must be coprime to c")
+    embedding matrix gamma_{c,v} shifts e_j to e_{j+s}. The caller's
+    cocycle.EmbeddingDatum has checked that c is coprime to p and v a unit
+    mod c."""
     out = []
     for j in range(j_lo, j_hi + 1):
         out.append(Edge(tree, 0, -j, tree.uclass(v, c, -j)))

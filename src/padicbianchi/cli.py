@@ -59,7 +59,7 @@ class RunConfig:
         "level": "11",
         "p": 11,
         "precision": 8,
-        "embedding_data": "3:1,3:2,7:1",
+        "embedding_data": None,      # field.default_embedding_data of p
         "cache_dir": ".padicbianchi-cache",
         "output": "",
     }
@@ -70,6 +70,11 @@ class RunConfig:
         if kw:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(kw)))
         self.validate()
+        if self.embedding_data is None:
+            # the default data depend on p, which validate() has checked
+            self.embedding_data = ",".join(
+                "%r:%r" % cv
+                for cv in fld.default_embedding_data(self.p, self.field_disc))
 
     @classmethod
     def from_sources(cls, args):
@@ -114,7 +119,8 @@ class RunConfig:
             raise ConfigError("precision must be at least 5")
         try:
             factors = ms._factor_level(self.level_elt())  # or LevelError
-            self.embedding_pairs()
+            if self.embedding_data is not None:
+                self.embedding_pairs()
         except ConfigError:
             raise
         except Exception as exc:

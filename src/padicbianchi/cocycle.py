@@ -40,6 +40,7 @@ from .field import (
     ResidueRing,
     apply_moebius,
     cusp_infinity,
+    default_embedding_data,
     exact_div,
     gcd_quad,
     identity_mat,
@@ -345,9 +346,6 @@ class Ext2:
 
     __rmul__ = __mul__
 
-    def conj2(self):
-        return Ext2(self.ctx, self.a, -self.b)
-
     def conj(self):
         """The conjugation of the completion, extended (see _conj_twist)."""
         return Ext2(self.ctx, self.a.conj(),
@@ -575,26 +573,15 @@ def _lc_setup(fam, datum, mu):
 
 
 def lc_halves(fam, datum, mu=None):
-    """The log_iw(z) and log_iw(zbar) halves of lc at the datum; the first
-    is lc in the one-variable log_iw normalisation."""
+    """The log_iw(z) and log_iw(zbar) halves of the log cocycle lc at the
+    datum, by the closed overconvergent form: beta * sum over a in J_v of
+    omega^{j(a)} * (integral of the kernel over the unit part of the block
+    of mu at a). lc is their sum, the p-direction logarithm
+    l_p = log_iw(z) + log_iw(zbar) of lfun; the first half is lc in the
+    one-variable log_iw normalisation."""
     mu, weight = _lc_setup(fam, datum, mu)
     return tuple(datum.beta * lfun.disc_sum(mu, weight, kern)
                  for kern in (lfun.disc_log_z, lfun.disc_log_zbar))
-
-
-def lc_eval(fam, datum, mu=None, kernel="log"):
-    """The log cocycle at the datum, by the closed overconvergent form:
-    beta * sum over a in J_v of omega^{j(a)} * (integral of the kernel over
-    the unit part of the block of mu at a). The log kernel is the
-    p-direction logarithm l_p = log_iw(z) + log_iw(zbar) of lfun.
-
-    kernel="one" drops the log and must give zero (the integral of the
-    constant over the cycle's fundamental domain vanishes)."""
-    if kernel == "one":
-        mu, weight = _lc_setup(fam, datum, mu)
-        return datum.beta * lfun.disc_sum(mu, weight, lfun.disc_one)
-    lz, lzbar = lc_halves(fam, datum, mu)
-    return lz + lzbar
 
 
 def lc_via_double_integral(fam, datum, tau):
@@ -639,8 +626,9 @@ def chi_weighted_lc(fam, chi, mu=None):
         cv = chi(v)
         if not cv:
             continue
-        datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
-        term = cv * lc_eval(fam, datum, mu=mu)
+        lz, lzbar = lc_halves(fam, EmbeddingDatum(fam.pd, c, v, fam.omega),
+                              mu)
+        term = cv * (lz + lzbar)
         total = term if total is None else total + term
     return total
 
@@ -675,24 +663,16 @@ class EvaluationCertificate:
         }
 
 
-def default_data(prime_data, omega):
-    d = prime_data.pi.d
-    return [
-        (QuadInt(3, 0, d), QuadInt(1, 0, d)),
-        (QuadInt(3, 0, d), QuadInt(2, 0, d)),
-        (QuadInt(7, 0, d), QuadInt(1, 0, d)),
-    ]
-
-
 def l_invariant(fam, data=None):
     """Evaluate lc/oc on each embedding datum and certify agreement.
 
-    data is a list of (c, v) pairs; beta = 0 and oc = 0 data are skipped
+    data is a list of (c, v) pairs, by default those of
+    field.default_embedding_data at p; beta = 0 and oc = 0 data are skipped
     with a note, and all-skipped raises NonVanishingError."""
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     if data is None:
-        data = default_data(fam.pd, fam.omega)
+        data = default_embedding_data(fam.pd.p, fam.pd.pi.d)
     pctx = fam.pctx
     entries = []
     skipped = []

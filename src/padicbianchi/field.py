@@ -9,13 +9,14 @@ decomposition of cusps, and quadratic ray-class characters.
 The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
 functions after it): division, gcd, exact division, cusp normalisation, the
 Moebius action and the continued-fraction convergents. divmod_quad,
-gcd_quad, exact_div, Cusp, cf_decompose, path_between and apply_moebius are
-QuadInt wrappers over it; a Cusp holds its int pairs, and the Manin layer
+gcd_quad, exact_div, Cusp, path_between and apply_moebius are QuadInt
+wrappers over it; a Cusp holds its int pairs, and the Manin layer
 of msymb runs its paths on the kernel without making QuadInts.
 
-The module also holds the two precision facts that the CLI reads before
-any numpy layer loads: PrecisionError, and the int64 bound of the
-completions' moment products (int64_exact on PrimeData.minpoly).
+The module also holds what the CLI reads before any numpy layer loads:
+the two precision facts (PrecisionError, and the int64 bound of the
+completions' moment products, int64_exact on PrimeData.minpoly) and the
+default embedding data of a prime (default_embedding_data).
 """
 
 # d -> (|disc|, S, T, unit list as (a, b) pairs) where w^2 = S*w + T.
@@ -539,21 +540,6 @@ def mat_mul(m1, m2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def mat_adj(mat):
-    """The adjugate: the inverse of a determinant-1 matrix, over Z or O_F."""
-    (a, b), (c, d) = mat
-    return ((d, -b), (-c, a))
-
-
-def mat_inv_unimodular(mat):
-    (a, b), (c, d) = mat
-    det = a * d - b * c
-    if not det.is_unit():
-        raise ValueError("matrix is not unimodular")
-    ui = _unit_inverse(det)
-    return ((d * ui, (-b) * ui), ((-c) * ui, a * ui))
-
-
 def _unit_inverse(u):
     if not u.is_unit():
         raise ValueError("not a unit")
@@ -565,13 +551,6 @@ def _unit_inverse(u):
 
 def identity_mat(d):
     return ((one(d), QuadInt(0, 0, d)), (QuadInt(0, 0, d), one(d)))
-
-
-def cf_decompose(cusp):
-    """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> cusp}
-    (pair_cf)."""
-    _, S, T, _ = field_params(cusp.d)
-    return [pair_mat(g, cusp.d) for g in pair_cf(S, T, cusp.v)]
 
 
 def path_between(r, s):
@@ -677,12 +656,6 @@ class RayCharacter:
 
     def is_trivial(self):
         return all(v == 1 for v in self.table.values())
-
-    def gauss_sum_squared(self):
-        """tau(chi)^2 = chi(-1) N(cond); sign-free, normalization-robust."""
-        if self.conductor.is_unit():
-            return 1
-        return self(QuadInt(-1, 0, self.modulus.d)) * abs(self.conductor.norm())
 
     def __repr__(self):
         return "RayCharacter(mod %r, cond %r)" % (self.modulus, self.conductor)
@@ -798,6 +771,14 @@ def quadratic_ray_characters(c):
         cond = _exact_conductor(c, table, ring)
         chars.append(RayCharacter(c, table, cond))
     return chars
+
+
+def default_embedding_data(p, d):
+    """The default embedding data (c, v) at the prime over p: two v mod the
+    first and one v mod the second of the moduli 3, 7, 11 coprime to p (a
+    rational c is coprime to pi exactly when p does not divide it)."""
+    c1, c2 = [QuadInt(c, 0, d) for c in (3, 7, 11) if c % p][:2]
+    return [(c1, one(d)), (c1, QuadInt(2, 0, d)), (c2, one(d))]
 
 
 def parse_quadint(text, d):

@@ -46,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from .field import QuadInt, divides
-from .ocsymb import honest_moment
 from . import padic
 from .padic import PadicStack, StackLog, select, stack
 
@@ -416,28 +415,3 @@ def Z_factor(chi, r, prime_data, lam, pctx):
                          "when its conductor is")
     cv = 1 if chi is None else chi(pi)
     return pctx.one() - pctx.from_rational(Fraction(cv * prime_data.norm ** r) / lam)
-
-
-def restriction_consistency(mu):
-    """Largest precision (capped at M) to which summing z^i, i < 3, over
-    all the residue discs of O_p reproduces the global moments, at a unit
-    modulus g (one block; the disc j + pi O is j + G O with G = g * pi).
-
-    This checks the U_p eigen-relation route used for unit restriction: the
-    disc decomposition must recover mu(z^i) for polynomial test functions."""
-    if mu.ring.size != 1:
-        raise ValueError("consistency check runs at a unit modulus")
-    pctx = mu.pctx
-    lam_inv = pctx.from_rational(1 / mu.lam)
-    # Psi on the int path {0 -> infty}
-    base = mu.psi.ev_paths([((0, 0, 1, 0), (1, 0, 0, 0))])[0]
-    discs = mu.discs([_pair_of(j)
-                      for j in mu.p1.residue_ring(mu.pi).elements()])
-    worst = pctx.cap
-    for i in range(3):
-        total = _pair(discs, discs.binomial(i)).sum()
-        discs.log.check()
-        diff = lam_inv * total - honest_moment(mu.psi.ctx, base, i, 0)
-        if not diff.is_zero():
-            worst = min(worst, diff.val())
-    return worst

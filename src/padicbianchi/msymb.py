@@ -659,11 +659,3 @@ def algebraic_L_sum(phi, chi):
     for a in chi.ring.unit_elements():
         total += chi(a) * phi.ev(Cusp(a, c), cusp_infinity(d))
     return total
-
-
-def interpolation_constant_squared(chi, r, d):
-    """Square of the chi-dependent part of the interpolation constant
-    (Gauss-sum sign free): tau(chi^{-1})^2 * |c|^{2r}."""
-    tau2 = chi.gauss_sum_squared()
-    c_norm = abs(chi.conductor.norm())
-    return Fraction(tau2) * Fraction(c_norm) ** r

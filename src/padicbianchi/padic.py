@@ -15,8 +15,8 @@ would raise, a stack records the error against its row in a StackLog, and
 StackLog.check raises the first row's.
 
 The Teichmuller character, the Iwasawa logarithm (log_p(p) = 0) and exp
-exist once, on stacks; the scalar teichmuller, log_iw and padic_exp are
-their one-element case, and log_iw adds the pi-power part of a non-unit.
+exist once, on stacks; the scalar log_iw is their one-element case
+(_scalar) and adds the pi-power part of a non-unit.
 """
 
 import numpy as np
@@ -803,17 +803,6 @@ def _scalar(stacked, x):
     out = stacked(PadicStack.of(x.ctx, [x], StackLog(1)))
     out.log.check()
     return out.element(0)
-
-
-def teichmuller(x):
-    """The Teichmuller lift of a unit x at full precision (see
-    teichmuller_units)."""
-    return _scalar(teichmuller_units, x)
-
-
-def padic_exp(y):
-    """exp on pi^{r_pe} O; PrecisionError outside."""
-    return _scalar(padic_exp_stack, y)
 
 
 def log_iw(x):

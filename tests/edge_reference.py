@@ -11,8 +11,14 @@ edge_integrals against it row by row."""
 from math import comb
 
 from padicbianchi.cocycle import SupportError
-from padicbianchi.field import QuadInt, apply_moebius, mat_adj
+from padicbianchi.field import QuadInt, apply_moebius
 from padicbianchi.ocsymb import honest_moment
+
+
+def mat_adj(mat):
+    """The adjugate, a scalar multiple of the inverse."""
+    (a, b), (c, d) = mat
+    return ((d, -b), (-c, a))
 
 
 def cusp_path(g, r, s):

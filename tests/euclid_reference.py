@@ -47,7 +47,8 @@ def ref_moebius(mat, num, den):
 
 
 def ref_cf(num, den):
-    """cf_decompose of the normalised cusp (num : den)."""
+    """The continued-fraction matrices (field.pair_cf) of the normalised
+    cusp (num : den)."""
     d = num.d
     zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
     ident = ((one, zero), (zero, one))
@@ -71,6 +72,12 @@ def ref_cf(num, den):
         pm2, qm2 = pm1, qm1
         pm1, qm1 = pk, qk
     return mats
+
+
+def ref_adj(mat):
+    """The adjugate: the inverse of a determinant-1 matrix."""
+    (a, b), (c, d) = mat
+    return ((d, -b), (-c, a))
 
 
 def ref_path(r, s):
@@ -117,7 +124,7 @@ def ref_hecke_terms(p1, mats, index):
     for i, delta, path in ref_generator_paths(p1, mats):
         for sign, h in path:
             j = index(*h[1])
-            gamma = fld.mat_mul(h, fld.mat_adj(p1.lift_matrix(j)))
+            gamma = fld.mat_mul(h, ref_adj(p1.lift_matrix(j)))
             out.append((i, j, sign, fld.mat_pairs(
-                fld.mat_mul(fld.mat_adj(gamma), delta))))
+                fld.mat_mul(ref_adj(gamma), delta))))
     return out

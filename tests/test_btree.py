@@ -1,4 +1,4 @@
-"""Tests for the Bruhat-Tits tree: edges, action, paths, open sets."""
+"""Tests for the Bruhat-Tits tree: edges, action, geodesics, open sets."""
 
 import random
 
@@ -125,30 +125,6 @@ class TestNeighbors:
         assert moved == children
 
 
-class TestPaths:
-    def test_trivial(self, tree11):
-        v = tree11.standard_vertex()
-        assert bt.path(v, v) == []
-        e = tree11.standard_edge()
-        assert bt.path(v, e.target()) == [e]
-
-    def test_chain(self, tree11):
-        v = tree11.standard_vertex()
-        w = tree11.vertex(3, qi(5, 2), qi(1))
-        pth = bt.path(v, w)
-        assert len(pth) == bt.distance(v, w) == 3
-        assert pth[0].source() == v and pth[-1].target() == w
-        for a, b in zip(pth, pth[1:]):
-            assert a.target() == b.source()
-
-    def test_reversal(self, tree11):
-        v = tree11.standard_vertex()
-        w = tree11.vertex(2, qi(7, 1), qi(3))
-        fwd = bt.path(v, w)
-        back = bt.path(w, v)
-        assert [x.key() for x in back] == [x.reverse().key() for x in reversed(fwd)]
-
-
 class TestCuspPairPath:
     # for c = (3), v = 1 the order of 11 mod 3 is 1, so s = 2 and the
     # embedding matrix is [[1, 40], [0, 121]] modulo scalars
@@ -173,14 +149,13 @@ class TestCuspPairPath:
             assert not ejd[j - 1].contains(tn, td)
 
     def test_geodesic_length(self, tree11):
-        v = tree11.standard_vertex()
-        assert bt.distance(v, bt.act_vertex(self.GAMMA, v)) == 2
-
-    def test_coprimality_checked(self, tree11):
-        with pytest.raises(ValueError):
-            bt.cusp_pair_path(tree11, qi(11), qi(1), 0, 1)
-        with pytest.raises(ValueError):
-            bt.cusp_pair_path(tree11, qi(9), qi(3), 0, 1)
+        # the e_j chain into a geodesic without backtracking, and GAMMA
+        # moves v_* = source(e_0) two steps along it, to source(e_2)
+        ej = bt.cusp_pair_path(tree11, qi(3), qi(1), 0, 2)
+        assert ej[0].source() == tree11.standard_vertex()
+        for a, b in zip(ej, ej[1:]):
+            assert a.target() == b.source() and b != a.reverse()
+        assert bt.act(self.GAMMA, ej[0]).source() == ej[2].source()
 
 
 def test_dot_output(tree3):

@@ -334,6 +334,28 @@ class TestLinv:
         assert "(c, v) = (%s, %s): %s" % (*datum.split(":"), why) \
             in rep["message"]
 
+    @pytest.mark.parametrize("level, p, data, criteria", [
+        ("15", "3", "7:1,7:2,11:1", "8"),
+        ("7+7i", "7", "3:1,3:2,11:1", "6,8"),
+    ])
+    def test_default_data_avoid_p(self, level, p, data, criteria, tmp_path):
+        # the default data take the first two of the moduli 3, 7, 11 that
+        # are coprime to p; linv evaluates all three, and the criteria that
+        # read them run on them (at p = 3, M = 5 criterion 6 falls short of
+        # its 5 digits: the ratios agree to 3)
+        argv = ["--level", level, "--prime", p] + BASE \
+            + ["--cache-dir", str(tmp_path / "cache")]
+        code, rep = run(tmp_path, "l.json", ["linv"] + argv)
+        assert code == 0
+        assert rep["config"]["embedding_data"] == data
+        cert = rep["certificate"]
+        assert cert["skipped"] == []
+        assert ["%s:%s" % (e["c"], e["v"]) for e in cert["entries"]] \
+            == data.split(",")
+        code, rep = run(tmp_path, "a.json",
+                        ["accept"] + argv + ["--criteria", criteria])
+        assert code == 0 and rep["all_pass"]
+
     def test_non_vanishing_exit(self, cache_dir, tmp_path, monkeypatch):
         def boom(fam, data=None):
             raise cc.NonVanishingError(["(3)"])

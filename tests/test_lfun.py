@@ -41,6 +41,31 @@ def character(c, level_value):
                 if not ch.is_trivial() and ch(qi(11)) == level_value)
 
 
+def restriction_consistency(mu):
+    """Largest precision (capped at M) to which summing z^i, i < 3, over
+    all the residue discs of O_p reproduces the global moments, at a unit
+    modulus g (one block; the disc j + pi O is j + G O with G = g * pi).
+
+    This checks the U_p eigen-relation route used for unit restriction: the
+    disc decomposition must recover mu(z^i) for polynomial test functions."""
+    if mu.ring.size != 1:
+        raise ValueError("consistency check runs at a unit modulus")
+    pctx = mu.pctx
+    lam_inv = pctx.from_rational(1 / mu.lam)
+    # Psi on the int path {0 -> infty}
+    base = mu.psi.ev_paths([((0, 0, 1, 0), (1, 0, 0, 0))])[0]
+    discs = mu.discs([lfun._pair_of(j)
+                      for j in mu.p1.residue_ring(mu.pi).elements()])
+    worst = pctx.cap
+    for i in range(3):
+        total = lfun._pair(discs, discs.binomial(i)).sum()
+        discs.log.check()
+        diff = lam_inv * total - oc.honest_moment(mu.psi.ctx, base, i, 0)
+        if not diff.is_zero():
+            worst = min(worst, diff.val())
+    return worst
+
+
 class TestBlocks:
     def test_modulus_must_avoid_p(self, ref_lift):
         psi, _ = ref_lift
@@ -73,12 +98,12 @@ class TestBlocks:
 
     def test_restriction_consistency(self, mu1):
         # disc-by-disc quadrature of z^i recovers the global moments
-        assert lfun.restriction_consistency(mu1) >= mu1.psi.ctx.M
+        assert restriction_consistency(mu1) >= mu1.psi.ctx.M
 
     def test_restriction_consistency_unit_modulus(self, ref_lift):
         # a unit modulus other than 1: the discs have scale G = i * pi
         mu = lfun.build_mu_p(ref_lift[0], qi(0, 1))
-        assert lfun.restriction_consistency(mu) >= mu.psi.ctx.M
+        assert restriction_consistency(mu) >= mu.psi.ctx.M
 
 
 class TestValues:
@@ -250,7 +275,7 @@ class TestGoldenPins:
         psi, _ = ref_lift
         fam = cc.TreeFamily(phi, ref_prime, psi=psi)
         want = {(3, 1): 66261074, (3, 2): 66261074, (7, 1): 42883247}
-        for c, v in cc.default_data(ref_prime, fam.omega):
+        for c, v in fld.default_embedding_data(ref_prime.p, 1):
             datum = cc.EmbeddingDatum(ref_prime, c, v, fam.omega)
             got = [pin(x) for x in cc.lc_halves(fam, datum)]
             assert got == [(want[c.a, v.a], 0, 8)] * 2

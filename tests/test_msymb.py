@@ -340,9 +340,3 @@ class TestAlgebraicLSums:
         )
         assert chi(qi(11)) == -1
         assert ms.algebraic_L_sum(phi, chi) == 0
-
-    def test_interpolation_constant_squared(self):
-        chi = next(
-            c for c in fld.quadratic_ray_characters(qi(4, 1)) if not c.is_trivial()
-        )
-        assert ms.interpolation_constant_squared(chi, 0, 1) == Fraction(17)

@@ -456,12 +456,13 @@ class TestLift:
 class TestEvaluation:
     def test_gamma_invariance(self, ref_lift):
         psi, _ = ref_lift
-        g = ((qi(1), qi(0)), (qi(11), qi(1)))
+        g, g_inv = ((qi(1), qi(0)), (qi(11), qi(1))), \
+            ((qi(1), qi(0)), (qi(-11), qi(1)))
         r = fld.Cusp(qi(2, 3), qi(7, 1))
         s = fld.Cusp(qi(1), qi(4, 5))
         gr, gs = fld.apply_moebius(g, r), fld.apply_moebius(g, s)
         lhs = psi.ev(gr, gs)
-        rhs = act_reference(psi.ctx, fld.mat_inv_unimodular(g), psi.ev(r, s))
+        rhs = act_reference(psi.ctx, g_inv, psi.ev(r, s))
         assert oc.filtration(psi.ctx, (lhs - rhs) % psi.ctx.pctx.mod) \
             >= psi.ctx.M
 

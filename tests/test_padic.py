@@ -16,6 +16,17 @@ from padicbianchi.padic import PrecisionError
 MOD = 11**8
 
 
+def teichmuller(x):
+    """The Teichmuller lift of one unit at full precision: the one-element
+    case of padic.teichmuller_units."""
+    return pa._scalar(pa.teichmuller_units, x)
+
+
+def padic_exp(y):
+    """exp on pi^{r_pe} O: the one-element case of padic.padic_exp_stack."""
+    return pa._scalar(pa.padic_exp_stack, y)
+
+
 def log_1plus_rational(x_num, x_den, p, M):
     """Independent oracle: truncated log(1+x) over exact rationals, reduced mod p^M."""
     acc = Fraction(0)
@@ -47,12 +58,12 @@ class TestBase:
 
     def test_teichmuller(self):
         ctx = pa.Qp(11, 8)
-        t = pa.teichmuller(ctx.from_rational(Fraction(2)))
+        t = teichmuller(ctx.from_rational(Fraction(2)))
         assert pow(t.c0, 10, MOD) == 1
         assert t.c0 % 11 == 2
         assert t.c0 % MOD == 181048540
         ctx3 = pa.Qp(3, 6)
-        assert pa.teichmuller(ctx3.from_rational(Fraction(2))).c0 % 3**6 == 3**6 - 1
+        assert teichmuller(ctx3.from_rational(Fraction(2))).c0 % 3**6 == 3**6 - 1
 
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=60, deadline=None)
@@ -101,16 +112,16 @@ class TestInert:
     def test_gauge_power(self):
         # <z>^7 = exp(7 log_iw(z)) is z^7 with its torsion part divided out
         z = self.ctx.embed(QuadInt(3, 5, 1))
-        g = pa.padic_exp(7 * pa.log_iw(z))
+        g = padic_exp(7 * pa.log_iw(z))
         w = self.ctx.one()
         for _ in range(7):
             w = w * z
-        assert (g - w * pa.teichmuller(z) ** -7).is_zero()
+        assert (g - w * teichmuller(z) ** -7).is_zero()
         assert (g.c0 % MOD, g.c1 % MOD, g.prec) == (118871424, 150888474, 8)
 
     def test_teichmuller_order(self):
         z = self.ctx.embed(QuadInt(3, 5, 1))
-        t = pa.teichmuller(z)
+        t = teichmuller(z)
         w = self.ctx.one()
         for _ in range(120):
             w = w * t
