@@ -174,11 +174,13 @@ class RationalP1(ms.ManinLayer):
 
     A caller's cusps are Fractions with None for infinity; below the
     symbol API a cusp x/y is the int cusp (x, 0, y, 0) of field, and paths
-    decompose on its Euclidean kernel (pair_path): for real arguments the
-    quotient scan never picks a w-part, so every piece is in SL_2(Z).
-    Integer matrices enter the moment layer embedded in SL_2(O_F), as the
-    8-tuples of pairs(g). The ray distribution of lfun runs on Z/n (ZMod),
-    the prime p and the int cusps (B, 0, G, 0)."""
+    decompose on its Euclidean kernel (manin.manin_pieces): for real
+    arguments the quotient scan never picks a w-part, so every piece is in
+    SL_2(Z). The batch key is one (N, N) array from (c mod N, d mod N) to
+    the generator, made on the first batch. Integer matrices enter the
+    moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g). The
+    ray distribution of lfun runs on Z/n (ZMod), the prime p and the int
+    cusps (B, 0, G, 0)."""
 
     S, T = fld.field_params(FIELD_D)[1:3]
     residue_ring = ZMod
@@ -207,6 +209,7 @@ class RationalP1(ms.ManinLayer):
                 if key not in self._index:
                     self._index[key] = len(self.reps)
                     self.reps.append(key)
+        self._table = None
         super().__init__()
 
     def _key(self, c, d):
@@ -226,8 +229,15 @@ class RationalP1(ms.ManinLayer):
         u, v = _xgcd(c, d)
         return ((v, -u), (c, d))
 
-    def piece_index(self, g):
-        return self.reduce(g[4], g[6])
+    def piece_indices(self, G):
+        import numpy as np
+        N = self.N
+        if self._table is None:
+            self._table = np.array(
+                [[self.reduce(c, d) if gcd(gcd(c, d), N) == 1 else -1
+                  for d in range(N)] for c in range(N)], dtype=np.int64)
+        return self._table[(G[:, 4] % N).astype(np.int64),
+                           (G[:, 6] % N).astype(np.int64)]
 
     @staticmethod
     def pairs(g):

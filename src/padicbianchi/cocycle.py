@@ -137,9 +137,16 @@ class TreeFamily:
     def ev(self, edges, r, s):
         """kappa{r-s}(e) for each edge e of edges, as a list (weight (0,0):
         the polynomial is the constant 1), in one ev_paths call."""
-        values = self.phi.ev_paths(
-            self.paths([self.edge_rep(e) for e in edges], r, s))
-        return [self.omega ** e.parity() * v for e, v in zip(edges, values)]
+        return self.ev_groups([(edges, r, s)])[0]
+
+    def ev_groups(self, groups):
+        """ev(edges, r, s) for each (edges, r, s) of groups, as a list of
+        lists, in one ev_paths call."""
+        values = iter(self.phi.ev_paths(
+            [path for edges, r, s in groups for path in
+             self.paths([self.edge_rep(e) for e in edges], r, s)]))
+        return [[self.omega ** e.parity() * next(values) for e in edges]
+                for edges, _, _ in groups]
 
     def moments(self, reps, r, s):
         """The moment tables of the edge distributions Psi{r-s} of the
@@ -185,13 +192,15 @@ def harmonicity_check(fam):
         (Cusp(QuadInt(1, 0, d), QuadInt(4, 5, d)),
          Cusp(QuadInt(0, 1, d), QuadInt(3, 0, d))),
     ]
+    groups = [(bt.neighbors_with_target(v), r, s)
+              for v in vertices for r, s in paths]
+    labels = [repr(v) for v in vertices for _ in paths]
     residuals = []
     worst = Fraction(0)
-    for v in vertices:
-        for r, s in paths:
-            total = sum(fam.ev(bt.neighbors_with_target(v), r, s))
-            residuals.append({"vertex": repr(v), "value": total})
-            worst = max(worst, abs(total))
+    for label, values in zip(labels, fam.ev_groups(groups)):
+        total = sum(values)
+        residuals.append({"vertex": label, "value": total})
+        worst = max(worst, abs(total))
     return {"residuals": residuals, "max_residual": worst,
             "harmonic": worst == 0}
 
@@ -547,9 +556,10 @@ def oc_tree_route(fam, datum, window=1):
 
 def oc_closed_route(fam, datum):
     """beta * sum over a in J_v of omega^{j(a)} phi{a/c - infinity}."""
-    s_inf = cusp_infinity(datum.d)
-    total = sum(fam.omega ** j * fam.phi.ev(Cusp(a, datum.c), s_inf)
-                for a, j in datum.J.items())
+    c = datum.c
+    values = fam.phi.ev_paths([(a.a, a.b, c.a, c.b, 1, 0, 0, 0)
+                               for a in datum.J])
+    total = sum(fam.omega ** j * v for j, v in zip(datum.J.values(), values))
     return datum.beta * total
 
 
@@ -599,7 +609,8 @@ def coboundary_eval(sym, datum):
     g = datum.gamma()
     r, s_inf = datum.cusp(), cusp_infinity(datum.d)
     gr, gs = apply_moebius(g, r), apply_moebius(g, s_inf)
-    return sym.ev(gr, gs) - sym.ev(r, s_inf)
+    moved, path = sym.ev_paths([gr.v + gs.v, r.v + s_inf.v])
+    return moved - path
 
 
 def chi_weighted_oc(fam, chi):

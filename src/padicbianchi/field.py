@@ -7,11 +7,14 @@ ideals (all principal), prime splitting, the Euclidean continued-fraction
 decomposition of cusps, and quadratic ray-class characters.
 
 The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
-functions after it): division, gcd, exact division, cusp normalisation, the
-Moebius action and the continued-fraction convergents. divmod_quad,
-gcd_quad, exact_div, Cusp, path_between and apply_moebius are QuadInt
-wrappers over it; a Cusp holds its int pairs, and the Manin layer
-of msymb runs its paths on the kernel without making QuadInts.
+functions after it): division, gcd, exact division, cusp normalisation and
+the Moebius action. divmod_quad, gcd_quad, exact_div, Cusp and
+apply_moebius are QuadInt wrappers over it, and a Cusp holds its int pairs.
+The Manin decomposition of paths into continued-fraction pieces is that
+kernel stacked, in the module manin: manin_pieces runs a whole batch of
+int paths in lockstep on int64 arrays (the same quotient scan and
+convergents, row by row), with an int64 bound proved from the entries and
+Python ints past it. path_between is its one-path QuadInt wrapper.
 
 The module also holds what the CLI reads before any numpy layer loads:
 the two precision facts (PrecisionError, and the int64 bound of the
@@ -150,13 +153,14 @@ def omega(d):
 # ---------------------------------------------------------------------------
 # the Euclidean kernel on int pairs
 #
-# Division, gcd, exact division, cusp normalisation, the Moebius action and
-# the continued-fraction convergents all run here on plain ints: an element
-# a + b*w is the pair (a, b), a cusp (num : den) the 4-tuple
-# (num_a, num_b, den_a, den_b) and a matrix [[a, b], [c, d]] the 8-tuple
-# (a_a, a_b, b_a, b_b, c_a, c_b, d_a, d_b). Each function takes the field's
-# relation w^2 = S*w + T. The QuadInt functions below are wrappers over these
-# and make QuadInts only for their results.
+# Division, gcd, exact division, cusp normalisation and the Moebius action
+# all run here on plain ints: an element a + b*w is the pair (a, b), a cusp
+# (num : den) the 4-tuple (num_a, num_b, den_a, den_b) and a matrix
+# [[a, b], [c, d]] the 8-tuple (a_a, a_b, b_a, b_b, c_a, c_b, d_a, d_b).
+# Each function takes the field's relation w^2 = S*w + T. The QuadInt
+# functions below are wrappers over these and make QuadInts only for their
+# results. pair_mul also takes the 8 columns of int arrays
+# (manin.pair_mul_rows).
 
 
 def pair_divmod(S, T, xa, xb, ya, yb):
@@ -249,51 +253,6 @@ def pair_moebius(S, T, g, c):
         a0 * nb + a1 * na + S * a1 * nb + b0 * db + b1 * da + S * b1 * db,
         c0 * na + T * c1 * nb + d0 * da + T * d1 * db,
         c0 * nb + c1 * na + S * c1 * nb + d0 * db + d1 * da + S * d1 * db)
-
-
-def pair_cf(S, T, c):
-    """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> c}
-    for a cusp c = (num : den): Manin's trick via the Euclidean continued
-    fraction of num/den. The quotients, and so the matrices, depend only on
-    the ratio, so c need not be coprime (pair_cusp). For the cusp 0 the
-    list is empty; for infinity it is [identity] (the base segment
-    {0 -> oo} itself)."""
-    na, nb, da, db = c
-    if not (da or db):
-        return [(1, 0, 0, 0, 0, 0, 1, 0)]
-    if not (na or nb):
-        return []
-    # convergents p_k/q_k from p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1;
-    # [[p_k, p_{k-1}], [q_k, q_{k-1}]] has determinant (-1)^(k+1), so its
-    # second column times that sign makes determinant 1
-    p1a, p1b, q1a, q1b = 1, 0, 0, 0      # p_{k-1}, q_{k-1}
-    p2a, p2b, q2a, q2b = 0, 0, 1, 0      # p_{k-2}, q_{k-2}
-    mats = [(1, 0, 0, 0, 0, 0, 1, 0)]    # the k = -1 segment {0 -> oo}
-    sign = -1
-    while da or db:
-        ka, kb, ra, rb = pair_divmod(S, T, na, nb, da, db)
-        na, nb, da, db = da, db, ra, rb
-        pa = ka * p1a + T * kb * p1b + p2a
-        pb = ka * p1b + kb * p1a + S * kb * p1b + p2b
-        qa = ka * q1a + T * kb * q1b + q2a
-        qb = ka * q1b + kb * q1a + S * kb * q1b + q2b
-        mats.append((pa, pb, sign * p1a, sign * p1b,
-                     qa, qb, sign * q1a, sign * q1b))
-        p2a, p2b, q2a, q2b = p1a, p1b, q1a, q1b
-        p1a, p1b, q1a, q1b = pa, pb, qa, qb
-        sign = -sign
-    return mats
-
-
-def pair_path(S, T, r, s):
-    """List of (sign, g) with sum sign*{g 0 -> g oo} = {r -> s}, for cusps
-    r, s as in pair_cf: {0 -> s} - {0 -> r}. When neither cusp is 0 both
-    lists start with the base segment {0 -> oo}, and the two copies
-    cancel, so neither is listed."""
-    cf_s, cf_r = pair_cf(S, T, s), pair_cf(S, T, r)
-    if cf_s and cf_r:
-        cf_s, cf_r = cf_s[1:], cf_r[1:]
-    return [(1, g) for g in cf_s] + [(-1, g) for g in cf_r]
 
 
 def mat_pairs(mat):
@@ -555,9 +514,12 @@ def identity_mat(d):
 
 def path_between(r, s):
     """List of (sign, unimodular g) with sum sign*{g 0 -> g oo} = {r -> s}
-    (pair_path)."""
+    (manin.manin_pieces on the one path)."""
+    from .manin import manin_pieces
     S, T = _common_params(r, s)
-    return [(sign, pair_mat(g, r.d)) for sign, g in pair_path(S, T, r.v, s.v)]
+    _, signs, G = manin_pieces(S, T, [r.v + s.v])
+    return [(sign, pair_mat(g, r.d))
+            for sign, g in zip(signs.tolist(), G.tolist())]
 
 
 # ---------------------------------------------------------------------------

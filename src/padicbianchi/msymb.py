@@ -28,15 +28,18 @@ then an exact row sum over its values.
 Paths run on ints: below the symbol API a path is a pair of int cusps
 (num_a, num_b, den_a, den_b), not normalised, and a path piece, a Manin
 gamma^-1 and a U_p plan term are 8-tuples of ints (the entries of a
-matrix over O_F as pairs (a, b), field.mat_pairs), decomposed and
-multiplied by the Euclidean kernel of field. A generator path
+matrix over O_F as pairs (a, b), field.mat_pairs). They run in batches:
+a batch of paths is rows of an int array, decomposed in one lockstep pass
+of the stacked Euclidean kernel (manin.manin_pieces), and its pieces are
+multiplied as rows (manin.pair_mul_rows). A generator path
 {delta g_i 0 -> delta g_i oo} is read off the columns of delta g_i, and
-every piece maps to its generator and gamma^-1 in one place
-(ManinLayer.piece). P^1(O_F/n) reduces on plain ints too: each prime
+the pieces of a batch map to their generators and gamma^-1 in one place
+(ManinLayer.path_terms). P^1(O_F/n) reduces on plain ints too: each prime
 factor of the level keeps its HNF constants and a table of unit inverses,
-so reducing (c : d) builds no QuadInt and takes no gcd. QuadInts appear
-only at the edges: the generators, their lifts, the operators' matrices
-and the cusps a caller passes in (ModularSymbol.ev).
+so reducing (c : d) builds no QuadInt and takes no gcd; the batch P^1 key
+(piece_indices) reads the same tables as arrays. QuadInts appear only at
+the edges: the generators, their lifts, the operators' matrices and the
+cusps a caller passes in (ModularSymbol.ev).
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -50,8 +53,8 @@ from math import gcd, isqrt, lcm
 from . import field as fld
 from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
                     xgcd_quad, exact_div, divides, mat_mul, mat_pairs,
-                    pair_adj, pair_mul, pair_path, apply_moebius, cusp_zero,
-                    cusp_infinity, split_prime, _unit_inverse)
+                    apply_moebius, cusp_zero, cusp_infinity, split_prime,
+                    _unit_inverse)
 
 
 # the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
@@ -81,26 +84,27 @@ class ManinLayer:
     rings: reduce(c, d) of a bottom row to its generator index, _lift(i) of
     a generator to a determinant-1 matrix, pairs(m) of one of its matrices
     to the 8-tuple of int pairs of field.pair_mul (its entries in O_F),
-    piece_index(g) of a path piece, hecke_reps(q), relation_mats(), the
-    field w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of
-    a caller's cusp. For the ray distribution of lfun a layer also supplies
+    piece_indices(G), the batch P^1 key of the bottom rows of an (n, 8)
+    int array of path pieces, hecke_reps(q), relation_mats(), the field
+    w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of a
+    caller's cusp. For the ray distribution of lfun a layer also supplies
     residue_ring(n) (R/n with reduce, elements, unit_elements and inverse)
     and uniformizer(pd) of the prime data.
 
     Below the symbol API a path is a pair of int cusps (num_a, num_b,
     den_a, den_b), not necessarily coprime: the continued fraction of
-    num/den, and so the Manin decomposition (field.pair_path), depends only
-    on the ratio. Over Z the cusps are real, so no piece leaves SL_2(Z).
-    On top of the hooks this class memoises the lifts and, per operator,
-    the decomposition rows, maps a piece to its generator and gamma^-1
-    (piece), and enumerates the U_p plan terms; the symbols, Hecke
-    operators, relation solver and eigen-split of this module run on
-    either layer.
+    num/den, and so the Manin decomposition (manin.manin_pieces), depends
+    only on the ratio. Over Z the cusps are real, so no piece leaves
+    SL_2(Z). On top of the hooks this class memoises the lifts and, per
+    operator, the decomposition rows, maps the pieces of a batch of paths
+    to their generators and gamma^-1 (path_terms), and enumerates the U_p
+    plan terms; the symbols, Hecke operators, relation solver and
+    eigen-split of this module run on either layer.
     """
 
     def __init__(self):
         self._lifts = [None] * len(self.reps)
-        self._lift_pairs = [None] * len(self.reps)
+        self._lift_rows = None
         self._path_rows = {}
 
     def __len__(self):
@@ -119,64 +123,64 @@ class ManinLayer:
             g = self._lifts[i] = self._lift(i)
         return g
 
-    def lift_pair(self, i):
-        """lift_matrix(i) as an 8-tuple; memoised."""
-        g = self._lift_pairs[i]
-        if g is None:
-            g = self._lift_pairs[i] = self.pairs(self.lift_matrix(i))
-        return g
+    def lift_rows(self):
+        """The lift_matrix of every generator as an 8-tuple, the rows of an
+        (n_gen, 8) int array; memoised."""
+        if self._lift_rows is None:
+            from .manin import int_rows
+            self._lift_rows = int_rows(
+                [self.pairs(self.lift_matrix(i)) for i in range(len(self))],
+                8)
+        return self._lift_rows
 
-    def piece(self, h):
-        """(idx, gamma^-1) of a path piece {h 0 -> h oo} = gamma {g_idx 0 ->
-        g_idx oo}: idx = piece_index(h), gamma in Gamma_0(n), and
-        gamma^-1 = g_idx adj(h) (h has determinant 1)."""
-        idx = self.piece_index(h)
-        return idx, pair_mul(self.S, self.T, self.lift_pair(idx), pair_adj(h))
+    def path_terms(self, paths):
+        """The Manin decomposition of the int paths (rows (r, s) of 8 ints)
+        as ManinTerms: a piece {h 0 -> h oo} = gamma {g_j 0 -> g_j oo} of
+        path k is the term (k, j, sign, gamma^-1), j = piece_indices(h),
+        gamma in Gamma_0(n) and gamma^-1 = g_j adj(h) (h has determinant
+        1). The terms come in the order of manin.manin_pieces."""
+        from .manin import ManinTerms, adj_rows, manin_pieces, pair_mul_rows
+        k, sign, G = manin_pieces(self.S, self.T, paths)
+        j = self.piece_indices(G)
+        return ManinTerms(k, j, sign, pair_mul_rows(
+            self.S, self.T, self.lift_rows()[j], adj_rows(G)))
 
     def hecke_terms(self, mats):
-        """(i, j, sign, g) for each piece of the Manin decomposition of the
-        paths {delta g_i 0 -> delta g_i oo} over delta in mats, with
-        g = gamma^-1 delta in SL_2(O_F) as an 8-tuple: the piece adds
-        sign * (Psi(g_j) | g) to the image of generator i. These are the
-        terms of the U_p plan, generated one at a time so that a large plan
-        never holds them all."""
-        S, T = self.S, self.T
-        for i, delta, r, s in generator_paths(self, mats):
-            for sign, j, gamma_inv in manin_terms(self, r, s):
-                yield i, j, sign, pair_mul(S, T, gamma_inv, delta)
+        """The terms of the U_p plan, as ManinTerms: (i, j, sign, g) for
+        each piece of the Manin decomposition of the paths
+        {delta g_i 0 -> delta g_i oo} over delta in mats, with
+        g = gamma^-1 delta in SL_2(O_F): the piece adds sign * (Psi(g_j) | g)
+        to the image of generator i. Path by path (i, then delta), each in
+        the order of path_terms."""
+        from .manin import ManinTerms, generator_paths, pair_mul_rows
+        gen, dlt, paths, deltas = generator_paths(self, mats)
+        terms = self.path_terms(paths)
+        return ManinTerms(gen[terms.dest], terms.src, terms.sign,
+                          pair_mul_rows(self.S, self.T, terms.g,
+                                        deltas[dlt[terms.dest]]))
 
     def path_rows(self, mats):
         """Row i is the signed count {j: n} of the generators in the Manin
         decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta
-        in mats, g_i = lift_matrix(i). Memoised per list of matrices, so a
-        Hecke operator is decomposed once per prime."""
+        in mats, g_i = lift_matrix(i): one bincount over (i, j). Memoised
+        per list of matrices, so a Hecke operator is decomposed once per
+        prime."""
         key = tuple(mats)
         rows = self._path_rows.get(key)
         if rows is None:
-            rows = [{} for _ in range(len(self))]
-            for i, _, r, s in generator_paths(self, mats):
-                row = rows[i]
-                for sign, h in pair_path(self.S, self.T, r, s):
-                    j = self.piece_index(h)
-                    row[j] = row.get(j, 0) + sign
-            rows = self._path_rows[key] = [{j: k for j, k in row.items() if k}
-                                           for row in rows]
+            import numpy as np
+            from .manin import generator_paths, manin_pieces
+            gen, _, paths, _ = generator_paths(self, mats)
+            k, sign, G = manin_pieces(self.S, self.T, paths)
+            n = len(self)
+            counts = np.bincount(gen[k] * n + self.piece_indices(G),
+                                 weights=sign, minlength=n * n)
+            nz = np.flatnonzero(counts)
+            rows = [{} for _ in range(n)]
+            for ij, c in zip(nz.tolist(), counts[nz].astype(int).tolist()):
+                rows[ij // n][ij % n] = c
+            self._path_rows[key] = rows
         return rows
-
-
-def generator_paths(p1, mats):
-    """(i, delta, r, s) for each generator i and each delta in mats, where
-    {r -> s} = {h 0 -> h oo} with h = delta g_i = [[a, b], [c, d]] and
-    g_i = p1.lift_matrix(i): the int path (b : d) -> (a : c) of the columns
-    of h, not normalised. delta is given back as the 8-tuple
-    p1.pairs(delta)."""
-    S, T = p1.S, p1.T
-    deltas = [p1.pairs(m) for m in mats]
-    for i in range(len(p1)):
-        g = p1.lift_pair(i)
-        for delta in deltas:
-            a0, a1, b0, b1, c0, c1, d0, d1 = pair_mul(S, T, delta, g)
-            yield i, delta, (b0, b1, d0, d1), (a0, a1, c0, c1)
 
 
 class P1(ManinLayer):
@@ -187,6 +191,13 @@ class P1(ManinLayer):
     constants of O/pi and a dict from every unit residue (a, b) to its
     inverse; O/pi is a field, so a residue is a unit exactly when it is
     nonzero. A caller's cusp enters as its int pairs Cusp.v.
+
+    The batch key (piece_indices) reads the same facts as arrays: a
+    residue a + b*w mod pi is the code a + h00*b, the unit inverses are
+    two arrays over the codes, and the point of P^1(O/pi) is the code of
+    d/c, or N(pi) for (0 : 1). The points of the primes combine in mixed
+    radix into one code of P^1(O/n), and one array maps it to the
+    generator. The arrays are made on the first batch.
     """
 
     def __init__(self, n):
@@ -226,6 +237,7 @@ class P1(ManinLayer):
             if key not in self.index:
                 self.index[key] = len(self.reps)
                 self.reps.append((c, dd))
+        self._batch = None
         super().__init__()
 
     def _crt(self, residues):
@@ -260,8 +272,51 @@ class P1(ManinLayer):
     def reduce(self, c, dd):
         return self.index[self._key(c, dd)]
 
-    def piece_index(self, g):
-        return self.index[self._pair_key(g[4], g[5], g[6], g[7])]
+    def piece_indices(self, G):
+        if self._batch is None:
+            self._batch = self._batch_tables()
+        tables, gen_of_code = self._batch
+        return gen_of_code[self._codes(tables, G[:, 4], G[:, 5], G[:, 6],
+                                       G[:, 7])]
+
+    def _batch_tables(self):
+        """The per-prime arrays of the batch key, and the array from the
+        key code of P^1(O/n) to the generator."""
+        import numpy as np
+        from .manin import int_rows
+        tables = []
+        for R, (h00, _, h11, inv) in zip(self._rings, self._tables):
+            inv_a = np.zeros(h00 * h11, dtype=np.int64)
+            inv_b = np.zeros(h00 * h11, dtype=np.int64)
+            for (a, b), (ia, ib) in inv.items():
+                inv_a[a + h00 * b], inv_b[a + h00 * b] = ia, ib
+            tables.append((R, inv_a, inv_b))
+        codes = self._codes(tables, *int_rows(
+            [(c.a, c.b, dd.a, dd.b) for c, dd in self.reps], 4).T)
+        gen_of_code = np.zeros(len(self), dtype=np.int64)
+        gen_of_code[codes] = np.arange(len(self))
+        assert np.array_equal(np.sort(codes), np.arange(len(self)))
+        return tables, gen_of_code
+
+    def _codes(self, tables, ca, cb, da, db):
+        """The key codes of the rows (c : d), c = ca + cb*w, d = da + db*w
+        (int arrays): _pair_key's residues (ResidueRing.reduce_pair), in
+        mixed radix over the primes."""
+        import numpy as np
+        S, T = self.S, self.T
+        code, radix = 0, 1
+        for R, inv_a, inv_b in tables:
+            ra, rb = (x.astype(np.int64) for x in R.reduce_pair(ca, cb))
+            unit = ra + R.h00 * rb
+            ia, ib = inv_a[unit], inv_b[unit]
+            xa, xb = (x.astype(np.int64) for x in R.reduce_pair(da, db))
+            # d * c^{-1}, with w^2 = S w + T, then reduced mod pi
+            xa, xb = R.reduce_pair(xa * ia + T * xb * ib,
+                                   xa * ib + xb * ia + S * xb * ib)
+            code = code + radix * np.where(unit == 0, R.size,
+                                           xa + R.h00 * xb)
+            radix *= R.size + 1
+        return code
 
     def _lift(self, i):
         c, dd = self.reps[i]
@@ -411,12 +466,21 @@ class ModularSymbol:
         return self.ev_paths([(cusp_pairs(r), cusp_pairs(s))])[0]
 
     def ev_paths(self, paths):
-        """The values on each int path (r, s) of paths (ManinLayer), as a
-        list: the symbol's values summed over the pieces of the path."""
+        """The values on each int path (r, s) of paths (rows of 8 ints,
+        ManinLayer), as a list: the symbol's values summed over the pieces
+        of the path, as ints scaled by the lcm L of the denominators (int64
+        when no sum can pass it)."""
+        import numpy as np
+        from .manin import manin_pieces
         p1 = self.p1
-        return [sum((sign * self.values[p1.piece_index(h)]
-                     for sign, h in pair_path(p1.S, p1.T, r, s)), Fraction(0))
-                for r, s in paths]
+        k, sign, G = manin_pieces(p1.S, p1.T, paths)
+        L = lcm(*(v.denominator for v in self.values))
+        ints = [v.numerator * (L // v.denominator) for v in self.values]
+        exact = max(map(abs, ints), default=0) * len(sign) < 2 ** 63
+        vals = np.array(ints, dtype=np.int64 if exact else object)
+        sums = np.zeros(len(paths), dtype=vals.dtype)
+        np.add.at(sums, k, sign * vals[p1.piece_indices(G)])
+        return [Fraction(x, L) for x in sums.tolist()]
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -445,9 +509,9 @@ class ModularSymbol:
 def manin_terms(p1, r, s):
     """Decompose the int path {r -> s}: list of (sign, gen_index,
     gamma^-1), one per piece {h 0 -> h oo} = gamma {g_idx 0 -> g_idx oo},
-    gamma in Gamma_0(n) over the ring of the layer p1 (ManinLayer.piece),
-    gamma^-1 a determinant-1 8-tuple."""
-    return [(sign,) + p1.piece(h) for sign, h in pair_path(p1.S, p1.T, r, s)]
+    gamma in Gamma_0(n) over the ring of the layer p1, gamma^-1 a
+    determinant-1 8-tuple (ManinLayer.path_terms on the one path)."""
+    return [(sign, j, g) for _, j, sign, g in p1.path_terms([r + s])]
 
 
 def hecke_reps(pi, level, d):
@@ -513,8 +577,12 @@ def degeneracy(phi, pi, direction):
         # a couple of probe paths so vanishing is computed, not assumed
         probes = [(cusp_zero(d), cusp_infinity(d)),
                   (Cusp(one(d), QuadInt(2, 1, d)), cusp_infinity(d))]
-        return [sum((phi.ev(apply_moebius(g, r), apply_moebius(g, s))
-                     for g in mats), Fraction(0)) for r, s in probes]
+        cusp_pairs = phi.p1.cusp_pairs
+        values = phi.ev_paths([cusp_pairs(apply_moebius(g, r))
+                               + cusp_pairs(apply_moebius(g, s))
+                               for r, s in probes for g in mats])
+        return [sum(values[k:k + len(mats)], Fraction(0))
+                for k in range(0, len(values), len(mats))]
     return ModularSymbol(target_p1, translated_sums(target_p1, mats, phi),
                          m, d)
 
@@ -523,9 +591,11 @@ def translated_sums(p1, mats, phi):
     """Entry i is the sum over delta in mats of the symbol phi on the path
     {delta g_i 0 -> delta g_i oo}, for the generators i of p1 (phi may
     live on another layer of the same ring)."""
+    from .manin import generator_paths
+    gen, _, paths, _ = generator_paths(p1, mats)
     vals = [Fraction(0)] * len(p1)
-    for i, _, r, s in generator_paths(p1, mats):
-        vals[i] += phi.ev_paths([(r, s)])[0]
+    for i, v in zip(gen.tolist(), phi.ev_paths(paths)):
+        vals[i] += v
     return vals
 
 
@@ -655,7 +725,6 @@ def algebraic_L_sum(phi, chi):
     c = chi.modulus
     if c.is_unit():
         return phi.ev(cusp_zero(d), cusp_infinity(d))
-    total = Fraction(0)
-    for a in chi.ring.unit_elements():
-        total += chi(a) * phi.ev(Cusp(a, c), cusp_infinity(d))
-    return total
+    units = chi.ring.unit_elements()
+    values = phi.ev_paths([(a.a, a.b, c.a, c.b, 1, 0, 0, 0) for a in units])
+    return sum((chi(a) * v for a, v in zip(units, values)), Fraction(0))

@@ -44,12 +44,12 @@ int64_safe proves that no intermediate overflows, and Python integers
 (dtype object) otherwise.
 """
 
-import array
 from fractions import Fraction
 
 import numpy as np
 
-from .field import mat_det, mat_pairs, pair_path
+from .field import mat_det, mat_pairs
+from .manin import int_rows
 from . import padic
 
 # Matrices per batched action_matrices call, (src, g) products per slice
@@ -188,23 +188,17 @@ class OverconvergentSymbol:
         return self.ev_paths([(cusp_pairs(r), cusp_pairs(s))])[0]
 
     def ev_paths(self, paths):
-        """Psi on each int path (r, s) of paths (msymb.ManinLayer), as one
-        (len(paths), 2, M, C) array mod p^M. The paths run in blocks of
-        CHUNK, one merged UOperator per block: a piece h = gamma g_idx of
-        path k in the block is the plan term (k, idx, sign, gamma^-1) of
-        ManinLayer.piece, computed once per distinct piece of a block."""
+        """Psi on each int path (r, s) of paths (rows of 8 ints,
+        msymb.ManinLayer), as one (len(paths), 2, M, C) array mod p^M. The
+        paths run in blocks of CHUNK, one merged UOperator per block: a
+        piece h = gamma g_idx of path k in the block is the plan term
+        (k, idx, sign, gamma^-1) of ManinLayer.path_terms."""
         p1, ctx, values = self.p1, self.ctx, self.values
         out = np.zeros((len(paths),) + values.shape[1:], dtype=ctx.pctx.dtype)
         for lo in range(0, len(paths), CHUNK):
-            terms, pieces = [], {}
-            for k, (r, s) in enumerate(paths[lo:lo + CHUNK]):
-                for sign, h in pair_path(p1.S, p1.T, r, s):
-                    got = pieces.get(h)
-                    if got is None:
-                        got = pieces[h] = p1.piece(h)
-                    terms.append((k, got[0], sign, got[1]))
             block = out[lo:lo + CHUNK]
-            block[:] = UOperator(ctx, terms).apply(values, n_out=len(block))
+            block[:] = UOperator(ctx, p1.path_terms(
+                paths[lo:lo + CHUNK])).apply(values, n_out=len(block))
         return out
 
     def filtration(self):
@@ -228,16 +222,19 @@ class UOperator:
     """A merged plan of Manin terms: the table-level U_p operator, or the
     value of a symbol on a block of paths.
 
-    terms yields (dest, src, sign, g), g an 8-tuple of field.mat_pairs:
-    the piece contributes sign * (values[src] | g) to the image at dest.
-    The terms come from the shared Manin layer (ManinLayer.hecke_terms),
-    over O_F for a Bianchi symbol (msymb.P1) and over Z for a rational one
-    (basechange.RationalP1), or from the Manin pieces of a block of paths
-    (OverconvergentSymbol.ev_paths, dest the path).
+    terms are (dest, src, sign, g), g an 8-tuple of field.mat_pairs: the
+    piece contributes sign * (values[src] | g) to the image at dest. They
+    come as the arrays of manin.ManinTerms (dest, src, sign and the
+    (n, 8) g) from the shared Manin layer: ManinLayer.hecke_terms, over
+    O_F for a Bianchi symbol (msymb.P1) and over Z for a rational one
+    (basechange.RationalP1), or ManinLayer.path_terms of a block of paths
+    (OverconvergentSymbol.ev_paths, dest the path). Any other iterable of
+    term tuples is read into the same arrays.
 
     The signs of the terms with the same (dest, src, g) are summed, and
     the terms whose sum is zero are dropped. What is left is stored once
-    per distinct g and once per distinct (src, g) product:
+    per distinct g (_distinct_rows) and once per distinct
+    (src, g) product:
     A0, A1, B0, B1  (n_g, M, M) the action matrices of the distinct g, and
                     B = conj(A)^T, the right factor;
     src, gi         (n_prod,) the generator and the g index of each product;
@@ -246,15 +243,14 @@ class UOperator:
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        gs, index = [], {}
-        flat = array.array("q")
-        for dest, src, sign, g in terms:
-            k = index.get(g)
-            if k is None:
-                k = index[g] = len(gs)
-                gs.append(g)
-            flat.extend((dest, src, k, sign))
-        dest, src, g, sign = np.array(flat, dtype=np.int64).reshape(-1, 4).T
+        if hasattr(terms, "g"):
+            dest, src, sign, g = terms.dest, terms.src, terms.sign, terms.g
+        else:
+            terms = list(terms)
+            dest, src, sign = (np.array([t[k] for t in terms], dtype=np.int64)
+                               for k in range(3))
+            g = int_rows([t[3] for t in terms], 8)
+        gs, g = _distinct_rows(g)
         n_g, n_dest = max(len(gs), 1), int(dest.max(initial=0)) + 1
         keys, inv = np.unique((src * n_g + g) * n_dest + dest,
                               return_inverse=True)
@@ -303,6 +299,31 @@ class UOperator:
             np.add.at(out, self.dest[terms], W[self.prod[terms] - lo]
                       * self.sgn[terms, None, None, None] % mod)
         return out % mod
+
+
+def _distinct_rows(g):
+    """(the distinct rows of the (n, 8) int array g as 8-tuples, the index
+    of each row among them). Each half of a row is one int64 code in mixed
+    radix over its columns' ranges, so that three 1-d np.unique find the
+    rows; a dict does when a half's code could pass int64."""
+    if g.dtype != object and len(g):
+        lo = g.min(axis=0).tolist()
+        span = [hi - low + 1 for hi, low in zip(g.max(axis=0).tolist(), lo)]
+        if max(span[0] * span[1] * span[2] * span[3],
+               span[4] * span[5] * span[6] * span[7]) < 2 ** 62:
+            halves = []
+            for cols in (range(4), range(4, 8)):
+                code = 0
+                for c in cols:
+                    code = code * span[c] + (g[:, c] - lo[c])
+                halves.append(np.unique(code, return_inverse=True)[1])
+            key = halves[0] * (int(halves[1].max()) + 1) + halves[1]
+            _, first, inv = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            return list(map(tuple, g[first].tolist())), inv.reshape(-1)
+    index = {}
+    inv = [index.setdefault(r, len(index)) for r in map(tuple, g.tolist())]
+    return list(index), np.array(inv, dtype=np.int64)
 
 
 def _lambda_inverse(ctx, lam):

@@ -1,11 +1,56 @@
-"""Reference copy of the QuadInt Euclidean code that field's int-pair kernel
-replaced: division with the four-point quotient scan, gcd, cusp
+"""Reference copies of the Euclidean code that field's kernels replaced.
+The QuadInt code: division with the four-point quotient scan, gcd, cusp
 normalisation, the continued-fraction matrices, and the Manin rows and
-U_p plan terms of a list of operators on normalised cusps. The tests
-compare the kernel against it."""
+U_p plan terms of a list of operators on normalised cusps. The scalar
+int-pair decomposition (pair_cf, pair_path) that field.manin_pieces
+stacks. The tests compare the kernels against them."""
 
 from padicbianchi import field as fld
-from padicbianchi.field import QuadInt
+from padicbianchi.field import QuadInt, pair_divmod
+
+
+def pair_cf(S, T, c):
+    """Determinant-1 matrices g_i with sum {g_i 0 -> g_i oo} = {0 -> c}
+    for an int cusp c = (num : den): Manin's trick via the Euclidean
+    continued fraction of num/den, one path at a time on Python ints. For
+    the cusp 0 the list is empty; for infinity it is [identity] (the base
+    segment {0 -> oo} itself)."""
+    na, nb, da, db = c
+    if not (da or db):
+        return [(1, 0, 0, 0, 0, 0, 1, 0)]
+    if not (na or nb):
+        return []
+    # convergents p_k/q_k from p_{-1}/q_{-1} = 1/0 and p_{-2}/q_{-2} = 0/1;
+    # [[p_k, p_{k-1}], [q_k, q_{k-1}]] has determinant (-1)^(k+1), so its
+    # second column times that sign makes determinant 1
+    p1a, p1b, q1a, q1b = 1, 0, 0, 0      # p_{k-1}, q_{k-1}
+    p2a, p2b, q2a, q2b = 0, 0, 1, 0      # p_{k-2}, q_{k-2}
+    mats = [(1, 0, 0, 0, 0, 0, 1, 0)]    # the k = -1 segment {0 -> oo}
+    sign = -1
+    while da or db:
+        ka, kb, ra, rb = pair_divmod(S, T, na, nb, da, db)
+        na, nb, da, db = da, db, ra, rb
+        pa = ka * p1a + T * kb * p1b + p2a
+        pb = ka * p1b + kb * p1a + S * kb * p1b + p2b
+        qa = ka * q1a + T * kb * q1b + q2a
+        qb = ka * q1b + kb * q1a + S * kb * q1b + q2b
+        mats.append((pa, pb, sign * p1a, sign * p1b,
+                     qa, qb, sign * q1a, sign * q1b))
+        p2a, p2b, q2a, q2b = p1a, p1b, q1a, q1b
+        p1a, p1b, q1a, q1b = pa, pb, qa, qb
+        sign = -sign
+    return mats
+
+
+def pair_path(S, T, r, s):
+    """List of (sign, g) with sum sign*{g 0 -> g oo} = {r -> s}, for int
+    cusps r, s as in pair_cf: {0 -> s} - {0 -> r}. When neither cusp is 0
+    both lists start with the base segment {0 -> oo}, and the two copies
+    cancel, so neither is listed."""
+    cf_s, cf_r = pair_cf(S, T, s), pair_cf(S, T, r)
+    if cf_s and cf_r:
+        cf_s, cf_r = cf_s[1:], cf_r[1:]
+    return [(1, g) for g in cf_s] + [(-1, g) for g in cf_r]
 
 
 def ref_divmod(x, y):
@@ -47,7 +92,7 @@ def ref_moebius(mat, num, den):
 
 
 def ref_cf(num, den):
-    """The continued-fraction matrices (field.pair_cf) of the normalised
+    """The continued-fraction matrices (pair_cf) of the normalised
     cusp (num : den)."""
     d = num.d
     zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)

@@ -4,9 +4,11 @@ one-variable L-values, and the cyclotomic factorization."""
 from fractions import Fraction
 
 import pytest
+from euclid_reference import pair_path
 
 from padicbianchi import basechange as bc
 from padicbianchi import field as fld
+from padicbianchi import manin
 from padicbianchi import lfun
 from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
@@ -88,13 +90,33 @@ class TestRationalSymbols:
     def test_unimodular_path_determinants(self):
         # the field kernel on real cusps gives pieces in SL_2(Z)
         p1 = bc.RationalP1(11)
-        path = fld.pair_path(p1.S, p1.T, p1.cusp_pairs(Fraction(17, 43)),
-                             p1.cusp_pairs(Fraction(-5, 9)))
-        assert path
-        for sign, g in path:
-            a, aw, b, bw, c, cw, d, dw = g
+        _, _, G = manin.manin_pieces(p1.S, p1.T, [
+            p1.cusp_pairs(Fraction(17, 43)) + p1.cusp_pairs(Fraction(-5, 9))])
+        assert len(G)
+        for a, aw, b, bw, c, cw, d, dw in G.tolist():
             assert aw == bw == cw == dw == 0
             assert a * d - b * c == 1
+
+    @pytest.mark.parametrize("N", [11, 14, 15])
+    def test_rows_match_scalar_reference(self, N):
+        # the stacked rows of T_2 (T_3 at even N), U_p and the unit matrix
+        # against the scalar decomposition, piece by piece with reduce()
+        p1 = bc.RationalP1(N)
+        ell = 3 if N % 2 == 0 else 2
+        p = {11: 11, 14: 7, 15: 5}[N]
+        for mats in (p1.hecke_reps(ell), p1.hecke_reps(p)[:p],
+                     [((1, 0), (0, 1))]):
+            want = [{} for _ in range(len(p1))]
+            for i in range(len(p1)):
+                (a, b), (c, d) = p1.lift_matrix(i)
+                for (e, f), (g, h) in mats:
+                    r = (e * b + f * d, 0, g * b + h * d, 0)
+                    s = (e * a + f * c, 0, g * a + h * c, 0)
+                    for sign, x in pair_path(p1.S, p1.T, r, s):
+                        j = p1.reduce(x[4], x[6])
+                        want[i][j] = want[i].get(j, 0) + sign
+            want = [{j: k for j, k in row.items() if k} for row in want]
+            assert p1.path_rows(mats) == want
 
     def test_unit_ap(self, rational_pair):
         plus, minus = rational_pair

@@ -270,8 +270,8 @@ class TestStartup:
         # are left out of the start-up every warm command pays, both at
         # `import padicbianchi.cli` and through the warm build
         layers = ["numpy"] + ["padicbianchi." + m for m in (
-            "ocsymb", "padic", "lfun", "cocycle", "btree", "basechange",
-            "linalg", "acceptance")]
+            "manin", "ocsymb", "padic", "lfun", "cocycle", "btree",
+            "basechange", "linalg", "acceptance")]
         code = ("import json, sys\n"
                 "layers = sys.argv[1].split(',')\n"
                 "from padicbianchi import cli\n"

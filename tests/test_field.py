@@ -3,12 +3,15 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ray_reference
-from euclid_reference import ref_cf, ref_cusp, ref_divmod, ref_gcd
+from euclid_reference import (pair_path, ref_cf, ref_cusp, ref_divmod,
+                              ref_gcd)
 from padicbianchi import field as fld
+from padicbianchi import manin
 from padicbianchi.field import (
     QuadInt,
     Cusp,
@@ -32,10 +35,12 @@ def qi(a, b, d=1):
 
 
 def cf_mats(cusp):
-    """The continued-fraction matrices of the kernel (pair_cf) on cusp.v,
-    as QuadInt matrices."""
+    """The continued-fraction matrices of the kernel on cusp.v, the pieces
+    of the path {0 -> cusp} (manin_pieces), as QuadInt matrices."""
     S, T = fld.field_params(cusp.d)[1:3]
-    return [fld.pair_mat(g, cusp.d) for g in fld.pair_cf(S, T, cusp.v)]
+    _, signs, G = manin.manin_pieces(S, T, [(0, 0, 1, 0) + cusp.v])
+    assert all(sign == 1 for sign in signs.tolist())
+    return [fld.pair_mat(g, cusp.d) for g in G.tolist()]
 
 
 small = st.integers(min_value=-30, max_value=30)
@@ -232,6 +237,97 @@ class TestKernel:
         # the scan keeps the first, 0
         assert divmod_quad(qi(1, 0), qi(2, 0)) == (qi(0, 0), qi(1, 0))
         assert divmod_quad(qi(1, 1), qi(2, 0)) == (qi(0, 0), qi(1, 1))
+
+
+def stacked_paths(S, T, paths):
+    """manin_pieces of the int paths, regrouped per path as the
+    (sign, g) lists of the scalar pair_path."""
+    k, signs, G = manin.manin_pieces(S, T, paths)
+    out = [[] for _ in paths]
+    for kk, sign, g in zip(k.tolist(), signs.tolist(), G.tolist()):
+        out[kk].append((sign, tuple(g)))
+    return out
+
+
+def scalar_paths(S, T, paths):
+    return [pair_path(S, T, tuple(p[:4]), tuple(p[4:])) for p in paths]
+
+
+@st.composite
+def cusp_rows(draw):
+    """An int cusp over a supported field: the two of a big_pairs or a
+    tied_pairs draw, 0, infinity, or one of them times a common factor
+    (not coprime)."""
+    d = draw(disc)
+    kind = draw(st.sampled_from(["big", "tied", "zero", "inf"]))
+    if kind == "zero":
+        x, y = qi(0, 0, d), qi(draw(st.integers(1, 5)), 0, d)
+    elif kind == "inf":
+        x, y = qi(draw(st.integers(1, 5)), 0, d), qi(0, 0, d)
+    else:
+        x, y = draw(big_pairs() if kind == "big" else tied_pairs())
+        x, y = qi(x.a, x.b, d), qi(y.a, y.b, d)
+    k = qi(draw(small), draw(small), d) if draw(st.booleans()) else qi(1, 0, d)
+    k = k if k else qi(1, 0, d)
+    x, y = x * k, y * k
+    return x.a, x.b, y.a, y.b
+
+
+class TestStackedKernel:
+    """field.manin_pieces against the scalar pair_path it stacks
+    (euclid_reference): the same pieces, signs and order, path by path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(disc, st.lists(st.tuples(cusp_rows(), cusp_rows()), max_size=6))
+    def test_matches_scalar_paths(self, d, pairs):
+        S, T = fld.field_params(d)[1:3]
+        paths = [r + s for r, s in pairs]
+        assert stacked_paths(S, T, paths) == scalar_paths(S, T, paths)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_endpoints_and_empty_batch(self, d):
+        S, T = fld.field_params(d)[1:3]
+        zero, inf, c = (0, 0, 1, 0), (1, 0, 0, 0), (3, 1, 7, 2)
+        paths = [zero + zero, zero + inf, inf + zero, inf + inf, zero + c,
+                 c + zero, inf + c, c + inf, c + c]
+        assert stacked_paths(S, T, paths) == scalar_paths(S, T, paths)
+        k, signs, G = manin.manin_pieces(S, T, [])
+        assert len(k) == len(signs) == len(G) == 0 and G.shape == (0, 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_entries_near_2_40(self, d):
+        # past the int64 bound the rows run on Python ints; the matrices
+        # are those of the QuadInt reference
+        S, T = fld.field_params(d)[1:3]
+        rng = random.Random(d)
+        assert not manin.euclid_int64_exact(2 ** 40)
+        for _ in range(5):
+            x = qi(2 ** 40 + rng.randint(-999, 999), rng.randint(-999, 999), d)
+            y = qi(rng.randint(-999, 999), 2 ** 40 - rng.randint(0, 999), d)
+            num, den = ref_cusp(x, y)
+            _, signs, G = manin.manin_pieces(
+                S, T, [(0, 0, 1, 0, x.a, x.b, y.a, y.b)])
+            assert G.dtype == object
+            assert [fld.pair_mat(g, d) for g in G.tolist()] == \
+                ref_cf(num, den)
+
+    def test_bound(self):
+        assert manin.euclid_int64_exact(manin.EUCLID_BOUND)
+
+    @pytest.mark.parametrize("d", [1, 3, 11])
+    def test_rows_past_a_smaller_bound(self, d, monkeypatch):
+        # with a bound of 60 on entries up to 60, some rows leave the int64
+        # run part way and are rerun on Python ints; the result is the same
+        S, T = fld.field_params(d)[1:3]
+        rng = random.Random(d)
+        paths = [tuple(rng.randint(-60, 60) for _ in range(8))
+                 for _ in range(40)]
+        want = scalar_paths(S, T, paths)
+        C = np.array(paths).reshape(-1, 4)
+        left = manin._cf_steps(S, T, C, np.arange(len(C)), [], 60)
+        assert 0 < len(left) < len(C)
+        monkeypatch.setattr(manin, "EUCLID_BOUND", 60)
+        assert stacked_paths(S, T, paths) == want
 
 
 class TestResidueRing:

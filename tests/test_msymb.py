@@ -89,20 +89,25 @@ class TestTableReduction:
         p1 = ms.P1(level)
         d = level.d
         coords = [QuadInt(a, b, d) for a in range(-3, 4) for b in range(-3, 4)]
+        rows, want = [], []
         for c in coords:
             for dd in coords:
                 ref = reference_key(p1, c, dd)
                 assert p1._key(c, dd) == ref
                 if ref in p1.index:
                     assert p1.reduce(c, dd) == p1.index[ref]
+                    rows.append((0, 0, 0, 0, c.a, c.b, dd.a, dd.b))
+                    want.append(p1.index[ref])
+        # the batch key of the bottom rows of pieces
+        assert p1.piece_indices(np.array(rows)).tolist() == want
 
     def test_lifts_are_memoised(self):
         p1 = ms.P1(qi(7, 7))
         g = p1.lift_matrix(5)
         assert p1.lift_matrix(5) is g
         assert fld.mat_det(g) == fld.one(1)
-        assert p1.lift_pair(5) is p1.lift_pair(5)
-        assert p1.lift_pair(5) == fld.mat_pairs(g)
+        assert p1.lift_rows() is p1.lift_rows()
+        assert p1.lift_rows()[5].tolist() == list(fld.mat_pairs(g))
 
     def test_operators_match_naive_path_sums(self):
         level = qi(7, 7)

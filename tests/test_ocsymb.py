@@ -438,9 +438,26 @@ class TestLift:
         u_op = oc.UOperator(psi.ctx, terms)
         assert len(u_op.dest) == 1092
         assert len(u_op.A0) == 414 and len(u_op.src) == 418
+        # the same plan from the term arrays (manin.ManinTerms)
+        arrays = oc.UOperator(psi.ctx, psi.p1.hecke_terms(
+            psi.p1.hecke_reps(psi.ctx.pd.pi)))
+        for name in ("dest", "src", "sgn", "A0", "A1", "B0", "B1"):
+            assert np.array_equal(getattr(arrays, name), getattr(u_op, name))
         # Psi | U_p - lambda_p Psi, lambda_p = -1, reaches the floor M
         resid = (u_op.apply(psi.values) + psi.values) % psi.ctx.pctx.mod
         assert oc.filtration(psi.ctx, resid) >= psi.ctx.M
+
+    def test_distinct_rows(self):
+        # rows told apart by one column, with int64 codes and, when the
+        # columns span more than int64, by the dict
+        rows = [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 9],
+                [1, 2, 3, 4, 5, 6, 7, 8], [0] * 8]
+        wide = [[2 ** 62, 0] + [0] * 6, [-2 ** 62, 0] + [0] * 6,
+                [2 ** 62, 1] + [0] * 6]
+        for g in (rows, wide):
+            gs, inv = oc._distinct_rows(np.array(g, dtype=np.int64))
+            assert sorted(gs) == sorted(set(map(tuple, g)))
+            assert [gs[k] for k in inv] == list(map(tuple, g))
 
     def test_save_load_roundtrip(self, ref_lift, ref_symbols, tmp_path):
         psi, _ = ref_lift
