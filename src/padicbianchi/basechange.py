@@ -176,8 +176,10 @@ class RationalP1(ms.ManinLayer):
     symbol API a cusp x/y is the int cusp (x, 0, y, 0) of field, and paths
     decompose on its Euclidean kernel (manin.manin_pieces): for real
     arguments the quotient scan never picks a w-part, so every piece is in
-    SL_2(Z). The batch key is one (N, N) array from (c mod N, d mod N) to
-    the generator, made on the first batch. Integer matrices enter the
+    SL_2(Z). The layer's one key is an (N, N) array from (c mod N,
+    d mod N) to the generator, filled orbit by orbit of the units at
+    construction; reduce and piece_indices read it. The generators are the
+    least members of the orbits. Integer matrices enter the
     moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g). The
     ray distribution of lfun runs on Z/n (ZMod), the prime p and the int
     cusps (B, 0, G, 0)."""
@@ -197,27 +199,23 @@ class RationalP1(ms.ManinLayer):
         return (x.numerator, 0, x.denominator, 0)
 
     def __init__(self, N):
+        import numpy as np
         self.N = N
-        self._units = [u for u in range(1, N) if gcd(u, N) == 1]
+        units = [u for u in range(N) if gcd(u, N) == 1]
+        # the scan meets each orbit of the units first at its least member,
+        # which is the canonical representative
         self.reps = []
-        self._index = {}
+        self._table = np.full((N, N), -1, dtype=np.int64)
         for c in range(N):
             for d in range(N):
-                if gcd(gcd(c, d), N) != 1:
-                    continue
-                key = self._key(c, d)
-                if key not in self._index:
-                    self._index[key] = len(self.reps)
-                    self.reps.append(key)
-        self._table = None
+                if self._table[c, d] < 0 and gcd(gcd(c, d), N) == 1:
+                    for u in units:
+                        self._table[c * u % N, d * u % N] = len(self.reps)
+                    self.reps.append((c, d))
         super().__init__()
 
-    def _key(self, c, d):
-        N = self.N
-        return min(((c * u) % N, (d * u) % N) for u in self._units)
-
     def reduce(self, c, d):
-        return self._index[self._key(c % self.N, d % self.N)]
+        return int(self._table[c % self.N, d % self.N])
 
     def _lift(self, i):
         c, d = self.reps[i]
@@ -232,10 +230,6 @@ class RationalP1(ms.ManinLayer):
     def piece_indices(self, G):
         import numpy as np
         N = self.N
-        if self._table is None:
-            self._table = np.array(
-                [[self.reduce(c, d) if gcd(gcd(c, d), N) == 1 else -1
-                  for d in range(N)] for c in range(N)], dtype=np.int64)
         return self._table[(G[:, 4] % N).astype(np.int64),
                            (G[:, 6] % N).astype(np.int64)]
 
@@ -281,9 +275,8 @@ def build_rational_symbol_space(N):
 
 def apply_parity_involution(phi):
     """phi | diag(-1, 1): the M-symbol map (c : d) -> (-c : d)."""
-    p1 = phi.p1
-    vals = [phi.values[p1.reduce(-c, d)] for c, d in p1.reps]
-    return phi.copy(vals)
+    return phi.copy([phi.values[j]
+                     for j in phi.p1.act(((-1, 0), (0, 1))).tolist()])
 
 
 def find_rational_eigensymbols(N, p, helper=(2, -2)):

@@ -106,7 +106,11 @@ class RunConfig:
                     raise ConfigError("%s:%d: unknown key %r"
                                       % (path, lineno, key))
                 if isinstance(RunConfig.DEFAULTS[key], int):
-                    val = int(val)
+                    try:
+                        val = int(val)
+                    except ValueError:
+                        raise ConfigError("%s:%d: %s must be an integer, "
+                                          "not %r" % (path, lineno, key, val))
                 out[key] = val
         return out
 

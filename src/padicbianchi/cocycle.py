@@ -30,6 +30,8 @@ P_{c,v} are constants.
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import btree as bt
 from . import lfun
 from . import msymb as ms
@@ -47,9 +49,8 @@ from .field import (
     mat_mul,
     mat_pairs,
     one,
-    pair_adj,
-    pair_mul,
 )
+from .manin import adj_rows, int_rows, pair_mul_rows
 from .ocsymb import honest_moment
 from .padic import PadicStack
 
@@ -123,16 +124,14 @@ class TreeFamily:
     def paths(self, reps, r, s):
         """The int paths {g^-1 r -> g^-1 s} for g in reps (the edge_rep of
         an edge), on which kappa and the edge distribution of the edge
-        evaluate the symbol: the columns of adj(g) [r s], not normalised
-        (msymb.ManinLayer), one pair_mul per rep."""
-        S, T = self.phi.p1.S, self.phi.p1.T
-        rs = r.v[:2] + s.v[:2] + r.v[2:] + s.v[2:]
-        out = []
-        for g in reps:
-            a0, a1, b0, b1, c0, c1, d0, d1 = pair_mul(
-                S, T, pair_adj(mat_pairs(g)), rs)
-            out.append(((a0, a1, c0, c1), (b0, b1, d0, d1)))
-        return out
+        evaluate the symbol, as the rows of an (n, 8) int array: the
+        columns of adj(g) [r s], not normalised (msymb.ManinLayer), in one
+        pair_mul_rows over the reps."""
+        p1 = self.phi.p1
+        rs = int_rows([r.v[:2] + s.v[:2] + r.v[2:] + s.v[2:]], 8)
+        h = pair_mul_rows(p1.S, p1.T, adj_rows(
+            int_rows([mat_pairs(g) for g in reps], 8)), rs)
+        return h[:, [0, 1, 4, 5, 2, 3, 6, 7]]
 
     def ev(self, edges, r, s):
         """kappa{r-s}(e) for each edge e of edges, as a list (weight (0,0):
@@ -142,9 +141,9 @@ class TreeFamily:
     def ev_groups(self, groups):
         """ev(edges, r, s) for each (edges, r, s) of groups, as a list of
         lists, in one ev_paths call."""
-        values = iter(self.phi.ev_paths(
-            [path for edges, r, s in groups for path in
-             self.paths([self.edge_rep(e) for e in edges], r, s)]))
+        values = iter(self.phi.ev_paths(np.concatenate(
+            [self.paths([self.edge_rep(e) for e in edges], r, s)
+             for edges, r, s in groups])))
         return [[self.omega ** e.parity() * next(values) for e in edges]
                 for edges, _, _ in groups]
 

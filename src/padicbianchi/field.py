@@ -236,13 +236,6 @@ def pair_mul(S, T, g, h):
             c0 * f1 + c1 * f0 + S * c1 * f1 + d0 * h1 + d1 * h0 + S * d1 * h1)
 
 
-def pair_adj(g):
-    """The adjugate [[d, -b], [-c, a]]: the inverse of a determinant-1
-    matrix."""
-    a0, a1, b0, b1, c0, c1, d0, d1 = g
-    return (d0, d1, -b0, -b1, -c0, -c1, a0, a1)
-
-
 def pair_moebius(S, T, g, c):
     """The cusp (a*num + b*den : c*num + d*den) of g = [[a, b], [c, d]]."""
     a0, a1, b0, b1, c0, c1, d0, d1 = g

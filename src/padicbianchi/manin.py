@@ -7,8 +7,8 @@ manin_pieces is field's Euclidean kernel stacked: the continued fractions
 of a batch of int paths run in lockstep on int64 arrays, one step of
 pair_divmod's four-point scan (_divmod_rows, the same candidate order and
 strict comparison) and of the convergents per round, and a row leaves the
-batch when its remainder is 0. pair_mul_rows and adj_rows are pair_mul and
-pair_adj on rows of int arrays, ManinTerms holds plan terms as arrays, and
+batch when its remainder is 0. pair_mul_rows is pair_mul on rows of int
+arrays and adj_rows the adjugate, ManinTerms holds plan terms as arrays, and
 generator_paths gives the generator paths of a list of matrices as rows.
 Every kernel is exact: int64 where a bound proves it, and Python ints
 (dtype object) otherwise.
@@ -64,7 +64,8 @@ def pair_mul_rows(S, T, X, Y):
 
 
 def adj_rows(X):
-    """pair_adj of the rows of the (n, 8) int array X."""
+    """The adjugate [[d, -b], [-c, a]] (the inverse of a determinant-1
+    matrix) of the rows of the (n, 8) int array X."""
     out = X[:, [6, 7, 2, 3, 4, 5, 0, 1]]
     out[:, 2:6] *= -1
     return out

@@ -17,13 +17,13 @@ taken in ascending order, which fixes the order of the lines.
 The symbols, Hecke operators, relation solver and eigen-split run on a
 Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
 Z for the classical side of the base-change comparison. A layer keeps only
-what differs between the rings (reduction, lifts, piece index, Hecke coset
-reps, relation matrices, embedding into SL_2(O_F), the int cusp of a
-caller's cusp, and the residue rings and uniformizer of lfun's ray
-distribution); the layer memoises its generator lifts and, per operator,
-the decomposition of a Hecke (or Atkin-Lehner) operator into sparse
-integer rows i -> {j: signed count}; applying the operator to a symbol is
-then an exact row sum over its values.
+what differs between the rings (its P^1 key, lifts, Hecke coset reps,
+relation matrices, embedding into SL_2(O_F), the int cusp of a caller's
+cusp, and the residue rings and uniformizer of lfun's ray distribution);
+the layer memoises its generator lifts and, per operator, the
+decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
+rows i -> {j: signed count}; applying the operator to a symbol is then an
+exact row sum over its values.
 
 Paths run on ints: below the symbol API a path is a pair of int cusps
 (num_a, num_b, den_a, den_b), not normalised, and a path piece, a Manin
@@ -34,12 +34,15 @@ of the stacked Euclidean kernel (manin.manin_pieces), and its pieces are
 multiplied as rows (manin.pair_mul_rows). A generator path
 {delta g_i 0 -> delta g_i oo} is read off the columns of delta g_i, and
 the pieces of a batch map to their generators and gamma^-1 in one place
-(ManinLayer.path_terms). P^1(O_F/n) reduces on plain ints too: each prime
-factor of the level keeps its HNF constants and a table of unit inverses,
-so reducing (c : d) builds no QuadInt and takes no gcd; the batch P^1 key
-(piece_indices) reads the same tables as arrays. QuadInts appear only at
-the edges: the generators, their lifts, the operators' matrices and the
-cusps a caller passes in (ModularSymbol.ev).
+(ManinLayer.path_terms). Each layer has one P^1 key, piece_indices, on
+the bottom rows of an int array: the pieces of paths, the relation solve
+(ManinLayer.act, every generator under one matrix per call) and the
+parity involution all reduce through it, and reduce(c, d) is its one-row
+case. Over O_F the key reads, per prime factor of the level, the HNF
+constants and two arrays of unit inverses, so it builds no QuadInt and
+takes no gcd. QuadInts appear only at the edges: the generators, their
+lifts, the operators' matrices and the cusps a caller passes in
+(ModularSymbol.ev).
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -81,15 +84,15 @@ class ManinLayer:
 
     A layer lists the generators (reps) of P^1(R/n), R = O_F (P1) or Z
     (basechange.RationalP1), and supplies what differs between the two
-    rings: reduce(c, d) of a bottom row to its generator index, _lift(i) of
-    a generator to a determinant-1 matrix, pairs(m) of one of its matrices
-    to the 8-tuple of int pairs of field.pair_mul (its entries in O_F),
-    piece_indices(G), the batch P^1 key of the bottom rows of an (n, 8)
-    int array of path pieces, hecke_reps(q), relation_mats(), the field
-    w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of a
-    caller's cusp. For the ray distribution of lfun a layer also supplies
-    residue_ring(n) (R/n with reduce, elements, unit_elements and inverse)
-    and uniformizer(pd) of the prime data.
+    rings: piece_indices(G), the layer's one P^1 key, from the bottom rows
+    of an (n, 8) int array to their generator indices (reduce(c, d) is the
+    key of one row), _lift(i) of a generator to a determinant-1 matrix,
+    pairs(m) of one of its matrices to the 8-tuple of int pairs of
+    field.pair_mul (its entries in O_F), hecke_reps(q), relation_mats(),
+    the field w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int
+    cusp of a caller's cusp. For the ray distribution of lfun a layer also
+    supplies residue_ring(n) (R/n with reduce, elements, unit_elements and
+    inverse) and uniformizer(pd) of the prime data.
 
     Below the symbol API a path is a pair of int cusps (num_a, num_b,
     den_a, den_b), not necessarily coprime: the continued fraction of
@@ -97,9 +100,10 @@ class ManinLayer:
     only on the ratio. Over Z the cusps are real, so no piece leaves
     SL_2(Z). On top of the hooks this class memoises the lifts and, per
     operator, the decomposition rows, maps the pieces of a batch of paths
-    to their generators and gamma^-1 (path_terms), and enumerates the U_p
-    plan terms; the symbols, Hecke operators, relation solver and
-    eigen-split of this module run on either layer.
+    to their generators and gamma^-1 (path_terms), acts by a matrix on all
+    generators at once (act), and enumerates the U_p plan terms; the
+    symbols, Hecke operators, relation solver and eigen-split of this
+    module run on either layer.
     """
 
     def __init__(self):
@@ -110,11 +114,13 @@ class ManinLayer:
     def __len__(self):
         return len(self.reps)
 
-    def act(self, i, g):
-        """The index of the generator (c : d) * g, (c : d) = reps[i]."""
-        c, dd = self.reps[i]
-        return self.reduce(c * g[0][0] + dd * g[1][0],
-                           c * g[0][1] + dd * g[1][1])
+    def act(self, g):
+        """The index of the generator (c : d) * g for every generator
+        (c : d), as an int array: the key of the bottom rows of
+        lift_matrix(i) * g."""
+        from .manin import int_rows, pair_mul_rows
+        return self.piece_indices(pair_mul_rows(
+            self.S, self.T, self.lift_rows(), int_rows([self.pairs(g)], 8)))
 
     def lift_matrix(self, i):
         """A fixed determinant-1 matrix with bottom row in class i."""
@@ -187,90 +193,48 @@ class P1(ManinLayer):
     """P^1(O_F/n) for squarefree n, via CRT over the prime factors: the
     Manin layer over O_F.
 
-    Reduction runs on plain ints. Each prime factor pi keeps the HNF
-    constants of O/pi and a dict from every unit residue (a, b) to its
-    inverse; O/pi is a field, so a residue is a unit exactly when it is
-    nonzero. A caller's cusp enters as its int pairs Cusp.v.
-
-    The batch key (piece_indices) reads the same facts as arrays: a
-    residue a + b*w mod pi is the code a + h00*b, the unit inverses are
-    two arrays over the codes, and the point of P^1(O/pi) is the code of
-    d/c, or N(pi) for (0 : 1). The points of the primes combine in mixed
-    radix into one code of P^1(O/n), and one array maps it to the
-    generator. The arrays are made on the first batch.
+    The generators are the CRT combinations of the points (0 : 1) and
+    (1 : x) of each P^1(O/pi); for a squarefree n no two combinations are
+    the same point. The one key (piece_indices) runs on int arrays: a
+    residue a + b*w mod pi is the code a + h00*b, the unit inverses are two
+    arrays over the codes (O/pi is a field, so a residue is a unit exactly
+    when it is nonzero), and the point of P^1(O/pi) is the code of d/c, or
+    N(pi) for (0 : 1). The points of the primes combine in mixed radix into
+    one code of P^1(O/n), and one array maps it to the generator. The
+    arrays are made on the first batch. A caller's cusp enters as its int
+    pairs Cusp.v.
     """
 
     def __init__(self, n):
         self.n = n
-        self.d = n.d
-        self.ring = ResidueRing(n)
-        self.factors = _factor_level(n)
-        self._rings = [ResidueRing(pi) for pi, _ in self.factors]
-        _, self.S, self.T, _ = fld.field_params(self.d)
-        self._tables = []
-        for R in self._rings:
-            inv = {}
-            for x in R.elements():
-                if x:
-                    y = R.inverse(x)
-                    inv[x.a, x.b] = (y.a, y.b)
-            self._tables.append((R.h00, R.h10, R.h11, inv))
+        self.d = d = n.d
+        primes = [pi for pi, _ in _factor_level(n)]
+        self._rings = [ResidueRing(pi) for pi in primes]
+        _, self.S, self.T, _ = fld.field_params(d)
+        ring = ResidueRing(n)
         # CRT idempotents: 1 mod pi, 0 mod n/pi
-        self._idempotents = []
-        for pi, _ in self.factors:
+        idempotents = []
+        for pi in primes:
             m = exact_div(n, pi)
             g, u, _ = xgcd_quad(m, pi)
-            self._idempotents.append(m * u * _unit_inverse(g))
-        # local representatives: (0,1) and (1, x)
-        local = []
-        for R in self._rings:
-            pts = [(QuadInt(0, 0, self.d), one(self.d))]
-            pts.extend((one(self.d), x) for x in R.elements())
-            local.append(pts)
-        # global representatives by CRT
-        self.reps = []
-        self.index = {}
-        for combo in product(*local):
-            c = self._crt([t[0] for t in combo])
-            dd = self._crt([t[1] for t in combo])
-            key = self._key(c, dd)
-            if key not in self.index:
-                self.index[key] = len(self.reps)
-                self.reps.append((c, dd))
+            idempotents.append(m * u * _unit_inverse(g))
+
+        def crt(residues):
+            terms = (r * e for r, e in zip(residues, idempotents))
+            return ring.reduce(sum(terms, QuadInt(0, 0, d)))
+        local = [[(QuadInt(0, 0, d), one(d))]
+                 + [(one(d), x) for x in R.elements()] for R in self._rings]
+        self.reps = [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
+                     for combo in product(*local)]
         self._batch = None
         super().__init__()
 
-    def _crt(self, residues):
-        x = QuadInt(0, 0, self.d)
-        for e, r in zip(self._idempotents, residues):
-            x = x + r * e
-        return self.ring.reduce(x)
-
-    def _key(self, c, dd):
-        return self._pair_key(c.a, c.b, dd.a, dd.b)
-
-    def _pair_key(self, ca, cb, da, db):
-        """Per prime: (1, 0, 0) for the point (0 : 1), else (0, a, b) with
-        a + b*w the canonical residue of d/c, for the row
-        (ca + cb*w : da + db*w)."""
-        S, T = self.S, self.T
-        parts = []
-        for h00, h10, h11, inv in self._tables:
-            rb = cb % h11
-            ra = (ca - (cb - rb) // h11 * h10) % h00
-            if not (ra or rb):
-                parts.append((1, 0, 0))
-                continue
-            ia, ib = inv[ra, rb]
-            # d * c^{-1}, with w^2 = S w + T, then reduced mod pi
-            xa = da * ia + T * db * ib
-            xb = da * ib + db * ia + S * db * ib
-            b = xb % h11
-            parts.append((0, (xa - (xb - b) // h11 * h10) % h00, b))
-        return tuple(parts)
-
     def reduce(self, c, dd):
-        return self.index[self._key(c, dd)]
+        """The index of the generator of the row (c : dd): piece_indices
+        of the one row."""
+        from .manin import int_rows
+        return int(self.piece_indices(
+            int_rows([(0, 0, 0, 0, c.a, c.b, dd.a, dd.b)], 8))[0])
 
     def piece_indices(self, G):
         if self._batch is None:
@@ -280,16 +244,20 @@ class P1(ManinLayer):
                                        G[:, 7])]
 
     def _batch_tables(self):
-        """The per-prime arrays of the batch key, and the array from the
-        key code of P^1(O/n) to the generator."""
+        """The per-prime arrays of the key (the ring and its unit
+        inverses), and the array from the key code of P^1(O/n) to the
+        generator."""
         import numpy as np
         from .manin import int_rows
         tables = []
-        for R, (h00, _, h11, inv) in zip(self._rings, self._tables):
-            inv_a = np.zeros(h00 * h11, dtype=np.int64)
-            inv_b = np.zeros(h00 * h11, dtype=np.int64)
-            for (a, b), (ia, ib) in inv.items():
-                inv_a[a + h00 * b], inv_b[a + h00 * b] = ia, ib
+        for R in self._rings:
+            inv_a = np.zeros(R.size, dtype=np.int64)
+            inv_b = np.zeros(R.size, dtype=np.int64)
+            for x in R.elements():
+                if x:
+                    y = R.inverse(x)
+                    inv_a[x.a + R.h00 * x.b] = y.a
+                    inv_b[x.a + R.h00 * x.b] = y.b
             tables.append((R, inv_a, inv_b))
         codes = self._codes(tables, *int_rows(
             [(c.a, c.b, dd.a, dd.b) for c, dd in self.reps], 4).T)
@@ -300,11 +268,12 @@ class P1(ManinLayer):
 
     def _codes(self, tables, ca, cb, da, db):
         """The key codes of the rows (c : d), c = ca + cb*w, d = da + db*w
-        (int arrays): _pair_key's residues (ResidueRing.reduce_pair), in
-        mixed radix over the primes."""
+        (int arrays): per prime, N(pi) for (0 : 1) and else the residue
+        code of d/c (ResidueRing.reduce_pair), in mixed radix over the
+        primes."""
         import numpy as np
         S, T = self.S, self.T
-        code, radix = 0, 1
+        code, radix = np.zeros(len(ca), dtype=np.int64), 1
         for R, inv_a, inv_b in tables:
             ra, rb = (x.astype(np.int64) for x in R.reduce_pair(ca, cb))
             unit = ra + R.h00 * rb
@@ -408,15 +377,19 @@ def relation_basis(p1):
                 row[j] = row.get(j, 0) + k
             rows.append(row)
 
+    s_img = p1.act(S).tolist()
+    rot_imgs = [(p1.act(rot).tolist(), p1.act(mat_mul(rot, rot)).tolist())
+                for rot in rotations]
+    unit_imgs = [p1.act(J).tolist() for J in unit_rels]
     for i in range(len(p1)):
-        j = p1.act(i, S)
+        j = s_img[i]
         relation(("S",) + tuple(sorted((i, j))), [(i, 1), (j, 1)])
-        for t, rot in enumerate(rotations):
-            j1, j2 = p1.act(i, rot), p1.act(i, mat_mul(rot, rot))
+        for t, (img1, img2) in enumerate(rot_imgs):
+            j1, j2 = img1[i], img2[i]
             relation((("T", t),) + tuple(sorted((i, j1, j2))),
                      [(i, 1), (j1, 1), (j2, 1)])
-        for J in unit_rels:
-            j = p1.act(i, J)
+        for img in unit_imgs:
+            j = img[i]
             if j != i:
                 relation(("J",) + tuple(sorted((i, j))), [(i, 1), (j, -1)])
     return _nullspace(rows, len(p1))

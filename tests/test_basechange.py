@@ -2,6 +2,7 @@
 one-variable L-values, and the cyclotomic factorization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from euclid_reference import pair_path
@@ -17,6 +18,17 @@ from padicbianchi.field import QuadInt
 
 def qi(a, b=0):
     return QuadInt(a, b, 1)
+
+
+def rational_key(N, c, d):
+    """The canonical representative of (c : d) in P^1(Z/N): the least of
+    (c*u mod N, d*u mod N) over the units u."""
+    return min((c * u % N, d * u % N) for u in range(1, N) if gcd(u, N) == 1)
+
+
+def rational_index(p1):
+    """{rational_key: generator index} over the generators of p1."""
+    return {rational_key(p1.N, c, d): i for i, (c, d) in enumerate(p1.reps)}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +86,38 @@ class TestRationalSymbols:
     def test_p1_size(self):
         assert len(bc.RationalP1(11)) == 12
 
+    @pytest.mark.parametrize("N", [11, 14, 15])
+    def test_table_matches_min_over_units(self, N):
+        # the generators are the canonical keys in order of first
+        # appearance in the (c, d) scan, and the table maps each point to
+        # its key's generator (-1 off P^1)
+        p1 = bc.RationalP1(N)
+        keys, table = [], []
+        for c in range(N):
+            row = []
+            for d in range(N):
+                if gcd(gcd(c, d), N) != 1:
+                    row.append(-1)
+                    continue
+                key = rational_key(N, c, d)
+                if key not in keys:
+                    keys.append(key)
+                row.append(keys.index(key))
+            table.append(row)
+        assert p1.reps == keys
+        assert p1._table.tolist() == table
+        assert [p1.reduce(c + N, d - 2 * N) for c, d in keys] == \
+            list(range(len(keys)))
+
+    @pytest.mark.parametrize("N", [11, 14, 15])
+    def test_parity_matches_reference(self, N):
+        p1 = bc.RationalP1(N)
+        index = rational_index(p1)
+        phi = ms.ModularSymbol(p1, [Fraction(i) for i in range(len(p1))],
+                               N, None)
+        assert bc.apply_parity_involution(phi).values == \
+            [phi.values[index[rational_key(N, -c, d)]] for c, d in p1.reps]
+
     def test_pinned_symbols(self, rational_pair):
         plus, minus = rational_pair
         assert [int(v) for v in plus.values] == \
@@ -100,8 +144,10 @@ class TestRationalSymbols:
     @pytest.mark.parametrize("N", [11, 14, 15])
     def test_rows_match_scalar_reference(self, N):
         # the stacked rows of T_2 (T_3 at even N), U_p and the unit matrix
-        # against the scalar decomposition, piece by piece with reduce()
+        # against the scalar decomposition, piece by piece with the
+        # min-over-units key
         p1 = bc.RationalP1(N)
+        index = rational_index(p1)
         ell = 3 if N % 2 == 0 else 2
         p = {11: 11, 14: 7, 15: 5}[N]
         for mats in (p1.hecke_reps(ell), p1.hecke_reps(p)[:p],
@@ -113,7 +159,7 @@ class TestRationalSymbols:
                     r = (e * b + f * d, 0, g * b + h * d, 0)
                     s = (e * a + f * c, 0, g * a + h * c, 0)
                     for sign, x in pair_path(p1.S, p1.T, r, s):
-                        j = p1.reduce(x[4], x[6])
+                        j = index[rational_key(N, x[4], x[6])]
                         want[i][j] = want[i].get(j, 0) + sign
             want = [{j: k for j, k in row.items() if k} for row in want]
             assert p1.path_rows(mats) == want

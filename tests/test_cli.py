@@ -160,6 +160,16 @@ class TestConfig:
         assert cli.main(["build", "--config", str(conf)]) == 4
         assert "unknown key" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", ["precision = abc", "p = 11.0"])
+    def test_non_integer_value_rejected(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text("# run\n" + line + "\n")
+        assert cli.main(["build", "--config", str(conf)]) == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert "run.conf:2: " in rep["message"]
+        assert "integer" in rep["message"]
+
     @pytest.mark.parametrize("argv", [
         ["build", "--weight", "3", "--precision", "9"],
         ["build", "--precision", "4"],

@@ -263,8 +263,9 @@ class TestEdgeIntegrals:
             reps = [fam.edge_rep(e) for e in edges]
             paths = fam.paths(reps, r, s)
             cusps = [eref.cusp_path(g, r, s) for g in reps]
-            for path, cusp_pair in zip(paths, cusps):
-                for (na, nb, da, db), c in zip(path, cusp_pair):
+            for path, cusp_pair in zip(paths.tolist(), cusps):
+                for (na, nb, da, db), c in zip((path[:4], path[4:]),
+                                               cusp_pair):
                     assert qi(na, nb) * c.den == qi(da, db) * c.num
             assert fam.phi.ev_paths(paths) == [fam.phi.ev(*c) for c in cusps]
             assert np.array_equal(fam.psi.ev_paths(paths), fam.psi.ev_paths(

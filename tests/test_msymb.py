@@ -37,6 +37,20 @@ class TestP1:
         assert p1.reduce(qi(0, 1) * qi(3, 4), qi(0, 1) * qi(5, 1)) == i
         assert p1.reduce(qi(3, 4) + qi(11), qi(5, 1)) == i
 
+    @pytest.mark.parametrize("level", [
+        QuadInt(1, 0, 1), QuadInt(11, 0, 1), QuadInt(7, 7, 1),
+        QuadInt(14, 0, 3), QuadInt(3, 0, 1) * QuadInt(2, 1, 1)])
+    def test_size_is_product_over_primes(self, level):
+        want = 1
+        for pi, _, _ in fld.factor_ideal(level):
+            want *= abs(pi.norm()) + 1
+        assert len(ms.P1(level)) == want
+
+    def test_unit_level(self):
+        # no prime factor: one generator, and the relations kill it
+        p1, basis = ms.build_symbol_space(qi(1))
+        assert len(p1) == 1 and basis == []
+
 
 def reference_key(p1, c, dd):
     """The object-level reduction key of (c : dd), computed with QuadInt
@@ -52,10 +66,16 @@ def reference_key(p1, c, dd):
     return tuple(parts)
 
 
+def reference_index(p1):
+    """{reference_key: generator index} over the generators of p1."""
+    return {reference_key(p1, c, dd): i for i, (c, dd) in enumerate(p1.reps)}
+
+
 def naive_operator(p1, mats, symbols):
     """Each symbol's image under sum_delta {delta g_i 0 -> delta g_i oo},
     evaluated path piece by path piece with the reference reduction."""
     d = p1.d
+    index = reference_index(p1)
     pieces = []
     for i in range(len(p1)):
         g = p1.lift_matrix(i)
@@ -65,7 +85,7 @@ def naive_operator(p1, mats, symbols):
         for delta in mats:
             for sign, h in fld.path_between(fld.apply_moebius(delta, r),
                                             fld.apply_moebius(delta, s)):
-                row.append((sign, p1.index[reference_key(p1, *h[1])]))
+                row.append((sign, index[reference_key(p1, *h[1])]))
         pieces.append(row)
     out = []
     for phi in symbols:
@@ -79,27 +99,45 @@ def naive_operator(p1, mats, symbols):
     return out
 
 
+LEVELS = [
+    QuadInt(11, 0, 1),               # inert
+    QuadInt(7, 7, 1),                # ramified (1+i) times inert (7)
+    QuadInt(14, 0, 3),               # d = 3: inert (2), split 7
+]
+
+
 class TestTableReduction:
-    @pytest.mark.parametrize("level", [
-        QuadInt(11, 0, 1),           # inert
-        QuadInt(7, 7, 1),            # ramified (1+i) times inert (7)
-        QuadInt(14, 0, 3),           # d = 3: inert (2), split 7
-    ])
+    @pytest.mark.parametrize("level", LEVELS)
     def test_reduce_matches_object_level_key(self, level):
         p1 = ms.P1(level)
+        index = reference_index(p1)
+        assert len(index) == len(p1)
         d = level.d
         coords = [QuadInt(a, b, d) for a in range(-3, 4) for b in range(-3, 4)]
         rows, want = [], []
         for c in coords:
             for dd in coords:
-                ref = reference_key(p1, c, dd)
-                assert p1._key(c, dd) == ref
-                if ref in p1.index:
-                    assert p1.reduce(c, dd) == p1.index[ref]
-                    rows.append((0, 0, 0, 0, c.a, c.b, dd.a, dd.b))
-                    want.append(p1.index[ref])
+                j = index[reference_key(p1, c, dd)]
+                assert p1.reduce(c, dd) == j
+                rows.append((0, 0, 0, 0, c.a, c.b, dd.a, dd.b))
+                want.append(j)
         # the batch key of the bottom rows of pieces
         assert p1.piece_indices(np.array(rows)).tolist() == want
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_act_matches_object_level_key(self, level):
+        # the image of every generator under each relation matrix: S, each
+        # rotation and its square, each unit twist
+        p1 = ms.P1(level)
+        index = reference_index(p1)
+        S, rotations, unit_rels = ms._relation_mats(level.d)
+        mats = [S] + [m for rot in rotations
+                      for m in (rot, fld.mat_mul(rot, rot))] + unit_rels
+        for g in mats:
+            want = [index[reference_key(p1, c * g[0][0] + dd * g[1][0],
+                                        c * g[0][1] + dd * g[1][1])]
+                    for c, dd in p1.reps]
+            assert p1.act(g).tolist() == want
 
     def test_lifts_are_memoised(self):
         p1 = ms.P1(qi(7, 7))
@@ -140,8 +178,10 @@ class TestPathRows:
         ops += [ms.hecke_reps(pi, level, 1),
                 [ms.atkin_lehner_matrix(pi, level)]]
 
+        keys = reference_index(p1)
+
         def index(c, dd):
-            return p1.index[reference_key(p1, c, dd)]
+            return keys[reference_key(p1, c, dd)]
         for mats in ops:
             assert p1.path_rows(mats) == ref_path_rows(p1, mats, index)
 
@@ -156,8 +196,10 @@ class TestPathRows:
             p1 = ms.P1(level)
             mats = ms.hecke_reps(q, level, 1)
 
+            keys = reference_index(p1)
+
             def index(c, dd):
-                return p1.index[reference_key(p1, c, dd)]
+                return keys[reference_key(p1, c, dd)]
             want = ref_hecke_terms(p1, mats, index)
             assert list(p1.hecke_terms(mats)) == want
         assert len(want) > 1000
