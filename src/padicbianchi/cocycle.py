@@ -49,6 +49,7 @@ from .field import (
     mat_mul,
     mat_pairs,
     one,
+    units,
 )
 from .manin import adj_rows, int_rows, pair_mul_rows
 from .ocsymb import honest_moment
@@ -103,7 +104,9 @@ class TreeFamily:
 
     def mu(self, c):
         """The ray distribution of the lift at modulus c (lfun.build_mu_p),
-        one per modulus, so that each disc is integrated once."""
+        one per modulus. Its per-centre tables (total measures, full moment
+        tables, log series) keep what the sums read, so that each disc is
+        integrated once however many criteria and data sum over it."""
         key = (c.a, c.b)
         if key not in self._mus:
             self._mus[key] = lfun.build_mu_p(self.psi, c)
@@ -243,9 +246,10 @@ def edge_integrals(fam, edges, r, s, zeta):
         (A, B), (C, D) = g
         centre.append(pctx.embed(-B) / pctx.embed(D))
         scale.append(pctx.embed(A) / pctx.embed(D))
+    moments = fam.moments(reps, r, s)
     discs = lfun.Discs(fam.psi.ctx, PadicStack.of(pctx, centre),
                        PadicStack.of(pctx, scale),
-                       fam.moments(reps, r, s))
+                       lambda width, widthb: moments[:, :, :width, :widthb])
     total = discs.constant(0)[:, 0]
     for (i, j), c in zeta.items():
         total = total + lfun._pair(discs, discs.binomial(i) * c,
@@ -677,8 +681,10 @@ def l_invariant(fam, data=None):
     """Evaluate lc/oc on each embedding datum and certify agreement.
 
     data is a list of (c, v) pairs, by default those of
-    field.default_embedding_data at p; beta = 0 and oc = 0 data are skipped
-    with a note, and all-skipped raises NonVanishingError."""
+    field.default_embedding_data at p; a datum the prime rules out, or one
+    that repeats an earlier one (c = u c' and v = u v' mod c for a unit u),
+    raises EmbeddingDatumError before any is evaluated. beta = 0 and oc = 0 data
+    are skipped with a note, and all-skipped raises NonVanishingError."""
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     if data is None:
@@ -688,8 +694,22 @@ def l_invariant(fam, data=None):
     skipped = []
     ratios = []
     ratios_log_iw = []
-    # every datum is checked before any is evaluated
-    for datum in [EmbeddingDatum(fam.pd, c, v, fam.omega) for c, v in data]:
+    # every datum is checked before any is evaluated; a datum compared
+    # with itself would inflate the agreement. (u c, u v) for a unit u is
+    # the same datum (the cusp v/c), so the key takes the associate u c
+    # least as an int pair
+    checked, seen = [], {}
+    for c, v in data:
+        datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
+        u = min(units(c.d), key=lambda u: ((u * c).a, (u * c).b))
+        key = ((u * c).a, (u * c).b, datum.ring.reduce(u * v))
+        if key in seen:
+            raise EmbeddingDatumError(
+                "embedding datum (c, v) = (%r, %r): repeats (%r, %r)"
+                % ((c, v) + seen[key]))
+        seen[key] = (c, v)
+        checked.append(datum)
+    for datum in checked:
         c, v = datum.c, datum.v
         tag = {"c": repr(c), "v": repr(v), "s": datum.s, "beta": datum.beta}
         if datum.beta == 0:

@@ -12,24 +12,32 @@ series in the disc coordinates z and zbar and paired with the two-variable
 moments mu(z^i zbar^j) of the block.
 
 A sum over discs (disc_sum) runs as stacked passes over all its weighted
-discs at once. The disc centres are int arrays (RayDistribution.unit_discs);
-their moments are filled in one stacked pass (fill_moments,
-OverconvergentSymbol.ev_paths on the int paths (B : G) -> (1 : 0), which
-no gcd normalises) into one table per distribution. The disc kernel
-(disc_one, disc_log_z, disc_log_zbar, disc_norm_power) is called once per
-sum with the stack of discs (Discs): balls B + G O, each with its moment
-table. The tree's edge distributions are Discs too
-(cocycle.edge_integrals), so the package has one ball integral. The
-z-series of log_iw(B + G z), of (B + G z)^i and of <B + G z>^s and the
-pairing Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays
-over the discs, on the pair arithmetic of the completion (the moment
-layer's pctx), with the precision rules and the association order of the
-scalar PadicElement code, so each disc gets the value and precision it
-would get alone. An error the scalar code would raise is raised for the
-first disc that meets one. The ray distribution takes its residue rings
-and uniformizer from the symbol's Manin layer, and its paths are that
-layer's int paths, so the one-variable measure of a classical symbol over
-Q is the same class on the same disc loop.
+discs at once. The disc centres are int arrays (RayDistribution.unit_discs),
+and each disc is integrated once per distribution: what a kernel reads of a
+disc is kept in per-centre tables of the distribution, each filled for the
+centres not yet in it in one stacked pass. The total measures
+Psi{B/G -> infty}(1) (OverconvergentSymbol.ev_totals) serve the s = 0
+kernel, which pairs moment (0, 0) alone and so needs no action matrix; the
+full moment tables (OverconvergentSymbol.ev_paths on the int paths
+(B : G) -> (1 : 0), which no gcd normalises) serve every larger pairing;
+and the z-series of log_iw(B + G z), which depends only on B and the scale
+G, serves the log and <z zbar>^s kernels (the zbar half is its conj), with
+the first error of each row, which every sum that reads the row records
+again. The disc kernel (disc_one, disc_log_z, disc_log_zbar,
+disc_norm_power) is called once per sum with the stack of discs (Discs):
+balls B + G O, whose pairing _pair reads only the moment block it needs.
+The tree's edge distributions are Discs too (cocycle.edge_integrals), so
+the package has one ball integral. The z-series of log_iw(B + G z), of
+(B + G z)^i and of <B + G z>^s and the pairing
+Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays over the
+discs, on the pair arithmetic of the completion (the moment layer's pctx),
+with the precision rules and the association order of the scalar
+PadicElement code, so each disc gets the value and precision it would get
+alone. An error the scalar code would raise is raised for the first disc
+that meets one. The ray distribution takes its residue rings and
+uniformizer from the symbol's Manin layer, and its paths are that layer's
+int paths, so the one-variable measure of a classical symbol over Q is the
+same class on the same disc loop.
 
 The prime p is inert or ramified (the moment model has no split primes), so
 p O_F is a power of the one prime above p and the p-direction is the
@@ -62,6 +70,31 @@ def _pair_of(x):
     return (x, 0) if isinstance(x, int) else (x.a, x.b)
 
 
+class _CentreTable:
+    """Rows keyed by the int pair of a disc centre, appended in stacked
+    passes: fill(todo) returns a tuple of arrays with one row for each
+    centre of todo."""
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.rows = {}
+        self.arrays = None
+
+    def take(self, keys):
+        """The rows of the centres keys, each array indexed by them, after
+        one fill pass over the centres not yet in the table."""
+        todo = [key for key in dict.fromkeys(keys) if key not in self.rows]
+        if todo:
+            new = self.fill(todo)
+            self.arrays = new if self.arrays is None else tuple(
+                np.concatenate(pair) for pair in zip(self.arrays, new))
+            first = len(self.rows)
+            for i, key in enumerate(todo):
+                self.rows[key] = first + i
+        rows = [self.rows[key] for key in keys]
+        return tuple(a[rows] for a in self.arrays)
+
+
 class RayDistribution:
     """mu_p at modulus (g): the symbol itself and lambda_p, from which the
     blocks mu'_a are integrated disc by disc (unit_discs, discs).
@@ -73,9 +106,13 @@ class RayDistribution:
     symbol (msymb.P1, over O_F) and of a classical one (the Manin layer
     over Z).
 
-    Every disc has the scale G = g * pi. The moments Psi{B/G - infty} of
-    the discs integrated so far are the rows of one table, keyed by the
-    centre B."""
+    Every disc has the scale G = g * pi. What the discs integrated so far
+    need is kept in three per-centre tables, keyed by the centre B and
+    filled for the centres not yet in them in one stacked pass each: the
+    total measures Psi{B/G - infty}(1) (OverconvergentSymbol.ev_totals, no
+    action matrix), the full moment tables Psi{B/G - infty} (ev_paths),
+    and the z-series of log_iw(B + G z) with the first error of each
+    row."""
 
     def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
@@ -88,9 +125,12 @@ class RayDistribution:
         self.lam = _lambda_p(psi)
         self.pctx = psi.ctx.pctx
         self._units = None
-        self._rows = {}
-        self._moments = None
         self._discs = None
+        self._totals = _CentreTable(
+            lambda todo: (psi.ev_totals(self._paths(todo)),))
+        self._tables = _CentreTable(
+            lambda todo: (psi.ev_paths(self._paths(todo)),))
+        self._logs = _CentreTable(self._fill_logs)
 
     def units(self):
         if self._units is None:
@@ -103,34 +143,51 @@ class RayDistribution:
         g = self.g_mod
         return int(a) if isinstance(g, int) else QuadInt(int(a), int(b), g.d)
 
-    def fill_moments(self, centres):
-        """Add Psi{B/G - infty} to the table for each centre pair B not yet
-        in it, in one stacked pass (OverconvergentSymbol.ev_paths)."""
-        todo = [key for key in dict.fromkeys(centres) if key not in self._rows]
-        if not todo:
-            return
+    def _scale(self, log=None):
         g0, g1 = _pair_of(self.G)
-        # the int path (B : G) -> (1 : 0) of ManinLayer
-        tables = self.psi.ev_paths([((b0, b1, g0, g1), (1, 0, 0, 0))
-                                    for b0, b1 in todo])
-        first = len(self._rows)
-        self._moments = tables if self._moments is None else \
-            np.concatenate([self._moments, tables])
-        for i, key in enumerate(todo):
-            self._rows[key] = first + i
+        return PadicStack.embed(self.pctx, [g0], [g1], log)
+
+    def _paths(self, centres):
+        """The int paths (B : G) -> (1 : 0) of ManinLayer, which no gcd
+        normalises."""
+        g0, g1 = _pair_of(self.G)
+        return [((b0, b1, g0, g1), (1, 0, 0, 0)) for b0, b1 in centres]
+
+    def moments(self, centres, width, widthb):
+        """The moment block (len(centres), 2, width, widthb) of
+        Psi{B/G - infty} for the centre pairs centres: a (1, 1) block from
+        the table of total measures, a larger one from the full tables."""
+        if (width, widthb) == (1, 1):
+            return self._totals.take(centres)[0][:, :, None, None]
+        return self._tables.take(centres)[0][:, :, :width, :widthb]
+
+    def _fill_logs(self, centres):
+        """The z-series of log_iw(B + G z), (n, M), as (c0, c1, prec) and
+        the first error of each row: log_iw(B) + log(1 + (G/B) z)."""
+        log = StackLog(len(centres))
+        centres = np.array(centres, dtype=np.int64).reshape(-1, 2)
+        B = PadicStack.embed(self.pctx, centres[:, 0], centres[:, 1], log)
+        t = self._scale(log) * B.inverse()
+        out = [padic.log_iw_units(B)]
+        tk = t
+        for k in range(1, self.pctx.M):
+            term = tk.div_int(k)
+            out.append(-term if k % 2 == 0 else term)
+            tk = tk * t
+        L = stack(out)
+        return L.c0, L.c1, L.prec, log.row_errors()
 
     def discs(self, centres):
         """The discs B + G O of the centre pairs centres ((n, 2) ints) as
-        one stack, with their moments (filled as needed)."""
+        one stack, reading their moments and log series from the tables
+        (filled as the kernel asks for them)."""
         keys = [tuple(c) for c in np.asarray(centres).tolist()]
-        self.fill_moments(keys)
-        rows = [self._rows[key] for key in keys]
         centres = np.asarray(centres, dtype=np.int64).reshape(-1, 2)
-        g0, g1 = _pair_of(self.G)
         return Discs(self.psi.ctx,
                      PadicStack.embed(self.pctx, centres[:, 0], centres[:, 1]),
-                     PadicStack.embed(self.pctx, [g0], [g1]),
-                     self._moments[rows])
+                     self._scale(),
+                     lambda width, widthb: self.moments(keys, width, widthb),
+                     lambda: self._logs.take(keys))
 
     def unit_discs(self):
         """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)
@@ -168,23 +225,25 @@ class RayDistribution:
 class Discs:
     """A stack of balls B + G O (discs of a ray distribution, or the balls
     of tree edges), each with the moments of a distribution in the ball
-    coordinate z: the centres B and scales G (PadicStacks of n rows, or
-    one row for all), the moments (one (n, 2, M, C) table of the moment
-    layer dctx), and the StackLog in which the kernel's element operations
-    record errors, one row per ball."""
+    coordinate z: the centres B (a PadicStack of n rows) and scales G (n
+    rows, or one row for all), moments(width, widthb), the (n, 2, width,
+    widthb) corner of the moment tables of the moment layer dctx that a
+    pairing reads, and the StackLog in which the kernel's element
+    operations record errors, one row per ball. A ray distribution's discs
+    also read their log series from it (log_series)."""
 
-    def __init__(self, dctx, centre, scale, moments):
+    def __init__(self, dctx, centre, scale, moments, log_series=None):
         self.dctx = dctx
         self.ctx = dctx.pctx
         self.moments = moments
-        self.log = StackLog(len(moments))
+        self.log = StackLog(len(centre))
         self.centre, self.scale = (
             PadicStack(self.ctx, x.c0, x.c1, x.prec, self.log)
             for x in (centre, scale))
-        self._log_series = None
+        self._log_series = log_series
 
     def __len__(self):
-        return len(self.moments)
+        return len(self.centre)
 
     def constant(self, value):
         """The int value at full precision on each disc, as a one-term
@@ -202,19 +261,12 @@ class Discs:
         return F
 
     def log_series(self):
-        """The z-series of log_iw(B + G z) on each disc, (n, M):
-        log_iw(B) + log(1 + (G/B) z)."""
-        if self._log_series is None:
-            B = self.centre
-            t = self.scale * B.inverse()
-            out = [padic.log_iw_units(B)]
-            tk = t
-            for k in range(1, self.ctx.M):
-                term = tk.div_int(k)
-                out.append(-term if k % 2 == 0 else term)
-                tk = tk * t
-            self._log_series = stack(out)
-        return self._log_series
+        """The z-series of log_iw(B + G z) on each disc, (n, M), from the
+        distribution's per-centre table; a disc whose series recorded an
+        error records it here too."""
+        c0, c1, prec, errors = self._log_series()
+        self.log.record_rows(errors)
+        return PadicStack(self.ctx, c0, c1, prec, self.log)
 
 
 def build_mu_p(psi, g_mod, lift_offset=0):
@@ -291,9 +343,11 @@ def disc_sum(mu, weight, on_disc):
     weight(a, B) * (integral over the disc), where a is the unit of the
     block (an element of mu.units()) and B the int pair of the centre
     (mu.element(*B) is the ring element); discs of weight 0 are skipped.
-    The weighted discs run as one stack: their moments are filled in one
-    pass, and on_disc(mu, discs) returns the integrals of all of them (a
-    PadicStack, one row per disc)."""
+    The weighted discs run as one stack: what the kernel reads of them
+    (their total measures, moment tables or log series) is filled in one
+    pass per table for the discs not yet in it, and on_disc(mu, discs)
+    returns the integrals of all of them (a PadicStack, one row per
+    disc)."""
     pctx = mu.pctx
     unit, centres = mu.unit_discs()
     units = mu.units()
@@ -322,7 +376,7 @@ def _pair(discs, F, Fb=None):
     if Fb is None:
         Fb = discs.constant(1)
     width, widthb = min(M, F.shape[1]), min(M, Fb.shape[1])
-    m = discs.moments[:, :, :width, :widthb]
+    m = discs.moments(width, widthb)
     prec = ctx.e * (M - discs.dctx.lag[:width, :widthb])
     mom = PadicStack(ctx, m[:, 0], m[:, 1],
                      np.broadcast_to(prec, m[:, 0].shape), discs.log)

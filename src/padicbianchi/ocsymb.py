@@ -201,6 +201,19 @@ class OverconvergentSymbol:
                 paths[lo:lo + CHUNK])).apply(values, n_out=len(block))
         return out
 
+    def ev_totals(self, paths):
+        """The total measure Psi{r -> s}(1), moment (0, 0) of ev_paths, on
+        each int path of paths, as one (len(paths), 2) array mod p^M. Row 0
+        of every action matrix A is e_0, and so is column 0 of the right
+        factor conj(A)^T, so (A m conj(A)^T)[0, 0] = m[0, 0]: the pieces of
+        the paths (ManinLayer.path_terms) add the (0, 0) moments of their
+        generators with their signs, and no action matrix is formed."""
+        terms = self.p1.path_terms(paths)
+        out = np.zeros((len(paths), 2), dtype=self.ctx.pctx.dtype)
+        np.add.at(out, terms.dest,
+                  terms.sign[:, None] * self.values[terms.src, :, 0, 0])
+        return out % self.ctx.pctx.mod
+
     def filtration(self):
         return filtration(self.ctx, self.values)
 

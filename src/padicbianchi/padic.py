@@ -383,6 +383,20 @@ class StackLog:
         if len(bad):
             raise self.errors[self.first[bad[0]]]
 
+    def row_errors(self):
+        """The first error of each row, None where a row has none, as an
+        object array (the form record_rows reads)."""
+        out = np.full(len(self.first), None, dtype=object)
+        for k in np.nonzero(self.first >= 0)[0].tolist():
+            out[k] = self.errors[self.first[k]]
+        return out
+
+    def record_rows(self, errors):
+        """Record errors[k] (an exception, or None) against row k."""
+        errors = errors.tolist()
+        for exc in {id(e): e for e in errors if e is not None}.values():
+            self.record(np.array([e is exc for e in errors]), exc)
+
 
 def _record(log, fail, exc):
     """Record exc against the rows where fail holds, or raise it at once

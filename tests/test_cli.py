@@ -344,6 +344,30 @@ class TestLinv:
         assert "(c, v) = (%s, %s): %s" % (*datum.split(":"), why) \
             in rep["message"]
 
+    @pytest.mark.parametrize("data, repeated", [
+        ("3:1,3:4", "(3, 4): repeats (3, 1)"),
+        ("3:1,3:1+3i", "(3, 1+3*w): repeats (3, 1)"),
+        ("3:1,3:2,3:1", "(3, 1): repeats (3, 1)"),
+        # an associate of c with v times the same unit: the cusp v/c
+        ("3:1,-3:-1", "(-3, -1): repeats (3, 1)"),
+        ("3:1,3i:i", "(3*w, 1*w): repeats (3, 1)"),
+    ])
+    def test_repeated_datum(self, data, repeated, cache_dir, capsys):
+        # a datum compared with itself would inflate pairwise_agreement
+        code = cli.main(["linv"] + BASE + ["--cache-dir", str(cache_dir),
+                                           "--embedding-data", data])
+        assert code == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert repeated in rep["message"]
+
+    def test_distinct_data_pass(self, cache_dir, tmp_path):
+        code, rep = run(tmp_path, "l.json",
+                        ["linv"] + BASE + ["--cache-dir", str(cache_dir),
+                                           "--embedding-data", "3:1,3:2,7:1"])
+        assert code == 0
+        assert len(rep["certificate"]["entries"]) == 3
+
     @pytest.mark.parametrize("level, p, data, criteria", [
         ("15", "3", "7:1,7:2,11:1", "8"),
         ("7+7i", "7", "3:1,3:2,11:1", "6,8"),

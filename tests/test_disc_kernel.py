@@ -3,8 +3,9 @@
 On every disc of the reference measures at (1) and (3), of the ramified
 p = 2 measures at (1), (3) and (4+i) and of the rational measures, each
 kernel of lfun gives, row by row, the value and the precision that the
-scalar series code of disc_reference gives for that disc alone. The
-stacked element ops of padic are checked op by op against PadicElement,
+scalar series code of disc_reference gives for that disc alone, and the
+table of total measures that disc_one reads is moment (0, 0) of the full
+tables. The stacked element ops of padic are checked op by op against PadicElement,
 and the stacked Teichmuller lift, log and exp against the scalar series
 of padic_reference: value, precision and the error raised first, over
 Q_11(i) at M = 8, Q_2(i), Q_2(sqrt(-2)) and Q_3(sqrt(-3)) at M = 6, Q_5,
@@ -12,6 +13,7 @@ and Q_11(i) at M = 20, where the pair arithmetic leaves int64."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,18 +49,32 @@ def all_discs(mu):
     return mu.discs(mu.unit_discs()[1])
 
 
+def full_tables(mu, discs):
+    """The (n, 2, M, C) moment tables of the discs."""
+    return discs.moments(*mu.psi.values.shape[-2:])
+
+
 def reference(mu, discs, fn, *args):
     """fn(ctx, m, B, G, *args) of disc_reference on each disc of
     all_discs."""
+    tables = full_tables(mu, discs)
     out = []
     for k, centre in enumerate(mu.unit_discs()[1].tolist()):
-        out.append(fn(mu.psi.ctx, discs.moments[k], mu.element(*centre),
+        out.append(fn(mu.psi.ctx, tables[k], mu.element(*centre),
                       mu.G, *args))
     return out
 
 
+def check_totals(mu, discs):
+    """The table of total measures, which the (1, 1) block reads, is
+    moment (0, 0) of the full tables."""
+    assert np.array_equal(discs.moments(1, 1),
+                          full_tables(mu, discs)[:, :, :1, :1])
+
+
 def check_measure(mu, powers):
     discs = all_discs(mu)
+    check_totals(mu, discs)
     pctx, M = mu.pctx, mu.psi.ctx.M
     L = discs.log_series()
     for k, centre in enumerate(mu.unit_discs()[1].tolist()):
@@ -103,6 +119,7 @@ class TestRationalDiscs:
     def test_kernel(self, rational_lifts, which, m):
         mu = bc.build_mu_rational(rational_lifts[which][0], m)
         discs = all_discs(mu)
+        check_totals(mu, discs)
         for s in (0, 1, 2):
             for insert_log in (False, True):
                 got = bc.rational_kernel(s, insert_log)(mu, discs)

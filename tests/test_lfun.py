@@ -241,6 +241,94 @@ class TestDerivative:
             assert diff.is_zero() or diff.val() >= t
 
 
+def counter(monkeypatch, owner, name, size=len):
+    """Wrap owner.name: the returned list gets size(*args) for each
+    call."""
+    calls, orig = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(size(*args))
+        return orig(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestIntegrateOnce:
+    """Each disc is integrated once per distribution: an s = 0 value reads
+    the table of total measures, which forms no action matrix, and the log
+    series of a disc is built once, in one stacked pass per new set of
+    centres."""
+
+    def test_value_at_zero_forms_no_action_matrix(self, ref_lift,
+                                                  monkeypatch):
+        mu = lfun.build_mu_p(ref_lift[0], qi(3))
+        calls = counter(monkeypatch, oc, "action_matrices",
+                        lambda ctx, gs: len(gs))
+        assert lfun.Lp_value(mu, character(qi(3), 1)).is_zero()
+        assert calls == []
+        assert len(mu._totals.rows) == 960 and mu._tables.rows == {}
+        lfun.Lp_value(mu, s=1)
+        assert calls and len(mu._tables.rows) == 960
+
+    def test_log_series_once_per_disc(self, ref_lift, monkeypatch):
+        mu = lfun.build_mu_p(ref_lift[0], qi(1))
+        rows = counter(monkeypatch, padic, "log_iw_units")
+        lfun.Lp_derivative_halves(mu)
+        for m in (3, 4, 5):
+            lfun.Lp_value(mu, s=11 ** m)
+        assert rows == [120]
+
+    @pytest.mark.parametrize("kern", [lfun.disc_log_z, lfun.disc_log_zbar])
+    def test_failing_log_series_raises_first(self, ref_lift, kern):
+        # the centre 0 records "inverting zero" in its series, the non-unit
+        # 11 "inverse of a non-unit"; the table keeps each disc's error,
+        # and a sum raises the error of its first failing row whatever
+        # was filled first, as a fresh distribution does
+        mu = lfun.build_mu_p(ref_lift[0], qi(1))
+
+        def integrate(centres, mu=mu):
+            discs = mu.discs(centres)
+            kern(mu, discs)
+            discs.log.check()
+        zero = pytest.raises(ZeroDivisionError, match="inverting")
+        non_unit = pytest.raises(padic.PrecisionError, match="non-unit")
+        with zero:
+            integrate([(1, 0), (0, 0)])
+        with non_unit:
+            integrate([(11, 0), (0, 0)])
+        with non_unit:
+            integrate([(11, 0), (0, 0)],
+                      lfun.build_mu_p(ref_lift[0], qi(1)))
+        with zero:
+            integrate([(0, 0), (11, 0)])
+        integrate([(1, 0), (2, 0)])
+        # disc_one reads no log series
+        discs = mu.discs([(0, 0)])
+        lfun.disc_one(mu, discs)
+        discs.log.check()
+
+    def test_reference_counts(self, ref_symbols, ref_prime, ref_lift,
+                              monkeypatch):
+        # accept --criteria 3,5,6,9 fills 720 discs as full tables (1,440
+        # before criterion 5 read the total measures) and builds 3 log
+        # series (11 with one per kernel call); linv builds 2 (6). The
+        # default data (3, 1) and (3, 2) have the same blocks J_v = {1, 2}
+        # (pi = 2 mod 3), so the second builds none
+        from padicbianchi import acceptance as acc
+        phi, _ = ref_symbols
+        psi, cert = ref_lift
+        logs = counter(monkeypatch, padic, "log_iw_units")
+        ctx = acc.AcceptanceContext(phi, psi, cert, ref_prime)
+        results = acc.run_criteria(ctx, {3, 5, 6, 9})
+        assert all(r["passed"] for r in results)
+        assert sum(len(mu._tables.rows) for mu in ctx.fam._mus.values()) \
+            == 720
+        assert logs == [240, 360, 120]
+        del logs[:]
+        cc.l_invariant(cc.TreeFamily(phi, ref_prime, psi=psi))
+        assert logs == [240, 360]
+
+
 def pin(x):
     return (x.c0, x.c1, x.prec)
 

@@ -341,6 +341,22 @@ class TestZbarTrivialColumn:
             assert got.shape == (2, ctx.M, 1)
             assert np.array_equal(got, act_reference(ctx, g, full)[:, :, :1])
 
+    @pytest.mark.parametrize("p, M", [(11, 8), (2, 6), (11, 20)])
+    def test_row_zero_is_e0(self, p, M):
+        # the fact ev_totals rests on: row 0 of A and column 0 of the right
+        # factor conj(A)^T are e_0, so (A m conj(A)^T)[0, 0] = m[0, 0]; at
+        # M = 20 the pairs are Python integers
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        assert ctx.pctx.int64_safe == (M < 20)
+        gs = rand_sigma0_at(pd, random.Random(p + M), 30)
+        A0, A1 = oc.action_matrices(ctx, [fld.mat_pairs(g) for g in gs])
+        B0, B1 = ctx.pctx.conj(A0, A1)
+        e0 = np.eye(M, dtype=int)[0]
+        # row 0 of conj(A) is column 0 of conj(A)^T
+        for X0, X1 in ((A0, A1), (B0, B1)):
+            assert (X0[:, 0] == e0).all() and (X1[:, 0] == 0).all()
+
 
 class TestLift:
     def test_certificate(self, ref_lift):
@@ -513,6 +529,25 @@ class TestEvaluation:
                 want[key] = total % ctx.pctx.mod
             assert np.array_equal(got[k], want[key])
         assert len(want) == 140
+
+    @pytest.mark.parametrize("M", [8, 9])
+    def test_totals_are_moment_00(self, ref_lift, M):
+        # random tables on the reference generators, in int64 (M = 8) and
+        # in Python integers (M = 9): ev_totals is moment (0, 0) of
+        # ev_paths on disc paths of mu(3) and on paths between cusps
+        psi = ref_lift[0]
+        ctx = oc.DistContext(psi.ctx.pd, M)
+        rng = random.Random(M)
+        sym = oc.OverconvergentSymbol(
+            psi.p1, ctx, psi.level,
+            rand_tables(ctx, rng, (len(psi.p1), 2, M, M)))
+        mu = lfun.build_mu_p(psi, qi(3))
+        paths = [((B[0], B[1], mu.G.a, mu.G.b), (1, 0, 0, 0))
+                 for B in mu.unit_discs()[1][:20].tolist()]
+        paths += [((2, 3, 7, 1), (1, 0, 4, 5)), ((0, 1, 3, 0), (1, 0, 0, 0))]
+        got = sym.ev_totals(paths)
+        assert got.dtype == ctx.pctx.dtype
+        assert np.array_equal(got, sym.ev_paths(paths)[:, :, 0, 0])
 
     def test_int_paths_match_normalised_cusps(self, ref_lift,
                                               rational_lifts):
