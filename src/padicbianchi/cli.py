@@ -134,6 +134,8 @@ class RunConfig:
         if self.p not in {pd.p for _, pd in factors}:
             raise ConfigError("p must be the rational prime under a prime "
                               "factor of the level (the p-new theory)")
+        if self.output:
+            _check_file_path("output", self.output)
 
     def level_elt(self):
         return fld.parse_quadint(self.level, self.field_disc)
@@ -161,6 +163,16 @@ class RunConfig:
             CACHE_FORMAT, self.field_disc, self.level, self.p, self.precision,
             _code_digest())
         return hashlib.sha256(tag.encode()).hexdigest()[:16]
+
+
+def _check_file_path(name, path):
+    """Refuse a file path whose directory does not exist, or that names a
+    directory: the file is written after all the work, so this runs before
+    any starts."""
+    if os.path.isdir(path) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(path))):
+        raise ConfigError("%s %s: not a file in an existing directory"
+                          % (name, path))
 
 
 def _code_digest():
@@ -264,7 +276,10 @@ def build_symbol(cfg, warnings=None):
     pd = prime_for(cfg)
     d, M = cfg.field_disc, cfg.precision
     level = cfg.level_elt()
-    os.makedirs(cfg.cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cache_dir %s: %s" % (cfg.cache_dir, exc.strerror))
     key = cfg.cache_key()
     npz_path = os.path.join(cfg.cache_dir, key + ".npz")
     meta_path = os.path.join(cfg.cache_dir, key + ".json")
@@ -356,6 +371,8 @@ def _error_report(command, code, message, extra=None):
 
 
 def cmd_build(cfg, args):
+    if getattr(args, "dot_out", None):
+        _check_file_path("dot_out", args.dot_out)
     warnings = []
     try:
         phi, _, cert, pd, status = build_symbol(cfg, warnings)

@@ -18,19 +18,21 @@ disc is kept in per-centre tables of the distribution, each filled for the
 centres not yet in it in one stacked pass. The total measures
 Psi{B/G -> infty}(1) (OverconvergentSymbol.ev_totals) serve the s = 0
 kernel, which pairs moment (0, 0) alone and so needs no action matrix; the
-full moment tables (OverconvergentSymbol.ev_paths on the int paths
-(B : G) -> (1 : 0), which no gcd normalises) serve every larger pairing;
-and the z-series of log_iw(B + G z), which depends only on B and the scale
-G, serves the log and <z zbar>^s kernels (the zbar half is its conj), with
-the first error of each row, which every sum that reads the row records
-again. The disc kernel (disc_one, disc_log_z, disc_log_zbar,
-disc_norm_power) is called once per sum with the stack of discs (Discs):
-balls B + G O, whose pairing _pair reads only the moment block it needs.
-The tree's edge distributions are Discs too (cocycle.edge_integrals), so
-the package has one ball integral. The z-series of log_iw(B + G z), of
-(B + G z)^i and of <B + G z>^s and the pairing
-Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays over the
-discs, on the pair arithmetic of the completion (the moment layer's pctx),
+lines, column 0 and row 0 of Psi{B/G -> infty}
+(OverconvergentSymbol.ev_lines), serve the log kernels, which pair
+log_iw(z) against the constant 1 in zbar and the reverse; the full moment
+tables (OverconvergentSymbol.ev_paths) serve every wider pairing; all on
+the int paths (B : G) -> (1 : 0), which no gcd normalises. The z-series of
+log_iw(B + G z), which depends only on B and the scale G, serves the log
+and <z zbar>^s kernels, with the first error of each row, which every sum
+that reads the row records again. The disc kernel (disc_one, disc_log_z,
+disc_log_zbar, disc_norm_power) is called once per sum with the stack of
+discs (Discs): balls B + G O, whose pairing _pair reads only the moment
+block it needs. The tree's edge distributions are Discs too
+(cocycle.edge_integrals), so the package has one ball integral. The
+z-series of log_iw(B + G z), of (B + G z)^i and of <B + G z>^s and the
+pairing Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays
+over the discs, on the pair arithmetic of the completion (the moment layer's pctx),
 with the precision rules and the association order of the scalar
 PadicElement code, so each disc gets the value and precision it would get
 alone. An error the scalar code would raise is raised for the first disc
@@ -107,12 +109,14 @@ class RayDistribution:
     over Z).
 
     Every disc has the scale G = g * pi. What the discs integrated so far
-    need is kept in three per-centre tables, keyed by the centre B and
+    need is kept in four per-centre tables, keyed by the centre B and
     filled for the centres not yet in them in one stacked pass each: the
     total measures Psi{B/G - infty}(1) (OverconvergentSymbol.ev_totals, no
-    action matrix), the full moment tables Psi{B/G - infty} (ev_paths),
-    and the z-series of log_iw(B + G z) with the first error of each
-    row."""
+    action matrix), the lines of Psi{B/G - infty}, its column 0 and row 0
+    (ev_lines, one plan per block of discs for both), the full moment
+    tables (ev_paths), and the z-series of log_iw(B + G z) with the first
+    error of each row. moments() reads each block from the narrowest
+    table that holds it."""
 
     def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
@@ -128,6 +132,8 @@ class RayDistribution:
         self._discs = None
         self._totals = _CentreTable(
             lambda todo: (psi.ev_totals(self._paths(todo)),))
+        self._lines = _CentreTable(
+            lambda todo: psi.ev_lines(self._paths(todo)))
         self._tables = _CentreTable(
             lambda todo: (psi.ev_paths(self._paths(todo)),))
         self._logs = _CentreTable(self._fill_logs)
@@ -156,9 +162,15 @@ class RayDistribution:
     def moments(self, centres, width, widthb):
         """The moment block (len(centres), 2, width, widthb) of
         Psi{B/G - infty} for the centre pairs centres: a (1, 1) block from
-        the table of total measures, a larger one from the full tables."""
+        the table of total measures, a (width, 1) block from the columns, a
+        (1, widthb) block from the rows, and a wider one from the full
+        tables."""
         if (width, widthb) == (1, 1):
             return self._totals.take(centres)[0][:, :, None, None]
+        if widthb == 1:
+            return self._lines.take(centres)[0][:, :, :width]
+        if width == 1:
+            return self._lines.take(centres)[1][:, :, :, :widthb]
         return self._tables.take(centres)[0][:, :, :width, :widthb]
 
     def _fill_logs(self, centres):

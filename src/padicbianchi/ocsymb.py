@@ -38,10 +38,14 @@ once and adds it, times its merged sign, to its rows. This serves the
 U_p plan, the value of a symbol on a list of int paths (ev_paths, one
 plan per block of CHUNK paths; a path is a pair of the int cusps of
 msymb.ManinLayer, and ev takes a caller's cusps through the layer's
-cusp_pairs) and the single action sigma0_act, a one-term plan. All
-moment products are exact: the arithmetic is int64 where the completion's
-int64_safe proves that no intermediate overflows, and Python integers
-(dtype object) otherwise.
+cusp_pairs), its column 0 and row 0 on such paths (ev_lines, one plan per
+block applied to the two lines of the generators' tables: apply cuts A to
+the table's rows as it cuts conj(A)^T to its columns, and both cuts are
+exact for a line because row 0 of A is e_0) and the single action
+sigma0_act, a one-term plan. The total measure, moment (0, 0), needs no
+plan at all (ev_totals). All moment products are exact: the arithmetic is
+int64 where the completion's int64_safe proves that no intermediate
+overflows, and Python integers (dtype object) otherwise.
 """
 
 from fractions import Fraction
@@ -53,10 +57,11 @@ from .manin import int_rows
 from . import padic
 
 # Matrices per batched action_matrices call, (src, g) products per slice
-# of UOperator.apply, and paths per merged plan of ev_paths: bounds their
-# temporaries. One plan for all the paths of a warm `accept` on the
-# reference configuration (p = 11, M = 8) shares a few more g, but raised
-# its peak RSS by 14 %; blocks of 128 paths keep most of the sharing.
+# of UOperator.apply, and paths per merged plan of ev_paths and ev_lines
+# and per decomposition of ev_totals: bounds their temporaries. One plan
+# for all the paths of a warm `accept` on the reference configuration
+# (p = 11, M = 8) shares a few more g, but raised its peak RSS by 14 %;
+# blocks of 128 paths keep most of the sharing.
 CHUNK = 128
 
 
@@ -201,17 +206,41 @@ class OverconvergentSymbol:
                 paths[lo:lo + CHUNK])).apply(values, n_out=len(block))
         return out
 
+    def ev_lines(self, paths):
+        """Column 0 and row 0 of ev_paths on each int path of paths: the
+        (len(paths), 2, M, 1) tables Psi{r -> s}(z^i) and the
+        (len(paths), 2, 1, C) tables Psi{r -> s}(zbar^j), mod p^M. Row 0 of
+        every action matrix A is e_0, so column 0 of A m conj(A)^T is
+        A m[:, 0] and row 0 is m[0, :] conj(A)^T: one plan per block of
+        CHUNK paths, as in ev_paths, applied to the two lines of the
+        generators' tables (UOperator.apply cuts A to their rows and
+        conj(A)^T to their columns). Each plan is dropped before the next
+        is built."""
+        p1, ctx, values = self.p1, self.ctx, self.values
+        n, dt = len(paths), ctx.pctx.dtype
+        col = np.zeros((n, 2, values.shape[-2], 1), dtype=dt)
+        row = np.zeros((n, 2, 1, values.shape[-1]), dtype=dt)
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            plan = UOperator(ctx, p1.path_terms(paths[lo:hi]))
+            col[lo:hi] = plan.apply(values[..., :1], n_out=hi - lo)
+            row[lo:hi] = plan.apply(values[:, :, :1], n_out=hi - lo)
+            del plan
+        return col, row
+
     def ev_totals(self, paths):
         """The total measure Psi{r -> s}(1), moment (0, 0) of ev_paths, on
         each int path of paths, as one (len(paths), 2) array mod p^M. Row 0
         of every action matrix A is e_0, and so is column 0 of the right
         factor conj(A)^T, so (A m conj(A)^T)[0, 0] = m[0, 0]: the pieces of
-        the paths (ManinLayer.path_terms) add the (0, 0) moments of their
-        generators with their signs, and no action matrix is formed."""
-        terms = self.p1.path_terms(paths)
+        the paths (ManinLayer.path_terms, in blocks of CHUNK paths) add the
+        (0, 0) moments of their generators with their signs, and no action
+        matrix is formed."""
         out = np.zeros((len(paths), 2), dtype=self.ctx.pctx.dtype)
-        np.add.at(out, terms.dest,
-                  terms.sign[:, None] * self.values[terms.src, :, 0, 0])
+        for lo in range(0, len(paths), CHUNK):
+            terms = self.p1.path_terms(paths[lo:lo + CHUNK])
+            np.add.at(out, lo + terms.dest,
+                      terms.sign[:, None] * self.values[terms.src, :, 0, 0])
         return out % self.ctx.pctx.mod
 
     def filtration(self):
@@ -287,15 +316,19 @@ class UOperator:
             self.B1[part] = B1.transpose(0, 2, 1)
 
     def apply(self, values, n_out=None):
-        """values: ndarray (n_gen, 2, M, C) -> the image, (n_out, 2, M, C)
+        """values: ndarray (n_gen, 2, R, C) -> the image, (n_out, 2, R, C)
         with n_out the number of generators by default: row i sums the
-        terms with dest i. The right factor is cut to the C columns of the
-        tables. Each (src, g) product is computed once, CHUNK products at a
-        time, so that the temporaries stay small however long the plan, and
-        is added, times its merged sign, to the rows of its terms."""
+        terms with dest i. The left factor A is cut to the R rows of the
+        tables and the right factor conj(A)^T to their C columns. Row 0 of
+        A is e_0, so both cuts are exact for R and C in {1, M}: the
+        zbar-trivial column (C = 1) and row 0 (R = 1) of a table are
+        closed under the action. Each (src, g) product is computed once,
+        CHUNK products at a time, so that the temporaries stay small
+        however long the plan, and is added, times its merged sign, to the
+        rows of its terms."""
         pctx = self.ctx.pctx
         mod = pctx.mod
-        n = values.shape[-1]
+        r, n = values.shape[-2:]
         rows = len(values) if n_out is None else n_out
         out = np.zeros((rows,) + values.shape[1:],
                        dtype=np.result_type(self.A0, values))
@@ -304,7 +337,8 @@ class UOperator:
         for lo, t_lo, t_hi in zip(starts, bounds, bounds[1:]):
             part = slice(lo, lo + CHUNK)
             src, gi = self.src[part], self.gi[part]
-            Z0, Z1 = _mat_pair_mul(pctx, self.A0[gi], self.A1[gi],
+            Z0, Z1 = _mat_pair_mul(pctx, self.A0[gi, :r, :r],
+                                   self.A1[gi, :r, :r],
                                    values[src, 0], values[src, 1])
             W = np.stack(_mat_pair_mul(pctx, Z0, Z1, self.B0[gi, :n, :n],
                                        self.B1[gi, :n, :n]), axis=1)

@@ -216,6 +216,40 @@ class TestConfig:
         assert code == 4
         assert json.loads(capsys.readouterr().out)["error"] == "bad-input"
 
+    @pytest.mark.parametrize("cmd", ["build", "linv", "accept"])
+    def test_output_in_missing_directory(self, cmd, cache_dir, tmp_path,
+                                         capsys, monkeypatch):
+        # refused before any work: the lift is never read
+        def boom(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "build_symbol", boom)
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            assert cli.main([cmd] + BASE + ["--cache-dir", str(cache_dir),
+                                            "--output", str(out)]) == 4
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["error"] == "bad-input"
+            assert "output" in rep["message"]
+        assert not (tmp_path / "missing").exists()
+
+    def test_dot_out_in_missing_directory(self, cache_dir, tmp_path,
+                                          capsys):
+        out = tmp_path / "missing" / "x.dot"
+        assert cli.main(["build"] + BASE + ["--cache-dir", str(cache_dir),
+                                            "--dot-out", str(out)]) == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert "dot_out" in rep["message"]
+
+    @pytest.mark.parametrize("cmd", ["build", "linv", "accept"])
+    def test_cache_dir_not_a_directory(self, cmd, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        for cache in (plain, plain / "sub"):
+            assert cli.main([cmd] + BASE + ["--cache-dir", str(cache)]) == 4
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["error"] == "bad-input"
+            assert "cache_dir" in rep["message"]
+
     def test_field_without_relation_tables(self, tmp_path, capsys):
         # Q(sqrt(-2)) has field arithmetic but no M-symbol relation table:
         # the run is refused before any work, with no traceback

@@ -3,13 +3,15 @@
 On every disc of the reference measures at (1) and (3), of the ramified
 p = 2 measures at (1), (3) and (4+i) and of the rational measures, each
 kernel of lfun gives, row by row, the value and the precision that the
-scalar series code of disc_reference gives for that disc alone, and the
+scalar series code of disc_reference gives for that disc alone; the
 table of total measures that disc_one reads is moment (0, 0) of the full
-tables. The stacked element ops of padic are checked op by op against PadicElement,
-and the stacked Teichmuller lift, log and exp against the scalar series
-of padic_reference: value, precision and the error raised first, over
-Q_11(i) at M = 8, Q_2(i), Q_2(sqrt(-2)) and Q_3(sqrt(-3)) at M = 6, Q_5,
-and Q_11(i) at M = 20, where the pair arithmetic leaves int64."""
+tables, and the column and row tables that the log kernels read are
+their column 0 and row 0. The stacked element ops of padic are checked
+op by op against PadicElement, and the stacked Teichmuller lift, log and
+exp against the scalar series of padic_reference: value, precision and
+the error raised first, over Q_11(i) at M = 8, Q_2(i), Q_2(sqrt(-2)) and
+Q_3(sqrt(-3)) at M = 6, Q_5, and Q_11(i) at M = 20, where the pair
+arithmetic leaves int64."""
 
 import re
 
@@ -72,9 +74,24 @@ def check_totals(mu, discs):
                           full_tables(mu, discs)[:, :, :1, :1])
 
 
+def check_lines(mu, discs):
+    """The tables of columns and rows, which the (w, 1) and (1, w) blocks
+    read, are column 0 and row 0 of the full tables."""
+    full = full_tables(mu, discs)
+    col, row = mu._lines.take(list(map(tuple, mu.unit_discs()[1].tolist())))
+    assert np.array_equal(col, full[:, :, :, :1])
+    assert np.array_equal(row, full[:, :, :1, :])
+    M, C = full.shape[2:]
+    for w in range(2, M + 1):
+        assert np.array_equal(discs.moments(w, 1), full[:, :, :w, :1])
+    for w in range(2, C + 1):
+        assert np.array_equal(discs.moments(1, w), full[:, :, :1, :w])
+
+
 def check_measure(mu, powers):
     discs = all_discs(mu)
     check_totals(mu, discs)
+    check_lines(mu, discs)
     pctx, M = mu.pctx, mu.psi.ctx.M
     L = discs.log_series()
     for k, centre in enumerate(mu.unit_discs()[1].tolist()):
@@ -120,6 +137,7 @@ class TestRationalDiscs:
         mu = bc.build_mu_rational(rational_lifts[which][0], m)
         discs = all_discs(mu)
         check_totals(mu, discs)
+        check_lines(mu, discs)
         for s in (0, 1, 2):
             for insert_log in (False, True):
                 got = bc.rational_kernel(s, insert_log)(mu, discs)

@@ -309,20 +309,27 @@ class TestIntegrateOnce:
 
     def test_reference_counts(self, ref_symbols, ref_prime, ref_lift,
                               monkeypatch):
-        # accept --criteria 3,5,6,9 fills 720 discs as full tables (1,440
-        # before criterion 5 read the total measures) and builds 3 log
+        # accept --criteria 3,5,6,9 fills 120 discs as full tables (mu(1),
+        # for the three s = 11^m values; 720 before the log kernels read
+        # the lines) and 720 as lines, decomposes at most CHUNK = 128 paths
+        # at once (960 before ev_totals ran in blocks), and builds 3 log
         # series (11 with one per kernel call); linv builds 2 (6). The
         # default data (3, 1) and (3, 2) have the same blocks J_v = {1, 2}
         # (pi = 2 mod 3), so the second builds none
         from padicbianchi import acceptance as acc
+        from padicbianchi import msymb as ms
         phi, _ = ref_symbols
         psi, cert = ref_lift
         logs = counter(monkeypatch, padic, "log_iw_units")
+        batches = counter(monkeypatch, ms.ManinLayer, "path_terms",
+                          lambda layer, paths: len(paths))
         ctx = acc.AcceptanceContext(phi, psi, cert, ref_prime)
         results = acc.run_criteria(ctx, {3, 5, 6, 9})
         assert all(r["passed"] for r in results)
-        assert sum(len(mu._tables.rows) for mu in ctx.fam._mus.values()) \
-            == 720
+        mus = ctx.fam._mus.values()
+        assert sum(len(mu._tables.rows) for mu in mus) == 120
+        assert sum(len(mu._lines.rows) for mu in mus) == 720
+        assert max(batches) == oc.CHUNK == 128
         assert logs == [240, 360, 120]
         del logs[:]
         cc.l_invariant(cc.TreeFamily(phi, ref_prime, psi=psi))

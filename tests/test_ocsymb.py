@@ -357,6 +357,28 @@ class TestZbarTrivialColumn:
         for X0, X1 in ((A0, A1), (B0, B1)):
             assert (X0[:, 0] == e0).all() and (X1[:, 0] == 0).all()
 
+    @pytest.mark.parametrize("p, M", [(11, 8), (2, 6), (11, 20)])
+    def test_apply_on_lines(self, p, M):
+        # apply on the (M, 1) column and on the (1, M) row of the tables is
+        # column 0 and row 0 of apply on the full tables: A is cut to the
+        # rows and conj(A)^T to the columns, both exactly because row 0 of
+        # A is e_0; at M = 20 the pairs are Python integers
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        rng = random.Random(p * M)
+        gs = rand_sigma0_at(pd, rng, 12)
+        plan = oc.UOperator(ctx, [(k % 3, k % 4, rng.choice((1, -1, 2)),
+                                   fld.mat_pairs(g))
+                                  for k, g in enumerate(gs)])
+        values = rand_tables(ctx, rng, (4, 2, M, M))
+        full = plan.apply(values)
+        assert full.dtype == (object if M == 20 else np.int64)
+        col = plan.apply(values[..., :1])
+        row = plan.apply(values[:, :, :1])
+        assert col.shape == (4, 2, M, 1) and row.shape == (4, 2, 1, M)
+        assert np.array_equal(col, full[..., :1])
+        assert np.array_equal(row, full[:, :, :1])
+
 
 class TestLift:
     def test_certificate(self, ref_lift):
@@ -548,6 +570,25 @@ class TestEvaluation:
         got = sym.ev_totals(paths)
         assert got.dtype == ctx.pctx.dtype
         assert np.array_equal(got, sym.ev_paths(paths)[:, :, 0, 0])
+
+    @pytest.mark.parametrize("M", [8, 9])
+    def test_lines_are_column_and_row_0(self, ref_lift, M):
+        # ev_lines is column 0 and row 0 of ev_paths, over more than one
+        # block of CHUNK paths
+        psi = ref_lift[0]
+        ctx = oc.DistContext(psi.ctx.pd, M)
+        rng = random.Random(M)
+        sym = oc.OverconvergentSymbol(
+            psi.p1, ctx, psi.level,
+            rand_tables(ctx, rng, (len(psi.p1), 2, M, M)))
+        mu = lfun.build_mu_p(psi, qi(3))
+        paths = [((B[0], B[1], mu.G.a, mu.G.b), (1, 0, 0, 0))
+                 for B in mu.unit_discs()[1][:oc.CHUNK + 20].tolist()]
+        col, row = sym.ev_lines(paths)
+        full = sym.ev_paths(paths)
+        assert col.dtype == row.dtype == ctx.pctx.dtype
+        assert np.array_equal(col, full[..., :1])
+        assert np.array_equal(row, full[:, :, :1])
 
     def test_int_paths_match_normalised_cusps(self, ref_lift,
                                               rational_lifts):

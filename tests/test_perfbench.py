@@ -4,6 +4,7 @@ and uninstalling it must work on the package as it stands."""
 import importlib.util
 import os
 
+from padicbianchi import cli
 from padicbianchi import lfun
 from padicbianchi import msymb as ms
 from padicbianchi import ocsymb as oc
@@ -57,3 +58,23 @@ def test_traced_disc_sum(ref_lift):
         t.uninstall()
     assert got == want
     assert t.counts["lfun.discs_integrated"] > 0
+
+
+def test_traced_cold_build(tmp_path):
+    """The benchmark's prepare step runs a cold build under the tracer
+    before every run; its probes read the plan (UOperator.A0, A1, B0, B1,
+    dest, src, sgn) and the lift certificate by name. One cold build of
+    the ram-p2 configuration (session.WORKLOADS), in this process."""
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        code = cli.main(["build", "--field-disc", "1", "--level", "7+7i",
+                         "--prime", "2", "--precision", "6",
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "--output", str(tmp_path / "build.json")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.peak["ocsymb.UOperator_plan_mb"] > 0
+    assert t.counts["ocsymb.lift_iterations"] > 0

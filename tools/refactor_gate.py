@@ -54,6 +54,9 @@ COMMANDS = [
      ["accept"] + REF + ["--criteria", "6"]),
     ("accept ram-p2 criteria 1,2,5", "ram",
      ["accept"] + RAM + ["--criteria", "1,2,5"]),
+    # the one CLI run of the log kernels at a ramified prime
+    ("accept ram-p2 criterion 9", "ram",
+     ["accept"] + RAM + ["--criteria", "9"]),
     ("accept ref-m8 criterion 2 fault", "ref",
      ["accept"] + REF + ["--criteria", "2", "--inject-fault"]),
 ]
