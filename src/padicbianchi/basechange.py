@@ -59,14 +59,6 @@ def curve_invariants(coeffs):
     return {"c4": c4, "c6": c6, "disc": disc, "j": Fraction(c4 ** 3, disc)}
 
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _sigma3(n):
     """The sum of the cubes of the divisors of n >= 1."""
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
@@ -109,7 +101,7 @@ def tate_period(coeffs, p, M):
     if inv["c4"] % p == 0:
         raise ValueError("additive reduction at %d: no Tate period" % p)
     j = inv["j"]
-    v = _vp(j.denominator, p)
+    v = fld.int_val(j.denominator, p)
     K = M + 2 * v
     mod = p ** K
     x = j.denominator * pow(j.numerator % mod, -1, mod) % mod
@@ -129,7 +121,7 @@ def tate_period(coeffs, p, M):
         q = x * h_at(q) % mod
     assert q * j.numerator % mod == j.denominator * h_at(q) % mod, \
         "Tate period iteration did not converge"
-    assert _vp(q, p) == v
+    assert fld.int_val(q, p) == v
     return q % p ** (M + v), v
 
 

@@ -13,13 +13,18 @@ edge is (flip, a, u mod pi^a), with representative [[pi^a, u], [0, 1]]
     U(e) = complement of that   (flip = 1, contains infinity)
 
 so equality, action, paths and membership are all decided by valuations
-and residues.
+and residues. Both come from the norm, as in the completion (padic):
+v_pi(x) = v_p(N(x)) / f, and a unit x is inverted mod pi^k as
+conj(x) N(x)^-1 (PadicContext.inv). This holds because p does not split;
+at a split prime N(x) counts the factors of pibar too, so Tree refuses
+one, as the moment layers do (PrimeData.minpoly).
 """
 
 from .field import (
     QuadInt,
     ResidueRing,
     exact_div,
+    int_val,
     mat_det,
     mat_mul,
     one,
@@ -32,6 +37,7 @@ class Tree:
     """The tree T_p for the completion of the field at prime_data."""
 
     def __init__(self, prime_data):
+        prime_data.minpoly()  # refuses a split prime
         self.pd = prime_data
         self.pi = prime_data.pi
         self.d = self.pi.d
@@ -46,31 +52,27 @@ class Tree:
         return self._rings[n]
 
     def val(self, x):
-        """pi-adic valuation of a QuadInt (INF for zero)."""
+        """pi-adic valuation of a QuadInt (INF for zero): v_p(N(x)) / f,
+        since N(pi) = p^f and p does not split."""
         if not x:
             return INF
-        v = 0
-        while True:
-            try:
-                x = exact_div(x, self.pi)
-            except ValueError:
-                return v
-            v += 1
+        return int_val(x.norm(), self.pd.p) // self.pd.f
 
     def uclass(self, num, den, a):
         """Canonical form of num/den in F_p / pi^a O_p as (e, w) with
         u = pi^e * w, w a canonical unit residue mod pi^(a-e); None for the
-        zero class."""
+        zero class. The unit part of den is inverted as conj(x) N(x)^-1,
+        with N(x)^-1 taken mod N(pi^(a-e)), which pi^(a-e) divides."""
         if not num:
             return None
-        e = self.val(num) - self.val(den)
+        vn, vd = self.val(num), self.val(den)
+        e = vn - vd
         if e >= a:
             return None
-        nn = exact_div(num, self.pi ** self.val(num))
-        dd = exact_div(den, self.pi ** self.val(den))
+        nn = exact_div(num, self.pi ** vn)
+        dd = exact_div(den, self.pi ** vd)
         R = self.ring(a - e)
-        w = R.reduce(nn * R.inverse(dd))
-        return (e, w)
+        return (e, R.reduce(nn * dd.conj() * pow(dd.norm(), -1, R.size)))
 
     def ufrac(self, ucls):
         """The class (e, w) as an exact fraction (num, den) over O_F."""

@@ -123,8 +123,9 @@ class RunConfig:
             raise ConfigError("precision must be at least 5")
         try:
             factors = ms._factor_level(self.level_elt())  # or LevelError
-            if self.embedding_data is not None:
-                self.embedding_pairs()
+            if self.embedding_data is not None and \
+                    not self.embedding_pairs():
+                raise ConfigError("embedding data name no datum")
         except ConfigError:
             raise
         except Exception as exc:
@@ -409,9 +410,8 @@ def cmd_linv(cfg, args):
         emit(_error_report("linv", "no-new-eigenpacket", str(exc)), cfg)
         return EXIT_NOT_FOUND
     fam = cc.TreeFamily(phi, pd, psi=lift())
-    data = cfg.embedding_pairs() or None
     try:
-        result = cc.l_invariant(fam, data=data)
+        result = cc.l_invariant(fam, data=cfg.embedding_pairs())
     except cc.EmbeddingDatumError as exc:
         emit(_error_report("linv", "bad-input", str(exc)), cfg)
         return EXIT_INPUT

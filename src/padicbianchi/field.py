@@ -10,11 +10,14 @@ The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
 functions after it): division, gcd, exact division, cusp normalisation and
 the Moebius action. divmod_quad, gcd_quad, exact_div, Cusp and
 apply_moebius are QuadInt wrappers over it, and a Cusp holds its int pairs.
-The Manin decomposition of paths into continued-fraction pieces is that
-kernel stacked, in the module manin: manin_pieces runs a whole batch of
-int paths in lockstep on int64 arrays (the same quotient scan and
-convergents, row by row), with an int64 bound proved from the entries and
-Python ints past it. path_between is its one-path QuadInt wrapper.
+Its division step (divmod_step) and the norm (pair_norm) are written once
+and run on ints and int arrays alike, as pair_mul does: the Manin
+decomposition of paths into continued-fraction pieces is that kernel
+stacked, in the module manin, where manin_pieces runs divmod_step on a
+whole batch of int paths in lockstep on int64 arrays, with an int64 bound
+proved from the entries and Python ints past it. path_between is its
+one-path QuadInt wrapper. The p-adic valuation of an integer (int_val) is
+also written once, for the completions, the Tate period and the tree.
 
 The module also holds what the CLI reads before any numpy layer loads:
 the two precision facts (PrecisionError, and the int64 bound of the
@@ -121,7 +124,7 @@ class QuadInt:
 
     def norm(self):
         _, S, T, _ = _FIELD_TABLE[self.d]
-        return self.a * self.a + S * self.a * self.b - T * self.b * self.b
+        return pair_norm(S, T, self.a, self.b)
 
     def trace(self):
         _, S, _, _ = _FIELD_TABLE[self.d]
@@ -163,33 +166,48 @@ def omega(d):
 # (manin.pair_mul_rows).
 
 
-def pair_divmod(S, T, xa, xb, ya, yb):
-    """Euclidean division x = q*y + r with N(r) < N(y): (qa, qb, ra, rb).
-    Nearest rounding alone is not enough for d = 7, 11, so the four lattice
-    points around the exact quotient are scanned in the order (fa, fb),
-    (fa, fb + 1), (fa + 1, fb), (fa + 1, fb + 1), and one replaces the
-    current choice only when its remainder has strictly smaller norm."""
-    n = ya * ya + S * ya * yb - T * yb * yb
-    if not n:
-        raise ZeroDivisionError("QuadInt division by zero")
+def pair_norm(S, T, a, b):
+    """The norm a^2 + S*a*b - T*b^2 of a + b*w; a and b may be int arrays."""
+    return a * a + S * a * b - T * b * b
+
+
+def divmod_step(S, T, xa, xb, ya, yb, n):
+    """The Euclidean division step x = q*y + r, n = N(y) nonzero, on ints or
+    on int arrays alike: (qa, qb, ra, rb, N(r)). Nearest rounding alone is
+    not enough for d = 7, 11, so the four lattice points around the exact
+    quotient are scanned in the order (fa, fb), (fa, fb + 1), (fa + 1, fb),
+    (fa + 1, fb + 1), and one replaces the current choice only when its
+    remainder has strictly smaller norm. Each choice is made by arithmetic,
+    b + (a - b)*c for the comparison c, so arrays take it elementwise."""
     # x * conj(y) = (za, zb); the exact quotient is (za/n, zb/n)
     ca = ya + S * yb
     fa = (xa * ca - T * xb * yb) // n
     fb = (xb * ca - xa * yb - S * xb * yb) // n
     ra = xa - fa * ya - T * fb * yb
     rb = xb - fa * yb - fb * ya - S * fb * yb
-    best = ra * ra + S * ra * rb - T * rb * rb
-    qa, qb, ba, bb = fa, fb, ra, rb
-    # r - w*y, r - y and r - (1 + w)*y, w*y = (T*yb, ya + S*yb)
+    best = pair_norm(S, T, ra, rb)
+    # the offset e of the quotient f + e; the candidates are r - e*y for
+    # e = w, 1, 1 + w, with w*y = (T*yb, ya + S*yb)
     wa, wb = T * yb, ca
-    for ea, eb, sa, sb in ((0, 1, wa, wb), (1, 0, ya, yb),
-                           (1, 1, ya + wa, yb + wb)):
-        ta, tb = ra - sa, rb - sb
-        nt = ta * ta + S * ta * tb - T * tb * tb
-        if nt < best:
-            best, qa, qb, ba, bb = nt, fa + ea, fb + eb, ta, tb
+    ea = eb = 0
+    for da, db in ((0, 1), (1, 0), (1, 1)):
+        nt = pair_norm(S, T, ra - da * ya - db * wa, rb - da * yb - db * wb)
+        c = nt < best
+        best = best + (nt - best) * c
+        ea, eb = ea + (da - ea) * c, eb + (db - eb) * c
+    return (fa + ea, fb + eb, ra - ea * ya - eb * wa, rb - ea * yb - eb * wb,
+            best)
+
+
+def pair_divmod(S, T, xa, xb, ya, yb):
+    """Euclidean division x = q*y + r with N(r) < N(y): (qa, qb, ra, rb),
+    by divmod_step."""
+    n = pair_norm(S, T, ya, yb)
+    if not n:
+        raise ZeroDivisionError("QuadInt division by zero")
+    qa, qb, ra, rb, best = divmod_step(S, T, xa, xb, ya, yb, n)
     assert best < n
-    return qa, qb, ba, bb
+    return qa, qb, ra, rb
 
 
 def pair_gcd(S, T, xa, xb, ya, yb):
@@ -201,7 +219,7 @@ def pair_gcd(S, T, xa, xb, ya, yb):
 
 def pair_exact_div(S, T, xa, xb, ya, yb):
     """x / y, where y divides x; raises ValueError otherwise."""
-    n = ya * ya + S * ya * yb - T * yb * yb
+    n = pair_norm(S, T, ya, yb)
     if not n:
         raise ZeroDivisionError("QuadInt division by zero")
     ca = ya + S * yb
@@ -303,6 +321,17 @@ def exact_div(x, y):
 
 def divides(y, x):
     return not divmod_quad(x, y)[1]
+
+
+def int_val(n, p):
+    """v_p(n): the exponent of the prime p in the nonzero integer n."""
+    if not n:
+        raise ValueError("the valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 class PrimeData:
@@ -640,8 +669,7 @@ def factor_ideal(c):
                     k += 1
                 if k:
                     out.append((pi, k, pd))
-            while n % p == 0:
-                n //= p
+            n //= p ** int_val(n, p)
         p += 1
     assert rest.is_unit(), "leftover factor"
     return out

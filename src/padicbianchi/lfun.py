@@ -74,20 +74,20 @@ def _pair_of(x):
 
 class _CentreTable:
     """Rows keyed by the int pair of a disc centre, appended in stacked
-    passes: fill(todo) returns a tuple of arrays with one row for each
-    centre of todo."""
+    passes. The table keeps no fill function (one that closes over its
+    distribution would make a reference cycle); take gets it each call."""
 
-    def __init__(self, fill):
-        self.fill = fill
+    def __init__(self):
         self.rows = {}
         self.arrays = None
 
-    def take(self, keys):
+    def take(self, keys, fill):
         """The rows of the centres keys, each array indexed by them, after
-        one fill pass over the centres not yet in the table."""
+        one pass fill(todo) over the centres todo not yet in the table;
+        fill returns a tuple of arrays with one row per centre of todo."""
         todo = [key for key in dict.fromkeys(keys) if key not in self.rows]
         if todo:
-            new = self.fill(todo)
+            new = fill(todo)
             self.arrays = new if self.arrays is None else tuple(
                 np.concatenate(pair) for pair in zip(self.arrays, new))
             first = len(self.rows)
@@ -130,13 +130,10 @@ class RayDistribution:
         self.pctx = psi.ctx.pctx
         self._units = None
         self._discs = None
-        self._totals = _CentreTable(
-            lambda todo: (psi.ev_totals(self._paths(todo)),))
-        self._lines = _CentreTable(
-            lambda todo: psi.ev_lines(self._paths(todo)))
-        self._tables = _CentreTable(
-            lambda todo: (psi.ev_paths(self._paths(todo)),))
-        self._logs = _CentreTable(self._fill_logs)
+        self._totals = _CentreTable()
+        self._lines = _CentreTable()
+        self._tables = _CentreTable()
+        self._logs = _CentreTable()
 
     def units(self):
         if self._units is None:
@@ -165,13 +162,19 @@ class RayDistribution:
         the table of total measures, a (width, 1) block from the columns, a
         (1, widthb) block from the rows, and a wider one from the full
         tables."""
+        psi, paths = self.psi, self._paths
         if (width, widthb) == (1, 1):
-            return self._totals.take(centres)[0][:, :, None, None]
-        if widthb == 1:
-            return self._lines.take(centres)[0][:, :, :width]
-        if width == 1:
-            return self._lines.take(centres)[1][:, :, :, :widthb]
-        return self._tables.take(centres)[0][:, :, :width, :widthb]
+            (m,) = self._totals.take(
+                centres, lambda todo: (psi.ev_totals(paths(todo)),))
+            return m[:, :, None, None]
+        if widthb == 1 or width == 1:
+            cols, rows = self._lines.take(
+                centres, lambda todo: psi.ev_lines(paths(todo)))
+            return cols[:, :, :width] if widthb == 1 \
+                else rows[:, :, :, :widthb]
+        (m,) = self._tables.take(
+            centres, lambda todo: (psi.ev_paths(paths(todo)),))
+        return m[:, :, :width, :widthb]
 
     def _fill_logs(self, centres):
         """The z-series of log_iw(B + G z), (n, M), as (c0, c1, prec) and
@@ -199,7 +202,7 @@ class RayDistribution:
                      PadicStack.embed(self.pctx, centres[:, 0], centres[:, 1]),
                      self._scale(),
                      lambda width, widthb: self.moments(keys, width, widthb),
-                     lambda: self._logs.take(keys))
+                     lambda: self._logs.take(keys, self._fill_logs))
 
     def unit_discs(self):
         """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)

@@ -4,10 +4,10 @@ CLI, field and msymb (and a warm `build`) loads neither numpy nor this
 module.
 
 manin_pieces is field's Euclidean kernel stacked: the continued fractions
-of a batch of int paths run in lockstep on int64 arrays, one step of
-pair_divmod's four-point scan (_divmod_rows, the same candidate order and
-strict comparison) and of the convergents per round, and a row leaves the
-batch when its remainder is 0. pair_mul_rows is pair_mul on rows of int
+of a batch of int paths run in lockstep on int64 arrays, one
+field.divmod_step (the step of pair_divmod, run on the rows) and one step
+of the convergents per round, and a row leaves the batch when its
+remainder is 0. pair_mul_rows is pair_mul on rows of int
 arrays and adj_rows the adjugate, ManinTerms holds plan terms as arrays, and
 generator_paths gives the generator paths of a list of matrices as rows.
 Every kernel is exact: int64 where a bound proves it, and Python ints
@@ -16,7 +16,7 @@ Every kernel is exact: int64 where a bound proves it, and Python ints
 
 import numpy as np
 
-from .field import pair_mul
+from .field import divmod_step, pair_mul, pair_norm
 
 # The int64 bound. Let every entry of a row's state, the pair (x, y) under
 # division and the last two convergents, be at most B in magnitude, and let
@@ -28,7 +28,8 @@ from .field import pair_mul
 # norm is at most N(1 + w) N(y) <= 25 B^2 and its entries at most 10B. So
 # the largest intermediate of a step is a candidate's norm, below 500 B^2
 # (x*conj(y) stays below 5 B^2, f*y below 25 B^2, a new convergent below
-# 30 B^2). A row enters the int64 run when its input entries are at most
+# 30 B^2, and the selection b + (a - b)*c of divmod_step below twice its
+# operands). A row enters the int64 run when its input entries are at most
 # EUCLID_BOUND, and leaves it as soon as an entry of its new state passes
 # EUCLID_BOUND; a row that leaves (or never enters) runs the same steps on
 # Python ints (dtype object) instead.
@@ -136,7 +137,8 @@ def _cf_steps(S, T, C, rows, steps, bound):
     t, sign = 0, -1
     while len(rows):
         xa, xb, ya, yb, p1a, p1b, q1a, q1b, p2a, p2b, q2a, q2b = state
-        ka, kb, ra, rb = _divmod_rows(S, T, xa, xb, ya, yb)
+        ka, kb, ra, rb, _ = divmod_step(S, T, xa, xb, ya, yb,
+                                        pair_norm(S, T, ya, yb))
         pa = ka * p1a + T * kb * p1b + p2a
         pb = ka * p1b + kb * p1a + S * kb * p1b + p2b
         qa = ka * q1a + T * kb * q1b + q2a
@@ -155,29 +157,6 @@ def _cf_steps(S, T, C, rows, steps, bound):
             rows, state = rows[live], state[:, live]
         t, sign = t + 1, -sign
     return np.concatenate(late) if late else rows[:0]
-
-
-def _divmod_rows(S, T, xa, xb, ya, yb):
-    """pair_divmod of arrays: the same quotient, the same four-point scan
-    in the same order, the same strict comparison."""
-    n = ya * ya + S * ya * yb - T * yb * yb
-    ca = ya + S * yb
-    fa = (xa * ca - T * xb * yb) // n
-    fb = (xb * ca - xa * yb - S * xb * yb) // n
-    ra = xa - fa * ya - T * fb * yb
-    rb = xb - fa * yb - fb * ya - S * fb * yb
-    best = ra * ra + S * ra * rb - T * rb * rb
-    qa, qb, ba, bb = fa, fb, ra, rb
-    wa, wb = T * yb, ca
-    for ea, eb, sa, sb in ((0, 1, wa, wb), (1, 0, ya, yb),
-                           (1, 1, ya + wa, yb + wb)):
-        ta, tb = ra - sa, rb - sb
-        nt = ta * ta + S * ta * tb - T * tb * tb
-        less = nt < best
-        best = np.where(less, nt, best)
-        qa, qb = np.where(less, fa + ea, qa), np.where(less, fb + eb, qb)
-        ba, bb = np.where(less, ta, ba), np.where(less, tb, bb)
-    return qa, qb, ba, bb
 
 
 class ManinTerms:

@@ -119,11 +119,8 @@ class PadicContext:
     def from_rational(self, fr):
         num, den = (fr.numerator, fr.denominator) if hasattr(fr, "numerator") \
             else (int(fr), 1)
-        vd = 0
-        while den % self.p == 0:
-            den //= self.p
-            vd += 1
-        x = self.elt(num * pow(den, -1, self.mod))
+        vd = fld.int_val(den, self.p)
+        x = self.elt(num * pow(den // self.p ** vd, -1, self.mod))
         if vd:
             x = x / self.elt(self.p) ** vd
         return x
@@ -324,14 +321,8 @@ class PadicElement:
 
 
 def _pval(n, p, M):
-    """min(v_p(n), M) for 0 <= n < p^M."""
-    if n == 0:
-        return M
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    """min(v_p(n), M) for 0 <= n < p^M (field.int_val)."""
+    return fld.int_val(n, p) if n else M
 
 
 def _div_pi(x, v):

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicbianchi import btree as bt
 from padicbianchi import field as fld
 from padicbianchi import msymb as ms
 from padicbianchi.field import QuadInt
+from tree_reference import RefTree
 
 
 def qi(a, b=0):
@@ -79,9 +81,11 @@ class TestNeighbors:
         assert len(set(x.key() for x in nb)) == 10
         assert all(x.target() == tree3.standard_vertex() for x in nb)
 
-    def test_count_split(self):
-        t = bt.Tree(fld.split_prime(5, 1))
-        assert len(bt.neighbors_with_target(t.standard_vertex())) == 6
+    def test_split_refused(self):
+        # at a split prime N(x) counts the factors of pibar too, so the
+        # norm rules of val and uclass would give wrong classes
+        with pytest.raises(NotImplementedError):
+            bt.Tree(fld.split_prime(5, 1))
 
     def test_partition(self, tree3):
         # the open sets U(e), t(e) = v_*, partition P^1
@@ -164,3 +168,52 @@ def test_dot_output(tree3):
     assert out.count("--") == 10 + 10 * 9
     with pytest.raises(ValueError):
         bt.dot_neighborhood(tree3, 4)
+
+
+def _norm_rule_primes():
+    """(d, p) for the ramified prime and the least inert prime of every
+    supported field."""
+    out = []
+    for d in fld.SUPPORTED_FIELDS:
+        disc = fld.field_params(d)[0]
+        out.append((d, next(p for p in (2, 3, 7, 11) if disc % p == 0)))
+        out.append((d, next(p for p in (2, 3, 5, 7)
+                            if fld.split_prime(p, d).kind == "inert")))
+    return out
+
+
+NORM_RULE_TREES = {
+    dp: (bt.Tree(fld.split_prime(dp[1], dp[0])),
+         RefTree(fld.split_prime(dp[1], dp[0])))
+    for dp in _norm_rule_primes()}
+
+
+class TestNormRules:
+    """val and uclass on the norm (v_p(N(x)) / f, conj(x) N(x)^-1) against
+    the exact-division and extended-Euclid reference (tree_reference), and
+    the vertices and edges built on them."""
+
+    def test_primes_covered(self):
+        kinds = {(d, fld.split_prime(p, d).kind) for d, p in NORM_RULE_TREES}
+        assert kinds == {(d, k) for d in fld.SUPPORTED_FIELDS
+                         for k in ("inert", "ramified")}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(NORM_RULE_TREES)),
+           st.tuples(*[st.integers(-60, 60)] * 4),
+           st.integers(0, 3), st.integers(0, 3),
+           st.integers(-3, 3), st.integers(0, 1))
+    def test_matches_reference(self, dp, ints, kn, kd, a, flip):
+        tree, ref = NORM_RULE_TREES[dp]
+        d = dp[0]
+        num = QuadInt(ints[0], ints[1], d) * tree.pi ** kn
+        den = QuadInt(ints[2], ints[3], d) or QuadInt(1, 0, d)
+        den = den * tree.pi ** kd
+        assert tree.val(num) == ref.val(num)
+        assert tree.val(den) == ref.val(den)
+        u = tree.uclass(num, den, a)
+        assert u == ref.uclass(num, den, a)
+        assert [v.key() for v in bt.Vertex(tree, a, u).children()] == \
+            [v.key() for v in bt.Vertex(ref, a, u).children()]
+        assert bt.Edge(tree, flip, a, u).rep_matrix() == \
+            bt.Edge(ref, flip, a, u).rep_matrix()

@@ -402,6 +402,21 @@ class TestLinv:
         assert code == 0
         assert len(rep["certificate"]["entries"]) == 3
 
+    @pytest.mark.parametrize("how", ["comma", "empty", "config"])
+    def test_empty_data_refused(self, how, cache_dir, tmp_path, capsys):
+        # data that name no datum are bad input, not the default data
+        argv = ["linv"] + BASE + ["--cache-dir", str(cache_dir)]
+        if how == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text("embedding_data =\n")
+            argv += ["--config", str(conf)]
+        else:
+            argv += ["--embedding-data", "," if how == "comma" else ""]
+        assert cli.main(argv) == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "bad-input"
+        assert "embedding data name no datum" in rep["message"]
+
     @pytest.mark.parametrize("level, p, data, criteria", [
         ("15", "3", "7:1,7:2,11:1", "8"),
         ("7+7i", "7", "3:1,3:2,11:1", "6,8"),

@@ -239,6 +239,72 @@ class TestKernel:
         assert divmod_quad(qi(1, 1), qi(2, 0)) == (qi(0, 0), qi(1, 1))
 
 
+class TestSharedStep:
+    """divmod_step is pair_divmod's step and manin_pieces' step alike: on
+    rows (int64, and Python ints past EUCLID_BOUND) it gives, row by row,
+    pair_divmod's result, which is the QuadInt reference's."""
+
+    def check_rows(self, d, xs, ys, dtype):
+        S, T = fld.field_params(d)[1:3]
+        X = np.array([(x.a, x.b, y.a, y.b) for x, y in zip(xs, ys)],
+                     dtype=dtype)
+        xa, xb, ya, yb = X.T
+        got = fld.divmod_step(S, T, xa, xb, ya, yb,
+                              fld.pair_norm(S, T, ya, yb))
+        assert all(c.dtype == dtype for c in got)
+        qa, qb, ra, rb, nr = (c.tolist() for c in got)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            q, r = ref_divmod(x, y)
+            assert fld.pair_divmod(S, T, x.a, x.b, y.a, y.b) == \
+                (q.a, q.b, r.a, r.b) == (qa[i], qb[i], ra[i], rb[i])
+            assert nr[i] == r.norm()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(big_pairs(), tied_pairs()),
+                    min_size=1, max_size=16))
+    def test_int64_rows(self, pairs):
+        # the rows of each field as one batch
+        for d in {x.d for x, _ in pairs}:
+            xy = [(x, y) for x, y in pairs if x.d == d]
+            self.check_rows(d, [x for x, _ in xy], [y for _, y in xy],
+                            np.int64)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_object_rows_past_the_bound(self, d):
+        rng = random.Random(d)
+        top = 10 ** 25
+        assert top > manin.EUCLID_BOUND
+        xs = [qi(rng.randint(-top, top), rng.randint(-top, top), d)
+              for _ in range(30)]
+        ys = [qi(rng.randint(-top, top), rng.randint(-top, top), d)
+              for _ in range(29)] + [qi(0, 1, d)]
+        self.check_rows(d, xs, ys, object)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_scalar_zero_divisor(self, d):
+        S, T = fld.field_params(d)[1:3]
+        with pytest.raises(ZeroDivisionError):
+            fld.pair_divmod(S, T, 1, 1, 0, 0)
+
+
+class TestIntVal:
+    @pytest.mark.parametrize("p", [2, 3, 11])
+    def test_edge_values(self, p):
+        assert fld.int_val(1, p) == fld.int_val(-1, p) == 0
+        assert fld.int_val(p - 1, p) == fld.int_val(p + 1, p) == 0
+        assert fld.int_val(p, p) == fld.int_val(-p, p) == 1
+        assert fld.int_val(p ** 80, p) == 80
+        assert fld.int_val(-(p ** 80) * (p + 1), p) == 80
+        with pytest.raises(ValueError):
+            fld.int_val(0, p)
+
+    @given(st.integers(min_value=1, max_value=10 ** 30),
+           st.sampled_from([2, 3, 5, 7, 11]))
+    def test_factor_out(self, n, p):
+        v = fld.int_val(n, p)
+        assert n % p ** v == 0 and (n // p ** v) % p
+
+
 def stacked_paths(S, T, paths):
     """manin_pieces of the int paths, regrouped per path as the
     (sign, g) lists of the scalar pair_path."""

@@ -1,5 +1,8 @@
 """Tests for the p-adic L-function: blocks, quadrature, twists, derivative."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -306,6 +309,25 @@ class TestIntegrateOnce:
         discs = mu.discs([(0, 0)])
         lfun.disc_one(mu, discs)
         discs.log.check()
+
+    def test_freed_by_reference_counting(self, ref_lift):
+        # no table keeps a fill function that closes over its
+        # distribution, so a filled distribution is freed without the
+        # cyclic collector
+        psi = ref_lift[0]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            mu = lfun.build_mu_p(psi, qi(3))
+            lfun.Lp_value(mu, character(qi(3), 1))
+            lfun.disc_log_z(mu, mu.discs([(1, 0), (2, 0)]))
+            assert mu._totals.rows and mu._lines.rows and mu._logs.rows
+            ref = weakref.ref(mu)
+            del mu
+            assert ref() is None
+        finally:
+            if was:
+                gc.enable()
 
     def test_reference_counts(self, ref_symbols, ref_prime, ref_lift,
                               monkeypatch):

@@ -76,6 +76,19 @@ class TestBase:
         rhs = pa.log_iw(x) + pa.log_iw(y)
         assert (lhs - rhs).is_zero()
 
+    @pytest.mark.parametrize("p, M", [(2, 6), (11, 8)])
+    def test_pval_contract(self, p, M):
+        # min(v_p(n), M) on residues 0 <= n < p^M: 0 gives M, and the
+        # nonzero residues match the stack's _pval_array
+        assert pa._pval(0, p, M) == M
+        assert pa._pval(1, p, M) == 0
+        assert pa._pval(p ** (M - 1), p, M) == M - 1
+        assert pa._pval(p ** M - p, p, M) == 1
+        ns = [0, 1, p, p ** (M - 1), (p - 1) * p ** (M - 1), p ** M - 1]
+        powers = [p ** k for k in range(M + 1)]
+        assert pa._pval_array(ns, powers, M).tolist() == \
+            [pa._pval(n, p, M) for n in ns]
+
     def test_nonunit_inverse_raises(self):
         ctx = pa.Qp(11, 8)
         with pytest.raises(PrecisionError):

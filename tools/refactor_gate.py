@@ -27,6 +27,13 @@ REF = ["--field-disc", "1", "--level", "11", "--prime", "11",
        "--precision", "8"]
 RAM = ["--field-disc", "1", "--level", "7+7i", "--prime", "2",
        "--precision", "6"]
+# the tree at two more primes: p = 7 inert (f = 2) at 7+7i, and p = 3
+# inert at level 15, where criterion 2 runs its harmonicity check at p = 3
+# and then exits 1 (its auxiliary level 9 is not squarefree)
+P7 = ["--field-disc", "1", "--level", "7+7i", "--prime", "7",
+      "--precision", "5"]
+P3 = ["--field-disc", "1", "--level", "15", "--prime", "3",
+      "--precision", "5"]
 
 # (label, cache, argv): the cold builds come first, so that every later
 # command reads the lift the same side built
@@ -59,7 +66,16 @@ COMMANDS = [
      ["accept"] + RAM + ["--criteria", "9"]),
     ("accept ref-m8 criterion 2 fault", "ref",
      ["accept"] + REF + ["--criteria", "2", "--inject-fault"]),
+    ("build 7+7i p=7 miss", "p7", ["build"] + P7),
+    ("linv 7+7i p=7", "p7", ["linv"] + P7),
+    ("accept 7+7i p=7 criteria 2,8", "p7",
+     ["accept"] + P7 + ["--criteria", "2,8"]),
+    ("build 15 p=3 miss", "p3", ["build"] + P3),
+    ("linv 15 p=3", "p3", ["linv"] + P3),
+    ("accept 15 p=3 criteria 2,8", "p3",
+     ["accept"] + P3 + ["--criteria", "2,8"]),
 ]
+CACHES = sorted({cache for _, cache, _ in COMMANDS})
 
 PLACEHOLDER = "<cache>"
 
@@ -100,7 +116,7 @@ def main(argv=None):
     work = args.work or tempfile.mkdtemp(prefix="refactor-gate-")
     sides = {"parent": args.parent_src, "change": args.change_src}
     for name in sides:
-        for cache in ("ref", "ram"):
+        for cache in CACHES:
             path = os.path.join(work, name, cache)
             os.makedirs(path, exist_ok=True)
             if os.listdir(path):
@@ -118,7 +134,7 @@ def main(argv=None):
             verdict = "DIFFERENT"
             ok = False
         print("%-36s exit %s/%s  %s" % (label, pc, cc, verdict), flush=True)
-    for cache in ("ref", "ram"):
+    for cache in CACHES:
         blobs = []
         for name in sides:
             (path,) = glob.glob(os.path.join(work, name, cache, "*.npz"))
