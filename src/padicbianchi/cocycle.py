@@ -302,11 +302,11 @@ class Ext2Context:
 
     def elt(self, a, b=None):
         pctx = self.pctx
-        if not isinstance(a, padic.PadicElement):
+        if not isinstance(a, PadicStack):
             a = pctx.elt(a)
         if b is None:
             b = pctx.zero()
-        elif not isinstance(b, padic.PadicElement):
+        elif not isinstance(b, PadicStack):
             b = pctx.elt(b)
         return Ext2(self, a, b)
 
@@ -350,7 +350,7 @@ class Ext2:
         return self.ctx.elt(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, padic.PadicElement)):
+        if isinstance(other, (int, Fraction, PadicStack)):
             return Ext2(self.ctx, self.a * other, self.b * other)
         return Ext2(self.ctx,
                     self.a * other.a + self.ctx.sigma * self.b * other.b,

@@ -32,10 +32,10 @@ block it needs. The tree's edge distributions are Discs too
 (cocycle.edge_integrals), so the package has one ball integral. The
 z-series of log_iw(B + G z), of (B + G z)^i and of <B + G z>^s and the
 pairing Sum F[i] Fb[j] mu(z^i zbar^j) (_pair) are padic.PadicStack arrays
-over the discs, on the pair arithmetic of the completion (the moment layer's pctx),
-with the precision rules and the association order of the scalar
-PadicElement code, so each disc gets the value and precision it would get
-alone. An error the scalar code would raise is raised for the first disc
+over the discs (the moment layer's pctx), whose precision rules are those
+of one element, the 0-d PadicStack, and in the association order of the
+per-disc series, so each disc gets the value and precision it would get
+alone. An error the one-disc code would raise is raised for the first disc
 that meets one. The ray distribution takes its residue rings and
 uniformizer from the symbol's Manin layer, and its paths are that layer's
 int paths, so the one-variable measure of a classical symbol over Q is the
@@ -325,7 +325,7 @@ def _ser_exp(P, M):
 def _power_series(L, s, M):
     """exp(s * L) for a log series L: <B + G z>^s from log_iw(B + G z)."""
     ctx = L.ctx
-    if not isinstance(s, padic.PadicElement):
+    if not isinstance(s, PadicStack):
         s = ctx.elt(int(s))
     head = padic.padic_exp_stack(L[:, 0] * s)
     P = select(np.arange(L.shape[1]) == 0,

@@ -7,17 +7,25 @@ pi-adic digits so that every operation can report worst-case loss.
 
 The completion (PadicContext) owns the pair arithmetic (product,
 conjugate, norm-inverse, the shift by pi) on ints or on numpy arrays of its
-dtype; the moment layer (ocsymb.DistContext) runs on it too. PadicElement is
-one element and PadicStack many, with the same precision rules: mul gives
-min(a.prec + v(b), b.prec + v(a), cap), add the min of the two precisions,
-and a division by a non-unit shifts both operands by pi. Where an element
-would raise, a stack records the error against its row in a StackLog, and
-StackLog.check raises the first row's.
+dtype; the moment layer (ocsymb.DistContext) runs on it too. PadicStack is
+the one number class: an element is its 0-d case, with Python ints for
+coefficients and precision, and a stack holds arrays of one shape. Each
+precision rule is written once: mul gives min(a.prec + v(b), b.prec + v(a),
+cap), add the min of the two precisions, and a division by a non-unit
+shifts both operands by pi. Only four leaves ask whether an operand is an
+array, so that an element op makes no NumPy round trip and stays in Python
+ints: the minimum (_min), the coefficient valuation (_coeff_val), the
+any-test of _record and the norm inverse (PadicContext.inv). Where an
+element would raise, a stack records the error against its row in a
+StackLog, and StackLog.check raises the first row's; with no StackLog, as
+for an element, the error is raised at once.
 
 The Teichmuller character, the Iwasawa logarithm (log_p(p) = 0) and exp
 exist once, on stacks; the scalar log_iw is their one-element case
 (_scalar) and adds the pi-power part of a non-unit.
 """
+
+import operator
 
 import numpy as np
 
@@ -80,7 +88,7 @@ class PadicContext:
         x is not a unit."""
         c0, c1 = self.conj(x0, x1)
         norm, _ = self.mul(x0, x1, c0, c1)
-        if np.ndim(norm):
+        if isinstance(norm, np.ndarray):
             ninv = np.array([pow(int(n), -1, self.mod) for n in norm.ravel()],
                             dtype=self.dtype).reshape(norm.shape)
         else:
@@ -102,8 +110,8 @@ class PadicContext:
     # -- element constructors ------------------------------------------------
 
     def elt(self, c0, c1=0, prec=None):
-        return PadicElement(self, c0 % self.mod, c1 % self.mod,
-                            self.cap if prec is None else min(prec, self.cap))
+        return PadicStack(self, c0 % self.mod, c1 % self.mod,
+                          self.cap if prec is None else min(prec, self.cap))
 
     def zero(self):
         return self.elt(0)
@@ -177,161 +185,9 @@ def _ramified_torsion(ctx, d):
     return [-ctx.one()]
 
 
-class PadicElement:
-    """c0 + c1*g in the completion, with tracked absolute pi-adic precision."""
-
-    __slots__ = ("ctx", "c0", "c1", "prec", "_v")
-
-    def __init__(self, ctx, c0, c1, prec):
-        self.ctx = ctx
-        self.c0 = c0 % ctx.mod
-        self.c1 = c1 % ctx.mod
-        self.prec = prec
-        self._v = None
-
-    def _coerce(self, other):
-        if isinstance(other, PadicElement):
-            if other.ctx is not self.ctx and (other.ctx.p != self.ctx.p
-                                              or other.ctx.S != self.ctx.S
-                                              or other.ctx.T != self.ctx.T):
-                raise ValueError("mixed p-adic contexts")
-            return other
-        if isinstance(other, int):
-            return self.ctx.elt(other)
-        if hasattr(other, "numerator"):
-            return self.ctx.from_rational(other)
-        return NotImplemented
-
-    # -- ring ops ------------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PadicElement(self.ctx, self.c0 + o.c0, self.c1 + o.c1,
-                            min(self.prec, o.prec))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicElement(self.ctx, -self.c0, -self.c1, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        ctx = self.ctx
-        c0, c1 = ctx.mul(self.c0, self.c1, o.c0, o.c1)
-        prec = min(self.prec + o.val(), o.prec + self.val(), ctx.cap)
-        return PadicElement(ctx, c0, c1, max(prec, 0))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = PadicElement(self.ctx, 1, 0, self.prec if n else self.ctx.cap)
-        x = self
-        while n:
-            if n & 1:
-                r = r * x
-            x = x * x
-            n >>= 1
-        return r
-
-    def conj(self):
-        """Nontrivial automorphism g -> S - g (identity on the base)."""
-        return PadicElement(self.ctx, *self.ctx.conj(self.c0, self.c1),
-                            self.prec)
-
-    def val(self):
-        """pi-adic valuation, capped at the element's precision; computed
-        once per element."""
-        v = self._v
-        if v is None:
-            ctx = self.ctx
-            v0 = _pval(self.c0, ctx.p, ctx.M)
-            v1 = _pval(self.c1, ctx.p, ctx.M)
-            if ctx.ext_kind == "ramified":
-                v = min(2 * v0, 2 * v1 + 1)
-            else:
-                v = min(v0, v1)
-            v = self._v = min(v, self.prec)
-        return v
-
-    def is_zero(self):
-        return self.val() >= self.prec
-
-    def is_unit(self):
-        return self.val() == 0
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverting (p-adically) zero")
-        if self.val() != 0:
-            # only integral elements are representable, so 1/non-unit is not
-            raise PrecisionError("inverse of a non-unit leaves the ring")
-        return PadicElement(self.ctx, *self.ctx.inv(self.c0, self.c1),
-                            self.prec)
-
-    def __truediv__(self, other):
-        """self / other. A divisor of valuation v is a unit times pi^v: both
-        operands are divided by pi^v with exact shifts (_div_pi), each of
-        which costs one pi-adic digit, and the quotient is the dividend
-        times the inverse of the unit."""
-        o = self._coerce(other)
-        v = o.val()
-        if v == 0:
-            return self * o.inverse()
-        x, y = self, o
-        for _ in range(v):
-            x, y = _div_pi(x, v), _div_pi(y, v)
-        if x.prec <= 0 or y.prec <= 0:
-            # no digit of the quotient survives the shifts
-            raise PrecisionError("inexact division by pi^%d" % v)
-        return x * y.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).is_zero()
-
-    def to_json(self):
-        return {"p": self.ctx.p, "ext_kind": self.ctx.ext_kind,
-                "coeffs": [str(self.c0), str(self.c1)],
-                "valuation": self.val() if not self.is_zero() else None,
-                "precision": self.prec}
-
-    def __repr__(self):
-        if self.c1 == 0:
-            return "%d + O(pi^%d)" % (self.c0, self.prec)
-        return "%d + %d*g + O(pi^%d)" % (self.c0, self.c1, self.prec)
-
-
 def _pval(n, p, M):
     """min(v_p(n), M) for 0 <= n < p^M (field.int_val)."""
     return fld.int_val(n, p) if n else M
-
-
-def _div_pi(x, v):
-    """x / pi (PadicContext.div_pi), one digit less precise. Raises
-    PrecisionError (as a division by pi^v) when pi does not divide x."""
-    c0, c1, fail = x.ctx.div_pi(x.c0, x.c1)
-    if fail:
-        raise PrecisionError("inexact division by pi^%d" % v)
-    return PadicElement(x.ctx, c0, c1, x.prec - 1)
 
 
 def _ilog(k, p):
@@ -348,7 +204,7 @@ def ctx_uniformizer(ctx):
 
 
 # ---------------------------------------------------------------------------
-# stacks of elements
+# the number class, and the leaves that tell an element from an array
 
 
 class StackLog:
@@ -391,8 +247,8 @@ class StackLog:
 
 def _record(log, fail, exc):
     """Record exc against the rows where fail holds, or raise it at once
-    when the stack has no log."""
-    if not np.any(fail):
+    when there is no log."""
+    if not (fail.any() if isinstance(fail, np.ndarray) else fail):
         return
     if log is None:
         raise exc
@@ -415,15 +271,29 @@ def _pval_array(c, powers, M):
     return v
 
 
+def _min(a, b):
+    """min(a, b) of ints; elementwise where either is an array."""
+    if type(a) is int and type(b) is int:
+        return a if a <= b else b
+    return np.minimum(a, b)
+
+
+def _coeff_val(c, ctx):
+    """min(v_p(c), M) of a coefficient, an int or an array."""
+    if isinstance(c, np.ndarray):
+        return _pval_array(c, ctx.powers, ctx.M)
+    return _pval(c, ctx.p, ctx.M)
+
+
 class PadicStack:
-    """Elements c0 + c1*g of one completion ctx, as arrays of any one
-    shape: coefficients mod p^M of ctx.dtype and an int array of
-    precisions. Every operation applies the rule of the PadicElement
-    operation to each element, on the pair arithmetic of ctx, so stack and
-    scalar code agree in value and precision; int and PadicElement
-    operands broadcast as constants. An operation that would raise for
-    some elements records the error in log (see StackLog), or raises it
-    when log is None."""
+    """Elements c0 + c1*g of one completion ctx, with their absolute
+    pi-adic precisions: one element (the 0-d case) holds Python ints, and
+    many hold arrays of any one shape (coefficients mod p^M of ctx.dtype
+    and int precisions). Each operation is written once for both, on the
+    pair arithmetic of ctx; ints, Fractions and elements broadcast as
+    constants. An operation that would raise for some elements records
+    the error in log (see StackLog), or raises it at once when log is
+    None, as it always is for one element."""
 
     __slots__ = ("ctx", "c0", "c1", "prec", "log", "_v")
 
@@ -437,10 +307,7 @@ class PadicStack:
 
     @classmethod
     def of(cls, ctx, xs, log=None):
-        """PadicElements or ints as a stack, shape (len(xs),); a single one
-        as shape (1,)."""
-        if not isinstance(xs, (list, tuple)):
-            xs = [xs]
+        """A list of elements or ints as a stack of shape (len(xs),)."""
         xs = [ctx.elt(x) if isinstance(x, int) else x for x in xs]
         return cls(ctx, np.array([x.c0 for x in xs], dtype=ctx.dtype),
                    np.array([x.c1 for x in xs], dtype=ctx.dtype),
@@ -463,8 +330,16 @@ class PadicStack:
 
     def _coerce(self, other):
         if isinstance(other, PadicStack):
+            if other.ctx is not self.ctx and (other.ctx.p != self.ctx.p
+                                              or other.ctx.S != self.ctx.S
+                                              or other.ctx.T != self.ctx.T):
+                raise ValueError("mixed p-adic contexts")
             return other
-        return PadicStack.of(self.ctx, other)
+        if isinstance(other, int):
+            return self.ctx.elt(other)
+        if hasattr(other, "numerator"):
+            return self.ctx.from_rational(other)
+        return NotImplemented
 
     def _new(self, other, c0, c1, prec):
         log = self.log if self.log is not None else other.log
@@ -492,17 +367,19 @@ class PadicStack:
         self._v = None
 
     def element(self, idx):
-        """Element idx as a PadicElement."""
-        return PadicElement(self.ctx, int(self.c0[idx]), int(self.c1[idx]),
-                            int(self.prec[idx]))
+        """Element idx, the 0-d case."""
+        return PadicStack(self.ctx, int(self.c0[idx]), int(self.c1[idx]),
+                          int(self.prec[idx]))
 
     # -- ring ops ------------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         mod = self.ctx.mod
         return self._new(o, (self.c0 + o.c0) % mod, (self.c1 + o.c1) % mod,
-                         np.minimum(self.prec, o.prec))
+                         _min(self.prec, o.prec))
 
     __radd__ = __add__
 
@@ -514,24 +391,35 @@ class PadicStack:
         return out
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
-        c0, c1 = self.ctx.mul(self.c0, self.c1, o.c0, o.c1)
-        prec = np.minimum(np.minimum(self.prec + o.val(), o.prec + self.val()),
-                          self.ctx.cap)
-        return self._new(o, c0, c1, np.maximum(prec, 0))
+        if o is NotImplemented:
+            return o
+        ctx = self.ctx
+        c0, c1 = ctx.mul(self.c0, self.c1, o.c0, o.c1)
+        prec = _min(_min(self.prec + o.val(), o.prec + self.val()), ctx.cap)
+        # max(prec, 0)
+        return self._new(o, c0, c1, prec - _min(prec, 0))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Powers by the square-and-multiply of PadicElement; a negative n
-        is the power -n of the inverse."""
+        """Square and multiply from 1 at the precision of self (at full
+        precision for n = 0); a negative n is the power -n of the
+        inverse."""
+        n = int(n)
         if n < 0:
             return self.inverse() ** -n
-        r = PadicStack(self.ctx, np.ones_like(self.c0), np.zeros_like(self.c1),
-                       self.prec if n else np.full(self.shape, self.ctx.cap),
+        r = PadicStack(self.ctx, self.c0 * 0 + 1, self.c1 * 0,
+                       self.prec if n else self.prec * 0 + self.ctx.cap,
                        self.log)
         x = self
         while n:
@@ -542,67 +430,94 @@ class PadicStack:
         return r
 
     def conj(self):
+        """Nontrivial automorphism g -> S - g (identity on the base)."""
         c0, c1 = self.ctx.conj(self.c0, self.c1)
         out = PadicStack(self.ctx, c0, c1, self.prec, self.log)
         out._v = self._v
         return out
 
     def val(self):
-        """pi-adic valuations, capped at the precisions; computed once."""
-        if self._v is None:
+        """pi-adic valuation, capped at the precision; computed once."""
+        v = self._v
+        if v is None:
             ctx = self.ctx
-            v0 = _pval_array(self.c0, ctx.powers, ctx.M)
-            v1 = _pval_array(self.c1, ctx.powers, ctx.M)
-            if ctx.ext_kind == "ramified":
-                v = np.minimum(2 * v0, 2 * v1 + 1)
-            else:
-                v = np.minimum(v0, v1)
-            self._v = np.minimum(v, self.prec)
-        return self._v
+            v0, v1 = _coeff_val(self.c0, ctx), _coeff_val(self.c1, ctx)
+            v = _min(2 * v0, 2 * v1 + 1) if ctx.ext_kind == "ramified" \
+                else _min(v0, v1)
+            v = self._v = _min(v, self.prec)
+        return v
 
     def is_zero(self):
         return self.val() >= self.prec
 
+    def is_unit(self):
+        return self.val() == 0
+
     def inverse(self):
-        zero = self.is_zero()
+        """conj(x) / N(x) for a unit x. Zero records ZeroDivisionError,
+        any other non-unit PrecisionError (only integral elements are
+        representable); those elements invert 1 in their place."""
+        v = self.val()
+        zero = v >= self.prec
         _record(self.log, zero,
                 ZeroDivisionError("inverting (p-adically) zero"))
-        bad = zero | (self.val() != 0)
-        _record(self.log, bad & ~zero,
+        _record(self.log, (v != 0) & (v < self.prec),
                 PrecisionError("inverse of a non-unit leaves the ring"))
-        dtype = self.ctx.dtype
-        c0, c1 = self.ctx.inv(np.where(bad, 1, self.c0).astype(dtype),
-                              np.where(bad, 0, self.c1).astype(dtype))
+        bad = zero | (v != 0)
+        c0, c1 = self.ctx.inv(self.c0 + (1 - self.c0) * bad,
+                              self.c1 * (1 - bad))
         return PadicStack(self.ctx, c0, c1, self.prec, self.log)
 
-    def div_int(self, k, where=True):
-        """self / k for an int k, as PadicElement.__truediv__ divides: a
-        divisor of valuation v > 0 shifts both operands v times by pi.
-        Errors are recorded only where `where` holds (the elements the
-        scalar code divides)."""
-        ctx = self.ctx
-        y = ctx.elt(k)
-        v = y.val()
-        x = self
+    def __truediv__(self, other, where=True):
+        """self / other for a divisor of one valuation v (an element, an
+        int or a Fraction), a unit times pi^v: both operands are divided v
+        times by pi, each exact shift costing one digit, and the dividend
+        is multiplied by the inverse of the unit. Where pi does not divide
+        or no digit survives, PrecisionError is recorded where `where`
+        holds (the elements the scalar code divides)."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        try:
+            v = operator.index(o.val())
+        except TypeError:
+            raise TypeError("divisor with a valuation per row: a division "
+                            "shifts by the one valuation of an element") \
+                from None
+        ctx, x = self.ctx, self
         if v:
-            fail = np.zeros(self.shape, dtype=bool)
+            fail = False
             for _ in range(v):
                 c0, c1, f = ctx.div_pi(x.c0, x.c1)
-                x = PadicStack(ctx, c0, c1, x.prec - 1, self.log)
-                fail |= f
-                y = _div_pi(y, v)
-            on = fail | (x.prec <= 0) | (y.prec <= 0)
-            _record(self.log, on & where,
+                x = PadicStack(ctx, c0, c1, x.prec - 1, x.log)
+                fail = fail | f
+                # exact: pi^v divides the divisor
+                o = PadicStack(ctx, *ctx.div_pi(o.c0, o.c1)[:2], o.prec - 1)
+            _record(x.log, (fail | (x.prec <= 0) | (o.prec <= 0)) & where,
                     PrecisionError("inexact division by pi^%d" % v))
-            if y.prec <= 0:
+            if o.prec <= 0:
                 return x
-        return x * PadicStack.of(ctx, y).inverse()
+        return x * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def div_int(self, k, where=True):
+        """self / k for an int k, recording errors only where `where`
+        holds."""
+        return self.__truediv__(k, where)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).is_zero()
 
     # -- shape ---------------------------------------------------------------
 
     def sum(self, axis=None, where=True):
         """zero + the elements (where `where` holds) summed over axis; axis
-        None sums all into a PadicElement."""
+        None sums all into one element."""
         ctx = self.ctx
         c0 = np.where(where, self.c0, 0).sum(axis=axis) % ctx.mod
         c1 = np.where(where, self.c1, 0).sum(axis=axis) % ctx.mod
@@ -610,8 +525,26 @@ class PadicStack:
             self.c0, where).shape), axis=axis, where=where,
             initial=ctx.cap)
         if axis is None:
-            return PadicElement(ctx, int(c0), int(c1), int(prec))
+            return PadicStack(ctx, int(c0), int(c1), int(prec))
         return PadicStack(ctx, c0, c1, prec, self.log)
+
+    # -- one element ---------------------------------------------------------
+
+    def to_json(self):
+        return {"p": self.ctx.p, "ext_kind": self.ctx.ext_kind,
+                "coeffs": [str(self.c0), str(self.c1)],
+                "valuation": self.val() if not self.is_zero() else None,
+                "precision": self.prec}
+
+    def __repr__(self):
+        if self.ctx.ext_kind == "base":
+            return "%s + O(pi^%s)" % (self.c0, self.prec)
+        return "%s + %s*g + O(pi^%s)" % (self.c0, self.c1, self.prec)
+
+
+# one element is the 0-d PadicStack; perfbench/tracer.py wraps the number
+# class's __mul__, __rmul__ and __truediv__ under this name
+PadicElement = PadicStack
 
 
 def select(mask, a, b):
@@ -623,17 +556,13 @@ def select(mask, a, b):
 
 
 def stack(items, axis=-1):
-    """Stacks (or PadicElements) of one broadcast shape, joined on a new
-    axis."""
-    ctx = next(x.ctx for x in items if isinstance(x, PadicStack))
-    items = [x if isinstance(x, PadicStack) else PadicStack.of(ctx, x)
-             for x in items]
+    """Stacks (or elements) of one broadcast shape, joined on a new axis."""
     shape = np.broadcast_shapes(*(x.shape for x in items))
     parts = [np.stack([np.broadcast_to(getattr(x, name), shape)
                        for x in items], axis=axis)
              for name in ("c0", "c1", "prec")]
     log = next((x.log for x in items if x.log is not None), None)
-    return PadicStack(ctx, parts[0], parts[1], parts[2], log)
+    return PadicStack(items[0].ctx, parts[0], parts[1], parts[2], log)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,197 @@
-"""Reference copy of the scalar p-adic series that padic computes on stacks
-(teichmuller_units, log_iw_units, padic_exp_stack): the Teichmuller
-iteration, the torsion split, the log series with its power fallback, exp
-and the gauge powers, all on PadicElements, one element at a time. The
-tests compare the stacked code against it element by element."""
+"""The scalar p-adic element class that padic had before one element
+became the 0-d PadicStack (PadicElement, with its own precision rules for
+add, mul, pow, val, inverse and the pi-shift division), and a reference
+copy of the series that padic computes on stacks (teichmuller_units,
+log_iw_units, padic_exp_stack): the Teichmuller iteration, the torsion
+split, the log series with its power fallback, exp and the gauge powers,
+all on PadicElements, one element at a time. The tests compare the
+stacked code against it element by element.
 
-from padicbianchi.padic import (PadicElement, PrecisionError, _ilog, _pval,
-                                ctx_uniformizer)
+Two edits to the class: ints and Fractions coerce to PadicElements (elt,
+from_rational), and so does a 0-d PadicStack (ref), so that an element of
+padic entering an operation, or a series below, leaves as a
+PadicElement. The pair arithmetic (mul, conj, inv, div_pi) is the
+context's, as it was."""
+
+import numpy as np
+
+from padicbianchi import padic
+from padicbianchi.field import int_val
+from padicbianchi.padic import PrecisionError, _ilog, _pval
+
+
+def elt(ctx, c0, c1=0, prec=None):
+    return PadicElement(ctx, c0, c1,
+                        ctx.cap if prec is None else min(prec, ctx.cap))
+
+
+def ref(x):
+    """The PadicElement of an element of padic (or of a PadicElement)."""
+    return PadicElement(x.ctx, x.c0, x.c1, x.prec)
+
+
+def from_rational(ctx, fr):
+    num, den = (fr.numerator, fr.denominator) if hasattr(fr, "numerator") \
+        else (int(fr), 1)
+    vd = int_val(den, ctx.p)
+    x = elt(ctx, num * pow(den // ctx.p ** vd, -1, ctx.mod))
+    if vd:
+        x = x / elt(ctx, ctx.p) ** vd
+    return x
+
+
+class PadicElement:
+    """c0 + c1*g in the completion, with tracked absolute pi-adic precision."""
+
+    __slots__ = ("ctx", "c0", "c1", "prec", "_v")
+
+    def __init__(self, ctx, c0, c1, prec):
+        self.ctx = ctx
+        self.c0 = c0 % ctx.mod
+        self.c1 = c1 % ctx.mod
+        self.prec = prec
+        self._v = None
+
+    def _coerce(self, other):
+        if isinstance(other, PadicElement):
+            if other.ctx is not self.ctx and (other.ctx.p != self.ctx.p
+                                              or other.ctx.S != self.ctx.S
+                                              or other.ctx.T != self.ctx.T):
+                raise ValueError("mixed p-adic contexts")
+            return other
+        if isinstance(other, padic.PadicStack) and not np.ndim(other.c0):
+            return ref(other)
+        if isinstance(other, int):
+            return elt(self.ctx, other)
+        if hasattr(other, "numerator"):
+            return from_rational(self.ctx, other)
+        return NotImplemented
+
+    # -- ring ops ------------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return PadicElement(self.ctx, self.c0 + o.c0, self.c1 + o.c1,
+                            min(self.prec, o.prec))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PadicElement(self.ctx, -self.c0, -self.c1, self.prec)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        ctx = self.ctx
+        c0, c1 = ctx.mul(self.c0, self.c1, o.c0, o.c1)
+        prec = min(self.prec + o.val(), o.prec + self.val(), ctx.cap)
+        return PadicElement(ctx, c0, c1, max(prec, 0))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        n = int(n)
+        if n < 0:
+            return self.inverse() ** (-n)
+        r = PadicElement(self.ctx, 1, 0, self.prec if n else self.ctx.cap)
+        x = self
+        while n:
+            if n & 1:
+                r = r * x
+            x = x * x
+            n >>= 1
+        return r
+
+    def conj(self):
+        """Nontrivial automorphism g -> S - g (identity on the base)."""
+        return PadicElement(self.ctx, *self.ctx.conj(self.c0, self.c1),
+                            self.prec)
+
+    def val(self):
+        """pi-adic valuation, capped at the element's precision; computed
+        once per element."""
+        v = self._v
+        if v is None:
+            ctx = self.ctx
+            v0 = _pval(self.c0, ctx.p, ctx.M)
+            v1 = _pval(self.c1, ctx.p, ctx.M)
+            if ctx.ext_kind == "ramified":
+                v = min(2 * v0, 2 * v1 + 1)
+            else:
+                v = min(v0, v1)
+            v = self._v = min(v, self.prec)
+        return v
+
+    def is_zero(self):
+        return self.val() >= self.prec
+
+    def is_unit(self):
+        return self.val() == 0
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverting (p-adically) zero")
+        if self.val() != 0:
+            # only integral elements are representable, so 1/non-unit is not
+            raise PrecisionError("inverse of a non-unit leaves the ring")
+        return PadicElement(self.ctx, *self.ctx.inv(self.c0, self.c1),
+                            self.prec)
+
+    def __truediv__(self, other):
+        """self / other. A divisor of valuation v is a unit times pi^v: both
+        operands are divided by pi^v with exact shifts (_div_pi), each of
+        which costs one pi-adic digit, and the quotient is the dividend
+        times the inverse of the unit."""
+        o = self._coerce(other)
+        v = o.val()
+        if v == 0:
+            return self * o.inverse()
+        x, y = self, o
+        for _ in range(v):
+            x, y = _div_pi(x, v), _div_pi(y, v)
+        if x.prec <= 0 or y.prec <= 0:
+            # no digit of the quotient survives the shifts
+            raise PrecisionError("inexact division by pi^%d" % v)
+        return x * y.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return (self - o).is_zero()
+
+    def to_json(self):
+        return {"p": self.ctx.p, "ext_kind": self.ctx.ext_kind,
+                "coeffs": [str(self.c0), str(self.c1)],
+                "valuation": self.val() if not self.is_zero() else None,
+                "precision": self.prec}
+
+    def __repr__(self):
+        if self.c1 == 0:
+            return "%d + O(pi^%d)" % (self.c0, self.prec)
+        return "%d + %d*g + O(pi^%d)" % (self.c0, self.c1, self.prec)
+
+
+def _div_pi(x, v):
+    """x / pi (PadicContext.div_pi), one digit less precise. Raises
+    PrecisionError (as a division by pi^v) when pi does not divide x."""
+    c0, c1, fail = x.ctx.div_pi(x.c0, x.c1)
+    if fail:
+        raise PrecisionError("inexact division by pi^%d" % v)
+    return PadicElement(x.ctx, c0, c1, x.prec - 1)
 
 
 def teichmuller(x):
@@ -14,6 +200,7 @@ def teichmuller(x):
     below it, its digits beyond prec depend on x. (The package reads the
     lift of a class from the context's table; this copy iterates every
     time, so that it does not share that table.)"""
+    x = ref(x)
     if not x.is_unit():
         raise ValueError("Teichmuller character of a non-unit")
     return _teichmuller_iterate(x)
@@ -38,7 +225,7 @@ def torsion_split(x):
     """
     ctx = x.ctx
     t = teichmuller(x)
-    cands = [t] + [t * z for z in ctx.extra_torsion]
+    cands = [t] + [t * ref(z) for z in ctx.extra_torsion]
     for zeta in cands:
         g = x * zeta.inverse()
         if (g - 1).val() >= ctx.r_pe:
@@ -54,7 +241,7 @@ def _log_series(one_plus, target_prec):
     if r < ctx.r_pe and not y.is_zero():
         raise PrecisionError("log series outside its convergence domain")
     if y.is_zero():
-        return ctx.elt(0, 0, target_prec), 0
+        return elt(ctx, 0, 0, target_prec), 0
     # number of terms: k*r - e*v_p(k) >= target for all omitted k
     kmax = 1
     while True:
@@ -62,7 +249,7 @@ def _log_series(one_plus, target_prec):
         bound = kmax * r - ctx.e * _ilog(kmax, ctx.p)
         if bound >= target_prec or kmax > 8 * ctx.cap + 16:
             break
-    total = ctx.zero()
+    total = elt(ctx, 0)
     delta = 0
     yk = y
     for k in range(1, kmax + 1):
@@ -77,11 +264,12 @@ def _log_series(one_plus, target_prec):
 
 def log_iw(x, with_delta=False):
     """Iwasawa branch of log: log(p) = 0, log multiplicative, torsion killed."""
+    x = ref(x)
     if x.is_zero():
         raise ValueError("log of zero")
     ctx = x.ctx
     v = x.val()
-    pi = ctx_uniformizer(ctx)
+    pi = ref(padic.ctx_uniformizer(ctx))
     u = x / pi ** v if v else x
     # log(pi): 0 unless ramified, where 2 log(pi) = log(pi^2/p) (log p = 0)
     if v and ctx.ext_kind == "ramified":
@@ -90,7 +278,7 @@ def log_iw(x, with_delta=False):
         lpi = lpi_twice / 2 if ctx.p != 2 else _halve(lpi_twice)
         base = v * lpi
     else:
-        base = ctx.elt(0, 0, ctx.cap)
+        base = elt(ctx, 0, 0, ctx.cap)
         d0 = 0
     lu, d1 = _log_unit(u)
     out = base + lu
@@ -133,11 +321,12 @@ def _log_unit(u):
 
 def padic_exp(y):
     """exp on pi^{r_pe} O; domain error outside."""
+    y = ref(y)
     ctx = y.ctx
     if not y.is_zero() and y.val() < ctx.r_pe:
         raise PrecisionError("exp outside its convergence domain")
-    total = ctx.one()
-    term = ctx.one()
+    total = elt(ctx, 1)
+    term = elt(ctx, 1)
     k = 1
     while True:
         term = term * y / k
@@ -156,10 +345,11 @@ def gauge(z):
 
 def gauge_power(z, s):
     """<z>^s = exp(s log <z>) for a unit z and s integral."""
+    z = ref(z)
     if not z.is_unit():
         raise ValueError("gauge power of a non-unit")
     g = gauge(z)
     lg, _ = _log_series(g, g.prec)
     if isinstance(s, int):
-        s = z.ctx.elt(s)
+        s = elt(z.ctx, s)
     return padic_exp(s * lg)

@@ -7,7 +7,7 @@ scalar series code of disc_reference gives for that disc alone; the
 table of total measures that disc_one reads is moment (0, 0) of the full
 tables, and the column and row tables that the log kernels read are
 their column 0 and row 0. The stacked element ops of padic are checked
-op by op against PadicElement, and the stacked Teichmuller lift, log and
+op by op against the PadicElement of padic_reference, and the stacked Teichmuller lift, log and
 exp against the scalar series of padic_reference: value, precision and
 the error raised first, over Q_11(i) at M = 8, Q_2(i), Q_2(sqrt(-2)) and
 Q_3(sqrt(-3)) at M = 6, Q_5, and Q_11(i) at M = 20, where the pair
@@ -160,7 +160,8 @@ class TestErrorOrder:
 
 
 # ---------------------------------------------------------------------------
-# element ops against PadicElement and the scalar series of padic_reference
+# element ops against the PadicElement class and the scalar series of
+# padic_reference
 
 CONTEXTS = {
     "Q11(i)": lambda: padic.completion(fld.split_prime(11, 1), 8),
@@ -193,7 +194,7 @@ def elements(draw, ctx, unit=False, full=False):
     if unit and c0 % ctx.p == 0:
         c0 += 1
     prec = ctx.cap if full else draw(st.integers(0, ctx.cap))
-    return ctx.elt(c0, c1, prec)
+    return pref.elt(ctx, c0, c1, prec)
 
 
 def element_lists(ctx, **kw):
@@ -252,7 +253,7 @@ class TestStackOps:
         units = data.draw(element_lists(ctx, unit=True))
         n = data.draw(st.integers(-5, -1))
         compare(ctx, units, lambda x: x ** n, lambda s: s ** n)
-        total = ctx.zero()
+        total = pref.elt(ctx, 0)
         for x in xs:
             total = total + x
         assert pins([padic.PadicStack.of(ctx, xs).sum()]) == pins([total])
@@ -280,7 +281,7 @@ class TestStackOps:
         k = data.draw(st.integers(0, 3))
         x = xs[0] * padic.ctx_uniformizer(ctx) ** k
         want = pref.log_iw(x)
-        got = padic.log_iw(x)
+        got = padic.log_iw(ctx.elt(x.c0, x.c1, x.prec))
         assert got.prec == want.prec and (got - want).is_zero()
 
     @names

@@ -49,6 +49,9 @@ COMMANDS = [
      ["linv"] + REF + ["--embedding-data", "3:2,3:i,7:3"]),
     ("linv ref-m8 3:1+i,3:2+2i,7:1+3i", "ref",
      ["linv"] + REF + ["--embedding-data", "3:1+i,3:2+2i,7:1+3i"]),
+    # exits 2 (precision-underflow): the scalar lc/oc division of
+    # cocycle.l_invariant is inexact by pi^6
+    ("linv ram-p2", "ram", ["linv"] + RAM),
     ("accept ref-m8 all criteria", "ref", ["accept"] + REF),
     ("accept ram-p2 criteria 1,2,5,8", "ram",
      ["accept"] + RAM + ["--criteria", "1,2,5,8"]),
