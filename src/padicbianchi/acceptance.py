@@ -139,15 +139,13 @@ def _criterion_5(ctx, detail):
 
 def _criterion_6(ctx, detail):
     data = fld.default_embedding_data(ctx.pd.p, ctx.pd.pi.d)
+    live = [datum for datum in (cc.EmbeddingDatum(ctx.pd, c, v, ctx.fam.omega)
+                                for c, v in data) if datum.beta != 0]
     routes_ok = True
-    for c, v in data:
-        datum = cc.EmbeddingDatum(ctx.pd, c, v, ctx.fam.omega)
-        if datum.beta == 0:
-            continue
+    for datum, closed_val in zip(live, cc.oc_closed_routes(ctx.fam, live)):
         tree_val = cc.oc_tree_route(ctx.fam, datum)
-        closed_val = cc.oc_closed_route(ctx.fam, datum)
         detail.setdefault("oc_routes", []).append(
-            {"c": str(c), "v": str(v), "tree": str(tree_val),
+            {"c": str(datum.c), "v": str(datum.v), "tree": str(tree_val),
              "closed": str(closed_val)})
         routes_ok = routes_ok and tree_val == closed_val
     cert = cc.l_invariant(ctx.fam, data=data)
@@ -220,13 +218,17 @@ def _criterion_8(ctx, detail):
 
 def _criterion_9(ctx, detail):
     mu = ctx.fam.mu(ctx.qi(1))
+    p = ctx.pd.p
+    # the values at s = p^m first: they fill the full moment tables of the
+    # discs, from which the derivative and the value at 0 then read their
+    # lines and total measures (RayDistribution.moments)
+    values = {m: lfun.Lp_value(mu, s=p ** m) for m in (3, 4, 5)}
     deriv = lfun.Lp_derivative_at(mu)
     base = lfun.Lp_value(mu)
-    p = ctx.pd.p
     detail["derivative"] = _pe(deriv)
     ok = True
     for m in (3, 4, 5):
-        fd = (lfun.Lp_value(mu, s=p ** m) - base) / p ** m
+        fd = (values[m] - base) / p ** m
         diff = fd - deriv
         good = diff.is_zero() or diff.val() >= m - 1
         detail["m=%d" % m] = {"finite_difference": _pe(fd), "match": good}

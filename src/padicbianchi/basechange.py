@@ -29,6 +29,8 @@ values lie in the same completion F_p as the Bianchi ones.
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import field as fld
 from . import lfun
 from . import msymb as ms
@@ -139,26 +141,26 @@ def classical_l_invariant(coeffs, p, M):
 
 class ZMod:
     """Z/n with the methods of field.ResidueRing that lfun's ray
-    distribution uses."""
+    distribution and its characters use: an integer a is the pair (a, 0),
+    and its residue code is a mod n."""
 
     def __init__(self, n):
         self.n = self.size = n
 
-    def reduce(self, x):
-        return x % self.n
-
     def reduce_pair(self, a, b):
-        """reduce() of the pair (a, b) of the integer a (b is 0)."""
+        """The residue of the pair (a, b) of the integer a (b is 0)."""
         return a % self.n, b
 
-    def elements(self):
-        return range(self.n)
+    def code(self, a, b):
+        return a % self.n
 
-    def unit_elements(self):
-        return [a for a in range(self.n) if gcd(a, self.n) == 1]
+    def unit_pairs(self):
+        return np.array([(a, 0) for a in range(self.n) if gcd(a, self.n) == 1],
+                        dtype=np.int64).reshape(-1, 2)
 
-    def inverse(self, x):
-        return pow(x, -1, self.n)
+    def inverse_pairs(self, x):
+        return np.array([(pow(a, -1, self.n), 0) for a in x[:, 0].tolist()],
+                        dtype=np.int64).reshape(-1, 2)
 
 
 class RationalP1(ms.ManinLayer):
@@ -191,7 +193,6 @@ class RationalP1(ms.ManinLayer):
         return (x.numerator, 0, x.denominator, 0)
 
     def __init__(self, N):
-        import numpy as np
         self.N = N
         units = [u for u in range(N) if gcd(u, N) == 1]
         # the scan meets each orbit of the units first at its least member,
@@ -220,7 +221,6 @@ class RationalP1(ms.ManinLayer):
         return ((v, -u), (c, d))
 
     def piece_indices(self, G):
-        import numpy as np
         N = self.N
         return self._table[(G[:, 4] % N).astype(np.int64),
                            (G[:, 6] % N).astype(np.int64)]
@@ -322,11 +322,13 @@ def lift_rational(phi, M, p):
 
 
 class QuadDirichletChar:
-    """A real Dirichlet character given by its values mod the modulus."""
+    """A real Dirichlet character given by its values mod the modulus, on
+    the residue ring ring (as field.RayCharacter)."""
 
     def __init__(self, modulus, table):
         self.modulus = modulus
         self.table = table
+        self.ring = ZMod(modulus)
 
     def __call__(self, n):
         return self.table[n % self.modulus]

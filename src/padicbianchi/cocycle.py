@@ -559,29 +559,39 @@ def oc_tree_route(fam, datum, window=1):
 
 def oc_closed_route(fam, datum):
     """beta * sum over a in J_v of omega^{j(a)} phi{a/c - infinity}."""
-    c = datum.c
-    values = fam.phi.ev_paths([(a.a, a.b, c.a, c.b, 1, 0, 0, 0)
-                               for a in datum.J])
-    total = sum(fam.omega ** j * v for j, v in zip(datum.J.values(), values))
-    return datum.beta * total
+    return oc_closed_routes(fam, [datum])[0]
+
+
+def oc_closed_routes(fam, data):
+    """oc_closed_route of each datum of data, as a list, from one ev_paths
+    call on the paths {a/c - infinity} of all of them."""
+    if not data:
+        return []
+    values = iter(fam.phi.ev_paths([(a.a, a.b, d.c.a, d.c.b, 1, 0, 0, 0)
+                                    for d in data for a in d.J]))
+    return [d.beta * sum(fam.omega ** j * next(values) for j in d.J.values())
+            for d in data]
 
 
 def _lc_setup(fam, datum, mu):
-    """The measure at modulus c and the disc weight omega^{j(a)} on the
-    blocks a in J_v (None elsewhere), tabulated per unit a."""
+    """The measure at modulus c and the disc weight (lfun.disc_sum)
+    omega^{j(a)} on the blocks a in J_v and 0 elsewhere, read from a table
+    per unit a (a row of mu.units()), which J_v fills by residue code."""
     if datum.beta == 0:
         raise ValueError("beta = 0 datum")
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     if mu is None:
         mu = fam.mu(datum.c)
-    table = {}
-    for a in mu.units():
-        j = datum.J.get(mu.ring.reduce(a))
-        table[a] = None if j is None else fam.omega ** j
+    ring = mu.ring
+    by_code = np.zeros(ring.size, dtype=np.int64)
+    for a, j in datum.J.items():
+        by_code[ring.code(a.a, a.b)] = fam.omega ** j
+    units = mu.units()
+    table = by_code[ring.code(units[:, 0], units[:, 1])]
 
-    def weight(a, B):
-        return table[a]
+    def weight(unit, centres):
+        return table[unit]
     return mu, weight
 
 
@@ -709,13 +719,14 @@ def l_invariant(fam, data=None):
                 % ((c, v) + seen[key]))
         seen[key] = (c, v)
         checked.append(datum)
+    closed = iter(oc_closed_routes(fam, [d for d in checked if d.beta]))
     for datum in checked:
         c, v = datum.c, datum.v
         tag = {"c": repr(c), "v": repr(v), "s": datum.s, "beta": datum.beta}
         if datum.beta == 0:
             skipped.append(dict(tag, reason="beta = 0"))
             continue
-        ocv = oc_closed_route(fam, datum)
+        ocv = next(closed)
         if oc_tree_route(fam, datum) != ocv:
             raise ConsistencyError("oc route mismatch at %r" % (tag,))
         if ocv == 0:

@@ -10,14 +10,18 @@ The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
 functions after it): division, gcd, exact division, cusp normalisation and
 the Moebius action. divmod_quad, gcd_quad, exact_div, Cusp and
 apply_moebius are QuadInt wrappers over it, and a Cusp holds its int pairs.
-Its division step (divmod_step) and the norm (pair_norm) are written once
-and run on ints and int arrays alike, as pair_mul does: the Manin
-decomposition of paths into continued-fraction pieces is that kernel
-stacked, in the module manin, where manin_pieces runs divmod_step on a
-whole batch of int paths in lockstep on int64 arrays, with an int64 bound
-proved from the entries and Python ints past it. path_between is its
-one-path QuadInt wrapper. The p-adic valuation of an integer (int_val) is
-also written once, for the completions, the Tate period and the tree.
+Its division step (divmod_step), the norm (pair_norm) and the product
+(pair_prod) are written once and run on ints and int arrays alike, as
+pair_mul does: the Manin decomposition of paths into continued-fraction
+pieces is that kernel stacked, in the module manin, where manin_pieces
+runs divmod_step on a whole batch of int paths in lockstep on int64
+arrays, with an int64 bound proved from the entries and Python ints past
+it. path_between is its one-path QuadInt wrapper. The extended Euclid is
+stacked there too (manin.xgcd_rows): a ResidueRing lists its units and
+inverts residues as int pairs in one lockstep pass (unit_pairs,
+inverse_pairs), next to the QuadInt unit_elements and inverse. The p-adic
+valuation of an integer (int_val) is also written once, for the
+completions, the Tate period and the tree.
 
 The module also holds what the CLI reads before any numpy layer loads:
 the two precision facts (PrecisionError, and the int64 bound of the
@@ -86,10 +90,8 @@ class QuadInt:
     def __mul__(self, other):
         other = self._check(other)
         _, S, T, _ = _FIELD_TABLE[self.d]
-        # (a1 + b1 w)(a2 + b2 w) with w^2 = S w + T
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return QuadInt(a1 * a2 + T * b1 * b2,
-                       a1 * b2 + b1 * a2 + S * b1 * b2, self.d)
+        return QuadInt(*pair_prod(S, T, self.a, self.b, other.a, other.b),
+                       self.d)
 
     __rmul__ = __mul__
 
@@ -169,6 +171,12 @@ def omega(d):
 def pair_norm(S, T, a, b):
     """The norm a^2 + S*a*b - T*b^2 of a + b*w; a and b may be int arrays."""
     return a * a + S * a * b - T * b * b
+
+
+def pair_prod(S, T, xa, xb, ya, yb):
+    """The product (a1 + b1 w)(a2 + b2 w) with w^2 = S*w + T as a pair;
+    the entries may be int arrays."""
+    return xa * ya + T * xb * yb, xa * yb + xb * ya + S * xb * yb
 
 
 def divmod_step(S, T, xa, xb, ya, yb, n):
@@ -591,10 +599,45 @@ class ResidueRing:
         r = b % self.h11
         return (a - (b - r) // self.h11 * self.h10) % self.h00, r
 
+    def code(self, a, b):
+        """The index of the residue of a + b*w in elements(), r0 + h00*r1
+        for the reduced pair (r0, r1); a and b may be int arrays."""
+        r0, r1 = self.reduce_pair(a, b)
+        return r0 + self.h00 * r1
+
     def elements(self):
         for b in range(self.h11):
             for a in range(self.h00):
                 yield QuadInt(a, b, self.d)
+
+    def _xgcd_n(self, x):
+        """manin.xgcd_unit_rows of the rows (x, n) for the int pairs x,
+        an (k, 2) int array."""
+        import numpy as np
+        from .manin import xgcd_unit_rows
+        _, S, T, _ = field_params(self.d)
+        x = np.asarray(x, dtype=np.int64).reshape(-1, 2)
+        n = np.broadcast_to(np.array([self.n.a, self.n.b]), x.shape)
+        return xgcd_unit_rows(S, T, np.concatenate([x, n], axis=1))
+
+    def unit_pairs(self):
+        """The units of elements(), in its order, as the rows of a (k, 2)
+        int array: the residues whose gcd with n is a unit (is_unit), in
+        one lockstep pass."""
+        import numpy as np
+        code = np.arange(self.size)
+        x = np.stack([code % self.h00, code // self.h00], axis=1)
+        return x[self._xgcd_n(x)[0]]
+
+    def inverse_pairs(self, x):
+        """inverse() of each row of the int pairs x, an (k, 2) int array,
+        as reduced pairs, in one lockstep pass."""
+        import numpy as np
+        unit, W = self._xgcd_n(x)
+        if not unit.all():
+            raise ValueError("%r is not invertible mod %r"
+                             % (np.asarray(x)[~unit][0].tolist(), self.n))
+        return np.stack(self.reduce_pair(W[:, 0], W[:, 1]), axis=1)
 
     def is_unit(self, x):
         return gcd_quad(x, self.n).is_unit()

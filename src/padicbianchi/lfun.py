@@ -12,10 +12,15 @@ series in the disc coordinates z and zbar and paired with the two-variable
 moments mu(z^i zbar^j) of the block.
 
 A sum over discs (disc_sum) runs as stacked passes over all its weighted
-discs at once. The disc centres are int arrays (RayDistribution.unit_discs),
-and each disc is integrated once per distribution: what a kernel reads of a
-disc is kept in per-centre tables of the distribution, each filled for the
-centres not yet in it in one stacked pass. The total measures
+discs at once. The unit groups and the disc centres are int pairs
+(RayDistribution.units and unit_discs, on the residue rings' unit_pairs
+and inverse_pairs), and one call weight(unit, centres) gives the weights
+of all the discs: a character is read from a table by residue code, and a
+Teichmuller factor is one stacked power. Each disc is integrated once per
+distribution: what a kernel reads of a disc is kept in per-centre tables
+of the distribution, each filled for the centres not yet in it in one
+stacked pass, and a full table, once there, serves every narrower read of
+its disc. The total measures
 Psi{B/G -> infty}(1) (OverconvergentSymbol.ev_totals) serve the s = 0
 kernel, which pairs moment (0, 0) alone and so needs no action matrix; the
 lines, column 0 and row 0 of Psi{B/G -> infty}
@@ -55,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import QuadInt, divides
+from .field import QuadInt, divides, pair_prod
 from . import padic
 from .padic import PadicStack, StackLog, select, stack
 
@@ -115,8 +120,9 @@ class RayDistribution:
     action matrix), the lines of Psi{B/G - infty}, its column 0 and row 0
     (ev_lines, one plan per block of discs for both), the full moment
     tables (ev_paths), and the z-series of log_iw(B + G z) with the first
-    error of each row. moments() reads each block from the narrowest
-    table that holds it."""
+    error of each row. moments() reads a block from the full tables when
+    they hold all its centres, and else from the narrowest table that
+    serves it."""
 
     def __init__(self, psi, g_mod, lift_offset=0):
         self.psi = psi
@@ -136,8 +142,10 @@ class RayDistribution:
         self._logs = _CentreTable()
 
     def units(self):
+        """The units a mod g as the rows of a (k, 2) int array of pairs, in
+        the order of the ring's elements (ResidueRing.unit_pairs)."""
         if self._units is None:
-            self._units = self.ring.unit_elements()
+            self._units = self.ring.unit_pairs()
         return self._units
 
     def element(self, a, b=0):
@@ -158,23 +166,25 @@ class RayDistribution:
 
     def moments(self, centres, width, widthb):
         """The moment block (len(centres), 2, width, widthb) of
-        Psi{B/G - infty} for the centre pairs centres: a (1, 1) block from
-        the table of total measures, a (width, 1) block from the columns, a
-        (1, widthb) block from the rows, and a wider one from the full
-        tables."""
+        Psi{B/G - infty} for the centre pairs centres: from the full tables
+        when the block is wider than a line or every centre is already
+        there, and else a (1, 1) block from the table of total measures, a
+        (width, 1) block from the columns and a (1, widthb) block from the
+        rows. Each is the corner of the full table, whatever table it
+        comes from."""
         psi, paths = self.psi, self._paths
+        if min(width, widthb) > 1 or all(
+                key in self._tables.rows for key in centres):
+            (m,) = self._tables.take(
+                centres, lambda todo: (psi.ev_paths(paths(todo)),))
+            return m[:, :, :width, :widthb]
         if (width, widthb) == (1, 1):
             (m,) = self._totals.take(
                 centres, lambda todo: (psi.ev_totals(paths(todo)),))
             return m[:, :, None, None]
-        if widthb == 1 or width == 1:
-            cols, rows = self._lines.take(
-                centres, lambda todo: psi.ev_lines(paths(todo)))
-            return cols[:, :, :width] if widthb == 1 \
-                else rows[:, :, :, :widthb]
-        (m,) = self._tables.take(
-            centres, lambda todo: (psi.ev_paths(paths(todo)),))
-        return m[:, :, :width, :widthb]
+        cols, rows = self._lines.take(
+            centres, lambda todo: psi.ev_lines(paths(todo)))
+        return cols[:, :, :width] if widthb == 1 else rows[:, :, :, :widthb]
 
     def _fill_logs(self, centres):
         """The z-series of log_iw(B + G z), (n, M), as (c0, c1, prec) and
@@ -206,34 +216,30 @@ class RayDistribution:
 
     def unit_discs(self):
         """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)
-        in that order, the index of a in units() and the int pair of the
+        in that order, the row of a in units() and the int pair of the
         centre B. The restriction of mu'_a to the disc j + pi O is
         lambda_p^{-1} * Psi{B/G - infty} paired against z -> h(B + G z),
         where B = a mod g, B = j mod pi and G = g pi; B is reached from the
-        lift a + lift_offset * g."""
+        lift b = a + lift_offset * g as B = b + g t, t = (j - b)/g mod pi.
+        All the pairs are one array pass on int pairs."""
         if self._discs is not None:
             return self._discs
         rpi = self.p1.residue_ring(self.pi)
         S, T = self.p1.S, self.p1.T
-        g = self.g_mod
-        ginv = rpi.inverse(g)
-        residues = rpi.unit_elements()
-        # t = (j - b) / g mod pi, over all j at once: j/g - b/g
-        jg = np.array([_pair_of(rpi.reduce(j * ginv)) for j in residues],
-                      dtype=np.int64).reshape(-1, 2)
-        g0, g1 = _pair_of(g)
-        centres = []
-        for a in self.units():
-            b = a + g * self.lift_offset
-            b0, b1 = _pair_of(b)
-            c0, c1 = _pair_of(rpi.reduce(b * ginv))
-            t0, t1 = rpi.reduce_pair(jg[:, 0] - c0, jg[:, 1] - c1)
-            # B = b + g t, with w^2 = S w + T
-            centres.append(np.stack([b0 + g0 * t0 + T * g1 * t1,
-                                     b1 + g0 * t1 + g1 * t0 + S * g1 * t1],
-                                    axis=1))
-        unit = np.repeat(np.arange(len(self.units())), len(residues))
-        self._discs = (unit, np.concatenate(centres))
+        g0, g1 = _pair_of(self.g_mod)
+        (i0, i1), = rpi.inverse_pairs(np.array([[g0, g1]])).tolist()
+        units, residues = self.units(), rpi.unit_pairs()
+        k = self.lift_offset
+        b0, b1 = units[:, :1] + g0 * k, units[:, 1:] + g1 * k
+        # t = j/g - b/g mod pi, for every b (rows) and j (columns)
+        j0, j1 = rpi.reduce_pair(*pair_prod(S, T, residues[:, 0],
+                                            residues[:, 1], i0, i1))
+        c0, c1 = rpi.reduce_pair(*pair_prod(S, T, b0, b1, i0, i1))
+        t0, t1 = rpi.reduce_pair(j0 - c0, j1 - c1)
+        d0, d1 = pair_prod(S, T, g0, g1, t0, t1)
+        unit = np.repeat(np.arange(len(units)), len(residues))
+        self._discs = (unit, np.stack([b0 + d0, b1 + d1], axis=-1)
+                       .reshape(-1, 2))
         return self._discs
 
 
@@ -333,31 +339,38 @@ def _power_series(L, s, M):
     return _ser_exp(P, M) * head[:, None]
 
 
+def _chi_values(chi, centres):
+    """chi at the int pairs centres ((n, 2)), read from a table of chi by
+    residue code (the code method of chi.ring)."""
+    ring = chi.ring
+    table = np.zeros(ring.size, dtype=np.int64)
+    for key, value in chi.table.items():
+        table[ring.code(*_pair_of(key))] = value
+    return table[ring.code(centres[:, 0], centres[:, 1])]
+
+
 def _chi_weight(mu, chi, r=0):
-    """Disc weight chi(B) * w_Tm(B)^r (both constant on the disc), or 0
-    where chi vanishes."""
-    if r:   # the Teichmuller lifts of all the centres, in one stack
-        centres = mu.unit_discs()[1]
+    """The disc weights chi(B) * w_Tm(B)^r (both constant on the disc), 0
+    where chi vanishes: ints for r = 0, and for r > 0 a PadicStack whose
+    Teichmuller factor is one stacked power of the lifts of all the
+    centres."""
+    def weight(unit, centres):
+        cv = np.ones(len(centres), dtype=np.int64) if chi is None \
+            else _chi_values(chi, centres)
+        if not r:
+            return cv
         lifts = padic.teichmuller_units(PadicStack.embed(
             mu.pctx, centres[:, 0], centres[:, 1]))
-        row = {B: k for k, B in enumerate(map(tuple, centres.tolist()))}
-
-    def weight(a, B):
-        if chi is None and not r:
-            return 1
-        cv = 1 if chi is None else chi(mu.element(*B))
-        if cv and r:
-            # the Teichmuller character is constant on the disc
-            return cv * lifts.element(row[tuple(B)]) ** r
-        return cv
+        return lifts ** r * PadicStack.embed(mu.pctx, cv, 0 * cv)
     return weight
 
 
 def disc_sum(mu, weight, on_disc):
     """lambda_p^{-1} * sum over the unit discs (a, B) of mu of
-    weight(a, B) * (integral over the disc), where a is the unit of the
-    block (an element of mu.units()) and B the int pair of the centre
-    (mu.element(*B) is the ring element); discs of weight 0 are skipped.
+    weight * (integral over the disc). weight(unit, centres) is called once
+    with the arrays of mu.unit_discs() (the row of a in mu.units() and the
+    int pair of B, for every disc) and returns the weights of all the
+    discs, as ints or as a PadicStack; the discs of weight 0 are skipped.
     The weighted discs run as one stack: what the kernel reads of them
     (their total measures, moment tables or log series) is filled in one
     pass per table for the discs not yet in it, and on_disc(mu, discs)
@@ -365,18 +378,15 @@ def disc_sum(mu, weight, on_disc):
     disc)."""
     pctx = mu.pctx
     unit, centres = mu.unit_discs()
-    units = mu.units()
-    rows, weights = [], []
-    for k, (u, B) in enumerate(zip(unit.tolist(), centres.tolist())):
-        w = weight(units[u], B)
-        if w:
-            rows.append(k)
-            weights.append(w)
+    weights = weight(unit, centres)
+    if not isinstance(weights, PadicStack):
+        weights = PadicStack.embed(pctx, weights, 0 * weights)
+    rows = np.flatnonzero(~weights.is_zero())
     total = pctx.zero()
-    if rows:
+    if len(rows):
         discs = mu.discs(centres[rows])
         values = on_disc(mu, discs)
-        total = (values * PadicStack.of(discs.ctx, weights)).sum()
+        total = (values * weights[rows]).sum()
         discs.log.check()
     return pctx.from_rational(1 / mu.lam) * total
 

@@ -7,16 +7,21 @@ manin_pieces is field's Euclidean kernel stacked: the continued fractions
 of a batch of int paths run in lockstep on int64 arrays, one
 field.divmod_step (the step of pair_divmod, run on the rows) and one step
 of the convergents per round, and a row leaves the batch when its
-remainder is 0. pair_mul_rows is pair_mul on rows of int
-arrays and adj_rows the adjugate, ManinTerms holds plan terms as arrays, and
-generator_paths gives the generator paths of a list of matrices as rows.
-Every kernel is exact: int64 where a bound proves it, and Python ints
-(dtype object) otherwise.
+remainder is 0. xgcd_rows is the extended Euclid of field.xgcd_quad
+stacked the same way, with the Bezout pairs in place of the convergents;
+xgcd_unit_rows reads off the unit gcds and the Bezout pairs over them,
+which give the unit inverses of the P^1 key, the generator lifts
+(msymb.P1) and the unit groups of the residue rings
+(field.ResidueRing.unit_pairs and inverse_pairs). pair_mul_rows is
+pair_mul on rows of int arrays and adj_rows the adjugate, ManinTerms holds
+plan terms as arrays, and generator_paths gives the generator paths of a
+list of matrices as rows. Every kernel is exact: int64 where a bound
+proves it, and Python ints (dtype object) otherwise.
 """
 
 import numpy as np
 
-from .field import divmod_step, pair_mul, pair_norm
+from .field import divmod_step, pair_mul, pair_norm, pair_prod
 
 # The int64 bound. Let every entry of a row's state, the pair (x, y) under
 # division and the last two convergents, be at most B in magnitude, and let
@@ -157,6 +162,76 @@ def _cf_steps(S, T, C, rows, steps, bound):
             rows, state = rows[live], state[:, live]
         t, sign = t + 1, -sign
     return np.concatenate(late) if late else rows[:0]
+
+
+def xgcd_rows(S, T, X):
+    """The extended Euclid of the rows (xa, xb, ya, yb) of the (n, 4) int
+    array X, pairs x = xa + xb*w and y, in lockstep: the (n, 6) rows
+    (ga, gb, ua, ub, va, vb) with u*x + v*y = g, a gcd of x and y. Each
+    row runs the remainders and Bezout pairs of field.xgcd_quad, one
+    divmod_step per round, and leaves when its remainder is 0, so x, y =
+    0, 0 gives g, u, v = 0, 1, 0. Exact: the Bezout pairs update as the
+    convergents of _cf_steps do, so the int64 bound of manin_pieces holds,
+    and a row past it runs again on Python ints (dtype object)."""
+    X = np.asarray(X).reshape(-1, 4)
+    rows = np.arange(len(X))
+    if X.dtype == object:
+        out = np.zeros((len(X), 6), dtype=object)
+        _xgcd_steps(S, T, X, rows, out, None)
+        return out
+    out = np.zeros((len(X), 6), dtype=np.int64)
+    big = np.abs(X).max(axis=1, initial=0) > EUCLID_BOUND
+    late = np.concatenate(
+        [rows[big], _xgcd_steps(S, T, X, rows[~big], out, EUCLID_BOUND)])
+    if len(late):
+        out = out.astype(object)
+        _xgcd_steps(S, T, X.astype(object), late, out, None)
+    return out
+
+
+def _xgcd_steps(S, T, X, rows, out, bound):
+    """The extended Euclid of the rows X[rows] in lockstep, into out[rows].
+    With a bound, a row whose state passes it leaves unfinished; the rows
+    that left are returned."""
+    xa, xb, ya, yb = X[rows].T
+    one, nil = np.ones_like(xa), np.zeros_like(xa)
+    # the remainders r0 = x, r1 = y, and the Bezout pairs s (of x) and
+    # t (of y) with s0, s1 = 1, 0 and t0, t1 = 0, 1
+    state = np.stack([xa, xb, ya, yb, one, nil, nil, nil,
+                      nil, nil, one, nil])
+    late = []
+    while True:
+        done = (state[2] == 0) & (state[3] == 0)
+        if done.any():
+            out[rows[done]] = state[[0, 1, 4, 5, 8, 9]][:, done].T
+            rows, state = rows[~done], state[:, ~done]
+        if not len(rows):
+            break
+        r0a, r0b, r1a, r1b, s0a, s0b, s1a, s1b, t0a, t0b, t1a, t1b = state
+        ka, kb, ra, rb, _ = divmod_step(S, T, r0a, r0b, r1a, r1b,
+                                        pair_norm(S, T, r1a, r1b))
+        qsa, qsb = pair_prod(S, T, ka, kb, s1a, s1b)
+        qta, qtb = pair_prod(S, T, ka, kb, t1a, t1b)
+        state = np.stack([r1a, r1b, ra, rb, s1a, s1b, s0a - qsa, s0b - qsb,
+                          t1a, t1b, t0a - qta, t0b - qtb])
+        if bound is not None:
+            over = np.abs(state).max(axis=0) > bound
+            if over.any():
+                late.append(rows[over])
+                rows, state = rows[~over], state[:, ~over]
+    return np.concatenate(late) if late else rows[:0]
+
+
+def xgcd_unit_rows(S, T, X):
+    """xgcd_rows of X as (unit, W): whether the gcd g of a row is a unit,
+    and the (n, 4) rows (u/g, v/g) of pairs, for which u/g x + v/g y = 1
+    where g is a unit. A unit g has norm 1, so 1/g = conj(g)."""
+    E = xgcd_rows(S, T, X)
+    ga, gb = E[:, 0], E[:, 1]
+    ca, cb = ga + S * gb, -gb
+    W = np.stack(pair_prod(S, T, E[:, 2], E[:, 3], ca, cb)
+                 + pair_prod(S, T, E[:, 4], E[:, 5], ca, cb), axis=1)
+    return pair_norm(S, T, ga, gb) == 1, W
 
 
 class ManinTerms:

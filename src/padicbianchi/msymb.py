@@ -40,9 +40,11 @@ the bottom rows of an int array: the pieces of paths, the relation solve
 parity involution all reduce through it, and reduce(c, d) is its one-row
 case. Over O_F the key reads, per prime factor of the level, the HNF
 constants and two arrays of unit inverses, so it builds no QuadInt and
-takes no gcd. QuadInts appear only at the edges: the generators, their
-lifts, the operators' matrices and the cusps a caller passes in
-(ModularSymbol.ev).
+takes no gcd. The inverses and the generator lifts (P1.lift_rows) come
+from one lockstep pass each of the stacked extended Euclid
+(manin.xgcd_unit_rows) on int rows. QuadInts appear only at the edges: the
+generators, the operators' matrices, the cusps a caller passes in
+(ModularSymbol.ev) and a lift asked for as a matrix (lift_matrix).
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -54,10 +56,9 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from . import field as fld
-from .field import (QuadInt, Cusp, ResidueRing, one, omega, gcd_quad,
-                    xgcd_quad, exact_div, divides, mat_mul, mat_pairs,
-                    apply_moebius, cusp_zero, cusp_infinity, split_prime,
-                    _unit_inverse)
+from .field import (QuadInt, Cusp, ResidueRing, one, omega, xgcd_quad,
+                    exact_div, divides, mat_mul, mat_pairs, apply_moebius,
+                    cusp_zero, cusp_infinity, split_prime, _unit_inverse)
 
 
 # the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
@@ -86,13 +87,14 @@ class ManinLayer:
     (basechange.RationalP1), and supplies what differs between the two
     rings: piece_indices(G), the layer's one P^1 key, from the bottom rows
     of an (n, 8) int array to their generator indices (reduce(c, d) is the
-    key of one row), _lift(i) of a generator to a determinant-1 matrix,
-    pairs(m) of one of its matrices to the 8-tuple of int pairs of
-    field.pair_mul (its entries in O_F), hecke_reps(q), relation_mats(),
-    the field w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int
-    cusp of a caller's cusp. For the ray distribution of lfun a layer also
-    supplies residue_ring(n) (R/n with reduce, elements, unit_elements and
-    inverse) and uniformizer(pd) of the prime data.
+    key of one row), _lift(i) of a generator to a determinant-1 matrix
+    (or _lift_all, all the lifts as int rows at once), pairs(m) of one of
+    its matrices to the 8-tuple of int pairs of field.pair_mul (its
+    entries in O_F), hecke_reps(q), relation_mats(), the field
+    w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of a
+    caller's cusp. For the ray distribution of lfun a layer also supplies
+    residue_ring(n) (R/n on int pairs: reduce_pair, code, size, unit_pairs
+    and inverse_pairs) and uniformizer(pd) of the prime data.
 
     Below the symbol API a path is a pair of int cusps (num_a, num_b,
     den_a, den_b), not necessarily coprime: the continued fraction of
@@ -133,11 +135,14 @@ class ManinLayer:
         """The lift_matrix of every generator as an 8-tuple, the rows of an
         (n_gen, 8) int array; memoised."""
         if self._lift_rows is None:
-            from .manin import int_rows
-            self._lift_rows = int_rows(
-                [self.pairs(self.lift_matrix(i)) for i in range(len(self))],
-                8)
+            self._lift_rows = self._lift_all()
         return self._lift_rows
+
+    def _lift_all(self):
+        """The lift_rows of a layer that lifts one generator at a time."""
+        from .manin import int_rows
+        return int_rows(
+            [self.pairs(self.lift_matrix(i)) for i in range(len(self))], 8)
 
     def path_terms(self, paths):
         """The Manin decomposition of the int paths (rows (r, s) of 8 ints)
@@ -201,8 +206,10 @@ class P1(ManinLayer):
     when it is nonzero), and the point of P^1(O/pi) is the code of d/c, or
     N(pi) for (0 : 1). The points of the primes combine in mixed radix into
     one code of P^1(O/n), and one array maps it to the generator. The
-    arrays are made on the first batch. A caller's cusp enters as its int
-    pairs Cusp.v.
+    arrays are made on the first batch, and the generator lifts on the
+    first call of lift_rows, each in one lockstep pass of the extended
+    Euclid, so that the constructor (and a warm `build`) needs no numpy. A
+    caller's cusp enters as its int pairs Cusp.v.
     """
 
     def __init__(self, n):
@@ -245,20 +252,18 @@ class P1(ManinLayer):
 
     def _batch_tables(self):
         """The per-prime arrays of the key (the ring and its unit
-        inverses), and the array from the key code of P^1(O/n) to the
-        generator."""
+        inverses, every nonzero residue inverted in one lockstep pass of
+        ResidueRing.inverse_pairs), and the array from the key code of
+        P^1(O/n) to the generator."""
         import numpy as np
         from .manin import int_rows
         tables = []
         for R in self._rings:
-            inv_a = np.zeros(R.size, dtype=np.int64)
-            inv_b = np.zeros(R.size, dtype=np.int64)
-            for x in R.elements():
-                if x:
-                    y = R.inverse(x)
-                    inv_a[x.a + R.h00 * x.b] = y.a
-                    inv_b[x.a + R.h00 * x.b] = y.b
-            tables.append((R, inv_a, inv_b))
+            code = np.arange(1, R.size)
+            inv = np.zeros((R.size, 2), dtype=np.int64)
+            inv[1:] = R.inverse_pairs(
+                np.stack([code % R.h00, code // R.h00], axis=1))
+            tables.append((R, inv[:, 0], inv[:, 1]))
         codes = self._codes(tables, *int_rows(
             [(c.a, c.b, dd.a, dd.b) for c, dd in self.reps], 4).T)
         gen_of_code = np.zeros(len(self), dtype=np.int64)
@@ -288,20 +293,31 @@ class P1(ManinLayer):
         return code
 
     def _lift(self, i):
-        c, dd = self.reps[i]
-        # massage (c, d) into a coprime pair congruent to the class mod n:
-        # adjusting c mod n keeps the class (at most 6 additions of n)
+        return fld.pair_mat(tuple(self.lift_rows()[i].tolist()), self.d)
+
+    def _lift_all(self):
+        """Every generator lift in one lockstep pass of the extended Euclid
+        (manin.xgcd_unit_rows). The row (c : d) of a generator is massaged
+        into a coprime pair congruent to the class mod n: adjusting c mod n
+        keeps the class, and the rows whose gcd is not a unit add n to c
+        and try again, at most 6 times in all. Then u*c + v*d = g, and
+        a*d - b*c = 1 with a = v/g, b = -u/g."""
+        import numpy as np
+        from .manin import xgcd_unit_rows
+        X = np.array([(c.a, c.b, dd.a, dd.b) for c, dd in self.reps],
+                     dtype=np.int64)
+        out = np.zeros((len(X), 8), dtype=np.int64)
+        todo = np.arange(len(X))
         for _ in range(6):
-            if gcd_quad(c, dd).is_unit():
-                break
-            c = c + self.n
-        else:
-            raise AssertionError("could not lift %r" % ((c, dd),))
-        gg, u, v = xgcd_quad(c, dd)
-        ui = _unit_inverse(gg)
-        # u*c + v*d = g; a*d - b*c = 1 with a = v/g, b = -u/g
-        a, b = v * ui, (-u) * ui
-        return ((a, b), (c, dd))
+            unit, W = xgcd_unit_rows(self.S, self.T, X[todo])
+            done = todo[unit]
+            out[done] = np.concatenate([W[unit, 2:], -W[unit, :2], X[done]],
+                                       axis=1)
+            todo = todo[~unit]
+            if not len(todo):
+                return out
+            X[todo, :2] += (self.n.a, self.n.b)
+        raise AssertionError("could not lift %r" % (X[todo[0]].tolist(),))
 
     pairs = staticmethod(mat_pairs)
     residue_ring = ResidueRing

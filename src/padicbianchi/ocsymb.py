@@ -103,19 +103,20 @@ def honest_moment(ctx, m, i, j):
 
 def action_matrices(ctx, gs):
     """The moment transform pairs (A0, A1), each (N, M, M), of the N
-    matrices gs = [[a, b], [c, d]] in Sigma_0(p), given as the 8-tuples of
-    field.mat_pairs: row i of A[k] holds the power series coefficients of
-    ((b + dz)/(a + cz))^i for gs[k], as pairs mod p^M of the completion's
-    dtype.
+    matrices gs = [[a, b], [c, d]] in Sigma_0(p), given as the rows of an
+    (N, 8) int array of the 8-tuples of field.mat_pairs: row i of A[k]
+    holds the power series coefficients of ((b + dz)/(a + cz))^i for
+    gs[k], as pairs mod p^M of the completion's dtype. The entries are
+    reduced mod p^M before one embed_pair call on all of them, which is
+    then exact in that dtype.
     Membership in Sigma_0(p) is the caller's to check (action_matrix,
     sigma0_act); a non-unit a raises ValueError."""
     pctx = ctx.pctx
     M, mod, dt = ctx.M, pctx.mod, pctx.dtype
-    embed = pctx.embed_pair
-    ent = np.array([embed(g[k], g[k + 1]) for g in gs for k in range(0, 8, 2)],
-                   dtype=dt).reshape(-1, 4, 2)
-    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ent.transpose(1, 2, 0)
-    n = len(ent)
+    G = ((gs.astype(object) if dt is object else gs) % mod).astype(dt)
+    E0, E1 = pctx.embed_pair(G[:, 0::2], G[:, 1::2])
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = E0.T, E1.T
+    n = len(G)
     # h[m] = a^{-1} (-c/a)^m, the series of 1/(a + cz)
     h0 = np.zeros((n, M), dtype=dt)
     h1 = np.zeros((n, M), dtype=dt)
@@ -154,7 +155,7 @@ def _check_sigma0(ctx, g):
 def action_matrix(ctx, g):
     """The moment transform pair (A0, A1) for gamma in Sigma_0(p)."""
     _check_sigma0(ctx, g)
-    A0, A1 = action_matrices(ctx, [mat_pairs(g)])
+    A0, A1 = action_matrices(ctx, int_rows([mat_pairs(g)], 8))
     return A0[0], A1[0]
 
 
@@ -309,7 +310,7 @@ class UOperator:
             np.empty((len(used), M, M), dtype=pctx.dtype) for _ in range(4))
         for lo in range(0, len(used), CHUNK):
             part = slice(lo, lo + CHUNK)
-            A0, A1 = action_matrices(ctx, [gs[k] for k in used[part]])
+            A0, A1 = action_matrices(ctx, gs[used[part]])
             self.A0[part], self.A1[part] = A0, A1
             B0, B1 = pctx.conj(A0, A1)
             self.B0[part] = B0.transpose(0, 2, 1)
@@ -349,10 +350,11 @@ class UOperator:
 
 
 def _distinct_rows(g):
-    """(the distinct rows of the (n, 8) int array g as 8-tuples, the index
-    of each row among them). Each half of a row is one int64 code in mixed
-    radix over its columns' ranges, so that three 1-d np.unique find the
-    rows; a dict does when a half's code could pass int64."""
+    """(the distinct rows of the (n, 8) int array g, as the rows of an int
+    array of its dtype, the index of each row among them). Each half of a
+    row is one int64 code in mixed radix over its columns' ranges, so that
+    three 1-d np.unique find the rows; a dict does when a half's code could
+    pass int64."""
     if g.dtype != object and len(g):
         lo = g.min(axis=0).tolist()
         span = [hi - low + 1 for hi, low in zip(g.max(axis=0).tolist(), lo)]
@@ -367,10 +369,11 @@ def _distinct_rows(g):
             key = halves[0] * (int(halves[1].max()) + 1) + halves[1]
             _, first, inv = np.unique(key, return_index=True,
                                       return_inverse=True)
-            return list(map(tuple, g[first].tolist())), inv.reshape(-1)
+            return g[first], inv.reshape(-1)
     index = {}
     inv = [index.setdefault(r, len(index)) for r in map(tuple, g.tolist())]
-    return list(index), np.array(inv, dtype=np.int64)
+    return np.array(list(index), dtype=g.dtype).reshape(-1, 8), \
+        np.array(inv, dtype=np.int64)
 
 
 def _lambda_inverse(ctx, lam):

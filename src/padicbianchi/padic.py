@@ -60,6 +60,9 @@ class PadicContext:
         # residue class mod pi -> (c0, c1) of its Teichmuller lift, filled
         # on demand (teichmuller_units)
         self._teich = {}
+        # the inverses mod p of 0, 1, ..., p - 1 (0 for 0), made by the
+        # first stacked inv
+        self._inv_mod_p = None
         # whether ocsymb's moment products are exact in int64
         self.int64_safe = fld.int64_exact(p, M, self.S, self.T)
         self.dtype = np.int64 if self.int64_safe else object
@@ -85,15 +88,30 @@ class PadicContext:
 
     def inv(self, x0, x1):
         """Inverses of unit pairs: conj(x) / N(x). Raises ValueError where
-        x is not a unit."""
+        x is not a unit. An array of norms N is inverted mod p from a table
+        of the residues, and the inverse y lifted by Newton's step
+        y -> y (2 - N y), which doubles its digits, to p^M; the products
+        stay below p^2M, which the dtype holds (int64_exact)."""
         c0, c1 = self.conj(x0, x1)
         norm, _ = self.mul(x0, x1, c0, c1)
+        mod = self.mod
         if isinstance(norm, np.ndarray):
-            ninv = np.array([pow(int(n), -1, self.mod) for n in norm.ravel()],
-                            dtype=self.dtype).reshape(norm.shape)
+            p = self.p
+            residue = (norm % p).astype(np.int64)
+            if not residue.all():
+                raise ValueError("inverse of a non-unit")
+            if self._inv_mod_p is None:
+                self._inv_mod_p = np.array(
+                    [0] + [pow(k, -1, p) for k in range(1, p)],
+                    dtype=self.dtype)
+            ninv = self._inv_mod_p[residue]
+            digits = 1
+            while digits < self.M:
+                ninv = ninv * ((2 - norm * ninv) % mod) % mod
+                digits *= 2
         else:
-            ninv = pow(int(norm), -1, self.mod)
-        return c0 * ninv % self.mod, c1 * ninv % self.mod
+            ninv = pow(int(norm), -1, mod)
+        return c0 * ninv % mod, c1 * ninv % mod
 
     def div_pi(self, c0, c1):
         """(c0 + c1*g) / pi as (c0, c1, fail), exact where pi divides and
@@ -425,8 +443,9 @@ class PadicStack:
         while n:
             if n & 1:
                 r = r * x
-            x = x * x
             n >>= 1
+            if n:
+                x = x * x
         return r
 
     def conj(self):

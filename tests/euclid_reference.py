@@ -1,9 +1,10 @@
 """Reference copies of the Euclidean code that field's kernels replaced.
-The QuadInt code: division with the four-point quotient scan, gcd, cusp
-normalisation, the continued-fraction matrices, and the Manin rows and
-U_p plan terms of a list of operators on normalised cusps. The scalar
-int-pair decomposition (pair_cf, pair_path) that field.manin_pieces
-stacks. The tests compare the kernels against them."""
+The QuadInt code: division with the four-point quotient scan, gcd, the
+extended Euclid, cusp normalisation, the continued-fraction matrices, the
+scalar generator lift of P1, and the Manin rows and U_p plan terms of a
+list of operators on normalised cusps. The scalar int-pair decomposition
+(pair_cf, pair_path) that field.manin_pieces stacks. The tests compare the
+kernels against them."""
 
 from padicbianchi import field as fld
 from padicbianchi.field import QuadInt, pair_divmod
@@ -72,6 +73,39 @@ def ref_gcd(x, y):
     while y:
         x, y = y, ref_divmod(x, y)[1]
     return x
+
+
+def ref_xgcd(x, y):
+    """(g, u, v) with u*x + v*y = g = ref_gcd(x, y), by the remainders of
+    ref_divmod."""
+    d = x.d
+    r0, r1 = x, y
+    s0, s1 = QuadInt(1, 0, d), QuadInt(0, 0, d)
+    t0, t1 = QuadInt(0, 0, d), QuadInt(1, 0, d)
+    while r1:
+        q, r = ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0, t0
+
+
+def ref_lift(p1, i):
+    """The lift of generator i of the O_F layer p1 one at a time, by the
+    scalar QuadInt gcd and extended Euclid (the code P1.lift_rows runs in
+    lockstep): the row (c : d), with c moved by the level until gcd(c, d)
+    is a unit (at most 6 tries), completes to [[v/g, -u/g], [c, d]] for
+    u*c + v*d = g."""
+    c, dd = p1.reps[i]
+    for _ in range(6):
+        if fld.gcd_quad(c, dd).is_unit():
+            break
+        c = c + p1.n
+    else:
+        raise AssertionError("could not lift %r" % ((c, dd),))
+    gg, u, v = fld.xgcd_quad(c, dd)
+    ui = fld._unit_inverse(gg)
+    return ((v * ui, (-u) * ui), (c, dd))
 
 
 def ref_exact_div(x, y):

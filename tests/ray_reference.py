@@ -1,11 +1,41 @@
-"""Reference copy of the ray-character enumeration that
-field.quadratic_ray_characters replaced: the same basis of U/S, but each
-character value found by a search over the subsets of the basis
-(_coset_sign). The tests compare the characters, their order, tables and
-conductors against it."""
+"""Reference copies of ray-class code that the package replaced: the
+ray-character enumeration that field.quadratic_ray_characters replaced,
+with the same basis of U/S but each character value found by a search over
+the subsets of the basis (_coset_sign); and the unit discs of a ray
+distribution one disc at a time, on QuadInts (ref_unit_discs). The tests
+compare the characters, their order, tables and conductors, and the unit
+groups and disc centres, against them."""
+
+from math import gcd
 
 from padicbianchi.field import (RayCharacter, ResidueRing, _exact_conductor,
                                 one, units)
+
+
+def ref_unit_discs(mu):
+    """(units, centres) of the ray distribution mu as lists of int pairs:
+    the units a mod g and, for each a and each unit j mod pi in that order,
+    the centre B = b + g t of the disc, t = (j - b)/g mod pi, for the lift
+    b = a + lift_offset * g. Over O_F by ResidueRing's QuadInt unit_elements,
+    inverse and reduce; over Z (g an int) by ints."""
+    g, pi, k = mu.g_mod, mu.pi, mu.lift_offset
+    if isinstance(g, int):
+        us = [a for a in range(g) if gcd(a, g) == 1]
+        js = [j for j in range(pi) if gcd(j, pi) == 1]
+        ginv = pow(g, -1, pi)
+        return ([(a, 0) for a in us],
+                [(a + g * k + g * ((j - a - g * k) * ginv % pi), 0)
+                 for a in us for j in js])
+    R = ResidueRing(pi)
+    ginv = R.inverse(g)
+    us = ResidueRing(g).unit_elements()
+    centres = []
+    for a in us:
+        b = a + g * k
+        for j in R.unit_elements():
+            B = b + g * R.reduce((j - b) * ginv)
+            centres.append((B.a, B.b))
+    return [(a.a, a.b) for a in us], centres
 
 
 def quadratic_ray_characters(c):

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from euclid_reference import pair_path
+from ray_reference import ref_unit_discs
 
 from padicbianchi import basechange as bc
 from padicbianchi import field as fld
@@ -247,6 +248,16 @@ class TestRationalLp:
             rep = val.to_json()
             assert (rep["coeffs"][0], rep["valuation"],
                     rep["precision"]) == (c0, v, prec)
+
+    def test_unit_discs_match_int_route(self, rational_lifts):
+        # the layer over Z: the units of Z/m and the centres of its ray
+        # distribution, as pairs (a, 0), are those of the scalar int route
+        (psi_p, _), (psi_m, _) = rational_lifts
+        for psi, m in ((psi_p, 1), (psi_m, 4)):
+            mu = bc.build_mu_rational(psi, m)
+            units, centres = ref_unit_discs(mu)
+            assert mu.units().tolist() == [list(a) for a in units]
+            assert mu.unit_discs()[1].tolist() == [list(B) for B in centres]
 
     def test_modulus_coprime_to_p(self, rational_lifts):
         (psi_p, _), _ = rational_lifts

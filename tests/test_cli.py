@@ -361,6 +361,45 @@ class TestLinv:
         assert cli.main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_no_scalar_euclid_in_tables_lifts_and_discs(self, cache_dir,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # a warm linv builds the P^1 tables and the generator lifts of its
+        # own layer, and the unit groups and discs of its distributions,
+        # on the lockstep Euclid: none of them calls the scalar QuadInt
+        # gcd_quad or xgcd_quad
+        from padicbianchi import field as fld
+        from padicbianchi import manin
+        mods = [m for name, m in sys.modules.items()
+                if name.startswith("padicbianchi") and m is not None]
+        calls, lockstep = [], []
+        hot = ("_batch_tables", "lift_rows", "_lift_all", "unit_discs",
+               "units", "_lc_setup", "_chi_weight", "disc_sum")
+        for name in ("gcd_quad", "xgcd_quad"):
+            orig = getattr(fld, name)
+
+            def counted(*args, _orig=orig, _name=name):
+                frame, stack = sys._getframe(1), []
+                while frame is not None:
+                    stack.append((frame.f_code.co_filename,
+                                  frame.f_code.co_name))
+                    frame = frame.f_back
+                calls.append((_name, stack))
+                return _orig(*args)
+            for mod in mods:
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+        rows = manin.xgcd_rows
+        monkeypatch.setattr(manin, "xgcd_rows",
+                            lambda *a: lockstep.append(1) or rows(*a))
+        code, _ = run(tmp_path, "l.json",
+                      ["linv"] + BASE + ["--cache-dir", str(cache_dir)])
+        assert code == 0 and lockstep
+        assert calls, "the guard sees the scalar calls made elsewhere"
+        for name, stack in calls:
+            assert not any(fn.endswith("lfun.py") or fname in hot
+                           for fn, fname in stack), (name, stack[:4])
+
     @pytest.mark.parametrize("datum, why", [
         ("11:1", "c must be coprime to p"),
         ("3:3", "v must be a unit mod c"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ray_reference
 from euclid_reference import (pair_path, ref_cf, ref_cusp, ref_divmod,
-                              ref_gcd)
+                              ref_gcd, ref_xgcd)
 from padicbianchi import field as fld
 from padicbianchi import manin
 from padicbianchi.field import (
@@ -285,6 +285,59 @@ class TestSharedStep:
         S, T = fld.field_params(d)[1:3]
         with pytest.raises(ZeroDivisionError):
             fld.pair_divmod(S, T, 1, 1, 0, 0)
+
+
+class TestLockstepXgcd:
+    """manin.xgcd_rows runs the extended Euclid of xgcd_quad on rows in
+    lockstep: row by row it gives xgcd_quad's (g, u, v), which is the
+    QuadInt reference's, in int64 while the rows stay within EUCLID_BOUND
+    and on Python ints past it."""
+
+    def check(self, d, pairs, dtype):
+        S, T = fld.field_params(d)[1:3]
+        X = manin.int_rows([(x.a, x.b, y.a, y.b) for x, y in pairs], 4)
+        got = manin.xgcd_rows(S, T, X)
+        assert got.dtype == dtype and got.shape == (len(pairs), 6)
+        unit, W = manin.xgcd_unit_rows(S, T, X)
+        for (x, y), row, is_unit, w in zip(pairs, got.tolist(),
+                                           unit.tolist(), W.tolist()):
+            g, u, v = xgcd_quad(x, y)
+            assert (g, u, v) == ref_xgcd(x, y)
+            assert row == [g.a, g.b, u.a, u.b, v.a, v.b]
+            assert u * x + v * y == g
+            assert is_unit == g.is_unit()
+            if is_unit:
+                ui = fld._unit_inverse(g)
+                assert w == [(u * ui).a, (u * ui).b, (v * ui).a, (v * ui).b]
+
+    @staticmethod
+    def random_pairs(d, rng, count, top):
+        return [(qi(rng.randint(-top, top), rng.randint(-top, top), d),
+                 qi(rng.randint(-top, top), rng.randint(-top, top), d))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_random_rows(self, d):
+        # small and large entries, and the zero rows: (0, 0) gives
+        # (0, 1, 0), (x, 0) gives (x, 1, 0) and (0, y) gives (y, 0, 1)
+        rng = random.Random(d)
+        pairs = self.random_pairs(d, rng, 1000, 12) \
+            + self.random_pairs(d, rng, 1000, 10 ** 6)
+        pairs += [(qi(0, 0, d), qi(0, 0, d)), (qi(5, 2, d), qi(0, 0, d)),
+                  (qi(0, 0, d), qi(3, 1, d)), (qi(1, 0, d), qi(1, 0, d))]
+        self.check(d, pairs, np.int64)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rows_past_the_bound(self, d):
+        # a batch with rows at and past EUCLID_BOUND runs those rows again
+        # on Python ints; an object batch runs on them from the start
+        rng = random.Random(10 + d)
+        B = manin.EUCLID_BOUND
+        pairs = self.random_pairs(d, rng, 200, 50) \
+            + [(qi(B, B - 1, d), qi(3, 1, d)), (qi(B + 1, 0, d), qi(2, 0, d)),
+               (qi(0, 0, d), qi(-B - 5, B, d))]
+        self.check(d, pairs, object)
+        self.check(d, self.random_pairs(d, rng, 100, 10 ** 25), object)
 
 
 class TestIntVal:

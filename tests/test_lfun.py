@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import padic_reference as pref
+from ray_reference import ref_unit_discs
 from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
 from padicbianchi import lfun
@@ -33,8 +34,9 @@ def mu3(ref_lift):
 
 def block(psi, g_mod, a, lift_offset=0):
     """The moment table of the block mu'_a = Psi{b/g - infty} | [[1, b],
-    [0, g]], b the lift a + lift_offset * g."""
-    b = a + g_mod * lift_offset
+    [0, g]] of the unit a, an int pair (a row of RayDistribution.units),
+    b the lift a + lift_offset * g."""
+    b = qi(*a) + g_mod * lift_offset
     raw = psi.ev(fld.Cusp(b, g_mod), fld.cusp_infinity(1))
     return oc.sigma0_act(psi.ctx, ((qi(1), b), (qi(0), g_mod)), raw)
 
@@ -109,6 +111,27 @@ class TestBlocks:
         assert restriction_consistency(mu) >= mu.psi.ctx.M
 
 
+class TestUnitDiscs:
+    @pytest.mark.parametrize("g, offset", [
+        ((1, 0), 0), ((3, 0), 0), ((7, 0), 0), ((4, 1), 2)])
+    def test_match_quadint_route(self, ref_lift, g, offset):
+        # the unit groups and the centres of the int-pair pass are those of
+        # the QuadInt route, disc by disc, and each centre B lies in its
+        # disc: B = a mod g and B = j mod pi
+        mu = lfun.build_mu_p(ref_lift[0], qi(*g), lift_offset=offset)
+        units, centres = ref_unit_discs(mu)
+        assert mu.units().tolist() == [list(a) for a in units]
+        unit, got = mu.unit_discs()
+        assert got.tolist() == [list(B) for B in centres]
+        assert unit.tolist() == [u for u in range(len(units))
+                                 for _ in range(len(centres) // len(units))]
+        rpi = fld.ResidueRing(mu.pi)
+        js = [(j.a, j.b) for j in rpi.unit_elements()]
+        for k, (u, B) in enumerate(zip(unit.tolist(), got.tolist())):
+            assert mu.ring.code(*B) == mu.ring.code(*units[u])
+            assert rpi.code(*B) == rpi.code(*js[k % len(js)])
+
+
 class TestValues:
     def test_trivial_character_exceptional_zero(self, mu1):
         assert lfun.Lp_value(mu1).is_zero()
@@ -134,15 +157,20 @@ class TestValues:
             assert (a - b).is_zero()
 
     def test_teichmuller_twist_weights(self, mu3):
-        # the weight of the disc at B is chi(B) w_Tm(B)^r, with the lift
-        # of the class of B from the independent scalar iteration
+        # one weight call gives the weight of every disc: chi(B) w_Tm(B)^r,
+        # with chi from the character's own call and the lift of the class
+        # of B from the independent scalar iteration; ints for r = 0
         chi = character(qi(3), 1)
-        weight = lfun._chi_weight(mu3, chi, 2)
-        for u, B in zip(*mu3.unit_discs()):
-            got = weight(mu3.units()[u], B.tolist())
+        unit, centres = mu3.unit_discs()
+        plain = lfun._chi_weight(mu3, chi)(unit, centres)
+        twisted = lfun._chi_weight(mu3, chi, 2)(unit, centres)
+        assert len(plain) == len(twisted) == len(centres) == 960
+        for k, B in enumerate(centres.tolist()):
             cv = chi(mu3.element(*B))
+            assert plain[k] == cv
+            got = twisted.element(k)
             if not cv:
-                assert got == 0
+                assert got.is_zero()
                 continue
             want = cv * pref.teichmuller(mu3.pctx.embed(mu3.element(*B))) ** 2
             assert (got.c0, got.c1, got.prec) == (want.c0, want.c1, want.prec)
@@ -333,11 +361,14 @@ class TestIntegrateOnce:
                               monkeypatch):
         # accept --criteria 3,5,6,9 fills 120 discs as full tables (mu(1),
         # for the three s = 11^m values; 720 before the log kernels read
-        # the lines) and 720 as lines, decomposes at most CHUNK = 128 paths
-        # at once (960 before ev_totals ran in blocks), and builds 3 log
-        # series (11 with one per kernel call); linv builds 2 (6). The
-        # default data (3, 1) and (3, 2) have the same blocks J_v = {1, 2}
-        # (pi = 2 mod 3), so the second builds none
+        # the lines) and 600 as lines (720 while criterion 9 took its
+        # derivative before the values at s = 11^m, which now serve the
+        # derivative and the value at 0 of mu(1) from the full tables),
+        # decomposes at most CHUNK = 128 paths at once (960 before
+        # ev_totals ran in blocks), and builds 3 log series (11 with one
+        # per kernel call); linv builds 2 (6). The default data (3, 1) and
+        # (3, 2) have the same blocks J_v = {1, 2} (pi = 2 mod 3), so the
+        # second builds none
         from padicbianchi import acceptance as acc
         from padicbianchi import msymb as ms
         phi, _ = ref_symbols
@@ -350,7 +381,10 @@ class TestIntegrateOnce:
         assert all(r["passed"] for r in results)
         mus = ctx.fam._mus.values()
         assert sum(len(mu._tables.rows) for mu in mus) == 120
-        assert sum(len(mu._lines.rows) for mu in mus) == 720
+        assert sum(len(mu._lines.rows) for mu in mus) == 600
+        mu1 = ctx.fam.mu(qi(1))
+        assert len(mu1._tables.rows) == 120
+        assert mu1._lines.rows == {} and mu1._totals.rows == {}
         assert max(batches) == oc.CHUNK == 128
         assert logs == [240, 360, 120]
         del logs[:]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euclid_reference import ref_hecke_terms, ref_path_rows
+from euclid_reference import ref_hecke_terms, ref_lift, ref_path_rows
 from padicbianchi import field as fld
 from padicbianchi import msymb as ms
 from padicbianchi.field import QuadInt, Cusp, cusp_zero, cusp_infinity
@@ -146,6 +146,30 @@ class TestTableReduction:
         assert fld.mat_det(g) == fld.one(1)
         assert p1.lift_rows() is p1.lift_rows()
         assert p1.lift_rows()[5].tolist() == list(fld.mat_pairs(g))
+
+    @pytest.mark.parametrize("level", [
+        QuadInt(11, 0, 1), QuadInt(33, 0, 1), QuadInt(7, 7, 1),
+        QuadInt(15, 0, 1), QuadInt(14, 0, 3)])
+    def test_lifts_match_scalar_reference(self, level):
+        # the lockstep lifts are the scalar lifts, massage included, so
+        # they pick the same generator paths and write the same caches
+        p1 = ms.P1(level)
+        rows = p1.lift_rows().tolist()
+        for i in range(len(p1)):
+            want = ref_lift(p1, i)
+            assert rows[i] == list(fld.mat_pairs(want))
+            assert p1.lift_matrix(i) == want
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_inverse_tables_match_residue_ring(self, level):
+        p1 = ms.P1(level)
+        tables, _ = p1._batch_tables()
+        for R, inv_a, inv_b in tables:
+            for x in R.elements():
+                if x:
+                    y = R.inverse(x)
+                    code = x.a + R.h00 * x.b
+                    assert (inv_a[code], inv_b[code]) == (y.a, y.b)
 
     def test_operators_match_naive_path_sums(self):
         level = qi(7, 7)

@@ -203,7 +203,8 @@ class TestActionKernel:
             g = ((a, b), (c, d))
             if fld.mat_det(g) and not fld.divides(pd.pi, a):
                 gs.append(g)
-        A0, A1 = oc.action_matrices(ctx, [fld.mat_pairs(g) for g in gs])
+        A0, A1 = oc.action_matrices(
+            ctx, np.array([fld.mat_pairs(g) for g in gs], dtype=np.int64))
         assert A0.shape == A1.shape == (len(gs), M, M)
         for k, ((a, b), (c, d)) in enumerate(gs):
             pctx = ctx.pctx
@@ -350,7 +351,8 @@ class TestZbarTrivialColumn:
         ctx = oc.DistContext(pd, M)
         assert ctx.pctx.int64_safe == (M < 20)
         gs = rand_sigma0_at(pd, random.Random(p + M), 30)
-        A0, A1 = oc.action_matrices(ctx, [fld.mat_pairs(g) for g in gs])
+        A0, A1 = oc.action_matrices(
+            ctx, np.array([fld.mat_pairs(g) for g in gs], dtype=np.int64))
         B0, B1 = ctx.pctx.conj(A0, A1)
         e0 = np.eye(M, dtype=int)[0]
         # row 0 of conj(A) is column 0 of conj(A)^T
@@ -494,6 +496,8 @@ class TestLift:
                 [2 ** 62, 1] + [0] * 6]
         for g in (rows, wide):
             gs, inv = oc._distinct_rows(np.array(g, dtype=np.int64))
+            assert gs.dtype == np.int64 and gs.shape[1] == 8
+            gs = list(map(tuple, gs.tolist()))
             assert sorted(gs) == sorted(set(map(tuple, g)))
             assert [gs[k] for k in inv] == list(map(tuple, g))
 

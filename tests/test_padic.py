@@ -308,6 +308,32 @@ class TestOneClass:
             rowwise(ctx, xs, lambda x: re_ == x, lambda s: e == s)
 
     @mixed
+    def test_power_products(self, name, monkeypatch):
+        # square and multiply stops squaring after the top bit of n: n = 121
+        # (7 bits, 5 set) makes 11 products; every power has the value and
+        # precision of the reference, on an element and on a stack
+        ctx = MIXED[name]()
+        rng = random.Random(ctx.p * 7 + ctx.M)
+        xs = [random_element(ctx, rng) for _ in range(4)]
+        mul = pa.PadicStack.__mul__
+        calls = []
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+        monkeypatch.setattr(pa.PadicStack, "__mul__", counted)
+        for n, products in ((0, 0), (1, 1), (2, 2), (120, 10), (121, 11)):
+            for x in xs:
+                del calls[:]
+                got, want = x ** n, pref.ref(x) ** n
+                assert len(calls) == products
+                assert (got.c0, got.c1, got.prec) == \
+                    (want.c0, want.c1, want.prec)
+            del calls[:]
+            rowwise(ctx, xs, lambda x: x ** n, lambda s: s ** n)
+            assert len(calls) == products
+
+    @mixed
     def test_divisor_valuation_per_row_refused(self, name):
         ctx = MIXED[name]()
         pi = pa.ctx_uniformizer(ctx)
