@@ -138,20 +138,14 @@ def _criterion_5(ctx, detail):
 
 
 def _criterion_6(ctx, detail):
-    data = fld.default_embedding_data(ctx.pd.p, ctx.pd.pi.d)
-    live = [datum for datum in (cc.EmbeddingDatum(ctx.pd, c, v, ctx.fam.omega)
-                                for c, v in data) if datum.beta != 0]
-    routes_ok = True
-    for datum, closed_val in zip(live, cc.oc_closed_routes(ctx.fam, live)):
-        tree_val = cc.oc_tree_route(ctx.fam, datum)
-        detail.setdefault("oc_routes", []).append(
-            {"c": str(datum.c), "v": str(datum.v), "tree": str(tree_val),
-             "closed": str(closed_val)})
-        routes_ok = routes_ok and tree_val == closed_val
-    cert = cc.l_invariant(ctx.fam, data=data)
+    # l_invariant raises ConsistencyError where a datum's oc routes differ
+    cert = cc.l_invariant(ctx.fam)
     ctx.linv_cert = cert
+    detail["oc_routes"] = [
+        {"c": str(datum.c), "v": str(datum.v), "tree": str(tree),
+         "closed": str(closed)} for datum, tree, closed in cert.routes]
     detail["certificate"] = cert.to_json()
-    return routes_ok and len(cert.entries) >= 3 and cert.agreement >= 5
+    return len(cert.entries) >= 3 and cert.agreement >= 5
 
 
 def _criterion_7(ctx, detail):

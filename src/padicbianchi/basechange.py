@@ -173,7 +173,8 @@ class RationalP1(ms.ManinLayer):
     SL_2(Z). The layer's one key is an (N, N) array from (c mod N,
     d mod N) to the generator, filled orbit by orbit of the units at
     construction; reduce and piece_indices read it. The generators are the
-    least members of the orbits. Integer matrices enter the
+    least members of the orbits, lifted as the real rows (c, 0, d, 0) by
+    the lockstep lift of the shared layer. Integer matrices enter the
     moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g). The
     ray distribution of lfun runs on Z/n (ZMod), the prime p and the int
     cusps (B, 0, G, 0)."""
@@ -194,6 +195,7 @@ class RationalP1(ms.ManinLayer):
 
     def __init__(self, N):
         self.N = N
+        self.modulus = (N, 0)
         units = [u for u in range(N) if gcd(u, N) == 1]
         # the scan meets each orbit of the units first at its least member,
         # which is the canonical representative
@@ -210,15 +212,12 @@ class RationalP1(ms.ManinLayer):
     def reduce(self, c, d):
         return int(self._table[c % self.N, d % self.N])
 
-    def _lift(self, i):
-        c, d = self.reps[i]
-        if c == 0 and d == 0:
-            raise ValueError("bad class")
-        while gcd(c, d) != 1:
-            c += self.N
-        # u*c + v*d = 1 -> [[v, -u], [c, d]] has determinant 1
-        u, v = _xgcd(c, d)
-        return ((v, -u), (c, d))
+    def rep_rows(self):
+        return np.array([(c, 0, d, 0) for c, d in self.reps], dtype=np.int64)
+
+    @staticmethod
+    def matrix(g):
+        return ((g[0], g[2]), (g[4], g[6]))
 
     def piece_indices(self, G):
         N = self.N
@@ -243,20 +242,6 @@ class RationalP1(ms.ManinLayer):
         S = ((0, -1), (1, 0))
         T = ((0, -1), (1, -1))
         return S, [T], []
-
-
-def _xgcd(a, b):
-    """(u, v) with u*a + v*b = gcd(a, b) = 1."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    assert old_r == 1
-    return old_u, old_v
 
 
 def build_rational_symbol_space(N):

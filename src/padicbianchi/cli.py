@@ -419,9 +419,6 @@ def cmd_linv(cfg, args):
         emit(_error_report("linv", "non-vanishing-not-found", str(exc),
                            {"tried": [str(t) for t in exc.tried]}), cfg)
         return EXIT_NOT_FOUND
-    except fld.PrecisionError as exc:
-        emit(_error_report("linv", "precision-underflow", str(exc)), cfg)
-        return EXIT_PRECISION
     except cc.ConsistencyError as exc:
         emit(_error_report("linv", "route-inconsistency", str(exc)), cfg)
         return EXIT_FAIL

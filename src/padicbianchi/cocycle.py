@@ -665,12 +665,14 @@ class EvaluationCertificate:
     """Per-datum oc and lc values, their ratios, and the extracted
     L-invariant with its precision floor. The L-invariant is lc/oc with the
     p-direction logarithm l_p = log_iw(z) + log_iw(zbar); the log_iw(z)
-    half over oc, the one-variable normalisation, is reported next to it."""
+    half over oc, the one-variable normalisation, is reported next to it.
+    routes (not in to_json) holds (datum, tree, closed oc) per datum."""
 
     def __init__(self, entries, skipped, l_invariant, agreement, floor,
-                 l_invariant_log_iw):
+                 l_invariant_log_iw, routes):
         self.entries = entries
         self.skipped = skipped
+        self.routes = routes
         self.l_invariant = l_invariant
         self.l_invariant_log_iw = l_invariant_log_iw
         self.agreement = agreement
@@ -702,6 +704,7 @@ def l_invariant(fam, data=None):
     pctx = fam.pctx
     entries = []
     skipped = []
+    routes = []
     ratios = []
     ratios_log_iw = []
     # every datum is checked before any is evaluated; a datum compared
@@ -727,7 +730,8 @@ def l_invariant(fam, data=None):
             skipped.append(dict(tag, reason="beta = 0"))
             continue
         ocv = next(closed)
-        if oc_tree_route(fam, datum) != ocv:
+        routes.append((datum, oc_tree_route(fam, datum), ocv))
+        if routes[-1][1] != ocv:
             raise ConsistencyError("oc route mismatch at %r" % (tag,))
         if ocv == 0:
             skipped.append(dict(tag, reason="oc vanishes"))
@@ -752,4 +756,4 @@ def l_invariant(fam, data=None):
                 agreement = min(agreement, diff.val())
     floor = min(r.prec for r in ratios)
     return EvaluationCertificate(entries, skipped, ratios[0], agreement,
-                                 floor, ratios_log_iw[0])
+                                 floor, ratios_log_iw[0], routes)

@@ -16,10 +16,10 @@ pair_mul does: the Manin decomposition of paths into continued-fraction
 pieces is that kernel stacked, in the module manin, where manin_pieces
 runs divmod_step on a whole batch of int paths in lockstep on int64
 arrays, with an int64 bound proved from the entries and Python ints past
-it. path_between is its one-path QuadInt wrapper. The extended Euclid is
-stacked there too (manin.xgcd_rows): a ResidueRing lists its units and
-inverts residues as int pairs in one lockstep pass (unit_pairs,
-inverse_pairs), next to the QuadInt unit_elements and inverse. The p-adic
+it. path_between is its one-path QuadInt wrapper. The one extended
+Euclid is stacked there too (manin.xgcd_rows): a ResidueRing lists its
+units and inverts residues as int pairs in one lockstep pass (unit_pairs,
+inverse_pairs, and inverse, its one-row case on QuadInts). The p-adic
 valuation of an integer (int_val) is also written once, for the
 completions, the Tate period and the tree.
 
@@ -305,20 +305,6 @@ def gcd_quad(x, y):
     return QuadInt(*pair_gcd(S, T, x.a, x.b, y.a, y.b), x.d)
 
 
-def xgcd_quad(x, y):
-    """Return (g, u, v) with u*x + v*y = g = gcd(x, y)."""
-    d = x.d
-    r0, r1 = x, y
-    s0, s1 = one(d), QuadInt(0, 0, d)
-    t0, t1 = QuadInt(0, 0, d), one(d)
-    while r1:
-        q, r = divmod_quad(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
 def exact_div(x, y):
     S, T = _common_params(x, y)
     try:
@@ -529,15 +515,6 @@ def mat_mul(m1, m2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _unit_inverse(u):
-    if not u.is_unit():
-        raise ValueError("not a unit")
-    for v in units(u.d):
-        if u * v == 1:
-            return v
-    raise AssertionError("unit without inverse")
-
-
 def identity_mat(d):
     return ((one(d), QuadInt(0, 0, d)), (QuadInt(0, 0, d), one(d)))
 
@@ -646,10 +623,9 @@ class ResidueRing:
         return [x for x in self.elements() if self.is_unit(x)]
 
     def inverse(self, x):
-        g, u, _ = xgcd_quad(x, self.n)
-        if not g.is_unit():
-            raise ValueError("%r is not invertible mod %r" % (x, self.n))
-        return self.reduce(u * _unit_inverse(g))
+        """The inverse of the residue x: inverse_pairs of the one row."""
+        a, b = self.inverse_pairs([(x.a, x.b)])[0].tolist()
+        return QuadInt(a, b, self.d)
 
     def mul(self, x, y):
         return self.reduce(x * y)

@@ -7,12 +7,12 @@ manin_pieces is field's Euclidean kernel stacked: the continued fractions
 of a batch of int paths run in lockstep on int64 arrays, one
 field.divmod_step (the step of pair_divmod, run on the rows) and one step
 of the convergents per round, and a row leaves the batch when its
-remainder is 0. xgcd_rows is the extended Euclid of field.xgcd_quad
-stacked the same way, with the Bezout pairs in place of the convergents;
-xgcd_unit_rows reads off the unit gcds and the Bezout pairs over them,
-which give the unit inverses of the P^1 key, the generator lifts
-(msymb.P1) and the unit groups of the residue rings
-(field.ResidueRing.unit_pairs and inverse_pairs). pair_mul_rows is
+remainder is 0. xgcd_rows, the one extended Euclid, is stacked the same
+way, with the Bezout pairs in place of the convergents; xgcd_unit_rows
+reads off the unit gcds and the Bezout pairs over them, which give the P^1
+unit inverses, the lifts of both Manin layers
+(msymb.ManinLayer.lift_rows), the Atkin-Lehner matrix and the residue ring
+units (field.ResidueRing.unit_pairs, inverse_pairs). pair_mul_rows is
 pair_mul on rows of int arrays and adj_rows the adjugate, ManinTerms holds
 plan terms as arrays, and generator_paths gives the generator paths of a
 list of matrices as rows. Every kernel is exact: int64 where a bound
@@ -168,11 +168,12 @@ def xgcd_rows(S, T, X):
     """The extended Euclid of the rows (xa, xb, ya, yb) of the (n, 4) int
     array X, pairs x = xa + xb*w and y, in lockstep: the (n, 6) rows
     (ga, gb, ua, ub, va, vb) with u*x + v*y = g, a gcd of x and y. Each
-    row runs the remainders and Bezout pairs of field.xgcd_quad, one
-    divmod_step per round, and leaves when its remainder is 0, so x, y =
-    0, 0 gives g, u, v = 0, 1, 0. Exact: the Bezout pairs update as the
-    convergents of _cf_steps do, so the int64 bound of manin_pieces holds,
-    and a row past it runs again on Python ints (dtype object)."""
+    row runs the remainders and Bezout pairs, one divmod_step per round
+    (over Z its quotient is an integer nearest x/y), and leaves when its
+    remainder is 0, so x, y = 0, 0 gives g, u, v = 0, 1, 0. Exact: the
+    Bezout pairs update as the convergents of _cf_steps do, so the int64
+    bound of manin_pieces holds, and a row past it runs again on Python
+    ints (dtype object)."""
     X = np.asarray(X).reshape(-1, 4)
     rows = np.arange(len(X))
     if X.dtype == object:
@@ -255,7 +256,7 @@ class ManinTerms:
 
 def generator_paths(p1, mats):
     """The paths {h 0 -> h oo}, h = delta g_i, for each generator i and each
-    delta in mats (i-major) with g_i = p1.lift_matrix(i), as arrays
+    delta in mats (i-major) with g_i row i of p1.lift_rows(), as arrays
     (gen, dlt, paths, deltas): path k has generator gen[k] and delta
     mats[dlt[k]], and is the row (b : d) -> (a : c) of the columns of
     h = [[a, b], [c, d]], not normalised; deltas holds the 8-tuples

@@ -17,10 +17,10 @@ taken in ascending order, which fixes the order of the lines.
 The symbols, Hecke operators, relation solver and eigen-split run on a
 Manin layer (ManinLayer): P1 here over O_F, and basechange.RationalP1 over
 Z for the classical side of the base-change comparison. A layer keeps only
-what differs between the rings (its P^1 key, lifts, Hecke coset reps,
+what differs between the rings (its P^1 key, reps, Hecke coset reps,
 relation matrices, embedding into SL_2(O_F), the int cusp of a caller's
 cusp, and the residue rings and uniformizer of lfun's ray distribution);
-the layer memoises its generator lifts and, per operator, the
+the layer lifts its generators in one pass and memoises, per operator, the
 decomposition of a Hecke (or Atkin-Lehner) operator into sparse integer
 rows i -> {j: signed count}; applying the operator to a symbol is then an
 exact row sum over its values.
@@ -40,11 +40,11 @@ the bottom rows of an int array: the pieces of paths, the relation solve
 parity involution all reduce through it, and reduce(c, d) is its one-row
 case. Over O_F the key reads, per prime factor of the level, the HNF
 constants and two arrays of unit inverses, so it builds no QuadInt and
-takes no gcd. The inverses and the generator lifts (P1.lift_rows) come
-from one lockstep pass each of the stacked extended Euclid
-(manin.xgcd_unit_rows) on int rows. QuadInts appear only at the edges: the
-generators, the operators' matrices, the cusps a caller passes in
-(ModularSymbol.ev) and a lift asked for as a matrix (lift_matrix).
+takes no gcd. The inverses, the lifts and the Atkin-Lehner matrix come
+from one pass each of the one extended Euclid (manin.xgcd_unit_rows) on
+int rows. QuadInts appear only at the edges: the generators, the
+operators' matrices, the cusps a caller passes in (ModularSymbol.ev) and
+a lift asked for as a matrix (lift_matrix).
 
 Relation tables are implemented for the fields in RELATION_TABLE_FIELDS
 (d in {1, 3}), where the 2-term/3-term/unit relations present the symbol
@@ -56,9 +56,9 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from . import field as fld
-from .field import (QuadInt, Cusp, ResidueRing, one, omega, xgcd_quad,
-                    exact_div, divides, mat_mul, mat_pairs, apply_moebius,
-                    cusp_zero, cusp_infinity, split_prime, _unit_inverse)
+from .field import (QuadInt, Cusp, ResidueRing, one, omega, exact_div,
+                    divides, mat_mul, mat_pairs, apply_moebius, cusp_zero,
+                    cusp_infinity, split_prime)
 
 
 # the fields Q(sqrt(-d)) whose M-symbol relation tables are implemented
@@ -87,10 +87,10 @@ class ManinLayer:
     (basechange.RationalP1), and supplies what differs between the two
     rings: piece_indices(G), the layer's one P^1 key, from the bottom rows
     of an (n, 8) int array to their generator indices (reduce(c, d) is the
-    key of one row), _lift(i) of a generator to a determinant-1 matrix
-    (or _lift_all, all the lifts as int rows at once), pairs(m) of one of
-    its matrices to the 8-tuple of int pairs of field.pair_mul (its
-    entries in O_F), hecke_reps(q), relation_mats(), the field
+    key of one row), rep_rows() (the reps as (n_gen, 4) int rows) and
+    modulus (n as an int pair) for the lifts, pairs(m) of one of its
+    matrices to the 8-tuple of int pairs of field.pair_mul (its entries in
+    O_F) and matrix(g) back, hecke_reps(q), relation_mats(), the field
     w^2 = S*w + T of the 8-tuples, and cusp_pairs(x), the int cusp of a
     caller's cusp. For the ray distribution of lfun a layer also supplies
     residue_ring(n) (R/n on int pairs: reduce_pair, code, size, unit_pairs
@@ -100,16 +100,15 @@ class ManinLayer:
     den_a, den_b), not necessarily coprime: the continued fraction of
     num/den, and so the Manin decomposition (manin.manin_pieces), depends
     only on the ratio. Over Z the cusps are real, so no piece leaves
-    SL_2(Z). On top of the hooks this class memoises the lifts and, per
-    operator, the decomposition rows, maps the pieces of a batch of paths
-    to their generators and gamma^-1 (path_terms), acts by a matrix on all
-    generators at once (act), and enumerates the U_p plan terms; the
-    symbols, Hecke operators, relation solver and eigen-split of this
-    module run on either layer.
+    SL_2(Z). On top of the hooks this class lifts the generators
+    (lift_rows), memoises per operator the decomposition rows, maps the
+    pieces of a batch of paths to their generators and gamma^-1
+    (path_terms), acts by a matrix on all generators at once (act), and
+    enumerates the U_p plan terms; the symbols, Hecke operators, relation
+    solver and eigen-split of this module run on either layer.
     """
 
     def __init__(self):
-        self._lifts = [None] * len(self.reps)
         self._lift_rows = None
         self._path_rows = {}
 
@@ -125,24 +124,36 @@ class ManinLayer:
             self.S, self.T, self.lift_rows(), int_rows([self.pairs(g)], 8)))
 
     def lift_matrix(self, i):
-        """A fixed determinant-1 matrix with bottom row in class i."""
-        g = self._lifts[i]
-        if g is None:
-            g = self._lifts[i] = self._lift(i)
-        return g
+        """A fixed determinant-1 matrix with bottom row in class i: row i
+        of lift_rows."""
+        return self.matrix(tuple(self.lift_rows()[i].tolist()))
 
     def lift_rows(self):
-        """The lift_matrix of every generator as an 8-tuple, the rows of an
-        (n_gen, 8) int array; memoised."""
+        """A determinant-1 lift of every generator as an 8-tuple, the rows
+        of an (n_gen, 8) int array, by one lockstep extended Euclid
+        (manin.xgcd_unit_rows) on rep_rows(); memoised. The rows whose gcd
+        is not a unit add n to c, which keeps the class, and try again, at
+        most 6 times in all. Then u*c + v*d = g gives the top row
+        (v/g, -u/g)."""
         if self._lift_rows is None:
-            self._lift_rows = self._lift_all()
+            import numpy as np
+            from .manin import xgcd_unit_rows
+            X = self.rep_rows()
+            out = np.zeros((len(X), 8), dtype=np.int64)
+            todo = np.arange(len(X))
+            for _ in range(6):
+                unit, W = xgcd_unit_rows(self.S, self.T, X[todo])
+                done = todo[unit]
+                out[done] = np.concatenate(
+                    [W[unit, 2:], -W[unit, :2], X[done]], axis=1)
+                todo = todo[~unit]
+                if not len(todo):
+                    break
+                X[todo, :2] += self.modulus
+            else:
+                raise AssertionError("could not lift %r" % X[todo[0]].tolist())
+            self._lift_rows = out
         return self._lift_rows
-
-    def _lift_all(self):
-        """The lift_rows of a layer that lifts one generator at a time."""
-        from .manin import int_rows
-        return int_rows(
-            [self.pairs(self.lift_matrix(i)) for i in range(len(self))], 8)
 
     def path_terms(self, paths):
         """The Manin decomposition of the int paths (rows (r, s) of 8 ints)
@@ -215,16 +226,16 @@ class P1(ManinLayer):
     def __init__(self, n):
         self.n = n
         self.d = d = n.d
-        primes = [pi for pi, _ in _factor_level(n)]
-        self._rings = [ResidueRing(pi) for pi in primes]
+        self._rings = [ResidueRing(pi) for pi, _ in _factor_level(n)]
         _, self.S, self.T, _ = fld.field_params(d)
         ring = ResidueRing(n)
-        # CRT idempotents: 1 mod pi, 0 mod n/pi
+        self.modulus = (n.a, n.b)
+        # CRT idempotents m * m^-1, 1 mod pi and 0 mod m = n/pi, where
+        # m^-1 = m^(N(pi) - 2) mod pi as O/pi is a field
         idempotents = []
-        for pi in primes:
-            m = exact_div(n, pi)
-            g, u, _ = xgcd_quad(m, pi)
-            idempotents.append(m * u * _unit_inverse(g))
+        for R in self._rings:
+            m = exact_div(n, R.n)
+            idempotents.append(m * R.reduce(m ** (R.size - 2)))
 
         def crt(residues):
             terms = (r * e for r, e in zip(residues, idempotents))
@@ -256,7 +267,6 @@ class P1(ManinLayer):
         ResidueRing.inverse_pairs), and the array from the key code of
         P^1(O/n) to the generator."""
         import numpy as np
-        from .manin import int_rows
         tables = []
         for R in self._rings:
             code = np.arange(1, R.size)
@@ -264,8 +274,7 @@ class P1(ManinLayer):
             inv[1:] = R.inverse_pairs(
                 np.stack([code % R.h00, code // R.h00], axis=1))
             tables.append((R, inv[:, 0], inv[:, 1]))
-        codes = self._codes(tables, *int_rows(
-            [(c.a, c.b, dd.a, dd.b) for c, dd in self.reps], 4).T)
+        codes = self._codes(tables, *self.rep_rows().T)
         gen_of_code = np.zeros(len(self), dtype=np.int64)
         gen_of_code[codes] = np.arange(len(self))
         assert np.array_equal(np.sort(codes), np.arange(len(self)))
@@ -292,32 +301,13 @@ class P1(ManinLayer):
             radix *= R.size + 1
         return code
 
-    def _lift(self, i):
-        return fld.pair_mat(tuple(self.lift_rows()[i].tolist()), self.d)
-
-    def _lift_all(self):
-        """Every generator lift in one lockstep pass of the extended Euclid
-        (manin.xgcd_unit_rows). The row (c : d) of a generator is massaged
-        into a coprime pair congruent to the class mod n: adjusting c mod n
-        keeps the class, and the rows whose gcd is not a unit add n to c
-        and try again, at most 6 times in all. Then u*c + v*d = g, and
-        a*d - b*c = 1 with a = v/g, b = -u/g."""
+    def rep_rows(self):
         import numpy as np
-        from .manin import xgcd_unit_rows
-        X = np.array([(c.a, c.b, dd.a, dd.b) for c, dd in self.reps],
-                     dtype=np.int64)
-        out = np.zeros((len(X), 8), dtype=np.int64)
-        todo = np.arange(len(X))
-        for _ in range(6):
-            unit, W = xgcd_unit_rows(self.S, self.T, X[todo])
-            done = todo[unit]
-            out[done] = np.concatenate([W[unit, 2:], -W[unit, :2], X[done]],
-                                       axis=1)
-            todo = todo[~unit]
-            if not len(todo):
-                return out
-            X[todo, :2] += (self.n.a, self.n.b)
-        raise AssertionError("could not lift %r" % (X[todo[0]].tolist(),))
+        return np.array([(c.a, c.b, dd.a, dd.b) for c, dd in self.reps],
+                        dtype=np.int64)
+
+    def matrix(self, g):
+        return fld.pair_mat(g, self.d)
 
     pairs = staticmethod(mat_pairs)
     residue_ring = ResidueRing
@@ -536,9 +526,12 @@ def atkin_lehner_matrix(pi, level):
     m = exact_div(level, pi)
     if divides(pi, m):
         raise ValueError("pi^2 divides the level")
-    g, u, v = xgcd_quad(pi, m)
-    ui = _unit_inverse(g)
-    u, v = u * ui, v * ui            # u pi + v m = 1
+    from .manin import int_rows, xgcd_unit_rows
+    _, S, T, _ = fld.field_params(d)
+    unit, W = xgcd_unit_rows(S, T, int_rows([(pi.a, pi.b, m.a, m.b)], 4))
+    assert unit[0], "pi is prime to m"
+    ua, ub, va, vb = W[0].tolist()
+    u, v = QuadInt(ua, ub, d), QuadInt(va, vb, d)    # u pi + v m = 1
     # W = [[pi*u, -v], [level, pi]]: det = pi^2 u + level v = pi(u pi + v m) = pi
     return ((pi * u, -v), (level, pi))
 

@@ -1,10 +1,14 @@
 """Reference copies of the Euclidean code that field's kernels replaced.
 The QuadInt code: division with the four-point quotient scan, gcd, the
-extended Euclid, cusp normalisation, the continued-fraction matrices, the
-scalar generator lift of P1, and the Manin rows and U_p plan terms of a
-list of operators on normalised cusps. The scalar int-pair decomposition
-(pair_cf, pair_path) that field.manin_pieces stacks. The tests compare the
-kernels against them."""
+extended Euclid, the unit inverse, cusp normalisation, the
+continued-fraction matrices, the CRT generators and the scalar generator
+lift of P1, the floor-division lift of RationalP1, and the Manin rows and
+U_p plan terms of a list of operators on normalised cusps. The scalar
+int-pair decomposition (pair_cf, pair_path) that field.manin_pieces
+stacks. The tests compare the kernels against them."""
+
+from itertools import product
+from math import gcd
 
 from padicbianchi import field as fld
 from padicbianchi.field import QuadInt, pair_divmod
@@ -90,22 +94,71 @@ def ref_xgcd(x, y):
     return r0, s0, t0
 
 
+def ref_unit_inverse(u):
+    """The inverse of the unit u, found among the units of its field."""
+    for v in fld.units(u.d):
+        if u * v == 1:
+            return v
+    raise ValueError("%r is not a unit" % (u,))
+
+
+def ref_reps(n):
+    """The generators of P^1(O_F/n), n squarefree, in the order of P1: the
+    CRT combinations of (0 : 1) and (1 : x) over the primes pi of n, by
+    the idempotents m u/g, 1 mod pi and 0 mod m = n/pi, for the ref_xgcd
+    u*m + v*pi = g."""
+    d = n.d
+    zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
+    primes = [pi for pi, _, _ in fld.factor_ideal(n)]
+    ring = fld.ResidueRing(n)
+    idempotents = []
+    for pi in primes:
+        m = ref_exact_div(n, pi)
+        g, u, _ = ref_xgcd(m, pi)
+        idempotents.append(m * u * ref_unit_inverse(g))
+
+    def crt(residues):
+        return ring.reduce(sum((r * e for r, e in zip(residues, idempotents)),
+                               zero))
+    local = [[(zero, one)] + [(one, x) for x in fld.ResidueRing(pi).elements()]
+             for pi in primes]
+    return [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
+            for combo in product(*local)]
+
+
 def ref_lift(p1, i):
     """The lift of generator i of the O_F layer p1 one at a time, by the
-    scalar QuadInt gcd and extended Euclid (the code P1.lift_rows runs in
+    scalar QuadInt gcd and extended Euclid (the code lift_rows runs in
     lockstep): the row (c : d), with c moved by the level until gcd(c, d)
     is a unit (at most 6 tries), completes to [[v/g, -u/g], [c, d]] for
     u*c + v*d = g."""
     c, dd = p1.reps[i]
     for _ in range(6):
-        if fld.gcd_quad(c, dd).is_unit():
+        if ref_gcd(c, dd).is_unit():
             break
         c = c + p1.n
     else:
         raise AssertionError("could not lift %r" % ((c, dd),))
-    gg, u, v = fld.xgcd_quad(c, dd)
-    ui = fld._unit_inverse(gg)
+    gg, u, v = ref_xgcd(c, dd)
+    ui = ref_unit_inverse(gg)
     return ((v * ui, (-u) * ui), (c, dd))
+
+
+def ref_rational_lift(p1, i):
+    """The lift of generator i of the Z layer p1 by the extended Euclid
+    with floor quotients: the row (c : d), with c moved by N until
+    gcd(c, d) = 1, completes to [[v, -u], [c, d]] for u*c + v*d = 1."""
+    c, d = p1.reps[i]
+    while gcd(c, d) != 1:
+        c += p1.N
+    r0, r1, u0, u1, v0, v1 = c, d, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    assert r0 == 1
+    return ((v0, -u0), (c, d))
 
 
 def ref_exact_div(x, y):
@@ -146,7 +199,7 @@ def ref_cf(num, den):
     for q in quots:
         pk = q * pm1 + pm2
         qk = q * qm1 + qm2
-        ui = fld._unit_inverse(pk * qm1 - pm1 * qk)
+        ui = ref_unit_inverse(pk * qm1 - pm1 * qk)
         mats.append(((pk, pm1 * ui), (qk, qm1 * ui)))
         pm2, qm2 = pm1, qm1
         pm1, qm1 = pk, qk

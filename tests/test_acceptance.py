@@ -52,7 +52,20 @@ def test_criterion_5_exceptional_zero(ctx):
 
 
 def test_criterion_6_l_invariant_agreement(ctx):
-    run_criterion(ctx, 6)
+    # the detail lists the oc routes the certificate checked, one per
+    # beta != 0 datum, each with equal tree and closed values
+    routes = run_criterion(ctx, 6)["detail"]["oc_routes"]
+    assert len(routes) == len(ctx.linv_cert.routes) >= 3
+    assert all(r["tree"] == r["closed"] for r in routes)
+
+
+def test_criterion_6_route_mismatch(ctx, monkeypatch):
+    # a tree route that differs from the closed one fails the criterion
+    # with l_invariant's ConsistencyError, and the detail lists no routes
+    monkeypatch.setattr(cc, "oc_tree_route", lambda fam, datum: None)
+    (entry,) = acc.run_criteria(ctx, selected={6})
+    assert not entry["passed"] and "oc_routes" not in entry["detail"]
+    assert entry["error"].startswith("ConsistencyError: oc route mismatch")
 
 
 def test_criterion_7_base_change_l_invariant(ctx):

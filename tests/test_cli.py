@@ -367,28 +367,28 @@ class TestLinv:
         # a warm linv builds the P^1 tables and the generator lifts of its
         # own layer, and the unit groups and discs of its distributions,
         # on the lockstep Euclid: none of them calls the scalar QuadInt
-        # gcd_quad or xgcd_quad
+        # gcd_quad, and the scalar extended Euclid xgcd_quad is gone
         from padicbianchi import field as fld
         from padicbianchi import manin
         mods = [m for name, m in sys.modules.items()
                 if name.startswith("padicbianchi") and m is not None]
+        assert not any(hasattr(mod, "xgcd_quad") for mod in mods)
         calls, lockstep = [], []
-        hot = ("_batch_tables", "lift_rows", "_lift_all", "unit_discs",
-               "units", "_lc_setup", "_chi_weight", "disc_sum")
-        for name in ("gcd_quad", "xgcd_quad"):
-            orig = getattr(fld, name)
+        hot = ("_batch_tables", "lift_rows", "unit_discs", "units",
+               "_lc_setup", "_chi_weight", "disc_sum")
+        orig = fld.gcd_quad
 
-            def counted(*args, _orig=orig, _name=name):
-                frame, stack = sys._getframe(1), []
-                while frame is not None:
-                    stack.append((frame.f_code.co_filename,
-                                  frame.f_code.co_name))
-                    frame = frame.f_back
-                calls.append((_name, stack))
-                return _orig(*args)
-            for mod in mods:
-                if getattr(mod, name, None) is orig:
-                    monkeypatch.setattr(mod, name, counted)
+        def counted(*args):
+            frame, stack = sys._getframe(1), []
+            while frame is not None:
+                stack.append((frame.f_code.co_filename,
+                              frame.f_code.co_name))
+                frame = frame.f_back
+            calls.append(stack)
+            return orig(*args)
+        for mod in mods:
+            if getattr(mod, "gcd_quad", None) is orig:
+                monkeypatch.setattr(mod, "gcd_quad", counted)
         rows = manin.xgcd_rows
         monkeypatch.setattr(manin, "xgcd_rows",
                             lambda *a: lockstep.append(1) or rows(*a))
@@ -396,9 +396,9 @@ class TestLinv:
                       ["linv"] + BASE + ["--cache-dir", str(cache_dir)])
         assert code == 0 and lockstep
         assert calls, "the guard sees the scalar calls made elsewhere"
-        for name, stack in calls:
+        for stack in calls:
             assert not any(fn.endswith("lfun.py") or fname in hot
-                           for fn, fname in stack), (name, stack[:4])
+                           for fn, fname in stack), stack[:4]
 
     @pytest.mark.parametrize("datum, why", [
         ("11:1", "c must be coprime to p"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ray_reference
 from euclid_reference import (pair_path, ref_cf, ref_cusp, ref_divmod,
-                              ref_gcd, ref_xgcd)
+                              ref_gcd, ref_unit_inverse, ref_xgcd)
 from padicbianchi import field as fld
 from padicbianchi import manin
 from padicbianchi.field import (
@@ -20,7 +20,6 @@ from padicbianchi.field import (
     split_prime,
     divmod_quad,
     gcd_quad,
-    xgcd_quad,
     path_between,
     apply_moebius,
     mat_det,
@@ -71,10 +70,14 @@ class TestQuadInt:
 
     @given(small, small, small, small, disc)
     def test_xgcd(self, a, b, c, e, d):
+        # the one extended Euclid, manin.xgcd_rows, on a single row
         x, y = qi(a, b, d), qi(c, e, d)
         if x.norm() == 0 and y.norm() == 0:
             return
-        g, u, v = xgcd_quad(x, y)
+        S, T = fld.field_params(d)[1:3]
+        ga, gb, ua, ub, va, vb = manin.xgcd_rows(
+            S, T, manin.int_rows([(a, b, c, e)], 4))[0].tolist()
+        g, u, v = qi(ga, gb, d), qi(ua, ub, d), qi(va, vb, d)
         assert u * x + v * y == g
         assert fld.divides(g, x) and fld.divides(g, y)
 
@@ -288,10 +291,10 @@ class TestSharedStep:
 
 
 class TestLockstepXgcd:
-    """manin.xgcd_rows runs the extended Euclid of xgcd_quad on rows in
-    lockstep: row by row it gives xgcd_quad's (g, u, v), which is the
-    QuadInt reference's, in int64 while the rows stay within EUCLID_BOUND
-    and on Python ints past it."""
+    """manin.xgcd_rows runs the extended Euclid on rows in lockstep: row
+    by row it gives the (g, u, v) of the QuadInt reference ref_xgcd, in
+    int64 while the rows stay within EUCLID_BOUND and on Python ints past
+    it."""
 
     def check(self, d, pairs, dtype):
         S, T = fld.field_params(d)[1:3]
@@ -301,13 +304,12 @@ class TestLockstepXgcd:
         unit, W = manin.xgcd_unit_rows(S, T, X)
         for (x, y), row, is_unit, w in zip(pairs, got.tolist(),
                                            unit.tolist(), W.tolist()):
-            g, u, v = xgcd_quad(x, y)
-            assert (g, u, v) == ref_xgcd(x, y)
+            g, u, v = ref_xgcd(x, y)
             assert row == [g.a, g.b, u.a, u.b, v.a, v.b]
             assert u * x + v * y == g
             assert is_unit == g.is_unit()
             if is_unit:
-                ui = fld._unit_inverse(g)
+                ui = ref_unit_inverse(g)
                 assert w == [(u * ui).a, (u * ui).b, (v * ui).a, (v * ui).b]
 
     @staticmethod

