@@ -191,16 +191,16 @@ def _criterion_8(ctx, detail):
     target = min(10, 1 + tree.q + tree.q ** 2)
     while len(edges) < target:
         a = rng.randint(1, 2)
-        u = tree.uclass(ctx.qi(rng.randrange(p + 2), rng.randrange(p + 2)),
-                        ctx.qi(1), a)
-        e = bt.Edge(tree, 0, a, u)
+        u = tree.uclass((rng.randrange(p + 2), rng.randrange(p + 2)),
+                        (1, 0), a)
+        e = bt.Edge(0, a, u)
         if e not in edges:
             edges.append(e)
     zeta = {(0, 0): 3, (1, 0): 2, (1, 1): 1, (0, 2): -1}
     # the whole balls in one pass, and their children (q each) in another
     whole = cc.edge_integrals(ctx.fam, edges, r, s, zeta)
     parts = cc.edge_integrals(ctx.fam, [ch for e in edges
-                                        for ch in cc.ball_children(e)],
+                                        for ch in cc.ball_children(tree, e)],
                               r, s, zeta)
     glue_ok = True
     for k in range(len(edges)):

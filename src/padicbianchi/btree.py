@@ -1,36 +1,71 @@
 """The Bruhat-Tits tree of GL_2 over the completion at a prime.
 
-Vertices are homothety classes of lattices; the standard vertex v_* is
-[O + O] and the standard edge e_* points from v_* to [O + pi*O]. An edge
-e = gamma * e_* carries the open set U(e) = gamma^{-1}(O) under the twisted
-action [[a,b],[c,d]] . x = (b + d x)/(a + c x) of GL_2 on P^1.
+Vertices are homothety classes of lattices (Serre, Trees, ch. II.1); the
+standard vertex v_* is [O + O] and the standard edge e_* points from v_* to
+[O + pi*O]. An edge e = gamma * e_* carries the open set U(e) =
+gamma^{-1}(O) under the twisted action [[a,b],[c,d]] . x = (b + d x)/(a + c x)
+of GL_2 on P^1.
 
-Everything here reduces to exact ball arithmetic: the canonical form of an
-edge is (flip, a, u mod pi^a), with representative [[pi^a, u], [0, 1]]
-(right-multiplied by alpha = [[0,-1],[pi,0]] when flipped), and
+Everything here is exact ball arithmetic on the int pairs of field: a + b*w
+is (a, b) and a matrix the 8-tuple of field.pair_mul. A class u of
+F_p / pi^a O_p is None (the zero class) or the tuple (e, w_a, w_b) with
+u = pi^e * w, e < a and w = w_a + w_b*w a unit residue mod pi^(a-e),
+reduced (ResidueRing.reduce_pair). A vertex is the tuple Vertex(a, u), the
+lattice class of [[pi^a, u], [0, 1]] applied to O + O, and an edge the tuple
+Edge(flip, a, u), with representative [[pi^a, u], [0, 1]] (right-multiplied
+by alpha = [[0,-1],[pi,0]] when flipped); their equality and hashing are
+those of the tuples, and
 
     U(e) = -u + pi^a * O        (flip = 0, a ball)
     U(e) = complement of that   (flip = 1, contains infinity)
 
 so equality, action, paths and membership are all decided by valuations
-and residues. Both come from the norm, as in the completion (padic):
-v_pi(x) = v_p(N(x)) / f, and a unit x is inverted mod pi^k as
-conj(x) N(x)^-1 (PadicContext.inv). This holds because p does not split;
-at a split prime N(x) counts the factors of pibar too, so Tree refuses
-one, as the moment layers do (PrimeData.minpoly).
+and residues. The children of (a, (e, w)) are (a + 1, (e, w + r*pi^(a-e)
+mod pi^(a+1-e))) for the residues r mod pi, and the parent reduces w mod
+pi^(a-1-e); neither needs an inverse. Valuations and inverses come from
+the norm, as in the completion (padic): v_pi(x) = v_p(N(x)) / f, and a unit
+x is inverted mod pi^k as conj(x) N(x)^-1 (PadicContext.inv). This holds
+because p does not split; at a split prime N(x) counts the factors of pibar
+too, so Tree refuses one, as the moment layers do (PrimeData.minpoly).
 """
 
+from typing import NamedTuple, Optional
+
 from .field import (
-    QuadInt,
     ResidueRing,
-    exact_div,
+    field_params,
     int_val,
-    mat_det,
-    mat_mul,
-    one,
+    pair_exact_div,
+    pair_mul,
+    pair_norm,
+    pair_prod,
 )
 
 INF = 10**9  # valuation of zero
+
+
+class Vertex(NamedTuple):
+    """The vertex (a, u); see the module docstring."""
+
+    a: int
+    u: Optional[tuple]
+
+    def parity(self):
+        return self.a % 2
+
+
+class Edge(NamedTuple):
+    """The edge (flip, a, u); see the module docstring."""
+
+    flip: int
+    a: int
+    u: Optional[tuple]
+
+    def parity(self):
+        return (self.a + self.flip) % 2
+
+    def reverse(self):
+        return Edge(1 - self.flip, self.a, self.u)
 
 
 class Tree:
@@ -39,227 +74,154 @@ class Tree:
     def __init__(self, prime_data):
         prime_data.minpoly()  # refuses a split prime
         self.pd = prime_data
-        self.pi = prime_data.pi
-        self.d = self.pi.d
+        _, self.S, self.T, _ = field_params(prime_data.pi.d)
+        self.pi = (prime_data.pi.a, prime_data.pi.b)
         self.q = prime_data.norm
+        self._pows = [(1, 0)]
         self._rings = {}
-        self.residues = list(ResidueRing(self.pi).elements())
-        assert len(self.residues) == self.q
+        R = self.ring(1)
+        self.residues = [(c % R.h00, c // R.h00) for c in range(R.size)]
 
-    def ring(self, n):
-        if n not in self._rings:
-            self._rings[n] = ResidueRing(self.pi ** n)
-        return self._rings[n]
+    def mul(self, x, y):
+        return pair_prod(self.S, self.T, *x, *y)
+
+    def pi_pow(self, k):
+        """pi^k (k >= 0) as a pair."""
+        while len(self._pows) <= k:
+            self._pows.append(self.mul(self._pows[-1], self.pi))
+        return self._pows[k]
+
+    def ring(self, k):
+        """O / pi^k, one per exponent k >= 1."""
+        if k not in self._rings:
+            self._rings[k] = ResidueRing(self.pd.pi ** k)
+        return self._rings[k]
 
     def val(self, x):
-        """pi-adic valuation of a QuadInt (INF for zero): v_p(N(x)) / f,
+        """pi-adic valuation of the pair x (INF for zero): v_p(N(x)) / f,
         since N(pi) = p^f and p does not split."""
-        if not x:
+        if not any(x):
             return INF
-        return int_val(x.norm(), self.pd.p) // self.pd.f
+        return int_val(pair_norm(self.S, self.T, *x), self.pd.p) // self.pd.f
 
     def uclass(self, num, den, a):
-        """Canonical form of num/den in F_p / pi^a O_p as (e, w) with
-        u = pi^e * w, w a canonical unit residue mod pi^(a-e); None for the
-        zero class. The unit part of den is inverted as conj(x) N(x)^-1,
+        """The class of num/den (int pairs) in F_p / pi^a O_p: None or
+        (e, w_a, w_b). The unit part of den is inverted as conj(x) N(x)^-1,
         with N(x)^-1 taken mod N(pi^(a-e)), which pi^(a-e) divides."""
-        if not num:
+        if not any(num):
             return None
         vn, vd = self.val(num), self.val(den)
         e = vn - vd
         if e >= a:
             return None
-        nn = exact_div(num, self.pi ** vn)
-        dd = exact_div(den, self.pi ** vd)
+        S, T = self.S, self.T
+        na, nb = pair_exact_div(S, T, *num, *self.pi_pow(vn))
+        da, db = pair_exact_div(S, T, *den, *self.pi_pow(vd))
         R = self.ring(a - e)
-        return (e, R.reduce(nn * dd.conj() * pow(dd.norm(), -1, R.size)))
-
-    def ufrac(self, ucls):
-        """The class (e, w) as an exact fraction (num, den) over O_F."""
-        if ucls is None:
-            return QuadInt(0, 0, self.d), one(self.d)
-        e, w = ucls
-        if e >= 0:
-            return w * self.pi ** e, one(self.d)
-        return w, self.pi ** (-e)
-
-    # -- vertices ---------------------------------------------------------
+        inv = pow(pair_norm(S, T, da, db), -1, R.size)
+        wa, wb = pair_prod(S, T, na, nb, da + S * db, -db)
+        return (e,) + R.reduce_pair(wa * inv, wb * inv)
 
     def standard_vertex(self):
-        return Vertex(self, 0, None)
+        return Vertex(0, None)
 
-    def vertex(self, a, num, den):
-        """The vertex whose lattice chain coordinate is the ball
-        num/den + pi^a O."""
-        return Vertex(self, a, self.uclass(num, den, a))
+    def parent(self, v):
+        a, u = v
+        if u is None or u[0] >= a - 1:
+            return Vertex(a - 1, None)
+        e, wa, wb = u
+        return Vertex(a - 1, (e,) + self.ring(a - 1 - e).reduce_pair(wa, wb))
 
-    # -- edges ------------------------------------------------------------
+    def children(self, v):
+        """The q children of v, in the order of the residues r mod pi. The
+        zero class takes the rule at e = a and w = 0, and its child r = 0
+        is the zero class again."""
+        a, u = v
+        e, wa, wb = (a, 0, 0) if u is None else u
+        R, step = self.ring(a + 1 - e), self.pi_pow(a - e)
+        out = []
+        for r in self.residues:
+            ra, rb = self.mul(r, step)
+            w = R.reduce_pair(wa + ra, wb + rb)
+            out.append(Vertex(a + 1, (e,) + w if any(w) else None))
+        return out
 
     def standard_edge(self):
-        return Edge(self, 0, 0, None)
+        return Edge(0, 0, None)
 
     def alpha(self):
         """A normalizer of the Iwahori with alpha e_* = reverse(e_*)."""
-        z = QuadInt(0, 0, self.d)
-        return ((z, -one(self.d)), (self.pi, z))
+        return (0, 0, -1, 0) + self.pi + (0, 0)
+
+    def source(self, e):
+        v = Vertex(e.a, e.u)
+        return v if e.flip == 0 else self.parent(v)
+
+    def target(self, e):
+        v = Vertex(e.a, e.u)
+        return self.parent(v) if e.flip == 0 else v
+
+    def neighbors_with_target(self, v):
+        """The N(p) + 1 edges pointing into v: the reversed edge up to the
+        parent first, then the q edges coming up from the children."""
+        return [Edge(1, v.a, v.u)] + [Edge(0, c.a, c.u)
+                                      for c in self.children(v)]
+
+    def rep_row(self, edge):
+        """A representative gamma = [[pi^(a+m), w pi^(e+m)], [0, pi^m]],
+        m = max(0, -a, -e), with edge = gamma e_* (up to the scalars, which
+        act trivially), as an 8-tuple, times alpha when flipped; det gamma
+        is a unit times pi^(a + flip). The zero class has w = 0."""
+        flip, a, u = edge
+        e, wa, wb = u or (0, 0, 0)
+        m = max(0, -a, -e)
+        g = (self.pi_pow(a + m) + self.mul((wa, wb), self.pi_pow(e + m))
+             + (0, 0) + self.pi_pow(m))
+        return pair_mul(self.S, self.T, g, self.alpha()) if flip else g
 
     def edge_from_matrix(self, g):
-        """Canonical edge gamma * e_* for gamma = g (entries in O_F)."""
-        det = mat_det(g)
-        if not det:
+        """Canonical edge gamma * e_* for the 8-tuple gamma = g."""
+        p, q, r, s = g[0:2], g[2:4], g[4:6], g[6:8]
+        (da, db), (ea, eb) = self.mul(p, s), self.mul(q, r)
+        vdet = self.val((da - ea, db - eb))
+        if vdet == INF:
             raise ValueError("singular matrix does not act on the tree")
-        (p, q), (r, s) = g
-        vdet = self.val(det)
         vr, vs = self.val(r), self.val(s)
         if vr > vs:
             a = vdet - 2 * vs
-            return Edge(self, 0, a, self.uclass(q, s, a))
+            return Edge(0, a, self.uclass(q, s, a))
         a = vdet + 1 - 2 * vr
-        return Edge(self, 1, a, self.uclass(p, r, a))
+        return Edge(1, a, self.uclass(p, r, a))
 
+    def act(self, gamma, e):
+        """The edge gamma * e (gamma an 8-tuple). Parity flips when
+        v(det gamma) is odd."""
+        return self.edge_from_matrix(
+            pair_mul(self.S, self.T, gamma, self.rep_row(e)))
 
-class Vertex:
-    """Canonical form (a, u mod pi^a): the lattice class of
-    [[pi^a, u], [0, 1]] applied to O + O."""
-
-    __slots__ = ("tree", "a", "u", "_key")
-
-    def __init__(self, tree, a, u):
-        self.tree = tree
-        self.a = a
-        self.u = u
-        self._key = (a, None if u is None else (u[0], u[1].a, u[1].b))
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Vertex) and self._key == other._key
-
-    def __hash__(self):
-        return hash(("v", self._key))
-
-    def __repr__(self):
-        n, d = self.tree.ufrac(self.u)
-        return "Vertex(a=%d, u=%r/%r)" % (self.a, n, d)
-
-    def parity(self):
-        return self.a % 2
-
-    def parent(self):
-        num, den = self.tree.ufrac(self.u)
-        return Vertex(self.tree, self.a - 1, self.tree.uclass(num, den, self.a - 1))
-
-    def children(self):
-        t = self.tree
-        num, den = t.ufrac(self.u)
-        out = []
-        for r in t.residues:
-            # u + r * pi^a, written over the denominator of u
-            if self.a >= 0:
-                nn = num + r * t.pi ** self.a * den
-                dd = den
-            else:
-                nn = num * t.pi ** (-self.a) + r * den
-                dd = den * t.pi ** (-self.a)
-            out.append(Vertex(t, self.a + 1, t.uclass(nn, dd, self.a + 1)))
-        return out
-
-
-class Edge:
-    """Canonical form (flip, a, u mod pi^a); see the module docstring."""
-
-    __slots__ = ("tree", "flip", "a", "u", "_key")
-
-    def __init__(self, tree, flip, a, u):
-        self.tree = tree
-        self.flip = flip
-        self.a = a
-        self.u = u
-        self._key = (flip, a, None if u is None else (u[0], u[1].a, u[1].b))
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Edge) and self._key == other._key
-
-    def __hash__(self):
-        return hash(("e", self._key))
-
-    def __repr__(self):
-        n, d = self.tree.ufrac(self.u)
-        return "Edge(flip=%d, a=%d, u=%r/%r)" % (self.flip, self.a, n, d)
-
-    def parity(self):
-        return (self.a + self.flip) % 2
-
-    def reverse(self):
-        return Edge(self.tree, 1 - self.flip, self.a, self.u)
-
-    def source(self):
-        v = Vertex(self.tree, self.a, self.u)
-        return v if self.flip == 0 else v.parent()
-
-    def target(self):
-        v = Vertex(self.tree, self.a, self.u)
-        return v.parent() if self.flip == 0 else v
-
-    def rep_matrix(self):
-        """A representative gamma over O_F with self = gamma e_* (up to the
-        scalars, which act trivially); det is a unit times pi^(a + flip)."""
-        t = self.tree
-        num, den = t.ufrac(self.u)
-        m = max(0, -self.a, t.val(den))
-        pim = t.pi ** m
-        z = QuadInt(0, 0, t.d)
-        g = (
-            (t.pi ** (self.a + m), exact_div(num * pim, den)),
-            (z, pim),
-        )
-        if self.flip:
-            g = mat_mul(g, t.alpha())
-        return g
-
-    def contains(self, num, den=None):
-        """Membership of a cusp num/den (den None or 0 means infinity) in
-        the open set U(self)."""
-        t = self.tree
-        if den is None or not den:
-            return self.flip == 1
-        un, ud = t.ufrac(self.u)
-        v = t.val(num * ud + un * den) - t.val(den) - t.val(ud)
-        inside = v >= self.a
-        return inside if self.flip == 0 else not inside
-
-
-def act(gamma, e):
-    """The edge gamma * e. Parity flips when v(det gamma) is odd."""
-    g = mat_mul(gamma, e.rep_matrix())
-    out = e.tree.edge_from_matrix(g)
-    return out
-
-
-def neighbors_with_target(v):
-    """The N(p) + 1 edges pointing into v: the reversed edge up to the
-    parent first, then the q edges coming up from the children."""
-    t = v.tree
-    out = [Edge(t, 1, v.a, v.u)]
-    for c in v.children():
-        out.append(Edge(t, 0, c.a, c.u))
-    return out
+    def contains(self, edge, num, den=None):
+        """Membership of a cusp num/den (int pairs; den None or 0 means
+        infinity) in the open set U(edge): val(num/den + u) >= a, with
+        u = pi^e w = (w pi^(e+k)) / pi^k, k = max(0, -e)."""
+        flip, a, u = edge
+        if den is None or not any(den):
+            return flip == 1
+        e, wa, wb = u or (0, 0, 0)
+        k = max(0, -e)
+        xa, xb = self.mul(num, self.pi_pow(k))
+        ua, ub = self.mul(self.mul((wa, wb), self.pi_pow(e + k)), den)
+        inside = self.val((xa + ua, xb + ub)) - self.val(den) - k >= a
+        return inside if flip == 0 else not inside
 
 
 def cusp_pair_path(tree, c, v, j_lo, j_hi):
     """The edges e_j = gamma_j e_*, gamma_j = [[pi^-j, u],[0,1]] with
-    u = v/c, for j_lo <= j <= j_hi. U(e_j) = {t : val(c t + v) >= -j}; the
-    embedding matrix gamma_{c,v} shifts e_j to e_{j+s}. The caller's
-    cocycle.EmbeddingDatum has checked that c is coprime to p and v a unit
-    mod c."""
-    out = []
-    for j in range(j_lo, j_hi + 1):
-        out.append(Edge(tree, 0, -j, tree.uclass(v, c, -j)))
-    return out
+    u = v/c (c and v int pairs), for j_lo <= j <= j_hi. U(e_j) =
+    {t : val(c t + v) >= -j}; the embedding matrix gamma_{c,v} shifts e_j
+    to e_{j+s}. The caller's cocycle.EmbeddingDatum has checked that c is
+    coprime to p and v a unit mod c."""
+    return [Edge(0, -j, tree.uclass(v, c, -j))
+            for j in range(j_lo, j_hi + 1)]
 
 
 def dot_neighborhood(tree, depth=3):
@@ -267,21 +229,19 @@ def dot_neighborhood(tree, depth=3):
     if depth > 3:
         raise ValueError("depth at most 3")
     lines = ["graph btree {"]
-    seen = {tree.standard_vertex().key(): 0}
-    order = [tree.standard_vertex()]
+    seen = {tree.standard_vertex(): 0}
     frontier = [tree.standard_vertex()]
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for e in neighbors_with_target(v):
-                w = e.source()
-                if w.key() not in seen:
-                    seen[w.key()] = len(seen)
-                    order.append(w)
+            for e in tree.neighbors_with_target(v):
+                w = tree.source(e)
+                if w not in seen:
+                    seen[w] = len(seen)
                     nxt.append(w)
-                    lines.append("  v%d -- v%d;" % (seen[v.key()], seen[w.key()]))
+                    lines.append("  v%d -- v%d;" % (seen[v], seen[w]))
         frontier = nxt
-    for v in order:
-        lines.append('  v%d [label="%d"];' % (seen[v.key()], v.parity()))
+    for v, k in seen.items():
+        lines.append('  v%d [label="%d"];' % (k, v.parity()))
     lines.append("}")
     return "\n".join(lines)

@@ -7,10 +7,10 @@ symbol Psi spreads out the same way to a system of edge distributions that
 glue to a distribution mu on P^1 of the completion, against which one can
 integrate log kernels (double integrals with endpoints in the unramified
 quadratic extension of the completion). Both symbols are evaluated on the
-same int paths of msymb.ManinLayer (TreeFamily.paths), a list of edges in
-one ev_paths call: kappa as Fractions, the edge distributions as moment
-tables. The balls of a list of edges are one stack on lfun's disc kernel
-(edge_integrals).
+same int paths of msymb.ManinLayer, which TreeFamily.paths makes from the
+8-tuple edge reps of the int-pair tree (btree), a list of edges in one
+ev_paths call: kappa as Fractions, the edge distributions as moment tables.
+The balls of a list of edges are one stack on lfun's disc kernel.
 
 Evaluating the resulting cocycles oc (counting) and lc (log) on embedding
 data (c, v) gives two numbers per datum whose ratio lc/oc is the
@@ -46,9 +46,9 @@ from .field import (
     exact_div,
     gcd_quad,
     identity_mat,
-    mat_mul,
     mat_pairs,
     one,
+    pair_mul,
     units,
 )
 from .manin import adj_rows, int_rows, pair_mul_rows
@@ -91,7 +91,7 @@ class TreeFamily:
         self.psi = psi
         self.tree = bt.Tree(prime_data)
         self.level = phi.level
-        self.W = ms.atkin_lehner_matrix(prime_data.pi, phi.level)
+        self.W = mat_pairs(ms.atkin_lehner_matrix(prime_data.pi, phi.level))
         if omega is None:
             om = phi.eigen.get("omega")
             omega = int(om) if om is not None else 1
@@ -121,19 +121,20 @@ class TreeFamily:
         return self._ext2
 
     def edge_rep(self, e):
-        g = bt.Edge(self.tree, 0, e.a, e.u).rep_matrix()
-        return g if e.flip == 0 else mat_mul(g, self.W)
+        """The representative of the edge e as an 8-tuple: the rep_row of
+        its flip-0 edge, times the Atkin-Lehner matrix W when e is flipped."""
+        g = self.tree.rep_row(bt.Edge(0, e.a, e.u))
+        return pair_mul(self.tree.S, self.tree.T, g, self.W) if e.flip else g
 
     def paths(self, reps, r, s):
-        """The int paths {g^-1 r -> g^-1 s} for g in reps (the edge_rep of
-        an edge), on which kappa and the edge distribution of the edge
-        evaluate the symbol, as the rows of an (n, 8) int array: the
-        columns of adj(g) [r s], not normalised (msymb.ManinLayer), in one
-        pair_mul_rows over the reps."""
+        """The int paths {g^-1 r -> g^-1 s} for g in reps (the 8-tuple
+        edge_rep of an edge), on which kappa and the edge distribution of
+        the edge evaluate the symbol, as the rows of an (n, 8) int array:
+        the columns of adj(g) [r s], not normalised (msymb.ManinLayer), in
+        one pair_mul_rows over the reps."""
         p1 = self.phi.p1
         rs = int_rows([r.v[:2] + s.v[:2] + r.v[2:] + s.v[2:]], 8)
-        h = pair_mul_rows(p1.S, p1.T, adj_rows(
-            int_rows([mat_pairs(g) for g in reps], 8)), rs)
+        h = pair_mul_rows(p1.S, p1.T, adj_rows(int_rows(reps, 8)), rs)
         return h[:, [0, 1, 4, 5, 2, 3, 6, 7]]
 
     def ev(self, edges, r, s):
@@ -173,53 +174,46 @@ def _sample_vertices(tree, count, seed):
     import random
     rng = random.Random(seed)
     out = []
-    d = tree.d
     while len(out) < count:
         a = rng.randint(1, 3)
-        num = QuadInt(rng.randint(0, 10), rng.randint(0, 10), d)
-        v = tree.vertex(a, num, one(d))
-        if v.key() not in [w.key() for w in out]:
+        num = (rng.randint(0, 10), rng.randint(0, 10))
+        v = bt.Vertex(a, tree.uclass(num, (1, 0), a))
+        if v not in out:
             out.append(v)
     return out
 
 
 def harmonicity_check(fam):
-    """Sum of kappa over the edges into v_* and 5 sampled vertices, for
-    each of two test paths. Zero everywhere iff the symbol is p-new."""
+    """The largest |sum of kappa| over the edges into v_* and 5 sampled
+    vertices, for each of two test paths, as max_residual, and whether it
+    is zero (harmonic), which holds iff the symbol is p-new."""
     tree = fam.tree
-    d = tree.d
+    d = fam.pd.pi.d
     vertices = [tree.standard_vertex()] + _sample_vertices(tree, 5, 5)
     paths = [
         (Cusp(QuadInt(2, 3, d), QuadInt(7, 0, d)), cusp_infinity(d)),
         (Cusp(QuadInt(1, 0, d), QuadInt(4, 5, d)),
          Cusp(QuadInt(0, 1, d), QuadInt(3, 0, d))),
     ]
-    groups = [(bt.neighbors_with_target(v), r, s)
+    groups = [(tree.neighbors_with_target(v), r, s)
               for v in vertices for r, s in paths]
-    labels = [repr(v) for v in vertices for _ in paths]
-    residuals = []
-    worst = Fraction(0)
-    for label, values in zip(labels, fam.ev_groups(groups)):
-        total = sum(values)
-        residuals.append({"vertex": label, "value": total})
-        worst = max(worst, abs(total))
-    return {"residuals": residuals, "max_residual": worst,
-            "harmonic": worst == 0}
+    worst = max(abs(sum(values)) for values in fam.ev_groups(groups))
+    return {"max_residual": worst, "harmonic": worst == 0}
 
 
 # ---------------------------------------------------------------------------
 # edge distributions
 
 
-def ball_children(e):
+def ball_children(tree, e):
     """The N(p) edges whose balls partition U(e)."""
-    return [x for x in bt.neighbors_with_target(e.source())
+    return [x for x in tree.neighbors_with_target(tree.source(e))
             if x != e.reverse()]
 
 
 def full_cover(fam):
     """Edges whose balls partition the whole projective line."""
-    return bt.neighbors_with_target(fam.tree.standard_vertex())
+    return fam.tree.neighbors_with_target(fam.tree.standard_vertex())
 
 
 def edge_integrals(fam, edges, r, s, zeta):
@@ -243,9 +237,9 @@ def edge_integrals(fam, edges, r, s, zeta):
             centre.append(pctx.zero())
             scale.append(pctx.zero())
             continue
-        (A, B), (C, D) = g
-        centre.append(pctx.embed(-B) / pctx.embed(D))
-        scale.append(pctx.embed(A) / pctx.embed(D))
+        D = pctx.elt(*pctx.embed_pair(g[6], g[7]))
+        centre.append(pctx.elt(*pctx.embed_pair(-g[2], -g[3])) / D)
+        scale.append(pctx.elt(*pctx.embed_pair(g[0], g[1])) / D)
     moments = fam.moments(reps, r, s)
     discs = lfun.Discs(fam.psi.ctx, PadicStack.of(pctx, centre),
                        PadicStack.of(pctx, scale),
@@ -316,8 +310,9 @@ class Ext2Context:
     def one(self):
         return self.elt(1, 0)
 
-    def embed_qi(self, x):
-        return self.elt(self.pctx.embed(x))
+    def embed_pair(self, a, b):
+        """The field element a + b*w."""
+        return self.elt(self.pctx.elt(*self.pctx.embed_pair(a, b)))
 
 
 class Ext2:
@@ -431,8 +426,7 @@ def ext2_log(x):
 def twisted_moebius_ext2(ctx, g, x):
     """The action (b + d x)/(a + c x) used on the tree side, with matrix
     entries over O_F and x in the quadratic extension."""
-    (a, b), (c, d) = (ctx.embed_qi(g[0][0]), ctx.embed_qi(g[0][1])), \
-                     (ctx.embed_qi(g[1][0]), ctx.embed_qi(g[1][1]))
+    a, b, c, d = (ctx.embed_pair(x.a, x.b) for row in g for x in row)
     return ext2_ratio(b + d * x, a + c * x)
 
 
@@ -467,9 +461,7 @@ def _log_leaves(fam, e, x, y, depth, out):
     ctx = fam.ext2
     M = fam.psi.ctx.M
     g = fam.edge_rep(e)
-    (A, B), (C, D) = g
-    Ae, Be = ctx.embed_qi(A), ctx.embed_qi(B)
-    Ce, De = ctx.embed_qi(C), ctx.embed_qi(D)
+    Ae, Be, Ce, De = (ctx.embed_pair(g[k], g[k + 1]) for k in (0, 2, 4, 6))
     # t = (-B + A w)/(D - C w): (t - x)/(t - y) becomes a ratio of two
     # functions c + l w, analytic on the ball when val(l/c) >= 1
     c1, l1 = -Be - x * De, Ae + x * Ce
@@ -480,7 +472,7 @@ def _log_leaves(fam, e, x, y, depth, out):
         if depth == 0:
             raise padic.PrecisionError("log kernel not analytic at maximal "
                                        "refinement depth")
-        for ch in ball_children(e):
+        for ch in ball_children(fam.tree, e):
             _log_leaves(fam, ch, x, y, depth - 1, out)
         return
     t1, t2 = ext2_ratio(l1, c1), ext2_ratio(l2, c2)
@@ -551,7 +543,8 @@ class EmbeddingDatum:
 def oc_tree_route(fam, datum, window=1):
     """Sum of kappa{v/c - infinity} over one period of the geodesic the
     cycle matrix translates along."""
-    edges = bt.cusp_pair_path(fam.tree, datum.c, datum.v,
+    c, v = datum.c, datum.v
+    edges = bt.cusp_pair_path(fam.tree, (c.a, c.b), (v.a, v.b),
                               window, window + datum.s - 1)
     r, s_inf = datum.cusp(), cusp_infinity(datum.d)
     return sum(fam.ev(edges, r, s_inf))

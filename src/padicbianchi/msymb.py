@@ -209,9 +209,10 @@ class P1(ManinLayer):
     """P^1(O_F/n) for squarefree n, via CRT over the prime factors: the
     Manin layer over O_F.
 
-    The generators are the CRT combinations of the points (0 : 1) and
-    (1 : x) of each P^1(O/pi); for a squarefree n no two combinations are
-    the same point. The one key (piece_indices) runs on int arrays: a
+    The generators (reps) are the CRT combinations of the points (0 : 1)
+    and (1 : x) of each P^1(O/pi), made on int pairs, each (c : d) the row
+    (c_a, c_b, d_a, d_b); for a squarefree n no two combinations are the
+    same point. The one key (piece_indices) runs on int arrays: a
     residue a + b*w mod pi is the code a + h00*b, the unit inverses are two
     arrays over the codes (O/pi is a field, so a residue is a unit exactly
     when it is nonzero), and the point of P^1(O/pi) is the code of d/c, or
@@ -235,14 +236,19 @@ class P1(ManinLayer):
         idempotents = []
         for R in self._rings:
             m = exact_div(n, R.n)
-            idempotents.append(m * R.reduce(m ** (R.size - 2)))
+            e = m * R.reduce(m ** (R.size - 2))
+            idempotents.append((e.a, e.b))
 
         def crt(residues):
-            terms = (r * e for r, e in zip(residues, idempotents))
-            return ring.reduce(sum(terms, QuadInt(0, 0, d)))
-        local = [[(QuadInt(0, 0, d), one(d))]
-                 + [(one(d), x) for x in R.elements()] for R in self._rings]
-        self.reps = [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
+            terms = [fld.pair_prod(self.S, self.T, *r, *e)
+                     for r, e in zip(residues, idempotents)]
+            return ring.reduce_pair(sum(t[0] for t in terms),
+                                    sum(t[1] for t in terms))
+        # x in the order of ResidueRing.elements, by code a + h00*b
+        local = [[((0, 0), (1, 0))]
+                 + [((1, 0), (x % R.h00, x // R.h00)) for x in range(R.size)]
+                 for R in self._rings]
+        self.reps = [crt([t[0] for t in combo]) + crt([t[1] for t in combo])
                      for combo in product(*local)]
         self._batch = None
         super().__init__()
@@ -303,8 +309,7 @@ class P1(ManinLayer):
 
     def rep_rows(self):
         import numpy as np
-        return np.array([(c.a, c.b, dd.a, dd.b) for c, dd in self.reps],
-                        dtype=np.int64)
+        return np.array(self.reps, dtype=np.int64)
 
     def matrix(self, g):
         return fld.pair_mat(g, self.d)

@@ -4,14 +4,15 @@ expanded on PadicElements and paired with the moments of that edge alone.
 Two edits: the moments of the edge come from psi.ev on the normalised
 cusps g^-1 r and g^-1 s, the Cusp route (apply_moebius of adj(g)) that
 TreeFamily.ev_dist (since deleted) evaluated, and g is the edge rep the
-ball is built from. TreeFamily.paths replaced that route with unnormalised
+ball is built from (the 8-tuple of TreeFamily.edge_rep, turned back into
+QuadInts here). TreeFamily.paths replaced that route with unnormalised
 int paths; this file keeps the Cusp route. The tests compare
 edge_integrals against it row by row."""
 
 from math import comb
 
 from padicbianchi.cocycle import SupportError
-from padicbianchi.field import QuadInt, apply_moebius
+from padicbianchi.field import QuadInt, apply_moebius, pair_mat
 from padicbianchi.ocsymb import honest_moment
 
 
@@ -22,8 +23,9 @@ def mat_adj(mat):
 
 
 def cusp_path(g, r, s):
-    """The path {g^-1 r -> g^-1 s} as normalised cusps."""
-    adj = mat_adj(g)
+    """The path {g^-1 r -> g^-1 s} as normalised cusps, for the 8-tuple g
+    (an edge_rep)."""
+    adj = mat_adj(pair_mat(g, r.d))
     return apply_moebius(adj, r), apply_moebius(adj, s)
 
 
@@ -40,10 +42,10 @@ def edge_distribution(fam, e, r, s, zeta):
     if e.flip and any(k != (0, 0) for k, c in zeta.items() if c):
         raise SupportError("nonconstant polynomial on an unbounded ball")
     g = fam.edge_rep(e)
-    (A, B), (C, D) = g
+    (A, B), (C, D) = pair_mat(g, fam.pd.pi.d)
     if e.flip == 0:
         # t = (-B + A w)/D on U(e), w running over the integers
-        b0 = pctx.embed(QuadInt(0, 0, fam.tree.d) - B) / pctx.embed(D)
+        b0 = pctx.embed(QuadInt(0, 0, B.d) - B) / pctx.embed(D)
         g0 = pctx.embed(A) / pctx.embed(D)
     else:
         b0 = g0 = None

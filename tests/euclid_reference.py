@@ -106,7 +106,7 @@ def ref_reps(n):
     """The generators of P^1(O_F/n), n squarefree, in the order of P1: the
     CRT combinations of (0 : 1) and (1 : x) over the primes pi of n, by
     the idempotents m u/g, 1 mod pi and 0 mod m = n/pi, for the ref_xgcd
-    u*m + v*pi = g."""
+    u*m + v*pi = g; each (c : d) as the int row (c_a, c_b, d_a, d_b)."""
     d = n.d
     zero, one = QuadInt(0, 0, d), QuadInt(1, 0, d)
     primes = [pi for pi, _, _ in fld.factor_ideal(n)]
@@ -122,8 +122,9 @@ def ref_reps(n):
                                zero))
     local = [[(zero, one)] + [(one, x) for x in fld.ResidueRing(pi).elements()]
              for pi in primes]
-    return [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
+    rows = [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
             for combo in product(*local)]
+    return [(c.a, c.b, dd.a, dd.b) for c, dd in rows]
 
 
 def ref_lift(p1, i):
@@ -132,7 +133,8 @@ def ref_lift(p1, i):
     lockstep): the row (c : d), with c moved by the level until gcd(c, d)
     is a unit (at most 6 tries), completes to [[v/g, -u/g], [c, d]] for
     u*c + v*d = g."""
-    c, dd = p1.reps[i]
+    ca, cb, da, db = p1.reps[i]
+    c, dd = QuadInt(ca, cb, p1.d), QuadInt(da, db, p1.d)
     for _ in range(6):
         if ref_gcd(c, dd).is_unit():
             break

@@ -52,9 +52,8 @@ def sample_edges(tree, rng, count):
     out = [tree.standard_edge(), tree.standard_edge().reverse()]
     while len(out) < count:
         a = rng.randint(-2, 2)
-        u = tree.uclass(qi(rng.randint(0, 12), rng.randint(0, 12)),
-                        qi(1), a)
-        e = bt.Edge(tree, rng.randint(0, 1), a, u)
+        u = tree.uclass((rng.randint(0, 12), rng.randint(0, 12)), (1, 0), a)
+        e = bt.Edge(rng.randint(0, 1), a, u)
         if e not in out:
             out.append(e)
     return out
@@ -112,7 +111,8 @@ class TestHarmonicity:
         edges = sample_edges(fam.tree, rng, 4)
         for g in gamma_tilde_elements(rng, 10):
             gr, gs = fld.apply_moebius(g, r), fld.apply_moebius(g, s)
-            assert fam.ev([bt.act(g, e) for e in edges], gr, gs) \
+            g8 = fld.mat_pairs(g)
+            assert fam.ev([fam.tree.act(g8, e) for e in edges], gr, gs) \
                 == fam.ev(edges, r, s)
 
 
@@ -133,14 +133,15 @@ class TestEdgeDistribution:
         while len(edges) < 10:
             # bounded balls inside the integers keep the series integral
             a = rng.randint(1, 2)
-            u = tree.uclass(qi(rng.randint(0, 12), rng.randint(0, 12)),
-                            qi(1), a)
-            e = bt.Edge(tree, 0, a, u)
+            u = tree.uclass((rng.randint(0, 12), rng.randint(0, 12)),
+                            (1, 0), a)
+            e = bt.Edge(0, a, u)
             if e not in edges:
                 edges.append(e)
         whole = cc.edge_integrals(fam, edges, r, s, zeta)
         for k, e in enumerate(edges):
-            parts = cc.edge_integrals(fam, cc.ball_children(e), r, s, zeta)
+            parts = cc.edge_integrals(fam, cc.ball_children(tree, e), r, s,
+                                      zeta)
             assert (whole.element(k) - parts.sum()).is_zero()
 
     def test_global_constant_integrates_to_zero(self, fam):
@@ -189,7 +190,7 @@ def counting(mp, owner, name, counts):
 def run_criterion_8(phi, psi, pd):
     """Criterion 8 on the family of phi and psi: its edge_integrals calls
     as (fam, edges, r, s, zeta, result), the number of ev_paths passes it
-    makes and the number of Edge.rep_matrix calls."""
+    makes and the number of Tree.rep_row calls."""
     calls, passes, reps = [], [], []
     integrals = cc.edge_integrals
 
@@ -201,7 +202,7 @@ def run_criterion_8(phi, psi, pd):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cc, "edge_integrals", recorded)
         counting(mp, oc.OverconvergentSymbol, "ev_paths", passes)
-        counting(mp, bt.Edge, "rep_matrix", reps)
+        counting(mp, bt.Tree, "rep_row", reps)
         acc._criterion_8(acc.AcceptanceContext(phi, psi, {}, pd), {})
     return calls, len(passes), len(reps)
 
@@ -254,7 +255,7 @@ class TestEdgeIntegrals:
         cases = [(edges, r, s) for _, edges, r, s, _, _ in calls[4:]]
         into = [e for v in [tree.standard_vertex()]
                 + cc._sample_vertices(tree, 5, 5)
-                for e in bt.neighbors_with_target(v)]
+                for e in tree.neighbors_with_target(v)]
         for r, s in ((fld.Cusp(qi(2, 3), qi(7)), fld.cusp_infinity(1)),
                      (fld.Cusp(qi(1), qi(4, 5)), fld.Cusp(qi(0, 1), qi(3)))):
             cases.append((into, r, s))
@@ -317,9 +318,11 @@ class TestEmbeddingData:
 
     def test_gamma_translates_geodesic(self, fam, dat3):
         g = dat3.gamma()
-        edges = bt.cusp_pair_path(fam.tree, dat3.c, dat3.v, 1, 2 * dat3.s)
+        edges = bt.cusp_pair_path(fam.tree, (dat3.c.a, dat3.c.b),
+                                  (dat3.v.a, dat3.v.b), 1, 2 * dat3.s)
         for i in range(len(edges) - dat3.s):
-            assert bt.act(g, edges[i]) == edges[i + dat3.s]
+            assert fam.tree.act(fld.mat_pairs(g), edges[i]) \
+                == edges[i + dat3.s]
 
     def test_coboundary_vanishes(self, ref_symbols, ref_prime, fam):
         phi, eis = ref_symbols
@@ -430,7 +433,7 @@ class TestDoubleIntegral:
         visits, reps = [], []
         with pytest.MonkeyPatch.context() as mp:
             counting(mp, cc, "_log_leaves", visits)
-            counting(mp, bt.Edge, "rep_matrix", reps)
+            counting(mp, bt.Tree, "rep_row", reps)
             cc.double_integral(fam, tau, x, r, s)
         assert len(reps) == len(visits) >= len(cc.full_cover(fam))
 

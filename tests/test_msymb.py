@@ -68,9 +68,17 @@ def reference_key(p1, c, dd):
     return tuple(parts)
 
 
+def rep_quads(p1):
+    """The generators of p1, int rows (c_a, c_b, d_a, d_b), as QuadInt
+    pairs (c, d)."""
+    return [(QuadInt(ca, cb, p1.d), QuadInt(da, db, p1.d))
+            for ca, cb, da, db in p1.reps]
+
+
 def reference_index(p1):
     """{reference_key: generator index} over the generators of p1."""
-    return {reference_key(p1, c, dd): i for i, (c, dd) in enumerate(p1.reps)}
+    return {reference_key(p1, c, dd): i
+            for i, (c, dd) in enumerate(rep_quads(p1))}
 
 
 def naive_operator(p1, mats, symbols):
@@ -138,7 +146,7 @@ class TestTableReduction:
         for g in mats:
             want = [index[reference_key(p1, c * g[0][0] + dd * g[1][0],
                                         c * g[0][1] + dd * g[1][1])]
-                    for c, dd in p1.reps]
+                    for c, dd in rep_quads(p1)]
             assert p1.act(g).tolist() == want
 
     def test_lifts_are_memoised(self):

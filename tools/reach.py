@@ -43,9 +43,9 @@ KEEP = {
     "cocycle.chi_weighted_lc": "chi-weighted identities",
     # p-newness: the degeneracy maps from level n/pi
     "msymb.degeneracy": "p-newness",
-    # the cover tests of the tree: the open sets U(e) partition P^1 (act,
-    # edge_from_matrix and Edge.target are reached by name)
-    "btree.Edge.contains": "tree cover",
+    # the cover tests of the tree: the open sets U(e) partition P^1
+    # (Tree.act, Tree.edge_from_matrix and Tree.target are reached by name)
+    "btree.Tree.contains": "tree cover",
     # names that perfbench/tracer.py install() wraps and no command calls
     "field.path_between": "tracer",
     "msymb.manin_terms": "tracer",

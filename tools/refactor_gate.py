@@ -11,8 +11,10 @@ reports are compared, the cache directory in them is replaced by a
 placeholder and every `elapsed_sec` key is dropped. The gate prints one
 line per command (identical or different, and whether the raw reports were
 byte-identical too) and the result of comparing each cached lift (.npz)
-byte by byte. It exits 0 when every command and every lift is identical,
-and 1 otherwise. Only the standard library is used.
+and each DOT dump of the tree (`build --dot-out`, written into the cache
+directory) byte by byte. It exits 0 when every command, every lift and
+every dump is identical, and 1 otherwise. Only the standard library is
+used.
 """
 
 import argparse
@@ -35,13 +37,25 @@ P7 = ["--field-disc", "1", "--level", "7+7i", "--prime", "7",
 P3 = ["--field-disc", "1", "--level", "15", "--prime", "3",
       "--precision", "5"]
 
+
+def dot(depth):
+    """The build options that dump the tree to depth into the cache."""
+    return ["--dot-out", "{cache}/tree-%d.dot" % depth,
+            "--dot-depth", str(depth)]
+
+
 # (label, cache, argv): the cold builds come first, so that every later
-# command reads the lift the same side built
+# command reads the lift the same side built; "{cache}" in argv stands for
+# the cache directory
 COMMANDS = [
     ("build ref-m8 miss", "ref", ["build"] + REF),
     ("build ref-m8 hit", "ref", ["build"] + REF),
     ("build ram-p2 miss", "ram", ["build"] + RAM),
     ("build ram-p2 hit", "ram", ["build"] + RAM),
+    # the DOT dump is the one tree output that no report carries; ref-m8
+    # stops at depth 2, as its depth-3 dump is some 80 MB
+    ("build ref-m8 dot depth 2", "ref", ["build"] + REF + dot(2)),
+    ("build ram-p2 dot depth 3", "ram", ["build"] + RAM + dot(3)),
     ("linv ref-m8 default data", "ref", ["linv"] + REF),
     ("linv ref-m8 3:1,3:1+2i,7:5i", "ref",
      ["linv"] + REF + ["--embedding-data", "3:1,3:1+2i,7:5i"]),
@@ -74,6 +88,7 @@ COMMANDS = [
     ("accept 7+7i p=7 criteria 2,8", "p7",
      ["accept"] + P7 + ["--criteria", "2,8"]),
     ("build 15 p=3 miss", "p3", ["build"] + P3),
+    ("build 15 p=3 dot depth 3", "p3", ["build"] + P3 + dot(3)),
     ("linv 15 p=3", "p3", ["linv"] + P3),
     ("accept 15 p=3 criteria 2,8", "p3",
      ["accept"] + P3 + ["--criteria", "2,8"]),
@@ -87,7 +102,8 @@ def run(src, cache, argv):
     """(exit code, stdout with the cache directory replaced)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "padicbianchi.cli"] + argv
+        [sys.executable, "-m", "padicbianchi.cli"]
+        + [a.replace("{cache}", cache) for a in argv]
         + ["--cache-dir", cache],
         capture_output=True, text=True, env=env, timeout=1800)
     return proc.returncode, proc.stdout.replace(cache, PLACEHOLDER)
@@ -107,6 +123,13 @@ def normalised(out):
         return drop_elapsed(json.loads(out))
     except ValueError:
         return out
+
+
+def read_one(pattern):
+    """The bytes of the one file that matches pattern."""
+    (path,) = glob.glob(pattern)
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def main(argv=None):
@@ -138,16 +161,19 @@ def main(argv=None):
             ok = False
         print("%-36s exit %s/%s  %s" % (label, pc, cc, verdict), flush=True)
     for cache in CACHES:
-        blobs = []
-        for name in sides:
-            (path,) = glob.glob(os.path.join(work, name, cache, "*.npz"))
-            with open(path, "rb") as fh:
-                blobs.append(fh.read())
-        same = blobs[0] == blobs[1]
-        ok = ok and same
-        print("%-36s %s (%d bytes)" % ("cmp %s .npz" % cache,
-                                       "identical" if same else "DIFFERENT",
-                                       len(blobs[1])), flush=True)
+        # the lifts' file names are cache keys, so each side has its own;
+        # the dumps are named by depth
+        dumps = sorted(os.path.basename(f) for f in glob.glob(
+            os.path.join(work, "parent", cache, "*.dot")))
+        for pattern in ["*.npz"] + dumps:
+            blobs = [read_one(os.path.join(work, name, cache, pattern))
+                     for name in sides]
+            same = blobs[0] == blobs[1]
+            ok = ok and same
+            print("%-36s %s (%d bytes)" % (
+                "cmp %s %s" % (cache, pattern.lstrip("*")),
+                "identical" if same else "DIFFERENT", len(blobs[1])),
+                flush=True)
     print("gate: %s" % ("pass" if ok else "FAIL"))
     return 0 if ok else 1
 
