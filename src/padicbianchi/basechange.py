@@ -172,7 +172,7 @@ class RationalP1(ms.ManinLayer):
     arguments the quotient scan never picks a w-part, so every piece is in
     SL_2(Z). The layer's one key is an (N, N) array from (c mod N,
     d mod N) to the generator, filled orbit by orbit of the units at
-    construction; reduce and piece_indices read it. The generators are the
+    construction; piece_indices reads it. The generators are the
     least members of the orbits, lifted as the real rows (c, 0, d, 0) by
     the lockstep lift of the shared layer. Integer matrices enter the
     moment layer embedded in SL_2(O_F), as the 8-tuples of pairs(g). The
@@ -208,9 +208,6 @@ class RationalP1(ms.ManinLayer):
                         self._table[c * u % N, d * u % N] = len(self.reps)
                     self.reps.append((c, d))
         super().__init__()
-
-    def reduce(self, c, d):
-        return int(self._table[c % self.N, d % self.N])
 
     def rep_rows(self):
         return np.array([(c, 0, d, 0) for c, d in self.reps], dtype=np.int64)
@@ -307,8 +304,8 @@ def lift_rational(phi, M, p):
 
 
 class QuadDirichletChar:
-    """A real Dirichlet character given by its values mod the modulus, on
-    the residue ring ring (as field.RayCharacter)."""
+    """A real Dirichlet character: as field.RayCharacter, a list table
+    indexed by residue code (n mod the modulus, on ZMod), 0 off the units."""
 
     def __init__(self, modulus, table):
         self.modulus = modulus
@@ -320,7 +317,7 @@ class QuadDirichletChar:
 
 
 def chi_minus4():
-    return QuadDirichletChar(4, {0: 0, 1: 1, 2: 0, 3: -1})
+    return QuadDirichletChar(4, [0, 1, 0, -1])
 
 
 def build_mu_rational(psi, m):

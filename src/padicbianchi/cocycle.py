@@ -44,7 +44,6 @@ from .field import (
     cusp_infinity,
     default_embedding_data,
     exact_div,
-    gcd_quad,
     identity_mat,
     mat_pairs,
     one,
@@ -493,27 +492,28 @@ class EmbeddingDatum:
     """The pair (c, v) with c coprime to p and v a unit mod c, together
     with the derived quantities: the orders s' (of pi) and s (twice the
     order of pi^2) in (O/c)^x, the multiplicity beta, the coset
-    J_v = v<pi> with minimal exponents j(a), and the cycle matrix
-    gamma_{c,v} fixing the cusps v/c and infinity."""
+    J_v = v<pi> as a dict from the residue code of a (ring.code) to its
+    minimal exponent j(a), and the cycle matrix gamma_{c,v} fixing the
+    cusps v/c and infinity."""
 
     def __init__(self, prime_data, c, v, omega):
-        d = prime_data.pi.d
         pi = prime_data.pi
+        ring = ResidueRing(c) if c else None
         why = ("c must be nonzero" if not c
-               else "c must be coprime to p" if not gcd_quad(pi, c).is_unit()
-               else "v must be a unit mod c" if not gcd_quad(v, c).is_unit()
+               else "c must be coprime to p" if not ring.is_unit(pi.a, pi.b)
+               else "v must be a unit mod c" if not ring.is_unit(v.a, v.b)
                else None)
         if why:
             raise EmbeddingDatumError("embedding datum (c, v) = (%r, %r): %s"
                                       % (c, v, why))
-        ring = ResidueRing(c)
         self.pd = prime_data
         self.c = c
         self.v = v
         self.omega = omega
         self.ring = ring
-        self.s_prime = ring.mult_order(pi)
-        self.s = 2 * ring.mult_order(ring.reduce(pi * pi))
+        step = ring.code(pi.a, pi.b)
+        self.s_prime = ring.mult_order(pi.a, pi.b)
+        self.s = 2 * ring.mult_order(*ring.pair(ring.mul(step, step)))
         if self.s == self.s_prime:
             self.beta = 1
         elif self.s == 2 * self.s_prime:
@@ -521,13 +521,12 @@ class EmbeddingDatum:
         else:
             raise RuntimeError("inconsistent orders")
         J = {}
-        cur = ring.reduce(v)
+        cur = ring.code(v.a, v.b)
         for j in range(self.s_prime):
-            if cur not in J:
-                J[cur] = j
-            cur = ring.reduce(cur * pi)
+            J.setdefault(cur, j)
+            cur = ring.mul(cur, step)
         self.J = J
-        self.d = d
+        self.d = pi.d
 
     def gamma(self):
         """Integral projective representative of the cycle matrix."""
@@ -560,7 +559,7 @@ def oc_closed_routes(fam, data):
     call on the paths {a/c - infinity} of all of them."""
     if not data:
         return []
-    values = iter(fam.phi.ev_paths([(a.a, a.b, d.c.a, d.c.b, 1, 0, 0, 0)
+    values = iter(fam.phi.ev_paths([d.ring.pair(a) + (d.c.a, d.c.b, 1, 0, 0, 0)
                                     for d in data for a in d.J]))
     return [d.beta * sum(fam.omega ** j * next(values) for j in d.J.values())
             for d in data]
@@ -569,7 +568,7 @@ def oc_closed_routes(fam, data):
 def _lc_setup(fam, datum, mu):
     """The measure at modulus c and the disc weight (lfun.disc_sum)
     omega^{j(a)} on the blocks a in J_v and 0 elsewhere, read from a table
-    per unit a (a row of mu.units()), which J_v fills by residue code."""
+    per unit a (a row of mu.units()) by residue code, which J_v fills."""
     if datum.beta == 0:
         raise ValueError("beta = 0 datum")
     if fam.psi is None:
@@ -578,8 +577,7 @@ def _lc_setup(fam, datum, mu):
         mu = fam.mu(datum.c)
     ring = mu.ring
     by_code = np.zeros(ring.size, dtype=np.int64)
-    for a, j in datum.J.items():
-        by_code[ring.code(a.a, a.b)] = fam.omega ** j
+    by_code[list(datum.J)] = np.power(fam.omega, list(datum.J.values()))
     units = mu.units()
     table = by_code[ring.code(units[:, 0], units[:, 1])]
 
@@ -624,11 +622,9 @@ def chi_weighted_oc(fam, chi):
     algebraic L-sum when chi(pi) = omega."""
     c = chi.modulus
     total = Fraction(0)
-    for v in ResidueRing(c).unit_elements():
-        datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
-        cv = chi(v)
-        if cv:
-            total += cv * oc_closed_route(fam, datum)
+    for a, b in chi.ring.unit_pairs().tolist():
+        datum = EmbeddingDatum(fam.pd, c, QuadInt(a, b, c.d), fam.omega)
+        total += chi.table[chi.ring.code(a, b)] * oc_closed_route(fam, datum)
     return total
 
 
@@ -639,13 +635,10 @@ def chi_weighted_lc(fam, chi, mu=None):
     if mu is None:
         mu = fam.mu(c)
     total = None
-    for v in ResidueRing(c).unit_elements():
-        cv = chi(v)
-        if not cv:
-            continue
-        lz, lzbar = lc_halves(fam, EmbeddingDatum(fam.pd, c, v, fam.omega),
-                              mu)
-        term = cv * (lz + lzbar)
+    for a, b in chi.ring.unit_pairs().tolist():
+        lz, lzbar = lc_halves(
+            fam, EmbeddingDatum(fam.pd, c, QuadInt(a, b, c.d), fam.omega), mu)
+        term = chi.table[chi.ring.code(a, b)] * (lz + lzbar)
         total = term if total is None else total + term
     return total
 
@@ -708,7 +701,7 @@ def l_invariant(fam, data=None):
     for c, v in data:
         datum = EmbeddingDatum(fam.pd, c, v, fam.omega)
         u = min(units(c.d), key=lambda u: ((u * c).a, (u * c).b))
-        key = ((u * c).a, (u * c).b, datum.ring.reduce(u * v))
+        key = ((u * c).a, (u * c).b, datum.ring.code((u * v).a, (u * v).b))
         if key in seen:
             raise EmbeddingDatumError(
                 "embedding datum (c, v) = (%r, %r): repeats (%r, %r)"

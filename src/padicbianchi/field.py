@@ -8,20 +8,21 @@ decomposition of cusps, and quadratic ray-class characters.
 
 The Euclidean algorithm has one kernel, on int pairs (pair_divmod and the
 functions after it): division, gcd, exact division, cusp normalisation and
-the Moebius action. divmod_quad, gcd_quad, exact_div, Cusp and
-apply_moebius are QuadInt wrappers over it, and a Cusp holds its int pairs.
-Its division step (divmod_step), the norm (pair_norm) and the product
-(pair_prod) are written once and run on ints and int arrays alike, as
-pair_mul does: the Manin decomposition of paths into continued-fraction
-pieces is that kernel stacked, in the module manin, where manin_pieces
-runs divmod_step on a whole batch of int paths in lockstep on int64
-arrays, with an int64 bound proved from the entries and Python ints past
-it. path_between is its one-path QuadInt wrapper. The one extended
-Euclid is stacked there too (manin.xgcd_rows): a ResidueRing lists its
-units and inverts residues as int pairs in one lockstep pass (unit_pairs,
-inverse_pairs, and inverse, its one-row case on QuadInts). The p-adic
-valuation of an integer (int_val) is also written once, for the
-completions, the Tate period and the tree.
+the Moebius action. exact_div, divides, Cusp and apply_moebius are QuadInt
+wrappers over it, and a Cusp holds its int pairs. Its division step
+(divmod_step), the norm (pair_norm) and the product (pair_prod) are
+written once and run on ints and int arrays alike, as pair_mul does: the
+Manin decomposition of paths into continued-fraction pieces is that kernel
+stacked, in the module manin, where manin_pieces runs divmod_step on a
+whole batch of int paths in lockstep on int64 arrays, with an int64 bound
+proved from the entries and Python ints past it. path_between is its
+one-path QuadInt wrapper. The one extended Euclid is stacked there too
+(manin.xgcd_rows). A residue mod n is an int code (ResidueRing.code): a
+ResidueRing lists its units and inverts residues in one lockstep pass of
+that Euclid (unit_pairs, inverse_pairs; inverse is its one-row case), one
+residue is tested by pair_gcd (is_unit), and a ray character is a table
+indexed by code. The p-adic valuation of an integer (int_val) is also
+written once, for the completions, the Tate period and the tree.
 
 The module also holds what the CLI reads before any numpy layer loads:
 the two precision facts (PrecisionError, and the int64 bound of the
@@ -293,18 +294,6 @@ def _common_params(x, y):
     return field_params(x.d)[1:3]
 
 
-def divmod_quad(x, y):
-    """Euclidean division x = q*y + r with N(r) < N(y) (pair_divmod)."""
-    S, T = _common_params(x, y)
-    qa, qb, ra, rb = pair_divmod(S, T, x.a, x.b, y.a, y.b)
-    return QuadInt(qa, qb, x.d), QuadInt(ra, rb, x.d)
-
-
-def gcd_quad(x, y):
-    S, T = _common_params(x, y)
-    return QuadInt(*pair_gcd(S, T, x.a, x.b, y.a, y.b), x.d)
-
-
 def exact_div(x, y):
     S, T = _common_params(x, y)
     try:
@@ -314,7 +303,9 @@ def exact_div(x, y):
 
 
 def divides(y, x):
-    return not divmod_quad(x, y)[1]
+    """Whether y divides x: the remainder of pair_divmod is zero."""
+    S, T = _common_params(x, y)
+    return not any(pair_divmod(S, T, x.a, x.b, y.a, y.b)[2:])
 
 
 def int_val(n, p):
@@ -431,7 +422,7 @@ def split_prime(p, d):
         return PrimeData(p, "inert", QuadInt(p, 0, d), QuadInt(p, 0, d), 1, 2)
     root = min(roots)
     assert (root * root - S * root - T) % p == 0
-    pi = gcd_quad(QuadInt(p, 0, d), QuadInt(-root, 1, d))
+    pi = QuadInt(*pair_gcd(S, T, p, 0, -root, 1), d)
     assert pi.norm() == p
     return PrimeData(p, "split", pi, pi.conj(), 1, 1)
 
@@ -554,7 +545,8 @@ def _hnf_2x2(v1, v2):
 
 
 class ResidueRing:
-    """The quotient O_F / (n) with canonical representatives."""
+    """The quotient O_F / (n). A residue is its code r0 + h00*r1 in
+    range(size), for its canonical pair (r0, r1) on the HNF basis of (n)."""
 
     def __init__(self, n):
         if not n:
@@ -566,26 +558,21 @@ class ResidueRing:
         self.size = self.h00 * self.h11
         assert self.size == abs(n.norm())
 
-    def reduce(self, x):
-        if isinstance(x, int):
-            x = QuadInt(x, 0, self.d)
-        return QuadInt(*self.reduce_pair(x.a, x.b), self.d)
-
     def reduce_pair(self, a, b):
-        """reduce() of a + b*w as a pair; a and b may be int arrays."""
+        """The canonical pair of the residue of a + b*w; a and b may be int
+        arrays."""
         r = b % self.h11
         return (a - (b - r) // self.h11 * self.h10) % self.h00, r
 
     def code(self, a, b):
-        """The index of the residue of a + b*w in elements(), r0 + h00*r1
-        for the reduced pair (r0, r1); a and b may be int arrays."""
+        """The code of the residue of a + b*w, r0 + h00*r1 for its
+        canonical pair (r0, r1); a and b may be int arrays."""
         r0, r1 = self.reduce_pair(a, b)
         return r0 + self.h00 * r1
 
-    def elements(self):
-        for b in range(self.h11):
-            for a in range(self.h00):
-                yield QuadInt(a, b, self.d)
+    def pair(self, code):
+        """The canonical pair of a residue code; code may be an int array."""
+        return code % self.h00, code // self.h00
 
     def _xgcd_n(self, x):
         """manin.xgcd_unit_rows of the rows (x, n) for the int pairs x,
@@ -598,17 +585,16 @@ class ResidueRing:
         return xgcd_unit_rows(S, T, np.concatenate([x, n], axis=1))
 
     def unit_pairs(self):
-        """The units of elements(), in its order, as the rows of a (k, 2)
-        int array: the residues whose gcd with n is a unit (is_unit), in
-        one lockstep pass."""
+        """The canonical pairs of the units, in code order, as the rows of
+        a (k, 2) int array: the residues whose gcd with n is a unit, in one
+        lockstep pass."""
         import numpy as np
-        code = np.arange(self.size)
-        x = np.stack([code % self.h00, code // self.h00], axis=1)
+        x = np.stack(self.pair(np.arange(self.size)), axis=1)
         return x[self._xgcd_n(x)[0]]
 
     def inverse_pairs(self, x):
-        """inverse() of each row of the int pairs x, an (k, 2) int array,
-        as reduced pairs, in one lockstep pass."""
+        """The inverse of each row of the int pairs x, an (k, 2) int array,
+        as canonical pairs, in one lockstep pass."""
         import numpy as np
         unit, W = self._xgcd_n(x)
         if not unit.all():
@@ -616,11 +602,12 @@ class ResidueRing:
                              % (np.asarray(x)[~unit][0].tolist(), self.n))
         return np.stack(self.reduce_pair(W[:, 0], W[:, 1]), axis=1)
 
-    def is_unit(self, x):
-        return gcd_quad(x, self.n).is_unit()
-
-    def unit_elements(self):
-        return [x for x in self.elements() if self.is_unit(x)]
+    def is_unit(self, a, b):
+        """Whether a + b*w is a unit mod n: the gcd (pair_gcd) of its
+        canonical pair and n has norm 1."""
+        _, S, T, _ = field_params(self.d)
+        g = pair_gcd(S, T, *self.reduce_pair(a, b), self.n.a, self.n.b)
+        return pair_norm(S, T, *g) == 1
 
     def inverse(self, x):
         """The inverse of the residue x: inverse_pairs of the one row."""
@@ -628,37 +615,39 @@ class ResidueRing:
         return QuadInt(a, b, self.d)
 
     def mul(self, x, y):
-        return self.reduce(x * y)
+        """The code of the product of the residues of the codes x and y."""
+        _, S, T, _ = field_params(self.d)
+        return self.code(*pair_prod(S, T, *self.pair(x), *self.pair(y)))
 
-    def mult_order(self, x):
-        y = self.reduce(x)
-        if not self.is_unit(y):
+    def mult_order(self, a, b):
+        """The multiplicative order of the unit a + b*w mod n."""
+        if not self.is_unit(a, b):
             raise ValueError("order of a non-unit")
-        k, z = 1, y
-        e = self.reduce(one(self.d))
+        x, e = self.code(a, b), self.code(1, 0)
+        k, z = 1, x
         while z != e:
-            z = self.mul(z, y)
+            z = self.mul(z, x)
             k += 1
         return k
 
 
 class RayCharacter:
-    """Quadratic character of (O_F/c)^x trivial on the global units."""
+    """Quadratic character of (O_F/c)^x trivial on the global units: a list
+    table indexed by residue code, +-1 on the units and 0 off them."""
 
     def __init__(self, modulus, table, conductor):
         self.modulus = modulus
         self.ring = ResidueRing(modulus)
-        self.table = table          # dict canonical residue -> +-1
+        self.table = table
         self.conductor = conductor
 
     def __call__(self, x):
-        if isinstance(x, int):
-            x = QuadInt(x, 0, self.modulus.d)
-        r = self.ring.reduce(x)
-        return self.table.get(r, 0)
+        """chi of the ring element x, a QuadInt or an int."""
+        a, b = (x, 0) if isinstance(x, int) else (x.a, x.b)
+        return self.table[self.ring.code(a, b)]
 
     def is_trivial(self):
-        return all(v == 1 for v in self.table.values())
+        return -1 not in self.table
 
     def __repr__(self):
         return "RayCharacter(mod %r, cond %r)" % (self.modulus, self.conductor)
@@ -703,62 +692,47 @@ def _ideal_divisors(c):
 
 
 def _exact_conductor(modulus, table, ring):
+    """The least divisor g of the modulus (by norm, the first of equals) mod
+    which the code table of a character over ring factors."""
+    units = [(ring.pair(k), v) for k, v in enumerate(table) if v]
     best = modulus
     for g in _ideal_divisors(modulus):
         if abs(g.norm()) >= abs(best.norm()):
             continue
-        sub = ResidueRing(g)
-        ok = True
-        vals = {}
-        for u, v in table.items():
-            key = sub.reduce(u)
-            if key in vals and vals[key] != v:
-                ok = False
-                break
-            vals[key] = v
-        if ok:
+        sub, vals = ResidueRing(g), {}
+        if all(vals.setdefault(sub.code(*x), v) == v for x, v in units):
             best = g
     return best
 
 
 def quadratic_ray_characters(c):
-    """All characters of (O_F/c)^x of order <= 2 trivial on the unit group.
-
-    Each returned character is annotated with its exact conductor.
-    """
+    """All characters of (O_F/c)^x of order <= 2 trivial on the unit group,
+    on residue codes. Each is annotated with its exact conductor."""
     ring = ResidueRing(c)
-    us = ring.unit_elements()
-    unit_imgs = [ring.reduce(u) for u in units(c.d)]
+    us = ring.code(*ring.unit_pairs().T).tolist()
+    e = ring.code(1, 0)
     # subgroup S generated by squares and global units; characters = homs of U/S
-    gens = [ring.mul(u, u) for u in us] + unit_imgs
-    S = {ring.reduce(one(c.d))}
-    frontier = list(S)
-    genset = set(gens)
+    gens = ({ring.mul(u, u) for u in us}
+            | {ring.code(a, b) for a, b in field_params(c.d)[3]})
+    S, frontier = {e}, [e]
     while frontier:
         x = frontier.pop()
-        for g in genset:
+        for g in gens:
             y = ring.mul(x, g)
             if y not in S:
                 S.add(y)
                 frontier.append(y)
-    # coset decomposition of U by S
-    cosets = []
-    seen = set()
+    # coset decomposition of U by S, each coset named by its first unit
+    coset_of, reps = {}, []
     for u in us:
-        if u in seen:
-            continue
-        coset = {ring.mul(u, s) for s in S}
-        seen |= coset
-        cosets.append((u, coset))
-    coset_of = {}
-    for rep, cs in cosets:
-        for x in cs:
-            coset_of[x] = rep
+        if u not in coset_of:
+            reps.append(u)
+            coset_of.update((ring.mul(u, s), u) for s in S)
     # U/S is an elementary abelian 2-group; find a basis greedily, keeping
     # the F_2 coordinates (a bit mask over the basis) of each coset
     basis = []
-    coords = {coset_of[ring.reduce(one(c.d))]: 0}
-    for rep, _ in cosets:
+    coords = {coset_of[e]: 0}
+    for rep in reps:
         if rep in coords:
             continue
         bit = 1 << len(basis)
@@ -768,8 +742,9 @@ def quadratic_ray_characters(c):
     chars = []
     for mask in range(1 << len(basis)):
         # basis element i has sign -1 exactly when bit i of mask is set
-        table = {u: (-1) ** (mask & coords[coset_of[u]]).bit_count()
-                 for u in us}
+        table = [0] * ring.size
+        for u in us:
+            table[u] = (-1) ** (mask & coords[coset_of[u]]).bit_count()
         cond = _exact_conductor(c, table, ring)
         chars.append(RayCharacter(c, table, cond))
     return chars

@@ -15,7 +15,7 @@ A sum over discs (disc_sum) runs as stacked passes over all its weighted
 discs at once. The unit groups and the disc centres are int pairs
 (RayDistribution.units and unit_discs, on the residue rings' unit_pairs
 and inverse_pairs), and one call weight(unit, centres) gives the weights
-of all the discs: a character is read from a table by residue code, and a
+of all the discs: a character is read from its list by residue code, and a
 Teichmuller factor is one stacked power. Each disc is integrated once per
 distribution: what a kernel reads of a disc is kept in per-centre tables
 of the distribution, each filled for the centres not yet in it in one
@@ -143,7 +143,7 @@ class RayDistribution:
 
     def units(self):
         """The units a mod g as the rows of a (k, 2) int array of pairs, in
-        the order of the ring's elements (ResidueRing.unit_pairs)."""
+        residue code order (ResidueRing.unit_pairs)."""
         if self._units is None:
             self._units = self.ring.unit_pairs()
         return self._units
@@ -340,13 +340,9 @@ def _power_series(L, s, M):
 
 
 def _chi_values(chi, centres):
-    """chi at the int pairs centres ((n, 2)), read from a table of chi by
-    residue code (the code method of chi.ring)."""
-    ring = chi.ring
-    table = np.zeros(ring.size, dtype=np.int64)
-    for key, value in chi.table.items():
-        table[ring.code(*_pair_of(key))] = value
-    return table[ring.code(centres[:, 0], centres[:, 1])]
+    """chi at the int pairs centres ((n, 2)): one read of its table, a list
+    indexed by residue code (the code method of chi.ring)."""
+    return np.asarray(chi.table)[chi.ring.code(centres[:, 0], centres[:, 1])]
 
 
 def _chi_weight(mu, chi, r=0):

@@ -232,21 +232,24 @@ class P1(ManinLayer):
         ring = ResidueRing(n)
         self.modulus = (n.a, n.b)
         # CRT idempotents m * m^-1, 1 mod pi and 0 mod m = n/pi, where
-        # m^-1 = m^(N(pi) - 2) mod pi as O/pi is a field
+        # m^-1 = m^(N(pi) - 2) mod pi as O/pi is a field, on residue codes
         idempotents = []
         for R in self._rings:
             m = exact_div(n, R.n)
-            e = m * R.reduce(m ** (R.size - 2))
-            idempotents.append((e.a, e.b))
+            x, y = R.code(1, 0), R.code(m.a, m.b)
+            for _ in range(R.size - 2):
+                x = R.mul(x, y)
+            idempotents.append(
+                fld.pair_prod(self.S, self.T, m.a, m.b, *R.pair(x)))
 
         def crt(residues):
             terms = [fld.pair_prod(self.S, self.T, *r, *e)
                      for r, e in zip(residues, idempotents)]
             return ring.reduce_pair(sum(t[0] for t in terms),
                                     sum(t[1] for t in terms))
-        # x in the order of ResidueRing.elements, by code a + h00*b
+        # the points (1 : x) in residue code order
         local = [[((0, 0), (1, 0))]
-                 + [((1, 0), (x % R.h00, x // R.h00)) for x in range(R.size)]
+                 + [((1, 0), R.pair(x)) for x in range(R.size)]
                  for R in self._rings]
         self.reps = [crt([t[0] for t in combo]) + crt([t[1] for t in combo])
                      for combo in product(*local)]
@@ -500,10 +503,12 @@ def manin_terms(p1, r, s):
 
 def hecke_reps(pi, level, d):
     """Coset representatives for T_q (q = (pi) prime): [[1,a],[0,pi]] for a in
-    O/q, plus [[pi,0],[0,1]] when q does not divide the level."""
+    O/q in residue code order, plus [[pi,0],[0,1]] when q does not divide
+    the level."""
     R = ResidueRing(pi)
     z = QuadInt(0, 0, d)
-    reps = [((one(d), a), (z, pi)) for a in R.elements()]
+    reps = [((one(d), QuadInt(*R.pair(k), d)), (z, pi))
+            for k in range(R.size)]
     if not divides(pi, level):
         reps.append(((pi, z), (z, one(d))))
     return reps
@@ -712,6 +717,7 @@ def algebraic_L_sum(phi, chi):
     c = chi.modulus
     if c.is_unit():
         return phi.ev(cusp_zero(d), cusp_infinity(d))
-    units = chi.ring.unit_elements()
-    values = phi.ev_paths([(a.a, a.b, c.a, c.b, 1, 0, 0, 0) for a in units])
-    return sum((chi(a) * v for a, v in zip(units, values)), Fraction(0))
+    units = chi.ring.unit_pairs().tolist()
+    values = phi.ev_paths([(a, b, c.a, c.b, 1, 0, 0, 0) for a, b in units])
+    return sum((chi.table[chi.ring.code(a, b)] * v
+                for (a, b), v in zip(units, values)), Fraction(0))

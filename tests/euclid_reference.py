@@ -10,6 +10,7 @@ stacks. The tests compare the kernels against them."""
 from itertools import product
 from math import gcd
 
+import residue_reference as rref
 from padicbianchi import field as fld
 from padicbianchi.field import QuadInt, pair_divmod
 
@@ -118,9 +119,11 @@ def ref_reps(n):
         idempotents.append(m * u * ref_unit_inverse(g))
 
     def crt(residues):
-        return ring.reduce(sum((r * e for r, e in zip(residues, idempotents)),
-                               zero))
-    local = [[(zero, one)] + [(one, x) for x in fld.ResidueRing(pi).elements()]
+        return rref.reduce(ring, sum((r * e for r, e in zip(residues,
+                                                            idempotents)),
+                                     zero))
+    local = [[(zero, one)]
+             + [(one, x) for x in rref.elements(fld.ResidueRing(pi))]
              for pi in primes]
     rows = [(crt([t[0] for t in combo]), crt([t[1] for t in combo]))
             for combo in product(*local)]

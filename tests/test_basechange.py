@@ -107,8 +107,9 @@ class TestRationalSymbols:
             table.append(row)
         assert p1.reps == keys
         assert p1._table.tolist() == table
-        assert [p1.reduce(c + N, d - 2 * N) for c, d in keys] == \
-            list(range(len(keys)))
+        rows = manin.int_rows([(0, 0, 0, 0, c + N, 0, d - 2 * N, 0)
+                               for c, d in keys], 8)
+        assert p1.piece_indices(rows).tolist() == list(range(len(keys)))
 
     @pytest.mark.parametrize("N", [11, 14, 15])
     def test_parity_matches_reference(self, N):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import edge_reference as eref
+import residue_reference as rref
 from padicbianchi import acceptance as acc
 from padicbianchi import btree as bt
 from padicbianchi import cocycle as cc
@@ -297,6 +298,23 @@ class TestEmbeddingData:
         for c, v, sp, s, beta in table:
             dat = cc.EmbeddingDatum(ref_prime, c, v, fam.omega)
             assert (dat.s_prime, dat.s, dat.beta) == (sp, s, beta)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 11])
+    def test_orders_and_coset_match_quadint_reference(self, p):
+        # s', s and J_v (by residue code, in the order of first visit)
+        # are those of the QuadInt reference, on the default data of p
+        # and on 3:1+i and 7:5i where c is coprime to p
+        pd = fld.split_prime(p, 1)
+        data = fld.default_embedding_data(p, 1) + [
+            (qi(c), v) for c, v in ((3, qi(1, 1)), (7, qi(0, 5))) if c % p]
+        for c, v in data:
+            dat = cc.EmbeddingDatum(pd, c, v, 1)
+            sp, s, J = rref.ref_embedding(dat.ring, pd.pi, v)
+            assert (dat.s_prime, dat.s) == (sp, s)
+            assert list(dat.J.items()) == [
+                (dat.ring.code(a.a, a.b), j) for a, j in J.items()]
+            assert [dat.ring.pair(k) for k in dat.J] == [
+                (a.a, a.b) for a in J]
 
     def test_beta_zero_branch(self, ref_prime):
         dat = cc.EmbeddingDatum(ref_prime, qi(7), qi(1), -1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ray_reference
+import residue_reference as rref
 from euclid_reference import (pair_path, ref_cf, ref_cusp, ref_divmod,
                               ref_gcd, ref_unit_inverse, ref_xgcd)
 from padicbianchi import field as fld
@@ -18,8 +19,6 @@ from padicbianchi.field import (
     cusp_zero,
     cusp_infinity,
     split_prime,
-    divmod_quad,
-    gcd_quad,
     path_between,
     apply_moebius,
     mat_det,
@@ -63,7 +62,9 @@ class TestQuadInt:
         x, y = qi(a, b, d), qi(c, e, d)
         if y.norm() == 0:
             return
-        q, r = divmod_quad(x, y)
+        S, T = fld.field_params(d)[1:3]
+        qa, qb, ra, rb = fld.pair_divmod(S, T, a, b, c, e)
+        q, r = qi(qa, qb, d), qi(ra, rb, d)
         assert q * y + r == x
         # norm-Euclidean: remainder strictly smaller
         assert r.norm() < y.norm()
@@ -130,7 +131,7 @@ class TestSplitPrime:
             if pd.kind != "split":
                 continue
             root = next(r for r in range(p) if (r * r - S * r - T) % p == 0)
-            pi = gcd_quad(qi(p, 0, d), qi(-root, 1, d))
+            pi = ref_gcd(qi(p, 0, d), qi(-root, 1, d))
             assert (pd.pi, pd.pibar, pd.e, pd.f, pd.norm) == (
                 pi, pi.conj(), 1, 1, p)
             n_split += 1
@@ -217,8 +218,9 @@ class TestKernel:
         q, r = ref_divmod(x, y)
         assert fld.pair_divmod(S, T, x.a, x.b, y.a, y.b) == (q.a, q.b,
                                                               r.a, r.b)
-        assert divmod_quad(x, y) == (q, r)
-        assert gcd_quad(x, y) == ref_gcd(x, y)
+        g = ref_gcd(x, y)
+        assert fld.pair_gcd(S, T, x.a, x.b, y.a, y.b) == (g.a, g.b)
+        assert fld.divides(y, x) == (not r)
         num, den = ref_cusp(x, y)
         cusp = Cusp(x, y)
         assert (cusp.num, cusp.den) == (num, den)
@@ -238,8 +240,9 @@ class TestKernel:
     def test_ties_occur(self):
         # 1/2 in Z[i]: the quotients 0 and 1 both leave a unit remainder;
         # the scan keeps the first, 0
-        assert divmod_quad(qi(1, 0), qi(2, 0)) == (qi(0, 0), qi(1, 0))
-        assert divmod_quad(qi(1, 1), qi(2, 0)) == (qi(0, 0), qi(1, 1))
+        S, T = fld.field_params(1)[1:3]
+        assert fld.pair_divmod(S, T, 1, 0, 2, 0) == (0, 0, 1, 0)
+        assert fld.pair_divmod(S, T, 1, 1, 2, 0) == (0, 0, 1, 1)
 
 
 class TestSharedStep:
@@ -451,17 +454,57 @@ class TestStackedKernel:
         assert stacked_paths(S, T, paths) == want
 
 
+# moduli over every field: 3, 4 + w, 7 and 15 over d = 2, 3, 7, 11, and
+# over d = 1 also (1), 5, 3 + 3i and 21; U/S has a basis of two elements
+# at (15) and (21)
+MODULI = [qi(*ab, 1) for ab in ((1, 0), (3, 0), (4, 1), (5, 0), (7, 0),
+                                (3, 3), (15, 0), (21, 0))] + [
+    qi(*ab, d) for d in (2, 3, 7, 11)
+    for ab in ((3, 0), (4, 1), (7, 0), (15, 0))]
+
+
 class TestResidueRing:
     def test_unit_count_11(self):
         R = ResidueRing(qi(11, 0, 1))
-        assert len(list(R.elements())) == 121
-        assert len(R.unit_elements()) == 120
+        assert R.size == 121
+        assert len(R.unit_pairs()) == 120
 
     def test_inverse(self):
         R = ResidueRing(qi(4, 1, 1))
-        for u in R.unit_elements():
-            v = R.inverse(u)
-            assert R.reduce(u * v) == R.reduce(qi(1, 0, 1))
+        for a, b in R.unit_pairs().tolist():
+            v = R.inverse(qi(a, b))
+            assert R.code(*fld.pair_prod(0, -1, a, b, v.a, v.b)) == \
+                R.code(1, 0)
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_codes_match_quadint_reference(self, m):
+        # a code is the index of its residue in the QuadInt elements, and
+        # the unit test, the units, the product and the order of each unit
+        # are those of the QuadInt reference
+        R = ResidueRing(m)
+        elements = list(rref.elements(R))
+        assert len(elements) == R.size
+        for k, x in enumerate(elements):
+            assert R.pair(k) == (x.a, x.b) and R.code(x.a, x.b) == k
+            assert R.is_unit(x.a, x.b) == rref.is_unit(R, x)
+        units = rref.unit_elements(R)
+        assert R.unit_pairs().tolist() == [[u.a, u.b] for u in units]
+        rng = random.Random(R.size)
+        for x in units:
+            y = rng.choice(elements)
+            z = rref.mul(R, x, y)
+            assert R.mul(R.code(x.a, x.b), R.code(y.a, y.b)) == \
+                R.code(z.a, z.b)
+            assert R.mult_order(x.a, x.b) == rref.mult_order(R, x)
+        if R.size > 1:
+            with pytest.raises(ValueError):
+                R.mult_order(0, 0)
+
+    def test_is_unit_of_a_large_element(self):
+        # the unit test reduces first, so an element past int64 is fine
+        R = ResidueRing(qi(7, 0, 1))
+        assert R.is_unit(7 ** 40 + 1, 7 ** 30)
+        assert not R.is_unit(7 ** 40, 7 ** 30)
 
 
 class TestRayCharacters:
@@ -486,22 +529,34 @@ class TestRayCharacters:
         assert chi(qi(11, 0, 1)) == -1
         assert chi(qi(-1, 0, 1)) == 1 and chi.conductor.norm() == 41
 
-    @pytest.mark.parametrize("m", [qi(1, 0), qi(3, 0), qi(4, 1), qi(5, 0),
-                                   qi(7, 0), qi(3, 3), qi(15, 0), qi(21, 0)])
+    @pytest.mark.parametrize("m", MODULI)
     def test_match_subset_search_reference(self, m):
         # the same characters in the same order (criteria 4 and 5 take the
-        # first match), with the same tables and conductors; U/S has a basis
-        # of two elements at (15) and (21)
+        # first match), with the same tables and conductors: each code
+        # table is the reference's QuadInt dict by residue code, 0 off the
+        # units, and so are is_trivial and chi on a 7 x 7 grid
         got = quadratic_ray_characters(m)
         want = ray_reference.quadratic_ray_characters(m)
-        assert [(list(c.table.items()), c.conductor) for c in got] == \
-            [(list(c.table.items()), c.conductor) for c in want]
+        R = ResidueRing(m)
+        converted = []
+        for table, cond in want:
+            by_code = [0] * R.size
+            for u, v in table.items():
+                by_code[R.code(u.a, u.b)] = v
+            converted.append((by_code, cond))
+        assert [(c.table, c.conductor) for c in got] == converted
+        for chi, (table, _) in zip(got, want):
+            assert chi.is_trivial() == all(v == 1 for v in table.values())
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    x = qi(a, b, m.d)
+                    assert chi(x) == table.get(rref.reduce(R, x), 0)
+            assert chi(5) == table.get(rref.reduce(R, 5), 0)
 
     @pytest.mark.parametrize("m", [qi(3, 0, 1), qi(4, 1, 1), qi(11, 0, 1)])
     def test_multiplicative(self, m):
         chars = quadratic_ray_characters(m)
-        R = ResidueRing(m)
-        units = R.unit_elements()
+        units = [qi(a, b) for a, b in ResidueRing(m).unit_pairs().tolist()]
         rng = random.Random(7)
         for chi in chars:
             for _ in range(20):

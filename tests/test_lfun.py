@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import padic_reference as pref
+import residue_reference as rref
 from ray_reference import ref_unit_discs
 from padicbianchi import cocycle as cc
 from padicbianchi import field as fld
@@ -59,8 +60,8 @@ def restriction_consistency(mu):
     lam_inv = pctx.from_rational(1 / mu.lam)
     # Psi on the int path {0 -> infty}
     base = mu.psi.ev_paths([((0, 0, 1, 0), (1, 0, 0, 0))])[0]
-    discs = mu.discs([lfun._pair_of(j)
-                      for j in mu.p1.residue_ring(mu.pi).elements()])
+    R = mu.p1.residue_ring(mu.pi)
+    discs = mu.discs([R.pair(k) for k in range(R.size)])
     worst = pctx.cap
     for i in range(3):
         total = lfun._pair(discs, discs.binomial(i)).sum()
@@ -126,7 +127,7 @@ class TestUnitDiscs:
         assert unit.tolist() == [u for u in range(len(units))
                                  for _ in range(len(centres) // len(units))]
         rpi = fld.ResidueRing(mu.pi)
-        js = [(j.a, j.b) for j in rpi.unit_elements()]
+        js = [(j.a, j.b) for j in rref.unit_elements(rpi)]
         for k, (u, B) in enumerate(zip(unit.tolist(), got.tolist())):
             assert mu.ring.code(*B) == mu.ring.code(*units[u])
             assert rpi.code(*B) == rpi.code(*js[k % len(js)])

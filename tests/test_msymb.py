@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import residue_reference as rref
 from euclid_reference import (ref_hecke_terms, ref_lift, ref_path_rows,
                               ref_rational_lift, ref_reps)
 from padicbianchi import basechange as bc
@@ -59,9 +60,9 @@ def reference_key(p1, c, dd):
     residues, a gcd unit test and ResidueRing.inverse at each prime."""
     parts = []
     for R in p1._rings:
-        cc, dl = R.reduce(c), R.reduce(dd)
-        if R.is_unit(cc):
-            z = R.mul(dl, R.inverse(cc))
+        cc, dl = rref.reduce(R, c), rref.reduce(R, dd)
+        if rref.is_unit(R, cc):
+            z = rref.mul(R, dl, R.inverse(cc))
             parts.append((0, z.a, z.b))
         else:
             parts.append((1, 0, 0))
@@ -192,7 +193,7 @@ class TestTableReduction:
         p1 = ms.P1(level)
         tables, _ = p1._batch_tables()
         for R, inv_a, inv_b in tables:
-            for x in R.elements():
+            for x in rref.elements(R):
                 if x:
                     y = R.inverse(x)
                     code = x.a + R.h00 * x.b

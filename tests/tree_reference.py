@@ -8,6 +8,7 @@ results are in btree's tuple form: a class is None or (e, w_a, w_b), a
 vertex (a, u), an edge (flip, a, u). The tests compare the tree against
 it."""
 
+import residue_reference as rref
 from padicbianchi import btree as bt
 from padicbianchi.field import (QuadInt, ResidueRing, exact_div, mat_det,
                                 mat_mul, one)
@@ -19,7 +20,7 @@ class RefTree:
         self.pd = prime_data
         self.pi = prime_data.pi
         self.d = self.pi.d
-        self.residues = list(ResidueRing(self.pi).elements())
+        self.residues = list(rref.elements(ResidueRing(self.pi)))
 
     def val(self, x):
         if not x:
@@ -41,7 +42,7 @@ class RefTree:
         nn = exact_div(num, self.pi ** self.val(num))
         dd = exact_div(den, self.pi ** self.val(den))
         R = ResidueRing(self.pi ** (a - e))
-        w = R.reduce(nn * R.inverse(dd))
+        w = rref.reduce(R, nn * R.inverse(dd))
         return (e, w.a, w.b)
 
     def ufrac(self, u):

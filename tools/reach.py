@@ -48,6 +48,7 @@ KEEP = {
     "btree.Tree.contains": "tree cover",
     # names that perfbench/tracer.py install() wraps and no command calls
     "field.path_between": "tracer",
+    "msymb.P1.reduce": "tracer",
     "msymb.manin_terms": "tracer",
     "ocsymb.action_matrix": "tracer",
     "ocsymb.sigma0_act": "tracer",

@@ -87,11 +87,18 @@ COMMANDS = [
     ("linv 7+7i p=7", "p7", ["linv"] + P7),
     ("accept 7+7i p=7 criteria 2,8", "p7",
      ["accept"] + P7 + ["--criteria", "2,8"]),
+    # the character search and the embedding data away from p = 11 and
+    # p = 2; both exit 1: criterion 4 fails at p = 7, and at p = 3
+    # criteria 4 and 5 find no character and criterion 6 fails
+    ("accept 7+7i p=7 criteria 4,5,6", "p7",
+     ["accept"] + P7 + ["--criteria", "4,5,6"]),
     ("build 15 p=3 miss", "p3", ["build"] + P3),
     ("build 15 p=3 dot depth 3", "p3", ["build"] + P3 + dot(3)),
     ("linv 15 p=3", "p3", ["linv"] + P3),
     ("accept 15 p=3 criteria 2,8", "p3",
      ["accept"] + P3 + ["--criteria", "2,8"]),
+    ("accept 15 p=3 criteria 4,5,6", "p3",
+     ["accept"] + P3 + ["--criteria", "4,5,6"]),
 ]
 CACHES = sorted({cache for _, cache, _ in COMMANDS})
 
