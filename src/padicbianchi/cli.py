@@ -16,19 +16,30 @@ package's .py sources, so a lift that other code wrote is a miss. A hit is
 a meta that parses, of this format, whose sha256 matches the .npz; any
 other entry is rebuilt with a warning. `build` on a hit reports from the
 meta and does not decode the lift, so it imports neither numpy nor the
-moment layers: this module loads only field and msymb, and each command
-imports the layers it runs (`linv` cocycle, `accept` the acceptance suite,
-a miss ocsymb).
+moment layers nor OpenSSL: this module loads only field and msymb, and each
+command imports the layers it runs (`linv` cocycle, `accept` the acceptance
+suite, a miss ocsymb). No command loads OpenSSL: both digests use the
+interpreter's builtin SHA-256 (`_sha2`, or `_sha256` before Python 3.12),
+and hashlib only where neither exists.
 """
 
 import argparse
 import functools
-import hashlib
 import io
 import json
 import os
 import sys
 from fractions import Fraction
+
+try:
+    # the builtin SHA-256 gives hashlib's bytes without loading OpenSSL,
+    # 3.6 MB of every command's peak RSS
+    from _sha2 import sha256             # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256       # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from . import field as fld
@@ -163,7 +174,7 @@ class RunConfig:
         tag = "fmt=%d|d=%d|level=%s|p=%d|M=%d|code=%s" % (
             CACHE_FORMAT, self.field_disc, self.level, self.p, self.precision,
             _code_digest())
-        return hashlib.sha256(tag.encode()).hexdigest()[:16]
+        return sha256(tag.encode()).hexdigest()[:16]
 
 
 def _check_file_path(name, path):
@@ -179,7 +190,7 @@ def _check_file_path(name, path):
 def _code_digest():
     """sha256 of the package version and of its .py sources, by name: a
     lift that other code wrote has another cache key."""
-    h = hashlib.sha256(__version__.encode())
+    h = sha256(__version__.encode())
     pkg = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
@@ -293,7 +304,7 @@ def build_symbol(cfg, warnings=None):
                 raise ValueError("cache format %r" % meta["format"])
             with open(npz_path, "rb") as fh:
                 payload = fh.read()
-            if hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+            if sha256(payload).hexdigest() != meta["sha256"]:
                 raise ValueError("the lift does not match its sha256")
             phi = ms.ModularSymbol(
                 ms.P1(level), [Fraction(v) for v in meta["phi_values"]],
@@ -319,7 +330,7 @@ def build_symbol(cfg, warnings=None):
         "phi_values": [str(v) for v in phi.values],
         "eigen": _eigen_to_json(phi.eigen),
         "cert": cert,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": sha256(payload).hexdigest(),
     }
     # the .json goes last: a cache entry is read only when both exist
     _write_atomic(npz_path, "wb", lambda fh: fh.write(payload))
@@ -440,15 +451,8 @@ def cmd_linv(cfg, args):
 
 def cmd_accept(cfg, args):
     from . import acceptance as acc
-    warnings = []
-    try:
-        phi, lift, cert, pd, status = build_symbol(cfg, warnings)
-    except ms.LevelError as exc:
-        emit(_error_report("accept", "no-new-eigenpacket", str(exc)), cfg)
-        return EXIT_NOT_FOUND
-    ctx = acc.AcceptanceContext(phi, lift(), cert, pd)
-    if args.inject_fault:
-        ctx.inject_fault()
+    # the criteria are checked before the build, which a bad list would
+    # otherwise pay for in full
     selected = None
     if args.criteria:
         try:
@@ -462,6 +466,15 @@ def cmd_accept(cfg, args):
             emit(_error_report("accept", "bad-input",
                                "criteria ids must be between 1 and 9"), cfg)
             return EXIT_INPUT
+    warnings = []
+    try:
+        phi, lift, cert, pd, status = build_symbol(cfg, warnings)
+    except ms.LevelError as exc:
+        emit(_error_report("accept", "no-new-eigenpacket", str(exc)), cfg)
+        return EXIT_NOT_FOUND
+    ctx = acc.AcceptanceContext(phi, lift(), cert, pd)
+    if args.inject_fault:
+        ctx.inject_fault()
     results = acc.run_criteria(ctx, selected)
     report = {
         "command": "accept",

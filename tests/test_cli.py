@@ -43,6 +43,10 @@ def run(tmp_path, name, argv):
 
 
 BASE = ["--precision", "5"]
+# the benchmark's ram-p2 configuration, whose cold build takes well under a
+# second
+RAM = ["--field-disc", "1", "--level", "7+7i", "--prime", "2",
+       "--precision", "6"]
 
 
 class TestBuild:
@@ -90,6 +94,24 @@ class TestBuild:
         assert edited != key
         monkeypatch.setattr(cli, "__version__", cli.__version__ + ".1")
         assert cfg.cache_key() not in (key, edited)
+
+    def test_builtin_sha256_matches_hashlib(self, cache_dir, monkeypatch):
+        # the interpreter's builtin SHA-256 and hashlib's give the same code
+        # digest, reference cache key and .npz digest
+        import hashlib
+        assert cli.sha256 is not hashlib.sha256
+        cfg = cli.RunConfig()
+        (npz,) = cache_dir.glob("*.npz")
+        payload = npz.read_bytes()
+
+        def digests():
+            return (cli._code_digest(), cfg.cache_key(),
+                    cli.sha256(payload).hexdigest())
+        lean = digests()
+        monkeypatch.setattr(cli, "sha256", hashlib.sha256)
+        assert digests() == lean
+        assert lean[2] == json.loads(npz.with_suffix(".json").read_text()
+                                     )["sha256"]
 
     def test_corrupt_cache_rebuilds_with_warning(self, tmp_path):
         cache = tmp_path / "cache"
@@ -292,13 +314,36 @@ print(json.dumps(rc), "sympy" in sys.modules)
 """
 
 
+NO_SHA_BUILTIN = """\
+import importlib.abc, json, sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name in ("_sha2", "_sha256"):
+            raise ImportError(name + " refused")
+
+sys.meta_path.insert(0, Refuse())
+import hashlib
+from padicbianchi import cli
+rc = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([rc, cli.sha256 is hashlib.sha256]))
+"""
+
+RUN_ALL = """\
+import json, sys
+from padicbianchi import cli
+rc = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([rc, [m for m in ("hashlib", "_hashlib")
+                       if m in sys.modules]]))
+"""
+
+
 class TestStartup:
     def test_runs_without_sympy(self, tmp_path):
         # the cold build, the warm build, the accept of the eigen-split
         # criteria and the rational eigensymbols at the ram-p2 level all
         # run with sympy refused at import
-        flags = ["--field-disc", "1", "--level", "7+7i", "--prime", "2",
-                 "--precision", "6", "--cache-dir", str(tmp_path / "c")]
+        flags = RAM + ["--cache-dir", str(tmp_path / "c")]
         proc = subprocess.run([sys.executable, "-c", NO_SYMPY, str(tmp_path)]
                               + flags, capture_output=True, text=True,
                               env=child_env(), timeout=300)
@@ -330,6 +375,48 @@ class TestStartup:
                               env=child_env(), timeout=120)
         assert json.loads(proc.stdout) == [[], 0, []], proc.stderr
         assert json.loads((tmp_path / "b.json").read_text())["cache"] == "hit"
+
+    def test_commands_load_no_openssl(self, cache_dir, tmp_path):
+        # the cache digests use the builtin SHA-256: no command, cold or
+        # warm, imports hashlib or OpenSSL's _hashlib
+        ram = RAM + ["--cache-dir", str(tmp_path / "c")]
+        runs = [["build"] + ram, ["build"] + ram,
+                ["accept"] + ram + ["--criteria", "1,2,5"],
+                ["linv"] + BASE + ["--cache-dir", str(cache_dir)]]
+        runs = [argv + ["--output", str(tmp_path / ("%d.json" % i))]
+                for i, argv in enumerate(runs)]
+        proc = subprocess.run([sys.executable, "-c", RUN_ALL,
+                               json.dumps(runs)], capture_output=True,
+                              text=True, env=child_env(), timeout=300)
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0], []], proc.stderr
+        caches = [json.loads((tmp_path / ("%d.json" % i)).read_text())
+                  ["cache"] for i in range(4)]
+        assert caches == ["miss", "hit", "hit", "hit"]
+
+    def test_hashlib_fallback_same_entry(self, tmp_path, monkeypatch):
+        # with the builtin SHA-256 refused, cli falls back to hashlib: it
+        # reads the entry the builtin wrote as a hit, and writes the same
+        # meta byte for byte (the relative cache_dir keeps the echoed
+        # config equal)
+        lean, fallback = tmp_path / "lean", tmp_path / "fallback"
+        lean.mkdir()
+        fallback.mkdir()
+        monkeypatch.chdir(lean)
+        out = [str(tmp_path / ("%d.json" % i)) for i in range(3)]
+        assert cli.main(["build"] + RAM + ["--cache-dir", "c",
+                                           "--output", out[0]]) == 0
+        runs = [["build"] + RAM + ["--cache-dir", str(lean / "c"),
+                                   "--output", out[1]],
+                ["build"] + RAM + ["--cache-dir", "c", "--output", out[2]]]
+        proc = subprocess.run([sys.executable, "-c", NO_SHA_BUILTIN,
+                               json.dumps(runs)], cwd=fallback,
+                              capture_output=True, text=True,
+                              env=child_env(), timeout=300)
+        assert json.loads(proc.stdout) == [[0, 0], True], proc.stderr
+        caches = [json.loads(open(path).read())["cache"] for path in out]
+        assert caches == ["miss", "hit", "miss"]
+        (meta,) = (lean / "c").glob("*.json")
+        assert (fallback / "c" / meta.name).read_bytes() == meta.read_bytes()
 
     def test_source_does_not_name_sympy(self):
         for root, dirs, files in os.walk(SRC):
@@ -540,6 +627,16 @@ class TestAccept:
                         ["accept"] + BASE + ["--cache-dir", str(cache_dir),
                                              "--criteria", "12"])
         assert code == 4
+
+    @pytest.mark.parametrize("criteria", ["10", "x", "1,,2"])
+    def test_bad_criteria_refused_before_build(self, criteria, tmp_path,
+                                               capsys):
+        # refused before the cold build: no cache entry is written
+        cache = tmp_path / "c"
+        assert cli.main(["accept"] + RAM + ["--cache-dir", str(cache),
+                                            "--criteria", criteria]) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "bad-input"
+        assert not list(tmp_path.glob("**/*.npz"))
 
     def test_validator_agrees_with_jsonschema(self, cache_dir, tmp_path):
         import jsonschema

@@ -10,11 +10,12 @@ directory under DIR (a fresh temporary directory by default). Before two
 reports are compared, the cache directory in them is replaced by a
 placeholder and every `elapsed_sec` key is dropped. The gate prints one
 line per command (identical or different, and whether the raw reports were
-byte-identical too) and the result of comparing each cached lift (.npz)
-and each DOT dump of the tree (`build --dot-out`, written into the cache
-directory) byte by byte. It exits 0 when every command, every lift and
-every dump is identical, and 1 otherwise. Only the standard library is
-used.
+byte-identical too) and the result of comparing each cached lift (.npz),
+each lift's meta (.json, with the cache directory its config echoes
+replaced by the placeholder) and each DOT dump of the tree (`build
+--dot-out`, written into the cache directory) byte by byte. It exits 0
+when every command, lift, meta and dump is identical, and 1 otherwise.
+Only the standard library is used.
 """
 
 import argparse
@@ -132,11 +133,12 @@ def normalised(out):
         return out
 
 
-def read_one(pattern):
-    """The bytes of the one file that matches pattern."""
-    (path,) = glob.glob(pattern)
+def read_one(cache, pattern):
+    """The bytes of the one file in cache that matches pattern, with the
+    cache directory replaced by the placeholder."""
+    (path,) = glob.glob(os.path.join(cache, pattern))
     with open(path, "rb") as fh:
-        return fh.read()
+        return fh.read().replace(cache.encode(), PLACEHOLDER.encode())
 
 
 def main(argv=None):
@@ -168,12 +170,12 @@ def main(argv=None):
             ok = False
         print("%-36s exit %s/%s  %s" % (label, pc, cc, verdict), flush=True)
     for cache in CACHES:
-        # the lifts' file names are cache keys, so each side has its own;
-        # the dumps are named by depth
+        # the lifts' and metas' file names are cache keys, so each side has
+        # its own; the dumps are named by depth
         dumps = sorted(os.path.basename(f) for f in glob.glob(
             os.path.join(work, "parent", cache, "*.dot")))
-        for pattern in ["*.npz"] + dumps:
-            blobs = [read_one(os.path.join(work, name, cache, pattern))
+        for pattern in ["*.npz", "*.json"] + dumps:
+            blobs = [read_one(os.path.join(work, name, cache), pattern)
                      for name in sides]
             same = blobs[0] == blobs[1]
             ok = ok and same
