@@ -424,15 +424,29 @@ def disc_log_zbar(mu, discs):
 def disc_norm_power(s, terms=None):
     """The disc integral of <z zbar>^s = <z>^s <zbar>^s; terms optionally
     truncates both disc expansions (for remainder diagnostics). At the
-    integer s = 0 the integrand is the constant 1 (disc_one)."""
+    integer s = 0 the integrand is the constant 1 (disc_one).
+
+    conj is a ring automorphism that keeps valuations, so for s in Z_p
+    (an int, or an element with second coordinate zero), which conj
+    fixes, the series of <zbar>^s is the conjugate of that of <z>^s, at
+    the same precisions. Digit for digit this holds when the series
+    divide by no multiple of p: conj commutes with a division by pi only
+    to the precision of the quotient (at a ramified prime conj moves pi;
+    at an inert one the top digit of x / p depends on the
+    representative). The exp series divide by the integers up to the
+    precision cap e*M (a term of exp(y) has valuation at least its index
+    while that is below p). Elsewhere the zbar series is made from the
+    conjugate log series."""
     if terms is None and isinstance(s, int) and s == 0:
         return disc_one
+    fixed = not isinstance(s, PadicStack) or not np.any(s.c1 % s.ctx.mod)
 
     def on_disc(mu, discs):
-        M = discs.ctx.M
+        ctx, M = discs.ctx, discs.ctx.M
         L = discs.log_series()
         F = _power_series(L, s, M)
-        Fb = _power_series(L.conj(), s, M)
+        Fb = F.conj() if fixed and ctx.cap < ctx.p \
+            else _power_series(L.conj(), s, M)
         if terms is not None:
             F, Fb = F[:, :terms], Fb[:, :terms]
         return _pair(discs, F, Fb)

@@ -104,13 +104,15 @@ class ManinLayer:
     (lift_rows), memoises per operator the decomposition rows, maps the
     pieces of a batch of paths to their generators and gamma^-1
     (path_terms), acts by a matrix on all generators at once (act), and
-    enumerates the U_p plan terms; the symbols, Hecke operators, relation
+    enumerates the U_p plan terms, which the rows of U_p can keep for the
+    plan (path_rows, hecke_terms); the symbols, Hecke operators, relation
     solver and eigen-split of this module run on either layer.
     """
 
     def __init__(self):
         self._lift_rows = None
         self._path_rows = {}
+        self._kept = {}
 
     def __len__(self):
         return len(self.reps)
@@ -164,8 +166,9 @@ class ManinLayer:
         from .manin import ManinTerms, adj_rows, manin_pieces, pair_mul_rows
         k, sign, G = manin_pieces(self.S, self.T, paths)
         j = self.piece_indices(G)
+        G = adj_rows(G)     # the pieces go before the product is made
         return ManinTerms(k, j, sign, pair_mul_rows(
-            self.S, self.T, self.lift_rows()[j], adj_rows(G)))
+            self.S, self.T, self.lift_rows()[j], G))
 
     def hecke_terms(self, mats):
         """The terms of the U_p plan, as ManinTerms: (i, j, sign, g) for
@@ -173,7 +176,11 @@ class ManinLayer:
         {delta g_i 0 -> delta g_i oo} over delta in mats, with
         g = gamma^-1 delta in SL_2(O_F): the piece adds sign * (Psi(g_j) | g)
         to the image of generator i. Path by path (i, then delta), each in
-        the order of path_terms."""
+        the order of path_terms. Terms that path_rows(mats, keep=True) kept
+        are taken from the layer, not made again."""
+        terms = self._kept.pop(tuple(mats), None)
+        if terms is not None:
+            return terms
         from .manin import ManinTerms, generator_paths, pair_mul_rows
         gen, dlt, paths, deltas = generator_paths(self, mats)
         terms = self.path_terms(paths)
@@ -181,22 +188,30 @@ class ManinLayer:
                           pair_mul_rows(self.S, self.T, terms.g,
                                         deltas[dlt[terms.dest]]))
 
-    def path_rows(self, mats):
+    def path_rows(self, mats, keep=False):
         """Row i is the signed count {j: n} of the generators in the Manin
         decomposition of the paths {delta g_i 0 -> delta g_i oo} over delta
         in mats, g_i = lift_matrix(i): one bincount over (i, j). Memoised
         per list of matrices, so a Hecke operator is decomposed once per
-        prime."""
+        prime. With keep the rows come from hecke_terms(mats), and its
+        terms stay with the layer until hecke_terms(mats) takes them: the
+        U_p eigenvalue of a cold build and its lift's plan share one
+        decomposition."""
         key = tuple(mats)
         rows = self._path_rows.get(key)
         if rows is None:
             import numpy as np
-            from .manin import generator_paths, manin_pieces
-            gen, _, paths, _ = generator_paths(self, mats)
-            k, sign, G = manin_pieces(self.S, self.T, paths)
+            if keep:
+                terms = self._kept[key] = self.hecke_terms(mats)
+                dest, src, sign = terms.dest, terms.src, terms.sign
+            else:
+                from .manin import generator_paths, manin_pieces
+                gen, _, paths, _ = generator_paths(self, mats)
+                k, sign, G = manin_pieces(self.S, self.T, paths)
+                dest, src = gen[k], self.piece_indices(G)
             n = len(self)
-            counts = np.bincount(gen[k] * n + self.piece_indices(G),
-                                 weights=sign, minlength=n * n)
+            counts = np.bincount(dest * n + src, weights=sign,
+                                 minlength=n * n)
             nz = np.flatnonzero(counts)
             rows = [{} for _ in range(n)]
             for ij, c in zip(nz.tolist(), counts[nz].astype(int).tolist()):
@@ -523,10 +538,11 @@ def _row_sums(rows, values):
             for row in rows]
 
 
-def apply_hecke(phi, pi):
+def apply_hecke(phi, pi, keep=False):
     """phi | T_(pi) (or U_(pi) when (pi) divides the level), weight (0,0),
-    as exact sums over the memoised decomposition rows of the operator."""
-    rows = phi.p1.path_rows(phi.p1.hecke_reps(pi))
+    as exact sums over the memoised decomposition rows of the operator;
+    keep leaves its plan terms with the layer (ManinLayer.path_rows)."""
+    rows = phi.p1.path_rows(phi.p1.hecke_reps(pi), keep)
     return phi.copy(_row_sums(rows, phi.values))
 
 
@@ -642,8 +658,8 @@ def find_new_eigensymbol(n, pd):
         raise LevelError("no cuspidal eigenline found at level %r" % n)
     phi, lam_table = new_line
     phi = phi.normalize_integral(pd.p)
-    # annotations
-    upi = apply_hecke(phi, pd.pi)
+    # annotations; the U_p terms stay for the plan of the lift
+    upi = apply_hecke(phi, pd.pi, keep=True)
     lam_p = _ratio(upi, phi)
     alw = apply_atkin_lehner(phi, pd.pi)
     al_eig = _ratio(alw, phi)

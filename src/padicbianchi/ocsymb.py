@@ -32,10 +32,12 @@ lifting iteration converge.
 One kernel computes the action matrices, action_matrices, for a batch of
 matrices at once. Every moment transform runs on one merged plan of Manin
 terms, UOperator: the terms with the same (dest, src, g) are merged and
-the ones that cancel dropped, the action matrices are kept once per
+the ones that cancel dropped, the action matrices A are kept once per
 distinct g, and UOperator.apply computes each distinct (src, g) product
-once and adds it, times its merged sign, to its rows. This serves the
-U_p plan, the value of a symbol on a list of int paths (ev_paths, one
+once, in slices sized by the tables they multiply, and adds it, times its
+merged sign, to its rows by runs of equal dest. The plan stores A alone:
+the right factor conj(A)^T is applied as conj(conj(Z) A^T). This serves
+the U_p plan, the value of a symbol on a list of int paths (ev_paths, one
 plan per block of CHUNK paths; a path is a pair of the int cusps of
 msymb.ManinLayer, and ev takes a caller's cusps through the layer's
 cusp_pairs), its column 0 and row 0 on such paths (ev_lines, one plan per
@@ -43,7 +45,9 @@ block applied to the two lines of the generators' tables: apply cuts A to
 the table's rows as it cuts conj(A)^T to its columns, and both cuts are
 exact for a line because row 0 of A is e_0) and the single action
 sigma0_act, a one-term plan. The total measure, moment (0, 0), needs no
-plan at all (ev_totals). All moment products are exact: the arithmetic is
+plan at all (ev_totals). At an inert prime the lift (iterate_lift) applies
+U_p to tables that grow from 2 x 2 to M x M, and ends on the lift of the
+full-size iteration. All moment products are exact: the arithmetic is
 int64 where the completion's int64_safe proves that no intermediate
 overflows, and Python integers (dtype object) otherwise.
 """
@@ -56,12 +60,13 @@ from .field import mat_det, mat_pairs
 from .manin import int_rows
 from . import padic
 
-# Matrices per batched action_matrices call, (src, g) products per slice
-# of UOperator.apply, and paths per merged plan of ev_paths and ev_lines
-# and per decomposition of ev_totals: bounds their temporaries. One plan
-# for all the paths of a warm `accept` on the reference configuration
-# (p = 11, M = 8) shares a few more g, but raised its peak RSS by 14 %;
-# blocks of 128 paths keep most of the sharing.
+# Matrices per batched action_matrices call, paths per merged plan of
+# ev_paths and ev_lines and per decomposition of ev_totals, and (src, g)
+# products on a line of the tables per slice of UOperator.apply, whose
+# slices hold at most as many table entries as that (_budget): bounds
+# their temporaries. One plan for all the paths of a warm `accept` on the
+# reference configuration (p = 11, M = 8) shares a few more g, but raised
+# its peak RSS by 14 %; blocks of 128 paths keep most of the sharing.
 CHUNK = 128
 
 
@@ -278,11 +283,17 @@ class UOperator:
     the terms whose sum is zero are dropped. What is left is stored once
     per distinct g (_distinct_rows) and once per distinct
     (src, g) product:
-    A0, A1, B0, B1  (n_g, M, M) the action matrices of the distinct g, and
-                    B = conj(A)^T, the right factor;
+    A0, A1          (n_g, M, M) the action matrices of the distinct g (the
+                    right factor conj(A)^T is not stored: B0 and B1 derive
+                    it when read);
     src, gi         (n_prod,) the generator and the g index of each product;
+    block           the products per block: apply slices whole blocks;
     dest, sgn, prod (n_terms,) the image row, the merged sign and the
-                    product of each term, ordered by product."""
+                    product of each term, by block and then by dest;
+    run_start       (n_runs + 1,) the first term of each run of equal
+                    (block, dest), then n_terms;
+    block_runs      (n_blocks + 1,) the first run of each block, then
+                    n_runs."""
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
@@ -300,53 +311,111 @@ class UOperator:
         total = np.zeros(len(keys), dtype=np.int64)
         np.add.at(total, inv, sign)
         keep = total != 0
-        pair, self.dest = np.divmod(keys[keep], n_dest)
-        self.sgn = total[keep]
-        pairs, self.prod = np.unique(pair, return_inverse=True)
+        pair, dest = np.divmod(keys[keep], n_dest)
+        pairs, prod = np.unique(pair, return_inverse=True)
         self.src, g = np.divmod(pairs, n_g)
         used, self.gi = np.unique(g, return_inverse=True)
-        pctx, M = ctx.pctx, ctx.M
-        self.A0, self.A1, self.B0, self.B1 = (
-            np.empty((len(used), M, M), dtype=pctx.dtype) for _ in range(4))
+        M = ctx.M
+        # the products in blocks of self.block, as many as one slice of
+        # apply takes on full tables; the terms of a block sorted by dest,
+        # in runs of equal dest
+        self.block = max(1, _budget(M) // (3 * M * M))
+        block = prod // self.block
+        order = np.lexsort((dest, block))
+        self.dest, self.sgn, self.prod = dest[order], total[keep][order], \
+            prod[order]
+        block = block[order]
+        new_run = np.ones(len(order), dtype=bool)
+        new_run[1:] = (np.diff(block) != 0) | (np.diff(self.dest) != 0)
+        self.run_start = np.append(np.flatnonzero(new_run), len(order))
+        # the first run of each block, then the number of runs
+        self.block_runs = np.searchsorted(
+            block[self.run_start[:-1]],
+            np.arange(-(-len(self.src) // self.block) + 1))
+        self.A0, self.A1 = (np.empty((len(used), M, M), dtype=ctx.pctx.dtype)
+                            for _ in range(2))
         for lo in range(0, len(used), CHUNK):
             part = slice(lo, lo + CHUNK)
-            A0, A1 = action_matrices(ctx, gs[used[part]])
-            self.A0[part], self.A1[part] = A0, A1
-            B0, B1 = pctx.conj(A0, A1)
-            self.B0[part] = B0.transpose(0, 2, 1)
-            self.B1[part] = B1.transpose(0, 2, 1)
+            self.A0[part], self.A1[part] = action_matrices(ctx,
+                                                           gs[used[part]])
+
+    @property
+    def B0(self):
+        """conj(A0 + A1 g)^T, first coordinate: derived, not stored."""
+        return self.ctx.pctx.conj(self.A0, self.A1)[0].transpose(0, 2, 1)
+
+    @property
+    def B1(self):
+        """conj(A0 + A1 g)^T, second coordinate: derived, not stored."""
+        return self.ctx.pctx.conj(self.A0, self.A1)[1].transpose(0, 2, 1)
 
     def apply(self, values, n_out=None):
         """values: ndarray (n_gen, 2, R, C) -> the image, (n_out, 2, R, C)
         with n_out the number of generators by default: row i sums the
-        terms with dest i. The left factor A is cut to the R rows of the
-        tables and the right factor conj(A)^T to their C columns. Row 0 of
-        A is e_0, so both cuts are exact for R and C in {1, M}: the
-        zbar-trivial column (C = 1) and row 0 (R = 1) of a table are
-        closed under the action. Each (src, g) product is computed once,
-        CHUNK products at a time, so that the temporaries stay small
-        however long the plan, and is added, times its merged sign, to the
-        rows of its terms."""
+        terms with dest i.
+
+        The left factor A is cut to its top-left R x R block and the right
+        factor conj(A)^T to its top-left C x C block. So the image is the
+        top-left R x C block of A m' conj(A)^T for the table m' that is m
+        padded with zeros to M x M: entry (i, j) of that product, i < R and
+        j < C, sums A[i, k] m'[k, l] conj(A[j, l]) over the k < R and l < C
+        where m' is m, and reads A only at such (i, k) and (j, l). For R or
+        C in {1, M} the cut is U itself on the table: row 0 of A is e_0,
+        so the zbar-trivial column (C = 1) and row 0 (R = 1) of a table are
+        closed under the action, and R = C = M cuts nothing. For other R,
+        C it is U on the zero-padded table, which iterate_lift relies on.
+
+        The plan holds A alone: with Z = A m, the image is
+        Z conj(A)^T = conj(conj(Z) A^T), as conj is a ring automorphism of
+        the completion, and conj is additive, so the terms add up
+        conj(Z) A^T and their sum is conjugated once. Each (src, g) product
+        is computed once, in slices of whole blocks of the plan, and a
+        slice holds at most _budget(M) entries of the tables it multiplies
+        (R^2 + RC + C^2 per product): fewer products for full tables than
+        for lines, however long the plan. The terms of a block are sorted
+        by dest, so that np.add.reduceat sums each run of equal dest, times
+        its merged signs, and one add puts the sums into their distinct
+        rows. The products are reduced mod p^M, so a row's sum is below
+        p^M times the plan's total |sign|, which int64 holds
+        (int64_exact bounds p^M by 2^31)."""
         pctx = self.ctx.pctx
         mod = pctx.mod
         r, n = values.shape[-2:]
         rows = len(values) if n_out is None else n_out
         out = np.zeros((rows,) + values.shape[1:],
                        dtype=np.result_type(self.A0, values))
-        starts = range(0, len(self.src), CHUNK)
-        bounds = np.searchsorted(self.prod, list(starts) + [len(self.src)])
-        for lo, t_lo, t_hi in zip(starts, bounds, bounds[1:]):
-            part = slice(lo, lo + CHUNK)
+        step = max(1, _budget(self.ctx.M) // (r * r + r * n + n * n)
+                   // self.block)
+        n_blocks = len(self.block_runs) - 1
+        for b_lo in range(0, n_blocks, step):
+            b_hi = min(b_lo + step, n_blocks)
+            lo = b_lo * self.block
+            part = slice(lo, b_hi * self.block)
             src, gi = self.src[part], self.gi[part]
-            Z0, Z1 = _mat_pair_mul(pctx, self.A0[gi, :r, :r],
-                                   self.A1[gi, :r, :r],
-                                   values[src, 0], values[src, 1])
-            W = np.stack(_mat_pair_mul(pctx, Z0, Z1, self.B0[gi, :n, :n],
-                                       self.B1[gi, :n, :n]), axis=1)
-            terms = slice(t_lo, t_hi)
-            np.add.at(out, self.dest[terms], W[self.prod[terms] - lo]
-                      * self.sgn[terms, None, None, None] % mod)
-        return out % mod
+            X0, X1 = self.A0[gi, :r, :r], self.A1[gi, :r, :r]
+            Z0, Z1 = pctx.conj(*_mat_pair_mul(pctx, X0, X1, values[src, 0],
+                                              values[src, 1]))
+            if n != r:
+                X0, X1 = self.A0[gi, :n, :n], self.A1[gi, :n, :n]
+            V = np.stack(_mat_pair_mul(pctx, Z0, Z1, X0.transpose(0, 2, 1),
+                                       X1.transpose(0, 2, 1)), axis=1)
+            runs = self.block_runs[b_lo:b_hi + 1]
+            starts = self.run_start[runs[0]:runs[-1] + 1]
+            terms = slice(starts[0], starts[-1])
+            sums = np.add.reduceat(
+                V[self.prod[terms] - lo] * self.sgn[terms, None, None, None],
+                starts[:-1] - starts[0])
+            dests = self.dest[starts[:-1]]
+            for a, b in zip(runs - runs[0], runs[1:] - runs[0]):
+                out[dests[a:b]] += sums[a:b]
+        return np.stack(pctx.conj(out[:, 0] % mod, out[:, 1] % mod), axis=1)
+
+
+def _budget(M):
+    """The entries of the tables that one slice of UOperator.apply may
+    multiply: those of CHUNK products on a line of an M x M table (the
+    (M, M) factor A and the M entries of the line, on either side)."""
+    return CHUNK * (M * M + M + 1)
 
 
 def _distinct_rows(g):
@@ -410,33 +479,66 @@ def iterate_lift(phi, level, u_op, cols, lam, max_iter):
     """Iterate U_p / lambda_p on the plan u_op from the seed table that
     holds the integral values of phi at moment (0, 0) and zero elsewhere.
     The seed has cols columns: M for a Bianchi symbol, 1 (the zbar-trivial
-    column) for a rational one. Returns (symbol, certificate)."""
+    column) for a rational one. Returns (symbol, certificate).
+
+    At an inert prime iteration k (from 0) applies the plan only to the
+    top-left s x s block of the tables (s x 1 for one column), with
+    s = _moment_size(k, M) = min(k + 2, M), and pads the image back to M
+    with zeros; its recorded gain is capped at s, so that the loop cannot
+    stop while s < M. Why the lift is that of the full-size iteration: let
+    U be U_p / lambda_p on the tables mod p^M and nu(e) the least
+    v_p(e[i, j]) + i + j over the moments of a table e. Each entry
+    A[i, k] of an action matrix of U_p is divisible by pi^k (its g has
+    determinant pi and c = 0 mod pi, so (b + dz)/(a + cz) - b/a has its
+    z^k coefficient in pi^k O), and pi = p at an inert prime, so every
+    moment of U e is divisible by p^nu(e). Moment (0, 0) of U e is the
+    classical U_p / lambda_p on the (0, 0) moments, which fixes phi: both
+    iterations keep phi there, and their difference e_k after k steps has
+    e_k[0, 0] = 0, whence nu(U e_k) >= nu(e_k) + 1. The cut drops only
+    moments with max(i, j) >= s, so nu(e_{k+1}) >= min(nu(e_k) + 1, s)
+    and by induction nu(e_k) >= k + 1. From k = M - 2 on s = M cuts
+    nothing: e_{M-1} = U e_{M-2} is divisible by p^(M-1), so
+    nu(e_{M-1}) >= M off (0, 0), and e_M = U e_{M-1} = 0. After M
+    iterations the two iterates are equal mod p^M, digit for digit. That
+    the cut loop stops at the same iteration with the same recorded gains
+    (k + 1 at iteration k) is observed on the inert configurations of the
+    tests, not proven. At a ramified prime pi^k is only p^(k/2), and the
+    tables keep their full size."""
     ctx = u_op.ctx
     lam = Fraction(lam)
     lam_inv = _lambda_inverse(ctx, lam)
-    mod = ctx.pctx.mod
+    M, mod = ctx.M, ctx.pctx.mod
     n_gen = len(phi.p1)
-    values = np.zeros((n_gen, 2, ctx.M, cols), dtype=np.int64)
+    values = np.zeros((n_gen, 2, M, cols), dtype=np.int64)
     for i, v in enumerate(phi.values):
         assert v.denominator == 1
         values[i, 0, 0, 0] = int(v) % mod
     gains = []
     for it in range(max_iter):
-        new = u_op.apply(values) * lam_inv % mod
-        diff_fil = filtration(ctx, (new - values) % mod)
+        s = _moment_size(it, M) if ctx.pd.kind == "inert" else M
+        image = u_op.apply(values[:, :, :s, :s]) * lam_inv % mod
+        new = np.zeros(values.shape, dtype=image.dtype)
+        new[:, :, :s, :s] = image
+        diff_fil = min(filtration(ctx, (new - values) % mod), s)
         gains.append(diff_fil)
         values = new
-        if diff_fil >= ctx.M:
+        if diff_fil >= M:
             break
     psi = OverconvergentSymbol(phi.p1, ctx, level, values, dict(phi.eigen))
     cert = {
         "iterations": len(gains),
         "increment_filtrations": gains,
-        "converged": gains[-1] >= ctx.M if gains else True,
+        "converged": gains[-1] >= M if gains else True,
         "lambda_p": str(lam),
-        "M": ctx.M,
+        "M": M,
     }
     return psi, cert
+
+
+def _moment_size(k, M):
+    """The rows and columns of the tables that iteration k of
+    iterate_lift applies U_p to, at an inert prime."""
+    return min(k + 2, M)
 
 
 def save_lift(path, psi):

@@ -256,6 +256,18 @@ class TestPathRows:
             assert list(p1.hecke_terms(mats)) == want
         assert len(want) > 1000
 
+    def test_kept_terms(self):
+        # the rows of U_2 at (1+i)(7) from its plan terms (keep) are those
+        # of the decomposition alone, and the kept terms, taken once, are
+        # the terms hecke_terms makes
+        level = qi(7, 7)
+        mats = ms.hecke_reps(fld.split_prime(2, 1).pi, level, 1)
+        plain, kept = ms.P1(level), ms.P1(level)
+        assert kept.path_rows(mats, keep=True) == plain.path_rows(mats)
+        assert not plain._kept and len(kept._kept) == 1
+        assert list(kept.hecke_terms(mats)) == list(plain.hecke_terms(mats))
+        assert not kept._kept
+
 
 class TestRowSums:
     @settings(max_examples=100, deadline=None)

@@ -266,6 +266,48 @@ class TestTwoSidedTransform:
         assert np.array_equal(got, want % ctx.pctx.mod)
 
 
+class TestAOnlyPlan:
+    """The plan stores the action matrices A only; the right factor
+    conj(A)^T is derived, and the slices of apply are sized by the tables
+    they multiply."""
+
+    def test_no_right_factor_stored(self):
+        pd = fld.split_prime(11, 1)
+        ctx = oc.DistContext(pd, 8)
+        rng = random.Random(31)
+        u_op = oc.UOperator(ctx, [(k % 3, k % 4, 1, fld.mat_pairs(g))
+                                  for k, g in enumerate(
+                                      rand_sigma0_at(pd, rng, 20))])
+        assert "B0" not in vars(u_op) and "B1" not in vars(u_op)
+        pctx = ctx.pctx
+        mod = pctx.mod
+        want0 = (u_op.A0 + pctx.S * u_op.A1) % mod
+        want1 = -u_op.A1 % mod
+        assert np.array_equal(u_op.B0, want0.transpose(0, 2, 1))
+        assert np.array_equal(u_op.B1, want1.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("p, M", [(11, 8), (2, 6), (11, 9)])
+    def test_apply_independent_of_slices(self, monkeypatch, p, M):
+        # plans made with a budget of CHUNK = 128 and of CHUNK = 3 (one
+        # product per block) apply alike to full tables, lines and cuts
+        pd = fld.split_prime(p, 1)
+        ctx = oc.DistContext(pd, M)
+        rng = random.Random(7 * p + M)
+        terms = [(rng.randrange(5), rng.randrange(7), rng.choice((1, -1, 2)),
+                  fld.mat_pairs(g)) for g in rand_sigma0_at(pd, rng, 300)]
+        values = rand_tables(ctx, rng, (7, 2, M, M))
+        plans = []
+        for chunk in (oc.CHUNK, 3):
+            monkeypatch.setattr(oc, "CHUNK", chunk)
+            plans.append(oc.UOperator(ctx, terms))
+        big, small = plans
+        assert big.block > small.block == 1
+        for cut in (values, values[..., :1], values[:, :, :1],
+                    values[:, :, :3, :3]):
+            assert np.array_equal(big.apply(cut, n_out=5),
+                                  small.apply(cut, n_out=5))
+
+
 def filtration_loop(ctx, m):
     """Reference for oc.filtration on one table: min over the moments of
     v_p(m[i][j]) + max(i, j), capped at M, one moment at a time."""
@@ -486,6 +528,56 @@ class TestLift:
         # Psi | U_p - lambda_p Psi, lambda_p = -1, reaches the floor M
         resid = (u_op.apply(psi.values) + psi.values) % psi.ctx.pctx.mod
         assert oc.filtration(psi.ctx, resid) >= psi.ctx.M
+
+    @pytest.mark.parametrize("level, p, M", [
+        (qi(11), 11, 5), (qi(11), 11, 6), (qi(7, 7), 7, 5), (qi(15), 3, 5)])
+    def test_growing_size_is_full_size(self, monkeypatch, level, p, M):
+        # at an inert prime iteration k runs on s x s tables,
+        # s = min(k + 2, M); the lift and its certificate are those of the
+        # full-size iteration
+        pd = fld.split_prime(p, 1)
+        phi, _ = ms.find_new_eigensymbol(level, pd)
+        # the U_p decomposition of the eigenvalue waits for the plan
+        assert len(phi.p1._kept) == 1
+        u_op = oc.UOperator(oc.DistContext(pd, M), phi.p1.hecke_terms(
+            phi.p1.hecke_reps(pd.pi)))
+        assert not phi.p1._kept
+        psi, cert = oc.lift(phi, M, pd, u_op=u_op)
+        assert cert["converged"]
+        monkeypatch.setattr(oc, "_moment_size", lambda k, M: M)
+        full, full_cert = oc.lift(phi, M, pd, u_op=u_op)
+        assert np.array_equal(psi.values, full.values)
+        assert cert == full_cert
+
+    def test_growing_size_rational(self, monkeypatch, rational_pair,
+                                   rational_lifts):
+        # the one-variable lift at p = 11 grows its rows alike
+        from padicbianchi import basechange as bc
+        monkeypatch.setattr(oc, "_moment_size", lambda k, M: M)
+        for phi, (psi, cert) in zip(rational_pair, rational_lifts):
+            full, full_cert = bc.lift_rational(phi, 8, 11)
+            assert np.array_equal(psi.values, full.values)
+            assert cert == full_cert
+
+    def test_growing_size_trap(self, monkeypatch, ref_prime):
+        # with s = min(k + 1, M) iteration 0 runs on the (0, 0) moments,
+        # which U_p / lambda_p fixes: the increment is zero, and only the
+        # cap at s keeps the lift from stopping after one step
+        phi, _ = ms.find_new_eigensymbol(qi(11), ref_prime)
+        M = 5
+        u_op = oc.UOperator(oc.DistContext(ref_prime, M), phi.p1.hecke_terms(
+            phi.p1.hecke_reps(ref_prime.pi)))
+        psi, cert = oc.lift(phi, M, ref_prime, u_op=u_op)
+        mod = u_op.ctx.pctx.mod
+        seed = psi.values[:, :, :1, :1]
+        lam_inv = oc._lambda_inverse(u_op.ctx, phi.eigen["lambda_p"])
+        assert np.array_equal(u_op.apply(seed) * lam_inv % mod, seed)
+        monkeypatch.setattr(oc, "_moment_size",
+                            lambda k, M: min(k + 1, M))
+        slow, slow_cert = oc.lift(phi, M, ref_prime, u_op=u_op)
+        assert slow_cert["increment_filtrations"][0] == 1
+        assert slow_cert["iterations"] > 1 and slow_cert["converged"]
+        assert np.array_equal(slow.values, psi.values)
 
     def test_distinct_rows(self):
         # rows told apart by one column, with int64 codes and, when the

@@ -52,6 +52,10 @@ KEEP = {
     "msymb.manin_terms": "tracer",
     "ocsymb.action_matrix": "tracer",
     "ocsymb.sigma0_act": "tracer",
+    # the right factor conj(A)^T, derived from the plan's A on demand: the
+    # tracer sizes the plan by these names
+    "ocsymb.UOperator.B0": "tracer",
+    "ocsymb.UOperator.B1": "tracer",
 }
 
 
