@@ -21,6 +21,12 @@ command imports the layers it runs (`linv` cocycle, `accept` the acceptance
 suite, a miss ocsymb). No command loads OpenSSL: both digests use the
 interpreter's builtin SHA-256 (`_sha2`, or `_sha256` before Python 3.12),
 and hashlib only where neither exists.
+
+OpenBLAS starts a pool of worker threads when numpy is imported, and the
+package never calls BLAS: all moment arithmetic is int64 or Python ints.
+main() therefore sets OPENBLAS_NUM_THREADS=1 in the environment before any
+command imports numpy, unless it is already set: export another value to
+override it.
 """
 
 import argparse
@@ -552,6 +558,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # the package never calls BLAS (its moment arithmetic is int64 or Python
+    # ints), so numpy, which each command imports later if at all, starts
+    # no OpenBLAS worker threads; a value set in the environment wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)

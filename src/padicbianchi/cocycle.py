@@ -215,33 +215,58 @@ def full_cover(fam):
     return fam.tree.neighbors_with_target(fam.tree.standard_vertex())
 
 
+def _balls(pctx, reps, bounded, log):
+    """The centres -B/D and scales A/D of the balls of the edge reps
+    [[A, B], [C, D]] (8-tuples) where bounded holds, as two stacks; 0 at
+    full precision elsewhere. A stacked division shifts by one valuation,
+    so the rows are divided in groups of one v(D), by pi^v and then by the
+    unit D / pi^v: the element division x / D step for step, with its
+    values, precisions and errors, which are recorded in log, one row per
+    edge."""
+    n, mod = len(reps), pctx.mod
+    R = np.array([[x % mod for x in (-g[2], -g[3], g[0], g[1], g[6], g[7])]
+                  for g in reps], dtype=pctx.dtype).reshape(n, 6)
+    X = PadicStack.embed(pctx, R[:, [0, 2]], R[:, [1, 3]])
+    D = PadicStack.embed(pctx, R[:, 4], R[:, 5])
+    out = PadicStack.full(pctx, 0, (n, 2), pctx.cap)
+    vD = D.val()
+    errors = np.full(n, None, dtype=object)
+    for v in np.unique(vD[bounded]).tolist():
+        rows = np.flatnonzero(bounded & (vD == v))
+        part = padic.StackLog(len(rows))
+        x, d = (PadicStack(pctx, y.c0[rows], y.c1[rows], y.prec[rows], part)
+                for y in (X, D))
+        if v:
+            pv = padic.ctx_uniformizer(pctx) ** v
+            x, d = x / pv, d / pv
+        out.put(rows, x * d.inverse()[:, None])
+        errors[rows] = part.row_errors()
+    log.record_rows(errors)
+    return out[:, 0], out[:, 1]
+
+
 def edge_integrals(fam, edges, r, s, zeta):
     """The integrals of the polynomial zeta = {(i, j): coeff} in (t, tbar)
     over the balls U(e) of edges against mu{r-s}, one PadicStack row per
     edge. The balls are one lfun.Discs stack, t = (-B + A w)/D with w in O
-    on a flip-0 ball for edge_rep(e) = [[A, B], [C, D]], and each monomial
-    is one lfun._pair over all of them. An unbounded (flipped) ball, whose
-    centre and scale are left 0, supports only constants."""
+    on a flip-0 ball for edge_rep(e) = [[A, B], [C, D]] (_balls), and each
+    monomial is one lfun._pair over all of them. An unbounded (flipped)
+    ball, whose centre and scale are left 0, supports only constants. The
+    first edge that fails raises its error."""
     if fam.psi is None:
         raise ValueError("family carries no overconvergent lift")
     pctx = fam.pctx
     zeta = {k: c for k, c in zeta.items() if c}
     reps = [fam.edge_rep(e) for e in edges]
-    centre, scale = [], []
-    for e, g in zip(edges, reps):
-        if e.flip:
-            if any(k != (0, 0) for k in zeta):
-                raise SupportError("nonconstant polynomial on an unbounded "
-                                   "ball")
-            centre.append(pctx.zero())
-            scale.append(pctx.zero())
-            continue
-        D = pctx.elt(*pctx.embed_pair(g[6], g[7]))
-        centre.append(pctx.elt(*pctx.embed_pair(-g[2], -g[3])) / D)
-        scale.append(pctx.elt(*pctx.embed_pair(g[0], g[1])) / D)
+    flipped = np.array([e.flip for e in edges], dtype=bool)
+    log = padic.StackLog(len(edges))
+    if any(k != (0, 0) for k in zeta):
+        log.record(flipped, SupportError("nonconstant polynomial on an "
+                                         "unbounded ball"))
+    centre, scale = _balls(pctx, reps, ~flipped, log)
+    log.check()
     moments = fam.moments(reps, r, s)
-    discs = lfun.Discs(fam.psi.ctx, PadicStack.of(pctx, centre),
-                       PadicStack.of(pctx, scale),
+    discs = lfun.Discs(fam.psi.ctx, centre, scale,
                        lambda width, widthb: moments[:, :, :width, :widthb])
     total = discs.constant(0)[:, 0]
     for (i, j), c in zeta.items():

@@ -11,8 +11,8 @@ functions after it): division, gcd, exact division, cusp normalisation and
 the Moebius action. exact_div, divides, Cusp and apply_moebius are QuadInt
 wrappers over it, and a Cusp holds its int pairs. Its division step
 (divmod_step), the norm (pair_norm) and the product (pair_prod) are
-written once and run on ints and int arrays alike, as pair_mul does: the
-Manin decomposition of paths into continued-fraction pieces is that kernel
+written once and run on ints and int arrays alike: the Manin
+decomposition of paths into continued-fraction pieces is that kernel
 stacked, in the module manin, where manin_pieces runs divmod_step on a
 whole batch of int paths in lockstep on int64 arrays, with an int64 bound
 proved from the entries and Python ints past it. path_between is its
@@ -165,8 +165,8 @@ def omega(d):
 # [[a, b], [c, d]] the 8-tuple (a_a, a_b, b_a, b_b, c_a, c_b, d_a, d_b).
 # Each function takes the field's relation w^2 = S*w + T. The QuadInt
 # functions below are wrappers over these and make QuadInts only for their
-# results. pair_mul also takes the 8 columns of int arrays
-# (manin.pair_mul_rows).
+# results. The matrix product of rows of int arrays (manin.pair_mul_rows)
+# is made of pair_prod.
 
 
 def pair_norm(S, T, a, b):

@@ -27,7 +27,14 @@ lines, column 0 and row 0 of Psi{B/G -> infty}
 (OverconvergentSymbol.ev_lines), serve the log kernels, which pair
 log_iw(z) against the constant 1 in zbar and the reverse; the full moment
 tables (OverconvergentSymbol.ev_paths) serve every wider pairing; all on
-the int paths (B : G) -> (1 : 0), which no gcd normalises. The z-series of
+the int paths (B : G) -> (1 : 0), which no gcd normalises. A value at
+s = 0 whose weight is constant on each unit block (Lp_value with r = 0
+and chi trivial or of modulus dividing g) reads no disc at all: block_sum
+adds lambda_p * Psi{b/g -> infty}(1) - Psi{B0/G -> infty}(1) a block, b
+the lift of the block and B0 its one centre = 0 mod pi, in place of the
+block's N(pi) - 1 disc totals. That is the U_p relation, and it holds
+exactly mod p^M because the total measures are the (0, 0) moments of the
+lift, which are the classical symbol (the control property). The z-series of
 log_iw(B + G z), which depends only on B and the scale G, serves the log
 and <z zbar>^s kernels, with the first error of each row, which every sum
 that reads the row records again. The disc kernel (disc_one, disc_log_z,
@@ -214,33 +221,54 @@ class RayDistribution:
                      lambda width, widthb: self.moments(keys, width, widthb),
                      lambda: self._logs.take(keys, self._fill_logs))
 
-    def unit_discs(self):
-        """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)
-        in that order, the row of a in units() and the int pair of the
-        centre B. The restriction of mu'_a to the disc j + pi O is
-        lambda_p^{-1} * Psi{B/G - infty} paired against z -> h(B + G z),
-        where B = a mod g, B = j mod pi and G = g pi; B is reached from the
-        lift b = a + lift_offset * g as B = b + g t, t = (j - b)/g mod pi.
-        All the pairs are one array pass on int pairs."""
-        if self._discs is not None:
-            return self._discs
+    def _centres(self, residues):
+        """(unit, centres) for each pair (unit a mod g, residue j mod pi,
+        a row of the int pairs residues) in that order: the row of a in
+        units() and the int pair of B = a mod g, B = j mod pi, reached from
+        the lift b = a + lift_offset * g as B = b + g t,
+        t = (j - b)/g mod pi. All the pairs are one array pass on int
+        pairs."""
         rpi = self.p1.residue_ring(self.pi)
         S, T = self.p1.S, self.p1.T
         g0, g1 = _pair_of(self.g_mod)
         (i0, i1), = rpi.inverse_pairs(np.array([[g0, g1]])).tolist()
-        units, residues = self.units(), rpi.unit_pairs()
-        k = self.lift_offset
-        b0, b1 = units[:, :1] + g0 * k, units[:, 1:] + g1 * k
+        b0, b1 = self.lifts().T[:, :, None]
         # t = j/g - b/g mod pi, for every b (rows) and j (columns)
         j0, j1 = rpi.reduce_pair(*pair_prod(S, T, residues[:, 0],
                                             residues[:, 1], i0, i1))
         c0, c1 = rpi.reduce_pair(*pair_prod(S, T, b0, b1, i0, i1))
         t0, t1 = rpi.reduce_pair(j0 - c0, j1 - c1)
         d0, d1 = pair_prod(S, T, g0, g1, t0, t1)
-        unit = np.repeat(np.arange(len(units)), len(residues))
-        self._discs = (unit, np.stack([b0 + d0, b1 + d1], axis=-1)
-                       .reshape(-1, 2))
+        unit = np.repeat(np.arange(len(b0)), len(residues))
+        return unit, np.stack([b0 + d0, b1 + d1], axis=-1).reshape(-1, 2)
+
+    def lifts(self):
+        """The lifts b = a + lift_offset * g of the units a mod g, as the
+        rows of a (k, 2) int array in the order of units()."""
+        g0, g1 = _pair_of(self.g_mod)
+        return self.units() + self.lift_offset * np.array([g0, g1])
+
+    def unit_discs(self):
+        """(unit, centres): for each pair (unit a mod g, unit disc j mod pi)
+        in that order, the row of a in units() and the int pair of the
+        centre B (_centres). The restriction of mu'_a to the disc j + pi O
+        is lambda_p^{-1} * Psi{B/G - infty} paired against
+        z -> h(B + G z), where B = a mod g, B = j mod pi and G = g pi."""
+        if self._discs is None:
+            self._discs = self._centres(
+                self.p1.residue_ring(self.pi).unit_pairs())
         return self._discs
+
+    def block_paths(self):
+        """The int paths {b/g -> infty} and {B0/G -> infty} of every unit
+        a mod g, in the order of units(): b is the lift of a (lifts) and
+        B0 = a mod g, B0 = 0 mod pi, the centre of the one disc of the block
+        that is not a unit disc."""
+        g0, g1 = _pair_of(self.g_mod)
+        _, zero = self._centres(np.zeros((1, 2), dtype=np.int64))
+        return ([((b0, b1, g0, g1), (1, 0, 0, 0))
+                 for b0, b1 in self.lifts().tolist()],
+                self._paths(zero.tolist()))
 
 
 class Discs:
@@ -387,6 +415,44 @@ def disc_sum(mu, weight, on_disc):
     return pctx.from_rational(1 / mu.lam) * total
 
 
+def block_sum(mu, weight):
+    """disc_sum(mu, weight, disc_one) for a weight with unit values or 0
+    (a quadratic character's are 1, -1 and 0) that is constant on each unit
+    block of mu, read from two total measures per block: the block of a
+    (lift b) adds
+
+        lambda_p * Psi{b/g -> infty}(1) - Psi{B0/G -> infty}(1)
+
+    in place of its N(pi) - 1 disc totals Psi{B/G -> infty}(1), with
+    B0 = a mod g, B0 = 0 mod pi (RayDistribution.block_paths). This is the
+    U_p relation Sum_{t mod pi} phi{(b/g + t)/pi -> infty} = lambda_p *
+    phi{b/g -> infty}: the centres b + g t run over the residues mod pi,
+    the unit discs and B0. It holds exactly mod p^M, digit for digit,
+    because the total measures are the (0, 0) moments of the lift, which
+    are the classical symbol phi (the control property), and a total
+    measure forms no action matrix (ev_totals). Both routes carry the
+    precision of moment (0, 0) (lag 0): a product with lambda_p or with a
+    unit weight keeps it, so the sum has it too. weight(unit, lifts) is
+    called once, on the rows of mu.units() and the lifts b."""
+    pctx = mu.pctx
+    weights = np.asarray(weight(np.arange(len(mu.units())), mu.lifts()))
+    rows = np.flatnonzero(weights)
+    total = pctx.zero()
+    if len(rows):
+        tops, zeros = mu.block_paths()
+        n = len(rows)
+        T = mu.psi.ev_totals([tops[k] for k in rows]
+                             + [zeros[k] for k in rows])
+        prec = pctx.e * (pctx.M - mu.psi.ctx.lag[0, 0])
+        top, zero = (PadicStack(pctx, T[part, 0], T[part, 1],
+                                np.full(n, prec))
+                     for part in (slice(None, n), slice(n, None)))
+        values = pctx.from_rational(mu.lam) * top - zero
+        w = PadicStack.embed(pctx, weights[rows], 0 * weights[rows])
+        total = (values * w).sum()
+    return pctx.from_rational(1 / mu.lam) * total
+
+
 def _pair(discs, F, Fb=None):
     """Sum_{i,j} F[i] Fb[j] mu(z^i zbar^j) on each disc of discs,
     with honest per-moment precision p^(M - max(i, j)) and the grouping
@@ -467,9 +533,19 @@ def Lp_value(mu, chi=None, s=0, r=0, terms=None):
 
     s may be an integer or an integral element of the completion; chi is a
     ray character of modulus dividing g * p (None means trivial); terms
-    optionally truncates the disc expansions (for remainder diagnostics)."""
+    optionally truncates the disc expansions (for remainder diagnostics).
+
+    The value at s = 0 of the trivial twist (r = 0, no terms) integrates
+    the constant 1, and where chi is trivial or its modulus divides g the
+    weight is constant on each unit block: such a value is summed block by
+    block from the U_p relation (block_sum), two total measures a block,
+    and equals the per-disc sum digit for digit, precision included."""
     _check_chi(mu, chi)
-    return disc_sum(mu, _chi_weight(mu, chi, r), disc_norm_power(s, terms))
+    weight = _chi_weight(mu, chi, r)
+    if (terms is None and isinstance(s, int) and s == 0 and not r
+            and (chi is None or divides(chi.modulus, mu.g_mod))):
+        return block_sum(mu, weight)
+    return disc_sum(mu, weight, disc_norm_power(s, terms))
 
 
 def Lp_derivative_halves(mu, chi=None, r=0):

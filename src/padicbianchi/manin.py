@@ -21,7 +21,7 @@ proves it, and Python ints (dtype object) otherwise.
 
 import numpy as np
 
-from .field import divmod_step, pair_mul, pair_norm, pair_prod
+from .field import divmod_step, pair_norm, pair_prod
 
 # The int64 bound. Let every entry of a row's state, the pair (x, y) under
 # division and the last two convergents, be at most B in magnitude, and let
@@ -62,11 +62,24 @@ def int_rows(rows, width):
 def pair_mul_rows(S, T, X, Y):
     """pair_mul of the rows of the (n, 8) int arrays X and Y, exact: on
     Python ints (dtype object) when the entries of a product could pass
-    int64 (each entry is a sum of at most 8 products of entries)."""
+    int64 (each entry is a sum of at most 8 products of entries). Entry
+    (r, c) of a product is g[r][0] h[0][c] + g[r][1] h[1][c], two pair
+    products (field.pair_prod), added into one preallocated (n, 8) array
+    one pair product at a time, so that the temporaries hold a few columns,
+    not the eight entries and their stacked copy."""
     bound = (int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0)))
     if 8 * bound >= 2 ** 63:
         X, Y = X.astype(object), Y.astype(object)
-    return np.stack(pair_mul(S, T, X.T, Y.T), axis=-1)
+    out = np.zeros((len(X), 8), dtype=np.result_type(X, Y))
+    for r in (0, 4):            # the rows (a, b) and (c, d) of g
+        for c in (0, 2):        # the columns (e, g) and (f, h) of h
+            for x, y in ((r, c), (r + 2, c + 4)):
+                p0, p1 = pair_prod(S, T, X[:, x], X[:, x + 1], Y[:, y],
+                                   Y[:, y + 1])
+                out[:, r + c] += p0
+                del p0
+                out[:, r + c + 1] += p1
+    return out
 
 
 def adj_rows(X):

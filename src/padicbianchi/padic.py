@@ -418,14 +418,26 @@ class PadicStack:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product, at precision min(a.prec + v(b), b.prec + v(a), cap)
+        and at least 0, with its valuation min(v(a) + v(b), cap, prec) kept
+        from the two valuations that the precision reads. Valuations add:
+        O_F (x) Z_p is a DVR (completion refuses a split prime), so a
+        product residue mod pi^cap has valuation min(v(a) + v(b), cap). The
+        cap at prec commutes: where a factor's valuation is capped at its
+        own precision, the sum is at or above the product's precision, and
+        where the precision falls below 0 both read 0."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         ctx = self.ctx
         c0, c1 = ctx.mul(self.c0, self.c1, o.c0, o.c1)
-        prec = _min(_min(self.prec + o.val(), o.prec + self.val()), ctx.cap)
-        # max(prec, 0)
-        return self._new(o, c0, c1, prec - _min(prec, 0))
+        v, vo = self.val(), o.val()
+        prec = _min(_min(self.prec + vo, o.prec + v), ctx.cap)
+        val = _min(v + vo, prec)
+        # max(prec, 0) and max(val, 0)
+        out = self._new(o, c0, c1, prec - _min(prec, 0))
+        out._v = val - _min(val, 0)
+        return out
 
     __rmul__ = __mul__
 

@@ -428,6 +428,22 @@ class TestStartup:
                     assert b"sympy" not in fh.read(), name
 
 
+class TestBlasThreads:
+    def test_default_and_override(self, tmp_path, capsys, monkeypatch):
+        # main sets OPENBLAS_NUM_THREADS=1 where it is unset, before any
+        # command imports numpy, and keeps a value the user set
+        name = "OPENBLAS_NUM_THREADS"
+        monkeypatch.setenv(name, "")      # restored after the test
+        monkeypatch.delenv(name)
+        argv = ["build", "--bogus", "1", "--cache-dir", str(tmp_path / "c")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert os.environ[name] == "1"
+        monkeypatch.setenv(name, "3")
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert os.environ[name] == "3"
+        capsys.readouterr()
+
+
 class TestLinv:
     def test_certificate(self, cache_dir, tmp_path):
         code, rep = run(tmp_path, "l.json",

@@ -226,6 +226,98 @@ class TestNormPowerAtZero:
         self.check(lfun.build_mu_p(ram_lift, m))
 
 
+def new_lift(level, p, M):
+    """The M lift of the new eigensymbol at level over Q(i) and p."""
+    from padicbianchi import msymb as ms
+    pd = fld.split_prime(p, 1)
+    phi, _ = ms.find_new_eigensymbol(level, pd)
+    psi, cert = oc.lift(phi, M, pd)
+    assert cert["converged"]
+    return psi
+
+
+@pytest.fixture(scope="module")
+def p7_lift():
+    """The M = 5 lift at level 7+7i, p = 7 inert (the refactor gate's)."""
+    return new_lift(qi(7, 7), 7, 5)
+
+
+@pytest.fixture(scope="module")
+def p3_lift():
+    """The M = 5 lift at level 15, p = 3 inert (the refactor gate's)."""
+    return new_lift(qi(15), 3, 5)
+
+
+class TestBlockSum:
+    """block_sum reads two total measures a unit block, lambda_p *
+    Psi{b/g - infty}(1) - Psi{B0/G - infty}(1), in place of the block's
+    unit-disc totals: the U_p relation. It gives the per-disc sum
+    disc_sum(mu, weight, disc_one) digit for digit, with its valuation and
+    precision, block by block and for every quadratic character of modulus
+    g, at inert and ramified primes and for a nonzero lift_offset."""
+
+    @staticmethod
+    def check(psi, g, offset):
+        mu = lfun.build_mu_p(psi, g, lift_offset=offset)
+        p = mu.pctx.p
+        k = len(mu.units())
+        # one block alone, and unit weights that differ from block to block
+        weights = [lambda unit, c, a=a: (unit == a).astype(np.int64)
+                   for a in range(k)]
+        weights.append(lambda unit, c: np.array(
+            [1, -1, 0, p + 1, 1 - p])[unit % 5])
+        weights += [lfun._chi_weight(mu, chi)
+                    for chi in fld.quadratic_ray_characters(g)]
+        nonzero = 0
+        for weight in weights:
+            got = lfun.block_sum(mu, weight)
+            want = lfun.disc_sum(mu, weight, lfun.disc_one)
+            assert (got.c0, got.c1, got.val(), got.prec) == \
+                (want.c0, want.c1, want.val(), want.prec)
+            nonzero += not got.is_zero()
+        return nonzero
+
+    # (g, lift_offset, whether some sum is nonzero): the sums at g = 1 and
+    # at some other moduli are all exceptional zeros, so each configuration
+    # has a modulus where they are not
+    @pytest.mark.parametrize("g, offset, nonzero", [
+        ((1, 0), 0, False), ((3, 0), 0, False), ((3, 0), 2, False),
+        ((7, 0), 0, True), ((7, 0), 1, True)])
+    def test_reference(self, ref_lift, g, offset, nonzero):
+        assert bool(self.check(ref_lift[0], qi(*g), offset)) == nonzero
+
+    @pytest.mark.parametrize("g, offset", [((1, 0), 0), ((3, 0), 1)])
+    def test_ramified(self, ram_lift, g, offset):
+        assert self.check(ram_lift, qi(*g), offset)
+
+    @pytest.mark.parametrize("g, offset, nonzero", [
+        ((1, 0), 0, False), ((3, 0), 0, False), ((4, 1), 1, True)])
+    def test_p7(self, p7_lift, g, offset, nonzero):
+        assert bool(self.check(p7_lift, qi(*g), offset)) == nonzero
+
+    @pytest.mark.parametrize("g, offset, nonzero", [
+        ((1, 0), 0, False), ((5, 0), 1, True)])
+    def test_p3(self, p3_lift, g, offset, nonzero):
+        assert bool(self.check(p3_lift, qi(*g), offset)) == nonzero
+
+    def test_route(self, ref_lift, monkeypatch):
+        # Lp_value takes block_sum at s = 0 for a character of modulus
+        # dividing g, and the per-disc route otherwise
+        psi = ref_lift[0]
+        blocks = counter(monkeypatch, lfun, "block_sum",
+                         lambda mu, weight: 1)
+        mu1, mu3 = lfun.build_mu_p(psi, qi(1)), lfun.build_mu_p(psi, qi(3))
+        chi3 = character(qi(3), 1)
+        lfun.Lp_value(mu1)
+        lfun.Lp_value(mu3, chi3)
+        assert len(blocks) == 2
+        lfun.Lp_value(mu1, s=0, terms=3)
+        lfun.Lp_value(mu3, chi3, r=2)
+        lfun.Lp_value(mu1, next(ch for ch in fld.quadratic_ray_characters(
+            qi(11)) if not ch.is_trivial()))
+        assert len(blocks) == 2
+
+
 class TestZFactor:
     def test_trivial_exceptional(self, ref_prime, mu1):
         assert lfun.Z_factor(None, 0, ref_prime, 1, mu1.pctx).is_zero()
@@ -287,16 +379,25 @@ def counter(monkeypatch, owner, name, size=len):
 
 class TestIntegrateOnce:
     """Each disc is integrated once per distribution: an s = 0 value reads
-    the table of total measures, which forms no action matrix, and the log
-    series of a disc is built once, in one stacked pass per new set of
-    centres."""
+    total measures, two a unit block (block_sum) or the table of them a
+    disc, which forms no action matrix, and the log series of a disc is
+    built once, in one stacked pass per new set of centres."""
 
     def test_value_at_zero_forms_no_action_matrix(self, ref_lift,
                                                   monkeypatch):
         mu = lfun.build_mu_p(ref_lift[0], qi(3))
+        chi = character(qi(3), 1)
         calls = counter(monkeypatch, oc, "action_matrices",
                         lambda ctx, gs: len(gs))
-        assert lfun.Lp_value(mu, character(qi(3), 1)).is_zero()
+        totals = counter(monkeypatch, oc.OverconvergentSymbol, "ev_totals",
+                         lambda psi, paths: len(paths))
+        # the 8 unit blocks mod 3 read two total measures each
+        assert lfun.Lp_value(mu, chi).is_zero()
+        assert calls == [] and totals == [16]
+        assert mu._totals.rows == {} and mu._tables.rows == {}
+        # the per-disc route reads the table of the 960 disc totals
+        assert lfun.disc_sum(mu, lfun._chi_weight(mu, chi),
+                             lfun.disc_one).is_zero()
         assert calls == []
         assert len(mu._totals.rows) == 960 and mu._tables.rows == {}
         lfun.Lp_value(mu, s=1)
@@ -348,7 +449,8 @@ class TestIntegrateOnce:
         gc.disable()
         try:
             mu = lfun.build_mu_p(psi, qi(3))
-            lfun.Lp_value(mu, character(qi(3), 1))
+            lfun.disc_sum(mu, lfun._chi_weight(mu, character(qi(3), 1)),
+                          lfun.disc_one)
             lfun.disc_log_z(mu, mu.discs([(1, 0), (2, 0)]))
             assert mu._totals.rows and mu._lines.rows and mu._logs.rows
             ref = weakref.ref(mu)

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -332,6 +333,46 @@ class TestOneClass:
             del calls[:]
             rowwise(ctx, xs, lambda x: x ** n, lambda s: s ** n)
             assert len(calls) == products
+
+    @pytest.mark.parametrize("make", [
+        lambda: pa.Qp(11, 4),
+        lambda: pa.completion(fld.split_prime(11, 1), 4),
+        lambda: pa.completion(fld.split_prime(2, 1), 6)],
+        ids=["Q11", "Q11(i)", "Q2(i)"])
+    def test_product_valuation_kept(self, make):
+        # a product keeps min(v(x) + v(y), prec) as its valuation, and that
+        # is the valuation computed afresh from its coefficients: on stacks
+        # and elements, with factors that are zero to their precision and
+        # precisions below 0, where the product's precision clamps at 0
+        ctx = make()
+        rng = random.Random(ctx.p * 13 + ctx.M)
+
+        def element():
+            x = random_element(ctx, rng)
+            if rng.random() < 0.15:
+                x = ctx.elt(0, 0, rng.randrange(ctx.cap + 1))
+            x.prec = rng.randrange(-3, ctx.cap + 1)
+            return x
+
+        def fresh(z):
+            return pa.PadicStack(ctx, z.c0, z.c1, z.prec).val()
+
+        xs = [element() for _ in range(300)]
+        ys = [element() for _ in range(300)]
+        z = pa.PadicStack.of(ctx, xs) * pa.PadicStack.of(ctx, ys)
+        assert z._v.tolist() == fresh(z).tolist()
+        assert (z.prec == 0).any() and (z.is_zero() & (z.prec > 0)).any()
+        for x, y in zip(xs, ys):
+            for w in (x * y, x * 3, ctx.p * y,
+                      pa.PadicStack.of(ctx, [x]) * y):
+                assert w._v is not None
+                assert np.array_equal(w._v, fresh(w)), (x, y)
+        # zero to its precision, and a precision that clamps at 0
+        zero = ctx.elt(0, 0, 2)
+        assert (zero * xs[0])._v == fresh(zero * xs[0])
+        low = ctx.elt(1, 0, -2)
+        w = low * ctx.one()
+        assert (w.prec, w._v) == (0, 0) == (0, fresh(w))
 
     @mixed
     def test_divisor_valuation_per_row_refused(self, name):
